@@ -168,6 +168,11 @@ class Reducer:
         #: Roots fully reduced by the most recent *faulted*
         #: :meth:`reduce_forest` call (fault-isolation provenance).
         self.last_roots_completed = 0
+        #: Cover cost of the forest the most recent :meth:`reduce_forest`
+        #: emitted, when the engine knows it for free (the tape engine
+        #: sums it while compiling); always ``None`` for this engine, so
+        #: callers fall back to :func:`~repro.selection.cover.extract_cover`.
+        self.last_cover_cost: int | None = None
 
     # ------------------------------------------------------------------
     # Poisoned-entry safety: the memo only ever *adds* entries (a pair is

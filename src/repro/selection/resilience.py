@@ -9,7 +9,7 @@ certifier — as three small, composable pieces:
 * :class:`SelectionFailure` — the structured record a fault-isolated
   batch (``select_many(on_error="isolate")``) returns *in place of* a
   faulted forest's values: which forest, which phase (validate / label
-  / reduce), the exception, and the IR node being processed when the
+  / reduce / cover), the exception, and the IR node being processed when the
   fault fired.  The rest of the batch completes normally.
 * :class:`BuildBudget` — a resource budget for the eager (offline)
   table build: a state-pool cap plus a wall-clock deadline.  A build
@@ -117,7 +117,8 @@ class SelectionFailure:
         index: Position of the faulted forest in the input batch.
         forest: The forest's ``name``.
         phase: Pipeline phase that faulted: ``"validate"``, ``"label"``,
-            or ``"reduce"``.
+            ``"reduce"``, or ``"cover"`` (the ``extract_cover`` fallback
+            that costs forests whose tape could not).
         error: The contained exception object.
         node: Provenance of the IR node being processed when the fault
             fired (``"OP(nid=n)"``), when the engine could attach it.
@@ -198,7 +199,7 @@ def new_resilience_counters() -> dict[str, Any]:
     """
     return {
         "isolated_failures": 0,
-        "failures_by_phase": {"validate": 0, "label": 0, "reduce": 0},
+        "failures_by_phase": {"validate": 0, "label": 0, "reduce": 0, "cover": 0},
         "demotions": {
             "load_failed": 0,
             "build_budget": 0,

@@ -629,11 +629,15 @@ def _rehydrate(automaton: OnDemandAutomaton, header: dict, payload: bytes) -> Pa
 class SelectionReport:
     """What one ``select`` / ``select_many`` call did and cost.
 
-    Counts describe the whole batch; the two ``*_ns`` fields are
-    integer ``perf_counter_ns`` measurements of the labeling phase and
-    the reduction/emission phase respectively (cover extraction, when
-    requested, is *not* timed — it is a verification artifact, not part
-    of selection).
+    Counts describe the whole batch; the ``*_ns`` fields are integer
+    ``perf_counter_ns`` measurements of the labeling phase, the
+    reduction/emission phase, and the cover-costing fallback.  The tape
+    engine sums each forest's cover cost while compiling its tape, so on
+    the default path :attr:`cover_cost` is free and :attr:`cover_ns` is
+    0; only forests the tape cannot cost (frame-engine emission, or a
+    tape reaching into an earlier forest's slots) pay an
+    :func:`~repro.selection.cover.extract_cover` walk, timed in
+    :attr:`cover_ns`.
     """
 
     grammar: str
@@ -653,8 +657,12 @@ class SelectionReport:
     label_ns: int
     reduce_ns: int
     #: Input-validation nanoseconds (0 unless ``config.validate`` is on;
-    #: not part of :attr:`total_ns`, mirroring cover extraction).
+    #: not part of :attr:`total_ns`).
     validate_ns: int = 0
+    #: Nanoseconds spent in fallback ``extract_cover`` walks (0 when
+    #: every forest's cost came from its tape, or cover collection was
+    #: skipped).
+    cover_ns: int = 0
     #: Forests contained by ``on_error="isolate"`` (0 under ``"raise"``).
     failures: int = 0
     #: Cover-to-tape compilations performed by the tape emitter (0 when
@@ -666,8 +674,8 @@ class SelectionReport:
 
     @property
     def total_ns(self) -> int:
-        """Labeling plus reduction/emission nanoseconds."""
-        return self.label_ns + self.reduce_ns
+        """Labeling, reduction/emission, and cover-fallback nanoseconds."""
+        return self.label_ns + self.reduce_ns + self.cover_ns
 
     @property
     def ns_per_node(self) -> float:
@@ -693,6 +701,7 @@ class SelectionReport:
             "label_ns": self.label_ns,
             "reduce_ns": self.reduce_ns,
             "validate_ns": self.validate_ns,
+            "cover_ns": self.cover_ns,
             "total_ns": self.total_ns,
             "ns_per_node": self.ns_per_node,
             "reduce_fraction": self.reduce_fraction,
@@ -856,6 +865,7 @@ class Selector:
                 "validate": metrics.histogram("pipeline_phase_ns", phase="validate"),
                 "label": metrics.histogram("pipeline_phase_ns", phase="label"),
                 "emit": metrics.histogram("pipeline_phase_ns", phase="emit"),
+                "cover": metrics.histogram("pipeline_phase_ns", phase="cover"),
             }
             self._obs_batches = metrics.counter("pipeline_batches_total")
             self._obs_nodes = metrics.counter("pipeline_nodes_total")
@@ -871,6 +881,7 @@ class Selector:
             "memo_hits": 0,
             "label_ns": 0,
             "reduce_ns": 0,
+            "cover_ns": 0,
             "failures": 0,
             "tapes_compiled": 0,
             "tape_cache_hits": 0,
@@ -1207,15 +1218,29 @@ class Selector:
 
         engine = self._make_emitter(labeling, context, deadline_at_ns)
         started = time.perf_counter_ns()
-        values = [engine.reduce_forest(forest, start) for forest in forests]
+        values = []
+        costs: list[int | None] = []
+        for forest in forests:
+            values.append(engine.reduce_forest(forest, start))
+            costs.append(engine.last_cover_cost)
         end_ns = time.perf_counter_ns()
         reduce_ns = end_ns - started
 
         cover_cost: int | None = None
+        cover_ns = 0
         if collect_cover:
-            cover_cost = sum(
-                extract_cover(labeling, forest, start).total_cost() for forest in forests
-            )
+            # Tape-costed forests are free; the rest pay an
+            # extract_cover walk, timed as the cover layer.
+            cover_cost = sum(cost for cost in costs if cost is not None)
+            uncosted = [f for f, cost in zip(forests, costs) if cost is None]
+            if uncosted:
+                started = end_ns
+                cover_cost += sum(
+                    extract_cover(labeling, forest, start).total_cost()
+                    for forest in uncosted
+                )
+                end_ns = time.perf_counter_ns()
+                cover_ns = end_ns - started
 
         report = SelectionReport(
             grammar=self.source_grammar.name,
@@ -1229,6 +1254,7 @@ class Selector:
             label_ns=label_ns,
             reduce_ns=reduce_ns,
             validate_ns=validate_ns,
+            cover_ns=cover_ns,
             tapes_compiled=getattr(engine, "tapes_compiled", 0),
             tape_cache_hits=getattr(engine, "tape_cache_hits", 0),
         )
@@ -1309,6 +1335,7 @@ class Selector:
         # before the next forest reduces, so half-emitted values are
         # never reused.
         values: list[Any] = [None] * len(forests)
+        costs: dict[int, int | None] = {}
         engines: dict[int, Reducer] = {}
         started = time.perf_counter_ns()
         for index, forest, labeling in labeled:
@@ -1321,6 +1348,7 @@ class Selector:
             mark = engine.memo_size()
             try:
                 values[index] = engine.reduce_forest(forest, start_nt)
+                costs[index] = engine.last_cover_cost
             except DeadlineExceededError:
                 engine.rollback_to(mark)
                 raise
@@ -1337,13 +1365,38 @@ class Selector:
         end_ns = time.perf_counter_ns()
         reduce_ns = end_ns - started
 
+        # Cover phase: tape costs are free; forests without one pay a
+        # guarded extract_cover walk, and a fault there fails only that
+        # forest (its emitted values stand — every root was reduced).
         cover_cost: int | None = None
+        cover_ns = 0
         if collect_cover:
-            cover_cost = sum(
-                extract_cover(labeling, forest, start).total_cost()
-                for index, forest, labeling in labeled
-                if index not in failures
-            )
+            cover_cost = 0
+            uncosted: list[tuple[int, Forest, Labeling]] = []
+            for index, forest, labeling in labeled:
+                if index in failures:
+                    continue
+                cost = costs[index]
+                if cost is None:
+                    uncosted.append((index, forest, labeling))
+                else:
+                    cover_cost += cost
+            if uncosted:
+                started = end_ns
+                for index, forest, labeling in uncosted:
+                    try:
+                        cover_cost += extract_cover(labeling, forest, start).total_cost()
+                    except Exception as exc:
+                        failures[index] = SelectionFailure(
+                            index,
+                            forest.name,
+                            "cover",
+                            exc,
+                            node_provenance(exc),
+                            roots_completed=len(forest.roots),
+                        )
+                end_ns = time.perf_counter_ns()
+                cover_ns = end_ns - started
 
         for index, failure in failures.items():
             values[index] = failure
@@ -1364,6 +1417,7 @@ class Selector:
             label_ns=label_ns,
             reduce_ns=reduce_ns,
             validate_ns=validate_ns,
+            cover_ns=cover_ns,
             failures=len(failures),
             tapes_compiled=sum(
                 getattr(r, "tapes_compiled", 0) for r in engines.values()
@@ -1421,6 +1475,7 @@ class Selector:
         totals["memo_hits"] += report.memo_hits
         totals["label_ns"] += report.label_ns
         totals["reduce_ns"] += report.reduce_ns
+        totals["cover_ns"] += report.cover_ns
         totals["failures"] += report.failures
         totals["tapes_compiled"] += report.tapes_compiled
         totals["tape_cache_hits"] += report.tape_cache_hits
@@ -1432,7 +1487,8 @@ class Selector:
         """Record one batch's spans and metrics (enabled-obs path only).
 
         Span boundaries are reconstructed backwards from *end_ns* (the
-        post-reduce ``perf_counter_ns`` reading) out of the report's
+        final ``perf_counter_ns`` reading: post-cover when a cover
+        fallback ran, post-reduce otherwise) out of the report's
         already-measured phase nanoseconds — the tracer adds no clock
         calls inside the measured windows, so durations are exact; only
         the small inter-phase gaps (emitter construction) are absorbed
@@ -1440,7 +1496,8 @@ class Selector:
         """
         if end_ns is None:
             end_ns = time.perf_counter_ns()
-        emit_start = end_ns - report.reduce_ns
+        emit_end = end_ns - report.cover_ns
+        emit_start = emit_end - report.reduce_ns
         label_start = emit_start - report.label_ns
         select_start = label_start - report.validate_ns
         tracer = self._obs.tracer
@@ -1465,11 +1522,13 @@ class Selector:
             tracer.record(
                 "pipeline.emit",
                 emit_start,
-                end_ns,
+                emit_end,
                 parent_id=select_id,
                 reductions=report.reductions,
                 failures=report.failures,
             )
+            if report.cover_ns:
+                tracer.record("pipeline.cover", emit_end, end_ns, parent_id=select_id)
             tracer.record(
                 "pipeline.select",
                 select_start,
@@ -1483,6 +1542,8 @@ class Selector:
             self._obs_phase_ns["validate"].observe(report.validate_ns)
         self._obs_phase_ns["label"].observe(report.label_ns)
         self._obs_phase_ns["emit"].observe(report.reduce_ns)
+        if report.cover_ns:
+            self._obs_phase_ns["cover"].observe(report.cover_ns)
         self._obs_batches.inc()
         self._obs_nodes.inc(report.nodes)
         if report.failures:
@@ -1781,7 +1842,7 @@ class Selector:
             }
         )
         totals = dict(self._totals)
-        total_ns = totals["label_ns"] + totals["reduce_ns"]
+        total_ns = totals["label_ns"] + totals["reduce_ns"] + totals["cover_ns"]
         totals["total_ns"] = total_ns
         totals["ns_per_node"] = total_ns / max(totals["nodes"], 1)
         totals["reduce_fraction"] = totals["reduce_ns"] / total_ns if total_ns > 0 else 0.0
@@ -1821,7 +1882,7 @@ class Selector:
         flat["resilience_quarantined"] = resilience["quarantined"]
         flat["resilience_deadline_overruns"] = resilience["deadline_overruns"]
         totals = self._totals
-        total_ns = totals["label_ns"] + totals["reduce_ns"]
+        total_ns = totals["label_ns"] + totals["reduce_ns"] + totals["cover_ns"]
         flat["selection_calls"] = totals["calls"]
         flat["selection_total_ns"] = total_ns
         flat["selection_ns_per_node"] = total_ns / max(totals["nodes"], 1)

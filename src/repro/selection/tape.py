@@ -125,13 +125,22 @@ class CompiledTape:
         intra_hits: Memo hits the compile walk scored (all intra-forest
             for cacheable tapes); replays add the same count, keeping
             ``memo_hits`` parity with the frame engine.
-        cacheable: True when the tape is self-contained (no reference
-            below :attr:`base`) and shape-keyed replay is sound.
+        cost: Summed rule cost of the tape's entries, accumulated by the
+            compile walk (``None`` for dynamic-rule grammars, whose costs
+            are node-evaluated callables the emitter does not re-run).
+            For a self-contained tape this is the forest's cover cost —
+            exactly ``extract_cover(...).total_cost()``.
+        self_contained: True when no operand or root reference points
+            below :attr:`base` (nothing was memo-hit from an earlier
+            forest), so the tape's entries are the forest's whole cover.
+        cacheable: True when the tape is self-contained and was compiled
+            against a shape signature, so shape-keyed replay is sound.
     """
 
     __slots__ = (
         "entries",
         "base",
+        "cost",
         "rule_ids",
         "nt_ids",
         "node_ords",
@@ -143,6 +152,7 @@ class CompiledTape:
         "thunks",
         "nodes",
         "intra_hits",
+        "self_contained",
         "cacheable",
     )
 
@@ -150,6 +160,7 @@ class CompiledTape:
         self,
         *,
         base: int,
+        cost: int | None,
         rule_ids: array,
         nt_ids: array,
         node_ords: "array | None",
@@ -161,10 +172,12 @@ class CompiledTape:
         thunks: list,
         nodes: list,
         intra_hits: int,
+        self_contained: bool,
         cacheable: bool,
     ) -> None:
         self.entries = len(rule_ids)
         self.base = base
+        self.cost = cost
         self.rule_ids = rule_ids
         self.nt_ids = nt_ids
         self.node_ords = node_ords
@@ -176,12 +189,14 @@ class CompiledTape:
         self.thunks = thunks
         self.nodes = nodes
         self.intra_hits = intra_hits
+        self.self_contained = self_contained
         self.cacheable = cacheable
 
     def __repr__(self) -> str:
         return (
             f"CompiledTape(entries={self.entries}, roots={len(self.root_refs)}, "
-            f"operands={len(self.opnd_refs)}, cacheable={self.cacheable})"
+            f"operands={len(self.opnd_refs)}, cost={self.cost}, "
+            f"cacheable={self.cacheable})"
         )
 
 
@@ -279,6 +294,13 @@ class TapeEmitter(Reducer):
 
     Additional counters: :attr:`tapes_compiled` and
     :attr:`tape_cache_hits` (replays of a shape-cached tape).
+
+    Cover cost comes for free: the compile walk sums the rule costs of
+    the entries it lays out into :attr:`CompiledTape.cost`, so after
+    each ``reduce_forest`` :attr:`last_cover_cost` holds the forest's
+    cover cost — straight from the cached tape on a replay — whenever
+    the tape is self-contained (``None`` when it reached into an earlier
+    forest's slots, or for dynamic-rule grammars).
     """
 
     def __init__(
@@ -305,8 +327,9 @@ class TapeEmitter(Reducer):
         #: ``id(rule) -> (thunk, spliced)`` compiled action thunks.
         self._thunks: dict[int, tuple[Any, bool]] = {}
         self._cache = cache
-        #: Shape caching is only sound when shape determines the cover.
-        self._cacheable_grammar = not labeling.grammar.has_dynamic_rules
+        #: Shape caching is only sound when shape determines the cover,
+        #: and tape costing only when rule costs are static.
+        self._static_grammar = not labeling.grammar.has_dynamic_rules
         self.tapes_compiled = 0
         self.tape_cache_hits = 0
 
@@ -512,7 +535,8 @@ class TapeEmitter(Reducer):
         new entry's slot in the slot table as it is laid out, so later
         targets (and later forests) resolve shared reductions to
         existing slots.  The walk replicates the frame engine's exact
-        left-to-right postorder, cycle guard, and deadline strides.
+        left-to-right postorder, cycle guard, and deadline strides, and
+        sums each new entry's rule cost into the tape's ``cost``.
         """
         slots = self._slots
         seen = self._seen
@@ -531,7 +555,8 @@ class TapeEmitter(Reducer):
         root_refs: list[int] = []
         spliced_flags = bytearray()
         hits = 0
-        cacheable = True
+        cost = 0
+        self_contained = True
         ticks = 0
 
         for root, nonterminal in pairs:
@@ -541,7 +566,7 @@ class TapeEmitter(Reducer):
             if encoded is not None:
                 hits += 1
                 if encoded < base2:
-                    cacheable = False
+                    self_contained = False
                 root_refs.append(encoded >> 1)
                 continue
             rule = require_rule(root, nonterminal)
@@ -580,13 +605,14 @@ class TapeEmitter(Reducer):
                         break
                     hits += 1
                     if encoded < base2:
-                        cacheable = False
+                        self_contained = False
                     refs.append(encoded)
                     index += 1
                 if descended:
                     continue
                 # All targets resolved: lay out this entry.
                 e_rule = frame[_F_RULE]
+                cost += e_rule.cost
                 thunk, spliced = thunk_info(e_rule)
                 e_key = frame[_F_KEY]
                 encoded = ((base + len(nodes)) << 1) | spliced
@@ -616,11 +642,13 @@ class TapeEmitter(Reducer):
             total += len(run)
             offsets[i + 1] = total
             flat_refs.extend(run)
+        cacheable = self_contained and ord_of is not None
         node_ords: array | None = None
-        if ord_of is not None and cacheable:
+        if cacheable:
             node_ords = array("q", [ord_of[id(node)] for node in nodes])
         return CompiledTape(
             base=base,
+            cost=cost if self._static_grammar else None,
             rule_ids=array("q", rule_ids),
             nt_ids=array("q", nt_ids),
             node_ords=node_ords,
@@ -632,7 +660,8 @@ class TapeEmitter(Reducer):
             thunks=thunks,
             nodes=nodes,
             intra_hits=hits,
-            cacheable=cacheable and ord_of is not None,
+            self_contained=self_contained,
+            cacheable=cacheable,
         )
 
     # ------------------------------------------------------------------
@@ -721,7 +750,8 @@ class TapeEmitter(Reducer):
         Rebinds each entry's node through the canonical node order,
         rebases slot references onto the current buffer tail, registers
         the replayed entries in the slot table (so later forests can
-        share and rollback stays a truncation), and sweeps.
+        share and rollback stays a truncation), and sweeps.  A cached
+        tape is self-contained, so its cost is the forest's cover cost.
         """
         base = len(self._values)
         delta = base - tape.base
@@ -744,6 +774,7 @@ class TapeEmitter(Reducer):
         self.memo_hits += tape.intra_hits
         self.tape_cache_hits += 1
         self._sweep(tape, nodes, base, delta)
+        self.last_cover_cost = tape.cost
         buf = self._values
         return [buf[ref + delta] for ref in tape.root_refs]
 
@@ -751,13 +782,17 @@ class TapeEmitter(Reducer):
     # Public emission surface (Reducer-compatible)
 
     def reduce_forest(self, forest: Forest, start: str | None = None) -> list[Any]:
-        """Compile (or replay) *forest*'s tape and sweep it."""
+        """Compile (or replay) *forest*'s tape and sweep it.
+
+        Also sets :attr:`last_cover_cost` to the forest's cover cost
+        when its tape is self-contained (``None`` otherwise).
+        """
         start_nt = self.resolve_start(start)
         cache = self._cache
         ord_of: dict[int, int] | None = None
         key: tuple | None = None
         sig_nodes: list[Node] | None = None
-        if cache is not None and self._cacheable_grammar:
+        if cache is not None and self._static_grammar:
             version = self.labeling.grammar.version
             ctx_type = type(self.context)
             ident = cache.forest_entry(forest)
@@ -808,6 +843,7 @@ class TapeEmitter(Reducer):
             cache.put(key, tape)
             cache.remember_forest(forest, sig_nodes, key)
         self._sweep(tape, tape.nodes, tape.base)
+        self.last_cover_cost = tape.cost if tape.self_contained else None
         buf = self._values
         return [buf[ref] for ref in tape.root_refs]
 

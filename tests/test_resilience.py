@@ -26,6 +26,7 @@ import os
 import pytest
 
 from conftest import DYNAMIC_TEXT, mul_cost, small_const
+from repro.bench.workloads import dynamic_bench_grammar, dynamic_constraint_forests
 from repro.errors import (
     ArtifactCorruptError,
     ArtifactError,
@@ -43,11 +44,13 @@ from repro.selection import (
     SelectionFailure,
     Selector,
     SelectorConfig,
+    extract_cover,
 )
 from repro.selection import select_many as fn_select_many
 from repro.selection import selector as selector_module
 from repro.selection.selector import read_artifact_header
 from repro.testing import (
+    FaultyCallable,
     InjectedFault,
     SimulatedCrash,
     artifact_io_faults,
@@ -188,7 +191,9 @@ class TestIsolation:
         assert result.report.failures == 1
         resilience = sel.stats()["resilience"]
         assert resilience["isolated_failures"] == 1
-        assert resilience["failures_by_phase"] == {"validate": 0, "label": 0, "reduce": 1}
+        assert resilience["failures_by_phase"] == {
+            "validate": 0, "label": 0, "reduce": 1, "cover": 0,
+        }
 
     def test_reduce_fault_rolls_back_shared_memo(self):
         # fB reuses a subtree that the faulted fA already reduced; its
@@ -298,6 +303,52 @@ class TestIsolation:
         with pytest.raises(SimulatedCrash):
             sel.select_many(_chaos_forests(), on_error="isolate")
         assert sel.stats()["resilience"]["isolated_failures"] == 0
+
+    def test_cover_fallback_fault_is_isolated(self):
+        """A constraint that raises while the ``extract_cover`` fallback
+        costs a forest (dynamic grammars emit through the frame engine,
+        so no tape cost exists) fails that forest with ``phase="cover"``
+        instead of escaping the isolated batch."""
+
+        def grammar_with(wrap):
+            grammar = dynamic_bench_grammar()
+            imm4 = [r for r in grammar.rules if r.constraint_name == "imm4"]
+            shared = wrap(imm4[0].constraint)
+            for rule in imm4:
+                rule.constraint = shared
+            return grammar, shared
+
+        # Label + emit calls the constraint `emitted` times; the cover
+        # walk's first call is the next one.
+        grammar, counter = grammar_with(lambda fn: FaultyCallable(fn, predicate=lambda node: False))
+        Selector(grammar).select_many(dynamic_constraint_forests(3, 4), collect_cover=False)
+        emitted = counter.calls
+
+        grammar, fault = grammar_with(lambda fn: FaultyCallable(fn, on_call=emitted + 1))
+        sel = Selector(grammar)
+        forests = dynamic_constraint_forests(3, 4)
+        result = sel.select_many(forests, on_error="isolate")
+
+        [failure] = result.failures
+        assert failure.phase == "cover"
+        assert isinstance(failure.error, InjectedFault)
+        assert failure.roots_completed == len(forests[failure.index].roots)
+        assert fault.faults == 1
+        labeling = Selector(dynamic_bench_grammar()).label_many(forests)
+        assert result.report.cover_cost == sum(
+            extract_cover(labeling, forest).total_cost()
+            for index, forest in enumerate(forests)
+            if index != failure.index
+        )
+        assert result.report.failures == 1
+        resilience = sel.stats()["resilience"]
+        assert resilience["failures_by_phase"]["cover"] == 1
+        assert resilience["isolated_failures"] == 1
+
+        # Under on_error="raise" the same fault still aborts the batch.
+        grammar, _ = grammar_with(lambda fn: FaultyCallable(fn, on_call=emitted + 1))
+        with pytest.raises(InjectedFault):
+            Selector(grammar).select_many(dynamic_constraint_forests(3, 4))
 
 
 # ----------------------------------------------------------------------

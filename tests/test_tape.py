@@ -23,6 +23,10 @@ Four contracts are pinned here:
   documented ``~id`` fallback for hand-built nodes), and
   ``replace_kids`` copies get fresh nids so they can never alias their
   source in a memo.
+* **Free cover cost** — the cost the compile walk sums onto each tape
+  (and replays from the cache) equals the ``extract_cover`` oracle on
+  every path, and ``extract_cover`` runs only for forests whose tape is
+  not self-contained.
 """
 
 from __future__ import annotations
@@ -35,18 +39,23 @@ from repro.grammar import parse_grammar
 from repro.ir import Forest, Node, NodeBuilder
 from repro.selection import (
     EMITTERS,
+    MODES,
+    ON_ERROR_POLICIES,
     Reducer,
     Selector,
     SelectorConfig,
     TapeCache,
     TapeEmitter,
+    extract_cover,
     node_memo_key,
 )
+from repro.selection import selector as selector_module
 from repro.selection.resilience import SelectionFailure, node_provenance
 from repro.bench.workloads import (
     EmitContext,
     bench_grammar,
     clone_forest,
+    dag_heavy_forests,
     dynamic_bench_grammar,
     dynamic_constraint_forests,
     emit_bench_grammar,
@@ -534,3 +543,158 @@ def test_memo_never_aliases_replace_kids_copy(engine_cls):
     assert values[0] != values[1]
     # The copy's left operand really is REG(9), not the original's REG(1).
     assert values[1][4][0][4][0] == ("reg", "REG", "REG", 9, ())
+
+
+# ----------------------------------------------------------------------
+# Free cover cost: summed by the compile walk, cached on the tape
+
+#: Every bench workload family, plus the dynamic family whose frame
+#: engine path keeps the ``extract_cover`` fallback.
+COST_FAMILIES = [
+    ("random", bench_grammar, lambda: random_forests(71, forests=4, statements=5, max_depth=4)),
+    ("dag_heavy", bench_grammar, lambda: dag_heavy_forests(72, forests=4, statements=6, shared=4, max_depth=3)),
+    ("reduce_heavy", emit_bench_grammar, lambda: reduce_heavy_forests(73, forests=4, statements=5, max_depth=4)),
+    ("shared_reduction", emit_bench_grammar, lambda: shared_reduction_forests(74, forests=4, statements=6, shared=3, max_depth=4)),
+    ("recurring_stream", bench_grammar, lambda: recurring_shape_stream(75, shapes=2, length=8, statements=4, max_depth=4)),
+    ("dynamic_constraints", dynamic_bench_grammar, lambda: dynamic_constraint_forests(76, forests=4, statements=5, max_depth=4)),
+]
+
+
+def _oracle_cost(labeling, forests, start=None) -> int:
+    return sum(extract_cover(labeling, forest, start).total_cost() for forest in forests)
+
+
+def _count_extract_cover(monkeypatch) -> list[str]:
+    """Count the selector's ``extract_cover`` calls (forest names)."""
+    calls: list[str] = []
+    real = selector_module.extract_cover
+
+    def counting(labeling, forest, start=None):
+        calls.append(forest.name)
+        return real(labeling, forest, start)
+
+    monkeypatch.setattr(selector_module, "extract_cover", counting)
+    return calls
+
+
+@pytest.mark.parametrize("on_error", ON_ERROR_POLICIES)
+@pytest.mark.parametrize("emitter", EMITTERS)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "name,make_grammar,make_forests", COST_FAMILIES, ids=[f[0] for f in COST_FAMILIES]
+)
+def test_cover_cost_matches_extract_cover_oracle(
+    name, make_grammar, make_forests, mode, emitter, on_error
+):
+    sel = Selector(make_grammar(), mode=mode, config=SelectorConfig(emitter=emitter))
+    forests = make_forests()
+    first = sel.select_many(forests, context=EmitContext(), on_error=on_error)
+    assert first.ok
+    assert first.report.cover_cost == _oracle_cost(first.labeling, forests)
+    report = first.report
+    assert report.total_ns == report.label_ns + report.reduce_ns + report.cover_ns
+
+    # Fresh-nid clones: on the tape path every forest replays a cached
+    # tape and takes its cost from it.
+    clones = [clone_forest(forest) for forest in forests]
+    again = sel.select_many(clones, context=EmitContext(), on_error=on_error)
+    assert again.report.cover_cost == _oracle_cost(again.labeling, clones)
+    assert again.report.cover_cost == first.report.cover_cost
+    on_tape = emitter == "tape" and name != "dynamic_constraints"
+    if on_tape:
+        assert again.report.tapes_compiled == 0
+        assert again.report.tape_cache_hits == len(clones)
+        assert first.report.cover_ns == again.report.cover_ns == 0
+    else:
+        assert again.report.cover_ns > 0
+
+
+def test_default_tape_path_never_calls_extract_cover(monkeypatch):
+    calls = _count_extract_cover(monkeypatch)
+    sel = Selector(bench_grammar())  # defaults: collect_cover=True, emitter="tape"
+    stream = recurring_shape_stream(81, shapes=3, length=16, statements=5, max_depth=4)
+    for batch in (stream, [clone_forest(forest) for forest in stream]):
+        result = sel.select_many(batch, context=EmitContext())
+        assert result.report.cover_cost == _oracle_cost(result.labeling, batch)
+        assert result.report.cover_ns == 0
+    assert calls == []
+    stats = sel.stats()["selection"]
+    assert stats["cover_ns"] == 0
+    assert stats["total_ns"] == stats["label_ns"] + stats["reduce_ns"]
+
+
+@pytest.mark.parametrize("on_error", ON_ERROR_POLICIES)
+def test_cross_forest_sharing_falls_back_to_extract_cover(monkeypatch, on_error):
+    """A tape that memo-hits an earlier forest's slots is not the
+    forest's whole cover, so that forest (only) is costed by the
+    ``extract_cover`` fallback, timed as ``cover_ns``."""
+    calls = _count_extract_cover(monkeypatch)
+    forests = _sharing_pair()
+    result = _tape_selector(_action_grammar()).select_many(forests, on_error=on_error)
+    assert calls == ["second"]
+    assert result.report.cover_cost == _oracle_cost(result.labeling, forests)
+    report = result.report
+    assert report.cover_ns > 0
+    assert report.total_ns == report.label_ns + report.reduce_ns + report.cover_ns
+    assert report.as_row()["cover_ns"] == report.cover_ns
+
+    labeling = result.labeling
+    emitter = TapeEmitter(labeling, None)
+    emitter.reduce_forest(forests[0])
+    assert emitter.last_cover_cost == extract_cover(labeling, forests[0]).total_cost()
+    emitter.reduce_forest(forests[1])
+    assert emitter.last_cover_cost is None
+    frame = Reducer(labeling, None)
+    frame.reduce_forest(forests[0])
+    assert frame.last_cover_cost is None
+
+
+def test_explicit_start_costs_from_that_nonterminal():
+    sel = _tape_selector(_action_grammar())
+    b = NodeBuilder()
+    forest = Forest(name="values")
+    forest.add(b.add(b.reg(1), b.cnst(4)))  # reg: ADD (1) + REG (0) + con (1) + CNST (0)
+    forest.add(b.cnst(9))                   # reg: con (1) + CNST (0)
+    result = sel.select_many([forest], start="reg")
+    assert result.report.cover_cost == 3
+    assert result.report.cover_cost == extract_cover(result.labeling, forest, "reg").total_cost()
+    replay = sel.select_many([clone_forest(forest)], start="reg")
+    assert replay.report.tape_cache_hits == 1
+    assert replay.report.cover_cost == 3
+
+
+@pytest.mark.parametrize("emitter", EMITTERS)
+def test_isolate_excludes_the_failed_forests_cost(emitter):
+    forests = _action_forests()
+    labeling = Selector(_action_grammar()).label_many(forests)
+    clean = [extract_cover(labeling, forest).total_cost() for forest in forests]
+
+    grammar = _action_grammar()
+    poison_action(_rule(grammar, "reg", "SUB"), on_call=1)
+    sel = Selector(grammar, mode="ondemand", config=SelectorConfig(emitter=emitter))
+    result = sel.select_many(_action_forests(), on_error="isolate")
+    assert [failure.index for failure in result.failures] == [2]
+    assert result.report.cover_cost == clean[0] + clean[1] + clean[3]
+
+
+def test_compiled_tape_cost_sums_its_rules():
+    for make_grammar, forests in (
+        (bench_grammar, random_forests(91, forests=3, statements=5, max_depth=4)),
+        (emit_bench_grammar, reduce_heavy_forests(92, forests=3, statements=5, max_depth=4)),
+    ):
+        sel = _tape_selector(make_grammar())
+        result = sel.select_many(forests, context=EmitContext())
+        rules = {rule.number: rule for rule in result.labeling.grammar.rules}
+        tapes = list(sel._tape_cache._tapes.values())
+        assert len(tapes) == len(forests)
+        for tape in tapes:
+            assert tape.self_contained and tape.cacheable
+            assert tape.cost == sum(rules[number].cost for number in tape.rule_ids)
+        assert sum(tape.cost for tape in tapes) == result.report.cover_cost
+
+    # Dynamic costs are node-evaluated: the tape does not re-run them.
+    forests = dynamic_constraint_forests(93, forests=2, statements=4, max_depth=3)
+    labeling = Selector(dynamic_bench_grammar()).label_many(forests)
+    emitter = TapeEmitter(labeling, EmitContext())
+    emitter.reduce_forest(forests[0])
+    assert emitter.last_cover_cost is None
