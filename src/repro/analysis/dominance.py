@@ -6,7 +6,7 @@ could match is covered at least as cheaply by other rules, so the rule
 can never appear in any optimal cover.  Removing dominated rules
 preserves semantics — they are never a winner, and the first-wins
 tie-break among the remaining rules is unchanged — while shrinking the
-packed tables the ROADMAP's eager-table-growth problem worries about.
+eager tables and the AOT artifacts that store them.
 
 Soundness rests on the eager fixed point reaching *exactly* the
 reachable state set (children of distinct subtrees are independent),

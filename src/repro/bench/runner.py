@@ -47,13 +47,13 @@ selector, and a CLI-compiled artifact (``--selector-artifact``) is used
 for the loads when its grammar fingerprint matches.
 
 The ``pipeline`` section measures *full selection* — one
-:func:`~repro.selection.pipeline.select_many` call fusing batched
+:meth:`~repro.selection.selector.Selector.select_many` call fusing batched
 labeling with the iterative reducer and emit actions — across the same
 four labeler configurations, on four workloads: the random-tree and
 dynamic-constraint families above plus two reduce-focused families
 (reduce-heavy trees with emit actions, and shared-reduction DAGs where
 the reducer's memo pays off).  Per-phase nanoseconds come from the
-pipeline's own :class:`~repro.selection.pipeline.SelectionReport`, so
+pipeline's own :class:`~repro.selection.selector.SelectionReport`, so
 label versus reduce/emit time is reported per configuration.  Before
 timing, the runner runs every configuration once with a fresh
 :class:`~repro.bench.workloads.EmitContext` and refuses to report
@@ -97,9 +97,9 @@ from repro.obs import Observability, metric_key, percentile
 from repro.selection.automaton import OnDemandAutomaton
 from repro.selection.cover import extract_cover
 from repro.selection.label_dp import DPLabeler, label_dp
-from repro.selection.pipeline import SelectionReport, select_many
 from repro.selection.resilience import ArtifactCache, BuildBudget, SelectionFailure
 from repro.selection.selector import (
+    SelectionReport,
     Selector,
     SelectorConfig,
     grammar_fingerprint,
@@ -430,7 +430,7 @@ def _verify_pipeline(grammar, forests: list[Forest], eager: OnDemandAutomaton) -
     baseline_name = baseline = None
     for config_name, engine in configs:
         context = EmitContext()
-        result = select_many(forests, labeler=engine, context=context)
+        result = Selector.wrap(engine).select_many(forests, context=context)
         observed = (
             result.values,
             context.instructions,
@@ -465,11 +465,8 @@ def _best_pipeline_report(
     gc.disable()
     try:
         for rep in range(max(1, repetitions)):
-            result = select_many(
-                forests,
-                labeler=engine_for_rep(rep),
-                context=EmitContext(),
-                collect_cover=False,
+            result = Selector.wrap(engine_for_rep(rep)).select_many(
+                forests, context=EmitContext(), collect_cover=False
             )
             report = result.report
             if best is None or report.total_ns < best.total_ns:
@@ -516,9 +513,11 @@ def bench_pipeline_workload(
         cover_cost = _verify_pipeline(grammar, forests, eager_automaton)
     else:
         # Emit actions still need a context even when verification is off.
-        cover_cost = select_many(
-            forests, labeler=DPLabeler(grammar), context=EmitContext()
-        ).report.cover_cost
+        cover_cost = (
+            Selector(grammar, mode="dp")
+            .select_many(forests, context=EmitContext())
+            .report.cover_cost
+        )
 
     # Persistent selectors per row: the selector owns the emission-tape
     # shape cache, so reusing one across repetitions measures the
@@ -540,11 +539,11 @@ def bench_pipeline_workload(
     # the selector's shape cache, so the warm rows measure labels-warm
     # AND tapes-warm steady state even at one repetition (the smoke
     # config); cold rows above stay genuinely first-touch.
-    select_many(forests, labeler=warm_selector, context=EmitContext(), collect_cover=False)
+    warm_selector.select_many(forests, context=EmitContext(), collect_cover=False)
     warm = _best_pipeline_report(lambda rep: warm_selector, forests, repetitions)
 
     eager_selector = Selector.wrap(eager_automaton)
-    select_many(forests, labeler=eager_selector, context=EmitContext(), collect_cover=False)
+    eager_selector.select_many(forests, context=EmitContext(), collect_cover=False)
     eager = _best_pipeline_report(lambda rep: eager_selector, forests, repetitions)
 
     # Emitter comparison on the warm labeling path: same prewarmed

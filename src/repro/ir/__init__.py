@@ -1,10 +1,9 @@
-"""Intermediate representation: operators, nodes, forests, traversal, semantics."""
+"""Intermediate representation: operators, nodes, forests, traversal,
+validation, and a reference interpreter."""
 
 from repro.ir.interp import ExecutionResult, IRInterpreter, Memory
 from repro.ir.node import Forest, Node, NodeBuilder, fresh_nid
 from repro.ir.ops import DEFAULT_OPERATORS, Operator, OperatorSet, default_operators
-from repro.ir.pretty import format_forest, format_node, to_dot
-from repro.ir.stats import ForestStats, forest_stats
 from repro.ir.traversal import (
     check_acyclic,
     iter_unique,
@@ -24,7 +23,6 @@ __all__ = [
     "DEFAULT_OPERATORS",
     "ExecutionResult",
     "Forest",
-    "ForestStats",
     "ForestValidationError",
     "IRInterpreter",
     "Memory",
@@ -35,15 +33,11 @@ __all__ = [
     "ValidationIssue",
     "check_acyclic",
     "default_operators",
-    "forest_stats",
-    "format_forest",
-    "format_node",
     "fresh_nid",
     "iter_unique",
     "postorder",
     "preorder",
     "shared_nodes",
-    "to_dot",
     "topological_order",
     "validate_forest",
     "validate_node",

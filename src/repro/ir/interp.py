@@ -1,10 +1,11 @@
 """Reference interpreter for IR forests.
 
 The interpreter defines the semantics of the IR: executing a forest
-directly must give the same observable results (memory contents, return
-value, call trace) as selecting instructions for it and running the
-generated code on the target-machine simulator.  The correctness tests
-in ``tests/test_end_to_end.py`` rely on this equivalence.
+directly should give the same observable results (memory contents,
+return value, call trace) as selecting instructions for it and running
+the generated code on a target-machine simulator.  No such simulator or
+end-to-end test exists yet, so nothing in the library or its tests
+calls this module today.
 """
 
 from __future__ import annotations

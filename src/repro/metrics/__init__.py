@@ -1,39 +1,15 @@
-"""Measurement utilities: work counters and table/series formatting.
+"""Measurement utilities: labeling work counters and table/series formatting.
 
-``Timer``/``Stopwatch`` are deprecated here — they moved to
-:mod:`repro.obs.trace` as span-native helpers.  Importing them through
-this package still works but raises a :class:`DeprecationWarning`.
+Timing lives in :mod:`repro.obs` (``Timer``/``Stopwatch``).
 """
-
-from typing import Any
 
 from repro.metrics.counters import LabelMetrics
 from repro.metrics.tables import format_ratio, format_series, format_table, markdown_table
 
 __all__ = [
     "LabelMetrics",
-    "Stopwatch",
-    "Timer",
     "format_ratio",
     "format_series",
     "format_table",
     "markdown_table",
 ]
-
-_MOVED_TO_OBS = ("Timer", "Stopwatch")
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_OBS:
-        import warnings
-
-        warnings.warn(
-            f"repro.metrics.{name} has moved to repro.obs.trace; "
-            "import it from repro.obs instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.obs import trace
-
-        return getattr(trace, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,10 +24,9 @@ Two design rules keep the tracer honest about overhead:
   :class:`collections.deque` — no locks, no allocation beyond the span
   itself.
 
-:class:`Timer` and :class:`Stopwatch` — previously
-``repro.metrics.timer`` — live here now as the span-native timing
-helpers: both keep their historical wall-clock-seconds surface and
-optionally record a span per measured window when handed a tracer.
+:class:`Timer` and :class:`Stopwatch` are the span-native timing
+helpers: both measure wall-clock seconds and optionally record a span
+per measured window when handed a tracer.
 """
 
 from __future__ import annotations
@@ -260,7 +259,7 @@ NULL_TRACER = NullTracer()
 
 
 # ----------------------------------------------------------------------
-# Span-native timing helpers (the former repro.metrics.timer surface)
+# Span-native timing helpers
 
 
 class Timer:

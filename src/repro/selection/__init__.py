@@ -29,22 +29,15 @@ while the frame-stack :class:`Reducer` (``SelectorConfig(emitter=
 "reducer")``) remains the differential oracle.  Both are iterative
 explicit-stack engines, so deep trees and long chain-rule sequences
 cannot overflow the interpreter stack, and both (like
-:func:`extract_cover`) consume any labeling unchanged.  The
-functional wrappers (:func:`select`, :func:`select_many`,
-:func:`make_labeler`, :func:`label_dp`, :func:`label_ondemand`) remain
-as thin delegations to ``Selector``; string specs in ``make_labeler``
-are deprecated in favour of ``Selector(grammar, mode=...)``.
+:func:`extract_cover`) consume any labeling unchanged.  Construct a
+selector with ``Selector(grammar, mode=...)`` or adopt a built engine
+with ``Selector.wrap(engine)``; :func:`label_dp` remains as the
+stateless DP oracle.
 """
 
-from repro.selection.automaton import AutomatonLabeling, OnDemandAutomaton, label_ondemand
+from repro.selection.automaton import AutomatonLabeling, OnDemandAutomaton
 from repro.selection.cover import Cover, CoverEntry, Labeling, extract_cover
 from repro.selection.label_dp import DPLabeler, DPLabeling, label_dp, match_pattern
-from repro.selection.pipeline import (
-    LABELER_NAMES,
-    make_labeler,
-    select,
-    select_many,
-)
 from repro.selection.reducer import Reducer, flatten_operands, node_memo_key
 from repro.selection.resilience import (
     ArtifactCache,
@@ -55,7 +48,6 @@ from repro.selection.selector import (
     EMITTERS,
     MODES,
     ON_ERROR_POLICIES,
-    PackedTables,
     SelectionReport,
     SelectionResult,
     Selector,
@@ -75,12 +67,10 @@ __all__ = [
     "DPLabeler",
     "DPLabeling",
     "EMITTERS",
-    "LABELER_NAMES",
     "Labeling",
     "MODES",
     "ON_ERROR_POLICIES",
     "OnDemandAutomaton",
-    "PackedTables",
     "Reducer",
     "SelectionFailure",
     "SelectionReport",
@@ -95,11 +85,7 @@ __all__ = [
     "flatten_operands",
     "grammar_fingerprint",
     "label_dp",
-    "label_ondemand",
-    "make_labeler",
     "match_pattern",
     "node_memo_key",
-    "select",
-    "select_many",
     "state_signature",
 ]

@@ -87,7 +87,7 @@ from repro.selection.resilience import (
 )
 from repro.selection.states import State, StatePool
 
-__all__ = ["AutomatonLabeling", "OnDemandAutomaton", "label_ondemand"]
+__all__ = ["AutomatonLabeling", "OnDemandAutomaton"]
 
 #: Dynamic-signature slot for a chain rule whose source nonterminal was not
 #: derivable at the node, so its cost callable was (correctly) never run.
@@ -927,24 +927,3 @@ class OnDemandAutomaton:
             f"transitions={self.transition_count()})"
         )
 
-
-def label_ondemand(
-    grammar_or_automaton: Grammar | OnDemandAutomaton,
-    forest: Forest,
-    metrics: LabelMetrics | None = None,
-) -> AutomatonLabeling:
-    """Convenience: label *forest* with an on-demand automaton.
-
-    A thin wrapper over :class:`~repro.selection.selector.Selector`
-    (imported lazily to avoid a module cycle).  Passing a
-    :class:`Grammar` builds a throwaway automaton (no amortization
-    across calls); pass a persistent :class:`OnDemandAutomaton` — or
-    keep a ``Selector`` — to reuse warm tables.
-    """
-    from repro.selection.selector import Selector
-
-    if isinstance(grammar_or_automaton, OnDemandAutomaton):
-        selector = Selector.wrap(grammar_or_automaton)
-    else:
-        selector = Selector(grammar_or_automaton, mode="ondemand")
-    return selector.label(forest, metrics)

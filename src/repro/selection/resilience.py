@@ -188,9 +188,7 @@ def new_resilience_counters() -> dict[str, Any]:
     * ``failures_by_phase`` — the same, split by pipeline phase;
     * ``demotions`` — degradation-ladder steps taken, by cause
       (``load_failed`` artifact → in-process compile, ``build_budget``
-      eager → on-demand, ``packed_miss`` packed matrices → dict tables,
-      ``packed_stale`` packed matrices dropped after a grammar
-      extension);
+      eager → on-demand);
     * ``retries`` / ``quarantined`` — artifact-cache recovery actions
       attributed to this selector's cache interactions;
     * ``deadline_overruns`` — selections aborted by a request-budget
@@ -200,12 +198,7 @@ def new_resilience_counters() -> dict[str, Any]:
     return {
         "isolated_failures": 0,
         "failures_by_phase": {"validate": 0, "label": 0, "reduce": 0, "cover": 0},
-        "demotions": {
-            "load_failed": 0,
-            "build_budget": 0,
-            "packed_miss": 0,
-            "packed_stale": 0,
-        },
+        "demotions": {"load_failed": 0, "build_budget": 0},
         "retries": 0,
         "quarantined": 0,
         "deadline_overruns": 0,

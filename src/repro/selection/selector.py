@@ -1,10 +1,9 @@
 """The :class:`Selector` facade: one object owning grammar → tables → selection.
 
 The paper's central trade-off — on-demand automata versus offline table
-generation — used to be spread over several entry points (``label_dp``,
-``OnDemandAutomaton``, ``build_eager()``, string specs in
-``make_labeler``, a separate ``Reducer``).  ``Selector`` packages the
-whole lifecycle behind one public API:
+generation — is one object here.  ``Selector`` packages the whole
+lifecycle behind one public API (``Selector.wrap(engine)`` adopts an
+already-built engine):
 
 * ``Selector(grammar, mode="dp" | "ondemand" | "eager")`` picks the
   labeling architecture; ``mode="eager"`` precomputes all reachable
@@ -26,10 +25,8 @@ the hash-consed state set, and every per-operator transition table into
 **dense integer matrices** (``array('q')`` buffers): unary transitions
 become one flat ``state_count``-sized vector per operator, binary
 transitions one ``state_count²`` matrix indexed by ``s0 * size + s1``.
-The same matrices are both the wire format and an optional runtime fast
-path (:class:`PackedTables`, enabled with ``SelectorConfig(packed=
-True)``) — the stepping stone to the C-accelerated-tables roadmap item,
-where the identical buffers can be handed to a native kernel.
+The matrices are only the on-disk encoding: ``load`` rehydrates them
+into the automaton's per-operator dict tables, which label at runtime.
 
 Artifacts are keyed by a **grammar fingerprint** (a SHA-256 over the
 grammar's structure: operators, nonterminals, and every rule's shape,
@@ -44,8 +41,8 @@ re-bound by rule number from the grammar supplied to ``load``, which is
 what the fingerprint guards.
 
 Extending the grammar after a load behaves exactly like extending under
-a live automaton: the version bump invalidates the loaded tables (and
-the packed matrices), and labeling falls back to on-demand rebuilding.
+a live automaton: the version bump invalidates the loaded tables, and
+labeling falls back to on-demand rebuilding.
 
 The module doubles as the AOT command-line tool::
 
@@ -82,20 +79,14 @@ from repro.errors import (
     SelectorError,
 )
 from repro.grammar.grammar import Grammar
-from repro.ir.node import Forest, Node
+from repro.ir.node import Forest
 from repro.ir.validate import validate_forest
 from repro.metrics.counters import LabelMetrics
-from repro.selection.automaton import (
-    _NULL_METRICS,
-    UNEVALUATED,
-    AutomatonLabeling,
-    OnDemandAutomaton,
-)
 from repro.obs import resolve_obs
+from repro.selection.automaton import UNEVALUATED, OnDemandAutomaton
 from repro.selection.cover import Labeling, extract_cover
 from repro.selection.label_dp import DPLabeler
 from repro.selection.reducer import Reducer
-from repro.selection.tape import TapeCache, TapeEmitter
 from repro.selection.resilience import (
     BuildBudget,
     SelectionFailure,
@@ -104,11 +95,11 @@ from repro.selection.resilience import (
     node_provenance,
 )
 from repro.selection.states import State
+from repro.selection.tape import TapeCache, TapeEmitter
 
 __all__ = [
     "MODES",
     "ON_ERROR_POLICIES",
-    "PackedTables",
     "SelectionReport",
     "SelectionResult",
     "Selector",
@@ -187,87 +178,23 @@ def grammar_fingerprint(grammar: Grammar) -> str:
 
 
 # ----------------------------------------------------------------------
-# Packed (dense-matrix) transition tables
-
-
-@dataclass
-class PackedTables:
-    """Per-operator transition tables repacked into flat integer buffers.
-
-    ``unary[op][s0]`` and ``binary[op][s0 * state_count + s1]`` hold the
-    successor state index, ``-1`` where the dict tables had no entry.
-    Arity ≥ 3 and dynamic-signature transitions stay tuple-keyed
-    (``nary`` / ``dyn``) — they are serialized as flat integer runs but
-    have no dense-matrix shape.  One representation serves as both the
-    save/load wire format and the optional runtime fast path.
-    """
-
-    state_count: int
-    nullary: dict[str, int]
-    unary: dict[str, array]
-    binary: dict[str, array]
-    nary: dict[str, dict[tuple[int, ...], int]]
-    dyn: dict[str, dict[tuple[tuple[int, ...], tuple["int | None", ...]], int]]
-
-    def transition_count(self) -> int:
-        """Populated (non ``-1``) transitions across all matrices."""
-        total = len(self.nullary)
-        for arr in self.unary.values():
-            total += sum(1 for idx in arr if idx >= 0)
-        for arr in self.binary.values():
-            total += sum(1 for idx in arr if idx >= 0)
-        total += sum(len(entries) for entries in self.nary.values())
-        total += sum(len(entries) for entries in self.dyn.values())
-        return total
-
-    def nbytes(self) -> int:
-        """Approximate in-memory size of the dense buffers."""
-        total = 0
-        for arr in self.unary.values():
-            total += arr.itemsize * len(arr)
-        for arr in self.binary.values():
-            total += arr.itemsize * len(arr)
-        return total
-
-
-def _pack_tables(automaton: OnDemandAutomaton) -> PackedTables:
-    """Repack the automaton's per-operator dict tables into flat matrices."""
-    size = len(automaton.pool)
-    packed = PackedTables(size, {}, {}, {}, {}, {})
-    for name, table in automaton._tables.items():
-        if table.nullary is not None:
-            packed.nullary[name] = table.nullary.index
-        if table.unary:
-            arr = array("q", [-1]) * size
-            for child, state in table.unary.items():
-                arr[child] = state.index
-            packed.unary[name] = arr
-        if table.binary:
-            arr = array("q", [-1]) * (size * size)
-            for c0, row in table.binary.items():
-                base = c0 * size
-                for c1, state in row.items():
-                    arr[base + c1] = state.index
-            packed.binary[name] = arr
-        if table.nary:
-            packed.nary[name] = {key: state.index for key, state in table.nary.items()}
-        if table.dyn:
-            packed.dyn[name] = {key: state.index for key, state in table.dyn.items()}
-    return packed
-
-
-# ----------------------------------------------------------------------
 # Wire format
 
 
 def _serialize(
     automaton: OnDemandAutomaton,
-    packed: PackedTables,
     fingerprint: str,
     certified: bool | None = None,
 ) -> bytes:
-    """Encode the automaton's id spaces + *packed* tables into one blob."""
+    """Encode the automaton's id spaces and transition tables into one blob.
+
+    Unary transitions become one flat ``state_count``-sized vector per
+    operator and binary transitions one ``state_count²`` matrix indexed
+    by ``s0 * size + s1`` (``-1`` where the dict tables have no entry);
+    arity ≥ 3 and dynamic-signature transitions become flat integer runs.
+    """
     pool = automaton.pool
+    size = len(pool)
     sections: list[dict[str, object]] = []
     chunks: list[bytes] = []
     offset = 0
@@ -296,21 +223,30 @@ def _serialize(
 
     ops_meta: list[dict[str, object]] = []
     for name, table in automaton._tables.items():
-        ops_meta.append({"name": name, "op_id": table.op_id, "nullary": packed.nullary.get(name, -1)})
-        if name in packed.unary:
-            add_section("unary", packed.unary[name], op=name)
-        if name in packed.binary:
-            add_section("binary", packed.binary[name], op=name)
-        if name in packed.nary:
+        nullary = table.nullary.index if table.nullary is not None else -1
+        ops_meta.append({"name": name, "op_id": table.op_id, "nullary": nullary})
+        if table.unary:
+            arr = array("q", [-1]) * size
+            for child, state in table.unary.items():
+                arr[child] = state.index
+            add_section("unary", arr, op=name)
+        if table.binary:
+            arr = array("q", [-1]) * (size * size)
+            for c0, row in table.binary.items():
+                base = c0 * size
+                for c1, state in row.items():
+                    arr[base + c1] = state.index
+            add_section("binary", arr, op=name)
+        if table.nary:
             flat: list[int] = []
-            for key, idx in packed.nary[name].items():
+            for key, state in table.nary.items():
                 flat.append(len(key))
                 flat.extend(key)
-                flat.append(idx)
+                flat.append(state.index)
             add_section("nary", flat, op=name)
-        if name in packed.dyn:
+        if table.dyn:
             flat = []
-            for (kid_ids, signature), idx in packed.dyn[name].items():
+            for (kid_ids, signature), state in table.dyn.items():
                 flat.append(len(kid_ids))
                 flat.extend(kid_ids)
                 flat.append(len(signature))
@@ -324,7 +260,7 @@ def _serialize(
                             f"operator {name!r}: dynamic signature value {value!r} "
                             f"is not serializable (only non-negative integer costs are)"
                         )
-                flat.append(idx)
+                flat.append(state.index)
             add_section("dyn", flat, op=name)
 
     payload = b"".join(chunks)
@@ -335,7 +271,7 @@ def _serialize(
         "grammar": automaton.source_grammar.name,
         "start": automaton.source_grammar.start,
         "nonterminals": list(pool.nt_names),
-        "states": len(pool),
+        "states": size,
         "operators": ops_meta,
         "certified": certified,
         "eager": dict(automaton._eager) if automaton._eager is not None else None,
@@ -421,6 +357,40 @@ def _atomic_write_bytes(path: Path, blob: bytes) -> None:
         raise
 
 
+#: JSON types of the header fields ``load`` reads, checked by
+#: :func:`_read_artifact` so a well-checksummed but malformed header
+#: fails as :class:`~repro.errors.ArtifactCorruptError`, never as a
+#: ``KeyError``/``TypeError``.  A ``None`` type marks an optional value.
+_NONE = type(None)
+_HEADER_FIELDS = {
+    "byteorder": str,
+    "fingerprint": str,
+    "grammar": str,
+    "start": (str, _NONE),
+    "nonterminals": list,
+    "states": int,
+    "operators": list,
+    "certified": (bool, _NONE),
+    "eager": (dict, _NONE),
+    "sections": list,
+    "payload_len": int,
+    "payload_sha256": str,
+}
+_OPERATOR_FIELDS = {"name": str, "nullary": int}
+_SECTION_FIELDS = {"kind": str, "op": (str, _NONE), "offset": int, "items": int}
+
+
+def _check_fields(path: str | Path, where: str, record: object, fields: dict) -> None:
+    if not isinstance(record, dict):
+        raise ArtifactCorruptError(f"{path}: corrupt selector artifact header ({where})")
+    for key, kind in fields.items():
+        if not isinstance(record.get(key), kind):
+            raise ArtifactCorruptError(
+                f"{path}: corrupt selector artifact header "
+                f"({where} field {key!r} is missing or ill-typed)"
+            )
+
+
 def _read_artifact(path: str | Path) -> tuple[dict, bytes, int]:
     """Read and structurally validate an artifact.
 
@@ -429,7 +399,8 @@ def _read_artifact(path: str | Path) -> tuple[dict, bytes, int]:
     at all, and :class:`~repro.errors.ArtifactCorruptError` (both are
     :class:`~repro.errors.SelectorError` subclasses) on a bad magic
     number, truncation anywhere (header length, header body, payload),
-    an unknown format version, or a payload checksum mismatch.
+    an unknown format version, a payload checksum mismatch, a missing
+    or ill-typed header field, or a section outside the payload.
     """
     try:
         blob = _io_read_bytes(Path(path))
@@ -456,21 +427,36 @@ def _read_artifact(path: str | Path) -> tuple[dict, bytes, int]:
         raise ArtifactCorruptError(
             f"{path}: corrupt selector artifact header: {exc}"
         ) from exc
+    if not isinstance(header, dict):
+        raise ArtifactCorruptError(f"{path}: corrupt selector artifact header (not an object)")
     if header.get("format") != _FORMAT_VERSION:
         raise ArtifactCorruptError(
             f"{path}: unsupported artifact format {header.get('format')!r} "
             f"(this build reads format {_FORMAT_VERSION})"
         )
+    _check_fields(path, "header", header, _HEADER_FIELDS)
     payload = blob[header_end:]
-    if len(payload) != header.get("payload_len"):
+    if len(payload) != header["payload_len"]:
         raise ArtifactCorruptError(
             f"{path}: truncated selector artifact "
-            f"({len(payload)} payload bytes, header promises {header.get('payload_len')})"
+            f"({len(payload)} payload bytes, header promises {header['payload_len']})"
         )
-    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
+    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise ArtifactCorruptError(
             f"{path}: corrupt selector artifact (payload checksum mismatch)"
         )
+    if not all(isinstance(nt, str) for nt in header["nonterminals"]):
+        raise ArtifactCorruptError(f"{path}: corrupt selector artifact header (nonterminals)")
+    for meta in header["operators"]:
+        _check_fields(path, "operator", meta, _OPERATOR_FIELDS)
+    for section in header["sections"]:
+        _check_fields(path, "section", section, _SECTION_FIELDS)
+        offset, items = section["offset"], section["items"]
+        if offset < 0 or items < 0 or offset + 8 * items > len(payload):
+            raise ArtifactCorruptError(
+                f"{path}: corrupt selector artifact (section {section['kind']!r} "
+                f"at offset {offset} with {items} items lies outside the payload)"
+            )
     return header, payload, len(blob)
 
 
@@ -488,36 +474,42 @@ def read_artifact_header(path: str | Path) -> dict:
 
 def _decode_sections(header: dict, payload: bytes) -> dict[tuple[str, str | None], array]:
     """Decode every payload section into an ``array('q')``, keyed by
-    (kind, operator name or None), byte-swapping cross-endian files."""
-    need_swap = header.get("byteorder") != sys.byteorder
+    (kind, operator name or None), byte-swapping cross-endian files.
+    :func:`_read_artifact` has already bounds-checked every section."""
+    need_swap = header["byteorder"] != sys.byteorder
     out: dict[tuple[str, str | None], array] = {}
     for section in header["sections"]:
         arr = array("q")
         start = section["offset"]
-        end = start + 8 * section["items"]
-        if end > len(payload):
-            raise SelectorError("corrupt selector artifact (section exceeds payload)")
-        arr.frombytes(payload[start:end])
+        arr.frombytes(payload[start : start + 8 * section["items"]])
         if need_swap:
             arr.byteswap()
         out[(section["kind"], section.get("op"))] = arr
     return out
 
 
-def _rehydrate(automaton: OnDemandAutomaton, header: dict, payload: bytes) -> PackedTables:
-    """Fill a freshly-synced automaton's pool and tables from an artifact.
+def _rehydrate(
+    automaton: OnDemandAutomaton, header: dict, payload: bytes, path: str | Path
+) -> None:
+    """Fill a freshly-synced automaton's pool and dict tables from an
+    artifact :func:`_read_artifact` validated.
 
-    Returns the packed-table view (reusing the decoded buffers), so the
-    wire format literally becomes the runtime fast path.
+    Any payload that does not rebuild consistently raises
+    :class:`~repro.errors.ArtifactCorruptError`: the fingerprint already
+    matched, so a mismatch here means the artifact itself is damaged.
     """
+
+    def corrupt(detail: str) -> ArtifactCorruptError:
+        return ArtifactCorruptError(f"{path}: corrupt selector artifact ({detail})")
+
     pool = automaton.pool
     saved_nts = header["nonterminals"]
     for nt in saved_nts:
         pool.declare(nt)
     if list(pool.nt_names) != list(saved_nts):
-        raise SelectorError(
-            "selector artifact does not match the grammar: nonterminal id spaces "
-            f"differ ({pool.nt_names[:4]}... vs saved {saved_nts[:4]}...)"
+        raise corrupt(
+            "nonterminal id spaces differ from the grammar's "
+            f"({pool.nt_names[:4]}... vs saved {saved_nts[:4]}...)"
         )
     rules_by_number = {rule.number: rule for rule in automaton.grammar.rules}
     sections = _decode_sections(header, payload)
@@ -525,7 +517,9 @@ def _rehydrate(automaton: OnDemandAutomaton, header: dict, payload: bytes) -> Pa
     lens = sections.get(("state_lens", None))
     triples = sections.get(("state_triples", None))
     if lens is None or triples is None:
-        raise SelectorError("corrupt selector artifact (state sections missing)")
+        raise corrupt("state sections missing")
+    if min(lens, default=0) < 0 or 3 * sum(lens) != len(triples):
+        raise corrupt("state signature lengths do not match the triples")
     pos = 0
     for index, n in enumerate(lens):
         costs: dict[str, int] = {}
@@ -535,50 +529,52 @@ def _rehydrate(automaton: OnDemandAutomaton, header: dict, payload: bytes) -> Pa
             pos += 3
             rule = rules_by_number.get(number)
             if rule is None or not 0 <= nt_id < len(saved_nts):
-                raise SelectorError(
-                    f"selector artifact references rule {number} / nonterminal id "
-                    f"{nt_id} the grammar does not define (stale artifact?)"
+                raise corrupt(
+                    f"references rule {number} / nonterminal id {nt_id} "
+                    f"the grammar does not define"
                 )
             nt = saved_nts[nt_id]
             costs[nt] = cost
             rules[nt] = rule
         state, _ = pool.intern(costs, rules)
         if state.index != index:
-            raise SelectorError(
-                "selector artifact state table does not round-trip against this "
-                f"grammar (state {index} interned as {state.index})"
-            )
+            raise corrupt(f"state {index} interned as {state.index}")
     size = header["states"]
     if len(pool) != size:
-        raise SelectorError(
-            f"selector artifact promises {size} states, rebuilt {len(pool)}"
-        )
+        raise corrupt(f"promises {size} states, rebuilt {len(pool)}")
     states = pool.states
 
     def state_at(idx: int) -> State:
         if not 0 <= idx < size:
-            raise SelectorError(f"selector artifact references state {idx} of {size}")
+            raise corrupt(f"references state {idx} of {size}")
         return states[idx]
 
-    packed = PackedTables(size, {}, {}, {}, {}, {})
+    def take(flat: array, pos: int) -> tuple[tuple[int, ...], int]:
+        """The length-prefixed run at *pos* and the position after it;
+        every run is followed by at least one more value."""
+        end = pos + 1 + flat[pos]
+        if end <= pos or end >= len(flat):
+            raise corrupt(f"a table run at item {pos} overruns its section")
+        return tuple(flat[pos + 1 : end]), end
+
     for meta in header["operators"]:
         name = meta["name"]
         table = automaton._table_for(name)
         if meta["nullary"] >= 0:
             table.nullary = state_at(meta["nullary"])
-            packed.nullary[name] = meta["nullary"]
         unary = sections.get(("unary", name))
         if unary is not None:
+            if len(unary) != size:
+                raise corrupt(f"unary vector for {name!r} has {len(unary)} slots, not {size}")
             for child, idx in enumerate(unary):
                 if idx >= 0:
                     table.unary[child] = state_at(idx)
-            packed.unary[name] = unary
         binary = sections.get(("binary", name))
         if binary is not None:
             if len(binary) != size * size:
-                raise SelectorError(
-                    f"selector artifact binary matrix for {name!r} has "
-                    f"{len(binary)} slots, expected {size * size}"
+                raise corrupt(
+                    f"binary matrix for {name!r} has {len(binary)} slots, "
+                    f"expected {size * size}"
                 )
             for slot, idx in enumerate(binary):
                 if idx >= 0:
@@ -587,38 +583,24 @@ def _rehydrate(automaton: OnDemandAutomaton, header: dict, payload: bytes) -> Pa
                     if row is None:
                         row = table.binary[c0] = {}
                     row[c1] = state_at(idx)
-            packed.binary[name] = binary
         nary = sections.get(("nary", name))
         if nary is not None:
-            entries: dict[tuple[int, ...], int] = {}
             pos = 0
             while pos < len(nary):
-                arity = nary[pos]
-                key = tuple(nary[pos + 1 : pos + 1 + arity])
-                idx = nary[pos + 1 + arity]
-                pos += arity + 2
-                table.nary[key] = state_at(idx)
-                entries[key] = idx
-            packed.nary[name] = entries
+                key, pos = take(nary, pos)
+                table.nary[key] = state_at(nary[pos])
+                pos += 1
         dyn = sections.get(("dyn", name))
         if dyn is not None:
-            dyn_entries: dict[tuple[tuple[int, ...], tuple["int | None", ...]], int] = {}
             pos = 0
             while pos < len(dyn):
-                arity = dyn[pos]
-                kid_ids = tuple(dyn[pos + 1 : pos + 1 + arity])
-                pos += 1 + arity
-                siglen = dyn[pos]
+                kid_ids, pos = take(dyn, pos)
+                values, pos = take(dyn, pos)
                 signature = tuple(
-                    UNEVALUATED if value == _SIG_UNEVALUATED else value
-                    for value in dyn[pos + 1 : pos + 1 + siglen]
+                    UNEVALUATED if value == _SIG_UNEVALUATED else value for value in values
                 )
-                idx = dyn[pos + 1 + siglen]
-                pos += siglen + 2
-                table.dyn[(kid_ids, signature)] = state_at(idx)
-                dyn_entries[(kid_ids, signature)] = idx
-            packed.dyn[name] = dyn_entries
-    return packed
+                table.dyn[(kid_ids, signature)] = state_at(dyn[pos])
+                pos += 1
 
 
 # ----------------------------------------------------------------------
@@ -759,9 +741,6 @@ class SelectorConfig:
         max_states: State-pool cap handed to the eager build (a runaway
             guard for huge grammars; a capped build leaves valid but
             incomplete tables).
-        packed: Label through the flat :class:`PackedTables` matrices
-            when a compiled/loaded selector has them (the optional
-            runtime fast path; misses fall back to the dict tables).
         collect_cover: Default for ``select``/``select_many``'s
             ``collect_cover`` argument.
         validate: Debug flag: run the structural forest validator
@@ -794,7 +773,6 @@ class SelectorConfig:
     """
 
     max_states: int | None = None
-    packed: bool = False
     collect_cover: bool = True
     validate: bool = False
     emitter: str = "tape"
@@ -836,7 +814,6 @@ class Selector:
                 )
             self.source_grammar = grammar
             self.engine = DPLabeler(grammar) if mode == "dp" else OnDemandAutomaton(grammar)
-        self._packed: PackedTables | None = None
         self._tables_version: int | None = None
         self._loaded_from: str | None = None
         self._build_ns: int | None = None
@@ -926,33 +903,11 @@ class Selector:
     # ------------------------------------------------------------------
     # Labeling
 
-    def _packed_for_labeling(self) -> PackedTables | None:
-        """The packed matrices, iff enabled and still valid for labeling."""
-        if not self.config.packed or self._packed is None:
-            return None
-        engine = self.engine
-        if not isinstance(engine, OnDemandAutomaton):
-            return None
-        if engine.source_grammar.version != self._tables_version:
-            # Grammar extended since compile/load: the matrices index a
-            # dead state pool.  Drop them; the engine resyncs lazily.
-            self._packed = None
-            self._resilience["demotions"]["packed_stale"] += 1
-            self._last_degradation = "packed_stale: grammar extended, matrices dropped"
-            return None
-        if engine.has_dynamic:
-            return None
-        return self._packed
-
     def label(self, forest: Forest, metrics: LabelMetrics | None = None) -> Labeling:
         """Label one forest (see :meth:`label_many` for batches)."""
         if self.config.validate:
             validate_forest(forest, self.source_grammar.operators)
-        if metrics is None:
-            packed = self._packed_for_labeling()
-            if packed is not None:
-                return self._label_packed(list(forest.roots), packed)
-        else:
+        if metrics is not None:
             self._last_metrics = metrics
         return self.engine.label(forest, metrics)
 
@@ -977,114 +932,10 @@ class Selector:
         deadline_at_ns: int | None = None,
     ) -> Labeling:
         """:meth:`label_many` minus input validation — the isolated
-        pipeline validates per forest itself before labeling.
-
-        A request deadline routes around the packed-matrix walk: the
-        engine paths carry the cooperative checks, and a deadlined
-        request's latency is dominated by its budget, not by matrix vs
-        dict lookups.
-        """
-        if metrics is None and deadline_at_ns is None:
-            packed = self._packed_for_labeling()
-            if packed is not None:
-                roots = [root for forest in forests for root in forest.roots]
-                return self._label_packed(roots, packed)
-        elif metrics is not None:
+        pipeline validates per forest itself before labeling."""
+        if metrics is not None:
             self._last_metrics = metrics
         return self.engine.label_many(forests, metrics, deadline_at_ns=deadline_at_ns)
-
-    def _label_packed(self, roots: list[Node], packed: PackedTables) -> AutomatonLabeling:
-        """The flat-matrix warm loop: one array index per transition.
-
-        Mirrors the automaton's fused static stack walk, but answers
-        unary/binary transitions from the packed buffers.  Any miss
-        (``-1`` slot, unknown operator, arity ≥ 3, or a child state
-        interned after packing) falls back to the dict tables, which
-        construct on demand — correctness never depends on the matrices
-        being complete.
-        """
-        automaton = self.engine
-        automaton._sync()
-        labeling = AutomatonLabeling(automaton, None)
-        node_states = labeling._states
-        states = automaton.pool.states
-        size = packed.state_count
-        nullary = packed.nullary
-        unary = packed.unary
-        binary = packed.binary
-        stack = list(roots)
-        pop = stack.pop
-        push = stack.append
-        get_state = node_states.get
-        while stack:
-            node = pop()
-            nid = id(node)
-            if nid in node_states:
-                continue
-            kids = node.kids
-            arity = len(kids)
-            if arity == 2:
-                k0, k1 = kids
-                s0 = get_state(id(k0))
-                s1 = get_state(id(k1))
-                if s0 is None or s1 is None:
-                    push(node)
-                    if s1 is None:
-                        push(k1)
-                    if s0 is None:
-                        push(k0)
-                    continue
-                idx = -1
-                i0 = s0.index
-                i1 = s1.index
-                if i0 < size and i1 < size:
-                    arr = binary.get(node.op.name)
-                    if arr is not None:
-                        idx = arr[i0 * size + i1]
-                state = states[idx] if idx >= 0 else self._packed_miss(node, node_states)
-            elif arity == 0:
-                idx = nullary.get(node.op.name, -1)
-                state = states[idx] if idx >= 0 else self._packed_miss(node, node_states)
-            elif arity == 1:
-                k0 = kids[0]
-                s0 = get_state(id(k0))
-                if s0 is None:
-                    push(node)
-                    push(k0)
-                    continue
-                idx = -1
-                i0 = s0.index
-                if i0 < size:
-                    arr = unary.get(node.op.name)
-                    if arr is not None:
-                        idx = arr[i0]
-                state = states[idx] if idx >= 0 else self._packed_miss(node, node_states)
-            else:
-                deferred = False
-                for kid in kids:
-                    if id(kid) not in node_states:
-                        if not deferred:
-                            push(node)
-                            deferred = True
-                        push(kid)
-                if deferred:
-                    continue
-                state = self._packed_miss(node, node_states)
-            node_states[nid] = state
-        return labeling
-
-    def _packed_miss(self, node: Node, node_states: dict[int, State]) -> State:
-        """Resolve one transition the matrices could not answer through
-        the automaton's dict tables (constructing the state if needed).
-
-        Each miss is one rung down the degradation ladder — packed
-        matrices → dict tables — and is counted under
-        ``stats()["resilience"]["demotions"]["packed_miss"]``.
-        """
-        self._resilience["demotions"]["packed_miss"] += 1
-        automaton = self.engine
-        table = automaton._table_for(node.op.name)
-        return automaton._static_transition(table, node.kids, node_states, _NULL_METRICS)
 
     # ------------------------------------------------------------------
     # Selection (label + reduce + emit)
@@ -1594,14 +1445,11 @@ class Selector:
         )
         if over_budget:
             automaton._eager = None
-            self._packed = None
             self._resilience["demotions"]["build_budget"] += 1
             cause = (
                 "deadline_ns exceeded" if build.get("deadline_exceeded") else "max_states hit"
             )
             self._last_degradation = f"build_budget: {cause}, demoted to on-demand"
-        else:
-            self._packed = _pack_tables(automaton) if self.config.packed else None
         return build
 
     def verify(self, max_states: int | None = None):
@@ -1656,15 +1504,8 @@ class Selector:
         if automaton._eager is None:
             self.compile()
         started = time.perf_counter_ns()
-        packed = self._packed
-        if packed is None or self._tables_version != automaton._source_version:
-            packed = _pack_tables(automaton)
-            if self.config.packed:
-                self._packed = packed
-                self._tables_version = automaton._source_version
         blob = _serialize(
             automaton,
-            packed,
             grammar_fingerprint(self.source_grammar),
             certified=self._current_certification(),
         )
@@ -1698,23 +1539,19 @@ class Selector:
         started = time.perf_counter_ns()
         header, payload, artifact_bytes = _read_artifact(path)
         fingerprint = grammar_fingerprint(grammar)
-        if fingerprint != header.get("fingerprint"):
+        if fingerprint != header["fingerprint"]:
             raise ArtifactStaleError(
                 f"{path}: selector artifact was compiled for a different grammar "
-                f"(fingerprint {header.get('fingerprint', '?')[:12]}..., this grammar "
+                f"(fingerprint {header['fingerprint'][:12]}..., this grammar "
                 f"is {fingerprint[:12]}...); recompile the artifact or pass the "
                 f"matching grammar"
             )
         automaton = OnDemandAutomaton(grammar)
-        packed = _rehydrate(automaton, header, payload)
-        eager = dict(header["eager"]) if header.get("eager") else {}
+        _rehydrate(automaton, header, payload, path)
+        eager = dict(header.get("eager") or {})
         eager["loaded_from"] = str(path)
         automaton._eager = eager
         selector = cls(engine=automaton, config=config)
-        # Keep the dense matrices only when the packed runtime path is
-        # enabled — otherwise they would duplicate the dict tables'
-        # memory for the selector's lifetime without ever being read.
-        selector._packed = packed if selector.config.packed else None
         selector._tables_version = automaton._source_version
         selector._certified = header.get("certified")
         selector._certified_version = grammar.version
@@ -1768,9 +1605,9 @@ class Selector:
         * ``tables`` — the automaton's state/transition counts (plus the
           ``eager`` build entry) for automaton modes, ``None`` for DP;
         * ``aot`` — the ahead-of-time story: compiled/loaded flags,
-          build/save/load nanoseconds, artifact size, packed-matrix
-          size, fingerprint, and whether the tables are still valid
-          (a grammar extension invalidates them);
+          build/save/load nanoseconds, artifact size, fingerprint, and
+          whether the tables are still valid (a grammar extension
+          invalidates them);
         * ``labeling`` — hit/warm rates and work counters of the most
           recent *metered* labeling run (``None`` until a caller passes
           a :class:`LabelMetrics`; the null-metrics fast paths are by
@@ -1781,8 +1618,7 @@ class Selector:
         * ``resilience`` — fault-isolation and degradation-ladder
           counters: forests contained by ``on_error="isolate"`` (total
           and by phase), demotions by cause (``load_failed``,
-          ``build_budget``, ``packed_miss``, ``packed_stale``),
-          artifact-cache retries/quarantines attributed to this
+          ``build_budget``), artifact-cache retries/quarantines attributed to this
           selector, and the human-readable ``last_degradation``.
         """
         engine = self.engine
@@ -1796,13 +1632,6 @@ class Selector:
             "mode": self.mode,
             "tables": automaton.stats() if automaton is not None else None,
         }
-        packed = self._packed
-        packed_current = (
-            packed is not None
-            and automaton is not None
-            and not stale
-            and self._tables_version == automaton._source_version
-        )
         row["aot"] = {
             "compiled": automaton is not None and automaton._eager is not None and not stale,
             "loaded_from": self._loaded_from,
@@ -1816,13 +1645,6 @@ class Selector:
             "save_ns": self._save_ns,
             "load_ns": self._load_ns,
             "artifact_bytes": self._artifact_bytes,
-            "packed": {
-                "state_count": packed.state_count,
-                "matrix_bytes": packed.nbytes(),
-                "transitions": packed.transition_count(),
-            }
-            if packed_current
-            else None,
         }
         last = self._last_metrics
         row["labeling"] = (
@@ -2012,7 +1834,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         header, _payload, _nbytes = _read_artifact(args.artifact)
         summary = {
-            key: header[key]
+            key: header.get(key)
             for key in ("format", "grammar", "start", "fingerprint", "states", "payload_len")
         }
         summary["nonterminals"] = len(header["nonterminals"])

@@ -10,7 +10,6 @@ from repro.selection import (
     OnDemandAutomaton,
     extract_cover,
     label_dp,
-    label_ondemand,
 )
 
 
@@ -34,7 +33,7 @@ def test_dag_nodes_labeled_once(demo_grammar):
     assert len(decisions) == len(set(decisions))
 
     auto_metrics = LabelMetrics()
-    label_ondemand(demo_grammar, forest, auto_metrics)
+    OnDemandAutomaton(demo_grammar).label(forest, auto_metrics)
     assert auto_metrics.nodes_labeled == forest.node_count()
 
 
@@ -304,7 +303,7 @@ def test_metrics_render_as_comparison_table(demo_grammar):
     dp_metrics = LabelMetrics()
     auto_metrics = LabelMetrics()
     label_dp(demo_grammar, forest, dp_metrics)
-    label_ondemand(demo_grammar, forest, auto_metrics)
+    OnDemandAutomaton(demo_grammar).label(forest, auto_metrics)
     rows = [
         {"labeler": "dp", **dp_metrics.as_row()},
         {"labeler": "ondemand", **auto_metrics.as_row()},

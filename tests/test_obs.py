@@ -6,17 +6,13 @@ the property the service's worker-snapshot aggregation rests on — then
 the span tracer (parenting, ring bound, and the disabled null path's
 zero-footprint guarantee), the exporters (JSONL round-trip through the
 ``python -m repro.obs render`` CLI, Prometheus text exposition), the
-selector/service wiring, and the deprecation shims left behind by the
-``repro.metrics.timer`` fold-in.
+selector/service wiring, and the span-native ``Timer``.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import warnings
-
-import pytest
 
 from repro.bench.workloads import bench_grammar, random_forests
 from repro.obs import (
@@ -312,35 +308,6 @@ def test_service_disabled_observability_reports_none(tmp_path):
         future = service.submit("bench", _forests(n=1)[0])
         assert future.result(60.0).ok
         assert service.stats()["obs"] is None
-
-
-# ----------------------------------------------------------------------
-# Deprecation shims for the folded-in repro.metrics timers
-
-
-def test_metrics_timer_module_is_a_deprecated_alias():
-    import repro.metrics.timer as legacy
-    from repro.obs.trace import Stopwatch as obs_stopwatch
-    from repro.obs.trace import Timer as obs_timer
-
-    with pytest.warns(DeprecationWarning, match="repro.obs"):
-        assert legacy.Timer is obs_timer
-    with pytest.warns(DeprecationWarning, match="repro.obs"):
-        assert legacy.Stopwatch is obs_stopwatch
-    with pytest.raises(AttributeError):
-        legacy.NotAThing  # noqa: B018
-
-
-def test_metrics_package_lazy_exports_warn():
-    import repro.metrics as metrics
-    from repro.obs.trace import Timer as obs_timer
-
-    with pytest.warns(DeprecationWarning, match="repro.obs"):
-        assert metrics.Timer is obs_timer
-    # The non-deprecated surface stays silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        metrics.LabelMetrics()
 
 
 def test_obs_timer_keeps_the_elapsed_surface_and_records_spans():

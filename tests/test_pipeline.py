@@ -1,5 +1,5 @@
-"""End-to-end pipeline: select()/select_many(), differential equivalence,
-and the rewritten iterative reducer's semantics and metrics."""
+"""End-to-end pipeline: Selector.select()/select_many(), differential
+equivalence, and the iterative reducer's semantics and metrics."""
 
 from __future__ import annotations
 
@@ -22,21 +22,19 @@ from repro.selection import (
     OnDemandAutomaton,
     Reducer,
     SelectionReport,
+    Selector,
     extract_cover,
     label_dp,
-    make_labeler,
-    select,
-    select_many,
 )
 
 # ----------------------------------------------------------------------
-# select / select_many API
+# Selector.select / select_many API
 
 
 def test_select_returns_values_report_and_labeling():
     grammar = bench_grammar()
     [forest] = random_forests(17, forests=1, statements=5, max_depth=4)
-    result = select(forest, grammar, labeler="dp")
+    result = Selector(grammar, mode="dp").select(forest)
 
     assert len(result.values) == len(forest.roots)
     report = result.report
@@ -61,7 +59,7 @@ def test_select_returns_values_report_and_labeling():
 def test_select_many_batches_and_reports_per_forest_values():
     grammar = bench_grammar()
     forests = random_forests(23, forests=4, statements=4, max_depth=4)
-    result = select_many(forests, grammar, labeler="ondemand")
+    result = Selector(grammar).select_many(forests)
     assert result.report.labeler == "ondemand"
     assert len(result.values) == len(forests)
     for forest, values in zip(forests, result.values):
@@ -73,39 +71,14 @@ def test_select_many_batches_and_reports_per_forest_values():
 def test_select_without_cover_collection_skips_cost():
     grammar = bench_grammar()
     [forest] = random_forests(3, forests=1, statements=3, max_depth=3)
-    result = select(forest, grammar, collect_cover=False)
+    result = Selector(grammar).select(forest, collect_cover=False)
     assert result.report.cover_cost is None
-
-
-def test_make_labeler_resolution():
-    grammar = bench_grammar()
-    # String specs are deprecated (use Selector(grammar, mode=...)) but
-    # must keep resolving to the same engine types as before.
-    with pytest.warns(DeprecationWarning, match="string labeler specs"):
-        assert isinstance(make_labeler(grammar, "dp"), DPLabeler)
-    with pytest.warns(DeprecationWarning):
-        ondemand = make_labeler(grammar, "ondemand")
-    assert isinstance(ondemand, OnDemandAutomaton)
-    assert ondemand._eager is None
-    with pytest.warns(DeprecationWarning):
-        eager = make_labeler(grammar, "eager")
-    assert isinstance(eager, OnDemandAutomaton)
-    assert eager._eager is not None
-    # Engine objects pass through unchanged (and without warnings).
-    assert make_labeler(grammar, ondemand) is ondemand
-    assert make_labeler(None, ondemand) is ondemand
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError, match="unknown labeler"):
-        make_labeler(grammar, "offline")
-    with pytest.raises(TypeError, match="label_many"):
-        make_labeler(grammar, object())
-    with pytest.warns(DeprecationWarning), pytest.raises(CoverError, match="needs a grammar"):
-        make_labeler(None, "dp")
 
 
 def test_select_reports_eager_labeler_name():
     grammar = bench_grammar()
     [forest] = random_forests(5, forests=1, statements=3, max_depth=3)
-    assert select(forest, grammar, labeler="eager").report.labeler == "eager"
+    assert Selector(grammar, mode="eager").select(forest).report.labeler == "eager"
 
 
 # ----------------------------------------------------------------------
@@ -113,12 +86,11 @@ def test_select_reports_eager_labeler_name():
 # identical across DP, on-demand, eager, and label_many-batched pipelines.
 
 
-def _per_forest_runs(forests, engine, grammar):
+def _per_forest_runs(forests, engine):
     """Per-forest select() calls sharing one engine and one context."""
     context = EmitContext()
-    values = [
-        select(forest, grammar, labeler=engine, context=context).values for forest in forests
-    ]
+    selector = Selector.wrap(engine)
+    values = [selector.select(forest, context=context).values for forest in forests]
     return values, context
 
 
@@ -133,16 +105,14 @@ def test_randomized_differential_values_and_traces_across_pipelines():
         )
         runs = {}
         # Per-forest pipelines over each labeler architecture.
-        runs["dp"] = _per_forest_runs(forests, DPLabeler(grammar), grammar)
-        runs["ondemand"] = _per_forest_runs(forests, OnDemandAutomaton(grammar), grammar)
+        runs["dp"] = _per_forest_runs(forests, DPLabeler(grammar))
+        runs["ondemand"] = _per_forest_runs(forests, OnDemandAutomaton(grammar))
         eager_automaton = OnDemandAutomaton(grammar)
         eager_automaton.build_eager()
-        runs["eager"] = _per_forest_runs(forests, eager_automaton, grammar)
+        runs["eager"] = _per_forest_runs(forests, eager_automaton)
         # The label_many-batched pipeline (one labeling, one reducer).
         batched_context = EmitContext()
-        batched = select_many(
-            forests, grammar, labeler=OnDemandAutomaton(grammar), context=batched_context
-        )
+        batched = Selector(grammar).select_many(forests, context=batched_context)
         runs["batched"] = (batched.values, batched_context)
 
         base_values, base_context = runs["dp"]
@@ -163,10 +133,10 @@ def test_batched_pipeline_reduces_cross_forest_shared_nodes_once():
     second = Forest([b.expr(b.neg(shared))], name="second")
 
     batched_context = EmitContext()
-    batched = select_many([first, second], grammar, context=batched_context)
+    batched = Selector(grammar).select_many([first, second], context=batched_context)
     separate_context = EmitContext()
     for forest in (first, second):
-        select(forest, grammar, labeler="dp", context=separate_context)
+        Selector(grammar, mode="dp").select(forest, context=separate_context)
 
     assert batched.report.memo_hits > 0
 
@@ -188,9 +158,9 @@ def test_chain_rule_action_receives_single_operand():
     grammar.op_rule("stmt", "EXPR", ["addr"], 0, action=lambda ctx, n, ops: ops[0])
     b = NodeBuilder()
     forest = Forest([b.expr(b.reg(7))])
-    for labeler in ("dp", "ondemand", "eager"):
-        result = select(forest, grammar, labeler=labeler)
-        assert result.values == [("addr", "r7")], labeler
+    for mode in ("dp", "ondemand", "eager"):
+        result = Selector(grammar, mode=mode).select(forest)
+        assert result.values == [("addr", "r7")], mode
 
 
 def test_helper_rule_splicing_flat_operands_through_pipeline():
@@ -212,9 +182,9 @@ def test_helper_rule_splicing_flat_operands_through_pipeline():
         b = NodeBuilder()
         return Forest([b.store(b.reg(1), b.add(b.load(b.reg(2)), b.reg(3)))])
 
-    for labeler in ("dp", "ondemand", "eager"):
-        result = select(build(), grammar, labeler=labeler)
-        assert result.values == [("r1", "r2", "r3")], labeler
+    for mode in ("dp", "ondemand", "eager"):
+        result = Selector(grammar, mode=mode).select(build())
+        assert result.values == [("r1", "r2", "r3")], mode
 
 
 def test_template_rules_route_through_emit_template():
@@ -223,7 +193,7 @@ def test_template_rules_route_through_emit_template():
     # con -> reg via the templated "li" chain rule.
     forest = Forest([b.expr(b.cnst(200))])
     context = EmitContext()
-    select(forest, grammar, context=context)
+    Selector(grammar).select(forest, context=context)
     assert any("li" in instruction for instruction in context.instructions)
 
 
@@ -275,7 +245,7 @@ def test_reduce_forest_without_start_nonterminal_raises():
     with pytest.raises(CoverError, match="no start nonterminal"):
         Reducer(labeling).reduce_forest(forest)
     with pytest.raises(CoverError, match="no start nonterminal"):
-        select(forest, grammar, labeler="dp")
+        Selector(grammar, mode="dp").select(forest)
 
 
 def test_reducer_on_normalized_grammar_matches_original():

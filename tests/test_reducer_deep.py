@@ -12,7 +12,7 @@ import sys
 
 from repro.grammar import Grammar, parse_grammar
 from repro.ir import Forest, NodeBuilder
-from repro.selection import OnDemandAutomaton, Reducer, extract_cover, label_dp, select
+from repro.selection import OnDemandAutomaton, Reducer, Selector, extract_cover, label_dp
 
 DEEP_TEXT = """
 %grammar deep
@@ -56,7 +56,7 @@ def test_reduce_50k_deep_chain_tree_without_recursion_error():
     assert reducer.reductions == forest.node_count()
     assert len(emitted) == forest.node_count()
     # The full pipeline (label + reduce + cover extraction) survives too.
-    result = select(forest, grammar, labeler="dp")
+    result = Selector(grammar, mode="dp").select(forest)
     assert result.report.reductions == forest.node_count()
     assert result.report.cover_cost == extract_cover(labeling, forest).total_cost()
 

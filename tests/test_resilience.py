@@ -8,7 +8,7 @@ Three contracts are exercised, each differentially against a clean run:
   *exactly* the values a clean batch would, and the resilience
   counters match the injected fault counts.
 * **Degradation ladder** — every artifact failure (missing, unreadable,
-  truncated, corrupted, stale) and every blown build budget demotes one
+  truncated, corrupted, malformed header, stale) and every blown build budget demotes one
   rung without an unhandled exception, recording the demotion in
   ``stats()["resilience"]``; the :class:`ArtifactCache` adds retry,
   quarantine, and save-back absorption on top.
@@ -21,6 +21,7 @@ The seed honors ``REPRO_CHAOS_SEED`` so CI can run a seed matrix.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -36,7 +37,6 @@ from repro.errors import (
     SelectorError,
 )
 from repro.grammar import parse_grammar
-from repro.grammar.pattern import nt_pattern, op_pattern
 from repro.ir import Forest, ForestValidationError, Node, NodeBuilder, OperatorSet
 from repro.selection import (
     ArtifactCache,
@@ -46,7 +46,6 @@ from repro.selection import (
     SelectorConfig,
     extract_cover,
 )
-from repro.selection import select_many as fn_select_many
 from repro.selection import selector as selector_module
 from repro.selection.selector import read_artifact_header
 from repro.testing import (
@@ -283,11 +282,11 @@ class TestIsolation:
         assert result.values.phase == "reduce"
         assert fault.faults == 1
 
-    def test_functional_wrapper_passes_policy_through(self):
+    def test_isolate_policy_without_cover_collection(self):
         grammar = _chaos_grammar()
         poison_action(_rule(grammar, "reg", "SUB"), on_call=1)
-        result = fn_select_many(
-            _chaos_forests(), grammar, on_error="isolate", collect_cover=False
+        result = Selector(grammar).select_many(
+            _chaos_forests(), on_error="isolate", collect_cover=False
         )
         assert isinstance(result.values[2], SelectionFailure)
         assert [i for i, v in enumerate(result.values) if isinstance(v, SelectionFailure)] == [2]
@@ -389,33 +388,6 @@ class TestBuildBudget:
         assert build["capped"] is True
         assert sel.mode == "eager"  # historical behavior, no budget → no demotion
         assert sel.stats()["resilience"]["demotions"]["build_budget"] == 0
-
-
-# ----------------------------------------------------------------------
-# Packed-matrix demotions
-
-
-class TestPackedDemotions:
-    def test_packed_miss_falls_back_to_dict_tables(self):
-        sel = Selector(_chaos_grammar(), config=SelectorConfig(packed=True))
-        sel.compile(max_states=1)  # matrices over a deliberately tiny pool
-        clean = Selector(_chaos_grammar()).select_many(_chaos_forests())
-        assert sel.select_many(_chaos_forests()).values == clean.values
-        assert sel.stats()["resilience"]["demotions"]["packed_miss"] >= 1
-
-    def test_grammar_extension_drops_stale_matrices(self):
-        grammar = _chaos_grammar()
-        sel = Selector(grammar, config=SelectorConfig(packed=True))
-        sel.compile()
-        grammar.add_rule("reg", op_pattern("NEG", nt_pattern("reg")), 1)
-        b = NodeBuilder()
-        forest = Forest(name="neg")
-        forest.add(b.expr(b.neg(b.reg(1))))
-        values = sel.select_many([forest]).values
-        assert values and values[0]
-        resilience = sel.stats()["resilience"]
-        assert resilience["demotions"]["packed_stale"] == 1
-        assert "packed_stale" in resilience["last_degradation"]
 
 
 # ----------------------------------------------------------------------
@@ -524,6 +496,71 @@ class TestLoadOrCompile:
         assert demotions["load_failed"] == 1
         assert demotions["build_budget"] == 1
         assert sel.select_many(_chaos_forests()).report.failures == 0
+
+
+def _malformed(case: str, header: dict) -> object:
+    """A valid artifact header with one structural defect *case*."""
+    sections = header["sections"]
+    if case == "no_operators":
+        del header["operators"]
+    elif case == "no_section_items":
+        del sections[0]["items"]
+    elif case == "null_nonterminals":
+        header["nonterminals"] = None
+    elif case == "int_fingerprint":
+        header["fingerprint"] = 7
+    elif case == "negative_offset":
+        sections[0]["offset"] = -8
+    elif case == "offset_past_payload":
+        sections[0]["offset"] = header["payload_len"]
+    elif case == "foreign_state_index":
+        header["operators"][0]["nullary"] = header["states"] + 5
+    elif case == "not_an_object":
+        return [header]
+    return header
+
+
+MALFORMED_CASES = [
+    "no_operators",
+    "no_section_items",
+    "null_nonterminals",
+    "int_fingerprint",
+    "negative_offset",
+    "offset_past_payload",
+    "foreign_state_index",
+    "not_an_object",
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED_CASES)
+def test_malformed_header_is_corrupt_and_demotes(tmp_path, case):
+    """A header re-framed under valid magic, length and payload checksum
+    but with a missing or ill-typed field, or a section or state index
+    outside the payload, is corrupt: ``load`` raises
+    :class:`ArtifactCorruptError` (never ``KeyError``/``TypeError``) and
+    ``load_or_compile`` demotes to an in-process compile."""
+    grammar = _chaos_grammar()
+    blob = Selector(grammar, mode="eager").save(tmp_path / "good.rsel").read_bytes()
+    prefix = len(selector_module._MAGIC) + selector_module._HEADER_LEN_STRUCT.size
+    (header_len,) = selector_module._HEADER_LEN_STRUCT.unpack_from(
+        blob, len(selector_module._MAGIC)
+    )
+    header = _malformed(case, json.loads(blob[prefix : prefix + header_len]))
+    data = json.dumps(header).encode("utf-8")
+    path = tmp_path / f"{case}.rsel"
+    path.write_bytes(
+        selector_module._MAGIC
+        + selector_module._HEADER_LEN_STRUCT.pack(len(data))
+        + data
+        + blob[prefix + header_len :]
+    )
+
+    with pytest.raises(ArtifactCorruptError):
+        Selector.load(path, grammar)
+    sel = Selector.load_or_compile(path, grammar)
+    assert sel.stats()["resilience"]["demotions"]["load_failed"] == 1
+    clean = Selector(_chaos_grammar()).select_many(_chaos_forests())
+    assert sel.select_many(_chaos_forests()).values == clean.values
 
 
 # ----------------------------------------------------------------------

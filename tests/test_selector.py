@@ -1,9 +1,9 @@
-"""The Selector facade: modes, AOT compile/save/load, packed tables, CLI."""
+"""The Selector facade: modes, AOT compile/save/load, wire format, CLI."""
 
 from __future__ import annotations
 
 import json
-import warnings
+import sys
 
 import pytest
 
@@ -24,11 +24,9 @@ from repro.selection import (
     DPLabeler,
     OnDemandAutomaton,
     Selector,
-    SelectorConfig,
     extract_cover,
     grammar_fingerprint,
     label_dp,
-    make_labeler,
 )
 from repro.selection.selector import main as selector_main
 from repro.selection.selector import read_artifact_header
@@ -244,7 +242,7 @@ def test_load_then_extend_invalidates_tables_and_stays_optimal(tmp_path):
     grammar = bench_grammar()
     artifact = Selector(grammar, mode="eager").save(tmp_path / "bench.rsel")
     live = bench_grammar()
-    loaded = Selector.load(artifact, live, SelectorConfig(packed=True))
+    loaded = Selector.load(artifact, live)
     forests = random_forests(13, forests=3, statements=5, max_depth=4)
 
     cost_before = sum(
@@ -253,7 +251,7 @@ def test_load_then_extend_invalidates_tables_and_stays_optimal(tmp_path):
     assert loaded.stats()["aot"]["valid"] is True
 
     # JIT-style extension on the live grammar: free loads. The loaded
-    # tables (and packed matrices) must be dropped, results must track
+    # tables must be dropped, results must track
     # DP on the extended grammar, and covers must get cheaper.
     live.op_rule("reg", "LOAD", ["addr"], 0)
     assert loaded.stats()["aot"]["valid"] is False
@@ -267,41 +265,38 @@ def test_load_then_extend_invalidates_tables_and_stays_optimal(tmp_path):
         cost_after += cover.total_cost()
     assert cost_after < cost_before
     assert loaded.mode == "ondemand"  # eager tables died with the extension
-    assert loaded.stats()["aot"]["packed"] is None
 
 
-# ----------------------------------------------------------------------
-# Packed (dense-matrix) fast path
-
-
-def test_packed_fast_path_matches_dict_tables(tmp_path):
+def test_compiled_and_loaded_selectors_agree_with_dp(tmp_path):
     grammar = bench_grammar()
-    compiled = Selector(grammar, mode="eager", config=SelectorConfig(packed=True))
-    assert compiled.stats()["aot"]["packed"]["transitions"] > 0
+    compiled = Selector(grammar, mode="eager")
     artifact = compiled.save(tmp_path / "bench.rsel")
-    loaded = Selector.load(artifact, bench_grammar(), SelectorConfig(packed=True))
+    loaded = Selector.load(artifact, bench_grammar())
+    dp = Selector(grammar, mode="dp")
 
     for seed in range(3):
-        forests = _mixed_forests(seed + 30)
-        for forest in forests:
+        for forest in _mixed_forests(seed + 30):
             reference = extract_cover(label_dp(grammar, forest), forest).total_cost()
             assert extract_cover(compiled.label(forest), forest).total_cost() == reference
             assert extract_cover(loaded.label(forest), forest).total_cost() == reference
-    # The packed loop also serves batched labeling and full selection.
     batch_forests = _mixed_forests(77)
-    batch = loaded.label_many(batch_forests)
-    for forest in batch_forests:
-        assert (
-            extract_cover(batch, forest).total_cost()
-            == extract_cover(label_dp(grammar, forest), forest).total_cost()
-        )
-    report = loaded.select_many(_mixed_forests(78)).report
-    assert report.cover_cost > 0
+    for selector in (compiled, loaded):
+        batch = selector.label_many(batch_forests)
+        for forest in batch_forests:
+            assert (
+                extract_cover(batch, forest).total_cost()
+                == extract_cover(label_dp(grammar, forest), forest).total_cost()
+            )
+    select_forests = _mixed_forests(78)
+    expected = dp.select_many(select_forests).report.cover_cost
+    assert expected > 0
+    assert compiled.select_many(select_forests).report.cover_cost == expected
+    assert loaded.select_many(select_forests).report.cover_cost == expected
 
 
-def test_packed_path_handles_foreign_operators_via_fallback():
-    """A dialect operator the grammar never mentions must fall back to
-    the dict tables (error state), not crash the packed loop."""
+def test_eager_selector_labels_foreign_operator_to_no_derivation():
+    """A dialect operator the grammar never mentions labels to the error
+    state (no derivation) instead of crashing the eager selector."""
     from repro.ir import Forest, NodeBuilder
 
     grammar = parse_grammar(
@@ -314,7 +309,7 @@ def test_packed_path_handles_foreign_operators_via_fallback():
         reg:  CNST      (1)
         """
     )
-    selector = Selector(grammar, mode="eager", config=SelectorConfig(packed=True))
+    selector = Selector(grammar, mode="eager")
     b = NodeBuilder()
     # SUB appears in the default dialect but not in the grammar.
     forest = Forest([b.expr(b.sub(b.reg(1), b.cnst(2)))])
@@ -327,8 +322,7 @@ def test_packed_path_handles_foreign_operators_via_fallback():
 
 def test_arity3_operators_roundtrip_nary_tables(tmp_path):
     """Arity ≥ 3 transitions have no dense-matrix shape: they ride the
-    tuple-keyed nary tables through packing, the packed labeling loop's
-    fallback, and the artifact's flat-run encoding."""
+    tuple-keyed nary tables through the artifact's flat-run encoding."""
     from repro.grammar import Grammar
     from repro.ir import Forest, NodeBuilder
     from repro.ir.ops import OperatorSet
@@ -359,39 +353,39 @@ def test_arity3_operators_roundtrip_nary_tables(tmp_path):
     )
     reference = extract_cover(label_dp(grammar, forest), forest).total_cost()
 
-    compiled = Selector(grammar, mode="eager", config=SelectorConfig(packed=True))
+    compiled = Selector(grammar, mode="eager")
     assert extract_cover(compiled.label(forest), forest).total_cost() == reference
 
     artifact = compiled.save(tmp_path / "ternary.rsel")
-    loaded = Selector.load(artifact, grammar, SelectorConfig(packed=True))
+    loaded = Selector.load(artifact, grammar)
     metrics = LabelMetrics()
     labeling = loaded.label_many([forest], metrics)
     assert metrics.table_misses == 0
     assert extract_cover(labeling, forest).total_cost() == reference
-    # The packed fast path answers the same queries (nary via fallback).
-    assert extract_cover(loaded.label(forest), forest).total_cost() == reference
 
 
 # ----------------------------------------------------------------------
-# Deprecated wrappers
+# Wire format
+
+#: ``payload_sha256`` of ``Selector(g, mode="eager").save(...)`` for the
+#: bench grammars on a little-endian host.  The payload encoding is the
+#: AOT format's compatibility contract: any change here must bump
+#: ``_FORMAT_VERSION``.
+PINNED_PAYLOAD_SHA256 = {
+    "bench_grammar": "5b563f55db1577453255bbbfb299dc50925e404b5c05ea8e556ba7ae61dcc3b5",
+    "dynamic_bench_grammar": "40f3c59a3647e32f0d95c943c3f8bc00f79339dcaf12f30d275727fd0993ff12",
+}
 
 
-def test_make_labeler_string_specs_warn_but_behave_identically():
-    grammar = bench_grammar()
-    with pytest.warns(DeprecationWarning, match="string labeler specs"):
-        dp = make_labeler(grammar, "dp")
-    assert isinstance(dp, DPLabeler)
-    with pytest.warns(DeprecationWarning):
-        eager = make_labeler(grammar, "eager")
-    assert isinstance(eager, OnDemandAutomaton)
-    assert eager._eager is not None
-    # Engine objects and selectors pass through silently and unchanged.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        automaton = OnDemandAutomaton(grammar)
-        assert make_labeler(grammar, automaton) is automaton
-        selector = Selector(grammar)
-        assert make_labeler(None, selector) is selector
+@pytest.mark.skipif(sys.byteorder != "little", reason="pinned hashes are little-endian")
+@pytest.mark.parametrize("factory", [bench_grammar, dynamic_bench_grammar])
+def test_artifact_payload_is_byte_stable(tmp_path, factory):
+    first = Selector(factory(), mode="eager").save(tmp_path / "first.rsel")
+    sha = read_artifact_header(first)["payload_sha256"]
+    assert sha == PINNED_PAYLOAD_SHA256[factory.__name__]
+    # save -> load -> save reproduces the identical payload.
+    again = Selector.load(first, factory()).save(tmp_path / "again.rsel")
+    assert read_artifact_header(again)["payload_sha256"] == sha
 
 
 # ----------------------------------------------------------------------
