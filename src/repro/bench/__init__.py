@@ -1,32 +1,10 @@
-"""Benchmark subsystem: workload generators, runner, JSON reporting.
+"""Seeded benchmark workloads: grammars and forest generators.
 
-Measures the paper's headline trade-off — dynamic-programming labeling
-versus cold, warm, and eagerly precomputed automaton labeling — on four
-workload families (random tree forests, DAG-heavy forests, JIT-style
-recurring-shape streams, dynamic-constraint forests), the end-to-end
-selection *pipeline* (label + reduce + emit via ``select_many``) on
-four workloads including two reduce-focused families, the
-ahead-of-time selector path (``selector_aot``: compile/save/load cold
-start from disk versus in-process eager or on-demand builds, with
-selector build/save/load nanoseconds recorded), plus a grammar-size
-sweep charting on-demand versus eager table growth, and writes the
-trajectory to ``BENCH_selection.json``.
-
-Run it with ``python -m repro.bench`` (see ``--help`` for sizes/seed,
-and ``--baseline`` for the warm-path regression gate CI uses).
+The generators in :mod:`repro.bench.workloads` feed the tests and the
+caller-view benchmark (``callerbench/``), which is the repository's one
+performance harness.
 """
 
-from repro.bench.runner import (
-    BenchConfig,
-    bench_pipeline_workload,
-    bench_selector_aot_workload,
-    run_grammar_sweep,
-    run_pipeline_bench,
-    run_selection_bench,
-    run_selector_aot_bench,
-    run_service_bench,
-    write_report,
-)
 from repro.bench.workloads import (
     BENCH_GRAMMAR_TEXT,
     EmitContext,
@@ -48,11 +26,8 @@ from repro.bench.workloads import (
 
 __all__ = [
     "BENCH_GRAMMAR_TEXT",
-    "BenchConfig",
     "EmitContext",
     "bench_grammar",
-    "bench_pipeline_workload",
-    "bench_selector_aot_workload",
     "clone_forest",
     "dag_heavy_forest",
     "dag_heavy_forests",
@@ -63,13 +38,7 @@ __all__ = [
     "random_tree_forest",
     "recurring_shape_stream",
     "reduce_heavy_forests",
-    "run_grammar_sweep",
-    "run_pipeline_bench",
-    "run_selection_bench",
-    "run_selector_aot_bench",
-    "run_service_bench",
     "shared_reduction_forests",
     "synthetic_forests",
     "synthetic_grammar",
-    "write_report",
 ]

@@ -1,15 +1,9 @@
-"""Measurement utilities: labeling work counters and table/series formatting.
+"""Measurement utilities: labeling work counters and table formatting.
 
 Timing lives in :mod:`repro.obs` (``Timer``/``Stopwatch``).
 """
 
 from repro.metrics.counters import LabelMetrics
-from repro.metrics.tables import format_ratio, format_series, format_table, markdown_table
+from repro.metrics.tables import format_table
 
-__all__ = [
-    "LabelMetrics",
-    "format_ratio",
-    "format_series",
-    "format_table",
-    "markdown_table",
-]
+__all__ = ["LabelMetrics", "format_table"]

@@ -1,15 +1,14 @@
-"""Plain-text table and series formatting for experiment output.
+"""Plain-text table formatting for measurement output.
 
-The benchmark harness prints the reproduced tables and figure series in
-an aligned plain-text form that mirrors the layout of the paper's
-tables (one row per benchmark/grammar, one column per measurement).
+Trace summaries and labeling-work comparisons print as aligned
+plain-text tables (one row per item, one column per measurement).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-__all__ = ["format_table", "format_series", "format_ratio", "markdown_table"]
+__all__ = ["format_table"]
 
 
 def _cell(value: object) -> str:
@@ -55,49 +54,4 @@ def format_table(
         lines.append(
             "  ".join(align(line[i], widths[i], row.get(col)) for i, col in enumerate(cols))
         )
-    return "\n".join(lines)
-
-
-def format_series(
-    series: Mapping[str, Iterable[float]],
-    x_labels: Sequence[object] | None = None,
-    title: str | None = None,
-    x_name: str = "x",
-) -> str:
-    """Render one or more named series (a "figure") as a text table.
-
-    Each series becomes a column; *x_labels* provides the first column.
-    """
-    names = list(series.keys())
-    values = {name: list(points) for name, points in series.items()}
-    length = max((len(points) for points in values.values()), default=0)
-    labels = list(x_labels) if x_labels is not None else list(range(length))
-    rows = []
-    for index in range(length):
-        row: dict[str, object] = {x_name: labels[index] if index < len(labels) else index}
-        for name in names:
-            points = values[name]
-            row[name] = points[index] if index < len(points) else ""
-        rows.append(row)
-    return format_table(rows, columns=[x_name, *names], title=title)
-
-
-def format_ratio(numerator: float, denominator: float) -> float:
-    """A safe ratio (0 when the denominator is 0), rounded to 2 decimals."""
-    if denominator == 0:
-        return 0.0
-    return round(numerator / denominator, 2)
-
-
-def markdown_table(
-    rows: Sequence[Mapping[str, object]],
-    columns: Sequence[str] | None = None,
-) -> str:
-    """Render rows as a GitHub-flavoured markdown table (for EXPERIMENTS.md)."""
-    if not rows:
-        return "(empty)"
-    cols = list(columns) if columns is not None else list(rows[0].keys())
-    lines = ["| " + " | ".join(cols) + " |", "|" + "|".join("---" for _ in cols) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(_cell(row.get(col, "")) for col in cols) + " |")
     return "\n".join(lines)

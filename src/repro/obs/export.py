@@ -10,9 +10,9 @@ Three output shapes, all built from the in-memory tracer/registry:
   one :meth:`Span.as_dict` object per line, loss-free both ways.
 * :func:`render_trace` — per-phase and per-tenant latency summaries of
   a dump.  Per-tenant ``service.request`` quantiles are computed by
-  rebuilding the same :class:`~repro.obs.metrics.Histogram` the bench
-  report used, so a render of a bench-produced trace reproduces the
-  report's per-tenant p50/p99 exactly.
+  rebuilding the same :class:`~repro.obs.metrics.Histogram` the live
+  service metrics use, so a render of a service's trace reproduces its
+  ``service_request_latency_ns`` p50/p99 exactly.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def trace_summary(spans: Iterable[Span]) -> dict[str, Any]:
     durations of each span name.  ``per_tenant`` summarizes
     ``service.request`` spans grouped by their ``tenant`` attribute
     through :class:`Histogram` — the same class the service metrics
-    use, so these numbers match a bench report built from the same
+    use, so these numbers match the live latency histograms of the same
     requests.
     """
     groups = spans_by_name(spans)

@@ -52,8 +52,8 @@ BUCKETS = 64
 def percentile(values: Iterable[int | float], pct: float) -> int | float | None:
     """Nearest-rank percentile over raw samples (``None`` when empty).
 
-    The single shared implementation behind the bench report's latency
-    percentiles and the trace renderer's per-phase tables.
+    The single shared implementation behind the trace renderer's
+    per-phase tables.
     """
     ordered = sorted(values)
     if not ordered:
@@ -141,8 +141,8 @@ class Histogram:
         Returns the containing bucket's upper bound, clamped to the
         observed ``[min, max]`` — so two histograms built from the same
         observations (in any split or order) answer identically, which
-        is what lets a trace render reproduce a bench report's numbers
-        exactly.
+        is what lets a trace render reproduce the live histograms'
+        numbers exactly.
         """
         if self.count == 0 or self.min is None or self.max is None:
             return None

@@ -1,32 +1,20 @@
-"""Benchmark subsystem: generators, runner, equivalence sweep, speed claim."""
+"""Benchmark workloads: generators, equivalence sweep, speed claim."""
 
 from __future__ import annotations
 
-import json
 import random
 import time
 
-import pytest
-
 from repro.bench import (
-    BenchConfig,
     bench_grammar,
     clone_forest,
     dag_heavy_forests,
     random_forests,
     recurring_shape_stream,
-    run_selection_bench,
-    write_report,
 )
 from repro.ir import shared_nodes
 from repro.metrics import LabelMetrics
 from repro.selection import OnDemandAutomaton, extract_cover, label_dp
-
-
-def _tiny_config() -> BenchConfig:
-    config = BenchConfig.smoke(seed=11)
-    config.stream_length = 4
-    return config
 
 
 # ----------------------------------------------------------------------
@@ -133,164 +121,6 @@ def test_grammar_extension_between_labels_rebuilds_tables_and_stays_optimal():
 
 
 # ----------------------------------------------------------------------
-# Runner and report
-
-
-def test_runner_emits_valid_report(tmp_path):
-    report = run_selection_bench(_tiny_config())
-    path = write_report(report, tmp_path / "BENCH_selection.json")
-    loaded = json.loads(path.read_text())
-
-    assert loaded["benchmark"] == "selection-labeling"
-    assert {"python", "platform", "grammar", "dynamic_grammar", "config"} <= set(loaded["meta"])
-    names = [workload["name"] for workload in loaded["workloads"]]
-    assert names == ["random_trees", "dag_heavy", "recurring_stream", "dynamic_constraints"]
-    for workload in loaded["workloads"]:
-        assert workload["nodes"] > 0
-        assert workload["automaton"]["states"] > 0
-        assert workload["automaton"]["transitions"] > 0
-        for labeler, row in workload["labelers"].items():
-            assert row["ns_per_node"] > 0, labeler
-        # Table-derived facts are reported for automaton rows only.
-        assert "hit_rate" not in workload["labelers"]["dp"]
-        for labeler in ("automaton_cold", "automaton_warm", "automaton_eager"):
-            assert 0.0 <= workload["labelers"][labeler]["hit_rate"] <= 1.0
-        warm = workload["labelers"]["automaton_warm"]
-        assert warm["hit_rate"] == 1.0
-        assert warm["table_misses"] == 0
-        # The offline automaton never constructs a state at labeling time.
-        eager = workload["labelers"]["automaton_eager"]
-        assert eager["table_misses"] == 0
-        assert eager["states_created"] == 0
-        eager_build = workload["automaton"]["eager"]
-        assert eager_build["transitions"] >= workload["automaton"]["transitions"]
-        assert eager_build["skipped"] == []
-        assert workload["speedup_warm_vs_dp"] > 0
-        assert workload["speedup_eager_vs_dp"] > 0
-
-    # Pipeline rows: all four labeler configurations, per-phase timings
-    # that add up, and verified cover costs.
-    pipeline_names = [workload["name"] for workload in loaded["pipeline"]]
-    assert pipeline_names == [
-        "random_trees", "reduce_heavy", "dag_reduce", "dynamic_constraints",
-        "recurring_stream",
-    ]
-    for workload in loaded["pipeline"]:
-        assert workload["nodes"] > 0 and workload["roots"] > 0
-        assert workload["cover_cost"] > 0
-        assert set(workload["labelers"]) == {
-            "dp", "automaton_cold", "automaton_warm", "automaton_eager",
-        }
-        for labeler, row in workload["labelers"].items():
-            assert row["ns_per_node"] > 0, labeler
-            assert row["reductions"] > 0, labeler
-            assert row["ns_per_node"] == pytest.approx(
-                row["label_ns_per_node"] + row["reduce_ns_per_node"]
-            ), labeler
-            assert 0.0 <= row["reduce_fraction"] <= 1.0
-            assert row["tapes_compiled"] >= 0 and row["tape_cache_hits"] >= 0
-        assert workload["speedup_warm_vs_dp"] > 0
-        assert workload["speedup_eager_vs_dp"] > 0
-        # The tape-vs-frame emitter comparison rides on every workload.
-        emitters = workload["emitters"]
-        assert emitters["tape"]["reduce_ns_per_node"] > 0
-        assert emitters["reducer"]["reduce_ns_per_node"] > 0
-        assert emitters["emit_speedup_tape_vs_reducer"] > 0
-        assert emitters["reducer"]["tapes_compiled"] == 0
-        assert emitters["reducer"]["tape_cache_hits"] == 0
-    # The DAG-sharing family actually exercises the reducer's memo.
-    dag_reduce = next(w for w in loaded["pipeline"] if w["name"] == "dag_reduce")
-    assert dag_reduce["labelers"]["automaton_warm"]["memo_hits"] > 0
-    # The JIT-style stream re-emits recurring shapes from cached tapes.
-    stream = next(w for w in loaded["pipeline"] if w["name"] == "recurring_stream")
-    assert stream["emitters"]["tape"]["tape_cache_hits"] > 0
-
-    # Ahead-of-time selector rows: load-from-disk cold start must beat
-    # the in-process eager build, with zero misses on first contact.
-    aot_names = [workload["name"] for workload in loaded["selector_aot"]]
-    assert aot_names == ["random_trees", "recurring_stream"]
-    for workload in loaded["selector_aot"]:
-        assert workload["nodes"] > 0
-        assert workload["artifact"]["bytes"] > 0
-        assert workload["build_ns"] > 0 and workload["load_ns"] > 0
-        assert workload["save_ns"] > 0
-        assert workload["load_beats_build"], (
-            f"load {workload['load_ns']} ns should beat eager build "
-            f"{workload['build_ns']} ns"
-        )
-        assert workload["first_contact_misses"] == 0
-        labelers = workload["labelers"]
-        assert set(labelers) == {
-            "selector_aot", "inprocess_eager", "inprocess_ondemand", "aot_warm",
-        }
-        for config_name in ("selector_aot", "inprocess_eager", "inprocess_ondemand"):
-            row = labelers[config_name]
-            assert row["cold_total_ns"] == row["startup_ns"] + row["select_ns"]
-            assert row["ns_per_node"] > 0
-        assert labelers["selector_aot"]["startup_ns"] == workload["load_ns"]
-        assert labelers["inprocess_eager"]["startup_ns"] == workload["build_ns"]
-        assert (
-            labelers["selector_aot"]["cold_total_ns"]
-            < labelers["inprocess_eager"]["cold_total_ns"]
-        )
-        assert labelers["aot_warm"]["ns_per_node"] > 0
-
-    # Grammar-size sweep: eager tables dominate on-demand tables and
-    # first contact over eager tables is pure hits.
-    assert loaded["sweep"], "sweep section missing"
-    for point in loaded["sweep"]:
-        assert point["eager"]["transitions"] >= point["ondemand"]["transitions"]
-        assert point["eager_first_contact_misses"] == 0
-        assert point["table_ratio"] >= 1.0
-        assert not point["eager"]["capped"]
-
-
-def test_bench_main_smoke(tmp_path, capsys):
-    from repro.bench.__main__ import main
-
-    out = tmp_path / "bench.json"
-    assert main(["--smoke", "--seed", "5", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["workloads"]
-    printed = capsys.readouterr().out
-    assert "selection labeling benchmark" in printed
-    assert "selection pipeline benchmark" in printed
-    assert "ahead-of-time selector cold start" in printed
-    assert "report written" in printed
-
-
-def test_bench_main_uses_matching_selector_artifact(tmp_path, capsys):
-    """A CLI-compiled artifact with a matching fingerprint feeds the
-    selector_aot loads; a mismatched one is ignored gracefully."""
-    from repro.bench.__main__ import main
-    from repro.selection.selector import main as selector_main
-
-    artifact = tmp_path / "bench.rsel"
-    assert selector_main(
-        ["compile", "repro.bench.workloads:bench_grammar", str(artifact)]
-    ) == 0
-    capsys.readouterr()
-
-    out = tmp_path / "bench.json"
-    config_args = ["--smoke", "--seed", "5", "--out", str(out)]
-    assert main(config_args + ["--selector-artifact", str(artifact)]) == 0
-    report = json.loads(out.read_text())
-    for workload in report["selector_aot"]:
-        assert workload["artifact"]["from_cli"] is True
-        assert workload["artifact"]["path"] == str(artifact)
-    assert "CLI artifact" in capsys.readouterr().out
-
-    mismatched = tmp_path / "dyn.rsel"
-    assert selector_main(
-        ["compile", "repro.bench.workloads:dynamic_bench_grammar", str(mismatched)]
-    ) == 0
-    capsys.readouterr()
-    assert main(config_args + ["--selector-artifact", str(mismatched)]) == 0
-    report = json.loads(out.read_text())
-    for workload in report["selector_aot"]:
-        assert workload["artifact"]["from_cli"] is False
-
-
-# ----------------------------------------------------------------------
 # The acceptance claim: warm automaton labels a recurring-shape stream
 # >= 3x faster per node than DP on the same forests.
 
@@ -342,73 +172,3 @@ def test_workload_sampling_is_seeded_module_rng_free():
     recurring_shape_stream(7, shapes=2, length=2, statements=3, max_depth=3)
     after = random.random()
     assert before == after
-
-
-# ----------------------------------------------------------------------
-# Regression gates
-
-
-def test_emit_phase_regression_gate_is_dual_condition():
-    from repro.bench.__main__ import _gate_emit_rows
-
-    def row(
-        emit: float, dp_emit: float, name: str = "reduce_heavy", hits: int = 5
-    ) -> dict:
-        return {
-            "name": name,
-            "labelers": {
-                "automaton_warm": {
-                    "reduce_ns_per_node": emit,
-                    "tapes_compiled": 0,
-                    "tape_cache_hits": hits,
-                },
-                "dp": {"reduce_ns_per_node": dp_emit},
-            },
-        }
-
-    base = [row(1000.0, 2000.0)]
-    # Absolute AND dp-normalized emit cost regressed: the gate fires.
-    failures = _gate_emit_rows([row(2000.0, 2000.0)], base, 0.1)
-    assert failures and "warm emit" in failures[0]
-    # A uniformly slower machine shifts both engines equally - the
-    # dp-normalized ratio is unchanged, so the gate stays quiet.
-    assert not _gate_emit_rows([row(2000.0, 4000.0)], base, 0.1)
-    # Within the regression budget: quiet.
-    assert not _gate_emit_rows([row(1050.0, 2000.0)], base, 0.1)
-    # Workloads absent from the baseline (new families) are skipped.
-    assert not _gate_emit_rows([row(9999.0, 2000.0, name="brand_new")], base, 0.1)
-    # Rows without tape activity run the frame engine (dynamic-rule
-    # grammars route away from the tape compiler) - not this gate's
-    # claim, so even a large emit swing stays quiet.
-    assert not _gate_emit_rows([row(9999.0, 2000.0, hits=0)], base, 0.1)
-
-
-def test_check_baseline_includes_emit_gate(tmp_path):
-    from repro.bench.__main__ import check_baseline
-
-    def pipeline_row(warm_total: float, warm_emit: float) -> dict:
-        return {
-            "name": "reduce_heavy",
-            "labelers": {
-                "automaton_warm": {
-                    "ns_per_node": warm_total,
-                    "reduce_ns_per_node": warm_emit,
-                    "tapes_compiled": 0,
-                    "tape_cache_hits": 5,
-                },
-                "dp": {"ns_per_node": 4000.0, "reduce_ns_per_node": 2000.0},
-            },
-        }
-
-    baseline = {"workloads": [], "pipeline": [pipeline_row(2000.0, 1000.0)]}
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps(baseline))
-
-    # Total pipeline time held, but the emit phase alone regressed 3x:
-    # only the emit gate can catch this.
-    report = {"workloads": [], "pipeline": [pipeline_row(2000.0, 3000.0)]}
-    failures = check_baseline(report, path, max_regression=0.5, max_pipeline_regression=0.1)
-    assert len(failures) == 1 and "warm emit" in failures[0]
-
-    clean = {"workloads": [], "pipeline": [pipeline_row(2000.0, 1000.0)]}
-    assert check_baseline(clean, path, 0.5, 0.1) == []

@@ -18,6 +18,8 @@ from repro.bench import (
     dynamic_constraint_forests,
     random_forests,
     recurring_shape_stream,
+    synthetic_forests,
+    synthetic_grammar,
 )
 from repro.ir import Forest, NodeBuilder
 from repro.ir.traversal import ready_postorder
@@ -241,6 +243,30 @@ def test_eager_is_invalidated_by_grammar_extension():
     grammar.op_rule("reg", "LOAD", ["addr"], 0)
     automaton.label(random_forests(2, forests=1, statements=3, max_depth=3)[0])
     assert "eager" not in automaton.stats()  # the build died with the old pool
+
+
+def test_eager_tables_outgrow_ondemand_tables_as_the_grammar_grows():
+    """The paper's table-growth result: an eager build fills tables for
+    every reachable (operator, child states) combination, on-demand
+    labeling only the ones a workload meets, and the gap widens with
+    grammar size (measured 2.8x, 5.6x, 24x, 76x at these four sizes)."""
+    ratios = []
+    for n_ops, n_nts in [(4, 2), (8, 3), (16, 5), (24, 6)]:
+        grammar = synthetic_grammar(n_ops, n_nts, seed=42)
+        forests = synthetic_forests(grammar.operators, 42 + n_ops, 4, 8, 5)
+        ondemand = OnDemandAutomaton(grammar)
+        ondemand.label_many(forests)
+        ondemand_transitions = ondemand.stats()["transitions"]
+
+        eager = OnDemandAutomaton(grammar)
+        build = eager.build_eager(max_states=512)
+        assert not build["capped"], (n_ops, n_nts)
+        contact = LabelMetrics()
+        eager.label_many(forests, contact)
+        assert contact.table_misses == 0, (n_ops, n_nts)
+        assert ondemand_transitions < build["transitions"], (n_ops, n_nts)
+        ratios.append(build["transitions"] / ondemand_transitions)
+    assert all(small < large for small, large in zip(ratios, ratios[1:])), ratios
 
 
 # ----------------------------------------------------------------------

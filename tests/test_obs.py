@@ -266,7 +266,7 @@ def test_selector_records_pipeline_phases_and_metrics():
     assert flat[key] == 1
 
 
-def test_service_worker_metrics_cross_the_fork(tmp_path):
+def test_service_worker_metrics_cross_the_fork(tmp_path, capsys):
     """Worker-side pipeline/cache metrics surface in the service's obs view."""
     obs = Observability()
     tenants = {"bench": bench_grammar()}
@@ -300,6 +300,19 @@ def test_service_worker_metrics_cross_the_fork(tmp_path):
     ]
     rebuilt = Histogram.of([s.duration_ns for s in request_spans])
     assert rebuilt.snapshot() == histogram.snapshot()
+
+    # A trace dump of the run reports the live histogram's percentiles.
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, obs.tracer.spans())
+    rendered = trace_summary(load_trace(path))["per_tenant"]["bench"]
+    assert rendered["count"] == len(responses)
+    assert rendered["latency_p50_ns"] == histogram.quantile(0.5)
+    assert rendered["latency_p99_ns"] == histogram.quantile(0.99)
+    assert obs_main(["render", str(path)]) == 0
+    assert "service.request" in capsys.readouterr().out
+    prom = to_prometheus(obs.metrics)
+    assert "# TYPE service_request_latency_ns histogram" in prom
+    assert 'service_requests_total{status="ok",tenant="bench"}' in prom
 
 
 def test_service_disabled_observability_reports_none(tmp_path):

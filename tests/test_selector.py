@@ -428,6 +428,28 @@ def test_cli_compile_from_module_spec_and_inspect(tmp_path, capsys):
     assert summary["states"] == header["states"]
 
 
+def test_cli_compiled_artifact_loads_faster_than_an_eager_build(tmp_path):
+    """The AOT payoff: a deploy pipeline compiles the tables once, and a
+    server loading them skips the eager build with no behaviour change."""
+    out = tmp_path / "bench.rsel"
+    assert selector_main(["compile", "repro.bench.workloads:bench_grammar", str(out)]) == 0
+    inprocess = Selector(bench_grammar(), mode="eager")
+    loads = [Selector.load(out, bench_grammar()) for _ in range(3)]
+    loaded = loads[0]
+
+    forests = random_forests(5, forests=4, statements=6, max_depth=5)
+    contact = LabelMetrics()
+    loaded.label_many(forests, contact)
+    assert contact.table_misses == 0
+    expected = inprocess.select_many(forests, context=EmitContext())
+    observed = loaded.select_many(forests, context=EmitContext())
+    assert observed.values == expected.values
+    assert observed.report.cover_cost == expected.report.cover_cost
+
+    load_ns = min(selector.stats()["aot"]["load_ns"] for selector in loads)
+    assert load_ns < inprocess.stats()["aot"]["build_ns"]
+
+
 def test_cli_compile_from_grammar_text_file(tmp_path, capsys):
     source = tmp_path / "demo.g"
     source.write_text(
