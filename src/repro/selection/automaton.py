@@ -25,7 +25,7 @@ per batch: children are discovered and the node transitioned the moment
 its last child is labeled, with the per-node state map doubling as the
 traversal's visited set — no separate topological pre-pass, no
 intermediate order list.  When the caller passes no metrics object the
-static loop performs no counter increments at all, so benchmarking raw
+fast loop performs no counter increments at all, so benchmarking raw
 speed measures table lookups and nothing else.
 
 Batches are first-class: :meth:`OnDemandAutomaton.label_many` labels a
@@ -48,7 +48,10 @@ outcomes induce (the paper's restricted-dynamic-cost argument) while
 fully general dynamic costs degrade gracefully to per-outcome entries.
 Operators with *no* dynamic rules take the integer fast path even in a
 dynamic grammar (as long as no dynamic chain rule exists, which would
-make every node's transition node-dependent).  Dynamic callables only
+make every node's transition node-dependent): with no metrics and no
+deadline such a grammar runs the same fused fast loop as a static one,
+and only nodes of operators with dynamic rules leave it for the
+signature path.  Dynamic callables only
 run where the DP labeler would run them: rules from multi-node patterns
 require a structural match of the original pattern, and dynamic chain
 rules require their source nonterminal to be derivable at the node (a
@@ -198,6 +201,10 @@ class OnDemandAutomaton:
         self.has_dynamic = False
         self._op_ids: dict[str, int] = {}
         self._tables: dict[str, _OpTable] = {}
+        #: The tables of operators without dynamic rules — the fast
+        #: loop's lookup dict: a dynamic operator misses it and takes
+        #: the signature path (see :meth:`_label_fast`).
+        self._static_tables: dict[str, _OpTable] = {}
         self._dyn_chain: list[Rule] = []
         self._empty_chain_signature: tuple[None, ...] = ()
         self._static_reach_cache: dict[str, frozenset[str]] = {}
@@ -218,6 +225,9 @@ class OnDemandAutomaton:
         self.has_dynamic = self.grammar.has_dynamic_rules
         self._op_ids = self.grammar.operator_ids()
         self._tables = {name: self._build_table(name, op_id) for name, op_id in self._op_ids.items()}
+        self._static_tables = {
+            name: table for name, table in self._tables.items() if not table.dyn_rules
+        }
         self._dyn_chain = [rule for rule in self.grammar.chain_rules() if rule.is_dynamic]
         self._empty_chain_signature = (UNEVALUATED,) * len(self._dyn_chain)
         self._static_reach_cache = {}
@@ -245,6 +255,7 @@ class OnDemandAutomaton:
             op_id = self._op_ids.setdefault(op_name, len(self._op_ids))
             table = self._build_table(op_name, op_id)
             self._tables[op_name] = table
+            self._static_tables[op_name] = table  # the grammar has no rules for it
         return table
 
     def _static_chain_reach(self, nonterminal: str) -> frozenset[str]:
@@ -320,13 +331,16 @@ class OnDemandAutomaton:
     ) -> None:
         """Dispatch one batch of roots onto the right fused loop.
 
-        With a deadline armed, static no-metrics labeling runs the
-        counted walk against the null-metrics sink instead of the
-        pristine fast loop — the fast loop stays branch-free for the
-        unbudgeted hot path.
+        With no metrics and no deadline, every grammar without dynamic
+        chain rules takes the fast loop.  With a deadline armed, static
+        no-metrics labeling runs the counted walk against the
+        null-metrics sink instead — the fast loop stays branch-free for
+        the unbudgeted hot path.
         """
         node_states = labeling._states
-        if self.has_dynamic:
+        if metrics is None and deadline_at_ns is None and not self._dyn_chain:
+            self._label_fast(roots, node_states)
+        elif self.has_dynamic:
             run = labeling.metrics
             with Timer() as timer:
                 self._label_dynamic(roots, node_states, run, deadline_at_ns)
@@ -335,19 +349,21 @@ class OnDemandAutomaton:
             with Timer() as timer:
                 self._label_static_counted(roots, node_states, metrics, deadline_at_ns)
             metrics.seconds += timer.elapsed
-        elif deadline_at_ns is not None:
-            self._label_static_counted(roots, node_states, _NULL_METRICS, deadline_at_ns)
         else:
-            self._label_static_fast(roots, node_states)
+            self._label_static_counted(roots, node_states, _NULL_METRICS, deadline_at_ns)
 
-    def _label_static_fast(self, roots: list[Node], node_states: dict[int, State]) -> None:
-        """Warm path for static grammars, no metrics: one fused stack
-        walk, one operator-table lookup plus one int-keyed get per
-        child.  The state map is the visited set: a node is expanded at
-        most once and transitioned the moment its last child has a
-        state.
+    def _label_fast(self, roots: list[Node], node_states: dict[int, State]) -> None:
+        """Warm path, no metrics: one fused stack walk, one
+        operator-table lookup plus one int-keyed get per child.  The
+        state map is the visited set: a node is expanded at most once
+        and transitioned the moment its last child has a state.
+
+        Lookups go through the tables of operators without dynamic
+        rules (all of them, on a static grammar), so on a dynamic
+        grammar without dynamic chain rules a node whose operator has
+        dynamic rules misses them and takes :meth:`_dynamic_state`.
         """
-        tables = self._tables
+        tables = self._static_tables
         stack = list(roots)
         pop = stack.pop
         push = stack.append
@@ -374,6 +390,9 @@ class OnDemandAutomaton:
                 table = tables.get(op_name)
                 if table is None:
                     table = self._table_for(op_name)
+                    if table.dyn_rules:
+                        node_states[nid] = self._dynamic_state(table, node, node_states)
+                        continue
                 row = table.binary.get(s0.index)
                 if row is None:
                     row = table.binary[s0.index] = {}
@@ -386,6 +405,9 @@ class OnDemandAutomaton:
                 table = tables.get(op_name)
                 if table is None:
                     table = self._table_for(op_name)
+                    if table.dyn_rules:
+                        node_states[nid] = self._dynamic_state(table, node, node_states)
+                        continue
                 state = table.nullary
                 if state is None:
                     state = self._construct_state(table, 0, (), None, _NULL_METRICS)
@@ -401,6 +423,9 @@ class OnDemandAutomaton:
                 table = tables.get(op_name)
                 if table is None:
                     table = self._table_for(op_name)
+                    if table.dyn_rules:
+                        node_states[nid] = self._dynamic_state(table, node, node_states)
+                        continue
                 state = table.unary.get(s0.index)
                 if state is None:
                     state = self._construct_state(table, 1, (s0,), None, _NULL_METRICS)
@@ -415,9 +440,15 @@ class OnDemandAutomaton:
                         push(kid)
                 if deferred:
                     continue
+                op_name = node.op.name
+                table = tables.get(op_name)
+                if table is None:
+                    table = self._table_for(op_name)
+                    if table.dyn_rules:
+                        node_states[nid] = self._dynamic_state(table, node, node_states)
+                        continue
                 kid_states = tuple(node_states[id(kid)] for kid in kids)
                 key = tuple(state.index for state in kid_states)
-                table = self._table_for(node.op.name)
                 state = table.nary.get(key)
                 if state is None:
                     state = self._construct_state(table, arity, kid_states, None, _NULL_METRICS)
@@ -510,7 +541,9 @@ class OnDemandAutomaton:
         metrics: LabelMetrics,
         deadline_at_ns: int | None = None,
     ) -> None:
-        """Fused walk for dynamic grammars.
+        """Counted walk for dynamic grammars: with metrics, under a
+        deadline, or with dynamic chain rules (the no-metrics,
+        no-deadline case without them takes :meth:`_label_fast`).
 
         Operators without dynamic rules take the integer-keyed static
         tables (no signature, no per-node callable checks) as long as
@@ -534,17 +567,27 @@ class OnDemandAutomaton:
             if no_dyn_chain and not table.dyn_rules:
                 state = self._static_transition(table, node.kids, node_states, metrics)
             else:
-                kid_states = tuple(node_states[id(kid)] for kid in node.kids)
-                # Zero-cost on the happy path (3.11+): a raising dynamic
-                # cost/constraint callable gets the faulting IR node
-                # attached for SelectionFailure provenance.
-                try:
-                    state = self._transition(table, node, kid_states, metrics)
-                except Exception as exc:
-                    attach_node_provenance(exc, node)
-                    raise
+                state = self._dynamic_state(table, node, node_states, metrics)
             node_states[id(node)] = state
             metrics.nodes_labeled += 1
+
+    def _dynamic_state(
+        self,
+        table: _OpTable,
+        node: Node,
+        node_states: dict[int, State],
+        metrics: LabelMetrics = _NULL_METRICS,
+    ) -> State:
+        """*node*'s state through the dynamic-signature path."""
+        kid_states = tuple(node_states[id(kid)] for kid in node.kids)
+        # Zero-cost on the happy path (3.11+): a raising dynamic
+        # cost/constraint callable gets the faulting IR node attached
+        # for SelectionFailure provenance.
+        try:
+            return self._transition(table, node, kid_states, metrics)
+        except Exception as exc:
+            attach_node_provenance(exc, node)
+            raise
 
     def _transition(
         self, table: _OpTable, node: Node, kid_states: tuple[State, ...], metrics: LabelMetrics

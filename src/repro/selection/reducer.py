@@ -45,6 +45,14 @@ The reducer keeps two well-defined counters:
 * :attr:`Reducer.memo_hits` — the number of reduction requests answered
   from the memo without applying a rule (DAG sharing, repeated chain
   targets, and repeated ``reduce``/``reduce_forest`` calls).
+
+Cover cost
+----------
+The walk that emits a forest also costs its cover: every reduction adds
+:func:`entry_cost` of its rule, the one cost rule both emission engines
+apply.  :attr:`Reducer.last_cover_cost` reports the sum whenever the
+forest's reductions are its whole cover, so callers need no second
+:func:`~repro.selection.cover.extract_cover` walk.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ from repro.selection.resilience import (
     check_deadline,
 )
 
-__all__ = ["Reducer", "flatten_operands", "node_memo_key"]
+__all__ = ["Reducer", "entry_cost", "flatten_operands", "node_memo_key"]
 
 #: Memo-miss sentinel (``None`` is a legitimate semantic value).
 _MISSING = object()
@@ -82,6 +90,27 @@ def node_memo_key(node: Node) -> int:
     """
     nid = node.nid
     return nid if nid >= 0 else ~id(node)
+
+
+def entry_cost(rule: Rule, node: Node) -> int:
+    """The cost one cover entry adds: *rule* applied at *node*.
+
+    A ``dynamic_cost`` rule is evaluated here, once per entry; a raising
+    cost gets *node* attached as fault provenance.  Every other rule
+    adds its fixed :attr:`~repro.grammar.rule.Rule.cost` — including a
+    constraint rule, which the labeling only chose where its constraint
+    held, so no constraint callable runs again.  Summed over a forest's
+    entries this equals ``extract_cover(...).total_cost()``.
+    """
+    dynamic_cost = rule.dynamic_cost
+    if dynamic_cost is None:
+        return rule.cost
+    try:
+        return dynamic_cost(node)
+    except Exception as exc:
+        attach_node_provenance(exc, node)
+        raise
+
 
 #: Plan kinds (see :meth:`Reducer._plan_for`).
 _CHAIN, _BASE, _PATTERN = 0, 1, 2
@@ -124,7 +153,8 @@ class Reducer:
     Args:
         labeling: The labeling produced by one of the labelers.
         context: The emit context handed to rule actions (for the
-            bundled targets this is an :class:`repro.machine.emitter.Emitter`).
+            bundled workloads this is a
+            :class:`repro.bench.workloads.EmitContext`).
 
     Attributes:
         reductions: Distinct (node, nonterminal) pairs reduced — one
@@ -169,10 +199,16 @@ class Reducer:
         #: :meth:`reduce_forest` call (fault-isolation provenance).
         self.last_roots_completed = 0
         #: Cover cost of the forest the most recent :meth:`reduce_forest`
-        #: emitted, when the engine knows it for free (the tape engine
-        #: sums it while compiling); always ``None`` for this engine, so
-        #: callers fall back to :func:`~repro.selection.cover.extract_cover`.
+        #: emitted, summed by the emitting walk (:func:`entry_cost` per
+        #: reduction).  ``None`` when a memo hit reached an entry an
+        #: earlier forest made: the forest's reductions are then only
+        #: part of its cover, and callers fall back to
+        #: :func:`~repro.selection.cover.extract_cover`.
         self.last_cover_cost: int | None = None
+        #: Keys of the memo's first ``len(_earlier)`` entries, brought up
+        #: to date by :meth:`_earlier_keys` as each forest starts (the
+        #: cross-forest hit test).
+        self._earlier: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     # Poisoned-entry safety: the memo only ever *adds* entries (a pair is
@@ -201,6 +237,8 @@ class Reducer:
         excess = len(memo) - size
         if excess <= 0:
             return 0
+        if len(self._earlier) > size:
+            self._earlier.clear()
         for key in list(islice(reversed(memo), excess)):
             del memo[key]
         self.reductions -= excess
@@ -296,19 +334,43 @@ class Reducer:
             raise CoverError("grammar has no start nonterminal")
         return start_nt
 
+    def _earlier_keys(self, mark: int) -> set[tuple[int, int]]:
+        """The keys of the memo's first *mark* entries — those made
+        before the current forest — synced from the memo's tail."""
+        earlier = self._earlier
+        missing = mark - len(earlier)
+        if missing > 0:
+            memo = self._memo
+            skip = len(memo) - mark
+            earlier.update(islice(reversed(memo), skip, skip + missing))
+        return earlier
+
     def reduce_forest(self, forest: Forest, start: str | None = None) -> list[Any]:
-        """Reduce every root of *forest* from the start nonterminal."""
+        """Reduce every root of *forest* from the start nonterminal.
+
+        Also sets :attr:`last_cover_cost` to the forest's cover cost, or
+        to ``None`` when the forest memo-hit an earlier forest's entry.
+        """
         start_nt = self.resolve_start(start)
-        reduce = self.reduce
+        mark = len(self._memo)
+        earlier = self._earlier_keys(mark) if mark else None
+        walk = self._walk
         values: list[Any] = []
+        cost = 0
+        contained = True
+        self.last_cover_cost = None
         try:
             for root in forest.roots:
-                values.append(reduce(root, start_nt))
+                value, root_cost, root_contained = walk(root, start_nt, earlier)
+                values.append(value)
+                cost += root_cost
+                contained &= root_contained
         except Exception:
             # Fault provenance for isolating callers; free on the happy
             # path (zero-cost try on CPython 3.11+).
             self.last_roots_completed = len(values)
             raise
+        self.last_cover_cost = cost if contained else None
         return values
 
     def reduce(self, node: Node, nonterminal: str) -> Any:
@@ -317,17 +379,31 @@ class Reducer:
         Iterative: reductions of any depth (deep trees, long chain-rule
         sequences) run on an explicit frame stack.
         """
+        return self._walk(node, nonterminal, None)[0]
+
+    def _walk(
+        self, node: Node, nonterminal: str, earlier: set[tuple[int, int]] | None
+    ) -> tuple[Any, int, bool]:
+        """Reduce *node* from *nonterminal*: ``(value, cost, contained)``.
+
+        *cost* sums :func:`entry_cost` over the reductions this walk
+        applied; *contained* is False when a memo hit reached a key in
+        *earlier* (an entry made before the current forest).
+        """
         memo = self._memo
         nid = node.nid
         key = (nid if nid >= 0 else ~id(node), self._nt_id(nonterminal))
         value = memo.get(key, _MISSING)
         if value is not _MISSING:
             self.memo_hits += 1
-            return value
+            return value, 0, earlier is None or key not in earlier
 
         require_rule = self.labeling.require_rule
         targets_for = self._targets_for
+        run_action = self._run_action
         rule = require_rule(node, nonterminal)
+        cost = 0
+        contained = True
         # Frame layout: [key, node, rule, operands, targets, index].
         # The on-stack key set bounds corrupt labelings: a (node, nt)
         # pair whose reduction depends on itself (e.g. a chain-rule
@@ -370,6 +446,8 @@ class Reducer:
                     descended = True
                     break
                 self.memo_hits += 1
+                if earlier is not None and t_key in earlier:
+                    contained = False
                 if isinstance(value, _SplicedOperands):
                     operands.extend(value)
                 else:
@@ -377,15 +455,19 @@ class Reducer:
                 index += 1
             if descended:
                 continue
-            # All targets reduced: apply the rule and deliver the value.
-            value = self._run_action(frame[_F_RULE], frame[_F_NODE], operands)
+            # All targets reduced: cost the entry, apply the rule, and
+            # deliver the value.
+            e_rule = frame[_F_RULE]
+            e_node = frame[_F_NODE]
+            cost += entry_cost(e_rule, e_node)
+            value = run_action(e_rule, e_node, operands)
             key = frame[_F_KEY]
             memo[key] = value
             on_stack.discard(key)
             self.reductions += 1
             frames.pop()
             if not frames:
-                return value
+                return value, cost, contained
             parent = frames[-1]
             if isinstance(value, _SplicedOperands):
                 parent[_F_OPERANDS].extend(value)

@@ -118,7 +118,7 @@ class SelectionFailure:
         forest: The forest's ``name``.
         phase: Pipeline phase that faulted: ``"validate"``, ``"label"``,
             ``"reduce"``, or ``"cover"`` (the ``extract_cover`` fallback
-            that costs forests whose tape could not).
+            that costs forests whose emitting walk could not).
         error: The contained exception object.
         node: Provenance of the IR node being processed when the fault
             fired (``"OP(nid=n)"``), when the engine could attach it.

@@ -613,11 +613,12 @@ class SelectionReport:
 
     Counts describe the whole batch; the ``*_ns`` fields are integer
     ``perf_counter_ns`` measurements of the labeling phase, the
-    reduction/emission phase, and the cover-costing fallback.  The tape
-    engine sums each forest's cover cost while compiling its tape, so on
-    the default path :attr:`cover_cost` is free and :attr:`cover_ns` is
-    0; only forests the tape cannot cost (frame-engine emission, or a
-    tape reaching into an earlier forest's slots) pay an
+    reduction/emission phase, and the cover-costing fallback.  Both
+    emission engines sum each forest's cover cost in the walk that
+    emits it (the tape's compile walk, the frame engine's reduction
+    walk), so :attr:`cover_cost` is free and :attr:`cover_ns` is 0
+    unless a forest memo-hit an entry an earlier batch forest made
+    (cross-forest node sharing): only such forests pay an
     :func:`~repro.selection.cover.extract_cover` walk, timed in
     :attr:`cover_ns`.
     """
@@ -756,10 +757,9 @@ class SelectorConfig:
             frame-stack :class:`~repro.selection.reducer.Reducer` — the
             differential oracle and the fallback for contexts that want
             no caching layer at all.  Dynamic-rule grammars always run
-            the frame engine (their covers are identity-dependent, so
-            tapes could never be cached and compilation would be pure
-            overhead).  Both engines emit byte-identical instruction
-            streams.
+            the frame engine (see :meth:`Selector._make_emitter`).
+            Both engines emit byte-identical instruction streams and
+            cost the cover in the walk that emits it.
         observe: Observability wiring: ``None``/``False`` (default)
             disables it — the pipeline pays one attribute check per
             batch; ``True`` builds a private
@@ -1027,9 +1027,14 @@ class Selector:
         ``reduce_forest``/``memo_size``/``rollback_to`` contract.
 
         Dynamic-rule grammars route to the frame engine even under
-        ``"tape"``: a dynamic cost may read node identity, so shape can
-        never determine the cover, tapes can never be cached, and the
-        compile-then-sweep split is pure overhead over the frame walk.
+        ``"tape"``, because a tape would never replay: a dynamic cost
+        may read node identity, so shape cannot key a tape cache, and
+        on the ``dynamic_constraints`` benchmark pool all 768 forests
+        have distinct shapes anyway.  A cold tape compile+sweep there
+        costs 1.1-1.4x the frame walk (seed 1, in-process raw ns/node
+        on a shared 2-vCPU VM, e.g. 2,970 against 2,182).  Both engines
+        cost the cover in their walk, so the routing changes no
+        ``extract_cover`` call.
         """
         emitter = self.config.emitter
         if emitter == "tape":
@@ -1080,8 +1085,8 @@ class Selector:
         cover_cost: int | None = None
         cover_ns = 0
         if collect_cover:
-            # Tape-costed forests are free; the rest pay an
-            # extract_cover walk, timed as the cover layer.
+            # Walk-costed forests are free; the rest (cross-forest memo
+            # hits) pay an extract_cover walk, timed as the cover layer.
             cover_cost = sum(cost for cost in costs if cost is not None)
             uncosted = [f for f, cost in zip(forests, costs) if cost is None]
             if uncosted:
@@ -1216,7 +1221,7 @@ class Selector:
         end_ns = time.perf_counter_ns()
         reduce_ns = end_ns - started
 
-        # Cover phase: tape costs are free; forests without one pay a
+        # Cover phase: walk costs are free; forests without one pay a
         # guarded extract_cover walk, and a fault there fails only that
         # forest (its emitted values stand — every root was reduced).
         cover_cost: int | None = None

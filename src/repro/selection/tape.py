@@ -28,10 +28,20 @@ postorder — including where memo hits happen — so both engines run the
 same actions in the same order with the same operands, which is what the
 differential tests assert byte-for-byte.
 
+Cover cost
+----------
+The compile walk also costs the cover it lays out: each entry adds
+:func:`~repro.selection.reducer.entry_cost`, the one cost rule the
+frame engine's walk applies too (a constraint rule adds its fixed cost,
+a ``dynamic_cost`` rule is evaluated once per entry).  A self-contained
+tape's :attr:`CompiledTape.cost` is therefore the forest's cover cost,
+and a replay reads it off the cached tape, so callers need no separate
+:func:`~repro.selection.cover.extract_cover` walk.
+
 Tape caching
 ------------
 Tapes are cached by *shape*: a canonical DAG-aware signature over
-``(operator, payload, child ordinals)`` plus root ordinals.  A JIT-style
+``(operator name, payload, child ordinals)`` plus root ordinals.  A JIT-style
 ``recurring_stream`` batch (fresh-node clones of a few templates)
 compiles each shape once and replays the tape for every repeat — the
 walk, rule lookups, and operand planning are all skipped; only the
@@ -67,7 +77,12 @@ from repro.errors import CoverError, DeadlineExceededError
 from repro.grammar.rule import Rule
 from repro.ir.node import Forest, Node
 from repro.selection.cover import Labeling
-from repro.selection.reducer import Reducer, _SplicedOperands, flatten_operands
+from repro.selection.reducer import (
+    Reducer,
+    _SplicedOperands,
+    entry_cost,
+    flatten_operands,
+)
 from repro.selection.resilience import (
     DEADLINE_CHECK_EVERY,
     attach_node_provenance,
@@ -125,11 +140,12 @@ class CompiledTape:
         intra_hits: Memo hits the compile walk scored (all intra-forest
             for cacheable tapes); replays add the same count, keeping
             ``memo_hits`` parity with the frame engine.
-        cost: Summed rule cost of the tape's entries, accumulated by the
-            compile walk (``None`` for dynamic-rule grammars, whose costs
-            are node-evaluated callables the emitter does not re-run).
-            For a self-contained tape this is the forest's cover cost —
-            exactly ``extract_cover(...).total_cost()``.
+        cost: Summed :func:`~repro.selection.reducer.entry_cost` of the
+            tape's entries, accumulated by the compile walk — a dynamic
+            cost is evaluated there, once per entry, so a raising one
+            faults before any action runs.  For a self-contained tape
+            this is the forest's cover cost — exactly
+            ``extract_cover(...).total_cost()``.
         self_contained: True when no operand or root reference points
             below :attr:`base` (nothing was memo-hit from an earlier
             forest), so the tape's entries are the forest's whole cover.
@@ -295,12 +311,13 @@ class TapeEmitter(Reducer):
     Additional counters: :attr:`tapes_compiled` and
     :attr:`tape_cache_hits` (replays of a shape-cached tape).
 
-    Cover cost comes for free: the compile walk sums the rule costs of
-    the entries it lays out into :attr:`CompiledTape.cost`, so after
-    each ``reduce_forest`` :attr:`last_cover_cost` holds the forest's
-    cover cost — straight from the cached tape on a replay — whenever
-    the tape is self-contained (``None`` when it reached into an earlier
-    forest's slots, or for dynamic-rule grammars).
+    Cover cost comes for free: the compile walk sums the
+    :func:`~repro.selection.reducer.entry_cost` of the entries it lays
+    out into :attr:`CompiledTape.cost` — the frame engine's cost rule —
+    so after each ``reduce_forest`` :attr:`last_cover_cost` holds the
+    forest's cover cost — straight from the cached tape on a replay —
+    whenever the tape is self-contained (``None`` when it reached into
+    an earlier forest's slots).
     """
 
     def __init__(
@@ -327,8 +344,7 @@ class TapeEmitter(Reducer):
         #: ``id(rule) -> (thunk, spliced)`` compiled action thunks.
         self._thunks: dict[int, tuple[Any, bool]] = {}
         self._cache = cache
-        #: Shape caching is only sound when shape determines the cover,
-        #: and tape costing only when rule costs are static.
+        #: Shape caching is only sound when shape determines the cover.
         self._static_grammar = not labeling.grammar.has_dynamic_rules
         self.tapes_compiled = 0
         self.tape_cache_hits = 0
@@ -441,13 +457,17 @@ class TapeEmitter(Reducer):
 
         The signature is a canonical DAG-aware serialisation: one flat
         tuple listing, per node in a deterministic structural order, its
-        :class:`~repro.ir.ops.Operator` (identity-compared — operator
-        objects are shared, not cloned), payload, an arity marker
+        operator *name*, payload, an arity marker
         (``-arity - 1``, always negative so the sequence parses
         unambiguously), and its child ordinals, followed by the root
         ordinals.  Two forests get the same signature iff they have the
         same shape *including sharing* (a tree and its DAG-shared twin
         emit different numbers of actions and must not collide).  The
+        automaton keys transitions by ``op.name``, so the cover depends
+        on the name alone; keying on the name also keeps the key's hash
+        in C (a frozen-dataclass :class:`~repro.ir.ops.Operator` hashes
+        a field tuple in Python code, and the key is hashed on every
+        lookup).  The
         walk is inlined (no generator) and the serialisation flat (no
         per-node tuples) because this runs on the cache-hit fast path.
 
@@ -498,7 +518,7 @@ class TapeEmitter(Reducer):
                             shares = True
                         ord_of[kid_id] = len(nodes)
                         append_node(kid)
-                        append_part(kid.op)
+                        append_part(kid.op.name)
                         append_part(kid.value)
                         append_part(-1)
                     continue
@@ -507,7 +527,7 @@ class TapeEmitter(Reducer):
                     shares = True
                 ord_of[node_id] = len(nodes)
                 append_node(node)
-                append_part(node.op)
+                append_part(node.op.name)
                 append_part(node.value)
                 append_part(-len(kids) - 1)
                 for kid in kids:
@@ -536,7 +556,8 @@ class TapeEmitter(Reducer):
         targets (and later forests) resolve shared reductions to
         existing slots.  The walk replicates the frame engine's exact
         left-to-right postorder, cycle guard, and deadline strides, and
-        sums each new entry's rule cost into the tape's ``cost``.
+        sums each new entry's :func:`entry_cost` into the tape's
+        ``cost``.
         """
         slots = self._slots
         seen = self._seen
@@ -612,7 +633,8 @@ class TapeEmitter(Reducer):
                     continue
                 # All targets resolved: lay out this entry.
                 e_rule = frame[_F_RULE]
-                cost += e_rule.cost
+                e_node = frame[_F_NODE]
+                cost += entry_cost(e_rule, e_node)
                 thunk, spliced = thunk_info(e_rule)
                 e_key = frame[_F_KEY]
                 encoded = ((base + len(nodes)) << 1) | spliced
@@ -620,7 +642,7 @@ class TapeEmitter(Reducer):
                 node_key = e_key[0]
                 seen[node_key] = seen.get(node_key, 0) + 1
                 thunks.append(thunk)
-                nodes.append(frame[_F_NODE])
+                nodes.append(e_node)
                 nt_ids.append(e_key[1])
                 rule_ids.append(e_rule.number)
                 ref_runs.append(refs)
@@ -648,7 +670,7 @@ class TapeEmitter(Reducer):
             node_ords = array("q", [ord_of[id(node)] for node in nodes])
         return CompiledTape(
             base=base,
-            cost=cost if self._static_grammar else None,
+            cost=cost,
             rule_ids=array("q", rule_ids),
             nt_ids=array("q", nt_ids),
             node_ords=node_ords,

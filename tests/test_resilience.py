@@ -305,9 +305,10 @@ class TestIsolation:
 
     def test_cover_fallback_fault_is_isolated(self):
         """A constraint that raises while the ``extract_cover`` fallback
-        costs a forest (dynamic grammars emit through the frame engine,
-        so no tape cost exists) fails that forest with ``phase="cover"``
-        instead of escaping the isolated batch."""
+        costs a forest fails that forest with ``phase="cover"`` instead
+        of escaping the isolated batch.  The fallback runs only for a
+        forest whose emission memo-hit an earlier forest's entries: here
+        a last forest that re-roots the first forest's trees."""
 
         def grammar_with(wrap):
             grammar = dynamic_bench_grammar()
@@ -317,18 +318,27 @@ class TestIsolation:
                 rule.constraint = shared
             return grammar, shared
 
-        # Label + emit calls the constraint `emitted` times; the cover
-        # walk's first call is the next one.
+        def batch() -> list[Forest]:
+            forests = dynamic_constraint_forests(3, 4)
+            echo = Forest(name="echo")
+            for root in forests[0].roots:
+                echo.add(root)
+            return forests + [echo]
+
+        # Label + emit calls the constraint `emitted` times (the walks
+        # add a constraint rule's fixed cost without calling it); the
+        # fallback's first call is the next one.
         grammar, counter = grammar_with(lambda fn: FaultyCallable(fn, predicate=lambda node: False))
-        Selector(grammar).select_many(dynamic_constraint_forests(3, 4), collect_cover=False)
+        Selector(grammar).select_many(batch(), collect_cover=False)
         emitted = counter.calls
 
         grammar, fault = grammar_with(lambda fn: FaultyCallable(fn, on_call=emitted + 1))
         sel = Selector(grammar)
-        forests = dynamic_constraint_forests(3, 4)
+        forests = batch()
         result = sel.select_many(forests, on_error="isolate")
 
         [failure] = result.failures
+        assert failure.index == len(forests) - 1
         assert failure.phase == "cover"
         assert isinstance(failure.error, InjectedFault)
         assert failure.roots_completed == len(forests[failure.index].roots)
@@ -347,7 +357,7 @@ class TestIsolation:
         # Under on_error="raise" the same fault still aborts the batch.
         grammar, _ = grammar_with(lambda fn: FaultyCallable(fn, on_call=emitted + 1))
         with pytest.raises(InjectedFault):
-            Selector(grammar).select_many(dynamic_constraint_forests(3, 4))
+            Selector(grammar).select_many(batch())
 
 
 # ----------------------------------------------------------------------

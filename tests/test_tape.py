@@ -23,20 +23,22 @@ Four contracts are pinned here:
   documented ``~id`` fallback for hand-built nodes), and
   ``replace_kids`` copies get fresh nids so they can never alias their
   source in a memo.
-* **Free cover cost** — the cost the compile walk sums onto each tape
-  (and replays from the cache) equals the ``extract_cover`` oracle on
-  every path, and ``extract_cover`` runs only for forests whose tape is
-  not self-contained.
+* **Free cover cost** — the cost both engines sum in the walk that
+  emits a forest (the tape's compile walk, replayed from the cache; the
+  frame engine's reduction walk) equals the ``extract_cover`` oracle on
+  every path, dynamic costs included, and ``extract_cover`` runs only
+  for forests that memo-hit an earlier forest's entry.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import DEMO_TEXT
+from conftest import DEMO_TEXT, DYNAMIC_TEXT, build_dynamic_forest, mul_cost, small_const
 from repro.errors import CoverError, DeadlineExceededError
 from repro.grammar import parse_grammar
 from repro.ir import Forest, Node, NodeBuilder
+from repro.ir.ops import DEFAULT_OPERATORS, Operator, OperatorSet
 from repro.selection import (
     EMITTERS,
     MODES,
@@ -64,7 +66,7 @@ from repro.bench.workloads import (
     reduce_heavy_forests,
     shared_reduction_forests,
 )
-from repro.testing import InjectedFault, poison_action
+from repro.testing import FaultyCallable, InjectedFault, poison_action
 
 # ----------------------------------------------------------------------
 # Helpers
@@ -313,6 +315,45 @@ def test_tape_cache_fifo_eviction():
     assert stats["misses"] == 1 and stats["hits"] == 1
 
 
+def _twin_operators() -> OperatorSet:
+    """A second operator set with the default set's names, arities and
+    flags; only the docs differ, so its operators compare unequal."""
+    twin = OperatorSet(name="twin")
+    for op in DEFAULT_OPERATORS:
+        twin.register(Operator(op.name, op.arity, op.is_statement, op.has_payload, doc="twin"))
+    return twin
+
+
+def test_shape_key_uses_operator_names():
+    """Tapes are keyed by operator *name*, the automaton's transition
+    key: a same-shaped forest over a second operator set replays the
+    cached tape, and forests differing in one operator name never share
+    one."""
+
+    def build(builder: NodeBuilder, op_name: str) -> Forest:
+        forest = Forest(name=op_name)
+        forest.add(builder.expr(builder.node(op_name, builder.reg(1), builder.cnst(4))))
+        return forest
+
+    sel = _tape_selector(_action_grammar())
+    first = sel.select_many([build(NodeBuilder(), "ADD")])
+    assert first.report.tapes_compiled == 1
+
+    twin = build(NodeBuilder(_twin_operators()), "ADD")
+    assert twin.roots[0].op != DEFAULT_OPERATORS["EXPR"]
+    replay = sel.select_many([twin])
+    assert replay.report.tapes_compiled == 0
+    assert replay.report.tape_cache_hits == 1
+    assert replay.values == first.values
+
+    sub = sel.select_many([build(NodeBuilder(), "SUB")])
+    assert sub.report.tapes_compiled == 1
+    assert sub.report.tape_cache_hits == 0
+    oracle = _frame_selector(_action_grammar()).select_many([build(NodeBuilder(), "SUB")])
+    assert sub.values == oracle.values != first.values
+    assert len(sel._tape_cache) == 2
+
+
 def test_tape_engine_matches_reducer_on_dynamic_grammar_directly():
     """The selector routes dynamic grammars to the frame engine, but the
     TapeEmitter itself still handles them (uncached) - pin that the
@@ -546,10 +587,10 @@ def test_memo_never_aliases_replace_kids_copy(engine_cls):
 
 
 # ----------------------------------------------------------------------
-# Free cover cost: summed by the compile walk, cached on the tape
+# Free cover cost: summed by the emitting walk, cached on the tape
 
-#: Every bench workload family, plus the dynamic family whose frame
-#: engine path keeps the ``extract_cover`` fallback.
+#: Every bench workload family, plus the dynamic family (which the
+#: selector emits through the frame engine).
 COST_FAMILIES = [
     ("random", bench_grammar, lambda: random_forests(71, forests=4, statements=5, max_depth=4)),
     ("dag_heavy", bench_grammar, lambda: dag_heavy_forests(72, forests=4, statements=6, shared=4, max_depth=3)),
@@ -604,18 +645,36 @@ def test_cover_cost_matches_extract_cover_oracle(
     if on_tape:
         assert again.report.tapes_compiled == 0
         assert again.report.tape_cache_hits == len(clones)
-        assert first.report.cover_ns == again.report.cover_ns == 0
-    else:
-        assert again.report.cover_ns > 0
+    # Both engines cost every forest in the walk that emits it.
+    assert first.report.cover_ns == again.report.cover_ns == 0
 
 
-def test_default_tape_path_never_calls_extract_cover(monkeypatch):
+#: ``(name, grammar factory, batch factory)``: recurring shapes (tape
+#: replays), fresh reduce-heavy plus intra-forest-shared blocks (tape
+#: compiles), and the dynamic family (frame engine).
+DEFAULT_PATH_FAMILIES = [
+    ("recurring", bench_grammar, lambda: recurring_shape_stream(81, shapes=3, length=16, statements=5, max_depth=4)),
+    ("fresh", emit_bench_grammar, lambda: reduce_heavy_forests(82, forests=4, statements=5, max_depth=4) + shared_reduction_forests(83, forests=4, statements=6, shared=3, max_depth=4)),
+    ("dynamic", dynamic_bench_grammar, lambda: dynamic_constraint_forests(84, forests=8, statements=5, max_depth=4)),
+]
+
+
+@pytest.mark.parametrize("on_error", ON_ERROR_POLICIES)
+@pytest.mark.parametrize("emitter", EMITTERS)
+@pytest.mark.parametrize(
+    "name,make_grammar,make_batch", DEFAULT_PATH_FAMILIES, ids=[f[0] for f in DEFAULT_PATH_FAMILIES]
+)
+def test_default_tape_path_never_calls_extract_cover(
+    monkeypatch, name, make_grammar, make_batch, emitter, on_error
+):
     calls = _count_extract_cover(monkeypatch)
-    sel = Selector(bench_grammar())  # defaults: collect_cover=True, emitter="tape"
-    stream = recurring_shape_stream(81, shapes=3, length=16, statements=5, max_depth=4)
-    for batch in (stream, [clone_forest(forest) for forest in stream]):
-        result = sel.select_many(batch, context=EmitContext())
-        assert result.report.cover_cost == _oracle_cost(result.labeling, batch)
+    # collect_cover=True is the default.
+    sel = Selector(make_grammar(), config=SelectorConfig(emitter=emitter))
+    batch = make_batch()
+    for forests in (batch, [clone_forest(forest) for forest in batch]):
+        result = sel.select_many(forests, context=EmitContext(), on_error=on_error)
+        assert result.ok
+        assert result.report.cover_cost == _oracle_cost(result.labeling, forests)
         assert result.report.cover_ns == 0
     assert calls == []
     stats = sel.stats()["selection"]
@@ -625,27 +684,45 @@ def test_default_tape_path_never_calls_extract_cover(monkeypatch):
 
 @pytest.mark.parametrize("on_error", ON_ERROR_POLICIES)
 def test_cross_forest_sharing_falls_back_to_extract_cover(monkeypatch, on_error):
-    """A tape that memo-hits an earlier forest's slots is not the
-    forest's whole cover, so that forest (only) is costed by the
-    ``extract_cover`` fallback, timed as ``cover_ns``."""
+    """A forest whose emission memo-hits an earlier forest's entry
+    (tape slot or frame memo) has only part of its cover in its own
+    walk, so that forest (only) is costed by the ``extract_cover``
+    fallback, timed as ``cover_ns`` — on both engines."""
     calls = _count_extract_cover(monkeypatch)
-    forests = _sharing_pair()
-    result = _tape_selector(_action_grammar()).select_many(forests, on_error=on_error)
-    assert calls == ["second"]
-    assert result.report.cover_cost == _oracle_cost(result.labeling, forests)
-    report = result.report
-    assert report.cover_ns > 0
-    assert report.total_ns == report.label_ns + report.reduce_ns + report.cover_ns
-    assert report.as_row()["cover_ns"] == report.cover_ns
+    for emitter in EMITTERS:
+        calls.clear()
+        forests = _sharing_pair()
+        sel = Selector(_action_grammar(), config=SelectorConfig(emitter=emitter))
+        result = sel.select_many(forests, on_error=on_error)
+        assert calls == ["second"]
+        assert result.report.cover_cost == _oracle_cost(result.labeling, forests)
+        report = result.report
+        assert report.cover_ns > 0
+        assert report.total_ns == report.label_ns + report.reduce_ns + report.cover_ns
+        assert report.as_row()["cover_ns"] == report.cover_ns
 
     labeling = result.labeling
-    emitter = TapeEmitter(labeling, None)
-    emitter.reduce_forest(forests[0])
-    assert emitter.last_cover_cost == extract_cover(labeling, forests[0]).total_cost()
-    emitter.reduce_forest(forests[1])
-    assert emitter.last_cover_cost is None
+    for engine in (TapeEmitter(labeling, None), Reducer(labeling, None)):
+        engine.reduce_forest(forests[0])
+        assert engine.last_cover_cost == extract_cover(labeling, forests[0]).total_cost()
+        engine.reduce_forest(forests[1])
+        assert engine.last_cover_cost is None
+
+
+def test_frame_rollback_keeps_the_cross_forest_test_exact():
+    """Rolling the frame memo back below a forest's start discards what
+    the cross-forest test knew of it: entries made after the rollback
+    count as earlier entries for the next forest."""
+    big, other = _chain_forest(6), _chain_forest(2)
+    first, second = _sharing_pair()
+    labeling = Selector(_action_grammar()).label_many([big, other, first, second])
     frame = Reducer(labeling, None)
-    frame.reduce_forest(forests[0])
+    frame.reduce_forest(big)
+    frame.reduce_forest(other)
+    frame.rollback_to(0)
+    frame.reduce_forest(first)
+    assert frame.last_cover_cost == extract_cover(labeling, first).total_cost()
+    frame.reduce_forest(second)  # memo-hits `first`'s shared subtree
     assert frame.last_cover_cost is None
 
 
@@ -692,9 +769,112 @@ def test_compiled_tape_cost_sums_its_rules():
             assert tape.cost == sum(rules[number].cost for number in tape.rule_ids)
         assert sum(tape.cost for tape in tapes) == result.report.cover_cost
 
-    # Dynamic costs are node-evaluated: the tape does not re-run them.
+    # Constraint rules add their fixed cost: the compile walk costs a
+    # dynamic grammar's tape too.
     forests = dynamic_constraint_forests(93, forests=2, statements=4, max_depth=3)
     labeling = Selector(dynamic_bench_grammar()).label_many(forests)
     emitter = TapeEmitter(labeling, EmitContext())
     emitter.reduce_forest(forests[0])
-    assert emitter.last_cover_cost is None
+    assert emitter.last_cover_cost == extract_cover(labeling, forests[0]).total_cost()
+
+
+def _dynamic_cost_grammar(mulcost=mul_cost):
+    """conftest's dynamic grammar: a constraint plus a true lburg-style
+    ``dynamic_cost`` rule, ``reg: MUL(reg, con) (mulcost)``."""
+    return parse_grammar(DYNAMIC_TEXT, bindings={"small": small_const, "mulcost": mulcost})
+
+
+def _dynamic_cost_forests() -> list[Forest]:
+    b = NodeBuilder()
+    shared = b.mul(b.add(b.reg(1), b.reg(2)), b.cnst(4))
+    dag = Forest(name="dyn-dag")  # the MUL subtree is reduced once, costed once
+    dag.add(b.expr(shared))
+    dag.add(b.expr(b.add(shared, b.cnst(9))))
+    return [build_dynamic_forest(), dag]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_walk_cost_evaluates_dynamic_costs_like_extract_cover(monkeypatch, mode):
+    forests = _dynamic_cost_forests()
+    sel = Selector(_dynamic_cost_grammar(), mode=mode)
+    labeling = sel.label_many(forests)
+    covers = [extract_cover(labeling, forest) for forest in forests]
+    assert all(
+        any(entry.rule.dynamic_cost is not None for entry in cover.entries) for cover in covers
+    )
+    for engine_cls in (Reducer, TapeEmitter):
+        engine = engine_cls(labeling, None)
+        for forest, cover in zip(forests, covers):
+            engine.reduce_forest(forest)
+            assert engine.last_cover_cost == cover.total_cost()
+
+    calls = _count_extract_cover(monkeypatch)
+    again = _dynamic_cost_forests()
+    result = sel.select_many(again)
+    assert calls == []
+    assert result.report.cover_ns == 0
+    assert result.report.cover_cost == _oracle_cost(result.labeling, again)
+
+
+def _mul_forests() -> list[Forest]:
+    """Three forests; only the middle one's cover uses ``mulcost``."""
+    b = NodeBuilder()
+    forests = [Forest(name=name) for name in ("add-const", "mul", "add-regs")]
+    forests[0].add(b.expr(b.add(b.reg(1), b.cnst(3))))
+    forests[1].add(b.expr(b.mul(b.reg(1), b.cnst(4))))
+    forests[2].add(b.expr(b.add(b.reg(1), b.reg(2))))
+    return forests
+
+
+def _faulting_mulcost() -> FaultyCallable:
+    """``mul_cost`` raising on its first call after labeling
+    :func:`_mul_forests`, i.e. on its first call from an emitting walk."""
+    counter = FaultyCallable(mul_cost, predicate=lambda node: False)
+    Selector(_dynamic_cost_grammar(counter)).label_many(_mul_forests())
+    return FaultyCallable(mul_cost, on_call=counter.calls + 1)
+
+
+def test_raising_dynamic_cost_fails_only_its_forest():
+    forests = _mul_forests()
+    clean = Selector(_dynamic_cost_grammar()).select_many(forests)
+    clean_costs = [extract_cover(clean.labeling, forest).total_cost() for forest in forests]
+    assert clean.report.cover_cost == sum(clean_costs)
+
+    sel = Selector(_dynamic_cost_grammar(_faulting_mulcost()))
+    result = sel.select_many(_mul_forests(), on_error="isolate")
+    [failure] = result.failures
+    assert failure.index == 1
+    assert failure.phase == "reduce"
+    assert isinstance(failure.error, InjectedFault)
+    assert failure.node is not None and failure.node.startswith("MUL(")
+    assert failure.node == node_provenance(failure.error)
+    assert result.values[0] == clean.values[0]
+    assert result.values[2] == clean.values[2]
+    assert result.report.cover_cost == clean_costs[0] + clean_costs[2]
+    assert sel.stats()["resilience"]["failures_by_phase"]["reduce"] == 1
+
+
+def test_raising_dynamic_cost_faults_the_tape_before_any_action_runs():
+    """The tape evaluates dynamic costs in its compile walk, so the
+    faulted forest emits nothing; the frame engine evaluates them as it
+    reduces, after the entry's operands have emitted."""
+
+    def record(context, node, operands):
+        context.append(node.nid)
+        return node.nid
+
+    for engine_cls, actions_before_fault in ((TapeEmitter, 0), (Reducer, 2)):
+        grammar = _dynamic_cost_grammar(_faulting_mulcost())
+        for rule in grammar.rules:
+            rule.action = record
+        forests = _mul_forests()
+        labeling = Selector(grammar).label_many(forests)
+        context: list = []
+        engine = engine_cls(labeling, context)
+        engine.reduce_forest(forests[0])
+        emitted = len(context)
+        with pytest.raises(InjectedFault) as info:
+            engine.reduce_forest(forests[1])
+        assert node_provenance(info.value).startswith("MUL(")
+        assert engine.last_roots_completed == 0
+        assert len(context) - emitted == actions_before_fault  # REG and CNST operands
