@@ -107,14 +107,3 @@ class RequestLostError(ServiceError):
 class AnalysisError(ReproError):
     """Static-analysis error (unanalyzable grammar, failed differential check)."""
 
-
-class MachineError(ReproError):
-    """Target-machine simulation error (unknown instruction, bad operand, ...)."""
-
-
-class FrontendError(ReproError):
-    """Mini-C front-end error (lex, parse, or semantic)."""
-
-
-class VMError(ReproError):
-    """Bytecode VM error (bad opcode, stack underflow, ...)."""

@@ -84,13 +84,6 @@ class Grammar:
             self.nonterminals.append(name)
         return name
 
-    def nonterminal_index(self, name: str) -> int:
-        """Dense index of a nonterminal (used for cost vectors)."""
-        try:
-            return self._nt_index[name]
-        except KeyError:
-            raise GrammarError(f"unknown nonterminal {name!r} in grammar {self.name!r}") from None
-
     def operator_ids(self) -> dict[str, int]:
         """Dense ids for the operators rooting any non-chain rule.
 
@@ -199,10 +192,6 @@ class Grammar:
     def chain_rules_from(self, rhs_nt: str) -> list[Rule]:
         """Chain rules whose right-hand side is *rhs_nt*."""
         return self._chain_rules_by_rhs.get(rhs_nt, [])
-
-    def rules_for_lhs(self, lhs: str) -> list[Rule]:
-        """All rules deriving *lhs*."""
-        return [rule for rule in self.rules if rule.lhs == lhs]
 
     def operators_used(self) -> list[str]:
         """Operator names appearing in any rule pattern."""

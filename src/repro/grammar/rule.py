@@ -132,10 +132,6 @@ class Rule:
             return self.cost if self.constraint(node) else INFINITE
         return self.cost
 
-    def applicable_at(self, node: Node) -> bool:
-        """True if the rule may be used at *node* (dynamic checks included)."""
-        return self.cost_at(node) < INFINITE
-
     def describe(self) -> str:
         """Human-readable one-line rendering, burg style."""
         suffix = ""

@@ -5,10 +5,8 @@ from repro.ir.interp import ExecutionResult, IRInterpreter, Memory
 from repro.ir.node import Forest, Node, NodeBuilder, fresh_nid
 from repro.ir.ops import DEFAULT_OPERATORS, Operator, OperatorSet, default_operators
 from repro.ir.traversal import (
-    check_acyclic,
     iter_unique,
     postorder,
-    preorder,
     shared_nodes,
     topological_order,
 )
@@ -31,12 +29,10 @@ __all__ = [
     "Operator",
     "OperatorSet",
     "ValidationIssue",
-    "check_acyclic",
     "default_operators",
     "fresh_nid",
     "iter_unique",
     "postorder",
-    "preorder",
     "shared_nodes",
     "topological_order",
     "validate_forest",

@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from repro.errors import IRError
 from repro.ir.node import Node
 
 __all__ = [
     "postorder",
-    "preorder",
     "topological_order",
     "ready_postorder",
     "iter_unique",
-    "check_acyclic",
     "shared_nodes",
 ]
 
@@ -40,19 +37,6 @@ def postorder(root: Node, visited: set[int] | None = None) -> Iterator[Node]:
         for kid in reversed(node.kids):
             if id(kid) not in visited:
                 stack.append((kid, False))
-
-
-def preorder(root: Node) -> Iterator[Node]:
-    """Yield every node reachable from *root*, parents before children."""
-    visited: set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        yield node
-        stack.extend(reversed(node.kids))
 
 
 def iter_unique(roots: Iterable[Node]) -> Iterator[Node]:
@@ -108,33 +92,6 @@ def ready_postorder(roots: Iterable[Node], done: "set[int] | dict[int, object]")
         yield node
 
 
-def check_acyclic(roots: Iterable[Node]) -> None:
-    """Raise :class:`~repro.errors.IRError` if the graph has a cycle."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-
-    for root in roots:
-        stack: list[tuple[Node, bool]] = [(root, False)]
-        while stack:
-            node, leaving = stack.pop()
-            if leaving:
-                color[id(node)] = BLACK
-                continue
-            state = color.get(id(node), WHITE)
-            if state == BLACK:
-                continue
-            if state == GREY:
-                raise IRError(f"cycle detected through node {node.op.name}")
-            color[id(node)] = GREY
-            stack.append((node, True))
-            for kid in node.kids:
-                kid_state = color.get(id(kid), WHITE)
-                if kid_state == GREY:
-                    raise IRError(f"cycle detected through node {kid.op.name}")
-                if kid_state == WHITE:
-                    stack.append((kid, False))
-
-
 def shared_nodes(roots: Iterable[Node]) -> list[Node]:
     """Nodes with more than one parent (the DAG sharing points)."""
     parents: dict[int, int] = {}
@@ -145,26 +102,3 @@ def shared_nodes(roots: Iterable[Node]) -> list[Node]:
             node_by_id[id(kid)] = kid
     return [node_by_id[nid] for nid, count in parents.items() if count > 1]
 
-
-def map_nodes(root: Node, fn: Callable[[Node], Node | None]) -> Node:
-    """Rebuild the tree under *root*, applying *fn* bottom-up.
-
-    *fn* receives a node whose children have already been rewritten and
-    returns a replacement node, or ``None`` to keep the node as-is.
-    Sharing is preserved: a shared child is rewritten once.
-    """
-    rewritten: dict[int, Node] = {}
-
-    def rewrite(node: Node) -> Node:
-        cached = rewritten.get(id(node))
-        if cached is not None:
-            return cached
-        new_kids = [rewrite(kid) for kid in node.kids]
-        candidate = node if all(a is b for a, b in zip(new_kids, node.kids)) else node.replace_kids(new_kids)
-        result = fn(candidate)
-        if result is None:
-            result = candidate
-        rewritten[id(node)] = result
-        return result
-
-    return rewrite(root)

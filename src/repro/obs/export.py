@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.metrics.tables import format_table
-from repro.obs.metrics import Histogram, MetricsRegistry, metric_key, percentile
+from repro.obs.metrics import Histogram, MetricsRegistry, percentile
 from repro.obs.trace import Span, spans_by_name
 
 __all__ = [
@@ -211,8 +211,3 @@ def render_trace(spans: Iterable[Span]) -> str:
             )
         )
     return "\n\n".join(sections) + "\n"
-
-
-def metric_key_for(name: str, **labels: Any) -> str:
-    """Convenience re-export of :func:`repro.obs.metrics.metric_key`."""
-    return metric_key(name, labels)

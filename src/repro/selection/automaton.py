@@ -24,9 +24,12 @@ only arity ≥ 3 pays for a key tuple.  Labeling is one fused stack walk
 per batch: children are discovered and the node transitioned the moment
 its last child is labeled, with the per-node state map doubling as the
 traversal's visited set — no separate topological pre-pass, no
-intermediate order list.  When the caller passes no metrics object the
-fast loop performs no counter increments at all, so benchmarking raw
-speed measures table lookups and nothing else.
+intermediate order list.  There are two walks: when the caller passes
+no metrics object and no deadline, the hand-inlined fast loop performs
+no counter increments at all, so benchmarking raw speed measures table
+lookups and nothing else; every other call takes the one counted walk,
+which charges each node's lookups, misses and construction work to the
+caller's metrics (or to a write-only sink) and checks the deadline.
 
 Batches are first-class: :meth:`OnDemandAutomaton.label_many` labels a
 sequence of forests with one sync check, one labeling object, and one
@@ -51,11 +54,12 @@ dynamic grammar (as long as no dynamic chain rule exists, which would
 make every node's transition node-dependent): with no metrics and no
 deadline such a grammar runs the same fused fast loop as a static one,
 and only nodes of operators with dynamic rules leave it for the
-signature path.  Dynamic callables only
-run where the DP labeler would run them: rules from multi-node patterns
-require a structural match of the original pattern, and dynamic chain
-rules require their source nonterminal to be derivable at the node (a
-memoized derivability set keeps this off the warm path).
+signature path; the counted walk makes the same split.  Dynamic
+callables only run where the DP labeler would run them: rules from
+multi-node patterns require a structural match of the original pattern,
+and dynamic chain rules require their source nonterminal to be
+derivable at the node (a memoized derivability set keeps this off the
+warm path).
 
 The grammar may be extended while the automaton is live (the JIT
 flexibility argument): a grammar version bump invalidates the state
@@ -198,7 +202,6 @@ class OnDemandAutomaton:
         self._source_version: int | None = None
         self.grammar: Grammar = grammar
         self.pool = StatePool()
-        self.has_dynamic = False
         self._op_ids: dict[str, int] = {}
         self._tables: dict[str, _OpTable] = {}
         #: The tables of operators without dynamic rules — the fast
@@ -222,7 +225,6 @@ class OnDemandAutomaton:
         self.grammar = source if source.is_normal_form else normalize(source).grammar
         self._source_version = source.version
         self.pool = StatePool(self.grammar.nonterminals)
-        self.has_dynamic = self.grammar.has_dynamic_rules
         self._op_ids = self.grammar.operator_ids()
         self._tables = {name: self._build_table(name, op_id) for name, op_id in self._op_ids.items()}
         self._static_tables = {
@@ -285,18 +287,14 @@ class OnDemandAutomaton:
     ) -> AutomatonLabeling:
         """Label *forest* bottom-up by transition-table lookups.
 
-        Metrics are opt-in: with ``metrics=None`` on a grammar without
-        dynamic rules, the run takes the null-metrics fast loop and no
-        counters (not even ``nodes_labeled``) are maintained.
-        *deadline_at_ns* arms cooperative cancellation: the walk checks
-        the absolute monotonic deadline every
+        A one-forest :meth:`label_many`.  Metrics are opt-in: with
+        ``metrics=None`` no counters (not even ``nodes_labeled``) are
+        maintained.  *deadline_at_ns* arms cooperative cancellation: the
+        walk checks the absolute monotonic deadline every
         :data:`~repro.selection.resilience.DEADLINE_CHECK_EVERY` nodes
         and raises :class:`~repro.errors.DeadlineExceededError`.
         """
-        self._sync()
-        labeling = AutomatonLabeling(self, metrics)
-        self._label_roots(forest.roots, labeling, metrics, deadline_at_ns)
-        return labeling
+        return self.label_many([forest], metrics, deadline_at_ns=deadline_at_ns)
 
     def label_many(
         self,
@@ -329,28 +327,25 @@ class OnDemandAutomaton:
         metrics: LabelMetrics | None,
         deadline_at_ns: int | None = None,
     ) -> None:
-        """Dispatch one batch of roots onto the right fused loop.
+        """Run one batch of roots through one of the two walks.
 
-        With no metrics and no deadline, every grammar without dynamic
-        chain rules takes the fast loop.  With a deadline armed, static
-        no-metrics labeling runs the counted walk against the
-        null-metrics sink instead — the fast loop stays branch-free for
-        the unbudgeted hot path.
+        With no metrics, no deadline and no dynamic chain rules, the
+        hand-inlined fast loop labels the batch (the default path of
+        every ``select_many`` without a budget).  Everything else takes
+        the counted walk: timed into *metrics* when given, counting into
+        the null-metrics sink otherwise, so the fast loop stays
+        branch-free for the unbudgeted hot path.
         """
         node_states = labeling._states
-        if metrics is None and deadline_at_ns is None and not self._dyn_chain:
-            self._label_fast(roots, node_states)
-        elif self.has_dynamic:
-            run = labeling.metrics
-            with Timer() as timer:
-                self._label_dynamic(roots, node_states, run, deadline_at_ns)
-            run.seconds += timer.elapsed
-        elif metrics is not None:
-            with Timer() as timer:
-                self._label_static_counted(roots, node_states, metrics, deadline_at_ns)
-            metrics.seconds += timer.elapsed
-        else:
-            self._label_static_counted(roots, node_states, _NULL_METRICS, deadline_at_ns)
+        if metrics is None:
+            if deadline_at_ns is None and not self._dyn_chain:
+                self._label_fast(roots, node_states)
+            else:
+                self._label_counted(roots, node_states, _NULL_METRICS, deadline_at_ns)
+            return
+        with Timer() as timer:
+            self._label_counted(roots, node_states, metrics, deadline_at_ns)
+        metrics.seconds += timer.elapsed
 
     def _label_fast(self, roots: list[Node], node_states: dict[int, State]) -> None:
         """Warm path, no metrics: one fused stack walk, one
@@ -455,21 +450,29 @@ class OnDemandAutomaton:
                     table.nary[key] = state
             node_states[nid] = state
 
-    def _label_static_counted(
+    def _label_counted(
         self,
         roots: list[Node],
         node_states: dict[int, State],
         metrics: LabelMetrics,
         deadline_at_ns: int | None = None,
     ) -> None:
-        """The fused static-grammar walk with full work counting (one
-        table lookup is charged per node, regardless of arity nesting).
+        """The counted walk, for static and dynamic grammars alike: with
+        metrics, under a deadline, or with dynamic chain rules (the
+        no-metrics, no-deadline case without them takes
+        :meth:`_label_fast`).  One table lookup is charged per node.
 
-        Shares :func:`~repro.ir.traversal.ready_postorder` with the DP
-        labeler — only the null-metrics loop justifies hand-inlining
-        the walk; this one runs in untimed metric passes and under
-        request deadlines.
+        Operators without dynamic rules take the integer-keyed static
+        tables (no signature, no per-node callable checks) as long as
+        the grammar has no dynamic chain rules — those would make every
+        transition node-dependent.  On a static grammar that is every
+        operator; only operators that actually carry dynamic rules pay
+        the signature path.  Shares
+        :func:`~repro.ir.traversal.ready_postorder` with the DP labeler —
+        only the null-metrics loop justifies hand-inlining the walk.
         """
+        tables = self._tables
+        no_dyn_chain = not self._dyn_chain
         ticks = 0
         for node in ready_postorder(roots, node_states):
             if deadline_at_ns is not None:
@@ -477,10 +480,15 @@ class OnDemandAutomaton:
                 if ticks >= DEADLINE_CHECK_EVERY:
                     ticks = 0
                     check_deadline(deadline_at_ns, "label")
-            table = self._table_for(node.op.name)
-            node_states[id(node)] = self._static_transition(
-                table, node.kids, node_states, metrics
-            )
+            op_name = node.op.name
+            table = tables.get(op_name)
+            if table is None:
+                table = self._table_for(op_name)
+            if no_dyn_chain and not table.dyn_rules:
+                state = self._static_transition(table, node.kids, node_states, metrics)
+            else:
+                state = self._dynamic_state(table, node, node_states, metrics)
+            node_states[id(node)] = state
             metrics.nodes_labeled += 1
 
     def _static_transition(
@@ -491,9 +499,9 @@ class OnDemandAutomaton:
         metrics: LabelMetrics,
     ) -> State:
         """One counted transition through the integer-keyed static
-        tables.  Shared by the counted static loop and by dynamic-grammar
-        labeling of operators without dynamic rules (the specialization
-        that keeps most of a mostly-static grammar on the fast tables).
+        tables: the counted walk's step for every operator without
+        dynamic rules (the specialization that keeps most of a
+        mostly-static grammar on the fast tables).
         """
         arity = len(kids)
         metrics.table_lookups += 1
@@ -532,44 +540,7 @@ class OnDemandAutomaton:
         return state
 
     # ------------------------------------------------------------------
-    # Dynamic-grammar path
-
-    def _label_dynamic(
-        self,
-        roots: list[Node],
-        node_states: dict[int, State],
-        metrics: LabelMetrics,
-        deadline_at_ns: int | None = None,
-    ) -> None:
-        """Counted walk for dynamic grammars: with metrics, under a
-        deadline, or with dynamic chain rules (the no-metrics,
-        no-deadline case without them takes :meth:`_label_fast`).
-
-        Operators without dynamic rules take the integer-keyed static
-        tables (no signature, no per-node callable checks) as long as
-        the grammar has no dynamic chain rules — those would make every
-        transition node-dependent.  Only operators that actually carry
-        dynamic rules pay the signature path.
-        """
-        tables = self._tables
-        no_dyn_chain = not self._dyn_chain
-        ticks = 0
-        for node in ready_postorder(roots, node_states):
-            if deadline_at_ns is not None:
-                ticks += 1
-                if ticks >= DEADLINE_CHECK_EVERY:
-                    ticks = 0
-                    check_deadline(deadline_at_ns, "label")
-            op_name = node.op.name
-            table = tables.get(op_name)
-            if table is None:
-                table = self._table_for(op_name)
-            if no_dyn_chain and not table.dyn_rules:
-                state = self._static_transition(table, node.kids, node_states, metrics)
-            else:
-                state = self._dynamic_state(table, node, node_states, metrics)
-            node_states[id(node)] = state
-            metrics.nodes_labeled += 1
+    # Dynamic-signature path
 
     def _dynamic_state(
         self,

@@ -128,9 +128,8 @@ class DPLabeler:
         *,
         deadline_at_ns: int | None = None,
     ) -> DPLabeling:
-        labeling = DPLabeling(self.grammar, metrics)
-        _label_roots(self.grammar, labeling, forest.roots, metrics, deadline_at_ns)
-        return labeling
+        """Label one forest: a one-forest :meth:`label_many`."""
+        return self.label_many([forest], metrics, deadline_at_ns=deadline_at_ns)
 
     def label_many(
         self,

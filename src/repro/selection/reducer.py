@@ -326,8 +326,8 @@ class Reducer:
 
         Returns *start* when given, else the grammar's start
         nonterminal; raises :class:`CoverError` when neither exists.
-        Public so pipeline callers (the fault-isolated path) never need
-        to poke at internals to pre-flight a batch.
+        Public so the ``select_many`` pipeline can resolve it once per
+        engine, outside its per-forest fault handling.
         """
         start_nt = start if start is not None else self._start_nt
         if start_nt is None:

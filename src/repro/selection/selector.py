@@ -905,11 +905,7 @@ class Selector:
 
     def label(self, forest: Forest, metrics: LabelMetrics | None = None) -> Labeling:
         """Label one forest (see :meth:`label_many` for batches)."""
-        if self.config.validate:
-            validate_forest(forest, self.source_grammar.operators)
-        if metrics is not None:
-            self._last_metrics = metrics
-        return self.engine.label(forest, metrics)
+        return self.label_many([forest], metrics)
 
     def label_many(
         self,
@@ -923,16 +919,6 @@ class Selector:
             forests = list(forests)
             for forest in forests:
                 validate_forest(forest, self.source_grammar.operators)
-        return self._label_many_unchecked(forests, metrics, deadline_at_ns)
-
-    def _label_many_unchecked(
-        self,
-        forests: Iterable[Forest],
-        metrics: LabelMetrics | None = None,
-        deadline_at_ns: int | None = None,
-    ) -> Labeling:
-        """:meth:`label_many` minus input validation — the isolated
-        pipeline validates per forest itself before labeling."""
         if metrics is not None:
             self._last_metrics = metrics
         return self.engine.label_many(forests, metrics, deadline_at_ns=deadline_at_ns)
@@ -953,15 +939,17 @@ class Selector:
         """Select instructions for a batch of forests in one fused pipeline.
 
         Labels all *forests* with one batched ``label_many`` call,
-        reduces every root through one shared :class:`Reducer` (running
+        emits every root through one shared emission engine (running
         emit actions against *context*), and returns per-forest
         semantic-value lists plus a :class:`SelectionReport`.
 
-        *on_error* picks the batch fault policy:
+        *on_error* picks the batch fault policy; both policies run the
+        same validate → label → emit → cover pipeline and differ only
+        in what a raising forest does:
 
         * ``"raise"`` (default): the first raising dynamic rule,
           constraint callback, or emission action aborts the whole
-          batch, propagating the exception (historical behavior);
+          batch, propagating the exception;
         * ``"isolate"``: a faulted forest yields a structured
           :class:`~repro.selection.resilience.SelectionFailure` in its
           ``values`` slot — exception, pipeline phase, and faulting-node
@@ -1002,12 +990,8 @@ class Selector:
                 # regardless of batch size; the strided hot-loop checks
                 # only fire every DEADLINE_CHECK_EVERY steps.
                 check_deadline(deadline_at_ns, "admission")
-            if on_error == "isolate":
-                return self._select_many_isolated(
-                    forests, context, start, collect_cover, deadline_at_ns
-                )
-            return self._select_many_raise(
-                forests, context, start, collect_cover, deadline_at_ns
+            return self._select_many(
+                forests, context, start, collect_cover, deadline_at_ns, on_error == "isolate"
             )
         except DeadlineExceededError:
             self._resilience["deadline_overruns"] += 1
@@ -1053,129 +1037,69 @@ class Selector:
             f"unknown emitter {emitter!r}; expected one of {', '.join(EMITTERS)}"
         )
 
-    def _select_many_raise(
+    def _select_many(
         self,
         forests: list[Forest],
         context: Any,
         start: str | None,
         collect_cover: bool,
         deadline_at_ns: int | None,
+        isolate: bool,
     ) -> SelectionResult:
-        """The historical ``on_error="raise"`` pipeline."""
-        validate_ns = 0
-        if self.config.validate:
-            started = time.perf_counter_ns()
-            for forest in forests:
-                validate_forest(forest, self.source_grammar.operators)
-            validate_ns = time.perf_counter_ns() - started
-        started = time.perf_counter_ns()
-        labeling = self._label_many_unchecked(forests, None, deadline_at_ns)
-        label_ns = time.perf_counter_ns() - started
+        """The one pipeline behind both ``on_error`` policies.
 
-        engine = self._make_emitter(labeling, context, deadline_at_ns)
-        started = time.perf_counter_ns()
-        values = []
-        costs: list[int | None] = []
-        for forest in forests:
-            values.append(engine.reduce_forest(forest, start))
-            costs.append(engine.last_cover_cost)
-        end_ns = time.perf_counter_ns()
-        reduce_ns = end_ns - started
-
-        cover_cost: int | None = None
-        cover_ns = 0
-        if collect_cover:
-            # Walk-costed forests are free; the rest (cross-forest memo
-            # hits) pay an extract_cover walk, timed as the cover layer.
-            cover_cost = sum(cost for cost in costs if cost is not None)
-            uncosted = [f for f, cost in zip(forests, costs) if cost is None]
-            if uncosted:
-                started = end_ns
-                cover_cost += sum(
-                    extract_cover(labeling, forest, start).total_cost()
-                    for forest in uncosted
-                )
-                end_ns = time.perf_counter_ns()
-                cover_ns = end_ns - started
-
-        report = SelectionReport(
-            grammar=self.source_grammar.name,
-            labeler=self.mode,
-            forests=len(forests),
-            roots=sum(len(forest.roots) for forest in forests),
-            nodes=sum(forest.node_count() for forest in forests),
-            cover_cost=cover_cost,
-            reductions=engine.reductions,
-            memo_hits=engine.memo_hits,
-            label_ns=label_ns,
-            reduce_ns=reduce_ns,
-            validate_ns=validate_ns,
-            cover_ns=cover_ns,
-            tapes_compiled=getattr(engine, "tapes_compiled", 0),
-            tape_cache_hits=getattr(engine, "tape_cache_hits", 0),
-        )
-        self._record(report, end_ns)
-        return SelectionResult(values=values, report=report, labeling=labeling)
-
-    def _select_many_isolated(
-        self,
-        forests: list[Forest],
-        context: Any,
-        start: str | None,
-        collect_cover: bool,
-        deadline_at_ns: int | None = None,
-    ) -> SelectionResult:
-        """The fault-isolated pipeline behind ``on_error="isolate"``.
-
-        Happy-path cost over the ``"raise"`` pipeline is one try/except
-        per batch plus one memo-size read and one try/except per forest
-        — all zero-cost constructs on CPython 3.11+; the per-forest
-        probing, rollbacks, and failure records only materialize once
-        something actually raises.  Only :class:`Exception` is isolated:
-        ``KeyboardInterrupt``, ``SystemExit``, the fault harness's
-        simulated crashes, and :class:`DeadlineExceededError` (a
-        whole-batch abort, not a per-forest fault) propagate.
+        Runs validate → label → emit → cover fallback once.  In each
+        phase a raising forest re-raises under ``"raise"``; under
+        ``"isolate"`` it becomes a :class:`SelectionFailure` and drops
+        out of the later phases.  The happy-path cost of isolation is
+        one memo-size read and one try/except per forest — zero-cost
+        constructs on CPython 3.11+; the per-forest probing, rollbacks
+        and failure records only materialize once something raises.
+        Only :class:`Exception` is isolated: ``KeyboardInterrupt``,
+        ``SystemExit``, the fault harness's simulated crashes, and
+        :class:`DeadlineExceededError` (a whole-batch abort, not a
+        per-forest fault) propagate.
         """
         failures: dict[int, SelectionFailure] = {}
-        live: list[tuple[int, Forest]] = []
+        live = list(enumerate(forests))
         validate_ns = 0
         if self.config.validate:
             started = time.perf_counter_ns()
-            for index, forest in enumerate(forests):
+            operators = self.source_grammar.operators
+            checked = []
+            for index, forest in live:
                 try:
-                    validate_forest(forest, self.source_grammar.operators)
+                    validate_forest(forest, operators)
                 except Exception as exc:
+                    if not isolate:
+                        raise
                     failures[index] = SelectionFailure(
                         index, forest.name, "validate", exc, node_provenance(exc)
                     )
                 else:
-                    live.append((index, forest))
+                    checked.append((index, forest))
+            live = checked
             validate_ns = time.perf_counter_ns() - started
-        else:
-            live = list(enumerate(forests))
 
-        # Label phase: one fused batch first (the happy path), per-forest
-        # probing only after a batch-aborting fault.  Each survivor then
-        # carries its own labeling; forests from an intact batch all
-        # share one.
+        # Label phase: one fused batch; only after a batch-aborting fault
+        # under "isolate" is it re-labeled one forest at a time, each
+        # survivor then carrying its own labeling.
         started = time.perf_counter_ns()
+        label_many = self.engine.label_many
         labeled: list[tuple[int, Forest, Labeling]] = []
         shared_labeling: Labeling | None = None
         try:
-            if live:
-                shared_labeling = self._label_many_unchecked(
-                    [f for _, f in live], None, deadline_at_ns
-                )
+            shared_labeling = label_many(
+                [forest for _, forest in live], None, deadline_at_ns=deadline_at_ns
+            )
         except DeadlineExceededError:
             raise
         except Exception:
-            shared_labeling = None
-        if shared_labeling is not None:
-            labeled = [(i, forest, shared_labeling) for i, forest in live]
-        else:
+            if not isolate:
+                raise
             for index, forest in live:
                 try:
-                    labeling = self._label_many_unchecked([forest], None, deadline_at_ns)
+                    labeling = label_many([forest], None, deadline_at_ns=deadline_at_ns)
                 except DeadlineExceededError:
                     raise
                 except Exception as exc:
@@ -1184,31 +1108,34 @@ class Selector:
                     )
                 else:
                     labeled.append((index, forest, labeling))
+        else:
+            labeled = [(index, forest, shared_labeling) for index, forest in live]
         label_ns = time.perf_counter_ns() - started
 
-        # Reduce phase: one shared emission engine per labeling object.
-        # A faulted forest's memo/value-buffer entries are rolled back
-        # before the next forest reduces, so half-emitted values are
-        # never reused.
+        # Emit phase: one emission engine per labeling object, its start
+        # nonterminal resolved outside the per-forest try (a grammar
+        # without one fails the whole batch).  A faulted forest's
+        # memo/value-buffer entries are rolled back before the next
+        # forest emits, so half-emitted values are never reused.
         values: list[Any] = [None] * len(forests)
         costs: dict[int, int | None] = {}
-        engines: dict[int, Reducer] = {}
+        engines: dict[int, tuple[Reducer, str]] = {}
         started = time.perf_counter_ns()
         for index, forest, labeling in labeled:
-            engine = engines.get(id(labeling))
-            if engine is None:
-                engine = engines[id(labeling)] = self._make_emitter(
-                    labeling, context, deadline_at_ns
-                )
-            start_nt = engine.resolve_start(start)
+            entry = engines.get(id(labeling))
+            if entry is None:
+                engine = self._make_emitter(labeling, context, deadline_at_ns)
+                entry = engines[id(labeling)] = (engine, engine.resolve_start(start))
+            engine, start_nt = entry
             mark = engine.memo_size()
             try:
                 values[index] = engine.reduce_forest(forest, start_nt)
                 costs[index] = engine.last_cover_cost
             except DeadlineExceededError:
-                engine.rollback_to(mark)
                 raise
             except Exception as exc:
+                if not isolate:
+                    raise
                 engine.rollback_to(mark)
                 failures[index] = SelectionFailure(
                     index,
@@ -1221,28 +1148,31 @@ class Selector:
         end_ns = time.perf_counter_ns()
         reduce_ns = end_ns - started
 
-        # Cover phase: walk costs are free; forests without one pay a
-        # guarded extract_cover walk, and a fault there fails only that
-        # forest (its emitted values stand — every root was reduced).
+        # Cover phase: walk costs are free; forests without one (a memo
+        # hit on an earlier forest's entry) pay an extract_cover walk,
+        # timed as the cover layer.  A fault there fails only that
+        # forest: its emitted values stand, as every root was reduced.
         cover_cost: int | None = None
         cover_ns = 0
         if collect_cover:
             cover_cost = 0
             uncosted: list[tuple[int, Forest, Labeling]] = []
             for index, forest, labeling in labeled:
-                if index in failures:
-                    continue
-                cost = costs[index]
-                if cost is None:
-                    uncosted.append((index, forest, labeling))
-                else:
+                cost = costs.get(index)
+                if cost is not None:
                     cover_cost += cost
+                elif index not in failures:
+                    uncosted.append((index, forest, labeling))
             if uncosted:
                 started = end_ns
                 for index, forest, labeling in uncosted:
                     try:
                         cover_cost += extract_cover(labeling, forest, start).total_cost()
+                    except DeadlineExceededError:
+                        raise
                     except Exception as exc:
+                        if not isolate:
+                            raise
                         failures[index] = SelectionFailure(
                             index,
                             forest.name,
@@ -1254,13 +1184,14 @@ class Selector:
                 end_ns = time.perf_counter_ns()
                 cover_ns = end_ns - started
 
-        for index, failure in failures.items():
-            values[index] = failure
-        self._resilience["isolated_failures"] += len(failures)
-        by_phase = self._resilience["failures_by_phase"]
-        for failure in failures.values():
-            by_phase[failure.phase] += 1
+        if failures:
+            self._resilience["isolated_failures"] += len(failures)
+            by_phase = self._resilience["failures_by_phase"]
+            for index, failure in failures.items():
+                values[index] = failure
+                by_phase[failure.phase] += 1
 
+        emitters = [engine for engine, _ in engines.values()]
         report = SelectionReport(
             grammar=self.source_grammar.name,
             labeler=self.mode,
@@ -1268,25 +1199,20 @@ class Selector:
             roots=sum(len(forest.roots) for forest in forests),
             nodes=sum(forest.node_count() for forest in forests),
             cover_cost=cover_cost,
-            reductions=sum(r.reductions for r in engines.values()),
-            memo_hits=sum(r.memo_hits for r in engines.values()),
+            reductions=sum(engine.reductions for engine in emitters),
+            memo_hits=sum(engine.memo_hits for engine in emitters),
             label_ns=label_ns,
             reduce_ns=reduce_ns,
             validate_ns=validate_ns,
             cover_ns=cover_ns,
             failures=len(failures),
-            tapes_compiled=sum(
-                getattr(r, "tapes_compiled", 0) for r in engines.values()
-            ),
-            tape_cache_hits=sum(
-                getattr(r, "tape_cache_hits", 0) for r in engines.values()
-            ),
+            tapes_compiled=sum(getattr(engine, "tapes_compiled", 0) for engine in emitters),
+            tape_cache_hits=sum(getattr(engine, "tape_cache_hits", 0) for engine in emitters),
         )
         self._record(report, end_ns)
-        result_labeling = shared_labeling
-        if result_labeling is None:
-            result_labeling = labeled[0][2] if labeled else self.engine.label_many([])
-        return SelectionResult(values=values, report=report, labeling=result_labeling)
+        if shared_labeling is None:
+            shared_labeling = labeled[0][2] if labeled else label_many([])
+        return SelectionResult(values=values, report=report, labeling=shared_labeling)
 
     def select(
         self,

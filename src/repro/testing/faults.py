@@ -83,9 +83,9 @@ class FaultyCallable:
             non-faulting calls).
         on_call: Raise on the Nth invocation, 1-based.  With *sticky*
             true, every invocation from the Nth on raises (use sticky
-            faults to model a persistently broken callback — the
-            isolated pipeline may re-invoke callables when it re-labels
-            a faulted batch forest by forest).
+            faults to model a persistently broken callback —
+            ``on_error="isolate"`` may re-invoke callables when it
+            re-labels a faulted batch forest by forest).
         predicate: Raise whenever ``predicate(*args)`` is true (e.g. a
             check on the IR node's ``nid``).  Composable with
             *on_call*; either trigger fires the fault.

@@ -2,8 +2,19 @@
 
 from __future__ import annotations
 
-from conftest import BENCHMARK_BUILDERS, build_dag_forest, build_dynamic_forest
+import time
 
+import pytest
+
+from conftest import BENCHMARK_BUILDERS, build_dag_forest, build_dynamic_forest
+from repro.bench.workloads import (
+    bench_grammar,
+    dag_heavy_forests,
+    dynamic_bench_grammar,
+    dynamic_constraint_forests,
+)
+from repro.grammar import parse_grammar
+from repro.ir import Forest, NodeBuilder, iter_unique
 from repro.metrics import LabelMetrics, format_table
 from repro.selection import (
     DPLabeler,
@@ -103,9 +114,6 @@ def test_multi_node_dynamic_cost_only_runs_where_pattern_matches():
     inner nodes; the automaton must not evaluate them at nodes the
     original pattern does not structurally match (it used to, crashing
     on e.g. a plain STORE while DP labeled the forest fine)."""
-    from conftest import NodeBuilder, parse_grammar
-    from repro.ir import Forest
-
     def memadd_cost(node):
         inner = node.kids[1].kids[0]  # the LOAD of STORE(addr, ADD(LOAD(addr), reg))
         return 1 if inner.op.name == "LOAD" else 2
@@ -157,7 +165,7 @@ def test_single_level_dynamic_rule_not_evaluated_on_arity_mismatch():
     filter the rule out)."""
     from repro.errors import CoverError
     from repro.grammar import Grammar
-    from repro.ir import Forest, NodeBuilder, OperatorSet
+    from repro.ir import OperatorSet
 
     grammar_ops = OperatorSet(name="grammar-dialect")
     grammar_ops.define("EXPR", 1, is_statement=True)
@@ -186,19 +194,13 @@ def test_single_level_dynamic_rule_not_evaluated_on_arity_mismatch():
             extract_cover(labeling, forest)
 
 
-def test_dynamic_chain_rule_only_runs_where_source_is_derivable():
-    """A dynamic chain rule's callable may rely on the node shapes its
-    source nonterminal can label (here: CNST payloads); the automaton
-    must not evaluate it at unrelated nodes (it used to, crashing on
-    REG/ADD nodes where node.value is None), and same-outcome payloads
-    must still share transitions."""
-    from conftest import NodeBuilder, parse_grammar
-    from repro.ir import Forest
+def _dynamic_chain_grammar():
+    """A grammar with one dynamic chain rule, ``addr: con``."""
 
     def addr_cost(node):
         return node.value % 4  # valid exactly where `con` is derivable (CNST)
 
-    grammar = parse_grammar(
+    return parse_grammar(
         """
         %grammar chainmd
         %start stmt
@@ -213,6 +215,15 @@ def test_dynamic_chain_rule_only_runs_where_source_is_derivable():
         """,
         bindings={"addrc": addr_cost},
     )
+
+
+def test_dynamic_chain_rule_only_runs_where_source_is_derivable():
+    """A dynamic chain rule's callable may rely on the node shapes its
+    source nonterminal can label (here: CNST payloads); the automaton
+    must not evaluate it at unrelated nodes (it used to, crashing on
+    REG/ADD nodes where node.value is None), and same-outcome payloads
+    must still share transitions."""
+    grammar = _dynamic_chain_grammar()
 
     def build(payload):
         b = NodeBuilder()
@@ -267,7 +278,6 @@ def test_multi_node_rule_actions_get_identical_operands_under_all_labelers():
     normalized one (automaton / DP-on-normalized); helper-rule values
     used to arrive as one nested list under the normalized grammars."""
     from repro.grammar import Grammar, normalize, nt_pattern, op_pattern
-    from repro.ir import Forest, NodeBuilder
     from repro.selection import Reducer
 
     grammar = Grammar(name="ops", start="stmt")
@@ -312,3 +322,48 @@ def test_metrics_render_as_comparison_table(demo_grammar):
     assert "chain checks" in table
     assert "dp" in table and "ondemand" in table
     assert dp_metrics.operations() > 0 and auto_metrics.operations() > 0
+
+
+def _chain_forests() -> list[Forest]:
+    """Forests over the dynamic-chain grammar sharing one subtree."""
+    b = NodeBuilder()
+    shared = b.add(b.reg(1), b.reg(2))
+    return [
+        Forest([b.store(b.cnst(payload), shared), b.expr(b.add(shared, b.reg(payload)))])
+        for payload in (3, 8, 12, 14)
+    ]
+
+
+#: Grammars for the counted-versus-fast walk check: static, dynamic
+#: with constraint rules, and with a dynamic chain rule (which sends
+#: even unmetered, unbudgeted labeling through the counted walk).
+WALK_FAMILIES = [
+    ("static", bench_grammar, lambda: dag_heavy_forests(91, forests=3, statements=6, shared=4)),
+    ("dynamic", dynamic_bench_grammar, lambda: dynamic_constraint_forests(92, forests=3, statements=5)),
+    ("dynamic_chain", _dynamic_chain_grammar, _chain_forests),
+]
+
+
+@pytest.mark.parametrize(
+    "name,make_grammar,make_forests", WALK_FAMILIES, ids=[f[0] for f in WALK_FAMILIES]
+)
+def test_counted_walk_labels_like_the_fast_walk(name, make_grammar, make_forests):
+    """Metrics and deadlines change which walk runs, never a state: with
+    and without either, on a fresh automaton each, every node gets the
+    same state, and a metered run counts each distinct node once."""
+    grammar = make_grammar()
+    forests = make_forests()
+    nodes = list(iter_unique(root for forest in forests for root in forest.roots))
+    far = time.monotonic_ns() + 3600 * 10**9
+
+    def signatures(metrics=None, deadline_at_ns=None):
+        automaton = OnDemandAutomaton(grammar)
+        labeling = automaton.label_many(forests, metrics, deadline_at_ns=deadline_at_ns)
+        return [labeling.state_of(node).signature for node in nodes]
+
+    reference = signatures()
+    assert signatures(deadline_at_ns=far) == reference
+    for deadline_at_ns in (None, far):
+        metrics = LabelMetrics()
+        assert signatures(metrics, deadline_at_ns) == reference
+        assert metrics.nodes_labeled == len(nodes)

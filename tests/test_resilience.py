@@ -27,7 +27,16 @@ import os
 import pytest
 
 from conftest import DYNAMIC_TEXT, mul_cost, small_const
-from repro.bench.workloads import dynamic_bench_grammar, dynamic_constraint_forests
+from repro.bench.workloads import (
+    EmitContext,
+    bench_grammar,
+    dynamic_bench_grammar,
+    dynamic_constraint_forests,
+    emit_bench_grammar,
+    recurring_shape_stream,
+    reduce_heavy_forests,
+    shared_reduction_forests,
+)
 from repro.errors import (
     ArtifactCorruptError,
     ArtifactError,
@@ -39,6 +48,8 @@ from repro.errors import (
 from repro.grammar import parse_grammar
 from repro.ir import Forest, ForestValidationError, Node, NodeBuilder, OperatorSet
 from repro.selection import (
+    EMITTERS,
+    ON_ERROR_POLICIES,
     ArtifactCache,
     BuildBudget,
     SelectionFailure,
@@ -138,6 +149,64 @@ def _dynamic_forests() -> list[Forest]:
     return [g0, g1, g2]
 
 
+def _imm4_wrapped_grammar(wrap):
+    """``dynamic_bench_grammar`` with its ``imm4`` constraint replaced
+    by ``wrap(constraint)``, shared by every ``imm4`` rule."""
+    grammar = dynamic_bench_grammar()
+    imm4 = [r for r in grammar.rules if r.constraint_name == "imm4"]
+    shared = wrap(imm4[0].constraint)
+    for rule in imm4:
+        rule.constraint = shared
+    return grammar, shared
+
+
+def _echo_batch() -> list[Forest]:
+    """Dynamic forests plus a last forest re-rooting the first one's
+    trees: the only forest whose cover cost needs the ``extract_cover``
+    fallback (its emission memo-hits the first forest's entries)."""
+    forests = dynamic_constraint_forests(3, 4)
+    echo = Forest(name="echo")
+    for root in forests[0].roots:
+        echo.add(root)
+    return forests + [echo]
+
+
+def _phase_fault(phase: str):
+    """A fresh selector and batch with one fault that fires in *phase*.
+
+    Returns ``(selector, forests, exception type, fault)``; *fault*
+    counts firings (``None`` for the validator's structural error).
+    """
+    if phase == "validate":
+        sel = Selector(_chaos_grammar(), config=SelectorConfig(validate=True))
+        foreign = OperatorSet(name="foreign")
+        vec = foreign.define("VECADD", 2)
+        b = NodeBuilder()
+        bad = Forest(name="bad")
+        bad.add(b.expr(Node(vec, [b.reg(1), b.reg(2)])))
+        return sel, [_chaos_forests()[0], bad], ForestValidationError, None
+    if phase == "label":
+        grammar = _dynamic_grammar()
+        constrained = next(r for r in grammar.rules if r.constraint is not None)
+        fault, _ = poison_constraint(constrained, predicate=lambda node: node.value == 13)
+        return Selector(grammar), _dynamic_forests(), InjectedFault, fault
+    if phase == "reduce":
+        grammar = _chaos_grammar()
+        fault, _ = poison_action(_rule(grammar, "reg", "SUB"), on_call=1)
+        return Selector(grammar), _chaos_forests(), InjectedFault, fault
+    assert phase == "cover"
+    # Label + emit call the constraint `emitted` times (the walks add a
+    # constraint rule's fixed cost without calling it); the fallback's
+    # first call is the next one.
+    grammar, counter = _imm4_wrapped_grammar(
+        lambda fn: FaultyCallable(fn, predicate=lambda node: False)
+    )
+    Selector(grammar).select_many(_echo_batch(), collect_cover=False)
+    emitted = counter.calls
+    grammar, fault = _imm4_wrapped_grammar(lambda fn: FaultyCallable(fn, on_call=emitted + 1))
+    return Selector(grammar), _echo_batch(), InjectedFault, fault
+
+
 # ----------------------------------------------------------------------
 # Fault isolation: on_error="isolate"
 
@@ -148,13 +217,16 @@ class TestIsolation:
         with pytest.raises(ValueError, match="unknown on_error policy"):
             sel.select_many(_chaos_forests(), on_error="retry")
 
-    def test_raise_policy_propagates(self):
-        grammar = _chaos_grammar()
-        fault, _ = poison_action(_rule(grammar, "reg", "SUB"), on_call=1)
-        sel = Selector(grammar)
-        with pytest.raises(InjectedFault):
-            sel.select_many(_chaos_forests())
-        assert fault.faults == 1
+    @pytest.mark.parametrize("phase", ["validate", "label", "reduce", "cover"])
+    def test_raise_policy_propagates(self, phase):
+        sel, forests, error, fault = _phase_fault(phase)
+        with pytest.raises(error):
+            sel.select_many(forests)
+        if fault is not None:
+            assert fault.faults == 1
+        resilience = sel.stats()["resilience"]
+        assert resilience["isolated_failures"] == 0
+        assert sum(resilience["failures_by_phase"].values()) == 0
 
     @pytest.mark.parametrize("mode", ["ondemand", "dp", "eager"])
     def test_reduce_fault_is_isolated_differentially(self, mode):
@@ -310,31 +382,7 @@ class TestIsolation:
         forest whose emission memo-hit an earlier forest's entries: here
         a last forest that re-roots the first forest's trees."""
 
-        def grammar_with(wrap):
-            grammar = dynamic_bench_grammar()
-            imm4 = [r for r in grammar.rules if r.constraint_name == "imm4"]
-            shared = wrap(imm4[0].constraint)
-            for rule in imm4:
-                rule.constraint = shared
-            return grammar, shared
-
-        def batch() -> list[Forest]:
-            forests = dynamic_constraint_forests(3, 4)
-            echo = Forest(name="echo")
-            for root in forests[0].roots:
-                echo.add(root)
-            return forests + [echo]
-
-        # Label + emit calls the constraint `emitted` times (the walks
-        # add a constraint rule's fixed cost without calling it); the
-        # fallback's first call is the next one.
-        grammar, counter = grammar_with(lambda fn: FaultyCallable(fn, predicate=lambda node: False))
-        Selector(grammar).select_many(batch(), collect_cover=False)
-        emitted = counter.calls
-
-        grammar, fault = grammar_with(lambda fn: FaultyCallable(fn, on_call=emitted + 1))
-        sel = Selector(grammar)
-        forests = batch()
+        sel, forests, _, fault = _phase_fault("cover")
         result = sel.select_many(forests, on_error="isolate")
 
         [failure] = result.failures
@@ -354,10 +402,37 @@ class TestIsolation:
         assert resilience["failures_by_phase"]["cover"] == 1
         assert resilience["isolated_failures"] == 1
 
-        # Under on_error="raise" the same fault still aborts the batch.
-        grammar, _ = grammar_with(lambda fn: FaultyCallable(fn, on_call=emitted + 1))
-        with pytest.raises(InjectedFault):
-            Selector(grammar).select_many(batch())
+
+#: The recurring, fresh (reduce-heavy and shared-reduction) and dynamic
+#: workload families, as ``(name, grammar factory, forest factory)``.
+POLICY_FAMILIES = [
+    ("recurring", bench_grammar, lambda: recurring_shape_stream(81, shapes=3, length=10, statements=5, max_depth=4)),
+    ("reduce_heavy", emit_bench_grammar, lambda: reduce_heavy_forests(82, forests=4, statements=6, max_depth=4)),
+    ("shared_reduction", emit_bench_grammar, lambda: shared_reduction_forests(83, forests=4, statements=8, shared=4, max_depth=4)),
+    ("dynamic", dynamic_bench_grammar, lambda: dynamic_constraint_forests(84, forests=4, statements=6, max_depth=4)),
+]
+
+
+@pytest.mark.parametrize("emitter", EMITTERS)
+@pytest.mark.parametrize(
+    "name,make_grammar,make_forests", POLICY_FAMILIES, ids=[f[0] for f in POLICY_FAMILIES]
+)
+def test_policies_agree_on_the_happy_path(name, make_grammar, make_forests, emitter):
+    """With nothing raising, ``"raise"`` and ``"isolate"`` are one
+    pipeline: same values, instructions and report counters."""
+    runs = {}
+    for policy in ON_ERROR_POLICIES:
+        sel = Selector(make_grammar(), config=SelectorConfig(emitter=emitter))
+        context = EmitContext()
+        result = sel.select_many(make_forests(), context=context, on_error=policy)
+        runs[policy] = (result, context)
+    (raised, raise_ctx), (isolated, isolate_ctx) = runs["raise"], runs["isolate"]
+    assert isolated.values == raised.values
+    assert isolate_ctx.instructions == raise_ctx.instructions
+    fields = ("nodes", "cover_cost", "reductions", "memo_hits", "tapes_compiled", "tape_cache_hits")
+    for field in fields:
+        assert getattr(isolated.report, field) == getattr(raised.report, field), field
+    assert raised.report.failures == isolated.report.failures == 0
 
 
 # ----------------------------------------------------------------------

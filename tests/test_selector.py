@@ -103,6 +103,32 @@ def test_selector_mode_errors_and_wrap():
     assert wrapped.grammar is grammar
 
 
+def test_wrapped_label_many_only_engine_serves_label_and_select():
+    """``wrap`` accepts any engine with ``label_many``; ``label`` must
+    then work too, not only ``select_many``."""
+
+    class BatchOnlyEngine:
+        def __init__(self, grammar):
+            self._automaton = OnDemandAutomaton(grammar)
+            self.grammar = self._automaton.grammar
+            self.source_grammar = grammar
+
+        def label_many(self, forests, metrics=None, *, deadline_at_ns=None):
+            return self._automaton.label_many(
+                forests, metrics, deadline_at_ns=deadline_at_ns
+            )
+
+    grammar = emit_bench_grammar()
+    forest = random_forests(5, forests=1, statements=4, max_depth=4)[0]
+    selector = Selector.wrap(BatchOnlyEngine(grammar))
+    metrics = LabelMetrics()
+    labeling = selector.label(forest, metrics)
+    reference = extract_cover(label_dp(grammar, forest), forest).total_cost()
+    assert extract_cover(labeling, forest).total_cost() == reference
+    assert metrics.nodes_labeled == forest.node_count()
+    assert selector.select(forest, context=EmitContext()).report.cover_cost == reference
+
+
 def test_compile_switches_mode_and_stats_unify_the_views():
     grammar = bench_grammar()
     selector = Selector(grammar)
