@@ -70,12 +70,6 @@ class DiagnosticReport:
     grammar: str
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
-    def errors(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == ERROR]
-
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == WARNING]
-
     @property
     def has_errors(self) -> bool:
         return any(d.severity == ERROR for d in self.diagnostics)

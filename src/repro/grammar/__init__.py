@@ -1,9 +1,6 @@
 """Tree grammars: rules, patterns, costs, normalization, analyses, parsing."""
 
 from repro.grammar.analysis import (
-    GrammarAnalysis,
-    analyze,
-    check_grammar,
     productive_nonterminals,
     reachable_nonterminals,
     uncovered_operators,
@@ -18,17 +15,14 @@ from repro.grammar.rule import Rule
 
 __all__ = [
     "Grammar",
-    "GrammarAnalysis",
     "GrammarStats",
     "INFINITE",
     "NormalizationResult",
     "Pattern",
     "Rule",
     "add_costs",
-    "analyze",
     "chain_closure",
     "chain_cost_matrix",
-    "check_grammar",
     "is_finite",
     "normalize",
     "normalize_costs",

@@ -1,29 +1,21 @@
 """Static analyses over tree grammars.
 
-These analyses are used to diagnose machine descriptions before they
-are handed to a labeler: productivity (can each nonterminal derive a
-pure operator tree?), reachability from the start nonterminal, operator
-coverage (can every operator of the IR dialect be labeled at all?), and
-the chain-cost diameter that bounds normalized state costs and thereby
-guarantees a finite automaton.
+These analyses diagnose machine descriptions before they are handed to
+a labeler: productivity (can each nonterminal derive a pure operator
+tree?), reachability from the start nonterminal, and operator coverage
+(can every operator of the IR dialect be labeled at all?).
+:func:`~repro.analysis.lint_grammar` turns their results into
+diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.errors import GrammarError
-from repro.grammar.closure import chain_cost_matrix
-from repro.grammar.costs import is_finite
 from repro.grammar.grammar import Grammar
 
 __all__ = [
-    "GrammarAnalysis",
-    "analyze",
     "productive_nonterminals",
     "reachable_nonterminals",
     "uncovered_operators",
-    "check_grammar",
 ]
 
 
@@ -70,71 +62,3 @@ def uncovered_operators(grammar: Grammar) -> list[str]:
     """
     used = set(grammar.operators_used())
     return [op.name for op in grammar.operators if op.name not in used]
-
-
-@dataclass
-class GrammarAnalysis:
-    """Bundle of analysis results for one grammar."""
-
-    grammar_name: str
-    productive: set[str] = field(default_factory=set)
-    reachable: set[str] = field(default_factory=set)
-    unproductive: set[str] = field(default_factory=set)
-    unreachable: set[str] = field(default_factory=set)
-    uncovered_operators: list[str] = field(default_factory=list)
-    max_chain_cost: int = 0
-    chain_cycles_with_cost_zero: bool = False
-
-    @property
-    def is_clean(self) -> bool:
-        """True if the grammar has no unproductive or unreachable nonterminals."""
-        return not self.unproductive and not self.unreachable
-
-
-def analyze(grammar: Grammar) -> GrammarAnalysis:
-    """Run all analyses and return a :class:`GrammarAnalysis`."""
-    productive = productive_nonterminals(grammar)
-    reachable = reachable_nonterminals(grammar)
-    all_nts = set(grammar.nonterminals)
-
-    matrix = chain_cost_matrix(grammar)
-    finite_costs = [
-        cost
-        for row in matrix.values()
-        for cost in row.values()
-        if is_finite(cost)
-    ]
-    max_chain = max(finite_costs, default=0)
-
-    zero_cycle = False
-    for a, row in matrix.items():
-        for b, cost in row.items():
-            if a != b and cost == 0 and is_finite(matrix[b][a]) and matrix[b][a] == 0:
-                zero_cycle = True
-
-    return GrammarAnalysis(
-        grammar_name=grammar.name,
-        productive=productive,
-        reachable=reachable,
-        unproductive=all_nts - productive,
-        unreachable=all_nts - reachable,
-        uncovered_operators=uncovered_operators(grammar),
-        max_chain_cost=max_chain,
-        chain_cycles_with_cost_zero=zero_cycle,
-    )
-
-
-def check_grammar(grammar: Grammar) -> GrammarAnalysis:
-    """Validate *grammar* and raise on unproductive nonterminals.
-
-    Unreachable nonterminals only produce dead rules and are tolerated;
-    unproductive nonterminals make every rule mentioning them useless
-    and almost always indicate a typo in the machine description, so
-    they are treated as errors.
-    """
-    grammar.validate()
-    analysis = analyze(grammar)
-    if analysis.unproductive:
-        names = ", ".join(sorted(analysis.unproductive))
-        raise GrammarError(f"grammar {grammar.name!r} has unproductive nonterminals: {names}")
-    return analysis

@@ -14,7 +14,6 @@ from repro.ir.validate import (
     ForestValidationError,
     ValidationIssue,
     validate_forest,
-    validate_node,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "shared_nodes",
     "topological_order",
     "validate_forest",
-    "validate_node",
 ]

@@ -71,10 +71,6 @@ class Node:
     # nodes are distinct IR objects unless explicitly shared (DAGs).
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.kids
-
-    @property
     def is_statement(self) -> bool:
         return self.op.is_statement
 

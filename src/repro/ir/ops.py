@@ -53,11 +53,6 @@ class Operator:
         if self.arity < 0:
             raise IRError(f"operator {self.name!r} has negative arity")
 
-    @property
-    def is_leaf(self) -> bool:
-        """True if the operator takes no children."""
-        return self.arity == 0
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
 

@@ -1,17 +1,11 @@
 """Structural validation of IR forests.
 
-Two layers:
-
-* :func:`validate_node` — the original cheap per-node check, raising a
-  plain :class:`~repro.errors.IRError` on the first problem.  Used by
-  code that builds nodes incrementally.
-* :func:`validate_forest` — a full forest validator that walks the node
-  graph defensively (it tolerates cycles and non-``Node`` children
-  instead of crashing), collects *all* problems as structured
-  :class:`ValidationIssue` records with stable ``IR00x`` codes, and
-  raises a :class:`ForestValidationError` carrying the issue list.
-  The :class:`~repro.selection.selector.Selector` runs it behind the
-  ``SelectorConfig(validate=True)`` debug flag.
+:func:`validate_forest` walks the node graph defensively (it tolerates
+cycles and non-``Node`` children instead of crashing), collects *all*
+problems as structured :class:`ValidationIssue` records with stable
+``IR00x`` codes, and raises a :class:`ForestValidationError` carrying
+the issue list.  The :class:`~repro.selection.selector.Selector` runs
+it behind the ``SelectorConfig(validate=True)`` debug flag.
 
 Issue codes:
 
@@ -42,7 +36,6 @@ __all__ = [
     "ForestValidationError",
     "ValidationIssue",
     "validate_forest",
-    "validate_node",
 ]
 
 
@@ -73,27 +66,8 @@ class ForestValidationError(IRError):
         )
 
 
-def validate_node(node: Node, operators: OperatorSet | None = None) -> None:
-    """Check one node (arity, payload presence, operator membership)."""
-    if operators is not None and node.op.name not in operators:
-        raise IRError(f"node uses operator {node.op.name!r} not in operator set {operators.name!r}")
-    if len(node.kids) != node.op.arity:
-        raise IRError(
-            f"node {node.op.name} has {len(node.kids)} children, expected {node.op.arity}"
-        )
-    if node.op.has_payload and node.value is None:
-        raise IRError(f"node {node.op.name} requires a payload but has none")
-    if not node.op.has_payload and node.value is not None:
-        raise IRError(f"node {node.op.name} carries unexpected payload {node.value!r}")
-    for kid in node.kids:
-        if kid.op.is_statement:
-            raise IRError(
-                f"statement operator {kid.op.name} used as operand of {node.op.name}"
-            )
-
-
 def _check_one(node: Node, operators: OperatorSet | None, issues: list[ValidationIssue]) -> None:
-    """Collect per-node issues (the structured analogue of validate_node)."""
+    """Collect *node*'s own issues (operator, arity, payload, operands)."""
     name = node.op.name
     nid = id(node)
     if operators is not None:

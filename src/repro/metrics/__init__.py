@@ -1,6 +1,6 @@
 """Measurement utilities: labeling work counters and table formatting.
 
-Timing lives in :mod:`repro.obs` (``Timer``/``Stopwatch``).
+Timing lives in :mod:`repro.obs` (``Timer``).
 """
 
 from repro.metrics.counters import LabelMetrics

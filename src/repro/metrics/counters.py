@@ -12,7 +12,7 @@ and wall-clock time plays the role of cycle counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["LabelMetrics"]
 
@@ -37,8 +37,6 @@ class LabelMetrics:
     dynamic_evals: int = 0
     #: Wall-clock seconds spent labeling (excludes reduction/emission).
     seconds: float = 0.0
-    #: Number of IR nodes that received a state/cost record (DAG-aware).
-    extra: dict[str, float] = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
@@ -81,12 +79,10 @@ class LabelMetrics:
         self.states_created += other.states_created
         self.dynamic_evals += other.dynamic_evals
         self.seconds += other.seconds
-        for key, value in other.extra.items():
-            self.extra[key] = self.extra.get(key, 0.0) + value
         return self
 
     def copy(self) -> "LabelMetrics":
-        clone = LabelMetrics(
+        return LabelMetrics(
             nodes_labeled=self.nodes_labeled,
             rule_checks=self.rule_checks,
             chain_checks=self.chain_checks,
@@ -96,20 +92,6 @@ class LabelMetrics:
             dynamic_evals=self.dynamic_evals,
             seconds=self.seconds,
         )
-        clone.extra = dict(self.extra)
-        return clone
-
-    def per_node(self) -> dict[str, float]:
-        """All counters normalised by the number of labeled nodes."""
-        nodes = max(self.nodes_labeled, 1)
-        return {
-            "operations/node": self.operations() / nodes,
-            "rule_checks/node": self.rule_checks / nodes,
-            "chain_checks/node": self.chain_checks / nodes,
-            "table_lookups/node": self.table_lookups / nodes,
-            "dynamic_evals/node": self.dynamic_evals / nodes,
-            "microseconds/node": 1e6 * self.seconds / nodes,
-        }
 
     def as_row(self) -> dict[str, object]:
         """Flat dict for table formatting."""

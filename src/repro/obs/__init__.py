@@ -3,7 +3,7 @@
 The subsystem has three layers:
 
 * :mod:`repro.obs.trace` — nanosecond span tracer with parent links and
-  a bounded ring buffer (plus the span-native ``Timer``/``Stopwatch``).
+  a bounded ring buffer (plus the span-native ``Timer``).
 * :mod:`repro.obs.metrics` — counters, gauges, and exactly-mergeable
   log2-bucket latency histograms behind one registry.
 * :mod:`repro.obs.export` — Prometheus text exposition, JSONL trace
@@ -39,7 +39,6 @@ from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
     Span,
-    Stopwatch,
     Timer,
     Tracer,
     spans_by_name,
@@ -58,7 +57,6 @@ __all__ = [
     "NullTracer",
     "Observability",
     "Span",
-    "Stopwatch",
     "Timer",
     "Tracer",
     "metric_key",

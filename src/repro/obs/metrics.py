@@ -154,9 +154,6 @@ class Histogram:
                 return max(self.min, min(self.bucket_upper(index), self.max))
         return self.max  # pragma: no cover - counts always reach rank
 
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def merge(self, other: "Histogram | dict[str, Any]") -> "Histogram":
         """Exactly accumulate *other* (a histogram or its snapshot)."""
         if isinstance(other, Histogram):
@@ -339,9 +336,6 @@ class _NullMetric:
 
     def quantile(self, q: float) -> None:
         return None
-
-    def mean(self) -> float:
-        return 0.0
 
 
 _NULL_METRIC = _NullMetric()

@@ -24,9 +24,9 @@ Two design rules keep the tracer honest about overhead:
   :class:`collections.deque` — no locks, no allocation beyond the span
   itself.
 
-:class:`Timer` and :class:`Stopwatch` are the span-native timing
-helpers: both measure wall-clock seconds and optionally record a span
-per measured window when handed a tracer.
+:class:`Timer` is the span-native timing helper: it measures
+wall-clock seconds and optionally records a span per measured window
+when handed a tracer.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
-    "Stopwatch",
     "Timer",
     "Tracer",
 ]
@@ -300,43 +299,6 @@ class Timer:
             tracer.record(
                 self._name, end_ns - int(self.elapsed * 1e9), end_ns, **self._attrs
             )
-
-
-class Stopwatch:
-    """Accumulating stopwatch with named laps.
-
-    With a tracer, each :meth:`stop` records one span named
-    ``<name>.<lap>`` (or *name* when the lap is anonymous).
-    """
-
-    def __init__(
-        self, tracer: "Tracer | NullTracer | None" = None, name: str = "stopwatch"
-    ) -> None:
-        self.total = 0.0
-        self.laps: dict[str, float] = {}
-        self._start = 0.0
-        self._running = False
-        self._tracer = tracer
-        self._name = name
-
-    def start(self) -> None:
-        self._start = time.perf_counter()
-        self._running = True
-
-    def stop(self, lap: str | None = None) -> float:
-        if not self._running:
-            return 0.0
-        elapsed = time.perf_counter() - self._start
-        self._running = False
-        self.total += elapsed
-        if lap is not None:
-            self.laps[lap] = self.laps.get(lap, 0.0) + elapsed
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            end_ns = time.monotonic_ns()
-            name = f"{self._name}.{lap}" if lap is not None else self._name
-            tracer.record(name, end_ns - int(elapsed * 1e9), end_ns)
-        return elapsed
 
 
 def spans_by_name(spans: Iterable[Span]) -> dict[str, list[Span]]:

@@ -105,10 +105,6 @@ class DPLabeling(Labeling):
     def cost_of(self, node: Node, nonterminal: str) -> int:
         return self._costs.get(id(node), _EMPTY).get(nonterminal, INFINITE)
 
-    def cost_vector(self, node: Node) -> dict[str, int]:
-        """The node's full nonterminal → cost map (a copy, finite entries)."""
-        return dict(self._costs.get(id(node), _EMPTY))
-
 
 class DPLabeler:
     """Reusable facade mirroring :class:`OnDemandAutomaton`'s ``label`` API.

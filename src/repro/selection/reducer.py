@@ -194,7 +194,6 @@ class Reducer:
         self._start_nt: str | None = labeling.grammar.start
         self.reductions = 0
         self.memo_hits = 0
-        self.rolled_back = 0
         #: Roots fully reduced by the most recent *faulted*
         #: :meth:`reduce_forest` call (fault-isolation provenance).
         self.last_roots_completed = 0
@@ -229,9 +228,9 @@ class Reducer:
         *size*.
 
         Removes the most recently inserted entries until *size* remain,
-        subtracts them from :attr:`reductions` (they never happened, as
-        far as later forests are concerned), and counts them in
-        :attr:`rolled_back`.  Returns the number discarded.
+        and subtracts them from :attr:`reductions` (they never happened,
+        as far as later forests are concerned).  Returns the number
+        discarded.
         """
         memo = self._memo
         excess = len(memo) - size
@@ -242,7 +241,6 @@ class Reducer:
         for key in list(islice(reversed(memo), excess)):
             del memo[key]
         self.reductions -= excess
-        self.rolled_back += excess
         return excess
 
     # ------------------------------------------------------------------

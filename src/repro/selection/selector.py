@@ -1603,8 +1603,16 @@ class Selector:
         totals["tape_cache"] = self._tape_cache.stats()
         totals["last"] = self._last_report.as_row() if self._last_report is not None else None
         row["selection"] = totals
+        row["resilience"] = self.resilience_stats()
+        row["obs"] = self._obs_stats() if self._obs.enabled else None
+        return row
+
+    def resilience_stats(self) -> dict[str, object]:
+        """The ``stats()["resilience"]`` block alone, without building
+        the rest of :meth:`stats` (the service worker ships it home
+        after every batch)."""
         resilience = self._resilience
-        row["resilience"] = {
+        return {
             "isolated_failures": resilience["isolated_failures"],
             "failures_by_phase": dict(resilience["failures_by_phase"]),
             "demotions": dict(resilience["demotions"]),
@@ -1613,8 +1621,6 @@ class Selector:
             "deadline_overruns": resilience["deadline_overruns"],
             "last_degradation": self._last_degradation,
         }
-        row["obs"] = self._obs_stats() if self._obs.enabled else None
-        return row
 
     def _obs_stats(self) -> dict[str, object]:
         """The unified flattened observability view (``stats()["obs"]``).

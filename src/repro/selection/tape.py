@@ -1,4 +1,4 @@
-"""Cover-array compilation: lower covers to flat instruction tapes.
+"""Cover compilation: lower covers to flat instruction tapes.
 
 The frame-stack :class:`~repro.selection.reducer.Reducer` re-walks the
 cover on every emission: per-call frames, a per-frame operand list, and
@@ -10,9 +10,8 @@ ERTL/RTL-style backends use to turn selected covers into flat
 instruction sequences:
 
 1. **Compile** — one walk over the cover lowers each forest to a
-   :class:`CompiledTape`: parallel, ``array('q')``-packed postorder
-   arrays (rule numbers, operand-slot runs, per-entry nonterminal ids —
-   the same wire style as the AOT table matrices).  Entry *i*'s result
+   :class:`CompiledTape`: parallel postorder tuples (action thunks,
+   operand-slot runs, per-entry nonterminal ids).  Entry *i*'s result
    lands in value-buffer slot ``base + i``, so result slots are implicit
    and operand references are plain slot indices, encoded
    ``(slot << 1) | spliced`` — bit 0 marks operands produced by
@@ -45,7 +44,10 @@ Tapes are cached by *shape*: a canonical DAG-aware signature over
 ``recurring_stream`` batch (fresh-node clones of a few templates)
 compiles each shape once and replays the tape for every repeat — the
 walk, rule lookups, and operand planning are all skipped; only the
-sweep runs.  Caching is deliberately conservative:
+signature walk and the sweep run.  Re-emitting the same forest object
+takes the same signature lookup, and a cached tape holds no IR nodes,
+so the cache keeps no forest alive.  Caching is deliberately
+conservative:
 
 * grammars with dynamic rules are never cached (a dynamic cost may read
   node identity, so shape does not determine the cover);
@@ -69,7 +71,6 @@ never does.
 from __future__ import annotations
 
 import time
-from array import array
 from itertools import islice
 from typing import Any
 
@@ -97,11 +98,13 @@ _F_KEY, _F_NODE, _F_RULE, _F_REFS, _F_TARGETS, _F_INDEX = range(6)
 
 
 class CompiledTape:
-    """One forest's cover, lowered to flat postorder instruction arrays.
+    """One forest's cover, lowered to flat postorder instruction tuples.
 
-    All arrays are parallel over ``entries`` tape entries; entry *i*'s
+    All sequences are parallel over ``entries`` tape entries; entry *i*'s
     semantic value lands in value-buffer slot ``base + i`` (result
-    slots are sequential by construction, so they are implicit).
+    slots are sequential by construction, so they are implicit).  A
+    tape holds no IR nodes: the compiling sweep gets them from the
+    compile walk, and a replay rebinds them through :attr:`node_ords`.
 
     Attributes:
         entries: Number of tape entries (= rule applications = values
@@ -109,34 +112,18 @@ class CompiledTape:
         base: Value-buffer length the slot references were compiled
             against; replaying at a different buffer length rebases
             every reference by the difference.
-        rule_ids: ``array('q')`` of original rule numbers, one per
-            entry — the wire-format view of the tape (diagnostics,
-            differential tests, and the handoff format for a native
-            sweep kernel).
-        nt_ids: ``array('q')`` of interned nonterminal ids, one per
-            entry (replays re-register ``(node, nonterminal)`` slots
-            from these).
-        node_ords: ``array('q')`` mapping each entry to its node's
-            ordinal in the forest's canonical (signature) node order,
-            or ``None`` for uncacheable tapes.
-        opnd_refs: Flat ``array('q')`` of encoded operand references,
+        nt_ids: Interned nonterminal ids, one per entry (replays
+            re-register ``(node, nonterminal)`` slots from these).
+        node_ords: Each entry's node ordinal in the forest's canonical
+            (signature) node order, or ``None`` for uncacheable tapes.
+        runs: Per-entry ``tuple`` of encoded operand references,
             ``(slot << 1) | spliced``.
-        opnd_offsets: ``array('q')`` of length ``entries + 1``; entry
-            *i*'s operand run is ``opnd_refs[opnd_offsets[i] :
-            opnd_offsets[i + 1]]``.
-        runs: The same operand runs as per-entry ``tuple``s — the
-            sweep-side view of ``opnd_refs``/``opnd_offsets`` (tuple
-            iteration avoids a slice allocation and an ``array`` element
-            boxing per entry on the hot path; the arrays stay the
-            canonical wire format).
-        root_refs: ``array('q')`` of absolute value slots, one per
-            forest root, in root order.
-        spliced: Per-entry splice flags (``bytes``): 1 for helper-rule
-            entries whose value lists consumers splice flat.
+        root_refs: Absolute value slots, one per forest root, in root
+            order.
+        spliced: Per-entry splice flags: 1 for helper-rule entries whose
+            value lists consumers splice flat.
         thunks: Per-entry bound action thunks ``(context, node,
-            operands) -> value`` (parallel to ``rule_ids``).
-        nodes: Per-entry IR nodes for immediate sweeps; replays rebind
-            through :attr:`node_ords` instead.
+            operands) -> value``.
         intra_hits: Memo hits the compile walk scored (all intra-forest
             for cacheable tapes); replays add the same count, keeping
             ``memo_hits`` parity with the frame engine.
@@ -157,16 +144,12 @@ class CompiledTape:
         "entries",
         "base",
         "cost",
-        "rule_ids",
         "nt_ids",
         "node_ords",
-        "opnd_refs",
-        "opnd_offsets",
         "runs",
         "root_refs",
         "spliced",
         "thunks",
-        "nodes",
         "intra_hits",
         "self_contained",
         "cacheable",
@@ -177,33 +160,25 @@ class CompiledTape:
         *,
         base: int,
         cost: int | None,
-        rule_ids: array,
-        nt_ids: array,
-        node_ords: "array | None",
-        opnd_refs: array,
-        opnd_offsets: array,
+        nt_ids: tuple,
+        node_ords: tuple | None,
         runs: tuple,
-        root_refs: array,
-        spliced: bytes,
+        root_refs: tuple,
+        spliced: tuple,
         thunks: list,
-        nodes: list,
         intra_hits: int,
         self_contained: bool,
         cacheable: bool,
     ) -> None:
-        self.entries = len(rule_ids)
+        self.entries = len(thunks)
         self.base = base
         self.cost = cost
-        self.rule_ids = rule_ids
         self.nt_ids = nt_ids
         self.node_ords = node_ords
-        self.opnd_refs = opnd_refs
-        self.opnd_offsets = opnd_offsets
         self.runs = runs
         self.root_refs = root_refs
         self.spliced = spliced
         self.thunks = thunks
-        self.nodes = nodes
         self.intra_hits = intra_hits
         self.self_contained = self_contained
         self.cacheable = cacheable
@@ -211,8 +186,7 @@ class CompiledTape:
     def __repr__(self) -> str:
         return (
             f"CompiledTape(entries={self.entries}, roots={len(self.root_refs)}, "
-            f"operands={len(self.opnd_refs)}, cost={self.cost}, "
-            f"cacheable={self.cacheable})"
+            f"cost={self.cost}, cacheable={self.cacheable})"
         )
 
 
@@ -230,18 +204,9 @@ class TapeCache:
     def __init__(self, maxsize: int = 256) -> None:
         self.maxsize = maxsize
         self._tapes: dict[tuple, CompiledTape] = {}
-        #: ``id(forest) -> (forest, roots snapshot, canonical nodes,
-        #: tape key)`` — the identity fast path for re-emitting a forest
-        #: *object* the cache has seen (a JIT recompiling the same
-        #: function).  The forest is held strongly, so its ``id`` cannot
-        #: be recycled while the entry lives; the roots snapshot guards
-        #: against roots added after caching (nodes themselves are
-        #: immutable).  A hit skips the signature walk entirely.
-        self._by_forest: dict[int, tuple[Forest, tuple, list, tuple]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.identity_hits = 0
 
     def __len__(self) -> int:
         return len(self._tapes)
@@ -263,25 +228,6 @@ class TapeCache:
             self.evictions += 1
         tapes[key] = tape
 
-    def forest_entry(self, forest: Forest) -> "tuple[list, tuple] | None":
-        """``(canonical nodes, tape key)`` when *forest* (the object,
-        with unchanged roots) was remembered; ``None`` otherwise."""
-        entry = self._by_forest.get(id(forest))
-        if entry is None:
-            return None
-        cached, roots, nodes, key = entry
-        if cached is not forest or tuple(forest.roots) != roots:
-            return None
-        self.identity_hits += 1
-        return nodes, key
-
-    def remember_forest(self, forest: Forest, nodes: list, key: tuple) -> None:
-        """Index *forest* by identity for :meth:`forest_entry`."""
-        by_forest = self._by_forest
-        if len(by_forest) >= self.maxsize and id(forest) not in by_forest:
-            by_forest.pop(next(iter(by_forest)))
-        by_forest[id(forest)] = (forest, tuple(forest.roots), nodes, key)
-
     def stats(self) -> dict[str, int]:
         return {
             "size": len(self._tapes),
@@ -289,8 +235,6 @@ class TapeCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "identity_entries": len(self._by_forest),
-            "identity_hits": self.identity_hits,
         }
 
 
@@ -370,7 +314,6 @@ class TapeEmitter(Reducer):
         if excess > 0:
             del values[size:]
             self.reductions -= excess
-            self.rolled_back += excess
         self._truncate_slots(size)
         return max(excess, 0)
 
@@ -433,22 +376,6 @@ class TapeEmitter(Reducer):
 
     # ------------------------------------------------------------------
     # Shape signatures
-
-    def _shares_any(self, nodes: list[Node]) -> bool:
-        """True when any of *nodes* already holds a slot-table entry.
-
-        The identity fast path's stand-in for the signature walk's
-        *shares* flag: replaying a tape over a node that an earlier
-        batch forest emitted would re-emit it instead of memo-hitting.
-        """
-        seen = self._seen
-        if not seen:
-            return False
-        for node in nodes:
-            nid = node.nid
-            if (nid if nid >= 0 else ~id(node)) in seen:
-                return True
-        return False
 
     def _signature(
         self, forest: Forest
@@ -548,10 +475,12 @@ class TapeEmitter(Reducer):
         self,
         pairs: list[tuple[Node, str]],
         ord_of: "dict[int, int] | None",
-    ) -> CompiledTape:
+    ) -> tuple[CompiledTape, list[Node]]:
         """Lower the covers of ``(root, nonterminal)`` *pairs* to one tape.
 
-        Appends no values — the sweep does that — but registers every
+        Returns the tape and its per-entry IR nodes, which only the
+        immediate sweep needs (the tape itself keeps none).  Appends no
+        values — the sweep does that — but registers every
         new entry's slot in the slot table as it is laid out, so later
         targets (and later forests) resolve shared reductions to
         existing slots.  The walk replicates the frame engine's exact
@@ -571,10 +500,9 @@ class TapeEmitter(Reducer):
         thunks: list[Any] = []
         nodes: list[Node] = []
         nt_ids: list[int] = []
-        rule_ids: list[int] = []
         ref_runs: list[list[int]] = []
         root_refs: list[int] = []
-        spliced_flags = bytearray()
+        spliced_flags: list[bool] = []
         hits = 0
         cost = 0
         self_contained = True
@@ -644,7 +572,6 @@ class TapeEmitter(Reducer):
                 thunks.append(thunk)
                 nodes.append(e_node)
                 nt_ids.append(e_key[1])
-                rule_ids.append(e_rule.number)
                 ref_runs.append(refs)
                 spliced_flags.append(spliced)
                 on_stack.discard(e_key)
@@ -657,34 +584,23 @@ class TapeEmitter(Reducer):
             root_refs.append(slots[key] >> 1)
 
         self.memo_hits += hits
-        offsets = array("q", [0] * (len(ref_runs) + 1))
-        total = 0
-        flat_refs: list[int] = []
-        for i, run in enumerate(ref_runs):
-            total += len(run)
-            offsets[i + 1] = total
-            flat_refs.extend(run)
         cacheable = self_contained and ord_of is not None
-        node_ords: array | None = None
+        node_ords: tuple | None = None
         if cacheable:
-            node_ords = array("q", [ord_of[id(node)] for node in nodes])
+            node_ords = tuple([ord_of[id(node)] for node in nodes])
         return CompiledTape(
             base=base,
             cost=cost,
-            rule_ids=array("q", rule_ids),
-            nt_ids=array("q", nt_ids),
+            nt_ids=tuple(nt_ids),
             node_ords=node_ords,
-            opnd_refs=array("q", flat_refs),
-            opnd_offsets=offsets,
             runs=tuple(map(tuple, ref_runs)),
-            root_refs=array("q", root_refs),
-            spliced=bytes(spliced_flags),
+            root_refs=tuple(root_refs),
+            spliced=tuple(spliced_flags),
             thunks=thunks,
-            nodes=nodes,
             intra_hits=hits,
             self_contained=self_contained,
             cacheable=cacheable,
-        )
+        ), nodes
 
     # ------------------------------------------------------------------
     # Sweep
@@ -813,27 +729,12 @@ class TapeEmitter(Reducer):
         cache = self._cache
         ord_of: dict[int, int] | None = None
         key: tuple | None = None
-        sig_nodes: list[Node] | None = None
         if cache is not None and self._static_grammar:
-            version = self.labeling.grammar.version
-            ctx_type = type(self.context)
-            ident = cache.forest_entry(forest)
-            if ident is not None:
-                ident_nodes, ident_key = ident
-                if (
-                    ident_key[0] == version
-                    and ident_key[1] == start_nt
-                    and ident_key[2] is ctx_type
-                ):
-                    tape = cache.get(ident_key)
-                    if tape is not None and not self._shares_any(ident_nodes):
-                        return self._replay(tape, ident_nodes)
             sig, sig_nodes, sig_ords, shares = self._signature(forest)
             if sig is not None and not shares:
-                key = (version, start_nt, ctx_type, sig)
+                key = (self.labeling.grammar.version, start_nt, type(self.context), sig)
                 tape = cache.get(key)
                 if tape is not None:
-                    cache.remember_forest(forest, sig_nodes, key)
                     return self._replay(tape, sig_nodes)
                 ord_of = sig_ords
         mark = len(self._values)
@@ -842,7 +743,7 @@ class TapeEmitter(Reducer):
             time.monotonic_ns() if tracer is not None and tracer.enabled else None
         )
         try:
-            tape = self._compile_roots(
+            tape, nodes = self._compile_roots(
                 [(root, start_nt) for root in forest.roots], ord_of
             )
         except Exception:
@@ -863,8 +764,7 @@ class TapeEmitter(Reducer):
             self.tapes_compiled += 1
         if key is not None and tape.cacheable:
             cache.put(key, tape)
-            cache.remember_forest(forest, sig_nodes, key)
-        self._sweep(tape, tape.nodes, tape.base)
+        self._sweep(tape, nodes, tape.base)
         self.last_cover_cost = tape.cost if tape.self_contained else None
         buf = self._values
         return [buf[ref] for ref in tape.root_refs]
@@ -878,12 +778,12 @@ class TapeEmitter(Reducer):
         """
         mark = len(self._values)
         try:
-            tape = self._compile_roots([(node, nonterminal)], None)
+            tape, nodes = self._compile_roots([(node, nonterminal)], None)
         except Exception:
             self.last_roots_completed = 0
             self._truncate_slots(mark)
             raise
         if tape.entries:
             self.tapes_compiled += 1
-        self._sweep(tape, tape.nodes, tape.base)
+        self._sweep(tape, nodes, tape.base)
         return self._values[tape.root_refs[0]]

@@ -10,7 +10,8 @@ propagation).
 The cooperative cancellation side lives in the engines: when a budget
 with a deadline is passed to ``Selector.select_many(budget=...)``, the
 label walks and the reducer frame loop check the absolute deadline
-every :data:`DEADLINE_CHECK_EVERY` steps and raise
+every :data:`~repro.selection.resilience.DEADLINE_CHECK_EVERY` steps
+(re-exported here) and raise
 :class:`~repro.errors.DeadlineExceededError`.  The checks are guarded
 by ``deadline is not None`` so the unbudgeted hot path pays a single
 predictable branch.
@@ -28,14 +29,9 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import DeadlineExceededError
-from repro.selection.resilience import BuildBudget
+from repro.selection.resilience import DEADLINE_CHECK_EVERY, BuildBudget
 
 __all__ = ["DEADLINE_CHECK_EVERY", "RequestBudget"]
-
-#: Hot-loop stride between deadline checks.  One ``monotonic_ns`` call
-#: per this many labeled nodes / reduced frames bounds both the check
-#: overhead and the worst-case overshoot past the deadline.
-DEADLINE_CHECK_EVERY = 64
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ from repro.obs import MetricsRegistry, resolve_obs
 from repro.selection.resilience import new_resilience_counters
 from repro.service.breaker import CircuitBreaker
 from repro.service.supervisor import Batch, Supervisor, WorkerHandle
-from repro.service.worker import WorkerSettings
+from repro.service.worker import WorkerSettings, _merge_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.grammar.grammar import Grammar
@@ -78,7 +78,12 @@ _UNSET = object()
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunables of one :class:`SelectionService` (see module docs)."""
+    """Tunables of one :class:`SelectionService` (see module docs).
+
+    Workers build every tenant's selector eager, through the shared
+    :class:`~repro.selection.resilience.ArtifactCache`; *max_states*
+    caps a compile-on-miss build.
+    """
 
     workers: int = 2
     queue_limit: int = 64
@@ -94,7 +99,6 @@ class ServiceConfig:
     heartbeat_interval_s: float = 0.5
     restart_backoff_base_s: float = 0.02
     restart_backoff_max_s: float = 1.0
-    mode: str = "eager"
     max_states: int | None = None
     precompile: bool = True
     seed: int | None = None
@@ -298,7 +302,6 @@ class SelectionService:
             self._obs_retries = metrics.counter("service_retries_total")
             self._obs_redispatches = metrics.counter("service_redispatches_total")
         settings = WorkerSettings(
-            mode=self.config.mode,
             max_states=self.config.max_states,
             context_factory=context_factory,
             observe=self._obs.enabled,
@@ -916,13 +919,7 @@ class SelectionService:
         for handle in self.supervisor.handles:
             worker_resilience = handle.snapshot.get("resilience")
             if isinstance(worker_resilience, dict):
-                for key, value in worker_resilience.items():
-                    if isinstance(value, dict):
-                        slot = resilience.setdefault(key, {})
-                        for inner, count in value.items():
-                            slot[inner] = slot.get(inner, 0) + count
-                    elif isinstance(value, int):
-                        resilience[key] = resilience.get(key, 0) + value
+                _merge_counters(resilience, worker_resilience)
         with self._lock:
             service: dict[str, object] = self._stats.as_dict()
             service["queue_depth"] = len(self._queue)

@@ -26,8 +26,9 @@ worker → parent
         ``"failure"`` (payload: the
         :class:`~repro.selection.resilience.SelectionFailure`), or
         ``"deadline"`` (payload: a message string); *snapshot* carries
-        the worker's aggregated resilience/cache counters for
-        ``stats()`` merging.
+        the worker's pid, its resilience counters summed across tenant
+        selectors for ``stats()`` merging, and (when observing) its
+        metrics registry.
     ``("pong", token)`` — heartbeat reply.
 
 Fault contract: selection runs ``on_error="isolate"`` so per-forest
@@ -68,13 +69,15 @@ __all__ = ["WorkerSettings", "worker_main"]
 class WorkerSettings:
     """Per-worker knobs, inherited at fork time.
 
+    Tenant selectors are built through
+    :meth:`~repro.selection.resilience.ArtifactCache.selector_for`
+    (eager tables), and batches run with ``collect_cover=False``: the
+    service serves values, not reports.
+
     Attributes:
-        mode: Selector mode for compile-on-miss builds.
         max_states: State-pool cap for compile-on-miss builds.
         context_factory: Builds a fresh emit context per batch (``None``
             → actions run with ``context=None``).
-        collect_cover: Collect cover costs per batch (off by default —
-            the service serves values, not reports).
         observe: Build a worker-local
             :class:`~repro.obs.Observability` bundle and wire it
             through the artifact cache and tenant selectors; its
@@ -82,10 +85,8 @@ class WorkerSettings:
             supervisor-side aggregation.
     """
 
-    mode: str = "eager"
     max_states: int | None = None
     context_factory: Callable[[], Any] | None = None
-    collect_cover: bool = False
     observe: bool = False
 
 
@@ -134,7 +135,7 @@ def _serve_batch(
             forests,
             context=context,
             on_error="isolate",
-            collect_cover=settings.collect_cover,
+            collect_cover=False,
             budget=budget,
         )
     except DeadlineExceededError as exc:
@@ -160,18 +161,12 @@ def _merge_counters(total: dict[str, Any], part: dict[str, Any]) -> None:
             total[key] = total.get(key, 0) + value
 
 
-def _snapshot(
-    selectors: dict[str, "Selector"],
-    cache: ArtifactCache,
-    obs: Any = None,
-) -> dict[str, Any]:
+def _snapshot(selectors: dict[str, "Selector"], obs: Any = None) -> dict[str, Any]:
     """The worker's resilience view, summed across its tenant selectors."""
     resilience = new_resilience_counters()
     for selector in selectors.values():
-        _merge_counters(resilience, selector.stats()["resilience"])
-    cache_stats = dict(cache.stats())
-    cache_stats.pop("events", None)
-    snapshot = {"pid": os.getpid(), "resilience": resilience, "cache": cache_stats}
+        _merge_counters(resilience, selector.resilience_stats())
+    snapshot = {"pid": os.getpid(), "resilience": resilience}
     if obs is not None and obs.enabled:
         # Cumulative (not delta) registry state: the supervisor keeps
         # only each worker's latest snapshot and merges once.
@@ -258,4 +253,4 @@ def worker_main(
         rows = _serve_batch(
             selectors, cache, tenants, settings, tenant, requests, deadline_at_ns
         )
-        _safe_send(conn, ("result", batch_id, rows, _snapshot(selectors, cache, obs)))
+        _safe_send(conn, ("result", batch_id, rows, _snapshot(selectors, obs)))

@@ -32,30 +32,25 @@ def test_warm_fraction_reflects_constructions_per_node():
 def test_merge_accumulates_every_counter_and_derived_properties_follow():
     a = LabelMetrics(nodes_labeled=4, table_lookups=4, table_misses=2, rule_checks=7)
     b = LabelMetrics(nodes_labeled=6, table_lookups=6, table_misses=0, chain_checks=3)
-    b.extra["x"] = 1.5
     result = a.merge(b)
     assert result is a
     assert a.nodes_labeled == 10
     assert a.table_lookups == 10
     assert a.table_misses == 2
     assert a.rule_checks == 7 and a.chain_checks == 3
-    assert a.extra == {"x": 1.5}
     assert a.hit_rate == 0.8
     assert a.warm_fraction == 0.8
 
 
 def test_copy_is_independent_of_the_original():
     original = LabelMetrics(nodes_labeled=3, table_lookups=3, table_misses=1, seconds=0.5)
-    original.extra["y"] = 2.0
     clone = original.copy()
     assert clone is not original
     assert clone.as_row() == original.as_row()
     assert clone.hit_rate == original.hit_rate
 
     clone.table_misses += 2
-    clone.extra["y"] = 9.0
     assert original.table_misses == 1
-    assert original.extra == {"y": 2.0}
 
 
 def test_as_row_includes_hit_rate():

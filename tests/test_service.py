@@ -31,7 +31,12 @@ from repro.errors import (
     ServiceError,
 )
 from repro.selection import Selector
-from repro.selection.resilience import ArtifactCache, SelectionFailure
+from repro.selection import selector as selector_module
+from repro.selection.resilience import (
+    ArtifactCache,
+    SelectionFailure,
+    new_resilience_counters,
+)
 from repro.service import (
     CLOSED,
     HALF_OPEN,
@@ -41,6 +46,7 @@ from repro.service import (
     SelectionService,
     ServiceConfig,
 )
+from repro.service.worker import _snapshot
 from repro.testing import poison_action
 
 
@@ -206,6 +212,44 @@ def test_single_select_isolate_on_healthy_forest_is_ok():
     selector = Selector(bench_grammar(), mode="eager")
     result = selector.select(build_flat_forest(), on_error="isolate")
     assert result.ok and result.failures == []
+
+
+# ----------------------------------------------------------------------
+# Worker snapshot: resilience counters only
+
+
+def test_worker_snapshot_sums_resilience_without_building_stats(monkeypatch):
+    poisoned = bench_grammar()
+    poison_action(_stmt_rule(poisoned), on_call=1, sticky=True)
+    selectors = {
+        "bench": Selector(bench_grammar(), mode="eager"),
+        "poisoned": Selector(poisoned, mode="eager"),
+    }
+    for selector in selectors.values():
+        selector.select_many(_forests(), on_error="isolate")
+    assert selectors["poisoned"].stats()["resilience"]["isolated_failures"] > 0
+
+    expected = new_resilience_counters()
+    for selector in selectors.values():
+        for key, value in selector.stats()["resilience"].items():
+            if isinstance(value, dict):
+                for inner, count in value.items():
+                    expected[key][inner] += count
+            elif isinstance(value, int):
+                expected[key] += value
+
+    calls = []
+    fingerprint = selector_module.grammar_fingerprint
+
+    def counting_fingerprint(grammar):
+        calls.append(grammar)
+        return fingerprint(grammar)
+
+    monkeypatch.setattr(selector_module, "grammar_fingerprint", counting_fingerprint)
+    snapshot = _snapshot(selectors)
+    assert calls == []
+    assert snapshot["resilience"] == expected
+    assert set(snapshot) == {"pid", "resilience"}
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ Four contracts are pinned here:
   emitter instance replaying a tape the first instance compiled).
 * **Cache soundness** — shape-keyed replay is refused exactly where it
   would be unsound: dynamic grammars, cross-forest node sharing,
-  unhashable payloads; the identity fast path refuses mutated forests;
-  the cache is FIFO-bounded.
+  unhashable payloads; a re-emitted forest object replays through the
+  same signature lookup and a grown one recompiles; the cache is
+  FIFO-bounded and keeps no forest or IR node alive.
 * **Fault isolation** — ``on_error="isolate"`` under injected action
   faults rolls the tape's value buffer back to the same state the frame
   engine's memo surgery reaches, and both engines agree on every
@@ -32,6 +33,9 @@ Four contracts are pinned here:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import DEMO_TEXT, DYNAMIC_TEXT, build_dynamic_forest, mul_cost, small_const
@@ -43,6 +47,7 @@ from repro.selection import (
     EMITTERS,
     MODES,
     ON_ERROR_POLICIES,
+    CompiledTape,
     Reducer,
     Selector,
     SelectorConfig,
@@ -279,26 +284,52 @@ def test_unhashable_payload_skips_signature():
     assert emitter.tapes_compiled == 1 and len(emitter._cache) == 0
 
 
-def test_identity_fast_path_and_mutation_guard():
+def test_reemitted_forest_replays_by_signature_and_grown_forest_recompiles():
     grammar = _action_grammar()
     sel = _tape_selector(grammar)
     b = NodeBuilder()
-    forest = Forest(name="ident")
+    forest = Forest(name="again")
     forest.add(b.expr(b.add(b.reg(1), b.cnst(2))))
-    baseline = sel.select_many([forest]).values
-    cache = sel._tape_cache
-    assert cache.identity_hits == 0
-    replay = sel.select_many([forest])  # same object: identity fast path
-    assert cache.identity_hits == 1
+    baseline = sel.select_many([forest])
+    assert baseline.report.tapes_compiled == 1
+    replay = sel.select_many([forest])  # same object: same signature
+    assert replay.report.tapes_compiled == 0
     assert replay.report.tape_cache_hits == 1
-    assert replay.values == baseline
-    # Mutating the root list invalidates the identity entry; the grown
-    # forest is a new shape and recompiles instead of replaying stale.
+    assert replay.values == baseline.values
+    # A grown forest is a new shape: it recompiles instead of replaying
+    # the one-root tape.
     forest.add(b.expr(b.sub(b.reg(1), b.reg(2))))
     result = sel.select_many([forest])
-    assert cache.identity_hits == 1
     assert result.report.tapes_compiled == 1
-    assert result.values[0][:1] == baseline[0][:1]
+    assert result.report.tape_cache_hits == 0
+    assert len(result.values[0]) == 2
+    assert result.values[0][:1] == baseline.values[0]
+    oracle = _frame_selector(_action_grammar()).select_many([forest])
+    assert result.values == oracle.values
+
+
+def _holds_node(value) -> bool:
+    if isinstance(value, Node):
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(_holds_node(item) for item in value)
+    return False
+
+
+def test_tape_cache_keeps_no_forest_alive():
+    sel = _tape_selector(bench_grammar())
+    forests = recurring_shape_stream(52, shapes=2, length=4, statements=5, max_depth=4)
+    refs = [weakref.ref(forest) for forest in forests]
+    result = sel.select_many(forests, context=EmitContext())
+    assert result.report.tape_cache_hits > 0
+    tapes = list(sel._tape_cache._tapes.values())
+    assert tapes
+    for tape in tapes:
+        for field in CompiledTape.__slots__:
+            assert not _holds_node(getattr(tape, field)), field
+    del forests, result
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_tape_cache_fifo_eviction():
@@ -384,10 +415,10 @@ def test_selector_routes_dynamic_grammar_to_frame_engine():
 
 
 # ----------------------------------------------------------------------
-# Wire format
+# Tape layout
 
 
-def test_tape_wire_format_is_consistent():
+def test_tape_fields_are_consistent():
     grammar = bench_grammar()
     sel = _tape_selector(grammar)
     sel.select_many(
@@ -398,17 +429,13 @@ def test_tape_wire_format_is_consistent():
     assert tapes
     for tape in tapes:
         n = tape.entries
-        assert len(tape.rule_ids) == len(tape.nt_ids) == len(tape.spliced) == n
-        assert len(tape.thunks) == len(tape.nodes) == len(tape.node_ords) == n
-        assert len(tape.opnd_offsets) == n + 1
-        assert tape.opnd_offsets[0] == 0
-        assert tape.opnd_offsets[-1] == len(tape.opnd_refs)
-        # `runs` is the tuple view of the opnd_refs/opnd_offsets arrays.
+        assert len(tape.thunks) == len(tape.nt_ids) == len(tape.spliced) == n
+        assert len(tape.runs) == len(tape.node_ords) == n
+        assert all(0 <= ordinal for ordinal in tape.node_ords)
         for i, run in enumerate(tape.runs):
-            lo, hi = tape.opnd_offsets[i], tape.opnd_offsets[i + 1]
-            assert run == tuple(tape.opnd_refs[lo:hi])
+            # Postorder: an entry's operands are earlier slots.
             for ref in run:
-                assert 0 <= (ref >> 1) < tape.base + n
+                assert tape.base <= (ref >> 1) < tape.base + i
         assert tape.cacheable
         assert all(0 <= ref < tape.base + n for ref in tape.root_refs)
 
@@ -761,12 +788,11 @@ def test_compiled_tape_cost_sums_its_rules():
     ):
         sel = _tape_selector(make_grammar())
         result = sel.select_many(forests, context=EmitContext())
-        rules = {rule.number: rule for rule in result.labeling.grammar.rules}
         tapes = list(sel._tape_cache._tapes.values())
         assert len(tapes) == len(forests)
-        for tape in tapes:
+        for tape, forest in zip(tapes, forests):
             assert tape.self_contained and tape.cacheable
-            assert tape.cost == sum(rules[number].cost for number in tape.rule_ids)
+            assert tape.cost == extract_cover(result.labeling, forest).total_cost()
         assert sum(tape.cost for tape in tapes) == result.report.cover_cost
 
     # Constraint rules add their fixed cost: the compile walk costs a
