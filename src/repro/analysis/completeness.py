@@ -38,7 +38,7 @@ other operators of the dialect fail trivially and are reported by the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import AnalysisError
 from repro.grammar.costs import is_finite
@@ -68,8 +68,6 @@ class CompletenessReport:
     value_states: int = 0
     #: (statement operator, child combination) pairs checked.
     transitions_checked: int = 0
-    #: Statement operators whose combinations were checked.
-    operators_checked: list[str] = field(default_factory=list)
     #: Dynamic rules set aside (their applicability only adds derivations).
     dynamic_rules_assumed: int = 0
     #: True when the max_states cap stopped the eager build (not analyzable).
@@ -181,7 +179,6 @@ def verify_completeness(grammar: Grammar, max_states: int | None = None) -> Comp
 
     # -- check every statement combination over value children ----------
     start = automaton.grammar.start or grammar.start
-    report.operators_checked = sorted(stmt_ops)
     failures: list[tuple[int, str, tuple[int, ...]]] = []
     for name, table in sorted(stmt_ops.items()):
         for arity in table.rules_by_arity:

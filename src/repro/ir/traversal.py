@@ -6,57 +6,34 @@ from typing import Iterable, Iterator
 
 from repro.ir.node import Node
 
-__all__ = [
-    "postorder",
-    "topological_order",
-    "ready_postorder",
-    "iter_unique",
-    "shared_nodes",
-]
-
-
-def postorder(root: Node, visited: set[int] | None = None) -> Iterator[Node]:
-    """Yield every node reachable from *root*, children before parents.
-
-    Shared nodes (DAG) are yielded once.  Passing a *visited* set shares
-    it with the caller (and across calls), so multi-root traversals can
-    skip subtrees already emitted — nodes in *visited* are not yielded.
-    """
-    if visited is None:
-        visited = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for kid in reversed(node.kids):
-            if id(kid) not in visited:
-                stack.append((kid, False))
-
-
-def iter_unique(roots: Iterable[Node]) -> Iterator[Node]:
-    """Yield every distinct node reachable from *roots*, children first.
-
-    The visited set is shared across roots, so subtrees shared between
-    roots are walked (and yielded) once.
-    """
-    visited: set[int] = set()
-    for root in roots:
-        yield from postorder(root, visited)
+__all__ = ["topological_order", "ready_postorder"]
 
 
 def topological_order(roots: Iterable[Node]) -> list[Node]:
     """Children-first order over all nodes reachable from *roots*.
 
-    This is the order in which the labeler must process a DAG: every
-    node appears after all of its children, each node exactly once.
+    Every node appears after all of its children, each node exactly
+    once; roots are walked in order and children left to right, with
+    one visited set shared across roots, so a subtree shared between
+    roots is emitted with the first root that reaches it.
     """
-    return list(iter_unique(roots))
+    order: list[Node] = []
+    visited: set[int] = set()
+    for root in roots:
+        stack: list[tuple[Node, bool]] = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            for kid in reversed(node.kids):
+                if id(kid) not in visited:
+                    stack.append((kid, False))
+    return order
 
 
 def ready_postorder(roots: Iterable[Node], done: "set[int] | dict[int, object]") -> Iterator[Node]:
@@ -90,15 +67,4 @@ def ready_postorder(roots: Iterable[Node], done: "set[int] | dict[int, object]")
         if deferred:
             continue
         yield node
-
-
-def shared_nodes(roots: Iterable[Node]) -> list[Node]:
-    """Nodes with more than one parent (the DAG sharing points)."""
-    parents: dict[int, int] = {}
-    node_by_id: dict[int, Node] = {}
-    for node in iter_unique(roots):
-        for kid in node.kids:
-            parents[id(kid)] = parents.get(id(kid), 0) + 1
-            node_by_id[id(kid)] = kid
-    return [node_by_id[nid] for nid, count in parents.items() if count > 1]
 

@@ -24,12 +24,12 @@ only arity ≥ 3 pays for a key tuple.  Labeling is one fused stack walk
 per batch: children are discovered and the node transitioned the moment
 its last child is labeled, with the per-node state map doubling as the
 traversal's visited set — no separate topological pre-pass, no
-intermediate order list.  There are two walks: when the caller passes
-no metrics object and no deadline, the hand-inlined fast loop performs
-no counter increments at all, so benchmarking raw speed measures table
-lookups and nothing else; every other call takes the one counted walk,
-which charges each node's lookups, misses and construction work to the
-caller's metrics (or to a write-only sink) and checks the deadline.
+intermediate order list.  That one walk serves every call.  Its warm
+path touches no counter: each node costs exactly one table lookup, so
+``nodes_labeled`` and ``table_lookups`` are read off the state map's
+growth afterwards, and only the cold branches charge misses and
+construction work (to the caller's metrics, or to a write-only sink).
+A deadline costs one strided check per step.
 
 Batches are first-class: :meth:`OnDemandAutomaton.label_many` labels a
 sequence of forests with one sync check, one labeling object, and one
@@ -49,17 +49,16 @@ its operator become part of the transition key, so constrained rules
 split an operator's transitions into the few variants the constraint
 outcomes induce (the paper's restricted-dynamic-cost argument) while
 fully general dynamic costs degrade gracefully to per-outcome entries.
-Operators with *no* dynamic rules take the integer fast path even in a
-dynamic grammar (as long as no dynamic chain rule exists, which would
-make every node's transition node-dependent): with no metrics and no
-deadline such a grammar runs the same fused fast loop as a static one,
-and only nodes of operators with dynamic rules leave it for the
-signature path; the counted walk makes the same split.  Dynamic
-callables only run where the DP labeler would run them: rules from
-multi-node patterns require a structural match of the original pattern,
-and dynamic chain rules require their source nonterminal to be
-derivable at the node (a memoized derivability set keeps this off the
-warm path).
+Operators with *no* dynamic rules take the integer-keyed tables even
+in a dynamic grammar, and only nodes of operators with dynamic rules
+leave the walk's fast branches for the signature path — unless the
+grammar has a dynamic chain rule, which makes every node's transition
+node-dependent and sends every operator there.  Dynamic callables
+only run where the DP labeler would run them: rules from multi-node
+patterns require a structural match of the original pattern, and
+dynamic chain rules require their source nonterminal to be derivable
+at the node (a memoized derivability set keeps this off the warm
+path).
 
 The grammar may be extended while the automaton is live (the JIT
 flexibility argument): a grammar version bump invalidates the state
@@ -82,7 +81,6 @@ from repro.grammar.grammar import Grammar
 from repro.grammar.normalize import normalize
 from repro.grammar.rule import Rule
 from repro.ir.node import Forest, Node
-from repro.ir.traversal import ready_postorder
 from repro.metrics.counters import LabelMetrics
 from repro.obs.trace import Timer
 from repro.selection.cover import Labeling
@@ -101,9 +99,9 @@ __all__ = ["AutomatonLabeling", "OnDemandAutomaton"]
 #: ``None`` cannot collide with any integer a cost callable may return.
 UNEVALUATED = None
 
-#: Sink for construction-side counters in the null-metrics fast path:
-#: written, never read.  Keeping one shared instance means the fast
-#: loops carry no per-call allocation for it.
+#: Sink for the walk's cold-path counters when the caller passes no
+#: metrics: written, never read.  One shared instance means an
+#: unmetered call allocates nothing for it.
 _NULL_METRICS = LabelMetrics()
 
 #: One rule entry of an :class:`_OpTable`: the rule, its left-hand side,
@@ -167,10 +165,15 @@ class AutomatonLabeling(Labeling):
     node of every forest labeled into it.
     """
 
-    def __init__(self, automaton: "OnDemandAutomaton", metrics: LabelMetrics | None = None) -> None:
-        super().__init__(automaton.grammar, metrics)
+    def __init__(self, automaton: "OnDemandAutomaton") -> None:
+        super().__init__(automaton.grammar)
         self.automaton = automaton
         self._states: dict[int, State] = {}
+
+    @property
+    def nodes_labeled(self) -> int:
+        """Distinct nodes this labeling holds a state for."""
+        return len(self._states)
 
     def state_of(self, node: Node) -> State | None:
         """The interned state labeling *node* (None when unlabeled)."""
@@ -204,9 +207,9 @@ class OnDemandAutomaton:
         self.pool = StatePool()
         self._op_ids: dict[str, int] = {}
         self._tables: dict[str, _OpTable] = {}
-        #: The tables of operators without dynamic rules — the fast
-        #: loop's lookup dict: a dynamic operator misses it and takes
-        #: the signature path (see :meth:`_label_fast`).
+        #: The tables of operators without dynamic rules — the walk's
+        #: lookup dict: a dynamic operator misses it and takes the
+        #: signature path (see :meth:`_walk`).
         self._static_tables: dict[str, _OpTable] = {}
         self._dyn_chain: list[Rule] = []
         self._empty_chain_signature: tuple[None, ...] = ()
@@ -227,10 +230,13 @@ class OnDemandAutomaton:
         self.pool = StatePool(self.grammar.nonterminals)
         self._op_ids = self.grammar.operator_ids()
         self._tables = {name: self._build_table(name, op_id) for name, op_id in self._op_ids.items()}
-        self._static_tables = {
-            name: table for name, table in self._tables.items() if not table.dyn_rules
-        }
         self._dyn_chain = [rule for rule in self.grammar.chain_rules() if rule.is_dynamic]
+        # A dynamic chain rule makes every transition node-dependent.
+        self._static_tables = (
+            {}
+            if self._dyn_chain
+            else {name: table for name, table in self._tables.items() if not table.dyn_rules}
+        )
         self._empty_chain_signature = (UNEVALUATED,) * len(self._dyn_chain)
         self._static_reach_cache = {}
         self._eager = None  # precomputed tables died with the old pool
@@ -257,7 +263,10 @@ class OnDemandAutomaton:
             op_id = self._op_ids.setdefault(op_name, len(self._op_ids))
             table = self._build_table(op_name, op_id)
             self._tables[op_name] = table
-            self._static_tables[op_name] = table  # the grammar has no rules for it
+            # No rules, so no dynamic rules: static unless the grammar
+            # has dynamic chain rules.
+            if not self._dyn_chain:
+                self._static_tables[op_name] = table
         return table
 
     def _static_chain_reach(self, nonterminal: str) -> frozenset[str]:
@@ -288,10 +297,11 @@ class OnDemandAutomaton:
         """Label *forest* bottom-up by transition-table lookups.
 
         A one-forest :meth:`label_many`.  Metrics are opt-in: with
-        ``metrics=None`` no counters (not even ``nodes_labeled``) are
-        maintained.  *deadline_at_ns* arms cooperative cancellation: the
-        walk checks the absolute monotonic deadline every
-        :data:`~repro.selection.resilience.DEADLINE_CHECK_EVERY` nodes
+        ``metrics=None`` the walk is not timed and its few cold-path
+        counters go to a write-only sink.  *deadline_at_ns* arms
+        cooperative cancellation: the walk checks the absolute monotonic
+        deadline every
+        :data:`~repro.selection.resilience.DEADLINE_CHECK_EVERY` steps
         and raises :class:`~repro.errors.DeadlineExceededError`.
         """
         return self.label_many([forest], metrics, deadline_at_ns=deadline_at_ns)
@@ -313,57 +323,59 @@ class OnDemandAutomaton:
         batch — hand it to ``extract_cover(labeling, forest)`` per
         forest.  A grammar extension is picked up at the *next*
         ``label``/``label_many`` call, exactly as for single forests.
+
+        Every node costs one table lookup, so with *metrics* given the
+        walk is timed and ``nodes_labeled`` and ``table_lookups`` both
+        grow by the number of nodes it labeled — a walk that faults
+        still counts the nodes it labeled before the fault.
         """
         self._sync()
-        labeling = AutomatonLabeling(self, metrics)
+        labeling = AutomatonLabeling(self)
         roots = [root for forest in forests for root in forest.roots]
-        self._label_roots(roots, labeling, metrics, deadline_at_ns)
-        return labeling
-
-    def _label_roots(
-        self,
-        roots: list[Node],
-        labeling: AutomatonLabeling,
-        metrics: LabelMetrics | None,
-        deadline_at_ns: int | None = None,
-    ) -> None:
-        """Run one batch of roots through one of the two walks.
-
-        With no metrics, no deadline and no dynamic chain rules, the
-        hand-inlined fast loop labels the batch (the default path of
-        every ``select_many`` without a budget).  Everything else takes
-        the counted walk: timed into *metrics* when given, counting into
-        the null-metrics sink otherwise, so the fast loop stays
-        branch-free for the unbudgeted hot path.
-        """
         node_states = labeling._states
         if metrics is None:
-            if deadline_at_ns is None and not self._dyn_chain:
-                self._label_fast(roots, node_states)
-            else:
-                self._label_counted(roots, node_states, _NULL_METRICS, deadline_at_ns)
-            return
-        with Timer() as timer:
-            self._label_counted(roots, node_states, metrics, deadline_at_ns)
-        metrics.seconds += timer.elapsed
+            self._walk(roots, node_states, _NULL_METRICS, deadline_at_ns)
+            return labeling
+        started = time.perf_counter()
+        try:
+            self._walk(roots, node_states, metrics, deadline_at_ns)
+        finally:
+            metrics.seconds += time.perf_counter() - started
+            metrics.nodes_labeled += len(node_states)
+            metrics.table_lookups += len(node_states)
+        return labeling
 
-    def _label_fast(self, roots: list[Node], node_states: dict[int, State]) -> None:
-        """Warm path, no metrics: one fused stack walk, one
-        operator-table lookup plus one int-keyed get per child.  The
-        state map is the visited set: a node is expanded at most once
-        and transitioned the moment its last child has a state.
+    def _walk(
+        self,
+        roots: list[Node],
+        node_states: dict[int, State],
+        metrics: LabelMetrics,
+        deadline_at_ns: int | None,
+    ) -> None:
+        """The labeling walk: one fused stack walk, one operator-table
+        lookup plus one int-keyed get per child.  The state map is the
+        visited set: a node is expanded at most once and transitioned
+        the moment its last child has a state.
 
         Lookups go through the tables of operators without dynamic
-        rules (all of them, on a static grammar), so on a dynamic
-        grammar without dynamic chain rules a node whose operator has
-        dynamic rules misses them and takes :meth:`_dynamic_state`.
+        rules (all of them, on a static grammar; none, when the grammar
+        has dynamic chain rules), so a node whose operator misses them
+        takes :meth:`_dynamic_state`.  Only the cold branches touch
+        *metrics* (misses and construction work); the deadline is one
+        strided check per popped node.
         """
         tables = self._static_tables
         stack = list(roots)
         pop = stack.pop
         push = stack.append
         get_state = node_states.get
+        ticks = 0
         while stack:
+            if deadline_at_ns is not None:
+                ticks += 1
+                if ticks >= DEADLINE_CHECK_EVERY:
+                    ticks = 0
+                    check_deadline(deadline_at_ns, "label")
             node = pop()
             nid = id(node)
             if nid in node_states:
@@ -385,27 +397,29 @@ class OnDemandAutomaton:
                 table = tables.get(op_name)
                 if table is None:
                     table = self._table_for(op_name)
-                    if table.dyn_rules:
-                        node_states[nid] = self._dynamic_state(table, node, node_states)
+                    if op_name not in tables:
+                        node_states[nid] = self._dynamic_state(table, node, node_states, metrics)
                         continue
                 row = table.binary.get(s0.index)
                 if row is None:
                     row = table.binary[s0.index] = {}
                 state = row.get(s1.index)
                 if state is None:
-                    state = self._construct_state(table, 2, (s0, s1), None, _NULL_METRICS)
+                    metrics.table_misses += 1
+                    state = self._construct_state(table, 2, (s0, s1), None, metrics)
                     row[s1.index] = state
             elif arity == 0:
                 op_name = node.op.name
                 table = tables.get(op_name)
                 if table is None:
                     table = self._table_for(op_name)
-                    if table.dyn_rules:
-                        node_states[nid] = self._dynamic_state(table, node, node_states)
+                    if op_name not in tables:
+                        node_states[nid] = self._dynamic_state(table, node, node_states, metrics)
                         continue
                 state = table.nullary
                 if state is None:
-                    state = self._construct_state(table, 0, (), None, _NULL_METRICS)
+                    metrics.table_misses += 1
+                    state = self._construct_state(table, 0, (), None, metrics)
                     table.nullary = state
             elif arity == 1:
                 k0 = kids[0]
@@ -418,12 +432,13 @@ class OnDemandAutomaton:
                 table = tables.get(op_name)
                 if table is None:
                     table = self._table_for(op_name)
-                    if table.dyn_rules:
-                        node_states[nid] = self._dynamic_state(table, node, node_states)
+                    if op_name not in tables:
+                        node_states[nid] = self._dynamic_state(table, node, node_states, metrics)
                         continue
                 state = table.unary.get(s0.index)
                 if state is None:
-                    state = self._construct_state(table, 1, (s0,), None, _NULL_METRICS)
+                    metrics.table_misses += 1
+                    state = self._construct_state(table, 1, (s0,), None, metrics)
                     table.unary[s0.index] = state
             else:
                 deferred = False
@@ -439,105 +454,17 @@ class OnDemandAutomaton:
                 table = tables.get(op_name)
                 if table is None:
                     table = self._table_for(op_name)
-                    if table.dyn_rules:
-                        node_states[nid] = self._dynamic_state(table, node, node_states)
+                    if op_name not in tables:
+                        node_states[nid] = self._dynamic_state(table, node, node_states, metrics)
                         continue
                 kid_states = tuple(node_states[id(kid)] for kid in kids)
                 key = tuple(state.index for state in kid_states)
                 state = table.nary.get(key)
                 if state is None:
-                    state = self._construct_state(table, arity, kid_states, None, _NULL_METRICS)
+                    metrics.table_misses += 1
+                    state = self._construct_state(table, arity, kid_states, None, metrics)
                     table.nary[key] = state
             node_states[nid] = state
-
-    def _label_counted(
-        self,
-        roots: list[Node],
-        node_states: dict[int, State],
-        metrics: LabelMetrics,
-        deadline_at_ns: int | None = None,
-    ) -> None:
-        """The counted walk, for static and dynamic grammars alike: with
-        metrics, under a deadline, or with dynamic chain rules (the
-        no-metrics, no-deadline case without them takes
-        :meth:`_label_fast`).  One table lookup is charged per node.
-
-        Operators without dynamic rules take the integer-keyed static
-        tables (no signature, no per-node callable checks) as long as
-        the grammar has no dynamic chain rules — those would make every
-        transition node-dependent.  On a static grammar that is every
-        operator; only operators that actually carry dynamic rules pay
-        the signature path.  Shares
-        :func:`~repro.ir.traversal.ready_postorder` with the DP labeler —
-        only the null-metrics loop justifies hand-inlining the walk.
-        """
-        tables = self._tables
-        no_dyn_chain = not self._dyn_chain
-        ticks = 0
-        for node in ready_postorder(roots, node_states):
-            if deadline_at_ns is not None:
-                ticks += 1
-                if ticks >= DEADLINE_CHECK_EVERY:
-                    ticks = 0
-                    check_deadline(deadline_at_ns, "label")
-            op_name = node.op.name
-            table = tables.get(op_name)
-            if table is None:
-                table = self._table_for(op_name)
-            if no_dyn_chain and not table.dyn_rules:
-                state = self._static_transition(table, node.kids, node_states, metrics)
-            else:
-                state = self._dynamic_state(table, node, node_states, metrics)
-            node_states[id(node)] = state
-            metrics.nodes_labeled += 1
-
-    def _static_transition(
-        self,
-        table: _OpTable,
-        kids: tuple[Node, ...],
-        node_states: dict[int, State],
-        metrics: LabelMetrics,
-    ) -> State:
-        """One counted transition through the integer-keyed static
-        tables: the counted walk's step for every operator without
-        dynamic rules (the specialization that keeps most of a
-        mostly-static grammar on the fast tables).
-        """
-        arity = len(kids)
-        metrics.table_lookups += 1
-        if arity == 2:
-            s0 = node_states[id(kids[0])]
-            s1 = node_states[id(kids[1])]
-            row = table.binary.get(s0.index)
-            if row is None:
-                row = table.binary[s0.index] = {}
-            state = row.get(s1.index)
-            if state is None:
-                metrics.table_misses += 1
-                state = self._construct_state(table, 2, (s0, s1), None, metrics)
-                row[s1.index] = state
-        elif arity == 0:
-            state = table.nullary
-            if state is None:
-                metrics.table_misses += 1
-                state = self._construct_state(table, 0, (), None, metrics)
-                table.nullary = state
-        elif arity == 1:
-            s0 = node_states[id(kids[0])]
-            state = table.unary.get(s0.index)
-            if state is None:
-                metrics.table_misses += 1
-                state = self._construct_state(table, 1, (s0,), None, metrics)
-                table.unary[s0.index] = state
-        else:
-            kid_states = tuple(node_states[id(kid)] for kid in kids)
-            key = tuple(state.index for state in kid_states)
-            state = table.nary.get(key)
-            if state is None:
-                metrics.table_misses += 1
-                state = self._construct_state(table, arity, kid_states, None, metrics)
-                table.nary[key] = state
-        return state
 
     # ------------------------------------------------------------------
     # Dynamic-signature path
@@ -547,7 +474,7 @@ class OnDemandAutomaton:
         table: _OpTable,
         node: Node,
         node_states: dict[int, State],
-        metrics: LabelMetrics = _NULL_METRICS,
+        metrics: LabelMetrics,
     ) -> State:
         """*node*'s state through the dynamic-signature path."""
         kid_states = tuple(node_states[id(kid)] for kid in node.kids)
@@ -584,7 +511,6 @@ class OnDemandAutomaton:
             dyn_signature = dyn_signature + chain_signature
             base_pair = (base_costs, base_rules)
         key = (kid_ids, dyn_signature)
-        metrics.table_lookups += 1
         state = table.dyn.get(key)
         if state is None:
             metrics.table_misses += 1

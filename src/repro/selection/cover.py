@@ -18,7 +18,6 @@ from repro.errors import CoverError
 from repro.grammar.grammar import Grammar
 from repro.grammar.rule import Rule
 from repro.ir.node import Forest, Node
-from repro.metrics.counters import LabelMetrics
 
 __all__ = ["Labeling", "Cover", "CoverEntry", "extract_cover", "require_structural_match"]
 
@@ -50,9 +49,8 @@ class Labeling(ABC):
     labelers) but expose the same queries to the reducer.
     """
 
-    def __init__(self, grammar: Grammar, metrics: LabelMetrics | None = None) -> None:
+    def __init__(self, grammar: Grammar) -> None:
         self.grammar = grammar
-        self.metrics = metrics if metrics is not None else LabelMetrics()
 
     @abstractmethod
     def rule_for(self, node: Node, nonterminal: str) -> Rule | None:

@@ -94,10 +94,15 @@ class DPLabeling(Labeling):
     costs (unlike the delta costs of automaton states).
     """
 
-    def __init__(self, grammar: Grammar, metrics: LabelMetrics | None = None) -> None:
-        super().__init__(grammar, metrics)
+    def __init__(self, grammar: Grammar) -> None:
+        super().__init__(grammar)
         self._costs: dict[int, dict[str, int]] = {}
         self._rules: dict[int, dict[str, Rule]] = {}
+
+    @property
+    def nodes_labeled(self) -> int:
+        """Distinct nodes this labeling holds a cost vector for."""
+        return len(self._costs)
 
     def rule_for(self, node: Node, nonterminal: str) -> Rule | None:
         return self._rules.get(id(node), _EMPTY).get(nonterminal)
@@ -143,7 +148,7 @@ class DPLabeler:
         The returned labeling answers queries for every forest in the
         batch.
         """
-        labeling = DPLabeling(self.grammar, metrics)
+        labeling = DPLabeling(self.grammar)
         roots = [root for forest in forests for root in forest.roots]
         _label_roots(self.grammar, labeling, roots, metrics, deadline_at_ns)
         return labeling
@@ -160,8 +165,9 @@ def label_dp(
     :class:`DPLabeler` — when labeling many forests.
 
     Metrics are opt-in: with ``metrics=None`` the per-node loops skip
-    all counter increments (mirroring the automaton's null-metrics fast
-    path, so raw-speed benchmarks compare like with like).
+    all counter increments (the automaton's unmetered walk increments
+    none on its warm path either, so raw-speed benchmarks compare like
+    with like).
     """
     from repro.selection.selector import Selector
 
@@ -181,7 +187,8 @@ def _label_roots(
     labeling's own cost map is the visited set, so no topological order
     list is built and a node is processed the moment its last child is
     labeled.  Both labelers time the same fused traversal+labeling
-    loop, so their ``seconds`` counters stay comparable.
+    loop into the caller's *metrics*, so their ``seconds`` counters
+    stay comparable.
     """
     dynamic_chains = any(rule.is_dynamic for rule in grammar.chain_rules())
     ticks = 0
@@ -193,7 +200,8 @@ def _label_roots(
                     ticks = 0
                     check_deadline(deadline_at_ns, "label")
             _label_node(grammar, labeling, node, dynamic_chains, metrics)
-    labeling.metrics.seconds += timer.elapsed
+    if metrics is not None:
+        metrics.seconds += timer.elapsed
 
 
 def _label_node(

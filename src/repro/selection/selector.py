@@ -627,8 +627,10 @@ class SelectionReport:
     labeler: str
     forests: int
     roots: int
-    #: Distinct nodes per forest, summed (a node shared *between*
-    #: forests counts once per forest, mirroring the labeling bench).
+    #: Distinct nodes labeled in the batch, summed over its labelings
+    #: (one shared labeling, so a node shared between forests counts
+    #: once).  Forests dropped by validation or by a labeling fault
+    #: under ``"isolate"`` are not counted.
     nodes: int
     #: Total cover cost from the start nonterminal, summed over forests
     #: (``None`` when the caller skipped cover collection).
@@ -742,8 +744,6 @@ class SelectorConfig:
         max_states: State-pool cap handed to the eager build (a runaway
             guard for huge grammars; a capped build leaves valid but
             incomplete tables).
-        collect_cover: Default for ``select``/``select_many``'s
-            ``collect_cover`` argument.
         validate: Debug flag: run the structural forest validator
             (:func:`repro.ir.validate.validate_forest`) against the
             grammar's operator set before every ``label``/``label_many``
@@ -773,7 +773,6 @@ class SelectorConfig:
     """
 
     max_states: int | None = None
-    collect_cover: bool = True
     validate: bool = False
     emitter: str = "tape"
     observe: Any = None
@@ -824,7 +823,6 @@ class Selector:
         self._last_report: SelectionReport | None = None
         self._certified: bool | None = None
         self._certified_version: int | None = None
-        self._verify_report: object | None = None
         self._resilience = new_resilience_counters()
         #: Human-readable cause of the most recent degradation-ladder
         #: step (``None`` while fully healthy).
@@ -932,7 +930,7 @@ class Selector:
         *,
         context: Any = None,
         start: str | None = None,
-        collect_cover: bool | None = None,
+        collect_cover: bool = True,
         on_error: str = "raise",
         budget: BuildBudget | None = None,
     ) -> SelectionResult:
@@ -979,8 +977,6 @@ class Selector:
                 f"{', '.join(ON_ERROR_POLICIES)}"
             )
         forests = list(forests)
-        if collect_cover is None:
-            collect_cover = self.config.collect_cover
         deadline_at_ns: int | None = (
             getattr(budget, "deadline_at_ns", None) if budget is not None else None
         )
@@ -1192,12 +1188,13 @@ class Selector:
                 by_phase[failure.phase] += 1
 
         emitters = [engine for engine, _ in engines.values()]
+        distinct = {id(labeling): labeling for _, _, labeling in labeled}
         report = SelectionReport(
             grammar=self.source_grammar.name,
             labeler=self.mode,
             forests=len(forests),
             roots=sum(len(forest.roots) for forest in forests),
-            nodes=sum(forest.node_count() for forest in forests),
+            nodes=sum(labeling.nodes_labeled for labeling in distinct.values()),
             cover_cost=cover_cost,
             reductions=sum(engine.reductions for engine in emitters),
             memo_hits=sum(engine.memo_hits for engine in emitters),
@@ -1220,7 +1217,7 @@ class Selector:
         *,
         context: Any = None,
         start: str | None = None,
-        collect_cover: bool | None = None,
+        collect_cover: bool = True,
         on_error: str = "raise",
         budget: BuildBudget | None = None,
     ) -> SelectionResult:
@@ -1401,7 +1398,6 @@ class Selector:
 
         cap = max_states if max_states is not None else self.config.max_states
         report = verify_completeness(self.source_grammar, cap)
-        self._verify_report = report
         self._certified = report.certified
         self._certified_version = self.source_grammar.version
         return report
@@ -1541,8 +1537,8 @@ class Selector:
           invalidates them);
         * ``labeling`` — hit/warm rates and work counters of the most
           recent *metered* labeling run (``None`` until a caller passes
-          a :class:`LabelMetrics`; the null-metrics fast paths are by
-          design uncounted);
+          a :class:`LabelMetrics`; unmetered calls are by design
+          uncounted);
         * ``selection`` — cumulative pipeline totals (forests, nodes,
           reductions, memo hits, per-phase nanoseconds) plus the last
           :class:`SelectionReport` as a row;

@@ -641,12 +641,11 @@ class SelectionService:
     # Worker messages
 
     def _on_message(self, handle: WorkerHandle, message: tuple, now: int) -> None:
-        handle.last_seen_ns = now
         kind = message[0]
         if kind != "result":
-            # ready / pong / error: liveness already recorded.  A pong
-            # echoes the ping's monotonic-ns token, so now - token is
-            # the heartbeat round trip.
+            # ready / pong / error: nothing to resolve.  A pong echoes
+            # the ping's monotonic-ns token, so now - token is the
+            # heartbeat round trip.
             if kind == "pong" and self._obs.enabled and isinstance(message[1], int):
                 self._obs_rtt.observe(max(0, now - message[1]))
             return

@@ -65,7 +65,6 @@ class WorkerHandle:
     completed: int = 0
     restarts: int = 0
     consecutive_crashes: int = 0
-    last_seen_ns: int = 0
     last_ping_ns: int = 0
     snapshot: dict[str, Any] = field(default_factory=dict)
 
@@ -178,7 +177,6 @@ class Supervisor:
         handle.pid = process.pid or 0
         handle.alive = True
         handle.in_flight = {}
-        handle.last_seen_ns = time.monotonic_ns()
 
     # ------------------------------------------------------------------
     # Event-loop plumbing

@@ -12,7 +12,6 @@ from repro.bench import (
     random_forests,
     recurring_shape_stream,
 )
-from repro.ir import shared_nodes
 from repro.metrics import LabelMetrics
 from repro.selection import OnDemandAutomaton, extract_cover, label_dp
 
@@ -37,7 +36,6 @@ def test_generators_are_deterministic_per_seed():
 
 def test_dag_heavy_forests_actually_share_nodes():
     for forest in dag_heavy_forests(5, forests=3, statements=8, shared=4):
-        assert shared_nodes(forest.roots), forest.name
         assert forest.node_count() < sum(root.size() for root in forest.roots)
 
 

@@ -13,8 +13,9 @@ from repro.bench.workloads import (
     dynamic_bench_grammar,
     dynamic_constraint_forests,
 )
+from repro.errors import DeadlineExceededError
 from repro.grammar import parse_grammar
-from repro.ir import Forest, NodeBuilder, iter_unique
+from repro.ir import Forest, Node, NodeBuilder
 from repro.metrics import LabelMetrics, format_table
 from repro.selection import (
     DPLabeler,
@@ -22,6 +23,7 @@ from repro.selection import (
     extract_cover,
     label_dp,
 )
+from repro.selection.resilience import DEADLINE_CHECK_EVERY
 
 
 def test_dp_and_automaton_produce_equal_cover_costs(demo_grammar, benchmark_forests):
@@ -334,9 +336,9 @@ def _chain_forests() -> list[Forest]:
     ]
 
 
-#: Grammars for the counted-versus-fast walk check: static, dynamic
-#: with constraint rules, and with a dynamic chain rule (which sends
-#: even unmetered, unbudgeted labeling through the counted walk).
+#: Grammars for the labeling-walk checks: static, dynamic with
+#: constraint rules, and with a dynamic chain rule (which routes every
+#: operator through the signature path).
 WALK_FAMILIES = [
     ("static", bench_grammar, lambda: dag_heavy_forests(91, forests=3, statements=6, shared=4)),
     ("dynamic", dynamic_bench_grammar, lambda: dynamic_constraint_forests(92, forests=3, statements=5)),
@@ -344,21 +346,30 @@ WALK_FAMILIES = [
 ]
 
 
+def _batch_nodes(forests: list[Forest]) -> list[Node]:
+    """The distinct nodes of a batch, children first."""
+    return Forest([root for forest in forests for root in forest.roots]).nodes()
+
+
 @pytest.mark.parametrize(
     "name,make_grammar,make_forests", WALK_FAMILIES, ids=[f[0] for f in WALK_FAMILIES]
 )
-def test_counted_walk_labels_like_the_fast_walk(name, make_grammar, make_forests):
-    """Metrics and deadlines change which walk runs, never a state: with
-    and without either, on a fresh automaton each, every node gets the
-    same state, and a metered run counts each distinct node once."""
+def test_metrics_and_deadlines_never_change_a_state(name, make_grammar, make_forests):
+    """With and without metrics or a deadline, on a fresh automaton
+    each, every node gets the same state; a metered cold run charges one
+    lookup per distinct node and one miss per transition it built."""
     grammar = make_grammar()
     forests = make_forests()
-    nodes = list(iter_unique(root for forest in forests for root in forest.roots))
+    nodes = _batch_nodes(forests)
     far = time.monotonic_ns() + 3600 * 10**9
 
     def signatures(metrics=None, deadline_at_ns=None):
         automaton = OnDemandAutomaton(grammar)
         labeling = automaton.label_many(forests, metrics, deadline_at_ns=deadline_at_ns)
+        if metrics is not None:
+            assert metrics.table_misses == automaton.transition_count()
+            assert metrics.table_lookups == metrics.nodes_labeled == labeling.nodes_labeled
+            assert metrics.states_created == len(automaton.pool)
         return [labeling.state_of(node).signature for node in nodes]
 
     reference = signatures()
@@ -367,3 +378,23 @@ def test_counted_walk_labels_like_the_fast_walk(name, make_grammar, make_forests
         metrics = LabelMetrics()
         assert signatures(metrics, deadline_at_ns) == reference
         assert metrics.nodes_labeled == len(nodes)
+
+
+@pytest.mark.parametrize("metered", [False, True], ids=["unmetered", "metered"])
+@pytest.mark.parametrize(
+    "name,make_grammar,make_forests", WALK_FAMILIES, ids=[f[0] for f in WALK_FAMILIES]
+)
+def test_label_deadline_fires_inside_the_walk(name, make_grammar, make_forests, metered):
+    """An expired deadline stops ``label_many`` itself within
+    ``DEADLINE_CHECK_EVERY`` steps; a metered walk still counts the
+    nodes it labeled before the deadline fired."""
+    forests = [forest for _ in range(4) for forest in make_forests()]
+    nodes = _batch_nodes(forests)
+    assert len(nodes) > DEADLINE_CHECK_EVERY
+    metrics = LabelMetrics() if metered else None
+    with pytest.raises(DeadlineExceededError):
+        OnDemandAutomaton(make_grammar()).label_many(
+            forests, metrics, deadline_at_ns=time.monotonic_ns() - 1
+        )
+    if metered:
+        assert 0 < metrics.nodes_labeled == metrics.table_lookups < len(nodes)

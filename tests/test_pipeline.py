@@ -147,6 +147,22 @@ def test_batched_pipeline_reduces_cross_forest_shared_nodes_once():
     assert add_emissions(separate_context) == 2
 
 
+@pytest.mark.parametrize("mode", ["dp", "ondemand"])
+def test_report_counts_a_node_shared_between_forests_once(mode):
+    """``report.nodes`` is the batch's distinct labeled nodes, not the
+    per-forest node counts summed."""
+    grammar = emit_bench_grammar()
+    b = NodeBuilder()
+    shared = b.add(b.reg(1), b.reg(2))
+    first = Forest([b.expr(shared)], name="first")
+    second = Forest([b.expr(b.neg(shared))], name="second")
+    distinct = len(Forest(first.roots + second.roots).nodes())
+    assert distinct < first.node_count() + second.node_count()
+
+    result = Selector(grammar, mode=mode).select_many([first, second], context=EmitContext())
+    assert result.report.nodes == distinct
+
+
 # ----------------------------------------------------------------------
 # Reducer pre-/post-rewrite semantics
 
