@@ -60,9 +60,18 @@ dynamic chain rules require their source nonterminal to be derivable
 at the node (a memoized derivability set keeps this off the warm
 path).
 
+The emission side of a state is built on demand too.  A state fixes the
+rule deriving each of its nonterminals, so an automaton cover is a pure
+function of the per-node states: :meth:`OnDemandAutomaton.fragment`
+builds, once per ``(state, goal nonterminal)`` pair and context kind,
+the *derivation fragment* the tape compiler lays out per entry — the
+rule, its action thunk and splice flag, its fixed cost, and the chain
+source or base-rule child goals (see :mod:`repro.selection.tape`).
+The table stays small: the bench pools derive 35–39 distinct pairs.
+
 The grammar may be extended while the automaton is live (the JIT
 flexibility argument): a grammar version bump invalidates the state
-pool and transition tables, which are then rebuilt on demand — or
+pool, transition tables and fragments, which are then rebuilt on demand — or
 re-precomputed with :meth:`OnDemandAutomaton.build_eager`, the offline
 mode that drives state construction over every reachable ``(operator,
 child states)`` combination to a fixed point at build time, trading
@@ -75,6 +84,7 @@ import itertools
 import time
 from typing import Iterable
 
+from repro.errors import CoverError
 from repro.grammar.closure import chain_closure
 from repro.grammar.costs import INFINITE, add_costs, is_finite
 from repro.grammar.grammar import Grammar
@@ -85,6 +95,7 @@ from repro.metrics.counters import LabelMetrics
 from repro.obs.trace import Timer
 from repro.selection.cover import Labeling
 from repro.selection.label_dp import dynamic_cost_at
+from repro.selection.reducer import action_thunk
 from repro.selection.resilience import (
     DEADLINE_CHECK_EVERY,
     attach_node_provenance,
@@ -168,23 +179,25 @@ class AutomatonLabeling(Labeling):
     def __init__(self, automaton: "OnDemandAutomaton") -> None:
         super().__init__(automaton.grammar)
         self.automaton = automaton
-        self._states: dict[int, State] = {}
+        #: ``id(node) -> State`` for every labeled node (the tape
+        #: compiler reads it directly, one get per entry).
+        self.node_states: dict[int, State] = {}
 
     @property
     def nodes_labeled(self) -> int:
         """Distinct nodes this labeling holds a state for."""
-        return len(self._states)
+        return len(self.node_states)
 
     def state_of(self, node: Node) -> State | None:
         """The interned state labeling *node* (None when unlabeled)."""
-        return self._states.get(id(node))
+        return self.node_states.get(id(node))
 
     def rule_for(self, node: Node, nonterminal: str) -> Rule | None:
-        state = self._states.get(id(node))
+        state = self.node_states.get(id(node))
         return None if state is None else state.rule_for(nonterminal)
 
     def cost_of(self, node: Node, nonterminal: str) -> int:
-        state = self._states.get(id(node))
+        state = self.node_states.get(id(node))
         return INFINITE if state is None else state.cost_of(nonterminal)
 
 
@@ -215,6 +228,10 @@ class OnDemandAutomaton:
         self._empty_chain_signature: tuple[None, ...] = ()
         self._static_reach_cache: dict[str, frozenset[str]] = {}
         self._eager: dict[str, object] | None = None
+        #: Derivation fragments, one table per context kind (index 1:
+        #: contexts with ``emit_template``): ``State -> [fragment or
+        #: None per goal nonterminal id]``, filled by :meth:`fragment`.
+        self.fragments: tuple[dict[State, list], dict[State, list]] = ({}, {})
         self._sync()
 
     # ------------------------------------------------------------------
@@ -240,6 +257,7 @@ class OnDemandAutomaton:
         self._empty_chain_signature = (UNEVALUATED,) * len(self._dyn_chain)
         self._static_reach_cache = {}
         self._eager = None  # precomputed tables died with the old pool
+        self.fragments = ({}, {})  # and so did the fragments of its states
 
     def _build_table(self, op_name: str, op_id: int) -> _OpTable:
         """Intern one operator: pre-filter its rules by arity, resolve
@@ -283,6 +301,87 @@ class OnDemandAutomaton:
             reach = frozenset(seen)
             self._static_reach_cache[nonterminal] = reach
         return reach
+
+    # ------------------------------------------------------------------
+    # Derivation fragments (the emission side of a state)
+
+    def fragment(self, state: State | None, goal: int, templated: int) -> tuple | None:
+        """The derivation fragment of goal nonterminal id *goal* at *state*.
+
+        A state fixes the rule that derives each of its nonterminals, so
+        everything a tape compile needs to lay out one ``(node, goal)``
+        entry is a function of ``(state, goal)``.  The fragment is the
+        tuple ``(emit, chain_goal, op_name, kid_goals)``:
+
+        * ``emit`` is ``(thunk, spliced, cost, rule)`` — the rule's
+          action thunk and splice flag (see
+          :func:`~repro.selection.reducer.action_thunk`, bound for the
+          context kind *templated*) and its fixed cost, or ``None`` for
+          a ``dynamic_cost`` rule, which is evaluated per entry;
+        * a chain rule has ``chain_goal``, the source nonterminal's id,
+          and ``kid_goals`` ``None``;
+        * a base rule has ``chain_goal`` -1, the operator name its
+          pattern is rooted at, and the goal ids of its children.
+
+        Built on first use and kept in :attr:`fragments` until the next
+        grammar sync drops them with the pool.  Returns ``None`` when
+        *state* is ``None`` (an unlabeled node) or derives no *goal*.
+        A chain-rule cycle in the state's rule vector — possible only in
+        a corrupt state — raises :class:`~repro.errors.CoverError` here,
+        so the compile walk needs no cycle guard of its own.
+        """
+        if state is None:
+            return None
+        rule = state.rule_at(goal)
+        if rule is None:
+            return None
+        declare = self.pool.declare
+        if rule.is_chain:
+            chain_goal = declare(rule.pattern.symbol)
+            op_name = kid_goals = None
+            self._reject_chain_cycle(state, goal)
+        elif rule.is_base:
+            chain_goal = -1
+            op_name = rule.pattern.symbol
+            kid_goals = tuple(declare(kid.symbol) for kid in rule.pattern.kids)
+        else:
+            raise CoverError(
+                f"state #{state.index} derives nonterminal "
+                f"{self.pool.nt_names[goal]!r} by rule {rule.number}, "
+                f"which is not in normal form"
+            )
+        thunk, spliced = action_thunk(rule, bool(templated))
+        cost = None if rule.dynamic_cost is not None else rule.cost
+        built = ((thunk, spliced, cost, rule), chain_goal, op_name, kid_goals)
+        rows = self.fragments[templated]
+        row = rows.get(state)
+        if row is None:
+            row = rows[state] = [None] * len(state.rule_vec)
+        row[goal] = built
+        return built
+
+    def _reject_chain_cycle(self, state: State, goal: int) -> None:
+        """Raise :class:`CoverError` when the chain rules *state* picks
+        from *goal* lead back to a nonterminal already on the run."""
+        declare = self.pool.declare
+        on_run = {goal}
+        rule = state.rule_at(goal)
+        while rule is not None and rule.is_chain:
+            source = declare(rule.pattern.symbol)
+            if source in on_run:
+                raise CoverError(
+                    f"cyclic derivation: state #{state.index} derives "
+                    f"nonterminal {self.pool.nt_names[goal]!r} from itself "
+                    f"through chain rules"
+                )
+            on_run.add(source)
+            rule = state.rule_at(source)
+
+    def fragment_count(self) -> int:
+        """Fragments built since the last grammar sync, both context kinds."""
+        return sum(
+            len(row) - row.count(None) for rows in self.fragments for row in rows.values()
+        )
 
     # ------------------------------------------------------------------
     # Labeling
@@ -332,7 +431,7 @@ class OnDemandAutomaton:
         self._sync()
         labeling = AutomatonLabeling(self)
         roots = [root for forest in forests for root in forest.roots]
-        node_states = labeling._states
+        node_states = labeling.node_states
         if metrics is None:
             self._walk(roots, node_states, _NULL_METRICS, deadline_at_ns)
             return labeling

@@ -1,9 +1,13 @@
-"""The reducer: walks a labeling top-down and runs emit actions.
+"""The frame-stack reducer: walks a labeling top-down and runs emit actions.
 
-The reducer is shared by all labelers.  Starting from the start
-nonterminal at each forest root, it looks up the optimal rule for the
-current (node, nonterminal) combination, reduces the rule pattern's
-nonterminal leaves, and then runs the rule's emit action bottom-up.
+The reducer works over any labeling.  It is the emission engine of the
+DP labeler (whose labeling has no automaton states to compile a tape
+from) and of ``emitter="reducer"``, and the differential oracle the
+tape engine (:mod:`repro.selection.tape`) is tested against.  Starting
+from the start nonterminal at each forest root, it looks up the optimal
+rule for the current (node, nonterminal) combination, reduces the rule
+pattern's nonterminal leaves, and then runs the rule's emit action
+bottom-up.
 For DAG inputs each (node, nonterminal) combination is reduced once and
 its semantic value reused — the standard extension of tree parsing to
 DAGs.
@@ -70,7 +74,7 @@ from repro.selection.resilience import (
     check_deadline,
 )
 
-__all__ = ["Reducer", "entry_cost", "flatten_operands", "node_memo_key"]
+__all__ = ["Reducer", "action_thunk", "entry_cost", "flatten_operands", "node_memo_key"]
 
 #: Memo-miss sentinel (``None`` is a legitimate semantic value).
 _MISSING = object()
@@ -145,6 +149,39 @@ def flatten_operands(operands: list[Any]) -> Any:
     if len(flat) == 1:
         return flat[0]
     return flat
+
+
+def action_thunk(rule: Rule, templated: bool) -> tuple[Any, bool]:
+    """``(thunk, spliced)``: *rule*'s semantic action as one callable.
+
+    The thunk ``(context, node, operands) -> value`` mirrors
+    :meth:`Reducer._run_action` branch order: action, then template
+    (only for a *templated* context kind, one with ``emit_template``),
+    then helper splice, then operand pass-through.  *spliced* is static
+    — only helper rules produce splice-flat values — so a tape sweep
+    needs no per-operand ``isinstance`` probe.  The thunk binds the
+    rule, not the context, so it serves every context of its kind.
+    """
+    action = rule.action
+    if action is not None:
+        return action, False
+    if rule.template is not None and templated:
+
+        def template_thunk(ctx: Any, node: Node, operands: list, _rule=rule):
+            return ctx.emit_template(_rule, node, operands)
+
+        return template_thunk, False
+    if rule.is_helper:
+
+        def helper_thunk(ctx: Any, node: Node, operands: list) -> Any:
+            return _SplicedOperands(operands)
+
+        return helper_thunk, True
+
+    def passthrough_thunk(ctx: Any, node: Node, operands: list) -> Any:
+        return flatten_operands(operands)
+
+    return passthrough_thunk, False
 
 
 class Reducer:

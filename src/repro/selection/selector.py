@@ -83,7 +83,7 @@ from repro.ir.node import Forest
 from repro.ir.validate import validate_forest
 from repro.metrics.counters import LabelMetrics
 from repro.obs import resolve_obs
-from repro.selection.automaton import UNEVALUATED, OnDemandAutomaton
+from repro.selection.automaton import UNEVALUATED, AutomatonLabeling, OnDemandAutomaton
 from repro.selection.cover import Labeling, extract_cover
 from repro.selection.label_dp import DPLabeler
 from repro.selection.reducer import Reducer
@@ -751,15 +751,18 @@ class SelectorConfig:
             :class:`~repro.ir.validate.ForestValidationError` on
             malformed input instead of failing mid-selection.
         emitter: Which emission engine ``select``/``select_many`` run:
-            ``"tape"`` (default) compiles covers to flat instruction
-            tapes (:class:`~repro.selection.tape.TapeEmitter`, with the
-            selector-owned shape cache), ``"reducer"`` keeps the
-            frame-stack :class:`~repro.selection.reducer.Reducer` — the
-            differential oracle and the fallback for contexts that want
-            no caching layer at all.  Dynamic-rule grammars always run
-            the frame engine (see :meth:`Selector._make_emitter`).
-            Both engines emit byte-identical instruction streams and
-            cost the cover in the walk that emits it.
+            ``"tape"`` (default) compiles every automaton labeling to
+            flat instruction tapes from its state-indexed derivation
+            fragments (:class:`~repro.selection.tape.TapeEmitter`, with
+            the selector-owned shape cache, which dynamic-rule grammars
+            never use); ``mode="dp"``, whose labeling has no states,
+            runs the frame-stack
+            :class:`~repro.selection.reducer.Reducer` either way.
+            ``"reducer"`` keeps the frame engine for every labeling —
+            the differential oracle (see
+            :meth:`Selector._make_emitter`).  Both engines emit
+            byte-identical instruction streams and cost the cover in
+            the walk that emits it.
         observe: Observability wiring: ``None``/``False`` (default)
             disables it — the pipeline pays one attribute check per
             batch; ``True`` builds a private
@@ -1001,25 +1004,23 @@ class Selector:
     ) -> Reducer:
         """The configured emission engine over *labeling*.
 
-        ``"tape"`` builds a :class:`TapeEmitter` wired to the
-        selector-owned :class:`TapeCache`; ``"reducer"`` builds the
-        frame-stack :class:`Reducer`.  Both honor the same
-        ``reduce_forest``/``memo_size``/``rollback_to`` contract.
-
-        Dynamic-rule grammars route to the frame engine even under
-        ``"tape"``, because a tape would never replay: a dynamic cost
-        may read node identity, so shape cannot key a tape cache, and
-        on the ``dynamic_constraints`` benchmark pool all 768 forests
-        have distinct shapes anyway.  A cold tape compile+sweep there
-        costs 1.1-1.4x the frame walk (seed 1, in-process raw ns/node
-        on a shared 2-vCPU VM, e.g. 2,970 against 2,182).  Both engines
-        cost the cover in their walk, so the routing changes no
-        ``extract_cover`` call.
+        One rule: under ``"tape"``, every automaton labeling
+        (``ondemand``, ``eager``, or loaded from an artifact, static or
+        dynamic grammar) emits through a :class:`TapeEmitter` wired to
+        the selector-owned :class:`TapeCache`, compiling each forest
+        from the automaton's state-indexed derivation fragments.  A
+        labeling without states — ``mode="dp"``, or a wrapped engine's
+        own labeling — and ``"reducer"`` get the frame-stack
+        :class:`Reducer`, which stays as the differential oracle.  Both
+        honor the same ``reduce_forest``/``memo_size``/``rollback_to``
+        contract and cost the cover in the walk that emits it.
         """
         emitter = self.config.emitter
-        if emitter == "tape":
-            if labeling.grammar.has_dynamic_rules:
-                return Reducer(labeling, context, deadline_at_ns=deadline_at_ns)
+        if emitter not in EMITTERS:
+            raise ValueError(
+                f"unknown emitter {emitter!r}; expected one of {', '.join(EMITTERS)}"
+            )
+        if emitter == "tape" and isinstance(labeling, AutomatonLabeling):
             return TapeEmitter(
                 labeling,
                 context,
@@ -1027,11 +1028,7 @@ class Selector:
                 cache=self._tape_cache,
                 tracer=self._obs.tracer if self._obs.enabled else None,
             )
-        if emitter == "reducer":
-            return Reducer(labeling, context, deadline_at_ns=deadline_at_ns)
-        raise ValueError(
-            f"unknown emitter {emitter!r}; expected one of {', '.join(EMITTERS)}"
-        )
+        return Reducer(labeling, context, deadline_at_ns=deadline_at_ns)
 
     def _select_many(
         self,

@@ -1,40 +1,49 @@
 """Cover compilation: lower covers to flat instruction tapes.
 
 The frame-stack :class:`~repro.selection.reducer.Reducer` re-walks the
-cover on every emission: per-call frames, a per-frame operand list, and
-a memo probe per reduction target.  In the paper's JIT setting the emit
-step runs once per compiled function on a hot path, and the cover it
-walks is *fixed* the moment labeling finishes — so this module splits
-emission into an explicit two-phase pipeline, the same lowering shape
-ERTL/RTL-style backends use to turn selected covers into flat
+cover on every emission, resolving each ``(node, nonterminal)`` pair's
+rule and operand targets as it goes.  An automaton labeling has already
+fixed all of that: a node's state determines, for every goal
+nonterminal, the rule, its thunk, its cost and its targets.  This module
+splits emission into an explicit two-phase pipeline, the same lowering
+shape ERTL/RTL-style backends use to turn selected covers into flat
 instruction sequences:
 
 1. **Compile** — one walk over the cover lowers each forest to a
-   :class:`CompiledTape`: parallel postorder tuples (action thunks,
-   operand-slot runs, per-entry nonterminal ids).  Entry *i*'s result
-   lands in value-buffer slot ``base + i``, so result slots are implicit
-   and operand references are plain slot indices, encoded
-   ``(slot << 1) | spliced`` — bit 0 marks operands produced by
-   normalisation helper rules, whose value lists are spliced flat
-   exactly as the frame engine splices ``_SplicedOperands``.
-2. **Sweep** — one linear pass over the tape runs precompiled per-rule
-   action thunks against a single shared value buffer: no frames, no
-   memo probes, no per-frame operand lists; operand gather is slot
-   indexing.
+   :class:`CompiledTape`: parallel postorder sequences (action thunks,
+   operand-slot runs, per-entry nonterminal ids).  Per entry the walk
+   reads the node's state off the labeling and appends the automaton's
+   *derivation fragment* for ``(state, goal)``
+   (:meth:`~repro.selection.automaton.OnDemandAutomaton.fragment`): the
+   rule, its thunk and splice flag, its fixed cost, and either the chain
+   rule's source goal or the base rule's operator and child goals.
+   Fragments are built once per pair on first use, next to the
+   transition tables, the same on-demand discipline the paper applies
+   to transitions.  Entry *i*'s result lands in value-buffer slot
+   ``base + i``, so result slots are implicit and operand references
+   are plain slot indices, encoded ``(slot << 1) | spliced`` — bit 0
+   marks operands produced by normalisation helper rules, whose value
+   lists are spliced flat exactly as the frame engine splices
+   ``_SplicedOperands``.
+2. **Sweep** — one linear pass over the tape runs the thunks against a
+   single shared value buffer: no frames, no memo probes, no per-frame
+   operand lists; operand gather is slot indexing.
 
 The compile walk replicates the frame engine's exact left-to-right
 postorder — including where memo hits happen — so both engines run the
 same actions in the same order with the same operands, which is what the
-differential tests assert byte-for-byte.
+differential tests assert byte-for-byte.  The tape compiles automaton
+labelings only (:class:`TapeEmitter` raises :class:`TypeError` on any
+other); a DP labeling has no states, and the frame engine emits it.
 
 Cover cost
 ----------
-The compile walk also costs the cover it lays out: each entry adds
-:func:`~repro.selection.reducer.entry_cost`, the one cost rule the
-frame engine's walk applies too (a constraint rule adds its fixed cost,
-a ``dynamic_cost`` rule is evaluated once per entry).  A self-contained
-tape's :attr:`CompiledTape.cost` is therefore the forest's cover cost,
-and a replay reads it off the cached tape, so callers need no separate
+The compile walk also costs the cover it lays out: each entry adds its
+fragment's fixed cost, or :func:`~repro.selection.reducer.entry_cost`
+for a ``dynamic_cost`` rule, evaluated once per entry — the one cost
+rule the frame engine's walk applies too.  A self-contained tape's
+:attr:`CompiledTape.cost` is therefore the forest's cover cost, and a
+replay reads it off the cached tape, so callers need no separate
 :func:`~repro.selection.cover.extract_cover` walk.
 
 Tape caching
@@ -42,15 +51,15 @@ Tape caching
 Tapes are cached by *shape*: a canonical DAG-aware signature over
 ``(operator name, payload, child ordinals)`` plus root ordinals.  A JIT-style
 ``recurring_stream`` batch (fresh-node clones of a few templates)
-compiles each shape once and replays the tape for every repeat — the
-walk, rule lookups, and operand planning are all skipped; only the
-signature walk and the sweep run.  Re-emitting the same forest object
-takes the same signature lookup, and a cached tape holds no IR nodes,
-so the cache keeps no forest alive.  Caching is deliberately
+compiles each shape once and replays the tape for every repeat — only
+the signature walk and the sweep run.  Re-emitting the same forest
+object takes the same signature lookup, and a cached tape holds no IR
+nodes, so the cache keeps no forest alive.  Caching is deliberately
 conservative:
 
 * grammars with dynamic rules are never cached (a dynamic cost may read
-  node identity, so shape does not determine the cover);
+  node identity, so shape does not determine the cover); their tapes
+  compile from fragments every time;
 * forests sharing nodes with earlier batch members are never cached or
   replayed from cache (cross-forest memo hits must keep emitting once);
 * unhashable payloads skip the cache.
@@ -75,15 +84,10 @@ from itertools import islice
 from typing import Any
 
 from repro.errors import CoverError, DeadlineExceededError
-from repro.grammar.rule import Rule
 from repro.ir.node import Forest, Node
-from repro.selection.cover import Labeling
-from repro.selection.reducer import (
-    Reducer,
-    _SplicedOperands,
-    entry_cost,
-    flatten_operands,
-)
+from repro.selection.automaton import AutomatonLabeling
+from repro.selection.cover import Labeling, require_structural_match
+from repro.selection.reducer import Reducer, entry_cost
 from repro.selection.resilience import (
     DEADLINE_CHECK_EVERY,
     attach_node_provenance,
@@ -92,19 +96,15 @@ from repro.selection.resilience import (
 
 __all__ = ["CompiledTape", "TapeCache", "TapeEmitter"]
 
-#: Frame slots of the compile walk's explicit stack (mirrors the frame
-#: engine's layout; operands are replaced by encoded operand refs).
-_F_KEY, _F_NODE, _F_RULE, _F_REFS, _F_TARGETS, _F_INDEX = range(6)
-
-
 class CompiledTape:
     """One forest's cover, lowered to flat postorder instruction tuples.
 
-    All sequences are parallel over ``entries`` tape entries; entry *i*'s
-    semantic value lands in value-buffer slot ``base + i`` (result
-    slots are sequential by construction, so they are implicit).  A
-    tape holds no IR nodes: the compiling sweep gets them from the
-    compile walk, and a replay rebinds them through :attr:`node_ords`.
+    All sequences are parallel over ``entries`` tape entries, one per
+    derivation fragment the compile walk laid out; entry *i*'s semantic
+    value lands in value-buffer slot ``base + i`` (result slots are
+    sequential by construction, so they are implicit).  A tape holds no
+    IR nodes: the compiling sweep gets them from the compile walk, and
+    a replay rebinds them through :attr:`node_ords`.
 
     Attributes:
         entries: Number of tape entries (= rule applications = values
@@ -117,19 +117,22 @@ class CompiledTape:
         node_ords: Each entry's node ordinal in the forest's canonical
             (signature) node order, or ``None`` for uncacheable tapes.
         runs: Per-entry ``tuple`` of encoded operand references,
-            ``(slot << 1) | spliced``.
+            ``(slot << 1) | spliced`` (tuples of ints, which the garbage
+            collector stops tracking, so cached tapes cost it nothing).
         root_refs: Absolute value slots, one per forest root, in root
             order.
         spliced: Per-entry splice flags: 1 for helper-rule entries whose
             value lists consumers splice flat.
-        thunks: Per-entry bound action thunks ``(context, node,
-            operands) -> value``.
+        thunks: Per-entry action thunks ``(context, node, operands)
+            -> value``, taken from the fragments (bound per context
+            kind, so a tape serves any context of its compiler's kind).
         intra_hits: Memo hits the compile walk scored (all intra-forest
             for cacheable tapes); replays add the same count, keeping
             ``memo_hits`` parity with the frame engine.
-        cost: Summed :func:`~repro.selection.reducer.entry_cost` of the
-            tape's entries, accumulated by the compile walk — a dynamic
-            cost is evaluated there, once per entry, so a raising one
+        cost: Summed cost of the tape's entries, accumulated by the
+            compile walk — a fragment's fixed cost, or
+            :func:`~repro.selection.reducer.entry_cost` for a dynamic
+            cost, evaluated there once per entry, so a raising one
             faults before any action runs.  For a self-contained tape
             this is the forest's cover cost — exactly
             ``extract_cover(...).total_cost()``.
@@ -242,11 +245,13 @@ class TapeEmitter(Reducer):
     """The tape-based emission engine: compile covers, sweep tapes.
 
     A drop-in replacement for the frame-stack
-    :class:`~repro.selection.reducer.Reducer` — same constructor, same
-    ``reduce``/``reduce_forest``/``resolve_start`` surface, same
-    ``reductions``/``memo_hits`` counter semantics, same
-    ``memo_size``/``rollback_to`` fault-isolation contract — that emits
-    through compiled tapes instead of a frame stack.  Cross-forest
+    :class:`~repro.selection.reducer.Reducer` over automaton labelings
+    — same constructor, same ``reduce``/``reduce_forest``/
+    ``resolve_start`` surface, same ``reductions``/``memo_hits``
+    counter semantics, same ``memo_size``/``rollback_to``
+    fault-isolation contract — that emits through tapes compiled from
+    the automaton's derivation fragments instead of a frame stack.  Any
+    other labeling raises :class:`TypeError`.  Cross-forest
     memoisation is preserved: the slot table (keyed like the frame
     engine's memo, by ``node.nid`` with an address fallback) spans the
     emitter's lifetime, so a node shared between batch forests emits
@@ -255,13 +260,13 @@ class TapeEmitter(Reducer):
     Additional counters: :attr:`tapes_compiled` and
     :attr:`tape_cache_hits` (replays of a shape-cached tape).
 
-    Cover cost comes for free: the compile walk sums the
-    :func:`~repro.selection.reducer.entry_cost` of the entries it lays
-    out into :attr:`CompiledTape.cost` — the frame engine's cost rule —
-    so after each ``reduce_forest`` :attr:`last_cover_cost` holds the
-    forest's cover cost — straight from the cached tape on a replay —
-    whenever the tape is self-contained (``None`` when it reached into
-    an earlier forest's slots).
+    Cover cost comes for free: the compile walk sums the costs of the
+    entries it lays out into :attr:`CompiledTape.cost` — the frame
+    engine's cost rule — so after each ``reduce_forest``
+    :attr:`last_cover_cost` holds the forest's cover cost — straight
+    from the cached tape on a replay — whenever the tape is
+    self-contained (``None`` when it reached into an earlier forest's
+    slots).
     """
 
     def __init__(
@@ -273,6 +278,11 @@ class TapeEmitter(Reducer):
         cache: TapeCache | None = None,
         tracer: Any = None,
     ) -> None:
+        if not isinstance(labeling, AutomatonLabeling):
+            raise TypeError(
+                f"TapeEmitter compiles automaton labelings only, got "
+                f"{type(labeling).__name__}; emit it with the frame Reducer"
+            )
         super().__init__(labeling, context, deadline_at_ns=deadline_at_ns)
         #: Optional span tracer; when enabled, each cover-to-tape
         #: compilation records a ``pipeline.tape_compile`` span.
@@ -282,14 +292,19 @@ class TapeEmitter(Reducer):
         #: ``(node key, nt id) -> (slot << 1) | spliced`` — insertion
         #: ordered and slot-monotone, so rollback is a tail truncation.
         self._slots: dict[tuple[int, int], int] = {}
-        #: node key -> live slot-table entry count (guards the shape
-        #: cache against cross-forest sharing).
-        self._seen: dict[int, int] = {}
-        #: ``id(rule) -> (thunk, spliced)`` compiled action thunks.
-        self._thunks: dict[int, tuple[Any, bool]] = {}
         self._cache = cache
         #: Shape caching is only sound when shape determines the cover.
         self._static_grammar = not labeling.grammar.has_dynamic_rules
+        #: node key -> live slot-table entry count (guards the shape
+        #: cache against cross-forest sharing); ``None`` when this
+        #: emitter never consults the cache.
+        self._seen: dict[int, int] | None = (
+            {} if cache is not None and self._static_grammar else None
+        )
+        #: The context kind fragment thunks are bound for (1: the
+        #: context has ``emit_template``) and its fragment table.
+        self._templated = int(getattr(context, "emit_template", None) is not None)
+        self._rows = labeling.automaton.fragments[self._templated]
         self.tapes_compiled = 0
         self.tape_cache_hits = 0
 
@@ -327,52 +342,14 @@ class TapeEmitter(Reducer):
         seen = self._seen
         for key in list(islice(reversed(slots), extra)):
             del slots[key]
+            if seen is None:
+                continue
             node_key = key[0]
             live = seen[node_key] - 1
             if live:
                 seen[node_key] = live
             else:
                 del seen[node_key]
-
-    # ------------------------------------------------------------------
-    # Per-rule thunk compilation
-
-    def _thunk_info(self, rule: Rule) -> tuple[Any, bool]:
-        """``(thunk, spliced)`` for *rule*, compiled once per rule.
-
-        The thunk mirrors :meth:`Reducer._run_action` branch order:
-        action, then template (when the context can emit templates),
-        then helper splice, then operand pass-through.  *spliced* is
-        static — only helper rules produce splice-flat values — so the
-        sweep needs no per-operand ``isinstance`` probe.
-        """
-        info = self._thunks.get(id(rule))
-        if info is None:
-            info = self._thunks[id(rule)] = self._compile_thunk(rule)
-        return info
-
-    def _compile_thunk(self, rule: Rule) -> tuple[Any, bool]:
-        action = rule.action
-        if action is not None:
-            return action, False
-        if rule.template is not None and self.context is not None:
-            if getattr(self.context, "emit_template", None) is not None:
-                # Bind the rule, not the context: a cached tape may be
-                # replayed under a different context of the same kind.
-                def template_thunk(ctx: Any, node: Node, operands: list, _rule=rule):
-                    return ctx.emit_template(_rule, node, operands)
-
-                return template_thunk, False
-        if rule.is_helper:
-            def helper_thunk(ctx: Any, node: Node, operands: list) -> Any:
-                return _SplicedOperands(operands)
-
-            return helper_thunk, True
-
-        def passthrough_thunk(ctx: Any, node: Node, operands: list) -> Any:
-            return flatten_operands(operands)
-
-        return passthrough_thunk, False
 
     # ------------------------------------------------------------------
     # Shape signatures
@@ -480,27 +457,41 @@ class TapeEmitter(Reducer):
 
         Returns the tape and its per-entry IR nodes, which only the
         immediate sweep needs (the tape itself keeps none).  Appends no
-        values — the sweep does that — but registers every
-        new entry's slot in the slot table as it is laid out, so later
-        targets (and later forests) resolve shared reductions to
-        existing slots.  The walk replicates the frame engine's exact
-        left-to-right postorder, cycle guard, and deadline strides, and
-        sums each new entry's :func:`entry_cost` into the tape's
-        ``cost``.
+        values — the sweep does that — but registers every new entry's
+        slot in the slot table as it is laid out, so later targets (and
+        later forests) resolve shared reductions to existing slots.
+
+        The walk resolves nothing per node: each ``(node, goal)`` it
+        has no slot for reads the node's state off the labeling and
+        lays out the automaton's derivation fragment for ``(state,
+        goal)``.  Its stack holds *visits* ``(node, goal, out, None,
+        None)`` and pending *entries* ``(node, key, out, emit, refs)``.
+        A visit follows the node's chain rules on the spot, pending one
+        entry per chain step, then pends the base rule's entry and
+        pushes its targets' visits in reverse, so targets resolve left
+        to right and entries land in the frame engine's exact
+        postorder, with the same memo hits; a leaf entry is laid out at
+        once.  A laid-out or memo-hit target appends its encoded slot to
+        its parent's ``refs`` (*out*).  The walk keeps the frame
+        engine's deadline strides and sums each new entry's
+        :func:`entry_cost` into the tape's ``cost``.  It needs no cycle
+        guard: IR nodes form a DAG, and the automaton rejects chain-rule
+        cycles when it builds a fragment.
         """
         slots = self._slots
+        slots_get = slots.get
         seen = self._seen
         base = len(self._values)
-        base2 = base << 1
-        require_rule = self.labeling.require_rule
-        targets_for = self._targets_for
-        thunk_info = self._thunk_info
+        base2 = next2 = base << 1
+        node_states = self.labeling.node_states
+        rows = self._rows
+        fragment = self._fragment
         deadline = self.deadline_at_ns
 
         thunks: list[Any] = []
         nodes: list[Node] = []
         nt_ids: list[int] = []
-        ref_runs: list[list[int]] = []
+        ref_runs: list[list[int] | tuple] = []
         root_refs: list[int] = []
         spliced_flags: list[bool] = []
         hits = 0
@@ -509,79 +500,82 @@ class TapeEmitter(Reducer):
         ticks = 0
 
         for root, nonterminal in pairs:
-            nid = root.nid
-            key = (nid if nid >= 0 else ~id(root), self._nt_id(nonterminal))
-            encoded = slots.get(key)
-            if encoded is not None:
-                hits += 1
-                if encoded < base2:
-                    self_contained = False
-                root_refs.append(encoded >> 1)
-                continue
-            rule = require_rule(root, nonterminal)
-            on_stack: set[tuple[int, int]] = {key}
-            frames: list[list] = [[key, root, rule, [], targets_for(rule, root), 0]]
-            while True:
+            out: list[int] = []
+            stack: list[tuple] = [(root, self._nt_id(nonterminal), out, None, None)]
+            push = stack.append
+            pop = stack.pop
+            while stack:
                 if deadline is not None:
                     ticks += 1
                     if ticks >= DEADLINE_CHECK_EVERY:
                         ticks = 0
                         check_deadline(deadline, "reduce")
-                frame = frames[-1]
-                targets = frame[_F_TARGETS]
-                refs = frame[_F_REFS]
-                index = frame[_F_INDEX]
-                descended = False
-                while index < len(targets):
-                    t_node, t_nt, t_nt_id = targets[index]
-                    t_nid = t_node.nid
-                    t_key = (t_nid if t_nid >= 0 else ~id(t_node), t_nt_id)
-                    encoded = slots.get(t_key)
+                node, tag, out_refs, emit, refs = pop()
+                if emit is not None:
+                    key = tag
+                else:
+                    nid = node.nid
+                    node_key = nid if nid >= 0 else ~id(node)
+                    key = (node_key, tag)
+                    encoded = slots_get(key)
                     if encoded is None:
-                        if t_key in on_stack:
-                            raise CoverError(
-                                f"cyclic derivation: reducing node "
-                                f"{t_node.op.name} (nid={t_node.nid}) from "
-                                f"nonterminal {t_nt!r} depends on itself"
-                            )
-                        frame[_F_INDEX] = index
-                        t_rule = require_rule(t_node, t_nt)
-                        on_stack.add(t_key)
-                        frames.append(
-                            [t_key, t_node, t_rule, [], targets_for(t_rule, t_node), 0]
-                        )
-                        descended = True
-                        break
-                    hits += 1
-                    if encoded < base2:
-                        self_contained = False
-                    refs.append(encoded)
-                    index += 1
-                if descended:
-                    continue
-                # All targets resolved: lay out this entry.
-                e_rule = frame[_F_RULE]
-                e_node = frame[_F_NODE]
-                cost += entry_cost(e_rule, e_node)
-                thunk, spliced = thunk_info(e_rule)
-                e_key = frame[_F_KEY]
-                encoded = ((base + len(nodes)) << 1) | spliced
-                slots[e_key] = encoded
-                node_key = e_key[0]
-                seen[node_key] = seen.get(node_key, 0) + 1
+                        state = node_states.get(id(node))
+                        goal = tag
+                        while True:
+                            try:
+                                frag = rows[state][goal]
+                            except (KeyError, IndexError):
+                                frag = None
+                            if frag is None:
+                                frag = fragment(state, goal, node)
+                            emit, goal, op_name, kid_goals = frag
+                            if kid_goals is not None:
+                                break
+                            # A chain rule: pend its entry; its one
+                            # target is this node, from the source goal.
+                            refs = []
+                            push((node, key, out_refs, emit, refs))
+                            out_refs = refs
+                            key = (node_key, goal)
+                            encoded = slots_get(key)
+                            if encoded is not None:
+                                break
+                    if encoded is not None:
+                        hits += 1
+                        if encoded < base2:
+                            self_contained = False
+                        out_refs.append(encoded)
+                        continue
+                    kids = node.kids
+                    if node.op.name != op_name or len(kids) != len(kid_goals):
+                        require_structural_match(emit[3].pattern, node)
+                    if kids:
+                        refs = []
+                        push((node, key, out_refs, emit, refs))
+                        if len(kids) == 2:
+                            push((kids[1], kid_goals[1], refs, None, None))
+                            push((kids[0], kid_goals[0], refs, None, None))
+                        else:
+                            for index in range(len(kids) - 1, -1, -1):
+                                push((kids[index], kid_goals[index], refs, None, None))
+                        continue
+                    # A leaf entry has no targets: lay it out right away.
+                    refs = ()
+                thunk, spliced, entry, rule = emit
+                cost += entry_cost(rule, node) if entry is None else entry
+                encoded = next2 | spliced
+                next2 += 2
+                slots[key] = encoded
+                if seen is not None:
+                    node_key = key[0]
+                    seen[node_key] = seen.get(node_key, 0) + 1
                 thunks.append(thunk)
-                nodes.append(e_node)
-                nt_ids.append(e_key[1])
+                nodes.append(node)
+                nt_ids.append(key[1])
                 ref_runs.append(refs)
                 spliced_flags.append(spliced)
-                on_stack.discard(e_key)
-                frames.pop()
-                if not frames:
-                    break
-                parent = frames[-1]
-                parent[_F_REFS].append(encoded)
-                parent[_F_INDEX] += 1
-            root_refs.append(slots[key] >> 1)
+                out_refs.append(encoded)
+            root_refs.append(out[0] >> 1)
 
         self.memo_hits += hits
         cacheable = self_contained and ord_of is not None
@@ -601,6 +595,17 @@ class TapeEmitter(Reducer):
             self_contained=self_contained,
             cacheable=cacheable,
         ), nodes
+
+    def _fragment(self, state: Any, goal: int, node: Node) -> tuple:
+        """Build the fragment the walk's table lookup missed, or raise
+        the frame engine's :class:`CoverError` when *node* (labeled
+        *state*) has no derivation of *goal*."""
+        built = self.labeling.automaton.fragment(state, goal, self._templated)
+        if built is None:
+            names = {nt_id: name for name, nt_id in self._nt_ids.items()}
+            self.labeling.require_rule(node, names[goal])
+            raise CoverError(f"no fragment for nonterminal {names[goal]!r} at {state!r}")
+        return built
 
     # ------------------------------------------------------------------
     # Sweep
