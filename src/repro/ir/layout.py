@@ -1,10 +1,11 @@
-"""Shared address-space layout for the IR interpreter and the machine simulator.
+"""Address-space layout of the IR interpreter.
 
-Both the IR-level interpreter (:mod:`repro.ir.interp`) and the target
-machine simulator (:mod:`repro.machine.simulator`) execute the same
-programs (directly vs. via generated code).  To make their results
-comparable they share one flat 64-bit address space with fixed regions
-for globals, frame locals, and formal parameters.
+The IR-level interpreter (:mod:`repro.ir.interp`) executes programs in
+one flat 64-bit address space with fixed regions for globals, frame
+locals, and formal parameters; this module fixes those regions and the
+word arithmetic, so any other executor of the same programs (such as a
+simulator of the selected instructions) can share them and compare
+results address for address.
 """
 
 from __future__ import annotations

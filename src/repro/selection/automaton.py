@@ -43,22 +43,29 @@ normalisation deltas shift all candidate costs by the same constant and
 the locally-cheapest rule choice stays globally optimal.  Grammars with
 multi-node patterns are normalized transparently on construction.
 
-Dynamic costs and constraints are handled through a per-node *dynamic
-signature*: the node-evaluated costs of the dynamic rules relevant to
-its operator become part of the transition key, so constrained rules
-split an operator's transitions into the few variants the constraint
-outcomes induce (the paper's restricted-dynamic-cost argument) while
-fully general dynamic costs degrade gracefully to per-outcome entries.
-Operators with *no* dynamic rules take the integer-keyed tables even
-in a dynamic grammar, and only nodes of operators with dynamic rules
-leave the walk's fast branches for the signature path — unless the
-grammar has a dynamic chain rule, which makes every node's transition
-node-dependent and sends every operator there.  Dynamic callables
-only run where the DP labeler would run them: rules from multi-node
-patterns require a structural match of the original pattern, and
-dynamic chain rules require their source nonterminal to be derivable
-at the node (a memoized derivability set keeps this off the warm
-path).
+Dynamic costs and constraints make each outcome one more component of
+the transition key (the paper's restricted dynamic costs).  An operator
+with dynamic rules has one two-level dynamic table.  Level 1 is keyed
+by the child-state ids, like a static transition, and holds the
+*candidates*: the dynamic rules whose normalized pattern the child
+states can still derive, i.e. every operand nonterminal has a finite
+cost at its child.  Level 2 is keyed by the candidates' outcomes and
+holds the state.  Per node the walk evaluates the candidates' callables
+and does the two gets; only a miss builds the cost map and constructs
+a state.  Constraint rules split an operator's transitions into the few
+variants their outcomes induce, fully general dynamic costs degrade
+gracefully to per-outcome entries, and a key that leaves no candidate
+has exactly one state.  Operators with *no* dynamic rules take the
+integer-keyed tables even in a dynamic grammar — unless the grammar has
+a dynamic chain rule, which makes every node's transition
+node-dependent and sends every operator through the dynamic table: the
+candidates' outcomes are then the key's base half, and the chain half
+holds the outcomes of the dynamic chain rules whose source nonterminal
+is derivable at the node (memoized per base half).  Dynamic callables
+run exactly where the DP labeler runs them: a rule's once every operand
+of its pattern is derivable — for a multi-node pattern a finite helper
+nonterminal proves the rest of the original pattern matches, so no
+pattern is re-matched — and a chain rule's once its source is.
 
 The emission side of a state is built on demand too.  A state fixes the
 rule deriving each of its nonterminals, so an automaton cover is a pure
@@ -82,7 +89,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.errors import CoverError
 from repro.grammar.closure import chain_closure
@@ -94,7 +101,6 @@ from repro.ir.node import Forest, Node
 from repro.metrics.counters import LabelMetrics
 from repro.obs.trace import Timer
 from repro.selection.cover import Labeling
-from repro.selection.label_dp import dynamic_cost_at
 from repro.selection.reducer import action_thunk
 from repro.selection.resilience import (
     DEADLINE_CHECK_EVERY,
@@ -105,9 +111,9 @@ from repro.selection.states import State, StatePool
 
 __all__ = ["AutomatonLabeling", "OnDemandAutomaton"]
 
-#: Dynamic-signature slot for a chain rule whose source nonterminal was not
-#: derivable at the node, so its cost callable was (correctly) never run.
-#: ``None`` cannot collide with any integer a cost callable may return.
+#: Chain-half outcome of a dynamic chain rule whose source nonterminal was
+#: not derivable at the node, so its cost callable was (correctly) never
+#: run.  ``None`` cannot collide with any integer a cost callable may return.
 UNEVALUATED = None
 
 #: Sink for the walk's cold-path counters when the caller passes no
@@ -120,47 +126,78 @@ _NULL_METRICS = LabelMetrics()
 _RuleEntry = tuple[Rule, str, int, tuple[int, ...]]
 
 
+class _DynRow(dict):
+    """Level 1 of a dynamic transition table: one child-state key's
+    candidate rules; the row itself is level 2, mapping their outcomes
+    to the state.
+
+    ``candidates`` are the operator's dynamic rules the child states can
+    still derive, and ``evals`` their bound ``cost_at`` methods, which
+    the walk calls per node.  A key is the tuple of their outcomes
+    (followed, under dynamic chain rules, by the chain outcomes); no
+    candidates means the one key ``()`` and one state.  Under dynamic
+    chain rules ``derivable`` memoizes, per candidate outcome tuple,
+    what the chain rules start from: the nonterminals derivable before
+    them and the base (costs, rules) pair — the cached dicts must not be
+    mutated.  Being its own level 2, a row costs one object per
+    child-state key, which keeps eager tables small.
+    """
+
+    __slots__ = ("candidates", "evals", "derivable")
+
+    def __init__(
+        self, candidates: tuple[Rule, ...], evals: tuple[Callable[[Node], int], ...]
+    ) -> None:
+        super().__init__()
+        self.candidates = candidates
+        self.evals = evals
+        self.derivable: (
+            dict[tuple, tuple[frozenset[str], dict[str, int], dict[str, Rule]]] | None
+        ) = None
+
+
 class _OpTable:
     """All per-operator structures, interned once per grammar sync.
 
     Transitions are arity-specialized: ``nullary`` caches the single
     leaf state, ``unary``/``binary`` are nested dicts keyed by child
-    state ids (no key tuples on the warm path), ``nary`` covers arity
-    ≥ 3, and ``dyn`` holds the ``(child ids, dynamic signature)``
-    entries used by operators that do have dynamic rules (or by every
-    operator when the grammar has dynamic chain rules).
+    state ids (no key tuples on the warm path), and ``nary`` covers
+    arity ≥ 3.  An operator with dynamic rules (every operator, when
+    the grammar has dynamic chain rules) uses ``dyn`` instead, its one
+    two-level dynamic table: the tuple of child-state ids maps to a
+    :class:`_DynRow`, which maps the outcomes of the rules the child
+    states leave open to the state.  ``dyn_by_arity`` holds those
+    dynamic rules with their kid nonterminal ids and bound ``cost_at``.
     """
 
     __slots__ = (
         "op_id",
         "rules_by_arity",
-        "dyn_rules",
+        "dyn_by_arity",
         "nullary",
         "unary",
         "binary",
         "nary",
         "dyn",
-        "derivable",
     )
 
     def __init__(self, op_id: int) -> None:
         self.op_id = op_id
         self.rules_by_arity: dict[int, tuple[_RuleEntry, ...]] = {}
-        self.dyn_rules: tuple[Rule, ...] = ()
+        self.dyn_by_arity: dict[
+            int, tuple[tuple[Rule, tuple[int, ...], Callable[[Node], int]], ...]
+        ] = {}
         self.nullary: State | None = None
         self.unary: dict[int, State] = {}
         self.binary: dict[int, dict[int, State]] = {}
         self.nary: dict[tuple[int, ...], State] = {}
-        self.dyn: dict[tuple[tuple[int, ...], tuple["int | None", ...]], State] = {}
-        self.derivable: dict[
-            tuple[tuple[int, ...], tuple[int, ...]],
-            tuple[frozenset[str], dict[str, int], dict[str, Rule]],
-        ] = {}
+        self.dyn: dict[tuple[int, ...], _DynRow] = {}
 
     def transition_count(self) -> int:
         """Number of memoized transitions in this operator's tables."""
-        total = len(self.unary) + len(self.nary) + len(self.dyn)
+        total = len(self.unary) + len(self.nary)
         total += sum(len(row) for row in self.binary.values())
+        total += sum(len(row) for row in self.dyn.values())
         if self.nullary is not None:
             total += 1
         return total
@@ -220,12 +257,14 @@ class OnDemandAutomaton:
         self.pool = StatePool()
         self._op_ids: dict[str, int] = {}
         self._tables: dict[str, _OpTable] = {}
-        #: The tables of operators without dynamic rules — the walk's
-        #: lookup dict: a dynamic operator misses it and takes the
-        #: signature path (see :meth:`_walk`).
+        #: The walk's two lookup dicts: the tables of operators without
+        #: dynamic rules, and of those with (every operator, under
+        #: dynamic chain rules), which take the dynamic tail of
+        #: :meth:`_walk`.
         self._static_tables: dict[str, _OpTable] = {}
+        self._dyn_tables: dict[str, _OpTable] = {}
         self._dyn_chain: list[Rule] = []
-        self._empty_chain_signature: tuple[None, ...] = ()
+        self._unreached_chain_half: tuple[None, ...] = ()
         self._static_reach_cache: dict[str, frozenset[str]] = {}
         self._eager: dict[str, object] | None = None
         #: Derivation fragments, one table per context kind (index 1:
@@ -249,12 +288,12 @@ class OnDemandAutomaton:
         self._tables = {name: self._build_table(name, op_id) for name, op_id in self._op_ids.items()}
         self._dyn_chain = [rule for rule in self.grammar.chain_rules() if rule.is_dynamic]
         # A dynamic chain rule makes every transition node-dependent.
-        self._static_tables = (
-            {}
-            if self._dyn_chain
-            else {name: table for name, table in self._tables.items() if not table.dyn_rules}
-        )
-        self._empty_chain_signature = (UNEVALUATED,) * len(self._dyn_chain)
+        self._static_tables = {}
+        self._dyn_tables = {}
+        for name, table in self._tables.items():
+            dynamic = bool(self._dyn_chain or table.dyn_by_arity)
+            (self._dyn_tables if dynamic else self._static_tables)[name] = table
+        self._unreached_chain_half = (UNEVALUATED,) * len(self._dyn_chain)
         self._static_reach_cache = {}
         self._eager = None  # precomputed tables died with the old pool
         self.fragments = ({}, {})  # and so did the fragments of its states
@@ -268,9 +307,12 @@ class OnDemandAutomaton:
             kid_ids = tuple(self.pool.declare(kid.symbol) for kid in rule.pattern.kids)
             by_arity.setdefault(len(kid_ids), []).append((rule, rule.lhs, rule.cost, kid_ids))
         table.rules_by_arity = {arity: tuple(entries) for arity, entries in by_arity.items()}
-        table.dyn_rules = tuple(
-            rule for rule in self.grammar.rules_for_op(op_name) if rule.is_dynamic
-        )
+        for arity, entries in table.rules_by_arity.items():
+            dynamic = tuple(
+                (rule, kid_ids, rule.cost_at) for rule, _, _, kid_ids in entries if rule.is_dynamic
+            )
+            if dynamic:
+                table.dyn_by_arity[arity] = dynamic
         return table
 
     def _table_for(self, op_name: str) -> _OpTable:
@@ -283,8 +325,8 @@ class OnDemandAutomaton:
             self._tables[op_name] = table
             # No rules, so no dynamic rules: static unless the grammar
             # has dynamic chain rules.
-            if not self._dyn_chain:
-                self._static_tables[op_name] = table
+            lookup = self._dyn_tables if self._dyn_chain else self._static_tables
+            lookup[op_name] = table
         return table
 
     def _static_chain_reach(self, nonterminal: str) -> frozenset[str]:
@@ -457,175 +499,251 @@ class OnDemandAutomaton:
         the moment its last child has a state.
 
         Lookups go through the tables of operators without dynamic
-        rules (all of them, on a static grammar; none, when the grammar
-        has dynamic chain rules), so a node whose operator misses them
-        takes :meth:`_dynamic_state`.  Only the cold branches touch
-        *metrics* (misses and construction work); the deadline is one
-        strided check per popped node.
+        rules first (all of them, on a static grammar; none, when the
+        grammar has dynamic chain rules).  A node whose operator misses
+        them takes the dynamic tail below the arity branches: one get
+        of the candidate row keyed by its child-state ids, the row's
+        candidate callables, one get of the state keyed by their
+        outcomes.  Only the cold branches touch *metrics* (misses and
+        construction work); the callables run are counted in a local
+        and charged once at the end.  The deadline is one strided check
+        per popped node.
         """
         tables = self._static_tables
+        dyn_tables = self._dyn_tables
+        dyn_chain = self._dyn_chain
         stack = list(roots)
         pop = stack.pop
         push = stack.append
         get_state = node_states.get
         ticks = 0
-        while stack:
-            if deadline_at_ns is not None:
-                ticks += 1
-                if ticks >= DEADLINE_CHECK_EVERY:
-                    ticks = 0
-                    check_deadline(deadline_at_ns, "label")
-            node = pop()
-            nid = id(node)
-            if nid in node_states:
-                continue
-            kids = node.kids
-            arity = len(kids)
-            if arity == 2:
-                k0, k1 = kids
-                s0 = get_state(id(k0))
-                s1 = get_state(id(k1))
-                if s0 is None or s1 is None:
-                    push(node)
-                    if s1 is None:
-                        push(k1)
+        evals_run = 0
+        try:
+            while stack:
+                if deadline_at_ns is not None:
+                    ticks += 1
+                    if ticks >= DEADLINE_CHECK_EVERY:
+                        ticks = 0
+                        check_deadline(deadline_at_ns, "label")
+                node = pop()
+                nid = id(node)
+                if nid in node_states:
+                    continue
+                kids = node.kids
+                arity = len(kids)
+                if arity == 2:
+                    k0, k1 = kids
+                    s0 = get_state(id(k0))
+                    s1 = get_state(id(k1))
+                    if s0 is None or s1 is None:
+                        push(node)
+                        if s1 is None:
+                            push(k1)
+                        if s0 is None:
+                            push(k0)
+                        continue
+                    table = tables.get(node.op.name)
+                    if table is not None:
+                        by_s1 = table.binary.get(s0.index)
+                        if by_s1 is None:
+                            by_s1 = table.binary[s0.index] = {}
+                        state = by_s1.get(s1.index)
+                        if state is None:
+                            metrics.table_misses += 1
+                            state = self._construct_state(table, 2, (s0, s1), None, metrics)
+                            by_s1[s1.index] = state
+                        node_states[nid] = state
+                        continue
+                    key = (s0.index, s1.index)
+                elif arity == 0:
+                    table = tables.get(node.op.name)
+                    if table is not None:
+                        state = table.nullary
+                        if state is None:
+                            metrics.table_misses += 1
+                            state = self._construct_state(table, 0, (), None, metrics)
+                            table.nullary = state
+                        node_states[nid] = state
+                        continue
+                    key = ()
+                elif arity == 1:
+                    k0 = kids[0]
+                    s0 = get_state(id(k0))
                     if s0 is None:
+                        push(node)
                         push(k0)
-                    continue
-                op_name = node.op.name
-                table = tables.get(op_name)
-                if table is None:
-                    table = self._table_for(op_name)
-                    if op_name not in tables:
-                        node_states[nid] = self._dynamic_state(table, node, node_states, metrics)
                         continue
-                row = table.binary.get(s0.index)
+                    table = tables.get(node.op.name)
+                    if table is not None:
+                        state = table.unary.get(s0.index)
+                        if state is None:
+                            metrics.table_misses += 1
+                            state = self._construct_state(table, 1, (s0,), None, metrics)
+                            table.unary[s0.index] = state
+                        node_states[nid] = state
+                        continue
+                    key = (s0.index,)
+                else:
+                    deferred = False
+                    for kid in kids:
+                        if id(kid) not in node_states:
+                            if not deferred:
+                                push(node)
+                                deferred = True
+                            push(kid)
+                    if deferred:
+                        continue
+                    table = tables.get(node.op.name)
+                    key = tuple(node_states[id(kid)].index for kid in kids)
+                    if table is not None:
+                        state = table.nary.get(key)
+                        if state is None:
+                            metrics.table_misses += 1
+                            kid_states = tuple(node_states[id(kid)] for kid in kids)
+                            state = self._construct_state(table, arity, kid_states, None, metrics)
+                            table.nary[key] = state
+                        node_states[nid] = state
+                        continue
+                # The dynamic tail: an operator with dynamic rules (every
+                # operator, under dynamic chain rules) or one never seen.
+                table = dyn_tables.get(node.op.name)
+                if table is None:
+                    self._table_for(node.op.name)
+                    push(node)  # retried against the table it now has
+                    continue
+                row = table.dyn.get(key)
                 if row is None:
-                    row = table.binary[s0.index] = {}
-                state = row.get(s1.index)
-                if state is None:
-                    metrics.table_misses += 1
-                    state = self._construct_state(table, 2, (s0, s1), None, metrics)
-                    row[s1.index] = state
-            elif arity == 0:
-                op_name = node.op.name
-                table = tables.get(op_name)
-                if table is None:
-                    table = self._table_for(op_name)
-                    if op_name not in tables:
-                        node_states[nid] = self._dynamic_state(table, node, node_states, metrics)
-                        continue
-                state = table.nullary
-                if state is None:
-                    metrics.table_misses += 1
-                    state = self._construct_state(table, 0, (), None, metrics)
-                    table.nullary = state
-            elif arity == 1:
-                k0 = kids[0]
-                s0 = get_state(id(k0))
-                if s0 is None:
-                    push(node)
-                    push(k0)
-                    continue
-                op_name = node.op.name
-                table = tables.get(op_name)
-                if table is None:
-                    table = self._table_for(op_name)
-                    if op_name not in tables:
-                        node_states[nid] = self._dynamic_state(table, node, node_states, metrics)
-                        continue
-                state = table.unary.get(s0.index)
-                if state is None:
-                    metrics.table_misses += 1
-                    state = self._construct_state(table, 1, (s0,), None, metrics)
-                    table.unary[s0.index] = state
-            else:
-                deferred = False
-                for kid in kids:
-                    if id(kid) not in node_states:
-                        if not deferred:
-                            push(node)
-                            deferred = True
-                        push(kid)
-                if deferred:
-                    continue
-                op_name = node.op.name
-                table = tables.get(op_name)
-                if table is None:
-                    table = self._table_for(op_name)
-                    if op_name not in tables:
-                        node_states[nid] = self._dynamic_state(table, node, node_states, metrics)
-                        continue
-                kid_states = tuple(node_states[id(kid)] for kid in kids)
-                key = tuple(state.index for state in kid_states)
-                state = table.nary.get(key)
-                if state is None:
-                    metrics.table_misses += 1
-                    state = self._construct_state(table, arity, kid_states, None, metrics)
-                    table.nary[key] = state
-            node_states[nid] = state
+                    row = self._dyn_row(table, key, metrics)
+                evals = row.evals
+                try:
+                    if not evals:
+                        outcomes = ()
+                    elif len(evals) == 1:
+                        evals_run += 1
+                        outcomes = (evals[0](node),)
+                    else:
+                        evals_run += len(evals)
+                        outcomes = tuple([evaluate(node) for evaluate in evals])
+                    if dyn_chain:
+                        state = self._chain_state(table, key, row, outcomes, node, metrics)
+                    else:
+                        state = row.get(outcomes)
+                        if state is None:
+                            state = self._dyn_state(table, key, row, outcomes, None, metrics)
+                except Exception as exc:
+                    # Zero-cost on the happy path (3.11+): a raising
+                    # callable gets the faulting IR node attached for
+                    # SelectionFailure provenance.
+                    attach_node_provenance(exc, node)
+                    raise
+                node_states[nid] = state
+        finally:
+            metrics.dynamic_evals += evals_run
 
     # ------------------------------------------------------------------
-    # Dynamic-signature path
+    # Dynamic transitions: candidate rows keyed by child states
 
-    def _dynamic_state(
+    def _dyn_row(
+        self, table: _OpTable, key: tuple[int, ...], metrics: LabelMetrics = _NULL_METRICS
+    ) -> _DynRow:
+        """Level 1 of *table*'s dynamic transitions at child-state ids
+        *key*: the dynamic rules the child states can still derive.
+
+        A rule is a candidate when every operand nonterminal of its
+        normalized pattern has a finite cost at its child.  The states
+        are the table key, so this is decided once per key — and a
+        finite helper nonterminal proves that the child matches the
+        rest of a multi-node pattern, so the candidates' callables may
+        dereference any node their original pattern names.
+        """
+        kid_states = self._kid_states(key)
+        entries = table.dyn_by_arity.get(len(key), ())
+        metrics.rule_checks += len(entries)
+        open_entries = [
+            (rule, evaluate)
+            for rule, kid_ids, evaluate in entries
+            if all(
+                kid_state.cost_at(nt_id) < INFINITE
+                for nt_id, kid_state in zip(kid_ids, kid_states)
+            )
+        ]
+        row = table.dyn[key] = _DynRow(
+            tuple(rule for rule, _ in open_entries),
+            tuple(evaluate for _, evaluate in open_entries),
+        )
+        return row
+
+    def _kid_states(self, key: tuple[int, ...]) -> tuple[State, ...]:
+        states = self.pool.states
+        return tuple(states[index] for index in key)
+
+    @staticmethod
+    def _dyn_costs(row: _DynRow, outcomes: tuple) -> dict[int, int]:
+        """Rule number → cost of *row*'s candidates at their *outcomes*.
+        A dynamic rule that is no candidate needs no entry: one of its
+        operands is underivable, so it cannot apply whatever its cost."""
+        return {rule.number: cost for rule, cost in zip(row.candidates, outcomes)}
+
+    def _dyn_state(
         self,
         table: _OpTable,
+        key: tuple[int, ...],
+        row: _DynRow,
+        outcomes: tuple,
+        base_pair: tuple[dict[str, int], dict[str, Rule]] | None,
+        metrics: LabelMetrics,
+        chain_costs: dict[int, int] | None = None,
+    ) -> State:
+        """Level 2's miss: construct the state for *outcomes* (the
+        candidates' costs, then any dynamic chain outcomes) and file it
+        in *row*."""
+        metrics.table_misses += 1
+        dyn_costs = self._dyn_costs(row, outcomes)
+        if chain_costs:
+            dyn_costs.update(chain_costs)
+        state = self._construct_state(
+            table, len(key), self._kid_states(key), dyn_costs, metrics, base_pair
+        )
+        row[outcomes] = state
+        return state
+
+    def _chain_state(
+        self,
+        table: _OpTable,
+        key: tuple[int, ...],
+        row: _DynRow,
+        outcomes: tuple,
         node: Node,
-        node_states: dict[int, State],
         metrics: LabelMetrics,
     ) -> State:
-        """*node*'s state through the dynamic-signature path."""
-        kid_states = tuple(node_states[id(kid)] for kid in node.kids)
-        # Zero-cost on the happy path (3.11+): a raising dynamic
-        # cost/constraint callable gets the faulting IR node attached
-        # for SelectionFailure provenance.
-        try:
-            return self._transition(table, node, kid_states, metrics)
-        except Exception as exc:
-            attach_node_provenance(exc, node)
-            raise
-
-    def _transition(
-        self, table: _OpTable, node: Node, kid_states: tuple[State, ...], metrics: LabelMetrics
-    ) -> State:
-        dyn_base = table.dyn_rules
-        if dyn_base:
-            dyn_costs: dict[int, int] | None = {}
-            for rule in dyn_base:
-                dyn_costs[rule.number] = dynamic_cost_at(rule, node, metrics)
-            dyn_signature = tuple(dyn_costs[rule.number] for rule in dyn_base)
-        else:
-            dyn_costs = None
-            dyn_signature = ()
-        kid_ids = tuple(state.index for state in kid_states)
-        base_pair = None
-        if self._dyn_chain:
-            derivable, base_costs, base_rules = self._initial_derivable(
-                table, kid_ids, kid_states, dyn_costs, dyn_signature, metrics
+        """Level 2 under dynamic chain rules: the candidates' outcomes
+        fix the base half of the key (and, memoized in *row*, the
+        nonterminals derivable before chain rules); the chain half comes
+        from :meth:`_evaluate_dynamic_chains` at *node*."""
+        if row.derivable is None:
+            row.derivable = {}
+        base = row.derivable.get(outcomes)
+        if base is None:
+            dyn_costs = self._dyn_costs(row, outcomes)
+            costs, rules = self._base_costs(
+                table, len(key), self._kid_states(key), dyn_costs, metrics
             )
-            dyn_costs, chain_signature = self._evaluate_dynamic_chains(
-                node, derivable, dyn_costs, metrics
-            )
-            dyn_signature = dyn_signature + chain_signature
-            base_pair = (base_costs, base_rules)
-        key = (kid_ids, dyn_signature)
-        state = table.dyn.get(key)
+            closed: set[str] = set()
+            for nonterminal in costs:
+                closed |= self._static_chain_reach(nonterminal)
+            base = row.derivable[outcomes] = (frozenset(closed), costs, rules)
+        chain_costs, chain_half = self._evaluate_dynamic_chains(node, base[0], metrics)
+        full = outcomes + chain_half
+        state = row.get(full)
         if state is None:
-            metrics.table_misses += 1
-            state = self._construct_state(
-                table, len(kid_states), kid_states, dyn_costs, metrics, base_pair
+            state = self._dyn_state(
+                table, key, row, full, (base[1], base[2]), metrics, chain_costs
             )
-            table.dyn[key] = state
         return state
 
     def _evaluate_dynamic_chains(
-        self,
-        node: Node,
-        initial_derivable: frozenset[str],
-        dyn_costs: dict[int, int] | None,
-        metrics: LabelMetrics,
-    ) -> tuple[dict[int, int] | None, tuple["int | None", ...]]:
+        self, node: Node, initial_derivable: frozenset[str], metrics: LabelMetrics
+    ) -> tuple[dict[int, int], tuple["int | None", ...]]:
         """Evaluate dynamic chain-rule costs, only where they can apply.
 
         A dynamic chain rule's callable runs only when its source
@@ -633,7 +751,8 @@ class OnDemandAutomaton:
         labeler gets from ``chain_closure``'s finite-source check — and
         the outcome joins the transition key.  Unreached rules get the
         :data:`UNEVALUATED` sentinel; derivability grows to a fixed
-        point as finite outcomes unlock further chain rules.
+        point as finite outcomes unlock further chain rules.  Returns
+        the outcomes by rule number and the key's chain half.
         """
         derivable = set(initial_derivable)
         evaluated: dict[int, int] = {}
@@ -650,40 +769,9 @@ class OnDemandAutomaton:
                     derivable |= self._static_chain_reach(rule.lhs)
                     progress = True
         if not evaluated:
-            # Nothing ran: keep the caller's dict (warm path, no copy).
-            return dyn_costs, self._empty_chain_signature
-        merged = dict(dyn_costs) if dyn_costs else {}
-        merged.update(evaluated)
-        signature = tuple(evaluated.get(rule.number, UNEVALUATED) for rule in self._dyn_chain)
-        return merged, signature
-
-    def _initial_derivable(
-        self,
-        table: _OpTable,
-        kid_ids: tuple[int, ...],
-        kid_states: tuple[State, ...],
-        dyn_costs: dict[int, int] | None,
-        base_signature: tuple[int, ...],
-        metrics: LabelMetrics,
-    ) -> tuple[frozenset[str], dict[str, int], dict[str, Rule]]:
-        """Nonterminals derivable at a node before dynamic chain rules.
-
-        Depends only on the transition key's static part, so the result
-        — including the base (costs, rules) pair, which a subsequent
-        state construction reuses instead of recomputing — is memoized
-        alongside the transition tables.  The cached dicts must not be
-        mutated by callers.
-        """
-        key = (kid_ids, base_signature)
-        entry = table.derivable.get(key)
-        if entry is None:
-            costs, rules = self._base_costs(table, len(kid_states), kid_states, dyn_costs, metrics)
-            closed: set[str] = set()
-            for nonterminal in costs:
-                closed |= self._static_chain_reach(nonterminal)
-            entry = (frozenset(closed), costs, rules)
-            table.derivable[key] = entry
-        return entry
+            return evaluated, self._unreached_chain_half
+        chain_half = tuple(evaluated.get(rule.number, UNEVALUATED) for rule in self._dyn_chain)
+        return evaluated, chain_half
 
     # ------------------------------------------------------------------
     # State construction (the cold path)
@@ -773,10 +861,11 @@ class OnDemandAutomaton:
 
         Dynamic rules restrict what can be enumerated:
 
-        * constraint rules have two possible signature outcomes (the
-          static cost, or :data:`~repro.grammar.costs.INFINITE`), so
-          their operators are enumerated over all outcome combinations
-          — the restricted-dynamic-cost argument;
+        * constraint rules have two possible outcomes (the static
+          cost, or :data:`~repro.grammar.costs.INFINITE`), so their
+          operators' dynamic tables are enumerated per child-state key
+          over every outcome combination of the rules that key leaves
+          open — the restricted-dynamic-cost argument;
         * operators with fully general dynamic-cost rules, and grammars
           with dynamic *chain* rules (which make every transition
           node-dependent), cannot be precomputed and are left on demand
@@ -803,7 +892,11 @@ class OnDemandAutomaton:
             skipped = sorted(self._tables)
         else:
             for name, table in self._tables.items():
-                if any(rule.constraint is None for rule in table.dyn_rules):
+                if any(
+                    rule.constraint is None
+                    for entries in table.dyn_by_arity.values()
+                    for rule, _, _ in entries
+                ):
                     skipped.append(name)
             skipped.sort()
         capped = False
@@ -879,27 +972,23 @@ class OnDemandAutomaton:
             if deadline_at is None
             else (lambda: time.monotonic_ns() > deadline_at)
         )
-        if table.dyn_rules:
-            # Constraint-only operator: enumerate the finite signature
-            # space alongside the child-state combinations, mirroring
-            # the keys _transition builds from node-evaluated outcomes.
-            dyn_rules = table.dyn_rules
-            outcome_space = [(rule.cost, INFINITE) for rule in dyn_rules]
+        if table.dyn_by_arity:
+            # Constraint-only operator: per child-state key, enumerate
+            # the two outcomes (static cost or INFINITE) of each rule the
+            # key leaves open — exactly the keys the walk builds.
             dyn = table.dyn
             for kid_states in itertools.product(states, repeat=arity):
-                kid_ids = tuple(state.index for state in kid_states)
-                for signature in itertools.product(*outcome_space):
-                    key = (kid_ids, signature)
-                    if key in dyn:
+                key = tuple(state.index for state in kid_states)
+                row = dyn.get(key)
+                if row is None:
+                    row = self._dyn_row(table, key, metrics)
+                outcome_space = [(rule.cost, INFINITE) for rule in row.candidates]
+                for outcomes in itertools.product(*outcome_space):
+                    if outcomes in row:
                         continue
                     if over():
                         return True
-                    dyn_costs = {
-                        rule.number: cost for rule, cost in zip(dyn_rules, signature)
-                    }
-                    dyn[key] = self._construct_state(
-                        table, arity, kid_states, dyn_costs, metrics
-                    )
+                    self._dyn_state(table, key, row, outcomes, None, metrics)
             return False
         if arity == 0:
             if table.nullary is None:

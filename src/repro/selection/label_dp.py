@@ -31,12 +31,12 @@ from repro.obs.trace import Timer
 from repro.selection.cover import Labeling
 from repro.selection.resilience import DEADLINE_CHECK_EVERY, check_deadline
 
-__all__ = ["DPLabeling", "DPLabeler", "dynamic_cost_at", "label_dp", "match_pattern"]
+__all__ = ["DPLabeling", "DPLabeler", "label_dp", "match_pattern"]
 
 _EMPTY: dict = {}
 
 #: Sink for counters when the caller opted out of metrics (written,
-#: never read); dynamic-cost evaluation needs *some* metrics object.
+#: never read); the dynamic chain-cost closure needs *some* metrics object.
 _NULL_METRICS = LabelMetrics()
 
 
@@ -59,32 +59,6 @@ def match_pattern(pattern: Pattern, node: Node) -> list[tuple[str, Node]] | None
             return None
         bindings.extend(kid_bindings)
     return bindings
-
-
-def dynamic_cost_at(
-    rule: Rule, node: Node, metrics: LabelMetrics, prematched: Pattern | None = None
-) -> int:
-    """Node-evaluated cost of a dynamic rule, shared by all labelers.
-
-    Dynamic cost / constraint callables are written against the
-    *original* pattern and may dereference its nodes (a multi-node
-    pattern's inner operators, or ``kids[i]`` of the root), so they
-    only run where that pattern structurally matches — in particular
-    on normalized grammars, whose flattened top rules match one level
-    only, and across operator dialects disagreeing about an arity.  A
-    rule whose original pattern does not match is inapplicable
-    regardless of its cost.
-
-    A caller that already matched a pattern at *node* passes it as
-    *prematched* to skip the redundant re-match when it is the
-    original pattern (the DP labeler's non-normalized hot path).
-    """
-    original = rule.original
-    if not original.is_chain and original.pattern is not prematched:
-        if match_pattern(original.pattern, node) is None:
-            return INFINITE
-    metrics.dynamic_evals += 1
-    return rule.cost_at(node)
 
 
 class DPLabeling(Labeling):
@@ -220,17 +194,23 @@ def _label_node(
         bindings = match_pattern(rule.pattern, node)
         if bindings is None:
             continue
-        if rule.is_dynamic:
-            total = dynamic_cost_at(
-                rule, node, metrics if metrics is not None else _NULL_METRICS,
-                prematched=rule.pattern,
-            )
-        else:
-            total = rule.cost
+        total = 0
         for nonterminal, leaf in bindings:
             total = add_costs(total, labeling.cost_of(leaf, nonterminal))
             if total >= INFINITE:
                 break
+        else:
+            # A dynamic callable runs only once every binding is
+            # derivable — the automaton's candidate rule.  On a
+            # normalized grammar a finite helper binding proves the rest
+            # of the original multi-node pattern matches, so the
+            # callable may read any node that pattern names.
+            if rule.is_dynamic:
+                if metrics is not None:
+                    metrics.dynamic_evals += 1
+                total = add_costs(total, rule.cost_at(node))
+            else:
+                total = add_costs(total, rule.cost)
         if total < costs.get(rule.lhs, INFINITE):
             costs[rule.lhs] = total
             rules[rule.lhs] = rule

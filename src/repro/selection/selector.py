@@ -121,12 +121,12 @@ ON_ERROR_POLICIES = ("raise", "isolate")
 EMITTERS = ("tape", "reducer")
 
 _MAGIC = b"RSELTBL1"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _HEADER_LEN_STRUCT = struct.Struct("<I")
 
 #: Wire encoding of :data:`~repro.selection.automaton.UNEVALUATED`
-#: (``None``) inside dynamic-signature vectors.  Real signature entries
-#: are non-negative costs, so ``-1`` cannot collide.
+#: (``None``) inside dynamic outcome runs.  Real outcomes are
+#: non-negative costs, so ``-1`` cannot collide.
 _SIG_UNEVALUATED = -1
 
 
@@ -191,7 +191,8 @@ def _serialize(
     Unary transitions become one flat ``state_count``-sized vector per
     operator and binary transitions one ``state_count²`` matrix indexed
     by ``s0 * size + s1`` (``-1`` where the dict tables have no entry);
-    arity ≥ 3 and dynamic-signature transitions become flat integer runs.
+    arity ≥ 3 and dynamic transitions become flat integer runs (a dynamic
+    one is its child-state ids, its outcomes, and its state).
     """
     pool = automaton.pool
     size = len(pool)
@@ -246,21 +247,22 @@ def _serialize(
             add_section("nary", flat, op=name)
         if table.dyn:
             flat = []
-            for (kid_ids, signature), state in table.dyn.items():
-                flat.append(len(kid_ids))
-                flat.extend(kid_ids)
-                flat.append(len(signature))
-                for value in signature:
-                    if value is UNEVALUATED:
-                        flat.append(_SIG_UNEVALUATED)
-                    elif isinstance(value, int) and value >= 0:
-                        flat.append(value)
-                    else:
-                        raise SelectorError(
-                            f"operator {name!r}: dynamic signature value {value!r} "
-                            f"is not serializable (only non-negative integer costs are)"
-                        )
-                flat.append(state.index)
+            for kid_ids, row in table.dyn.items():
+                for outcomes, state in row.items():
+                    flat.append(len(kid_ids))
+                    flat.extend(kid_ids)
+                    flat.append(len(outcomes))
+                    for value in outcomes:
+                        if value is UNEVALUATED:
+                            flat.append(_SIG_UNEVALUATED)
+                        elif isinstance(value, int) and value >= 0:
+                            flat.append(value)
+                        else:
+                            raise SelectorError(
+                                f"operator {name!r}: dynamic outcome {value!r} is not "
+                                f"serializable (only non-negative integer costs are)"
+                            )
+                    flat.append(state.index)
             add_section("dyn", flat, op=name)
 
     payload = b"".join(chunks)
@@ -592,14 +594,25 @@ def _rehydrate(
                 pos += 1
         dyn = sections.get(("dyn", name))
         if dyn is not None:
+            chain_outcomes = len(automaton._dyn_chain)
             pos = 0
             while pos < len(dyn):
                 kid_ids, pos = take(dyn, pos)
                 values, pos = take(dyn, pos)
-                signature = tuple(
+                for kid in kid_ids:
+                    state_at(kid)
+                row = table.dyn.get(kid_ids)
+                if row is None:
+                    row = automaton._dyn_row(table, kid_ids)
+                if len(values) != len(row.candidates) + chain_outcomes:
+                    raise corrupt(
+                        f"a dynamic transition of {name!r} has {len(values)} outcomes, "
+                        f"expected {len(row.candidates) + chain_outcomes}"
+                    )
+                outcomes = tuple(
                     UNEVALUATED if value == _SIG_UNEVALUATED else value for value in values
                 )
-                table.dyn[(kid_ids, signature)] = state_at(dyn[pos])
+                row[outcomes] = state_at(dyn[pos])
                 pos += 1
 
 

@@ -279,7 +279,7 @@ def test_dynamic_grammar_routes_static_ops_through_integer_tables():
     forests = dynamic_constraint_forests(17, forests=3, statements=8, max_depth=5)
     automaton.label_many(forests)
     tables = automaton._tables
-    # ADD carries a constraint rule: all its transitions are signature-keyed.
+    # ADD carries a constraint rule: all its transitions live in its dynamic table.
     assert len(tables["ADD"].dyn) > 0
     assert sum(len(row) for row in tables["ADD"].binary.values()) == 0
     # SUB has no dynamic rules: it must stay on the integer fast path.

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 
 from conftest import BENCHMARK_BUILDERS, build_dag_forest, build_dynamic_forest
+from repro.bench import EmitContext
 from repro.bench.workloads import (
+    BENCH_GRAMMAR_TEXT,
+    DYNAMIC_BENCH_RULES,
+    _imm4,
+    _pow2,
     bench_grammar,
     dag_heavy_forests,
     dynamic_bench_grammar,
@@ -15,15 +21,18 @@ from repro.bench.workloads import (
 )
 from repro.errors import DeadlineExceededError
 from repro.grammar import parse_grammar
+from repro.grammar.costs import INFINITE, normalize_costs
 from repro.ir import Forest, Node, NodeBuilder
 from repro.metrics import LabelMetrics, format_table
 from repro.selection import (
     DPLabeler,
     OnDemandAutomaton,
+    Selector,
     extract_cover,
     label_dp,
 )
 from repro.selection.resilience import DEADLINE_CHECK_EVERY
+from repro.selection.states import state_signature
 
 
 def test_dp_and_automaton_produce_equal_cover_costs(demo_grammar, benchmark_forests):
@@ -336,12 +345,79 @@ def _chain_forests() -> list[Forest]:
     ]
 
 
+def _strict_kid(node: Node, index: int, op: str) -> Node:
+    """``node.kids[index]``, which must be an *op* node: a callable built
+    on it raises wherever a labeler runs it outside its pattern."""
+    kid = node.kids[index]
+    if kid.op.name != op:
+        raise AssertionError(
+            f"callable ran at {node.op.name}(nid={node.nid}): kid {index} is {kid.op.name}"
+        )
+    return kid
+
+
+def _helper_dynamic_grammar():
+    """A multi-node constrained pattern (normalized to helper
+    nonterminals) and an lburg-style dynamic cost on a binary operator;
+    both callables read nodes their pattern names, and raise elsewhere."""
+
+    def memimm(node):
+        inner = _strict_kid(node, 1, "ADD")
+        _strict_kid(inner, 0, "LOAD")
+        return _strict_kid(inner, 1, "CNST").value < 16
+
+    def mulcost(node):
+        return 1 if _strict_kid(node, 1, "CNST").value in (2, 4, 8) else 3
+
+    return parse_grammar(
+        """
+        %grammar helperdyn
+        %start stmt
+        stmt: EXPR(reg)                          (0)
+        stmt: STORE(addr, reg)                   (1)
+        stmt: STORE(addr, ADD(LOAD(addr), con))  (0) @constraint(memimm)
+        addr: reg                                (0)
+        reg:  REG                                (0)
+        reg:  con                                (1)
+        con:  CNST                               (0)
+        reg:  LOAD(addr)                         (3)
+        reg:  ADD(reg, reg)                      (1)
+        reg:  MUL(reg, reg)                      (3)
+        reg:  MUL(reg, con)                      (mulcost)
+        """,
+        bindings={"memimm": memimm, "mulcost": mulcost},
+    )
+
+
+def _helper_forests() -> list[Forest]:
+    """Stores that do and do not match the multi-node pattern, products
+    by constants and registers, and a subtree shared across forests."""
+    b = NodeBuilder()
+    shared = b.mul(b.reg(1), b.cnst(4))
+    forests = []
+    for value in (3, 8, 20, 4):
+        forests.append(
+            Forest(
+                [
+                    b.store(b.reg(2), b.add(b.load(b.reg(3)), b.cnst(value))),
+                    b.store(b.reg(2), b.add(b.load(b.reg(3)), b.reg(value))),
+                    b.store(shared, b.add(b.reg(4), b.cnst(value))),
+                    b.expr(b.mul(b.add(shared, b.reg(5)), b.cnst(value))),
+                    b.expr(b.mul(b.reg(6), b.load(b.cnst(value)))),
+                ]
+            )
+        )
+    return forests
+
+
 #: Grammars for the labeling-walk checks: static, dynamic with
-#: constraint rules, and with a dynamic chain rule (which routes every
-#: operator through the signature path).
+#: constraint rules, with helper-normalized and dynamic-cost rules, and
+#: with a dynamic chain rule (which routes every operator through the
+#: dynamic tail).
 WALK_FAMILIES = [
     ("static", bench_grammar, lambda: dag_heavy_forests(91, forests=3, statements=6, shared=4)),
     ("dynamic", dynamic_bench_grammar, lambda: dynamic_constraint_forests(92, forests=3, statements=5)),
+    ("dynamic_helper", _helper_dynamic_grammar, _helper_forests),
     ("dynamic_chain", _dynamic_chain_grammar, _chain_forests),
 ]
 
@@ -398,3 +474,117 @@ def test_label_deadline_fires_inside_the_walk(name, make_grammar, make_forests, 
         )
     if metered:
         assert 0 < metrics.nodes_labeled == metrics.table_lookups < len(nodes)
+
+
+@pytest.mark.parametrize(
+    "name,make_grammar,make_forests", WALK_FAMILIES, ids=[f[0] for f in WALK_FAMILIES]
+)
+def test_states_and_covers_equal_the_dp_oracle(name, make_grammar, make_forests):
+    """Every node's state is the DP cost vector (over the normalized
+    grammar) shifted to delta costs, with the same rule numbers; every
+    forest's cover costs what the DP cover over the source grammar does;
+    and both labelers run the same dynamic callables."""
+    from repro.grammar import normalize
+
+    grammar = make_grammar()
+    forests = make_forests()
+    normalized = normalize(grammar).grammar
+    auto_metrics, dp_metrics = LabelMetrics(), LabelMetrics()
+    labeling = OnDemandAutomaton(grammar).label_many(forests, auto_metrics)
+    dp = DPLabeler(normalized).label_many(forests)
+    for node in _batch_nodes(forests):
+        costs = {nt: dp.cost_of(node, nt) for nt in normalized.nonterminals}
+        rules = {nt: dp.rule_for(node, nt) for nt in normalized.nonterminals}
+        expected = state_signature(normalize_costs(costs), rules)
+        assert labeling.state_of(node).signature == expected, node
+    source_dp = DPLabeler(grammar).label_many(forests, dp_metrics)
+    for forest in forests:
+        assert (
+            extract_cover(labeling, forest).total_cost()
+            == extract_cover(source_dp, forest).total_cost()
+        )
+    assert auto_metrics.dynamic_evals == dp_metrics.dynamic_evals
+    if name != "static":
+        assert auto_metrics.dynamic_evals > 0
+
+
+def _counted(fn, calls: list[int]):
+    def counted(node):
+        calls.append(id(node))
+        return fn(node)
+
+    return counted
+
+
+@pytest.mark.parametrize("mode", ["ondemand", "eager", "dp"])
+def test_constraints_run_exactly_where_their_operands_derive(mode):
+    """``imm4``/``pow2`` run once per labeled ``ADD``/``STORE`` (resp.
+    ``MUL``) node whose second child's state derives ``con``, and at no
+    other node — on a cold automaton, an eager one, and under DP."""
+    imm4_calls: list[int] = []
+    pow2_calls: list[int] = []
+    grammar = parse_grammar(
+        BENCH_GRAMMAR_TEXT + DYNAMIC_BENCH_RULES,
+        bindings={"imm4": _counted(_imm4, imm4_calls), "pow2": _counted(_pow2, pow2_calls)},
+    )
+    forests = dynamic_constraint_forests(93, forests=6, statements=8)
+    if mode == "dp":
+        DPLabeler(grammar).label_many(forests)
+    else:
+        automaton = OnDemandAutomaton(grammar)
+        if mode == "eager":
+            automaton.build_eager()
+            assert not imm4_calls and not pow2_calls  # enumeration runs no callable
+        automaton.label_many(forests)
+    oracle = OnDemandAutomaton(dynamic_bench_grammar()).label_many(forests)
+    expected_imm4, expected_pow2 = Counter(), Counter()
+    for node in _batch_nodes(forests):
+        if len(node.kids) != 2 or oracle.cost_of(node.kids[1], "con") >= INFINITE:
+            continue
+        if node.op.name in ("ADD", "STORE"):
+            expected_imm4[id(node)] += 1
+        elif node.op.name == "MUL":
+            expected_pow2[id(node)] += 1
+    assert expected_imm4 and expected_pow2
+    assert Counter(imm4_calls) == expected_imm4
+    assert Counter(pow2_calls) == expected_pow2
+
+
+@pytest.mark.parametrize("mode", ["ondemand", "eager", "dp"])
+def test_constraint_reading_a_constant_operand_never_faults(mode):
+    """A constraint that raises unless ``kids[1]`` is a ``CNST`` is safe:
+    no labeler runs it where the child states rule its rule out."""
+    def strict(predicate):
+        def constraint(node):
+            _strict_kid(node, 1, "CNST")
+            return predicate(node)
+
+        return constraint
+
+    grammar = parse_grammar(
+        BENCH_GRAMMAR_TEXT + DYNAMIC_BENCH_RULES,
+        bindings={"imm4": strict(_imm4), "pow2": strict(_pow2)},
+    )
+    forests = dynamic_constraint_forests(94, forests=6, statements=8)
+    result = Selector(grammar, mode=mode).select_many(forests, context=EmitContext())
+    assert not result.failures
+    oracle = DPLabeler(dynamic_bench_grammar()).label_many(forests)
+    assert result.report.cover_cost == sum(
+        extract_cover(oracle, forest).total_cost() for forest in forests
+    )
+
+
+def test_static_grammar_never_reaches_the_dynamic_tail(monkeypatch):
+    """A static grammar labels through the integer tables alone: no
+    dynamic table, row or candidate is ever built."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("static grammar reached the dynamic tail")
+
+    for method in ("_dyn_row", "_dyn_state", "_chain_state"):
+        monkeypatch.setattr(OnDemandAutomaton, method, forbidden)
+    automaton = OnDemandAutomaton(bench_grammar())
+    automaton.label_many(dag_heavy_forests(95, forests=4, statements=6, shared=4))
+    automaton.build_eager()
+    assert automaton._dyn_tables == {}
+    assert all(not table.dyn for table in automaton._tables.values())

@@ -23,7 +23,7 @@ def test_hit_rate_reflects_lookup_misses():
 def test_warm_fraction_reflects_constructions_per_node():
     metrics = LabelMetrics(nodes_labeled=20, table_lookups=20, table_misses=5)
     assert metrics.warm_fraction == 0.75
-    # A dynamic-signature run may construct more states than it labels
+    # A dynamic-table run may construct more states than it labels
     # nodes; the fraction saturates at zero instead of going negative.
     weird = LabelMetrics(nodes_labeled=2, table_lookups=8, table_misses=6)
     assert weird.warm_fraction == 0.0

@@ -17,8 +17,9 @@ from repro.bench import (
     random_forests,
     recurring_shape_stream,
 )
-from repro.errors import SelectorError
+from repro.errors import ArtifactCorruptError, SelectorError
 from repro.grammar import parse_grammar
+from repro.ir import Forest, NodeBuilder
 from repro.metrics import LabelMetrics
 from repro.selection import (
     DPLabeler,
@@ -28,6 +29,7 @@ from repro.selection import (
     grammar_fingerprint,
     label_dp,
 )
+from repro.selection import selector as selector_module
 from repro.selection.selector import main as selector_main
 from repro.selection.selector import read_artifact_header
 
@@ -225,6 +227,113 @@ def test_save_load_constraint_grammar_signatures(tmp_path):
         )
 
 
+def test_eager_constraint_tables_cover_the_pool_and_survive_a_round_trip(tmp_path):
+    """An eager build enumerates the dynamic table: one row per child-state
+    key, one state per outcome of the rules the key leaves open.  A
+    dynamic-constraint pool then labels with zero misses, before and
+    after a save/load round trip that keeps every transition."""
+    compiled = Selector(dynamic_bench_grammar(), mode="eager")
+    automaton = compiled.engine
+    build = automaton.stats()["eager"]
+    assert build["skipped"] == [] and not build["capped"]
+    for table in automaton._tables.values():
+        for row in table.dyn.values():
+            assert len(row) == 2 ** len(row.candidates)
+    forests = dynamic_constraint_forests(21, forests=64, statements=10)
+    contact = LabelMetrics()
+    compiled.label_many(forests, contact)
+    assert contact.table_misses == 0 and contact.states_created == 0
+
+    artifact = compiled.save(tmp_path / "dyn.rsel")
+    loaded = Selector.load(artifact, dynamic_bench_grammar())
+    assert loaded.engine.transition_count() == automaton.transition_count()
+    first_contact = LabelMetrics()
+    loaded.label_many(forests, first_contact)
+    assert first_contact.table_misses == 0 and first_contact.states_created == 0
+    assert first_contact.dynamic_evals == contact.dynamic_evals > 0
+
+
+def test_dynamic_chain_outcomes_round_trip(tmp_path):
+    """Under a dynamic chain rule every operator keys its dynamic table
+    by the candidates' outcomes followed by the chain outcomes, unreached
+    ones included; a saved on-demand table reloads to zero misses."""
+    text = """
+    %grammar chainmd
+    %start stmt
+    stmt: EXPR(reg)        (0)
+    stmt: STORE(addr, reg) (1)
+    addr: reg              (0)
+    addr: con              (addrc)
+    reg:  REG              (0)
+    reg:  ADD(reg, reg)    (1)
+    reg:  con              (1)
+    con:  CNST             (0)
+    """
+
+    def make():
+        return parse_grammar(text, bindings={"addrc": lambda node: node.value % 4})
+
+    b = NodeBuilder()
+    forests = [
+        Forest(
+            [
+                b.store(b.cnst(payload), b.add(b.reg(1), b.cnst(payload))),
+                b.store(b.add(b.reg(2), b.reg(3)), b.reg(payload)),
+                b.expr(b.add(b.cnst(payload), b.reg(4))),
+            ]
+        )
+        for payload in range(8)
+    ]
+    warm = Selector(make())
+    warm.label_many(forests)
+    assert warm.engine.transition_count() > 0
+    loaded = Selector.load(warm.save(tmp_path / "chain.rsel"), make())
+    assert loaded.engine.transition_count() == warm.engine.transition_count()
+    metrics = LabelMetrics()
+    loaded.label_many(forests, metrics)
+    assert metrics.table_misses == 0 and metrics.dynamic_evals > 0
+
+
+def _reframed(blob: bytes, edit) -> bytes:
+    """*blob* with its JSON header replaced by ``edit(header)``."""
+    prefix = len(selector_module._MAGIC) + selector_module._HEADER_LEN_STRUCT.size
+    (header_len,) = selector_module._HEADER_LEN_STRUCT.unpack_from(
+        blob, len(selector_module._MAGIC)
+    )
+    header = edit(json.loads(blob[prefix : prefix + header_len]))
+    data = json.dumps(header).encode("utf-8")
+    return (
+        selector_module._MAGIC
+        + selector_module._HEADER_LEN_STRUCT.pack(len(data))
+        + data
+        + blob[prefix + header_len :]
+    )
+
+
+def test_load_rejects_old_format_and_mismatched_dynamic_outcomes(tmp_path):
+    """Format 1 keyed dynamic transitions by every dynamic rule's
+    outcome; this build refuses it with the typed corruption error, and
+    refuses a dynamic run whose outcome count is not its key's."""
+    grammar = dynamic_bench_grammar()
+    blob = Selector(grammar, mode="eager").save(tmp_path / "dyn.rsel").read_bytes()
+
+    def format_1(header):
+        header["format"] = 1
+        return header
+
+    old = tmp_path / "old.rsel"
+    old.write_bytes(_reframed(blob, format_1))
+    with pytest.raises(ArtifactCorruptError, match="unsupported artifact format 1"):
+        Selector.load(old, grammar)
+
+    compiled = Selector(dynamic_bench_grammar(), mode="eager")
+    row = next(row for row in compiled.engine._tables["ADD"].dyn.values() if row.candidates)
+    row[(0,) * (len(row.candidates) + 1)] = next(iter(row.values()))
+    bad = compiled.save(tmp_path / "bad.rsel")
+    with pytest.raises(ArtifactCorruptError, match="outcomes"):
+        Selector.load(bad, dynamic_bench_grammar())
+
+
 def test_load_rejects_mismatched_and_stale_grammars(tmp_path):
     artifact = Selector(bench_grammar(), mode="eager").save(tmp_path / "bench.rsel")
     # A different grammar is rejected outright.
@@ -323,8 +432,6 @@ def test_compiled_and_loaded_selectors_agree_with_dp(tmp_path):
 def test_eager_selector_labels_foreign_operator_to_no_derivation():
     """A dialect operator the grammar never mentions labels to the error
     state (no derivation) instead of crashing the eager selector."""
-    from repro.ir import Forest, NodeBuilder
-
     grammar = parse_grammar(
         """
         %grammar tiny
@@ -350,7 +457,6 @@ def test_arity3_operators_roundtrip_nary_tables(tmp_path):
     """Arity ≥ 3 transitions have no dense-matrix shape: they ride the
     tuple-keyed nary tables through the artifact's flat-run encoding."""
     from repro.grammar import Grammar
-    from repro.ir import Forest, NodeBuilder
     from repro.ir.ops import OperatorSet
 
     ops = OperatorSet(name="ternary")
@@ -399,7 +505,7 @@ def test_arity3_operators_roundtrip_nary_tables(tmp_path):
 #: ``_FORMAT_VERSION``.
 PINNED_PAYLOAD_SHA256 = {
     "bench_grammar": "5b563f55db1577453255bbbfb299dc50925e404b5c05ea8e556ba7ae61dcc3b5",
-    "dynamic_bench_grammar": "40f3c59a3647e32f0d95c943c3f8bc00f79339dcaf12f30d275727fd0993ff12",
+    "dynamic_bench_grammar": "2b6ad5a5ee5730538894d1f36d050b1ec443bacf3dc7a00c03cbba5ff4a104e9",
 }
 
 
