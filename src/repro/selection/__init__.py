@@ -23,10 +23,10 @@ All labelers run a fused single-pass walk and offer batched
 ``label_many`` entry points sharing one node-state map across forests.
 Emission runs through one of two engines behind the same interface:
 the :class:`TapeEmitter` (default) lowers each forest's cover to a flat
-postorder instruction tape and sweeps it — with a selector-owned shape
-cache so recurring forests replay their tape instead of recompiling —
-while the frame-stack :class:`Reducer` (``SelectorConfig(emitter=
-"reducer")``) remains the differential oracle.  Both are iterative
+postorder instruction tape, built from the automaton's state-indexed
+derivation fragments, and sweeps it — while the frame-stack
+:class:`Reducer` (``SelectorConfig(emitter="reducer")``) remains the
+differential oracle.  Both are iterative
 explicit-stack engines, so deep trees and long chain-rule sequences
 cannot overflow the interpreter stack, and both (like
 :func:`extract_cover`) consume any labeling unchanged.  Construct a

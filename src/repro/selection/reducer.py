@@ -215,10 +215,9 @@ class Reducer:
         self.deadline_at_ns = deadline_at_ns
         self._memo: dict[tuple[int, int], Any] = {}
         #: Nonterminal name -> dense id, seeded in grammar-declaration
-        #: order so every engine built over the same grammar agrees on
-        #: ids (a cached emission tape carries its compiler's nt ids;
-        #: an engine replaying it registers slots under those ids and
-        #: must key its own later lookups identically).  Names outside
+        #: order, the order the automaton's state pool declares them in,
+        #: so the goal ids in its derivation fragments key a tape
+        #: emitter's slot table like its own lookups.  Names outside
         #: the grammar are still interned on first use.
         self._nt_ids: dict[str, int] = {
             name: index

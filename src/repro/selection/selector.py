@@ -95,7 +95,7 @@ from repro.selection.resilience import (
     node_provenance,
 )
 from repro.selection.states import State
-from repro.selection.tape import TapeCache, TapeEmitter
+from repro.selection.tape import TapeEmitter
 
 __all__ = [
     "MODES",
@@ -666,8 +666,8 @@ class SelectionReport:
     #: Cover-to-tape compilations performed by the tape emitter (0 when
     #: the frame-stack reducer handled emission).
     tapes_compiled: int = 0
-    #: Forests emitted by replaying a shape-cached tape instead of
-    #: compiling (0 for the frame-stack reducer).
+    #: Always 0 (nothing is cached by forest shape); kept for callers
+    #: that still read it, such as the callerbench harness.
     tape_cache_hits: int = 0
 
     @property
@@ -705,7 +705,6 @@ class SelectionReport:
             "reduce_fraction": self.reduce_fraction,
             "failures": self.failures,
             "tapes_compiled": self.tapes_compiled,
-            "tape_cache_hits": self.tape_cache_hits,
         }
 
 
@@ -766,11 +765,10 @@ class SelectorConfig:
         emitter: Which emission engine ``select``/``select_many`` run:
             ``"tape"`` (default) compiles every automaton labeling to
             flat instruction tapes from its state-indexed derivation
-            fragments (:class:`~repro.selection.tape.TapeEmitter`, with
-            the selector-owned shape cache, which dynamic-rule grammars
-            never use); ``mode="dp"``, whose labeling has no states,
-            runs the frame-stack
-            :class:`~repro.selection.reducer.Reducer` either way.
+            fragments (:class:`~repro.selection.tape.TapeEmitter`);
+            ``mode="dp"``, whose labeling has no states, runs the
+            frame-stack :class:`~repro.selection.reducer.Reducer`
+            either way.
             ``"reducer"`` keeps the frame engine for every labeling —
             the differential oracle (see
             :meth:`Selector._make_emitter`).  Both engines emit
@@ -843,10 +841,6 @@ class Selector:
         #: Human-readable cause of the most recent degradation-ladder
         #: step (``None`` while fully healthy).
         self._last_degradation: str | None = None
-        #: Shape-keyed emission-tape cache, shared by every tape
-        #: emitter this selector creates — a long-lived selector
-        #: amortises cover compilation across ``select_many`` calls.
-        self._tape_cache = TapeCache()
         #: Observability bundle (the process-wide null bundle when
         #: disabled, so hot paths guard with one attribute check).
         self._obs = resolve_obs(self.config.observe)
@@ -862,7 +856,6 @@ class Selector:
             self._obs_nodes = metrics.counter("pipeline_nodes_total")
             self._obs_failures = metrics.counter("pipeline_failures_total")
             self._obs_tapes = metrics.counter("pipeline_tapes_compiled_total")
-            self._obs_tape_hits = metrics.counter("pipeline_tape_cache_hits_total")
         self._totals = {
             "calls": 0,
             "forests": 0,
@@ -875,7 +868,6 @@ class Selector:
             "cover_ns": 0,
             "failures": 0,
             "tapes_compiled": 0,
-            "tape_cache_hits": 0,
         }
         if engine is None and mode == "eager":
             self.compile()
@@ -1019,12 +1011,12 @@ class Selector:
 
         One rule: under ``"tape"``, every automaton labeling
         (``ondemand``, ``eager``, or loaded from an artifact, static or
-        dynamic grammar) emits through a :class:`TapeEmitter` wired to
-        the selector-owned :class:`TapeCache`, compiling each forest
-        from the automaton's state-indexed derivation fragments.  A
-        labeling without states — ``mode="dp"``, or a wrapped engine's
-        own labeling — and ``"reducer"`` get the frame-stack
-        :class:`Reducer`, which stays as the differential oracle.  Both
+        dynamic grammar) emits through a :class:`TapeEmitter`, compiling
+        each forest from the automaton's state-indexed derivation
+        fragments.  A labeling without states — ``mode="dp"``, or a
+        wrapped engine's own labeling — and ``"reducer"`` get the
+        frame-stack :class:`Reducer`, which stays as the differential
+        oracle.  Both
         honor the same ``reduce_forest``/``memo_size``/``rollback_to``
         contract and cost the cover in the walk that emits it.
         """
@@ -1038,7 +1030,6 @@ class Selector:
                 labeling,
                 context,
                 deadline_at_ns=deadline_at_ns,
-                cache=self._tape_cache,
                 tracer=self._obs.tracer if self._obs.enabled else None,
             )
         return Reducer(labeling, context, deadline_at_ns=deadline_at_ns)
@@ -1214,7 +1205,6 @@ class Selector:
             cover_ns=cover_ns,
             failures=len(failures),
             tapes_compiled=sum(getattr(engine, "tapes_compiled", 0) for engine in emitters),
-            tape_cache_hits=sum(getattr(engine, "tape_cache_hits", 0) for engine in emitters),
         )
         self._record(report, end_ns)
         if shared_labeling is None:
@@ -1267,7 +1257,6 @@ class Selector:
         totals["cover_ns"] += report.cover_ns
         totals["failures"] += report.failures
         totals["tapes_compiled"] += report.tapes_compiled
-        totals["tape_cache_hits"] += report.tape_cache_hits
         self._last_report = report
         if self._obs.enabled:
             self._observe_batch(report, end_ns)
@@ -1339,8 +1328,6 @@ class Selector:
             self._obs_failures.inc(report.failures)
         if report.tapes_compiled:
             self._obs_tapes.inc(report.tapes_compiled)
-        if report.tape_cache_hits:
-            self._obs_tape_hits.inc(report.tape_cache_hits)
 
     # ------------------------------------------------------------------
     # Ahead-of-time: compile / save / load
@@ -1606,7 +1593,6 @@ class Selector:
         totals["ns_per_node"] = total_ns / max(totals["nodes"], 1)
         totals["reduce_fraction"] = totals["reduce_ns"] / total_ns if total_ns > 0 else 0.0
         totals["emitter"] = self.config.emitter
-        totals["tape_cache"] = self._tape_cache.stats()
         totals["last"] = self._last_report.as_row() if self._last_report is not None else None
         row["selection"] = totals
         row["resilience"] = self.resilience_stats()

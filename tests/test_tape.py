@@ -1,19 +1,15 @@
-"""The emission-tape compiler: differential, caching, and fault tests.
+"""The emission-tape compiler: differential, fragment, and fault tests.
 
-Four contracts are pinned here:
+These contracts are pinned here:
 
 * **Differential emission** — the tape engine (compile + sweep) is
   byte-for-byte equivalent to the frame-stack :class:`Reducer` oracle:
   same semantic values, same emitted instructions, same ``(rule,
   mnemonic, operands)`` trace, same ``reductions``/``memo_hits``
   counters, across every benchmark workload family — including repeat
-  batches where the tape answers from its shape cache (a *different*
-  emitter instance replaying a tape the first instance compiled).
-* **Cache soundness** — shape-keyed replay is refused exactly where it
-  would be unsound: dynamic grammars, cross-forest node sharing,
-  unhashable payloads; a re-emitted forest object replays through the
-  same signature lookup and a grown one recompiles; the cache is
-  FIFO-bounded and keeps no forest or IR node alive.
+  batches on one long-lived selector, which compile every forest
+  again from the automaton's derivation fragments (nothing is cached
+  by forest shape, and a selector keeps no forest alive).
 * **Fault isolation** — ``on_error="isolate"`` under injected action
   faults rolls the tape's value buffer back to the same state the frame
   engine's memo surgery reaches, and both engines agree on every
@@ -25,8 +21,8 @@ Four contracts are pinned here:
   ``replace_kids`` copies get fresh nids so they can never alias their
   source in a memo.
 * **Free cover cost** — the cost both engines sum in the walk that
-  emits a forest (the tape's compile walk, replayed from the cache; the
-  frame engine's reduction walk) equals the ``extract_cover`` oracle on
+  emits a forest (the tape's compile walk; the frame engine's
+  reduction walk) equals the ``extract_cover`` oracle on
   every path, dynamic costs included, and ``extract_cover`` runs only
   for forests that memo-hit an earlier forest's entry.
 """
@@ -35,6 +31,7 @@ from __future__ import annotations
 
 import gc
 import random
+import time
 import weakref
 
 import pytest
@@ -54,7 +51,6 @@ from repro.selection import (
     Reducer,
     Selector,
     SelectorConfig,
-    TapeCache,
     TapeEmitter,
     extract_cover,
     node_memo_key,
@@ -203,15 +199,12 @@ def test_tape_matches_reducer_on_workload_family(name, make_grammar, make_forest
     assert tape.report.cover_cost == frame.report.cover_cost
 
 
-def test_tape_cache_replay_matches_reducer_across_batches():
-    """Repeat batches replay shape-cached tapes compiled by an *earlier*
-    emitter instance (each ``select_many`` builds a fresh engine over
-    the selector-owned cache) and stay byte-identical to the oracle."""
-    grammar = bench_grammar()
-    tape_sel = _tape_selector(grammar)
-    hits = 0
-    compiled = 0
-    for round_number in range(3):
+def test_repeat_batches_compile_every_forest_and_match_reducer():
+    """Repeat batches of recurring shapes on one long-lived selector
+    compile every forest again (nothing is cached by forest shape) and
+    stay byte-identical to the oracle."""
+    tape_sel = _tape_selector(bench_grammar())
+    for _ in range(3):
         tape_ctx, frame_ctx = EmitContext(), EmitContext()
         stream = recurring_shape_stream(21, shapes=3, length=10, statements=5, max_depth=4)
         tape = tape_sel.select_many(stream, context=tape_ctx)
@@ -223,26 +216,19 @@ def test_tape_cache_replay_matches_reducer_across_batches():
         assert tape_ctx.instructions == frame_ctx.instructions
         assert tape_ctx.trace == frame_ctx.trace
         assert tape.report.memo_hits == frame.report.memo_hits
-        hits += tape.report.tape_cache_hits
-        compiled += tape.report.tapes_compiled
-        if round_number > 0:
-            assert tape.report.tapes_compiled == 0  # everything replayed
-    assert hits > 0
-    cache = tape_sel.stats()["selection"]["tape_cache"]
-    assert cache["hits"] == hits
-    assert cache["size"] == compiled
+        assert tape.report.tapes_compiled == len(stream)
+    assert "tape_cache" not in tape_sel.stats()["selection"]
 
 
 def test_selector_report_carries_tape_counters():
     grammar = bench_grammar()
     stream = recurring_shape_stream(22, shapes=2, length=6, statements=4, max_depth=4)
     result = _tape_selector(grammar).select_many(stream, context=EmitContext())
-    compiled = result.report.tapes_compiled
-    assert 1 <= compiled <= 2  # one per distinct template shape drawn
-    assert result.report.tape_cache_hits == len(stream) - compiled
+    assert result.report.tapes_compiled == len(stream)  # one per forest
+    assert result.report.tape_cache_hits == 0
     row = result.report.as_row()
-    assert row["tapes_compiled"] == compiled
-    assert row["tape_cache_hits"] == len(stream) - compiled
+    assert row["tapes_compiled"] == len(stream)
+    assert "tape_cache_hits" not in row
     frame = _frame_selector(grammar).select_many(
         recurring_shape_stream(22, shapes=2, length=6, statements=4, max_depth=4),
         context=EmitContext(),
@@ -261,7 +247,7 @@ def test_emitters_registry_and_unknown_emitter_rejected():
 
 
 # ----------------------------------------------------------------------
-# Cache soundness gates
+# Every forest compiles
 
 
 def _label(grammar, forest):
@@ -278,8 +264,6 @@ def test_dynamic_grammars_are_never_cached():
         )
         assert result.report.tape_cache_hits == 0
         assert result.report.tapes_compiled == 3
-    stats = sel.stats()["selection"]["tape_cache"]
-    assert stats["size"] == 0 and stats["hits"] == 0
 
 
 def _sharing_pair() -> list[Forest]:
@@ -295,31 +279,31 @@ def _sharing_pair() -> list[Forest]:
 def test_cross_forest_sharing_disables_caching_but_not_correctness():
     tape = _tape_selector(_action_grammar()).select_many(_sharing_pair())
     frame = _frame_selector(_action_grammar()).select_many(_sharing_pair())
-    # The second forest memo-hits the shared subtree instead of
-    # re-emitting it — replaying a cached tape here would double-emit.
-    assert tape.report.tape_cache_hits == 0
+    # The second forest memo-hits the shared subtree through the slot
+    # table instead of re-emitting it.
     assert tape.values == frame.values
     assert tape.report.memo_hits == frame.report.memo_hits
     assert tape.report.reductions == frame.report.reductions
 
 
-def test_unhashable_payload_skips_signature():
-    grammar = _action_grammar()
-    b = NodeBuilder()
-    forest = Forest(name="weird")
-    forest.add(b.expr(b.cnst([1, 2])))  # unhashable payload
-    emitter = TapeEmitter(_label(grammar, forest), cache=TapeCache())
-    signature, nodes, ord_of, shares = emitter._signature(forest)
-    assert signature is None
-    assert len(nodes) == len(ord_of) == 2  # EXPR and its CNST leaf
-    assert shares is False
-    # Emission still works; the tape just is not cached.
-    values = emitter.reduce_forest(forest)
-    assert len(values) == 1
-    assert emitter.tapes_compiled == 1 and len(emitter._cache) == 0
+def test_unhashable_payloads_emit_and_match_reducer():
+    def build() -> Forest:
+        b = NodeBuilder()
+        forest = Forest(name="weird")
+        forest.add(b.expr(b.cnst([1, 2])))  # unhashable payload
+        forest.add(b.expr(b.add(b.reg({"r": 1}), b.cnst([3]))))
+        return forest
+
+    tape_ctx, frame_ctx = EmitContext(), EmitContext()
+    tape = _tape_selector(bench_grammar()).select_many([build()], context=tape_ctx)
+    frame = _frame_selector(bench_grammar()).select_many([build()], context=frame_ctx)
+    assert tape.report.tapes_compiled == 1
+    assert tape.values == frame.values
+    assert tape_ctx.instructions == frame_ctx.instructions
+    assert tape.report.cover_cost == frame.report.cover_cost
 
 
-def test_reemitted_forest_replays_by_signature_and_grown_forest_recompiles():
+def test_reemitted_and_grown_forests_recompile():
     grammar = _action_grammar()
     sel = _tape_selector(grammar)
     b = NodeBuilder()
@@ -327,58 +311,27 @@ def test_reemitted_forest_replays_by_signature_and_grown_forest_recompiles():
     forest.add(b.expr(b.add(b.reg(1), b.cnst(2))))
     baseline = sel.select_many([forest])
     assert baseline.report.tapes_compiled == 1
-    replay = sel.select_many([forest])  # same object: same signature
-    assert replay.report.tapes_compiled == 0
-    assert replay.report.tape_cache_hits == 1
-    assert replay.values == baseline.values
-    # A grown forest is a new shape: it recompiles instead of replaying
-    # the one-root tape.
+    again = sel.select_many([forest])  # same object, fresh emitter
+    assert again.report.tapes_compiled == 1
+    assert again.values == baseline.values
     forest.add(b.expr(b.sub(b.reg(1), b.reg(2))))
     result = sel.select_many([forest])
     assert result.report.tapes_compiled == 1
-    assert result.report.tape_cache_hits == 0
     assert len(result.values[0]) == 2
     assert result.values[0][:1] == baseline.values[0]
     oracle = _frame_selector(_action_grammar()).select_many([forest])
     assert result.values == oracle.values
 
 
-def _holds_node(value) -> bool:
-    if isinstance(value, Node):
-        return True
-    if isinstance(value, (tuple, list)):
-        return any(_holds_node(item) for item in value)
-    return False
-
-
-def test_tape_cache_keeps_no_forest_alive():
+def test_selector_holds_no_forest_after_select_many():
     sel = _tape_selector(bench_grammar())
     forests = recurring_shape_stream(52, shapes=2, length=4, statements=5, max_depth=4)
     refs = [weakref.ref(forest) for forest in forests]
     result = sel.select_many(forests, context=EmitContext())
-    assert result.report.tape_cache_hits > 0
-    tapes = list(sel._tape_cache._tapes.values())
-    assert tapes
-    for tape in tapes:
-        for field in CompiledTape.__slots__:
-            assert not _holds_node(getattr(tape, field)), field
+    assert result.report.tapes_compiled == len(forests)
     del forests, result
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
-
-
-def test_tape_cache_fifo_eviction():
-    cache = TapeCache(maxsize=2)
-    sentinel = object()
-    cache.put(("a",), sentinel)
-    cache.put(("b",), sentinel)
-    cache.put(("c",), sentinel)
-    assert len(cache) == 2
-    assert cache.evictions == 1
-    assert cache.get(("a",)) is None  # FIFO: oldest key evicted
-    assert cache.get(("c",)) is sentinel
-    stats = cache.stats()
-    assert stats["misses"] == 1 and stats["hits"] == 1
 
 
 def _twin_operators() -> OperatorSet:
@@ -391,10 +344,10 @@ def _twin_operators() -> OperatorSet:
 
 
 def test_shape_key_uses_operator_names():
-    """Tapes are keyed by operator *name*, the automaton's transition
-    key: a same-shaped forest over a second operator set replays the
-    cached tape, and forests differing in one operator name never share
-    one."""
+    """The automaton keys transitions, and so fragments, by operator
+    *name*: a same-shaped forest over a second operator set emits what
+    the first did, and forests differing in one operator name do
+    not."""
 
     def build(builder: NodeBuilder, op_name: str) -> Forest:
         forest = Forest(name=op_name)
@@ -407,28 +360,25 @@ def test_shape_key_uses_operator_names():
 
     twin = build(NodeBuilder(_twin_operators()), "ADD")
     assert twin.roots[0].op != DEFAULT_OPERATORS["EXPR"]
-    replay = sel.select_many([twin])
-    assert replay.report.tapes_compiled == 0
-    assert replay.report.tape_cache_hits == 1
-    assert replay.values == first.values
+    again = sel.select_many([twin])
+    assert again.report.tapes_compiled == 1
+    assert again.values == first.values
 
     sub = sel.select_many([build(NodeBuilder(), "SUB")])
     assert sub.report.tapes_compiled == 1
-    assert sub.report.tape_cache_hits == 0
     oracle = _frame_selector(_action_grammar()).select_many([build(NodeBuilder(), "SUB")])
     assert sub.values == oracle.values != first.values
-    assert len(sel._tape_cache) == 2
 
 
 def test_tape_engine_matches_reducer_on_dynamic_grammar_directly():
     """The engine level of the selector's dynamic-grammar routing: a
-    TapeEmitter over a dynamic labeling compiles every forest (never a
-    shape-cache replay) and stays differentially equal to the oracle."""
+    TapeEmitter over a dynamic labeling compiles every forest and stays
+    differentially equal to the oracle."""
     grammar = dynamic_bench_grammar()
     forests = dynamic_constraint_forests(61, forests=4, statements=5, max_depth=4)
     labeling = Selector(grammar, mode="ondemand").label_many(forests)
     tape_ctx, frame_ctx = EmitContext(), EmitContext()
-    tape = TapeEmitter(labeling, tape_ctx, cache=TapeCache())
+    tape = TapeEmitter(labeling, tape_ctx)
     frame = Reducer(labeling, frame_ctx)
     tape_values = [tape.reduce_forest(forest) for forest in forests]
     frame_values = [frame.reduce_forest(forest) for forest in forests]
@@ -436,7 +386,6 @@ def test_tape_engine_matches_reducer_on_dynamic_grammar_directly():
     assert tape_ctx.instructions == frame_ctx.instructions
     assert tape_ctx.trace == frame_ctx.trace
     assert tape.tapes_compiled == len(forests)
-    assert tape.tape_cache_hits == 0
 
 
 def test_selector_routes_by_labeling_kind():
@@ -483,8 +432,7 @@ def _dynamic_batches(batches: int) -> list[list[Forest]]:
 
 def _reordered_clones(forests: list[Forest]) -> list[Forest]:
     """Fresh-nid clones with each forest's roots reversed: the same
-    states and (state, goal) pairs, but new forest shapes, so a warm
-    selector compiles every tape instead of replaying a cached one."""
+    states and (state, goal) pairs, but new forest shapes."""
     return [
         Forest(list(reversed(clone_forest(forest).roots)), name=forest.name)
         for forest in forests
@@ -533,7 +481,6 @@ def test_warm_tape_compile_resolves_no_rule_per_node(monkeypatch, name, make_gra
     again = sel.select_many(forests, context=context)
     assert again.ok
     assert again.report.tapes_compiled == len(forests)
-    assert again.report.tape_cache_hits == 0
     assert calls == {}
     assert automaton.fragment_count() == built
     # The tape engine has no per-rule thunk compiler of its own.
@@ -662,25 +609,22 @@ def test_fragment_thunks_never_leak_across_context_kinds(make_grammar, make_fore
 
 
 def test_tape_fields_are_consistent():
-    grammar = bench_grammar()
-    sel = _tape_selector(grammar)
-    sel.select_many(
-        recurring_shape_stream(51, shapes=2, length=4, statements=5, max_depth=4),
-        context=EmitContext(),
-    )
-    tapes = list(sel._tape_cache._tapes.values())
-    assert tapes
-    for tape in tapes:
+    forests = recurring_shape_stream(51, shapes=2, length=4, statements=5, max_depth=4)
+    labeling = _tape_selector(bench_grammar()).label_many(forests)
+    emitter = TapeEmitter(labeling, EmitContext())
+    start = emitter.resolve_start(None)
+    for forest in forests:
+        tape = emitter._emit([(root, start) for root in forest.roots], forest)
         n = tape.entries
-        assert len(tape.thunks) == len(tape.nt_ids) == len(tape.spliced) == n
-        assert len(tape.runs) == len(tape.node_ords) == n
-        assert all(0 <= ordinal for ordinal in tape.node_ords)
+        assert isinstance(tape, CompiledTape) and n > 0
+        assert len(tape.thunks) == len(tape.nodes) == len(tape.runs) == n
+        assert emitter.memo_size() == tape.base + n  # the sweep appended n values
         for i, run in enumerate(tape.runs):
             # Postorder: an entry's operands are earlier slots.
             for ref in run:
                 assert tape.base <= (ref >> 1) < tape.base + i
-        assert tape.cacheable
-        assert all(0 <= ref < tape.base + n for ref in tape.root_refs)
+        assert tape.self_contained
+        assert all(tape.base <= ref < tape.base + n for ref in tape.root_refs)
 
 
 # ----------------------------------------------------------------------
@@ -775,19 +719,32 @@ def test_action_fault_has_provenance_deadline_abort_does_not():
     assert node_provenance(excinfo.value) is not None
     assert "ADD" in node_provenance(excinfo.value)
 
-    # Replay the cached shape under an expired deadline: the sweep
-    # aborts mid-tape with *no* provenance (the action is not at fault).
+    # The compile walk finishes well inside the deadline; the first
+    # action then stalls past it, so the *sweep* aborts mid-tape at its
+    # next stride with *no* provenance (the action is not at fault).
     grammar = _action_grammar()
+    deadline = time.monotonic_ns() + 200_000_000
+
+    def stall_then_record(context, node, operands):
+        while time.monotonic_ns() <= deadline:
+            time.sleep(0.005)
+        context.append(node.op.name)
+        return node.op.name
+
+    for rule in grammar.rules:
+        rule.action = stall_then_record
     forest = _chain_forest(80)
-    labeling = _label(grammar, forest)
-    cache = TapeCache()
-    TapeEmitter(labeling, [], cache=cache).reduce_forest(forest)
-    expired = TapeEmitter(
-        labeling, [], deadline_at_ns=1, cache=cache
-    )
+    context: list = []
+    emitter = TapeEmitter(_label(grammar, forest), context, deadline_at_ns=deadline)
     with pytest.raises(DeadlineExceededError) as excinfo:
-        expired.reduce_forest(clone_forest(forest))
+        emitter.reduce_forest(forest)
     assert node_provenance(excinfo.value) is None
+    emitted = emitter.memo_size()
+    assert 0 < emitted == len(context) == emitter.reductions  # actions ran: a sweep abort
+    assert len(emitter._slots) == emitted  # slots trimmed to the completed entries
+    assert emitter.last_roots_completed == 0
+    assert emitter.rollback_to(0) == emitted
+    assert emitter.memo_size() == len(emitter._slots) == emitter.reductions == 0
 
 
 def test_rollback_to_truncates_values_and_slots():
@@ -857,10 +814,9 @@ def test_memo_never_aliases_replace_kids_copy(engine_cls):
 
 
 # ----------------------------------------------------------------------
-# Free cover cost: summed by the emitting walk, cached on the tape
+# Free cover cost: summed by the emitting walk
 
-#: Every bench workload family, plus the dynamic family (whose tapes
-#: are never shape-cached).
+#: Every bench workload family, plus the dynamic family.
 COST_FAMILIES = [
     ("random", bench_grammar, lambda: random_forests(71, forests=4, statements=5, max_depth=4)),
     ("dag_heavy", bench_grammar, lambda: dag_heavy_forests(72, forests=4, statements=6, shared=4, max_depth=3)),
@@ -905,31 +861,21 @@ def test_cover_cost_matches_extract_cover_oracle(
     report = first.report
     assert report.total_ns == report.label_ns + report.reduce_ns + report.cover_ns
 
-    # Fresh-nid clones: on the tape path every forest replays a cached
-    # tape and takes its cost from it.
+    # Fresh-nid clones: a second batch on the same selector.
     clones = [clone_forest(forest) for forest in forests]
     again = sel.select_many(clones, context=EmitContext(), on_error=on_error)
     assert again.report.cover_cost == _oracle_cost(again.labeling, clones)
     assert again.report.cover_cost == first.report.cover_cost
-    # Automaton labelings emit through the tape; a static grammar's
-    # clones replay it, a dynamic grammar's always recompile.  The dp
+    # Automaton labelings compile every forest to a tape; the dp
     # labeling has no states and takes the frame engine.
     on_tape = emitter == "tape" and mode != "dp"
-    if on_tape and name != "dynamic_constraints":
-        assert again.report.tapes_compiled == 0
-        assert again.report.tape_cache_hits == len(clones)
-    elif on_tape:
-        assert again.report.tapes_compiled == len(clones)
-        assert again.report.tape_cache_hits == 0
-    else:
-        assert again.report.tapes_compiled == again.report.tape_cache_hits == 0
+    assert again.report.tapes_compiled == (len(clones) if on_tape else 0)
     # Both engines cost every forest in the walk that emits it.
     assert first.report.cover_ns == again.report.cover_ns == 0
 
 
-#: ``(name, grammar factory, batch factory)``: recurring shapes (tape
-#: replays), fresh reduce-heavy plus intra-forest-shared blocks (tape
-#: compiles), and the dynamic family (tape compiles, never cached).
+#: ``(name, grammar factory, batch factory)``: recurring shapes, fresh
+#: reduce-heavy plus intra-forest-shared blocks, and the dynamic family.
 DEFAULT_PATH_FAMILIES = [
     ("recurring", bench_grammar, lambda: recurring_shape_stream(81, shapes=3, length=16, statements=5, max_depth=4)),
     ("fresh", emit_bench_grammar, lambda: reduce_heavy_forests(82, forests=4, statements=5, max_depth=4) + shared_reduction_forests(83, forests=4, statements=6, shared=3, max_depth=4)),
@@ -1013,9 +959,9 @@ def test_explicit_start_costs_from_that_nonterminal():
     result = sel.select_many([forest], start="reg")
     assert result.report.cover_cost == 3
     assert result.report.cover_cost == extract_cover(result.labeling, forest, "reg").total_cost()
-    replay = sel.select_many([clone_forest(forest)], start="reg")
-    assert replay.report.tape_cache_hits == 1
-    assert replay.report.cover_cost == 3
+    again = sel.select_many([clone_forest(forest)], start="reg")
+    assert again.report.tapes_compiled == 1
+    assert again.report.cover_cost == 3
 
 
 @pytest.mark.parametrize("emitter", EMITTERS)
@@ -1037,12 +983,12 @@ def test_compiled_tape_cost_sums_its_rules():
         (bench_grammar, random_forests(91, forests=3, statements=5, max_depth=4)),
         (emit_bench_grammar, reduce_heavy_forests(92, forests=3, statements=5, max_depth=4)),
     ):
-        sel = _tape_selector(make_grammar())
-        result = sel.select_many(forests, context=EmitContext())
-        tapes = list(sel._tape_cache._tapes.values())
-        assert len(tapes) == len(forests)
+        result = _tape_selector(make_grammar()).select_many(forests, context=EmitContext())
+        emitter = TapeEmitter(result.labeling, EmitContext())
+        start = emitter.resolve_start(None)
+        tapes = [emitter._emit([(root, start) for root in forest.roots]) for forest in forests]
         for tape, forest in zip(tapes, forests):
-            assert tape.self_contained and tape.cacheable
+            assert tape.self_contained
             assert tape.cost == extract_cover(result.labeling, forest).total_cost()
         assert sum(tape.cost for tape in tapes) == result.report.cover_cost
 
