@@ -24,8 +24,9 @@ from repro.ir.node import Node
 __all__ = ["Rule", "EmitAction"]
 
 #: An emit action receives ``(context, node, operands)`` where *context*
-#: is the reducer's emit context (an :class:`repro.machine.emitter.Emitter`
-#: for the bundled targets), *node* is the IR node matched by the rule's
+#: is the emission engine's emit context (a
+#: :class:`repro.bench.workloads.EmitContext` for the bundled
+#: workloads), *node* is the IR node matched by the rule's
 #: pattern root, and *operands* are the semantic values produced by
 #: reducing the pattern's nonterminal leaves, left to right.  The action
 #: returns the semantic value of this (node, nonterminal) reduction.

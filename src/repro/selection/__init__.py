@@ -21,15 +21,16 @@ the command line.
 
 All labelers run a fused single-pass walk and offer batched
 ``label_many`` entry points sharing one node-state map across forests.
-Emission runs through one of two engines behind the same interface:
-the :class:`TapeEmitter` (default) lowers each forest's cover to a flat
-postorder instruction tape, built from the automaton's state-indexed
-derivation fragments, and sweeps it — while the frame-stack
-:class:`Reducer` (``SelectorConfig(emitter="reducer")``) remains the
-differential oracle.  Both are iterative
-explicit-stack engines, so deep trees and long chain-rule sequences
-cannot overflow the interpreter stack, and both (like
-:func:`extract_cover`) consume any labeling unchanged.  Construct a
+Emission runs through one of two engines that share a contract and
+the reducer module's value helpers, not a class: the
+:class:`TapeEmitter` (default) lowers each automaton labeling's cover
+to a flat postorder instruction tape, built from the automaton's
+state-indexed derivation fragments, and sweeps it; the frame-stack
+:class:`Reducer` (``mode="dp"``, or ``SelectorConfig(emitter=
+"reducer")``) is the plain reference engine and differential oracle,
+and (like :func:`extract_cover`) consumes any labeling.  Both are
+iterative explicit-stack engines, so deep trees and long chain-rule
+sequences cannot overflow the interpreter stack.  Construct a
 selector with ``Selector(grammar, mode=...)`` or adopt a built engine
 with ``Selector.wrap(engine)``; :func:`label_dp` remains as the
 stateless DP oracle.

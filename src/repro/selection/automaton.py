@@ -89,7 +89,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.errors import CoverError
 from repro.grammar.closure import chain_closure
@@ -101,7 +101,7 @@ from repro.ir.node import Forest, Node
 from repro.metrics.counters import LabelMetrics
 from repro.obs.trace import Timer
 from repro.selection.cover import Labeling
-from repro.selection.reducer import action_thunk
+from repro.selection.reducer import _SplicedOperands, flatten_operands
 from repro.selection.resilience import (
     DEADLINE_CHECK_EVERY,
     attach_node_provenance,
@@ -201,6 +201,40 @@ class _OpTable:
         if self.nullary is not None:
             total += 1
         return total
+
+
+def action_thunk(rule: Rule, templated: bool) -> tuple[Any, bool]:
+    """``(thunk, spliced)``: *rule*'s semantic action as one callable.
+
+    The thunk ``(context, node, operands) -> value`` follows the frame
+    :class:`~repro.selection.reducer.Reducer`'s dispatch order: action,
+    then template (only for a *templated* context kind, one with
+    ``emit_template``), then helper splice, then operand pass-through.
+    *spliced* is static — only helper rules produce splice-flat values —
+    so a tape sweep needs no per-operand ``isinstance`` probe.  The
+    thunk binds the rule, not the context, so it serves every context
+    of its kind.
+    """
+    action = rule.action
+    if action is not None:
+        return action, False
+    if rule.template is not None and templated:
+
+        def template_thunk(ctx: Any, node: Node, operands: list, _rule=rule):
+            return ctx.emit_template(_rule, node, operands)
+
+        return template_thunk, False
+    if rule.is_helper:
+
+        def helper_thunk(ctx: Any, node: Node, operands: list) -> Any:
+            return _SplicedOperands(operands)
+
+        return helper_thunk, True
+
+    def passthrough_thunk(ctx: Any, node: Node, operands: list) -> Any:
+        return flatten_operands(operands)
+
+    return passthrough_thunk, False
 
 
 class AutomatonLabeling(Labeling):
@@ -356,10 +390,10 @@ class OnDemandAutomaton:
         tuple ``(emit, chain_goal, op_name, kid_goals)``:
 
         * ``emit`` is ``(thunk, spliced, cost, rule)`` — the rule's
-          action thunk and splice flag (see
-          :func:`~repro.selection.reducer.action_thunk`, bound for the
-          context kind *templated*) and its fixed cost, or ``None`` for
-          a ``dynamic_cost`` rule, which is evaluated per entry;
+          action thunk and splice flag (see :func:`action_thunk`, bound
+          for the context kind *templated*) and its fixed cost, or
+          ``None`` for a ``dynamic_cost`` rule, which is evaluated per
+          entry;
         * a chain rule has ``chain_goal``, the source nonterminal's id,
           and ``kid_goals`` ``None``;
         * a base rule has ``chain_goal`` -1, the operator name its

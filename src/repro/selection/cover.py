@@ -19,15 +19,23 @@ from repro.grammar.grammar import Grammar
 from repro.grammar.rule import Rule
 from repro.ir.node import Forest, Node
 
-__all__ = ["Labeling", "Cover", "CoverEntry", "extract_cover", "require_structural_match"]
+__all__ = [
+    "Labeling",
+    "Cover",
+    "CoverEntry",
+    "extract_cover",
+    "require_structural_match",
+    "rule_targets",
+]
 
 
 def require_structural_match(pattern, node: Node) -> None:
     """Raise :class:`CoverError` unless *pattern*'s root can match *node*.
 
-    Shared by the cover and reducer walkers to reject structurally
-    impossible rules (a corrupt labeling, or operator sets disagreeing
-    about a name's arity) instead of silently mis-walking the tree.
+    Shared by :func:`rule_targets` and the tape compiler to reject
+    structurally impossible rules (a corrupt labeling, or operator sets
+    disagreeing about a name's arity) instead of silently mis-walking
+    the tree.
     """
     if pattern.is_operator and pattern.symbol != node.op.name:
         raise CoverError(
@@ -131,7 +139,6 @@ def extract_cover(labeling: Labeling, forest: Forest, start: str | None = None) 
     cover = Cover(grammar=grammar)
     entries = cover.entries
     visited: set[tuple[int, str]] = set()
-    targets: list[tuple[Node, str]] = []
 
     for root in forest.roots:
         stack: list[tuple[Node, str]] = [(root, start_nt)]
@@ -143,13 +150,25 @@ def extract_cover(labeling: Labeling, forest: Forest, start: str | None = None) 
             visited.add(key)
             rule = labeling.require_rule(node, nonterminal)
             entries.append(CoverEntry(node=node, nonterminal=nonterminal, rule=rule))
-            if rule.is_chain:
-                stack.append((node, rule.pattern.symbol))
-                continue
-            targets.clear()
-            _pattern_targets(rule.pattern, node, targets)
-            stack.extend(reversed(targets))
+            stack.extend(reversed(rule_targets(rule, node)))
     return cover
+
+
+def rule_targets(rule: Rule, node: Node) -> list[tuple[Node, str]]:
+    """The ``(node, nonterminal)`` pairs *rule* applied at *node* reduces
+    next, in left-to-right operand order.
+
+    A chain rule has one target, *node* itself from the rule's source
+    nonterminal; any other rule has the nonterminal leaves of its
+    pattern, matched against the subtree rooted at *node*.  The one
+    target rule of :func:`extract_cover` and the frame
+    :class:`~repro.selection.reducer.Reducer`.
+    """
+    if rule.is_chain:
+        return [(node, rule.pattern.symbol)]
+    targets: list[tuple[Node, str]] = []
+    _pattern_targets(rule.pattern, node, targets)
+    return targets
 
 
 def _pattern_targets(pattern, node: Node, targets: list[tuple[Node, str]]) -> None:

@@ -1,30 +1,32 @@
-"""The frame-stack reducer: walks a labeling top-down and runs emit actions.
+"""The frame-stack reducer: the plain reference emission engine.
 
-The reducer works over any labeling.  It is the emission engine of the
-DP labeler (whose labeling has no automaton states to compile a tape
-from) and of ``emitter="reducer"``, and the differential oracle the
-tape engine (:mod:`repro.selection.tape`) is tested against.  Starting
-from the start nonterminal at each forest root, it looks up the optimal
-rule for the current (node, nonterminal) combination, reduces the rule
-pattern's nonterminal leaves, and then runs the rule's emit action
-bottom-up.
-For DAG inputs each (node, nonterminal) combination is reduced once and
-its semantic value reused — the standard extension of tree parsing to
-DAGs.
+The reducer walks any labeling top-down and runs emit actions.  It is
+the emission engine of the DP labeler (whose labeling has no automaton
+states to compile a tape from) and of ``emitter="reducer"``, and the
+differential oracle the tape engine (:mod:`repro.selection.tape`) is
+tested against.  Starting from the start nonterminal at each forest
+root, it asks the labeling for the rule of the current (node,
+nonterminal) pair, reduces the rule's targets
+(:func:`~repro.selection.cover.rule_targets`, the walk
+:func:`~repro.selection.cover.extract_cover` uses), and then runs the
+rule's emit action bottom-up.  For DAG inputs each (node, nonterminal)
+pair is reduced once and its semantic value reused — the standard
+extension of tree parsing to DAGs.
+
+The two engines share a contract, not a class: the same
+``reduce_forest``/``resolve_start``/``memo_size``/``rollback_to``
+surface and counters, and the helpers defined here —
+:func:`entry_cost`, :func:`flatten_operands` and the
+``_SplicedOperands`` marker.  The reducer keeps everything else to
+itself: its memo keyed by ``(node key, nonterminal name)`` (the node
+key is :func:`node_memo_key`), its action dispatch, its cycle guard,
+its deadline strides and its fault rollback.  It resolves each rule
+and its targets per node, with no plan cache or id space of its own,
+so it stays independent of the automaton's state-indexed fragments.
 
 The engine is *iterative*: reduction runs on an explicit frame stack,
 so arbitrarily deep trees and arbitrarily long chain-rule sequences
-cannot overflow the interpreter stack (mirroring the labelers' fused
-stack walks).  The warm path matches the labeling core's
-integer-indexed style: the memo is keyed by ``(node-key,
-nonterminal-id)`` — the node key is the builder-assigned ``node.nid``
-(process-unique, never recycled; see :func:`node_memo_key`), falling
-back to address identity for hand-built ``nid=-1`` nodes —
-with nonterminals interned to dense ids on first use,
-and operand collection is *plan-compiled* per rule — normal-form base
-rules resolve their pattern's nonterminal leaves to child positions
-once and then collect operands with arity-specialized code, paying the
-generic pattern walk only for multi-node rules.
+cannot overflow the interpreter stack.
 
 Semantic values
 ---------------
@@ -67,17 +69,14 @@ from typing import Any
 from repro.errors import CoverError
 from repro.grammar.rule import Rule
 from repro.ir.node import Forest, Node
-from repro.selection.cover import Labeling, require_structural_match
+from repro.selection.cover import Labeling, rule_targets
 from repro.selection.resilience import (
     DEADLINE_CHECK_EVERY,
     attach_node_provenance,
     check_deadline,
 )
 
-__all__ = ["Reducer", "action_thunk", "entry_cost", "flatten_operands", "node_memo_key"]
-
-#: Memo-miss sentinel (``None`` is a legitimate semantic value).
-_MISSING = object()
+__all__ = ["Reducer", "entry_cost", "flatten_operands", "node_memo_key"]
 
 
 def node_memo_key(node: Node) -> int:
@@ -116,9 +115,6 @@ def entry_cost(rule: Rule, node: Node) -> int:
         raise
 
 
-#: Plan kinds (see :meth:`Reducer._plan_for`).
-_CHAIN, _BASE, _PATTERN = 0, 1, 2
-
 #: Frame slots of the explicit reduction stack.
 _F_KEY, _F_NODE, _F_RULE, _F_OPERANDS, _F_TARGETS, _F_INDEX = range(6)
 
@@ -151,39 +147,6 @@ def flatten_operands(operands: list[Any]) -> Any:
     return flat
 
 
-def action_thunk(rule: Rule, templated: bool) -> tuple[Any, bool]:
-    """``(thunk, spliced)``: *rule*'s semantic action as one callable.
-
-    The thunk ``(context, node, operands) -> value`` mirrors
-    :meth:`Reducer._run_action` branch order: action, then template
-    (only for a *templated* context kind, one with ``emit_template``),
-    then helper splice, then operand pass-through.  *spliced* is static
-    — only helper rules produce splice-flat values — so a tape sweep
-    needs no per-operand ``isinstance`` probe.  The thunk binds the
-    rule, not the context, so it serves every context of its kind.
-    """
-    action = rule.action
-    if action is not None:
-        return action, False
-    if rule.template is not None and templated:
-
-        def template_thunk(ctx: Any, node: Node, operands: list, _rule=rule):
-            return ctx.emit_template(_rule, node, operands)
-
-        return template_thunk, False
-    if rule.is_helper:
-
-        def helper_thunk(ctx: Any, node: Node, operands: list) -> Any:
-            return _SplicedOperands(operands)
-
-        return helper_thunk, True
-
-    def passthrough_thunk(ctx: Any, node: Node, operands: list) -> Any:
-        return flatten_operands(operands)
-
-    return passthrough_thunk, False
-
-
 class Reducer:
     """Reduces a labeled forest, executing emit actions.
 
@@ -213,21 +176,10 @@ class Reducer:
         #: (checked every DEADLINE_CHECK_EVERY frame steps); None
         #: disables the checks.
         self.deadline_at_ns = deadline_at_ns
-        self._memo: dict[tuple[int, int], Any] = {}
-        #: Nonterminal name -> dense id, seeded in grammar-declaration
-        #: order, the order the automaton's state pool declares them in,
-        #: so the goal ids in its derivation fragments key a tape
-        #: emitter's slot table like its own lookups.  Names outside
-        #: the grammar are still interned on first use.
-        self._nt_ids: dict[str, int] = {
-            name: index
-            for index, name in enumerate(labeling.grammar.nonterminals)
-        }
-        #: id(rule) -> compiled operand-collection plan.
-        self._plans: dict[int, tuple] = {}
-        #: The grammar's start nonterminal, resolved once (not per
-        #: ``reduce_forest`` call).
-        self._start_nt: str | None = labeling.grammar.start
+        #: ``(node key, nonterminal) -> (insertion index, value)``.  An
+        #: entry whose index is below the memo size at the start of a
+        #: forest was made by an earlier forest.
+        self._memo: dict[tuple[int, str], tuple[int, Any]] = {}
         self.reductions = 0
         self.memo_hits = 0
         #: Roots fully reduced by the most recent *faulted*
@@ -240,10 +192,6 @@ class Reducer:
         #: part of its cover, and callers fall back to
         #: :func:`~repro.selection.cover.extract_cover`.
         self.last_cover_cost: int | None = None
-        #: Keys of the memo's first ``len(_earlier)`` entries, brought up
-        #: to date by :meth:`_earlier_keys` as each forest starts (the
-        #: cross-forest hit test).
-        self._earlier: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     # Poisoned-entry safety: the memo only ever *adds* entries (a pair is
@@ -272,86 +220,10 @@ class Reducer:
         excess = len(memo) - size
         if excess <= 0:
             return 0
-        if len(self._earlier) > size:
-            self._earlier.clear()
         for key in list(islice(reversed(memo), excess)):
             del memo[key]
         self.reductions -= excess
         return excess
-
-    # ------------------------------------------------------------------
-
-    def _nt_id(self, nonterminal: str) -> int:
-        """Dense id of *nonterminal*, interned on first use."""
-        nt_ids = self._nt_ids
-        nt_id = nt_ids.get(nonterminal)
-        if nt_id is None:
-            nt_id = nt_ids[nonterminal] = len(nt_ids)
-        return nt_id
-
-    def _plan_for(self, rule: Rule) -> tuple:
-        """The rule's compiled operand-collection plan (cached by rule
-        identity).
-
-        * ``(_CHAIN, source_nt, source_nt_id)`` for chain rules;
-        * ``(_BASE, op_name, arity, ((nt, nt_id), ...))`` for
-          normal-form base rules — the arity-specialized fast path
-          zips the precomputed pairs straight onto ``node.kids``;
-        * ``(_PATTERN, pattern)`` for multi-node rules, which still
-          need the (pattern-height-bounded) structural walk per node.
-        """
-        plan = self._plans.get(id(rule))
-        if plan is None:
-            pattern = rule.pattern
-            if rule.is_chain:
-                symbol = pattern.symbol
-                plan = (_CHAIN, symbol, self._nt_id(symbol))
-            elif rule.is_base:
-                leaves = tuple((kid.symbol, self._nt_id(kid.symbol)) for kid in pattern.kids)
-                plan = (_BASE, pattern.symbol, len(leaves), leaves)
-            else:
-                plan = (_PATTERN, pattern)
-            self._plans[id(rule)] = plan
-        return plan
-
-    def _targets_for(self, rule: Rule, node: Node) -> list[tuple[Node, str, int]]:
-        """The (node, nonterminal, nonterminal-id) reduction targets of
-        applying *rule* at *node*, in left-to-right operand order."""
-        plan = self._plan_for(rule)
-        kind = plan[0]
-        if kind == _BASE:
-            _, op_name, arity, leaves = plan
-            kids = node.kids
-            if node.op.name != op_name or len(kids) != arity:
-                require_structural_match(rule.pattern, node)
-            if arity == 1:
-                (nt0, id0), = leaves
-                return [(kids[0], nt0, id0)]
-            if arity == 2:
-                (nt0, id0), (nt1, id1) = leaves
-                return [(kids[0], nt0, id0), (kids[1], nt1, id1)]
-            return [(kid, nt, nt_id) for kid, (nt, nt_id) in zip(kids, leaves)]
-        if kind == _CHAIN:
-            return [(node, plan[1], plan[2])]
-        targets: list[tuple[Node, str, int]] = []
-        self._pattern_targets(plan[1], node, targets)
-        return targets
-
-    def _pattern_targets(
-        self, pattern, node: Node, targets: list[tuple[Node, str, int]]
-    ) -> None:
-        """Collect targets below a multi-node *pattern* matched at *node*.
-
-        Recursion depth is bounded by the grammar's pattern height
-        (small by construction), not by the IR tree.
-        """
-        require_structural_match(pattern, node)
-        for kid_pattern, kid_node in zip(pattern.kids, node.kids):
-            if kid_pattern.is_nonterminal:
-                symbol = kid_pattern.symbol
-                targets.append((kid_node, symbol, self._nt_id(symbol)))
-            else:
-                self._pattern_targets(kid_pattern, kid_node, targets)
 
     # ------------------------------------------------------------------
 
@@ -363,21 +235,10 @@ class Reducer:
         Public so the ``select_many`` pipeline can resolve it once per
         engine, outside its per-forest fault handling.
         """
-        start_nt = start if start is not None else self._start_nt
+        start_nt = start if start is not None else self.labeling.grammar.start
         if start_nt is None:
             raise CoverError("grammar has no start nonterminal")
         return start_nt
-
-    def _earlier_keys(self, mark: int) -> set[tuple[int, int]]:
-        """The keys of the memo's first *mark* entries — those made
-        before the current forest — synced from the memo's tail."""
-        earlier = self._earlier
-        missing = mark - len(earlier)
-        if missing > 0:
-            memo = self._memo
-            skip = len(memo) - mark
-            earlier.update(islice(reversed(memo), skip, skip + missing))
-        return earlier
 
     def reduce_forest(self, forest: Forest, start: str | None = None) -> list[Any]:
         """Reduce every root of *forest* from the start nonterminal.
@@ -387,15 +248,13 @@ class Reducer:
         """
         start_nt = self.resolve_start(start)
         mark = len(self._memo)
-        earlier = self._earlier_keys(mark) if mark else None
-        walk = self._walk
         values: list[Any] = []
         cost = 0
         contained = True
         self.last_cover_cost = None
         try:
             for root in forest.roots:
-                value, root_cost, root_contained = walk(root, start_nt, earlier)
+                value, root_cost, root_contained = self._walk(root, start_nt, mark)
                 values.append(value)
                 cost += root_cost
                 contained &= root_contained
@@ -413,27 +272,23 @@ class Reducer:
         Iterative: reductions of any depth (deep trees, long chain-rule
         sequences) run on an explicit frame stack.
         """
-        return self._walk(node, nonterminal, None)[0]
+        return self._walk(node, nonterminal, 0)[0]
 
-    def _walk(
-        self, node: Node, nonterminal: str, earlier: set[tuple[int, int]] | None
-    ) -> tuple[Any, int, bool]:
+    def _walk(self, node: Node, nonterminal: str, mark: int) -> tuple[Any, int, bool]:
         """Reduce *node* from *nonterminal*: ``(value, cost, contained)``.
 
         *cost* sums :func:`entry_cost` over the reductions this walk
-        applied; *contained* is False when a memo hit reached a key in
-        *earlier* (an entry made before the current forest).
+        applied; *contained* is False when a memo hit reached an entry
+        inserted before index *mark* (one an earlier forest made).
         """
         memo = self._memo
-        nid = node.nid
-        key = (nid if nid >= 0 else ~id(node), self._nt_id(nonterminal))
-        value = memo.get(key, _MISSING)
-        if value is not _MISSING:
+        key = (node_memo_key(node), nonterminal)
+        hit = memo.get(key)
+        if hit is not None:
             self.memo_hits += 1
-            return value, 0, earlier is None or key not in earlier
+            return hit[1], 0, hit[0] >= mark
 
         require_rule = self.labeling.require_rule
-        targets_for = self._targets_for
         run_action = self._run_action
         rule = require_rule(node, nonterminal)
         cost = 0
@@ -442,10 +297,9 @@ class Reducer:
         # The on-stack key set bounds corrupt labelings: a (node, nt)
         # pair whose reduction depends on itself (e.g. a chain-rule
         # cycle answered by a broken Labeling) is an error, not an
-        # unbounded frame loop — the recursive engine failed fast with
-        # RecursionError, the iterative one must fail fast too.
-        on_stack: set[tuple[int, int]] = {key}
-        frames: list[list] = [[key, node, rule, [], targets_for(rule, node), 0]]
+        # unbounded frame loop.
+        on_stack: set[tuple[int, str]] = {key}
+        frames: list[list] = [[key, node, rule, [], rule_targets(rule, node), 0]]
         deadline = self.deadline_at_ns
         ticks = 0
         while True:
@@ -460,11 +314,10 @@ class Reducer:
             index = frame[_F_INDEX]
             descended = False
             while index < len(targets):
-                t_node, t_nt, t_nt_id = targets[index]
-                t_nid = t_node.nid
-                t_key = (t_nid if t_nid >= 0 else ~id(t_node), t_nt_id)
-                value = memo.get(t_key, _MISSING)
-                if value is _MISSING:
+                t_node, t_nt = targets[index]
+                t_key = (node_memo_key(t_node), t_nt)
+                hit = memo.get(t_key)
+                if hit is None:
                     if t_key in on_stack:
                         raise CoverError(
                             f"cyclic derivation: reducing node "
@@ -474,14 +327,13 @@ class Reducer:
                     frame[_F_INDEX] = index
                     t_rule = require_rule(t_node, t_nt)
                     on_stack.add(t_key)
-                    frames.append(
-                        [t_key, t_node, t_rule, [], targets_for(t_rule, t_node), 0]
-                    )
+                    frames.append([t_key, t_node, t_rule, [], rule_targets(t_rule, t_node), 0])
                     descended = True
                     break
                 self.memo_hits += 1
-                if earlier is not None and t_key in earlier:
+                if hit[0] < mark:
                     contained = False
+                value = hit[1]
                 if isinstance(value, _SplicedOperands):
                     operands.extend(value)
                 else:
@@ -496,7 +348,7 @@ class Reducer:
             cost += entry_cost(e_rule, e_node)
             value = run_action(e_rule, e_node, operands)
             key = frame[_F_KEY]
-            memo[key] = value
+            memo[key] = (len(memo), value)
             on_stack.discard(key)
             self.reductions += 1
             frames.pop()

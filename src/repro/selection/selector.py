@@ -762,18 +762,19 @@ class SelectorConfig:
             call, raising
             :class:`~repro.ir.validate.ForestValidationError` on
             malformed input instead of failing mid-selection.
-        emitter: Which emission engine ``select``/``select_many`` run:
-            ``"tape"`` (default) compiles every automaton labeling to
-            flat instruction tapes from its state-indexed derivation
-            fragments (:class:`~repro.selection.tape.TapeEmitter`);
-            ``mode="dp"``, whose labeling has no states, runs the
-            frame-stack :class:`~repro.selection.reducer.Reducer`
-            either way.
-            ``"reducer"`` keeps the frame engine for every labeling —
-            the differential oracle (see
-            :meth:`Selector._make_emitter`).  Both engines emit
-            byte-identical instruction streams and cost the cover in
-            the walk that emits it.
+        emitter: Which emission engine ``select``/``select_many`` run,
+            checked when the selector is built: ``"tape"`` (default)
+            compiles every automaton labeling to flat instruction tapes
+            from its state-indexed derivation fragments
+            (:class:`~repro.selection.tape.TapeEmitter`); ``mode="dp"``,
+            whose labeling has no states, runs the frame-stack
+            :class:`~repro.selection.reducer.Reducer` either way, and
+            ``stats()`` reports it as ``"reducer"``.  ``"reducer"``
+            keeps the frame engine, the reference oracle, for every
+            labeling (see :meth:`Selector._make_emitter`).  The two
+            engines share a contract and the reducer module's value
+            helpers, not a class: both emit byte-identical instruction
+            streams and cost the cover in the walk that emits it.
         observe: Observability wiring: ``None``/``False`` (default)
             disables it — the pipeline pays one attribute check per
             batch; ``True`` builds a private
@@ -812,6 +813,11 @@ class Selector:
         engine: object | None = None,
     ) -> None:
         self.config = config if config is not None else SelectorConfig()
+        if self.config.emitter not in EMITTERS:
+            raise ValueError(
+                f"unknown emitter {self.config.emitter!r}; expected one of "
+                f"{', '.join(EMITTERS)}"
+            )
         if engine is not None:
             if not hasattr(engine, "label_many"):
                 raise TypeError(f"labeler object {engine!r} does not expose label_many()")
@@ -1006,7 +1012,7 @@ class Selector:
         labeling: Labeling,
         context: Any,
         deadline_at_ns: int | None,
-    ) -> Reducer:
+    ) -> Reducer | TapeEmitter:
         """The configured emission engine over *labeling*.
 
         One rule: under ``"tape"``, every automaton labeling
@@ -1016,16 +1022,11 @@ class Selector:
         fragments.  A labeling without states — ``mode="dp"``, or a
         wrapped engine's own labeling — and ``"reducer"`` get the
         frame-stack :class:`Reducer`, which stays as the differential
-        oracle.  Both
-        honor the same ``reduce_forest``/``memo_size``/``rollback_to``
-        contract and cost the cover in the walk that emits it.
+        oracle.  The two share a contract, not a class: both honour the
+        same ``reduce_forest``/``memo_size``/``rollback_to`` surface and
+        cost the cover in the walk that emits it.
         """
-        emitter = self.config.emitter
-        if emitter not in EMITTERS:
-            raise ValueError(
-                f"unknown emitter {emitter!r}; expected one of {', '.join(EMITTERS)}"
-            )
-        if emitter == "tape" and isinstance(labeling, AutomatonLabeling):
+        if self.config.emitter == "tape" and isinstance(labeling, AutomatonLabeling):
             return TapeEmitter(
                 labeling,
                 context,
@@ -1116,7 +1117,7 @@ class Selector:
         # forest emits, so half-emitted values are never reused.
         values: list[Any] = [None] * len(forests)
         costs: dict[int, int | None] = {}
-        engines: dict[int, tuple[Reducer, str]] = {}
+        engines: dict[int, tuple[Reducer | TapeEmitter, str]] = {}
         started = time.perf_counter_ns()
         for index, forest, labeling in labeled:
             entry = engines.get(id(labeling))
@@ -1204,7 +1205,9 @@ class Selector:
             validate_ns=validate_ns,
             cover_ns=cover_ns,
             failures=len(failures),
-            tapes_compiled=sum(getattr(engine, "tapes_compiled", 0) for engine in emitters),
+            tapes_compiled=sum(
+                engine.tapes_compiled for engine in emitters if isinstance(engine, TapeEmitter)
+            ),
         )
         self._record(report, end_ns)
         if shared_labeling is None:
@@ -1592,7 +1595,9 @@ class Selector:
         totals["total_ns"] = total_ns
         totals["ns_per_node"] = total_ns / max(totals["nodes"], 1)
         totals["reduce_fraction"] = totals["reduce_ns"] / total_ns if total_ns > 0 else 0.0
-        totals["emitter"] = self.config.emitter
+        # A DP labeling has no states to compile a tape from.
+        dp = isinstance(self.engine, DPLabeler)
+        totals["emitter"] = "reducer" if dp else self.config.emitter
         totals["last"] = self._last_report.as_row() if self._last_report is not None else None
         row["selection"] = totals
         row["resilience"] = self.resilience_stats()

@@ -1,13 +1,13 @@
 """Cover compilation: lower covers to flat instruction tapes.
 
-The frame-stack :class:`~repro.selection.reducer.Reducer` re-walks the
-cover on every emission, resolving each ``(node, nonterminal)`` pair's
-rule and operand targets as it goes.  An automaton labeling has already
-fixed all of that: a node's state determines, for every goal
-nonterminal, the rule, its thunk, its cost and its targets.  This module
-splits emission into an explicit two-phase pipeline, the same lowering
-shape ERTL/RTL-style backends use to turn selected covers into flat
-instruction sequences:
+The frame-stack :class:`~repro.selection.reducer.Reducer`, the reference
+engine, re-walks the cover on every emission, resolving each ``(node,
+nonterminal)`` pair's rule and operand targets as it goes.  An automaton
+labeling has already fixed all of that: a node's state determines, for
+every goal nonterminal, the rule, its thunk, its cost and its targets.
+This module splits emission into an explicit two-phase pipeline, the
+same lowering shape ERTL/RTL-style backends use to turn selected covers
+into flat instruction sequences:
 
 1. **Compile** — one walk over the cover lowers each forest to a
    :class:`CompiledTape`: parallel postorder sequences (action thunks, IR
@@ -19,12 +19,13 @@ instruction sequences:
    rule's source goal or the base rule's operator and child goals.
    Fragments are built once per pair on first use, next to the
    transition tables, the same on-demand discipline the paper applies
-   to transitions.  Entry *i*'s result lands in value-buffer slot
-   ``base + i``, so result slots are implicit and operand references
-   are plain slot indices, encoded ``(slot << 1) | spliced`` — bit 0
-   marks operands produced by normalisation helper rules, whose value
-   lists are spliced flat exactly as the frame engine splices
-   ``_SplicedOperands``.
+   to transitions; goals are the state pool's nonterminal ids, the id
+   space the fragments are keyed by.  Entry *i*'s result lands in
+   value-buffer slot ``base + i``, so result slots are implicit and
+   operand references are plain slot indices, encoded ``(slot << 1) |
+   spliced`` — bit 0 marks operands produced by normalisation helper
+   rules, whose value lists are spliced flat exactly as the frame
+   engine splices ``_SplicedOperands``.
 2. **Sweep** — one linear pass over the tape runs the thunks against a
    single shared value buffer: no frames, no memo probes, no per-frame
    operand lists; operand gather is slot indexing.
@@ -32,9 +33,12 @@ instruction sequences:
 The compile walk replicates the frame engine's exact left-to-right
 postorder — including where memo hits happen — so both engines run the
 same actions in the same order with the same operands, which is what the
-differential tests assert byte-for-byte.  The tape compiles automaton
-labelings only (:class:`TapeEmitter` raises :class:`TypeError` on any
-other); a DP labeling has no states, and the frame engine emits it.
+differential tests assert byte-for-byte.  The engines share that
+contract and the reducer module's value helpers, not a class: the tape
+has its own slot table, counters and fault handling.  The tape compiles
+automaton labelings only (:class:`TapeEmitter` raises
+:class:`TypeError` on any other); a DP labeling has no states, and the
+frame engine emits it.
 
 Cover cost
 ----------
@@ -73,13 +77,13 @@ never does.
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import Any, NoReturn
 
 from repro.errors import CoverError, DeadlineExceededError
 from repro.ir.node import Forest, Node
 from repro.selection.automaton import AutomatonLabeling
 from repro.selection.cover import Labeling, require_structural_match
-from repro.selection.reducer import Reducer, entry_cost
+from repro.selection.reducer import entry_cost
 from repro.selection.resilience import (
     DEADLINE_CHECK_EVERY,
     attach_node_provenance,
@@ -167,23 +171,23 @@ class TapeCache:
     """
 
 
-class TapeEmitter(Reducer):
+class TapeEmitter:
     """The tape-based emission engine: compile covers, sweep tapes.
 
-    A drop-in replacement for the frame-stack
-    :class:`~repro.selection.reducer.Reducer` over automaton labelings
-    — same constructor, same ``reduce``/``reduce_forest``/
-    ``resolve_start`` surface, same ``reductions``/``memo_hits``
-    counter semantics, same ``memo_size``/``rollback_to``
-    fault-isolation contract — that emits through tapes compiled from
-    the automaton's derivation fragments instead of a frame stack.  Any
-    other labeling raises :class:`TypeError`.  Cross-forest
-    memoisation is preserved: the slot table (keyed like the frame
-    engine's memo, by ``node.nid`` with an address fallback) spans the
-    emitter's lifetime, so a node shared between batch forests emits
-    once and later forests reference its slot.
+    It emits automaton labelings through tapes compiled from the
+    automaton's derivation fragments; any other labeling raises
+    :class:`TypeError`.  It honours the frame-stack
+    :class:`~repro.selection.reducer.Reducer`'s contract without sharing
+    its class — the constructor arguments, the ``reduce_forest``/
+    ``resolve_start`` surface, the ``reductions``/``memo_hits`` counter
+    semantics and the ``memo_size``/``rollback_to`` fault-isolation
+    contract — so the reducer can check it as an independent oracle.
+    Cross-forest memoisation is preserved: the slot table (keyed by
+    :func:`~repro.selection.reducer.node_memo_key` and the state pool's
+    goal id) spans the emitter's lifetime, so a node shared between
+    batch forests emits once and later forests reference its slot.
 
-    Every ``reduce_forest``/``reduce`` compiles one tape and sweeps it;
+    Every ``reduce_forest`` compiles one tape and sweeps it;
     :attr:`tapes_compiled` counts the non-empty ones.  *cache* is
     accepted for compatibility and ignored (see :class:`TapeCache`).
 
@@ -209,7 +213,17 @@ class TapeEmitter(Reducer):
                 f"TapeEmitter compiles automaton labelings only, got "
                 f"{type(labeling).__name__}; emit it with the frame Reducer"
             )
-        super().__init__(labeling, context, deadline_at_ns=deadline_at_ns)
+        self.labeling = labeling
+        self.context = context
+        #: Absolute monotonic deadline for cooperative cancellation
+        #: (checked every DEADLINE_CHECK_EVERY compile and sweep steps);
+        #: None disables the checks.
+        self.deadline_at_ns = deadline_at_ns
+        #: The state pool's nonterminal ids and names: the goal ids the
+        #: automaton's fragments are keyed by.
+        pool = labeling.automaton.pool
+        self._nt_ids = pool.nt_ids
+        self._nt_names = pool.nt_names
         #: Optional span tracer; when enabled, each cover-to-tape
         #: compilation records a ``pipeline.tape_compile`` span.
         self._tracer = tracer
@@ -223,6 +237,18 @@ class TapeEmitter(Reducer):
         self._templated = int(getattr(context, "emit_template", None) is not None)
         self._rows = labeling.automaton.fragments[self._templated]
         self.tapes_compiled = 0
+        #: Tape entries swept (= rule applications) and entry requests
+        #: answered from the slot table, counted like the frame
+        #: engine's ``reductions``/``memo_hits``.
+        self.reductions = 0
+        self.memo_hits = 0
+        #: Roots fully emitted by the most recent *faulted*
+        #: :meth:`reduce_forest` call (fault-isolation provenance).
+        self.last_roots_completed = 0
+        #: Cover cost of the most recent :meth:`reduce_forest` forest
+        #: (its tape's cost), or ``None`` when the tape reached into an
+        #: earlier forest's slots.
+        self.last_cover_cost: int | None = None
 
     # ------------------------------------------------------------------
     # Fault isolation: value-buffer truncation instead of memo surgery.
@@ -258,8 +284,8 @@ class TapeEmitter(Reducer):
     # ------------------------------------------------------------------
     # Compile
 
-    def _compile_roots(self, pairs: list[tuple[Node, str]]) -> CompiledTape:
-        """Lower the covers of ``(root, nonterminal)`` *pairs* to one tape.
+    def _compile_roots(self, forest: Forest, start: str) -> CompiledTape:
+        """Lower the covers of *forest*'s roots from *start* to one tape.
 
         Appends no values — the sweep does that — but registers every
         new entry's slot in the slot table as it is laid out, so later
@@ -291,6 +317,11 @@ class TapeEmitter(Reducer):
         rows = self._rows
         fragment = self._fragment
         deadline = self.deadline_at_ns
+        # Looked up, never declared: a name the grammar does not know
+        # derives nothing, and must not grow the pool's id space.
+        start_goal = self._nt_ids.get(start)
+        if start_goal is None and forest.roots:
+            self._underivable(forest.roots[0], start)
 
         thunks: list[Any] = []
         nodes: list[Node] = []
@@ -301,9 +332,9 @@ class TapeEmitter(Reducer):
         self_contained = True
         ticks = 0
 
-        for root, nonterminal in pairs:
+        for root in forest.roots:
             out: list[int] = []
-            stack: list[tuple] = [(root, self._nt_id(nonterminal), out, None, None)]
+            stack: list[tuple] = [(root, start_goal, out, None, None)]
             push = stack.append
             pop = stack.pop
             while stack:
@@ -387,14 +418,17 @@ class TapeEmitter(Reducer):
 
     def _fragment(self, state: Any, goal: int, node: Node) -> tuple:
         """Build the fragment the walk's table lookup missed, or raise
-        the frame engine's :class:`CoverError` when *node* (labeled
-        *state*) has no derivation of *goal*."""
+        when *node* (labeled *state*) has no derivation of *goal*."""
         built = self.labeling.automaton.fragment(state, goal, self._templated)
         if built is None:
-            names = {nt_id: name for name, nt_id in self._nt_ids.items()}
-            self.labeling.require_rule(node, names[goal])
-            raise CoverError(f"no fragment for nonterminal {names[goal]!r} at {state!r}")
+            self._underivable(node, self._nt_names[goal])
         return built
+
+    def _underivable(self, node: Node, nonterminal: str) -> NoReturn:
+        """Raise the frame engine's :class:`CoverError` for a *node*
+        with no derivation of *nonterminal*."""
+        self.labeling.require_rule(node, nonterminal)
+        raise CoverError(f"no derivation of nonterminal {nonterminal!r} at {node!r}")
 
     # ------------------------------------------------------------------
     # Sweep
@@ -463,23 +497,21 @@ class TapeEmitter(Reducer):
             completed += 1
         self.last_roots_completed = completed
 
-    def _emit(self, pairs: list[tuple[Node, str]], forest: Forest | None = None) -> CompiledTape:
-        """Compile the covers of *pairs* to one tape and sweep it.
+    def _emit(self, forest: Forest, start: str) -> CompiledTape:
+        """Compile *forest*'s cover from *start* to one tape and sweep it.
 
         A compile fault precedes all emission: nothing ran, so nothing
         completed, and the slot table's dead tail is cleared.  With an
-        enabled tracer the compile walk of a *forest* records a
+        enabled tracer the compile walk records a
         ``pipeline.tape_compile`` span.
         """
         mark = len(self._values)
         tracer = self._tracer
         compile_start = (
-            time.monotonic_ns()
-            if forest is not None and tracer is not None and tracer.enabled
-            else None
+            time.monotonic_ns() if tracer is not None and tracer.enabled else None
         )
         try:
-            tape = self._compile_roots(pairs)
+            tape = self._compile_roots(forest, start)
         except Exception:
             self.last_roots_completed = 0
             self._truncate_slots(mark)
@@ -498,7 +530,15 @@ class TapeEmitter(Reducer):
         return tape
 
     # ------------------------------------------------------------------
-    # Public emission surface (Reducer-compatible)
+    # Public emission surface (the frame Reducer's contract)
+
+    def resolve_start(self, start: str | None = None) -> str:
+        """*start*, else the grammar's start nonterminal; raises
+        :class:`CoverError` when neither exists."""
+        start_nt = start if start is not None else self.labeling.grammar.start
+        if start_nt is None:
+            raise CoverError("grammar has no start nonterminal")
+        return start_nt
 
     def reduce_forest(self, forest: Forest, start: str | None = None) -> list[Any]:
         """Compile *forest*'s tape and sweep it.
@@ -506,18 +546,7 @@ class TapeEmitter(Reducer):
         Also sets :attr:`last_cover_cost` to the forest's cover cost
         when its tape is self-contained (``None`` otherwise).
         """
-        start_nt = self.resolve_start(start)
-        tape = self._emit([(root, start_nt) for root in forest.roots], forest)
+        tape = self._emit(forest, self.resolve_start(start))
         self.last_cover_cost = tape.cost if tape.self_contained else None
         buf = self._values
         return [buf[ref] for ref in tape.root_refs]
-
-    def reduce(self, node: Node, nonterminal: str) -> Any:
-        """Reduce one ``(node, nonterminal)`` pair through a tape.
-
-        Compiles a single-root tape (resolving already-emitted
-        reductions to their slots) and sweeps it; an already-memoised
-        pair is answered straight from its slot.
-        """
-        tape = self._emit([(node, nonterminal)])
-        return self._values[tape.root_refs[0]]

@@ -12,6 +12,12 @@ counts as read when its name appears as an ``ast.Attribute`` in load
 context, a call keyword (a dataclass field set by name) or a string
 constant (``getattr``, an ``as_row`` key) in the same three trees, so
 state that is only ever written stays flagged.
+
+Those two scans match names across the whole tree, so a write-only
+attribute passes when an unrelated object elsewhere reads the same
+name.  Private state is scoped tighter: a ``self._name`` store needs a
+read of ``_name`` (an attribute load or a string constant) in its own
+module.
 """
 
 from __future__ import annotations
@@ -112,3 +118,32 @@ def test_every_stored_attribute_has_a_reader():
         if name not in read and not (name.startswith("__") and name.endswith("__"))
     )
     assert not write_only, "attributes nothing reads:\n" + "\n".join(write_only)
+
+
+def _private_self_stores_without_module_reads() -> list[str]:
+    unread: list[str] = []
+    for path, tree in _trees(PACKAGE):
+        stores: list[tuple[str, int]] = []
+        read: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (
+                    isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr.startswith("_")
+                    and not node.attr.endswith("__")
+                ):
+                    stores.append((node.attr, node.lineno))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+        where = path.relative_to(ROOT)
+        unread.extend(f"{where}:{line} self.{name}" for name, line in stores if name not in read)
+    return sorted(unread)
+
+
+def test_every_private_self_store_is_read_in_its_module():
+    unread = _private_self_stores_without_module_reads()
+    assert not unread, "private attributes their module never reads:\n" + "\n".join(unread)

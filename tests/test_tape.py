@@ -238,12 +238,27 @@ def test_selector_report_carries_tape_counters():
 
 
 def test_emitters_registry_and_unknown_emitter_rejected():
+    """An unknown emitter fails at construction, and ``stats()`` names
+    the engine that actually runs: the frame engine under ``mode="dp"``
+    even when the config says ``"tape"``."""
     assert EMITTERS == ("tape", "reducer")
     grammar = parse_grammar(DEMO_TEXT)
-    sel = Selector(grammar, config=SelectorConfig(emitter="frames"))
     with pytest.raises(ValueError, match="unknown emitter 'frames'"):
-        sel.select_many([_chain_forest(2)])
-    assert Selector(grammar).stats()["selection"]["emitter"] == "tape"
+        Selector(grammar, config=SelectorConfig(emitter="frames"))
+    with pytest.raises(ValueError, match="unknown emitter 'frames'"):
+        Selector.wrap(OnDemandAutomaton(grammar), SelectorConfig(emitter="frames"))
+    for mode, emitter, engine, tapes in (
+        ("ondemand", "tape", "tape", 1),
+        ("eager", "tape", "tape", 1),
+        ("ondemand", "reducer", "reducer", 0),
+        ("dp", "tape", "reducer", 0),
+        ("dp", "reducer", "reducer", 0),
+    ):
+        sel = Selector(emit_bench_grammar(), mode, SelectorConfig(emitter=emitter))
+        assert sel.stats()["selection"]["emitter"] == engine, (mode, emitter)
+        result = sel.select_many([_chain_forest(2)], context=EmitContext())
+        assert result.report.tapes_compiled == tapes, (mode, emitter)
+        assert sel.stats()["selection"]["emitter"] == engine, (mode, emitter)
 
 
 # ----------------------------------------------------------------------
@@ -473,8 +488,6 @@ def test_warm_tape_compile_resolves_no_rule_per_node(monkeypatch, name, make_gra
         monkeypatch.setattr(owner, attr, counted)
 
     count(Labeling, "require_rule")
-    count(Reducer, "_targets_for")
-    count(Reducer, "_plan_for")
     count(OnDemandAutomaton, "fragment")
     forests = _reordered_clones(batch)
     context = EmitContext()
@@ -483,7 +496,11 @@ def test_warm_tape_compile_resolves_no_rule_per_node(monkeypatch, name, make_gra
     assert again.report.tapes_compiled == len(forests)
     assert calls == {}
     assert automaton.fragment_count() == built
-    # The tape engine has no per-rule thunk compiler of its own.
+    # The tape engine has no per-rule thunk compiler of its own, and
+    # inherits no rule resolution from the frame engine.
+    assert Reducer not in TapeEmitter.__mro__
+    emitter = TapeEmitter(again.labeling, EmitContext())
+    assert not {"reduce", "_memo", "_plans", "_earlier"} & set(dir(emitter))
     assert not hasattr(TapeEmitter, "_thunk_info")
     assert not hasattr(TapeEmitter, "_compile_thunk")
 
@@ -512,6 +529,43 @@ def test_fragments_stay_within_the_derivable_pairs(make_grammar, make_pool):
     assert not automaton.fragments[0]  # EmitContext is the templated kind
 
 
+@pytest.mark.parametrize("on_error", ON_ERROR_POLICIES)
+def test_unknown_start_nonterminal_fails_alike_on_both_engines(on_error):
+    """A start name the grammar never declared fails the forest with the
+    labeling's CoverError on every engine (the same message on the tape
+    and frame engines over one automaton grammar), emits nothing, and
+    leaves the automaton's nonterminal id space as it was."""
+    selectors = {
+        "tape": _tape_selector(emit_bench_grammar()),
+        "frame": _frame_selector(emit_bench_grammar()),
+        "dp": Selector(emit_bench_grammar(), mode="dp"),
+    }
+    messages = {}
+    for name, sel in selectors.items():
+        forests = random_forests(7, forests=1, statements=3, max_depth=3)
+        first = forests[0].roots[0]
+        expected = (
+            f"no derivation of node {first.op.name} (nid={first.nid}) "
+            f"from nonterminal 'bogus'"
+        )
+        context = EmitContext()
+        if on_error == "raise":
+            with pytest.raises(CoverError) as caught:
+                sel.select_many(forests, context=context, start="bogus")
+            error = caught.value
+        else:
+            result = sel.select_many(forests, context=context, start="bogus", on_error=on_error)
+            [failure] = result.failures
+            assert failure.phase == "reduce" and failure.roots_completed == 0, name
+            error = failure.error
+            assert isinstance(error, CoverError), name
+        assert str(error).startswith(expected), (name, str(error))
+        messages[name] = str(error).replace(f"nid={first.nid}", "nid=?")
+        assert context.instructions == [] and context.trace == [], name
+    assert messages["tape"] == messages["frame"]
+    assert "bogus" not in selectors["tape"].engine.pool.nt_ids
+
+
 def test_tape_rejects_a_chain_cycle_in_a_corrupt_state():
     """A state whose rule vector answers a chain-rule cycle (a from b,
     b from a) fails with the frame engine's CoverError when its
@@ -534,7 +588,7 @@ def test_tape_rejects_a_chain_cycle_in_a_corrupt_state():
 
     tape = TapeEmitter(labeling, [])
     with pytest.raises(CoverError, match="cyclic derivation"):
-        tape.reduce(node, "a")
+        tape.reduce_forest(Forest([node], name="cyclic"), "a")
     assert tape.memo_size() == 0 and len(tape._slots) == 0
     with pytest.raises(CoverError, match="cyclic derivation"):
         Reducer(labeling, []).reduce(node, "a")
@@ -614,7 +668,7 @@ def test_tape_fields_are_consistent():
     emitter = TapeEmitter(labeling, EmitContext())
     start = emitter.resolve_start(None)
     for forest in forests:
-        tape = emitter._emit([(root, start) for root in forest.roots], forest)
+        tape = emitter._emit(forest, start)
         n = tape.entries
         assert isinstance(tape, CompiledTape) and n > 0
         assert len(tape.thunks) == len(tape.nodes) == len(tape.runs) == n
@@ -986,7 +1040,7 @@ def test_compiled_tape_cost_sums_its_rules():
         result = _tape_selector(make_grammar()).select_many(forests, context=EmitContext())
         emitter = TapeEmitter(result.labeling, EmitContext())
         start = emitter.resolve_start(None)
-        tapes = [emitter._emit([(root, start) for root in forest.roots]) for forest in forests]
+        tapes = [emitter._emit(forest, start) for forest in forests]
         for tape, forest in zip(tapes, forests):
             assert tape.self_contained
             assert tape.cost == extract_cover(result.labeling, forest).total_cost()
