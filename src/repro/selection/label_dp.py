@@ -133,19 +133,16 @@ def label_dp(
 ) -> DPLabeling:
     """Label *forest* bottom-up with full cost vectors.
 
-    A thin wrapper over ``Selector(grammar, mode="dp")`` (imported
-    lazily to avoid a module cycle); prefer a long-lived
-    :class:`~repro.selection.selector.Selector` — or a reused
-    :class:`DPLabeler` — when labeling many forests.
+    A one-shot :class:`DPLabeler`; prefer a reused labeler — or a
+    long-lived :class:`~repro.selection.selector.Selector` — when
+    labeling many forests.
 
     Metrics are opt-in: with ``metrics=None`` the per-node loops skip
     all counter increments (the automaton's unmetered walk increments
     none on its warm path either, so raw-speed benchmarks compare like
     with like).
     """
-    from repro.selection.selector import Selector
-
-    return Selector(grammar, mode="dp").label(forest, metrics)
+    return DPLabeler(grammar).label(forest, metrics)
 
 
 def _label_roots(

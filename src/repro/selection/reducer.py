@@ -7,8 +7,8 @@ differential oracle the tape engine (:mod:`repro.selection.tape`) is
 tested against.  Starting from the start nonterminal at each forest
 root, it asks the labeling for the rule of the current (node,
 nonterminal) pair, reduces the rule's targets
-(:func:`~repro.selection.cover.rule_targets`, the walk
-:func:`~repro.selection.cover.extract_cover` uses), and then runs the
+(:func:`~repro.selection.cover.rule_targets`, the target rule of the
+cover module's reference walk), and then runs the
 rule's emit action bottom-up.  For DAG inputs each (node, nonterminal)
 pair is reduced once and its semantic value reused — the standard
 extension of tree parsing to DAGs.
@@ -54,11 +54,11 @@ The reducer keeps two well-defined counters:
 
 Cover cost
 ----------
-The walk that emits a forest also costs its cover: every reduction adds
+The walk that emits a forest also costs it: every reduction adds
 :func:`entry_cost` of its rule, the one cost rule both emission engines
-apply.  :attr:`Reducer.last_cover_cost` reports the sum whenever the
-forest's reductions are its whole cover, so callers need no second
-:func:`~repro.selection.cover.extract_cover` walk.
+apply, and :attr:`Reducer.last_cover_cost` reports the sum.  A memo hit
+adds nothing, so over a batch each distinct (node, nonterminal) entry
+is costed once, when it is emitted — the cost of the batch's cover.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def entry_cost(rule: Rule, node: Node) -> int:
     cost gets *node* attached as fault provenance.  Every other rule
     adds its fixed :attr:`~repro.grammar.rule.Rule.cost` — including a
     constraint rule, which the labeling only chose where its constraint
-    held, so no constraint callable runs again.  Summed over a forest's
-    entries this equals ``extract_cover(...).total_cost()``.
+    held, so no constraint callable runs again.  Summed over a cover's
+    entries this equals the cover's ``total_cost()``.
     """
     dynamic_cost = rule.dynamic_cost
     if dynamic_cost is None:
@@ -114,6 +114,9 @@ def entry_cost(rule: Rule, node: Node) -> int:
         attach_node_provenance(exc, node)
         raise
 
+
+#: The memo's missing-key marker (a memoised value may be ``None``).
+_MISSING = object()
 
 #: Frame slots of the explicit reduction stack.
 _F_KEY, _F_NODE, _F_RULE, _F_OPERANDS, _F_TARGETS, _F_INDEX = range(6)
@@ -176,22 +179,17 @@ class Reducer:
         #: (checked every DEADLINE_CHECK_EVERY frame steps); None
         #: disables the checks.
         self.deadline_at_ns = deadline_at_ns
-        #: ``(node key, nonterminal) -> (insertion index, value)``.  An
-        #: entry whose index is below the memo size at the start of a
-        #: forest was made by an earlier forest.
-        self._memo: dict[tuple[int, str], tuple[int, Any]] = {}
+        #: ``(node key, nonterminal) -> value``; values may be ``None``,
+        #: so lookups use the :data:`_MISSING` sentinel.
+        self._memo: dict[tuple[int, str], Any] = {}
         self.reductions = 0
         self.memo_hits = 0
         #: Roots fully reduced by the most recent *faulted*
         #: :meth:`reduce_forest` call (fault-isolation provenance).
         self.last_roots_completed = 0
-        #: Cover cost of the forest the most recent :meth:`reduce_forest`
-        #: emitted, summed by the emitting walk (:func:`entry_cost` per
-        #: reduction).  ``None`` when a memo hit reached an entry an
-        #: earlier forest made: the forest's reductions are then only
-        #: part of its cover, and callers fall back to
-        #: :func:`~repro.selection.cover.extract_cover`.
-        self.last_cover_cost: int | None = None
+        #: Summed :func:`entry_cost` of the reductions the most recent
+        #: successful :meth:`reduce_forest` applied (memo hits add 0).
+        self.last_cover_cost = 0
 
     # ------------------------------------------------------------------
     # Poisoned-entry safety: the memo only ever *adds* entries (a pair is
@@ -243,27 +241,23 @@ class Reducer:
     def reduce_forest(self, forest: Forest, start: str | None = None) -> list[Any]:
         """Reduce every root of *forest* from the start nonterminal.
 
-        Also sets :attr:`last_cover_cost` to the forest's cover cost, or
-        to ``None`` when the forest memo-hit an earlier forest's entry.
+        Also sets :attr:`last_cover_cost` to the summed cost of the
+        reductions this call applied.
         """
         start_nt = self.resolve_start(start)
-        mark = len(self._memo)
         values: list[Any] = []
         cost = 0
-        contained = True
-        self.last_cover_cost = None
         try:
             for root in forest.roots:
-                value, root_cost, root_contained = self._walk(root, start_nt, mark)
+                value, root_cost = self._walk(root, start_nt)
                 values.append(value)
                 cost += root_cost
-                contained &= root_contained
         except Exception:
             # Fault provenance for isolating callers; free on the happy
             # path (zero-cost try on CPython 3.11+).
             self.last_roots_completed = len(values)
             raise
-        self.last_cover_cost = cost if contained else None
+        self.last_cover_cost = cost
         return values
 
     def reduce(self, node: Node, nonterminal: str) -> Any:
@@ -272,27 +266,23 @@ class Reducer:
         Iterative: reductions of any depth (deep trees, long chain-rule
         sequences) run on an explicit frame stack.
         """
-        return self._walk(node, nonterminal, 0)[0]
+        return self._walk(node, nonterminal)[0]
 
-    def _walk(self, node: Node, nonterminal: str, mark: int) -> tuple[Any, int, bool]:
-        """Reduce *node* from *nonterminal*: ``(value, cost, contained)``.
-
-        *cost* sums :func:`entry_cost` over the reductions this walk
-        applied; *contained* is False when a memo hit reached an entry
-        inserted before index *mark* (one an earlier forest made).
+    def _walk(self, node: Node, nonterminal: str) -> tuple[Any, int]:
+        """Reduce *node* from *nonterminal*: ``(value, cost)``, *cost*
+        summing :func:`entry_cost` over the reductions this walk applied.
         """
         memo = self._memo
         key = (node_memo_key(node), nonterminal)
-        hit = memo.get(key)
-        if hit is not None:
+        value = memo.get(key, _MISSING)
+        if value is not _MISSING:
             self.memo_hits += 1
-            return hit[1], 0, hit[0] >= mark
+            return value, 0
 
         require_rule = self.labeling.require_rule
         run_action = self._run_action
         rule = require_rule(node, nonterminal)
         cost = 0
-        contained = True
         # Frame layout: [key, node, rule, operands, targets, index].
         # The on-stack key set bounds corrupt labelings: a (node, nt)
         # pair whose reduction depends on itself (e.g. a chain-rule
@@ -316,8 +306,8 @@ class Reducer:
             while index < len(targets):
                 t_node, t_nt = targets[index]
                 t_key = (node_memo_key(t_node), t_nt)
-                hit = memo.get(t_key)
-                if hit is None:
+                value = memo.get(t_key, _MISSING)
+                if value is _MISSING:
                     if t_key in on_stack:
                         raise CoverError(
                             f"cyclic derivation: reducing node "
@@ -331,9 +321,6 @@ class Reducer:
                     descended = True
                     break
                 self.memo_hits += 1
-                if hit[0] < mark:
-                    contained = False
-                value = hit[1]
                 if isinstance(value, _SplicedOperands):
                     operands.extend(value)
                 else:
@@ -348,12 +335,12 @@ class Reducer:
             cost += entry_cost(e_rule, e_node)
             value = run_action(e_rule, e_node, operands)
             key = frame[_F_KEY]
-            memo[key] = (len(memo), value)
+            memo[key] = value
             on_stack.discard(key)
             self.reductions += 1
             frames.pop()
             if not frames:
-                return value, cost, contained
+                return value, cost
             parent = frames[-1]
             if isinstance(value, _SplicedOperands):
                 parent[_F_OPERANDS].extend(value)

@@ -116,9 +116,8 @@ class SelectionFailure:
     Attributes:
         index: Position of the faulted forest in the input batch.
         forest: The forest's ``name``.
-        phase: Pipeline phase that faulted: ``"validate"``, ``"label"``,
-            ``"reduce"``, or ``"cover"`` (the ``extract_cover`` fallback
-            that costs forests whose emitting walk could not).
+        phase: Pipeline phase that faulted: ``"validate"``, ``"label"``
+            or ``"reduce"`` (emission, which also costs the cover).
         error: The contained exception object.
         node: Provenance of the IR node being processed when the fault
             fired (``"OP(nid=n)"``), when the engine could attach it.
@@ -185,7 +184,8 @@ def new_resilience_counters() -> dict[str, Any]:
     """A fresh ``stats()["resilience"]`` counter block.
 
     * ``isolated_failures`` — forests contained by ``on_error="isolate"``;
-    * ``failures_by_phase`` — the same, split by pipeline phase;
+    * ``failures_by_phase`` — the same, split by pipeline phase
+      (``validate``, ``label``, ``reduce``);
     * ``demotions`` — degradation-ladder steps taken, by cause
       (``load_failed`` artifact → in-process compile, ``build_budget``
       eager → on-demand);
@@ -197,7 +197,7 @@ def new_resilience_counters() -> dict[str, Any]:
     """
     return {
         "isolated_failures": 0,
-        "failures_by_phase": {"validate": 0, "label": 0, "reduce": 0, "cover": 0},
+        "failures_by_phase": {"validate": 0, "label": 0, "reduce": 0},
         "demotions": {"load_failed": 0, "build_budget": 0},
         "retries": 0,
         "quarantined": 0,

@@ -84,7 +84,7 @@ from repro.ir.validate import validate_forest
 from repro.metrics.counters import LabelMetrics
 from repro.obs import resolve_obs
 from repro.selection.automaton import UNEVALUATED, AutomatonLabeling, OnDemandAutomaton
-from repro.selection.cover import Labeling, extract_cover
+from repro.selection.cover import Labeling
 from repro.selection.label_dp import DPLabeler
 from repro.selection.reducer import Reducer
 from repro.selection.resilience import (
@@ -625,15 +625,17 @@ class SelectionReport:
     """What one ``select`` / ``select_many`` call did and cost.
 
     Counts describe the whole batch; the ``*_ns`` fields are integer
-    ``perf_counter_ns`` measurements of the labeling phase, the
-    reduction/emission phase, and the cover-costing fallback.  Both
-    emission engines sum each forest's cover cost in the walk that
-    emits it (the tape's compile walk, the frame engine's reduction
-    walk), so :attr:`cover_cost` is free and :attr:`cover_ns` is 0
-    unless a forest memo-hit an entry an earlier batch forest made
-    (cross-forest node sharing): only such forests pay an
-    :func:`~repro.selection.cover.extract_cover` walk, timed in
-    :attr:`cover_ns`.
+    ``perf_counter_ns`` measurements of the labeling phase and the
+    reduction/emission phase.
+
+    :attr:`cover_cost` is the cost of the batch's cover: each distinct
+    (node, nonterminal) entry reachable from the roots of the forests
+    that completed counts once, as the reference cover walk of
+    :mod:`repro.selection.cover` counts one forest holding all those
+    roots.  Both emission engines sum it in the walk that emits the
+    batch (the tape's compile walk, the frame engine's reduction
+    walk), costing each entry when it is laid out, so a subtree two
+    forests share is paid for once, as it is emitted once.
     """
 
     grammar: str
@@ -645,8 +647,8 @@ class SelectionReport:
     #: once).  Forests dropped by validation or by a labeling fault
     #: under ``"isolate"`` are not counted.
     nodes: int
-    #: Total cover cost from the start nonterminal, summed over forests
-    #: (``None`` when the caller skipped cover collection).
+    #: Cost of the batch's cover from the start nonterminal (see the
+    #: class docs; ``None`` when the caller passed ``collect_cover=False``).
     cover_cost: int | None
     #: Distinct (node, nonterminal) reductions — rule applications.
     reductions: int
@@ -657,10 +659,6 @@ class SelectionReport:
     #: Input-validation nanoseconds (0 unless ``config.validate`` is on;
     #: not part of :attr:`total_ns`).
     validate_ns: int = 0
-    #: Nanoseconds spent in fallback ``extract_cover`` walks (0 when
-    #: every forest's cost came from its tape, or cover collection was
-    #: skipped).
-    cover_ns: int = 0
     #: Forests contained by ``on_error="isolate"`` (0 under ``"raise"``).
     failures: int = 0
     #: Cover-to-tape compilations performed by the tape emitter (0 when
@@ -672,8 +670,8 @@ class SelectionReport:
 
     @property
     def total_ns(self) -> int:
-        """Labeling, reduction/emission, and cover-fallback nanoseconds."""
-        return self.label_ns + self.reduce_ns + self.cover_ns
+        """Labeling plus reduction/emission nanoseconds."""
+        return self.label_ns + self.reduce_ns
 
     @property
     def ns_per_node(self) -> float:
@@ -699,7 +697,6 @@ class SelectionReport:
             "label_ns": self.label_ns,
             "reduce_ns": self.reduce_ns,
             "validate_ns": self.validate_ns,
-            "cover_ns": self.cover_ns,
             "total_ns": self.total_ns,
             "ns_per_node": self.ns_per_node,
             "reduce_fraction": self.reduce_fraction,
@@ -856,7 +853,6 @@ class Selector:
                 "validate": metrics.histogram("pipeline_phase_ns", phase="validate"),
                 "label": metrics.histogram("pipeline_phase_ns", phase="label"),
                 "emit": metrics.histogram("pipeline_phase_ns", phase="emit"),
-                "cover": metrics.histogram("pipeline_phase_ns", phase="cover"),
             }
             self._obs_batches = metrics.counter("pipeline_batches_total")
             self._obs_nodes = metrics.counter("pipeline_nodes_total")
@@ -871,7 +867,6 @@ class Selector:
             "memo_hits": 0,
             "label_ns": 0,
             "reduce_ns": 0,
-            "cover_ns": 0,
             "failures": 0,
             "tapes_compiled": 0,
         }
@@ -953,11 +948,14 @@ class Selector:
         Labels all *forests* with one batched ``label_many`` call,
         emits every root through one shared emission engine (running
         emit actions against *context*), and returns per-forest
-        semantic-value lists plus a :class:`SelectionReport`.
+        semantic-value lists plus a :class:`SelectionReport`.  The
+        emitting walk also costs the batch's cover
+        (:attr:`SelectionReport.cover_cost`); *collect_cover* only
+        decides whether the report carries it.
 
         *on_error* picks the batch fault policy; both policies run the
-        same validate → label → emit → cover pipeline and differ only
-        in what a raising forest does:
+        same validate → label → emit pipeline and differ only in what a
+        raising forest does:
 
         * ``"raise"`` (default): the first raising dynamic rule,
           constraint callback, or emission action aborts the whole
@@ -970,9 +968,10 @@ class Selector:
           entries, so later forests can never observe its half-emitted
           values.  ``KeyboardInterrupt``/``SystemExit`` (and the fault
           harness's simulated crashes) are never isolated.  Note that
-          labeling faults make the engine re-label the batch one forest
-          at a time, so a batch containing a labeling fault may invoke
-          dynamic callables more than once per node.
+          a labeling fault makes the engine label each forest alone to
+          attribute it and then the survivors again in one batch, so a
+          batch containing a labeling fault may invoke dynamic
+          callables more than once per node.
 
         *budget* threads a deadline through the hot loops: a
         :class:`~repro.service.budgets.RequestBudget` (or any
@@ -1046,7 +1045,8 @@ class Selector:
     ) -> SelectionResult:
         """The one pipeline behind both ``on_error`` policies.
 
-        Runs validate → label → emit → cover fallback once.  In each
+        Runs validate → label → emit once, over one labeling and one
+        emission engine, whose walk also sums the cover cost.  In each
         phase a raising forest re-raises under ``"raise"``; under
         ``"isolate"`` it becomes a :class:`SelectionFailure` and drops
         out of the later phases.  The happy-path cost of isolation is
@@ -1079,15 +1079,10 @@ class Selector:
             live = checked
             validate_ns = time.perf_counter_ns() - started
 
-        # Label phase: one fused batch; only after a batch-aborting fault
-        # under "isolate" is it re-labeled one forest at a time, each
-        # survivor then carrying its own labeling.
+        # Label phase: one fused batch, one labeling for every forest.
         started = time.perf_counter_ns()
-        label_many = self.engine.label_many
-        labeled: list[tuple[int, Forest, Labeling]] = []
-        shared_labeling: Labeling | None = None
         try:
-            shared_labeling = label_many(
+            labeling = self.engine.label_many(
                 [forest for _, forest in live], None, deadline_at_ns=deadline_at_ns
             )
         except DeadlineExceededError:
@@ -1095,40 +1090,23 @@ class Selector:
         except Exception:
             if not isolate:
                 raise
-            for index, forest in live:
-                try:
-                    labeling = label_many([forest], None, deadline_at_ns=deadline_at_ns)
-                except DeadlineExceededError:
-                    raise
-                except Exception as exc:
-                    failures[index] = SelectionFailure(
-                        index, forest.name, "label", exc, node_provenance(exc)
-                    )
-                else:
-                    labeled.append((index, forest, labeling))
-        else:
-            labeled = [(index, forest, shared_labeling) for index, forest in live]
+            live, labeling = self._label_survivors(live, failures, deadline_at_ns)
         label_ns = time.perf_counter_ns() - started
 
-        # Emit phase: one emission engine per labeling object, its start
-        # nonterminal resolved outside the per-forest try (a grammar
-        # without one fails the whole batch).  A faulted forest's
-        # memo/value-buffer entries are rolled back before the next
-        # forest emits, so half-emitted values are never reused.
+        # Emit phase: one emission engine, its start nonterminal resolved
+        # outside the per-forest try (a grammar without one fails the
+        # whole batch).  A faulted forest's memo/value-buffer entries are
+        # rolled back before the next forest emits, so half-emitted
+        # values are never reused and its cost is never counted.
         values: list[Any] = [None] * len(forests)
-        costs: dict[int, int | None] = {}
-        engines: dict[int, tuple[Reducer | TapeEmitter, str]] = {}
+        cover_cost = 0
         started = time.perf_counter_ns()
-        for index, forest, labeling in labeled:
-            entry = engines.get(id(labeling))
-            if entry is None:
-                engine = self._make_emitter(labeling, context, deadline_at_ns)
-                entry = engines[id(labeling)] = (engine, engine.resolve_start(start))
-            engine, start_nt = entry
+        engine = self._make_emitter(labeling, context, deadline_at_ns)
+        start_nt = engine.resolve_start(start) if live else None
+        for index, forest in live:
             mark = engine.memo_size()
             try:
                 values[index] = engine.reduce_forest(forest, start_nt)
-                costs[index] = engine.last_cover_cost
             except DeadlineExceededError:
                 raise
             except Exception as exc:
@@ -1143,44 +1121,9 @@ class Selector:
                     node_provenance(exc),
                     roots_completed=engine.last_roots_completed,
                 )
+            else:
+                cover_cost += engine.last_cover_cost
         end_ns = time.perf_counter_ns()
-        reduce_ns = end_ns - started
-
-        # Cover phase: walk costs are free; forests without one (a memo
-        # hit on an earlier forest's entry) pay an extract_cover walk,
-        # timed as the cover layer.  A fault there fails only that
-        # forest: its emitted values stand, as every root was reduced.
-        cover_cost: int | None = None
-        cover_ns = 0
-        if collect_cover:
-            cover_cost = 0
-            uncosted: list[tuple[int, Forest, Labeling]] = []
-            for index, forest, labeling in labeled:
-                cost = costs.get(index)
-                if cost is not None:
-                    cover_cost += cost
-                elif index not in failures:
-                    uncosted.append((index, forest, labeling))
-            if uncosted:
-                started = end_ns
-                for index, forest, labeling in uncosted:
-                    try:
-                        cover_cost += extract_cover(labeling, forest, start).total_cost()
-                    except DeadlineExceededError:
-                        raise
-                    except Exception as exc:
-                        if not isolate:
-                            raise
-                        failures[index] = SelectionFailure(
-                            index,
-                            forest.name,
-                            "cover",
-                            exc,
-                            node_provenance(exc),
-                            roots_completed=len(forest.roots),
-                        )
-                end_ns = time.perf_counter_ns()
-                cover_ns = end_ns - started
 
         if failures:
             self._resilience["isolated_failures"] += len(failures)
@@ -1189,30 +1132,67 @@ class Selector:
                 values[index] = failure
                 by_phase[failure.phase] += 1
 
-        emitters = [engine for engine, _ in engines.values()]
-        distinct = {id(labeling): labeling for _, _, labeling in labeled}
         report = SelectionReport(
             grammar=self.source_grammar.name,
             labeler=self.mode,
             forests=len(forests),
             roots=sum(len(forest.roots) for forest in forests),
-            nodes=sum(labeling.nodes_labeled for labeling in distinct.values()),
-            cover_cost=cover_cost,
-            reductions=sum(engine.reductions for engine in emitters),
-            memo_hits=sum(engine.memo_hits for engine in emitters),
+            nodes=labeling.nodes_labeled,
+            cover_cost=cover_cost if collect_cover else None,
+            reductions=engine.reductions,
+            memo_hits=engine.memo_hits,
             label_ns=label_ns,
-            reduce_ns=reduce_ns,
+            reduce_ns=end_ns - started,
             validate_ns=validate_ns,
-            cover_ns=cover_ns,
             failures=len(failures),
-            tapes_compiled=sum(
-                engine.tapes_compiled for engine in emitters if isinstance(engine, TapeEmitter)
-            ),
+            tapes_compiled=engine.tapes_compiled if isinstance(engine, TapeEmitter) else 0,
         )
         self._record(report, end_ns)
-        if shared_labeling is None:
-            shared_labeling = labeled[0][2] if labeled else label_many([])
-        return SelectionResult(values=values, report=report, labeling=shared_labeling)
+        return SelectionResult(values=values, report=report, labeling=labeling)
+
+    def _label_survivors(
+        self,
+        live: list[tuple[int, Forest]],
+        failures: dict[int, SelectionFailure],
+        deadline_at_ns: int | None,
+    ) -> tuple[list[tuple[int, Forest]], Labeling]:
+        """Attribute a fused batch's labeling fault under ``"isolate"``.
+
+        Labels each forest of *live* alone, recording a ``"label"``
+        failure for every forest that raises, then labels the survivors
+        again in one fused batch, so they share one labeling (and one
+        emitter) as on the happy path.  Returns the survivors and that
+        labeling.  Should the fused re-label raise too (a callable
+        whose outcome depends on call order, not on the forest), no
+        forest can be blamed: every survivor fails with that exception,
+        and the labeling returned is an empty one.
+        """
+        label_many = self.engine.label_many
+        survivors: list[tuple[int, Forest]] = []
+        for index, forest in live:
+            try:
+                label_many([forest], None, deadline_at_ns=deadline_at_ns)
+            except DeadlineExceededError:
+                raise
+            except Exception as exc:
+                failures[index] = SelectionFailure(
+                    index, forest.name, "label", exc, node_provenance(exc)
+                )
+            else:
+                survivors.append((index, forest))
+        try:
+            labeling = label_many(
+                [forest for _, forest in survivors], None, deadline_at_ns=deadline_at_ns
+            )
+        except DeadlineExceededError:
+            raise
+        except Exception as exc:
+            for index, forest in survivors:
+                failures[index] = SelectionFailure(
+                    index, forest.name, "label", exc, node_provenance(exc)
+                )
+            return [], label_many([])
+        return survivors, labeling
 
     def select(
         self,
@@ -1257,7 +1237,6 @@ class Selector:
         totals["memo_hits"] += report.memo_hits
         totals["label_ns"] += report.label_ns
         totals["reduce_ns"] += report.reduce_ns
-        totals["cover_ns"] += report.cover_ns
         totals["failures"] += report.failures
         totals["tapes_compiled"] += report.tapes_compiled
         self._last_report = report
@@ -1268,17 +1247,15 @@ class Selector:
         """Record one batch's spans and metrics (enabled-obs path only).
 
         Span boundaries are reconstructed backwards from *end_ns* (the
-        final ``perf_counter_ns`` reading: post-cover when a cover
-        fallback ran, post-reduce otherwise) out of the report's
-        already-measured phase nanoseconds — the tracer adds no clock
-        calls inside the measured windows, so durations are exact; only
-        the small inter-phase gaps (emitter construction) are absorbed
-        into the reconstruction.
+        final ``perf_counter_ns`` reading, taken after emission) out of
+        the report's already-measured phase nanoseconds — the tracer
+        adds no clock calls inside the measured windows, so durations
+        are exact; only the small inter-phase gaps are absorbed into
+        the reconstruction.
         """
         if end_ns is None:
             end_ns = time.perf_counter_ns()
-        emit_end = end_ns - report.cover_ns
-        emit_start = emit_end - report.reduce_ns
+        emit_start = end_ns - report.reduce_ns
         label_start = emit_start - report.label_ns
         select_start = label_start - report.validate_ns
         tracer = self._obs.tracer
@@ -1303,13 +1280,11 @@ class Selector:
             tracer.record(
                 "pipeline.emit",
                 emit_start,
-                emit_end,
+                end_ns,
                 parent_id=select_id,
                 reductions=report.reductions,
                 failures=report.failures,
             )
-            if report.cover_ns:
-                tracer.record("pipeline.cover", emit_end, end_ns, parent_id=select_id)
             tracer.record(
                 "pipeline.select",
                 select_start,
@@ -1323,8 +1298,6 @@ class Selector:
             self._obs_phase_ns["validate"].observe(report.validate_ns)
         self._obs_phase_ns["label"].observe(report.label_ns)
         self._obs_phase_ns["emit"].observe(report.reduce_ns)
-        if report.cover_ns:
-            self._obs_phase_ns["cover"].observe(report.cover_ns)
         self._obs_batches.inc()
         self._obs_nodes.inc(report.nodes)
         if report.failures:
@@ -1591,7 +1564,7 @@ class Selector:
             }
         )
         totals = dict(self._totals)
-        total_ns = totals["label_ns"] + totals["reduce_ns"] + totals["cover_ns"]
+        total_ns = totals["label_ns"] + totals["reduce_ns"]
         totals["total_ns"] = total_ns
         totals["ns_per_node"] = total_ns / max(totals["nodes"], 1)
         totals["reduce_fraction"] = totals["reduce_ns"] / total_ns if total_ns > 0 else 0.0
@@ -1638,7 +1611,7 @@ class Selector:
         flat["resilience_quarantined"] = resilience["quarantined"]
         flat["resilience_deadline_overruns"] = resilience["deadline_overruns"]
         totals = self._totals
-        total_ns = totals["label_ns"] + totals["reduce_ns"] + totals["cover_ns"]
+        total_ns = totals["label_ns"] + totals["reduce_ns"]
         flat["selection_calls"] = totals["calls"]
         flat["selection_total_ns"] = total_ns
         flat["selection_ns_per_node"] = total_ns / max(totals["nodes"], 1)

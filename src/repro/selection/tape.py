@@ -42,13 +42,13 @@ frame engine emits it.
 
 Cover cost
 ----------
-The compile walk also costs the cover it lays out: each entry adds its
+The compile walk also costs the entries it lays out: each adds its
 fragment's fixed cost, or :func:`~repro.selection.reducer.entry_cost`
 for a ``dynamic_cost`` rule, evaluated once per entry — the one cost
-rule the frame engine's walk applies too.  A self-contained tape's
-:attr:`CompiledTape.cost` is therefore the forest's cover cost, so
-callers need no separate :func:`~repro.selection.cover.extract_cover`
-walk.
+rule the frame engine's walk applies too.  A slot-table hit lays out
+nothing and adds nothing, so over a batch each distinct (node, goal)
+entry is costed once, by the tape that emits it: the summed
+:attr:`CompiledTape.cost` is the cost of the batch's cover.
 
 No shape cache
 --------------
@@ -109,18 +109,15 @@ class CompiledTape:
             compile walk — a fragment's fixed cost, or
             :func:`~repro.selection.reducer.entry_cost` for a dynamic
             cost, evaluated there once per entry, so a raising one
-            faults before any action runs.  For a self-contained tape
-            this is the forest's cover cost — exactly
-            ``extract_cover(...).total_cost()``.
+            faults before any action runs.  Entries reached through the
+            slot table (an earlier tape's) are not this tape's and add
+            nothing.
         thunks: Per-entry action thunks ``(context, node, operands)
             -> value``, taken from the fragments (bound per context
             kind, so a tape serves any context of its compiler's kind).
         nodes: Per-entry IR nodes, the thunks' ``node`` argument.
         runs: Per-entry operand references, ``(slot << 1) | spliced``.
         root_refs: Absolute value slots, one per root, in root order.
-        self_contained: True when no operand or root reference points
-            below :attr:`base` (nothing was memo-hit from an earlier
-            forest), so the tape's entries are the forest's whole cover.
     """
 
     __slots__ = (
@@ -131,7 +128,6 @@ class CompiledTape:
         "nodes",
         "runs",
         "root_refs",
-        "self_contained",
     )
 
     def __init__(
@@ -143,7 +139,6 @@ class CompiledTape:
         nodes: list,
         runs: list,
         root_refs: list,
-        self_contained: bool,
     ) -> None:
         self.entries = len(thunks)
         self.base = base
@@ -152,7 +147,6 @@ class CompiledTape:
         self.nodes = nodes
         self.runs = runs
         self.root_refs = root_refs
-        self.self_contained = self_contained
 
     def __repr__(self) -> str:
         return (
@@ -193,10 +187,8 @@ class TapeEmitter:
 
     Cover cost comes for free: the compile walk sums the costs of the
     entries it lays out into :attr:`CompiledTape.cost` — the frame
-    engine's cost rule — so after each ``reduce_forest``
-    :attr:`last_cover_cost` holds the forest's cover cost whenever the
-    tape is self-contained (``None`` when it reached into an earlier
-    forest's slots).
+    engine's cost rule — and each ``reduce_forest`` leaves it in
+    :attr:`last_cover_cost`.
     """
 
     def __init__(
@@ -245,10 +237,9 @@ class TapeEmitter:
         #: Roots fully emitted by the most recent *faulted*
         #: :meth:`reduce_forest` call (fault-isolation provenance).
         self.last_roots_completed = 0
-        #: Cover cost of the most recent :meth:`reduce_forest` forest
-        #: (its tape's cost), or ``None`` when the tape reached into an
-        #: earlier forest's slots.
-        self.last_cover_cost: int | None = None
+        #: Cost of the tape the most recent successful
+        #: :meth:`reduce_forest` laid out (slot-table hits add 0).
+        self.last_cover_cost = 0
 
     # ------------------------------------------------------------------
     # Fault isolation: value-buffer truncation instead of memo surgery.
@@ -312,7 +303,7 @@ class TapeEmitter:
         slots = self._slots
         slots_get = slots.get
         base = len(self._values)
-        base2 = next2 = base << 1
+        next2 = base << 1
         node_states = self.labeling.node_states
         rows = self._rows
         fragment = self._fragment
@@ -329,7 +320,6 @@ class TapeEmitter:
         root_refs: list[int] = []
         hits = 0
         cost = 0
-        self_contained = True
         ticks = 0
 
         for root in forest.roots:
@@ -375,8 +365,6 @@ class TapeEmitter:
                                 break
                     if encoded is not None:
                         hits += 1
-                        if encoded < base2:
-                            self_contained = False
                         out_refs.append(encoded)
                         continue
                     kids = node.kids
@@ -413,7 +401,6 @@ class TapeEmitter:
             nodes=nodes,
             runs=runs,
             root_refs=root_refs,
-            self_contained=self_contained,
         )
 
     def _fragment(self, state: Any, goal: int, node: Node) -> tuple:
@@ -541,12 +528,9 @@ class TapeEmitter:
         return start_nt
 
     def reduce_forest(self, forest: Forest, start: str | None = None) -> list[Any]:
-        """Compile *forest*'s tape and sweep it.
-
-        Also sets :attr:`last_cover_cost` to the forest's cover cost
-        when its tape is self-contained (``None`` otherwise).
-        """
+        """Compile *forest*'s tape and sweep it; sets
+        :attr:`last_cover_cost` to the tape's cost."""
         tape = self._emit(forest, self.resolve_start(start))
-        self.last_cover_cost = tape.cost if tape.self_contained else None
+        self.last_cover_cost = tape.cost
         buf = self._values
         return [buf[ref] for ref in tape.root_refs]

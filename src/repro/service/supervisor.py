@@ -23,6 +23,8 @@ fork inherits them for free.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -30,7 +32,6 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import ServiceError
 from repro.selection.resilience import ArtifactCache, BuildBudget
 from repro.service.worker import WorkerSettings, worker_main
-from repro.testing.faults import kill_process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
@@ -262,11 +263,16 @@ class Supervisor:
 
     def kill_worker(self, handle: WorkerHandle) -> bool:
         """SIGKILL a (presumably wedged) worker; the sentinel then fires
-        and :meth:`handle_death` re-dispatches its in-flight batches."""
+        and :meth:`handle_death` re-dispatches its in-flight batches.
+        Returns ``False`` when the process was already gone."""
         if not handle.alive or not handle.pid:
             return False
         self.kills_total += 1
-        return kill_process(handle.pid)
+        try:
+            os.kill(handle.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            return False
+        return True
 
     # ------------------------------------------------------------------
 

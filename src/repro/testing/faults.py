@@ -44,7 +44,6 @@ __all__ = [
     "SimulatedCrash",
     "artifact_io_faults",
     "corrupt_bytes",
-    "kill_process",
     "poison_action",
     "poison_constraint",
     "poison_dynamic_cost",
@@ -417,27 +416,3 @@ def artifact_io_faults(
         crash_after_step=crash_after_step,
         latency_s=latency_s,
     )
-
-
-# ----------------------------------------------------------------------
-# Process faults (the service chaos harness)
-
-
-def kill_process(pid: int, sig: int | None = None) -> bool:
-    """SIGKILL (by default) a process — the real ``kill -9``, not a
-    simulation.
-
-    The chaos counterpart of :class:`SimulatedCrash` for multi-process
-    targets: the service soak harness uses it to murder a live worker
-    mid-batch and assert that the supervisor re-dispatches every
-    in-flight request.  Returns ``False`` (instead of raising) when the
-    process is already gone — chaos injection races with natural exits
-    by design.
-    """
-    import signal as _signal
-
-    try:
-        os.kill(pid, _signal.SIGKILL if sig is None else sig)
-    except ProcessLookupError:
-        return False
-    return True

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.workloads import dynamic_constraint_forests
 from repro.grammar import Grammar, parse_grammar
 from repro.ir import Forest, NodeBuilder
 
@@ -127,3 +128,14 @@ def build_dynamic_forest() -> Forest:
     forest.add(b.expr(b.mul(b.reg(1), b.cnst(5))))
     forest.add(b.expr(b.mul(b.add(b.reg(1), b.reg(2)), b.cnst(2))))
     return forest
+
+
+def echo_batch() -> list[Forest]:
+    """Dynamic-constraint forests plus a last forest re-rooting the
+    first one's trees: the batch emits those trees once, so the echo's
+    own walk lays out only what the first forest did not (nothing)."""
+    forests = dynamic_constraint_forests(3, 4)
+    echo = Forest(name="echo")
+    for root in forests[0].roots:
+        echo.add(root)
+    return forests + [echo]

@@ -45,7 +45,7 @@ def test_select_returns_values_report_and_labeling():
     assert report.nodes == forest.node_count()
     assert report.reductions > 0
     assert report.label_ns >= 0 and report.reduce_ns >= 0
-    assert report.total_ns == report.label_ns + report.reduce_ns + report.cover_ns
+    assert report.total_ns == report.label_ns + report.reduce_ns
     assert report.ns_per_node == report.total_ns / report.nodes
     assert 0.0 <= report.reduce_fraction <= 1.0
     # Cover cost matches an independent extraction.

@@ -26,7 +26,7 @@ import os
 
 import pytest
 
-from conftest import DYNAMIC_TEXT, mul_cost, small_const
+from conftest import DYNAMIC_TEXT, echo_batch, mul_cost, small_const
 from repro.bench.workloads import (
     EmitContext,
     bench_grammar,
@@ -160,17 +160,6 @@ def _imm4_wrapped_grammar(wrap):
     return grammar, shared
 
 
-def _echo_batch() -> list[Forest]:
-    """Dynamic forests plus a last forest re-rooting the first one's
-    trees: the only forest whose cover cost needs the ``extract_cover``
-    fallback (its emission memo-hits the first forest's entries)."""
-    forests = dynamic_constraint_forests(3, 4)
-    echo = Forest(name="echo")
-    for root in forests[0].roots:
-        echo.add(root)
-    return forests + [echo]
-
-
 def _phase_fault(phase: str):
     """A fresh selector and batch with one fault that fires in *phase*.
 
@@ -190,21 +179,10 @@ def _phase_fault(phase: str):
         constrained = next(r for r in grammar.rules if r.constraint is not None)
         fault, _ = poison_constraint(constrained, predicate=lambda node: node.value == 13)
         return Selector(grammar), _dynamic_forests(), InjectedFault, fault
-    if phase == "reduce":
-        grammar = _chaos_grammar()
-        fault, _ = poison_action(_rule(grammar, "reg", "SUB"), on_call=1)
-        return Selector(grammar), _chaos_forests(), InjectedFault, fault
-    assert phase == "cover"
-    # Label + emit call the constraint `emitted` times (the walks add a
-    # constraint rule's fixed cost without calling it); the fallback's
-    # first call is the next one.
-    grammar, counter = _imm4_wrapped_grammar(
-        lambda fn: FaultyCallable(fn, predicate=lambda node: False)
-    )
-    Selector(grammar).select_many(_echo_batch(), collect_cover=False)
-    emitted = counter.calls
-    grammar, fault = _imm4_wrapped_grammar(lambda fn: FaultyCallable(fn, on_call=emitted + 1))
-    return Selector(grammar), _echo_batch(), InjectedFault, fault
+    assert phase == "reduce"
+    grammar = _chaos_grammar()
+    fault, _ = poison_action(_rule(grammar, "reg", "SUB"), on_call=1)
+    return Selector(grammar), _chaos_forests(), InjectedFault, fault
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +195,7 @@ class TestIsolation:
         with pytest.raises(ValueError, match="unknown on_error policy"):
             sel.select_many(_chaos_forests(), on_error="retry")
 
-    @pytest.mark.parametrize("phase", ["validate", "label", "reduce", "cover"])
+    @pytest.mark.parametrize("phase", ["validate", "label", "reduce"])
     def test_raise_policy_propagates(self, phase):
         sel, forests, error, fault = _phase_fault(phase)
         with pytest.raises(error):
@@ -263,7 +241,7 @@ class TestIsolation:
         resilience = sel.stats()["resilience"]
         assert resilience["isolated_failures"] == 1
         assert resilience["failures_by_phase"] == {
-            "validate": 0, "label": 0, "reduce": 1, "cover": 0,
+            "validate": 0, "label": 0, "reduce": 1,
         }
 
     def test_reduce_fault_rolls_back_shared_memo(self):
@@ -280,18 +258,21 @@ class TestIsolation:
             fb.add(b.expr(b.add(shared, b.reg(3))))
             return [fa, fb]
 
-        grammar = _chaos_grammar()
-        fault, _ = poison_action(_rule(grammar, "reg", "SUB"), on_call=1)
-        sel = Selector(grammar)
-        result = sel.select_many(shared_forests(), on_error="isolate")
+        for emitter in EMITTERS:
+            grammar = _chaos_grammar()
+            fault, _ = poison_action(_rule(grammar, "reg", "SUB"), on_call=1)
+            sel = Selector(grammar, config=SelectorConfig(emitter=emitter))
+            result = sel.select_many(shared_forests(), on_error="isolate")
 
-        failure = result.values[0]
-        assert isinstance(failure, SelectionFailure)
-        assert failure.phase == "reduce"
-        assert failure.roots_completed == 1  # first root finished before the fault
-        clean = Selector(_chaos_grammar()).select_many([shared_forests()[1]])
-        assert result.values[1] == clean.values[0]
-        assert fault.faults == 1
+            failure = result.values[0]
+            assert isinstance(failure, SelectionFailure)
+            assert failure.phase == "reduce"
+            assert failure.roots_completed == 1  # first root finished before the fault
+            clean = Selector(_chaos_grammar()).select_many([shared_forests()[1]])
+            assert result.values[1] == clean.values[0]
+            # fB re-lays the rolled-back shared entries, so it pays for them.
+            assert result.report.cover_cost == clean.report.cover_cost
+            assert fault.faults == 1
 
     def test_label_fault_is_isolated_differentially(self):
         clean_values = Selector(_dynamic_grammar()).select_many(_dynamic_forests()).values
@@ -302,7 +283,8 @@ class TestIsolation:
             constrained, predicate=lambda node: node.value == 13
         )
         sel = Selector(grammar)
-        result = sel.select_many(_dynamic_forests(), on_error="isolate")
+        forests = _dynamic_forests()
+        result = sel.select_many(forests, on_error="isolate")
 
         failure = result.values[1]
         assert isinstance(failure, SelectionFailure)
@@ -312,8 +294,15 @@ class TestIsolation:
         assert failure.node is not None and failure.node.startswith("CNST(")
         for index in (0, 2):
             assert result.values[index] == clean_values[index]
+        # The survivors are labeled again in one batch: one labeling
+        # covers them all, and the report counts it like a clean batch.
+        clean = Selector(_dynamic_grammar()).select_many(_dynamic_forests()[0::2])
+        for forest in (forests[0], forests[2]):
+            extract_cover(result.labeling, forest)  # raises on a missing node
+        assert result.report.nodes == clean.report.nodes
+        assert result.report.cover_cost == clean.report.cover_cost
         # The batch label faults once, then the per-forest probe of g1
-        # faults again (documented re-label behavior): exactly 2 firings.
+        # faults again; the survivors' re-label never reaches g1.
         assert fault.faults == 2
         resilience = sel.stats()["resilience"]
         assert resilience["isolated_failures"] == 1
@@ -375,32 +364,88 @@ class TestIsolation:
             sel.select_many(_chaos_forests(), on_error="isolate")
         assert sel.stats()["resilience"]["isolated_failures"] == 0
 
-    def test_cover_fallback_fault_is_isolated(self):
-        """A constraint that raises while the ``extract_cover`` fallback
-        costs a forest fails that forest with ``phase="cover"`` instead
-        of escaping the isolated batch.  The fallback runs only for a
-        forest whose emission memo-hit an earlier forest's entries: here
-        a last forest that re-roots the first forest's trees."""
+    def test_label_fault_survivors_sharing_a_node_emit_it_once(self):
+        """Two survivors sharing a subtree emit it once, as on the happy
+        path: same values, ``memo_hits`` and ``cover_cost`` as a clean
+        batch of the survivors alone."""
 
-        sel, forests, _, fault = _phase_fault("cover")
+        def batch():
+            b = NodeBuilder()
+            shared = b.mul(b.reg(1), b.cnst(4))
+            g0 = Forest(name="g0")
+            g0.add(b.expr(shared))
+            g1 = Forest(name="g1")  # the only forest containing CNST 13
+            g1.add(b.expr(b.add(b.cnst(13), b.reg(1))))
+            g2 = Forest(name="g2")
+            g2.add(b.expr(b.add(shared, b.reg(2))))
+            return [g0, g1, g2]
+
+        forests = batch()
+        for emitter in EMITTERS:
+            grammar = _dynamic_grammar()
+            constrained = next(r for r in grammar.rules if r.constraint is not None)
+            poison_constraint(constrained, predicate=lambda node: node.value == 13)
+            sel = Selector(grammar, config=SelectorConfig(emitter=emitter))
+            result = sel.select_many(forests, on_error="isolate")
+            assert [failure.index for failure in result.failures] == [1]
+            clean = Selector(
+                _dynamic_grammar(), config=SelectorConfig(emitter=emitter)
+            ).select_many(batch()[0::2])
+            assert [result.values[0], result.values[2]] == clean.values
+            assert result.report.memo_hits == clean.report.memo_hits > 0
+            assert result.report.reductions == clean.report.reductions
+            assert result.report.cover_cost == clean.report.cover_cost
+            for forest in (forests[0], forests[2]):
+                extract_cover(result.labeling, forest)
+
+    def test_a_second_label_fault_fails_every_survivor(self, monkeypatch):
+        """A fault in the survivors' fused re-label (here: a labeler
+        that faults on the batch and again on the re-label, whatever the
+        forests) blames no single forest: every survivor fails with it
+        under ``phase="label"``, and the batch still returns."""
+        sel = Selector(_dynamic_grammar())
+        forests = _dynamic_forests()
+        real = sel.engine.label_many
+        calls: list[int] = []
+
+        def flaky(batch, metrics=None, *, deadline_at_ns=None):
+            calls.append(len(batch))
+            # Call 1: the fused batch; 2..n+1: the probes; n+2: the re-label.
+            if len(calls) in (1, len(forests) + 2):
+                raise InjectedFault(f"label_many call {len(calls)}")
+            return real(batch, metrics, deadline_at_ns=deadline_at_ns)
+
+        monkeypatch.setattr(sel.engine, "label_many", flaky)
         result = sel.select_many(forests, on_error="isolate")
-
-        [failure] = result.failures
-        assert failure.index == len(forests) - 1
-        assert failure.phase == "cover"
-        assert isinstance(failure.error, InjectedFault)
-        assert failure.roots_completed == len(forests[failure.index].roots)
-        assert fault.faults == 1
-        labeling = Selector(dynamic_bench_grammar()).label_many(forests)
-        assert result.report.cover_cost == sum(
-            extract_cover(labeling, forest).total_cost()
-            for index, forest in enumerate(forests)
-            if index != failure.index
+        assert calls[: len(forests) + 2] == [3, 1, 1, 1, 3]
+        assert [failure.index for failure in result.failures] == [0, 1, 2]
+        assert all(failure.phase == "label" for failure in result.failures)
+        assert all(
+            str(failure.error) == f"label_many call {len(forests) + 2}"
+            for failure in result.failures
         )
-        assert result.report.failures == 1
-        resilience = sel.stats()["resilience"]
-        assert resilience["failures_by_phase"]["cover"] == 1
-        assert resilience["isolated_failures"] == 1
+        assert result.report.nodes == 0
+        assert result.report.cover_cost == 0
+        assert sel.stats()["resilience"]["failures_by_phase"]["label"] == 3
+
+    def test_costing_calls_no_constraint_again(self):
+        """The cover cost comes from the emitting walk, which adds a
+        constraint rule's fixed cost: ``select_many`` calls the ``imm4``
+        constraint exactly as often as labeling the batch does, even
+        when a forest shares nodes with an earlier one."""
+        counts = {}
+        for run in ("select", "label"):
+            grammar, counter = _imm4_wrapped_grammar(
+                lambda fn: FaultyCallable(fn, predicate=lambda node: False)
+            )
+            sel = Selector(grammar)
+            if run == "select":
+                result = sel.select_many(echo_batch())
+            else:
+                sel.label_many(echo_batch())
+            counts[run] = counter.calls
+        assert counts["select"] == counts["label"] > 0
+        assert result.report.cover_cost == 350
 
 
 #: The recurring, fresh (reduce-heavy and shared-reduction) and dynamic

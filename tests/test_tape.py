@@ -36,7 +36,7 @@ import weakref
 
 import pytest
 
-from conftest import DEMO_TEXT, DYNAMIC_TEXT, build_dynamic_forest, mul_cost, small_const
+from conftest import DEMO_TEXT, DYNAMIC_TEXT, build_dynamic_forest, echo_batch, mul_cost, small_const
 from repro.errors import CoverError, DeadlineExceededError
 from repro.grammar import Grammar, parse_grammar
 from repro.ir import Forest, Node, NodeBuilder
@@ -55,7 +55,7 @@ from repro.selection import (
     extract_cover,
     node_memo_key,
 )
-from repro.selection import selector as selector_module
+from repro.selection import cover as cover_module
 from repro.selection.resilience import SelectionFailure, node_provenance
 from repro.bench.workloads import (
     EmitContext,
@@ -677,7 +677,6 @@ def test_tape_fields_are_consistent():
             # Postorder: an entry's operands are earlier slots.
             for ref in run:
                 assert tape.base <= (ref >> 1) < tape.base + i
-        assert tape.self_contained
         assert all(tape.base <= ref < tape.base + n for ref in tape.root_refs)
 
 
@@ -882,19 +881,28 @@ COST_FAMILIES = [
 
 
 def _oracle_cost(labeling, forests, start=None) -> int:
-    return sum(extract_cover(labeling, forest, start).total_cost() for forest in forests)
+    """The batch's cover cost by the independent oracle:
+    ``extract_cover`` over one forest holding every forest's roots, so
+    each distinct (node, nonterminal) entry counts once."""
+    union = Forest(name="union")
+    for forest in forests:
+        for root in forest.roots:
+            union.add(root)
+    return extract_cover(labeling, union, start).total_cost()
 
 
 def _count_extract_cover(monkeypatch) -> list[str]:
-    """Count the selector's ``extract_cover`` calls (forest names)."""
+    """Record every ``extract_cover`` walk, however it is reached (each
+    builds one ``Cover``, looked up in the cover module at call time),
+    by the grammar name it covers."""
     calls: list[str] = []
-    real = selector_module.extract_cover
 
-    def counting(labeling, forest, start=None):
-        calls.append(forest.name)
-        return real(labeling, forest, start)
+    class CountingCover(cover_module.Cover):
+        def __init__(self, grammar, **fields):
+            calls.append(grammar.name)
+            super().__init__(grammar, **fields)
 
-    monkeypatch.setattr(selector_module, "extract_cover", counting)
+    monkeypatch.setattr(cover_module, "Cover", CountingCover)
     return calls
 
 
@@ -912,8 +920,7 @@ def test_cover_cost_matches_extract_cover_oracle(
     first = sel.select_many(forests, context=EmitContext(), on_error=on_error)
     assert first.ok
     assert first.report.cover_cost == _oracle_cost(first.labeling, forests)
-    report = first.report
-    assert report.total_ns == report.label_ns + report.reduce_ns + report.cover_ns
+    assert "cover_ns" not in first.report.as_row()
 
     # Fresh-nid clones: a second batch on the same selector.
     clones = [clone_forest(forest) for forest in forests]
@@ -924,16 +931,18 @@ def test_cover_cost_matches_extract_cover_oracle(
     # labeling has no states and takes the frame engine.
     on_tape = emitter == "tape" and mode != "dp"
     assert again.report.tapes_compiled == (len(clones) if on_tape else 0)
-    # Both engines cost every forest in the walk that emits it.
-    assert first.report.cover_ns == again.report.cover_ns == 0
 
 
 #: ``(name, grammar factory, batch factory)``: recurring shapes, fresh
-#: reduce-heavy plus intra-forest-shared blocks, and the dynamic family.
+#: reduce-heavy plus intra-forest-shared blocks, the dynamic family,
+#: and two batches whose forests share nodes (the sharing pair, and
+#: dynamic forests plus an echo of the first one's roots).
 DEFAULT_PATH_FAMILIES = [
     ("recurring", bench_grammar, lambda: recurring_shape_stream(81, shapes=3, length=16, statements=5, max_depth=4)),
     ("fresh", emit_bench_grammar, lambda: reduce_heavy_forests(82, forests=4, statements=5, max_depth=4) + shared_reduction_forests(83, forests=4, statements=6, shared=3, max_depth=4)),
     ("dynamic", dynamic_bench_grammar, lambda: dynamic_constraint_forests(84, forests=8, statements=5, max_depth=4)),
+    ("sharing_pair", _action_grammar, _sharing_pair),
+    ("echo", dynamic_bench_grammar, echo_batch),
 ]
 
 
@@ -951,57 +960,58 @@ def test_default_tape_path_never_calls_extract_cover(
     batch = make_batch()
     for forests in (batch, [clone_forest(forest) for forest in batch]):
         result = sel.select_many(forests, context=EmitContext(), on_error=on_error)
+        assert calls == []
         assert result.ok
         assert result.report.cover_cost == _oracle_cost(result.labeling, forests)
-        assert result.report.cover_ns == 0
-    assert calls == []
+        calls.clear()  # the oracle's own walk
     stats = sel.stats()["selection"]
-    assert stats["cover_ns"] == 0
+    assert "cover_ns" not in stats
     assert stats["total_ns"] == stats["label_ns"] + stats["reduce_ns"]
 
 
 @pytest.mark.parametrize("on_error", ON_ERROR_POLICIES)
-def test_cross_forest_sharing_falls_back_to_extract_cover(monkeypatch, on_error):
-    """A forest whose emission memo-hits an earlier forest's entry
-    (tape slot or frame memo) has only part of its cover in its own
-    walk, so that forest (only) is costed by the ``extract_cover``
-    fallback, timed as ``cover_ns`` — on both engines."""
+def test_cross_forest_sharing_costs_shared_entries_once(monkeypatch, on_error):
+    """Two forests sharing a subtree: the batch emits it once, with the
+    first forest, and costs it once — 2, not 2 per forest — on both
+    engines, with no ``extract_cover`` walk."""
     calls = _count_extract_cover(monkeypatch)
     for emitter in EMITTERS:
-        calls.clear()
         forests = _sharing_pair()
         sel = Selector(_action_grammar(), config=SelectorConfig(emitter=emitter))
         result = sel.select_many(forests, on_error=on_error)
-        assert calls == ["second"]
+        assert calls == []
+        assert result.report.cover_cost == 2
         assert result.report.cover_cost == _oracle_cost(result.labeling, forests)
-        report = result.report
-        assert report.cover_ns > 0
-        assert report.total_ns == report.label_ns + report.reduce_ns + report.cover_ns
-        assert report.as_row()["cover_ns"] == report.cover_ns
+        calls.clear()
 
     labeling = result.labeling
     for engine in (TapeEmitter(labeling, None), Reducer(labeling, None)):
         engine.reduce_forest(forests[0])
-        assert engine.last_cover_cost == extract_cover(labeling, forests[0]).total_cost()
-        engine.reduce_forest(forests[1])
-        assert engine.last_cover_cost is None
+        assert engine.last_cover_cost == 2 == extract_cover(labeling, forests[0]).total_cost()
+        engine.reduce_forest(forests[1])  # EXPR (0) over the memo-hit subtree
+        assert engine.last_cover_cost == 0
+        assert engine.memo_hits == 1
 
 
 def test_frame_rollback_keeps_the_cross_forest_test_exact():
-    """Rolling the frame memo back below a forest's start discards what
-    the cross-forest test knew of it: entries made after the rollback
-    count as earlier entries for the next forest."""
+    """Rolling an engine back discards the rolled-back entries' cost
+    with them: a later forest that re-lays them pays for them again, and
+    a forest after it that memo-hits them pays nothing."""
     big, other = _chain_forest(6), _chain_forest(2)
     first, second = _sharing_pair()
     labeling = Selector(_action_grammar()).label_many([big, other, first, second])
-    frame = Reducer(labeling, None)
-    frame.reduce_forest(big)
-    frame.reduce_forest(other)
-    frame.rollback_to(0)
-    frame.reduce_forest(first)
-    assert frame.last_cover_cost == extract_cover(labeling, first).total_cost()
-    frame.reduce_forest(second)  # memo-hits `first`'s shared subtree
-    assert frame.last_cover_cost is None
+    for engine in (Reducer(labeling, None), TapeEmitter(labeling, None)):
+        engine.reduce_forest(big)
+        mark = engine.memo_size()
+        engine.reduce_forest(first)
+        engine.rollback_to(mark)
+        engine.reduce_forest(second)  # re-lays the shared subtree
+        assert engine.last_cover_cost == extract_cover(labeling, second).total_cost() == 2
+        engine.reduce_forest(first)  # memo-hits it
+        assert engine.last_cover_cost == 0
+        engine.rollback_to(0)
+        engine.reduce_forest(other)
+        assert engine.last_cover_cost == extract_cover(labeling, other).total_cost()
 
 
 def test_explicit_start_costs_from_that_nonterminal():
@@ -1042,7 +1052,6 @@ def test_compiled_tape_cost_sums_its_rules():
         start = emitter.resolve_start(None)
         tapes = [emitter._emit(forest, start) for forest in forests]
         for tape, forest in zip(tapes, forests):
-            assert tape.self_contained
             assert tape.cost == extract_cover(result.labeling, forest).total_cost()
         assert sum(tape.cost for tape in tapes) == result.report.cover_cost
 
@@ -1090,7 +1099,6 @@ def test_walk_cost_evaluates_dynamic_costs_like_extract_cover(monkeypatch, mode)
     again = _dynamic_cost_forests()
     result = sel.select_many(again)
     assert calls == []
-    assert result.report.cover_ns == 0
     assert result.report.cover_cost == _oracle_cost(result.labeling, again)
 
 
