@@ -28,16 +28,16 @@ class ArtifactError(SelectorError):
 
     All artifact failures remain :class:`SelectorError`\\ s, so existing
     ``except SelectorError`` callers are unaffected; the subclasses let
-    resilience code tell *transient* failures (retry) from *persistent*
-    ones (quarantine and rebuild).
+    callers tell *transient* failures (worth a retry) from *persistent*
+    ones (worth a rebuild).
     """
 
 
 class ArtifactIOError(ArtifactError):
     """Artifact could not be read or written (OS-level failure).
 
-    Possibly transient — a concurrent writer, a flaky filesystem — so
-    the degradation ladder retries these with backoff before demoting
+    Possibly transient — a concurrent writer, a flaky filesystem.
+    :meth:`~repro.selection.selector.Selector.load_or_compile` demotes
     to an in-process compile.
     """
 
@@ -45,8 +45,8 @@ class ArtifactIOError(ArtifactError):
 class ArtifactCorruptError(ArtifactError):
     """Artifact bytes are structurally bad (magic, truncation, checksum).
 
-    Never transient: re-reading returns the same bytes, so the artifact
-    cache quarantines the file and rebuilds instead of retrying.
+    Never transient: re-reading returns the same bytes, so a retry
+    cannot help; only a rebuild can.
     """
 
 

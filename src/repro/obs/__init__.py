@@ -5,7 +5,7 @@ The subsystem has three layers:
 * :mod:`repro.obs.trace` — nanosecond span tracer with parent links and
   a bounded ring buffer (plus the span-native ``Timer``).
 * :mod:`repro.obs.metrics` — counters, gauges, and exactly-mergeable
-  log2-bucket latency histograms behind one registry.
+  log-linear latency histograms (within 1/16) behind one registry.
 * :mod:`repro.obs.export` — Prometheus text exposition, JSONL trace
   dumps, and the ``python -m repro.obs`` render CLI.
 
@@ -69,9 +69,10 @@ __all__ = [
 class Observability:
     """One tracer + one metrics registry, handed through the stack.
 
-    ``SelectorConfig(observe=obs)``, ``ArtifactCache(..., obs=obs)`` and
-    ``SelectionService(..., obs=obs)`` all accept the same bundle, so a
-    single instance sees the whole request path.
+    ``SelectorConfig(observe=obs)`` and ``SelectionService(..., obs=obs)``
+    both accept the same bundle, so a single instance sees the whole
+    request path (the service's workers build their tenant selectors
+    with bundles of their own, whose metrics ride home on every reply).
     """
 
     enabled = True

@@ -62,8 +62,9 @@ def to_prometheus(source: "MetricsRegistry | dict[str, Any]") -> str:
     """Render a registry (or its snapshot) as Prometheus text format.
 
     Histograms expose cumulative ``_bucket`` samples with ``le`` bounds
-    (log2 upper bounds, then ``+Inf``) plus ``_count``/``_sum``, so
-    standard ``histogram_quantile`` queries work unmodified.
+    (the upper bounds of the non-zero log-linear buckets, then
+    ``+Inf``) plus ``_count``/``_sum``, so standard
+    ``histogram_quantile`` queries work unmodified.
     """
     snapshot = source.snapshot() if isinstance(source, MetricsRegistry) else source
     lines: list[str] = []
@@ -87,9 +88,7 @@ def to_prometheus(source: "MetricsRegistry | dict[str, Any]") -> str:
         hist = snapshot["histograms"][key]
         declare(name, "histogram")
         cumulative = 0
-        for index, bucket_count in enumerate(hist["counts"]):
-            if not bucket_count:
-                continue
+        for index, bucket_count in hist["buckets"]:
             cumulative += bucket_count
             bound = Histogram.bucket_upper(index)
             lines.append(

@@ -1,4 +1,4 @@
-"""Unified metrics registry: counters, gauges, log2-bucket histograms.
+"""Unified metrics registry: counters, gauges, log-linear histograms.
 
 One :class:`MetricsRegistry` per process replaces the previously
 fragmented measurement surfaces (``LabelMetrics`` work counters, the
@@ -7,14 +7,17 @@ percentile lists) with three primitive shapes:
 
 * :class:`Counter` — a monotone integer (``inc``).
 * :class:`Gauge` — a point-in-time value (``set``).
-* :class:`Histogram` — fixed **log2 buckets** over non-negative
-  integers (nanosecond latencies): observation *v* lands in bucket
-  ``v.bit_length()``, i.e. bucket *b* covers ``[2^(b-1), 2^b - 1]``.
-  Fixed buckets make :meth:`Histogram.merge` **exact** — merging is
-  element-wise addition of bucket counts plus min/max/sum/count — so a
-  histogram snapshot can ride home from a forked worker on the reply
-  tuple and aggregate supervisor-side without any loss beyond the
-  bucket resolution both sides already share.
+* :class:`Histogram` — fixed **log-linear buckets** over non-negative
+  integers (nanosecond latencies): every power-of-two range
+  ``[2^k, 2^(k+1))`` splits into :data:`SUB_BUCKETS` equal-width
+  buckets, so a bucket is never wider than 1/16 of its lower bound and
+  a quantile is off by less than 6.25% (values below ``2 *
+  SUB_BUCKETS`` get one exact bucket each).  Fixed buckets make
+  :meth:`Histogram.merge` **exact** — merging is addition of bucket
+  counts plus min/max/sum/count — so a histogram snapshot can ride home
+  from a forked worker on the reply tuple and aggregate supervisor-side
+  without any loss beyond the bucket resolution both sides already
+  share.  Histograms store and snapshot only their non-zero buckets.
 
 Metrics are keyed Prometheus-style: a name plus sorted labels render
 to one flat string key (``service_request_latency_ns{tenant="bench"}``),
@@ -44,9 +47,10 @@ __all__ = [
     "percentile",
 ]
 
-#: Log2 bucket count: bucket 63 tops out past 2^62 ns (~146 years), so
-#: every real latency has a dedicated bucket and the last never clips.
-BUCKETS = 64
+#: Linear sub-buckets per power of two (a power of two itself).
+SUB_BUCKETS = 16
+#: ``log2(SUB_BUCKETS) + 1``: values of fewer bits get exact buckets.
+_EXACT_BITS = SUB_BUCKETS.bit_length()
 
 
 def percentile(values: Iterable[int | float], pct: float) -> int | float | None:
@@ -101,39 +105,51 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-log2-bucket histogram over non-negative integers.
+    """Log-linear-bucket histogram over non-negative integers.
 
-    Bucket index of observation *v* is ``v.bit_length()`` (0 for
-    ``v <= 0``), clamped to the last bucket.  ``count``/``sum``/``min``/
+    See :meth:`bucket_index` for the bucket layout.  *counts* maps a
+    bucket index to its non-zero count.  ``count``/``sum``/``min``/
     ``max`` are tracked exactly; :meth:`merge` is exact by construction.
     """
 
     __slots__ = ("counts", "count", "sum", "min", "max")
 
     def __init__(self) -> None:
-        self.counts = [0] * BUCKETS
+        self.counts: dict[int, int] = {}
         self.count = 0
         self.sum = 0
         self.min: int | None = None
         self.max: int | None = None
 
+    @staticmethod
+    def bucket_index(value: int) -> int:
+        """The bucket of *value*: ``value`` itself below ``2 * SUB_BUCKETS``
+        (0 for ``value <= 0``); above, its top five bits plus 16 per
+        further bit, so each power of two spans 16 consecutive buckets."""
+        shift = value.bit_length() - _EXACT_BITS
+        if shift <= 0:
+            return value if value > 0 else 0
+        return shift * SUB_BUCKETS + (value >> shift)
+
+    @staticmethod
+    def bucket_upper(index: int) -> int:
+        """Inclusive upper bound of bucket *index*."""
+        shift = index // SUB_BUCKETS - 1
+        if shift <= 0:
+            return index
+        return ((index - shift * SUB_BUCKETS + 1) << shift) - 1
+
     def observe(self, value: int | float) -> None:
         value = int(value)
-        index = value.bit_length() if value > 0 else 0
-        if index >= BUCKETS:
-            index = BUCKETS - 1
-        self.counts[index] += 1
+        index = self.bucket_index(value)
+        counts = self.counts
+        counts[index] = counts.get(index, 0) + 1
         self.count += 1
         self.sum += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    @staticmethod
-    def bucket_upper(index: int) -> int:
-        """Inclusive upper bound of bucket *index* (0 for bucket 0)."""
-        return (1 << index) - 1 if index > 0 else 0
 
     def quantile(self, q: float) -> int | None:
         """Deterministic nearest-rank quantile estimate (``q`` in [0, 1]).
@@ -148,7 +164,7 @@ class Histogram:
             return None
         rank = min(self.count, max(1, ceil(q * self.count)))
         cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
+        for index, bucket_count in sorted(self.counts.items()):
             cumulative += bucket_count
             if cumulative >= rank:
                 return max(self.min, min(self.bucket_upper(index), self.max))
@@ -158,10 +174,9 @@ class Histogram:
         """Exactly accumulate *other* (a histogram or its snapshot)."""
         if isinstance(other, Histogram):
             other = other.snapshot()
-        counts = other["counts"]
         own = self.counts
-        for index, bucket_count in enumerate(counts[:BUCKETS]):
-            own[index] += bucket_count
+        for index, bucket_count in other["buckets"]:
+            own[index] = own.get(index, 0) + bucket_count
         self.count += other["count"]
         self.sum += other["sum"]
         other_min = other["min"]
@@ -173,9 +188,13 @@ class Histogram:
         return self
 
     def snapshot(self) -> dict[str, Any]:
-        """Picklable/JSON-ready view; :meth:`merge` accepts it back."""
+        """Picklable/JSON-ready view; :meth:`merge` accepts it back.
+
+        ``buckets`` lists ``[index, count]`` for the non-zero buckets
+        only, in index order.
+        """
         return {
-            "counts": list(self.counts),
+            "buckets": [[index, n] for index, n in sorted(self.counts.items())],
             "count": self.count,
             "sum": self.sum,
             "min": self.min,

@@ -2,11 +2,9 @@
 
 A :class:`Span` is one named, nanosecond-bounded unit of work —
 a pipeline phase (``pipeline.validate`` / ``pipeline.label`` /
-``pipeline.tape_compile`` / ``pipeline.emit``), an artifact-cache
-operation (``artifact.load`` / ``artifact.compile`` /
-``artifact.quarantine``), or a service request's full lifecycle
-(``service.request``, with ``service.batch`` covering dispatch →
-reply).  Spans carry ids and parent links so a dump reconstructs the
+``pipeline.tape_compile`` / ``pipeline.emit``) or a service request's
+full lifecycle (``service.request``, with ``service.batch`` covering
+dispatch → reply).  Spans carry ids and parent links so a dump reconstructs the
 tree, and land in a bounded ring buffer (oldest spans drop first), so
 a long-lived service traces its recent past at O(1) memory.
 
@@ -175,7 +173,7 @@ class Tracer:
         return span_id
 
     def span(self, name: str, **attrs: Any) -> _SpanHandle:
-        """A lexical span: ``with tracer.span("artifact.load"): ...``.
+        """A lexical span: ``with tracer.span("pipeline.label"): ...``.
 
         Nested ``span()`` calls on the same thread link parent ids
         automatically.

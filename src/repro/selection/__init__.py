@@ -40,11 +40,7 @@ from repro.selection.automaton import AutomatonLabeling, OnDemandAutomaton
 from repro.selection.cover import Cover, CoverEntry, Labeling, extract_cover
 from repro.selection.label_dp import DPLabeler, DPLabeling, label_dp, match_pattern
 from repro.selection.reducer import Reducer, flatten_operands, node_memo_key
-from repro.selection.resilience import (
-    ArtifactCache,
-    BuildBudget,
-    SelectionFailure,
-)
+from repro.selection.resilience import BuildBudget, SelectionFailure
 from repro.selection.selector import (
     EMITTERS,
     MODES,
@@ -59,7 +55,6 @@ from repro.selection.states import State, StatePool, state_signature
 from repro.selection.tape import CompiledTape, TapeCache, TapeEmitter
 
 __all__ = [
-    "ArtifactCache",
     "AutomatonLabeling",
     "BuildBudget",
     "CompiledTape",

@@ -68,7 +68,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import (
     ArtifactCorruptError,
@@ -96,6 +96,9 @@ from repro.selection.resilience import (
 )
 from repro.selection.states import State
 from repro.selection.tape import TapeEmitter
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.budgets import RequestBudget
 
 __all__ = [
     "MODES",
@@ -777,7 +780,7 @@ class SelectorConfig:
             batch; ``True`` builds a private
             :class:`~repro.obs.Observability` bundle; an existing
             bundle shares its tracer/registry with other components
-            (artifact cache, service).  When enabled, every
+            (e.g. a service worker's).  When enabled, every
             ``select``/``select_many`` records pipeline-phase spans
             (``pipeline.validate``/``label``/``tape_compile``/
             ``emit``) and feeds the phase histograms and batch
@@ -941,7 +944,7 @@ class Selector:
         start: str | None = None,
         collect_cover: bool = True,
         on_error: str = "raise",
-        budget: BuildBudget | None = None,
+        budget: RequestBudget | None = None,
     ) -> SelectionResult:
         """Select instructions for a batch of forests in one fused pipeline.
 
@@ -974,8 +977,8 @@ class Selector:
           callables more than once per node.
 
         *budget* threads a deadline through the hot loops: a
-        :class:`~repro.service.budgets.RequestBudget` (or any
-        :class:`BuildBudget` exposing ``deadline_at_ns``) arms
+        :class:`~repro.service.budgets.RequestBudget` (or any object
+        exposing ``deadline_at_ns``) arms
         cooperative cancellation checks in the label walks and the
         emission engine (the reducer's frame loop, or the tape's
         compile walk and sweep).  The resulting
@@ -1202,7 +1205,7 @@ class Selector:
         start: str | None = None,
         collect_cover: bool = True,
         on_error: str = "raise",
-        budget: BuildBudget | None = None,
+        budget: RequestBudget | None = None,
     ) -> SelectionResult:
         """Select instructions for one forest: label, reduce, emit.
 
@@ -1481,9 +1484,7 @@ class Selector:
         demote eager → on-demand) instead of propagating.  The demotion
         is recorded under
         ``stats()["resilience"]["demotions"]["load_failed"]`` on the
-        returned selector.  The artifact file is left untouched — use
-        :class:`~repro.selection.resilience.ArtifactCache` for the
-        retry/quarantine/save-back lifecycle around a cache directory.
+        returned selector.  The artifact file is left untouched.
         """
         try:
             return cls.load(path, grammar, config)
@@ -1518,8 +1519,8 @@ class Selector:
         * ``resilience`` — fault-isolation and degradation-ladder
           counters: forests contained by ``on_error="isolate"`` (total
           and by phase), demotions by cause (``load_failed``,
-          ``build_budget``), artifact-cache retries/quarantines attributed to this
-          selector, and the human-readable ``last_degradation``.
+          ``build_budget``), deadline overruns, and the human-readable
+          ``last_degradation``.
         """
         engine = self.engine
         automaton = engine if isinstance(engine, OnDemandAutomaton) else None
@@ -1586,8 +1587,6 @@ class Selector:
             "isolated_failures": resilience["isolated_failures"],
             "failures_by_phase": dict(resilience["failures_by_phase"]),
             "demotions": dict(resilience["demotions"]),
-            "retries": resilience["retries"],
-            "quarantined": resilience["quarantined"],
             "deadline_overruns": resilience["deadline_overruns"],
             "last_degradation": self._last_degradation,
         }
@@ -1607,8 +1606,6 @@ class Selector:
             flat[f'resilience_failures_total{{phase="{phase}"}}'] = value
         for cause, value in resilience["demotions"].items():
             flat[f'resilience_demotions_total{{cause="{cause}"}}'] = value
-        flat["resilience_retries"] = resilience["retries"]
-        flat["resilience_quarantined"] = resilience["quarantined"]
         flat["resilience_deadline_overruns"] = resilience["deadline_overruns"]
         totals = self._totals
         total_ns = totals["label_ns"] + totals["reduce_ns"]

@@ -5,7 +5,7 @@ Layering (bottom up):
 
 * :mod:`repro.service.budgets` — :class:`RequestBudget` pins an
   absolute monotonic deadline at admission and threads it through
-  every stage (queue, dispatch, compile-on-miss, label/reduce loops).
+  every stage (queue, dispatch, the worker's label and emit walks).
 * :mod:`repro.service.breaker` — per-tenant :class:`CircuitBreaker`
   (closed → open → half-open → closed).
 * :mod:`repro.service.worker` — the forked worker process serving

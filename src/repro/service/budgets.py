@@ -1,16 +1,15 @@
 """Request budgets: deadlines threaded through the selection hot loops.
 
-:class:`RequestBudget` extends the build-time :class:`BuildBudget` into
-a *per-request* wall-clock budget: it pins a start instant, exposes the
-absolute monotonic deadline, and converts the remaining allowance back
-into a :class:`BuildBudget` so a cold tenant's compile-on-miss runs
-under the same clock as the request that triggered it (deadline
-propagation).
+:class:`RequestBudget` is a *per-request* wall-clock budget: it pins a
+start instant and exposes the absolute monotonic deadline.  A cold
+tenant needs no build budget of its own: its selector labels on demand,
+so the first request's state construction runs inside the same label
+walk, under the same deadline, as every later request's lookups.
 
 The cooperative cancellation side lives in the engines: when a budget
 with a deadline is passed to ``Selector.select_many(budget=...)``, the
-label walks and the reducer frame loop check the absolute deadline
-every :data:`~repro.selection.resilience.DEADLINE_CHECK_EVERY` steps
+label walk and the emission engine check the absolute deadline every
+:data:`~repro.selection.resilience.DEADLINE_CHECK_EVERY` steps
 (re-exported here) and raise
 :class:`~repro.errors.DeadlineExceededError`.  The checks are guarded
 by ``deadline is not None`` so the unbudgeted hot path pays a single
@@ -29,18 +28,18 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import DeadlineExceededError
-from repro.selection.resilience import DEADLINE_CHECK_EVERY, BuildBudget
+from repro.selection.resilience import DEADLINE_CHECK_EVERY
 
 __all__ = ["DEADLINE_CHECK_EVERY", "RequestBudget"]
 
 
 @dataclass(frozen=True)
-class RequestBudget(BuildBudget):
-    """A :class:`BuildBudget` pinned to a request's start instant.
+class RequestBudget:
+    """A wall-clock allowance pinned to a request's start instant.
 
     Attributes:
-        max_states: Inherited; caps compile-on-miss table builds.
-        deadline_ns: Inherited; the *relative* wall-clock allowance.
+        deadline_ns: The *relative* wall-clock allowance (``None``: no
+            deadline).
         started_ns: Absolute ``monotonic_ns`` instant the budget
             started ticking.  ``0`` means "unpinned" (no deadline).
 
@@ -49,40 +48,23 @@ class RequestBudget(BuildBudget):
     protocol).
     """
 
+    deadline_ns: int | None = None
     started_ns: int = 0
 
     @classmethod
-    def start(
-        cls,
-        timeout_s: float | None,
-        *,
-        max_states: int | None = None,
-    ) -> RequestBudget:
+    def start(cls, timeout_s: float | None) -> RequestBudget:
         """A budget whose clock starts now; ``timeout_s=None`` → no deadline."""
         if timeout_s is None:
-            return cls(max_states=max_states)
-        return cls(
-            max_states=max_states,
-            deadline_ns=int(timeout_s * 1e9),
-            started_ns=time.monotonic_ns(),
-        )
+            return cls()
+        return cls(deadline_ns=int(timeout_s * 1e9), started_ns=time.monotonic_ns())
 
     @classmethod
-    def until(
-        cls,
-        deadline_at_ns: int | None,
-        *,
-        max_states: int | None = None,
-    ) -> RequestBudget:
+    def until(cls, deadline_at_ns: int | None) -> RequestBudget:
         """A budget ending at an absolute monotonic instant."""
         if deadline_at_ns is None:
-            return cls(max_states=max_states)
+            return cls()
         now = time.monotonic_ns()
-        return cls(
-            max_states=max_states,
-            deadline_ns=max(0, deadline_at_ns - now),
-            started_ns=now,
-        )
+        return cls(deadline_ns=max(0, deadline_at_ns - now), started_ns=now)
 
     @property
     def deadline_at_ns(self) -> int | None:
@@ -111,13 +93,3 @@ class RequestBudget(BuildBudget):
                 f"request deadline exceeded during {phase} "
                 f"(budget {self.deadline_ns / 1e6:.1f} ms)"
             )
-
-    def build_budget(self) -> BuildBudget:
-        """The remaining allowance as a plain :class:`BuildBudget`.
-
-        Deadline propagation: a compile-on-miss triggered by this
-        request builds under the request's *remaining* clock, so a cold
-        tenant cannot blow the request deadline by the full build
-        budget on top.
-        """
-        return BuildBudget(max_states=self.max_states, deadline_ns=self.remaining_ns())

@@ -80,9 +80,10 @@ _UNSET = object()
 class ServiceConfig:
     """Tunables of one :class:`SelectionService` (see module docs).
 
-    Workers build every tenant's selector eager, through the shared
-    :class:`~repro.selection.resilience.ArtifactCache`; *max_states*
-    caps a compile-on-miss build.
+    Workers build every tenant's selector on the tenant's first batch,
+    as an on-demand automaton: no table is compiled or loaded up front,
+    and the request deadline bounds the labeling that builds its
+    states.
     """
 
     workers: int = 2
@@ -99,8 +100,6 @@ class ServiceConfig:
     heartbeat_interval_s: float = 0.5
     restart_backoff_base_s: float = 0.02
     restart_backoff_max_s: float = 1.0
-    max_states: int | None = None
-    precompile: bool = True
     seed: int | None = None
 
 
@@ -268,10 +267,9 @@ class SelectionService:
     Args:
         tenants: Tenant name → grammar.  Grammars may carry closures —
             workers are forked, not spawned.
-        cache_dir: Shared artifact-cache directory; the supervisor
-            precompiles one fingerprint-keyed artifact per tenant here
-            (unless ``config.precompile`` is off) and every worker
-            loads from it.
+        cache_dir: Unused; nothing is written to it.  Accepted only
+            because existing callers pass a directory positionally, and
+            due to go once they pass it by keyword.
         config: A :class:`ServiceConfig`.
         context_factory: Builds a fresh emit context per worker batch.
         obs: Observability wiring (``None``/``False`` disabled, ``True``
@@ -287,7 +285,7 @@ class SelectionService:
     def __init__(
         self,
         tenants: dict[str, "Grammar"],
-        cache_dir: str,
+        cache_dir: object = None,
         config: ServiceConfig | None = None,
         *,
         context_factory: Callable[[], Any] | None = None,
@@ -302,13 +300,10 @@ class SelectionService:
             self._obs_retries = metrics.counter("service_retries_total")
             self._obs_redispatches = metrics.counter("service_redispatches_total")
         settings = WorkerSettings(
-            max_states=self.config.max_states,
-            context_factory=context_factory,
-            observe=self._obs.enabled,
+            context_factory=context_factory, observe=self._obs.enabled
         )
         self.supervisor = Supervisor(
             tenants,
-            str(cache_dir),
             settings,
             workers=self.config.workers,
             restart_backoff_base_s=self.config.restart_backoff_base_s,
@@ -331,8 +326,6 @@ class SelectionService:
     def start(self) -> "SelectionService":
         if self._running:
             return self
-        if self.config.precompile:
-            self.supervisor.precompile()
         self.supervisor.start()
         self._running = True
         self._thread = threading.Thread(

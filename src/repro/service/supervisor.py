@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ServiceError
-from repro.selection.resilience import ArtifactCache, BuildBudget
 from repro.service.worker import WorkerSettings, worker_main
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,8 +84,8 @@ class Supervisor:
     """Owns the worker pool for one :class:`SelectionService`.
 
     Args:
-        tenants: Tenant name → grammar (inherited by workers at fork).
-        cache_dir: Shared :class:`ArtifactCache` directory.
+        tenants: Tenant name → grammar (inherited by workers at fork,
+            which build each tenant's on-demand selector on first touch).
         settings: Per-worker :class:`WorkerSettings`.
         workers: Pool size.
         restart_backoff_base_s / restart_backoff_max_s: Capped
@@ -98,7 +97,6 @@ class Supervisor:
     def __init__(
         self,
         tenants: dict[str, "Grammar"],
-        cache_dir: str,
         settings: WorkerSettings | None = None,
         *,
         workers: int = 2,
@@ -108,7 +106,6 @@ class Supervisor:
         if workers < 1:
             raise ServiceError("worker pool needs at least one worker")
         self.tenants = dict(tenants)
-        self.cache_dir = str(cache_dir)
         self.settings = settings or WorkerSettings()
         self.pool_size = workers
         self.restart_backoff_base_s = restart_backoff_base_s
@@ -123,21 +120,6 @@ class Supervisor:
 
     # ------------------------------------------------------------------
     # Lifecycle
-
-    def precompile(self, budget: BuildBudget | None = None) -> int:
-        """Build every tenant's artifact once, parent-side.
-
-        One eager build per grammar lands in the shared cache before
-        any worker forks; each worker then ``Selector.load()``\\ s the
-        fingerprint-keyed artifact in ~1 ms instead of re-compiling —
-        the build is amortized across the whole pool.  Returns the
-        number of tenants prepared.
-        """
-        cache = ArtifactCache(self.cache_dir)
-        budget = budget or BuildBudget(max_states=self.settings.max_states)
-        for grammar in self.tenants.values():
-            cache.selector_for(grammar, budget=budget)
-        return len(self.tenants)
 
     def start(self) -> None:
         for handle in self.handles:
@@ -167,7 +149,7 @@ class Supervisor:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, self.tenants, self.cache_dir, self.settings),
+            args=(child_conn, self.tenants, self.settings),
             daemon=True,
             name=f"repro-selection-worker-{handle.slot}",
         )

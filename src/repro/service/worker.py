@@ -1,12 +1,10 @@
 """Worker process: serves ``select_many`` batches over a duplex pipe.
 
-One worker process per supervisor slot.  Each worker owns an
-:class:`~repro.selection.resilience.ArtifactCache` view of the shared
-cache directory and a lazily-built :class:`Selector` per tenant: the
-first batch for a tenant loads the fingerprint-keyed artifact the
-supervisor precompiled (one build amortized across all workers), or —
-if the cache is cold — compiles on miss under the *request's* remaining
-deadline budget.
+One worker process per supervisor slot.  Each worker builds a tenant's
+:class:`Selector` on the tenant's first batch, as the paper's on-demand
+automaton: nothing is compiled or loaded up front, and each tree shape
+is labeled by dynamic programming the first time the worker sees it,
+inside the request's own label walk and under its deadline.
 
 Wire protocol (tuples over one ``multiprocessing.Pipe``):
 
@@ -45,22 +43,18 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import DeadlineExceededError, ServiceError
-from repro.selection.resilience import (
-    ArtifactCache,
-    SelectionFailure,
-    new_resilience_counters,
-)
+from repro.selection.resilience import SelectionFailure, new_resilience_counters
+from repro.selection.selector import Selector, SelectorConfig
 from repro.service.budgets import RequestBudget
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
 
     from repro.grammar.grammar import Grammar
-    from repro.selection.selector import Selector
+    from repro.obs import Observability
 
 __all__ = ["WorkerSettings", "worker_main"]
 
@@ -69,23 +63,19 @@ __all__ = ["WorkerSettings", "worker_main"]
 class WorkerSettings:
     """Per-worker knobs, inherited at fork time.
 
-    Tenant selectors are built through
-    :meth:`~repro.selection.resilience.ArtifactCache.selector_for`
-    (eager tables), and batches run with ``collect_cover=False``: the
-    service serves values, not reports.
+    Tenant selectors label on demand, and batches run with
+    ``collect_cover=False``: the service serves values, not reports.
 
     Attributes:
-        max_states: State-pool cap for compile-on-miss builds.
         context_factory: Builds a fresh emit context per batch (``None``
             → actions run with ``context=None``).
         observe: Build a worker-local
             :class:`~repro.obs.Observability` bundle and wire it
-            through the artifact cache and tenant selectors; its
-            metrics snapshot rides home on every ``result`` tuple for
-            supervisor-side aggregation.
+            through the tenant selectors; its metrics snapshot rides
+            home on every ``result`` tuple for supervisor-side
+            aggregation.
     """
 
-    max_states: int | None = None
     context_factory: Callable[[], Any] | None = None
     observe: bool = False
 
@@ -99,16 +89,16 @@ def _failure_rows(requests: list[tuple[int, Any]], error: Exception) -> list[tup
 
 
 def _serve_batch(
-    selectors: dict[str, "Selector"],
-    cache: ArtifactCache,
+    selectors: dict[str, Selector],
     tenants: dict[str, "Grammar"],
     settings: WorkerSettings,
+    obs: "Observability | None",
     tenant: str,
     requests: list[tuple[int, Any]],
     deadline_at_ns: int | None,
 ) -> list[tuple]:
     """Run one batch and return its ``(request_id, status, payload)`` rows."""
-    budget = RequestBudget.until(deadline_at_ns, max_states=settings.max_states)
+    budget = RequestBudget.until(deadline_at_ns)
     if budget.expired():
         return [(rid, "deadline", "expired before worker pickup") for rid, _ in requests]
 
@@ -118,12 +108,10 @@ def _serve_batch(
 
     selector = selectors.get(tenant)
     if selector is None:
-        # First touch: load the shared artifact, or compile on miss
-        # under the request's remaining clock (deadline propagation).
+        # First touch: an on-demand selector builds no tables up front;
+        # the batch below labels its shapes under the request deadline.
         try:
-            selector = cache.selector_for(grammar, budget=budget.build_budget())
-        except DeadlineExceededError:
-            return [(rid, "deadline", "deadline during tenant build") for rid, _ in requests]
+            selector = Selector(grammar, config=SelectorConfig(observe=obs))
         except Exception as exc:
             return _failure_rows(requests, exc)
         selectors[tenant] = selector
@@ -161,7 +149,7 @@ def _merge_counters(total: dict[str, Any], part: dict[str, Any]) -> None:
             total[key] = total.get(key, 0) + value
 
 
-def _snapshot(selectors: dict[str, "Selector"], obs: Any = None) -> dict[str, Any]:
+def _snapshot(selectors: dict[str, Selector], obs: Any = None) -> dict[str, Any]:
     """The worker's resilience view, summed across its tenant selectors."""
     resilience = new_resilience_counters()
     for selector in selectors.values():
@@ -223,7 +211,6 @@ def _safe_send(conn: "Connection", message: tuple) -> None:
 def worker_main(
     conn: "Connection",
     tenants: dict[str, "Grammar"],
-    cache_dir: str,
     settings: WorkerSettings,
 ) -> None:
     """Worker process entry point (forked by the supervisor)."""
@@ -232,7 +219,6 @@ def worker_main(
         from repro.obs import Observability
 
         obs = Observability(trace_capacity=1024)
-    cache = ArtifactCache(Path(cache_dir), obs=obs)
     selectors: dict[str, Selector] = {}
     conn.send(("ready", os.getpid()))
     while True:
@@ -251,6 +237,6 @@ def worker_main(
             continue
         _, batch_id, tenant, requests, deadline_at_ns = message
         rows = _serve_batch(
-            selectors, cache, tenants, settings, tenant, requests, deadline_at_ns
+            selectors, tenants, settings, obs, tenant, requests, deadline_at_ns
         )
         _safe_send(conn, ("result", batch_id, rows, _snapshot(selectors, obs)))

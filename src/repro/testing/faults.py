@@ -305,8 +305,7 @@ class ArtifactIOFaults:
 
     Args:
         fail_reads: The first N artifact reads raise ``OSError``
-            (transient-failure model: the artifact cache should retry
-            these with backoff and succeed on read N+1).
+            (transient-failure model: read N+1 succeeds).
         crash_after_step: Raise :class:`SimulatedCrash` immediately
             *after* the Nth write-path syscall completes (1-based over
             open/write/fsync/rename, see :class:`IOCounters`) — the

@@ -4,14 +4,16 @@
 benchmark from outside the package, so a library name they use that
 the package dropped would otherwise fail only when the benchmark runs.
 This imports both modules the way the harness runs them (``src/`` and
-``callerbench/`` on the path) and emits one forest through the
-harness's own emitter factory.
+``callerbench/`` on the path), emits one forest through the harness's
+own emitter factory, and starts the service through the harness's own
+start-up code.
 """
 
 from __future__ import annotations
 
 import importlib
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,20 @@ def test_harness_emitter_factory_reduces_a_forest(harness):
     report = sel.select_many(forests, context=EmitContext()).report
     assert report.tapes_compiled == 1
     assert report.tape_cache_hits == 0  # read by both harness modules
+
+
+def test_harness_service_start_matches_its_oracle_and_writes_nothing(harness, tmp_path):
+    # ServiceRun.start passes SelectionService a directory positionally,
+    # with ServiceConfig(workers=..., seed=...) and its probing context
+    # factory; the service must accept it and leave only the harness's
+    # own probe file there.
+    service = harness["service"]
+    run = service.ServiceRun(seed=3, seconds=1.0, pool_size=2)
+    with ExitStack() as stack:
+        run.start(stack, tmp_path)
+        [directory] = list(tmp_path.iterdir())
+        assert directory == run.probe_path.parent
+        assert [p.name for p in directory.iterdir()] == [run.probe_path.name]
+    # One first request per tenant, each equal to the harness's oracle.
+    assert run.tally.attempted == len(service.SERVICE_TENANTS)
+    assert run.tally.failed == 0, run.tally.first_error

@@ -1,6 +1,6 @@
 """Tests for the observability subsystem (``repro.obs``).
 
-Layered like the package: the log2-bucket histogram algebra first —
+Layered like the package: the log-linear histogram algebra first —
 including the exact-merge contract across a real ``fork()`` boundary,
 the property the service's worker-snapshot aggregation rests on — then
 the span tracer (parenting, ring bound, and the disabled null path's
@@ -63,6 +63,24 @@ def test_histogram_quantiles_bound_by_observed_extremes():
         assert h.min <= h.quantile(q) <= h.max
 
 
+def test_histogram_quantile_is_within_a_sixteenth():
+    # Latencies around 7.70 ms: log2 buckets answered 2^23 - 1 ns
+    # (8.39 ms, +9%) for the p50; log-linear buckets land within 1/16.
+    import random
+
+    rng = random.Random(7)
+    values = [int(rng.gauss(7.70e6, 0.5e6)) for _ in range(1001)]
+    true_p50 = percentile(values, 50)
+    estimate = Histogram.of(values).quantile(0.5)
+    assert true_p50 <= estimate < true_p50 * (1 + 1 / 16)
+
+    # The bound holds at every magnitude: a bucket's upper bound is
+    # less than 1/16 above anything it holds.
+    for value in [rng.randrange(1, 1 << bits) for bits in range(1, 63) for _ in range(20)]:
+        upper = Histogram.bucket_upper(Histogram.bucket_index(value))
+        assert value <= upper < value + max(1, value / 16)
+
+
 def test_histogram_merge_is_exact():
     import random
 
@@ -77,6 +95,12 @@ def test_histogram_merge_is_exact():
     assert from_snapshot.snapshot() == whole.snapshot()
     for q in (0.5, 0.95, 0.99):
         assert merged.quantile(q) == whole.quantile(q)
+    # Snapshots carry the non-zero buckets only, so a worker reply does
+    # not grow with the bucket count.
+    buckets = whole.snapshot()["buckets"]
+    assert all(count > 0 for _, count in buckets)
+    assert sum(count for _, count in buckets) == len(values)
+    assert len(buckets) <= len(set(values))
 
 
 def _child_histogram(conn, values):
@@ -220,7 +244,12 @@ def test_prometheus_exposition_from_registry_and_snapshot(tmp_path, capsys):
     assert '# TYPE requests_total counter' in text
     assert 'requests_total{tenant="a"} 3' in text
     assert 'queue_depth 2' in text
-    # Bucket samples are cumulative and end at +Inf == _count.
+    # Bucket samples are cumulative, at the non-zero buckets' upper
+    # bounds (1000 lands in [992, 1023]), and end at +Inf == _count.
+    assert 'latency_ns_bucket{tenant="a",le="1"} 1' in text
+    assert 'latency_ns_bucket{tenant="a",le="2"} 2' in text
+    assert 'latency_ns_bucket{tenant="a",le="1023"} 3' in text
+    assert text.count("latency_ns_bucket") == 4
     assert 'latency_ns_bucket{tenant="a",le="+Inf"} 3' in text
     assert 'latency_ns_count{tenant="a"} 3' in text
     assert 'latency_ns_sum{tenant="a"} 1003' in text

@@ -10,8 +10,7 @@ Three contracts are exercised, each differentially against a clean run:
 * **Degradation ladder** — every artifact failure (missing, unreadable,
   truncated, corrupted, malformed header, stale) and every blown build budget demotes one
   rung without an unhandled exception, recording the demotion in
-  ``stats()["resilience"]``; the :class:`ArtifactCache` adds retry,
-  quarantine, and save-back absorption on top.
+  ``stats()["resilience"]``.
 * **Crash safety** — ``save()`` killed after *every* write-syscall
   boundary never leaves a partial artifact at the target path, and
   strictly-partial temp files are rejected by ``load()``.
@@ -42,7 +41,6 @@ from repro.errors import (
     ArtifactError,
     ArtifactIOError,
     ArtifactStaleError,
-    ResilienceError,
     SelectorError,
 )
 from repro.grammar import parse_grammar
@@ -50,7 +48,6 @@ from repro.ir import Forest, ForestValidationError, Node, NodeBuilder, OperatorS
 from repro.selection import (
     EMITTERS,
     ON_ERROR_POLICIES,
-    ArtifactCache,
     BuildBudget,
     SelectionFailure,
     Selector,
@@ -606,7 +603,7 @@ class TestLoadOrCompile:
         poisoned = path.read_bytes()
         sel = Selector.load_or_compile(path, grammar)
         assert sel.stats()["resilience"]["demotions"]["load_failed"] == 1
-        assert path.read_bytes() == poisoned  # no quarantine outside the cache
+        assert path.read_bytes() == poisoned  # left as it is
         assert sel.select_many(_chaos_forests()).report.failures == 0
 
     def test_healthy_artifact_loads_without_demotion(self, tmp_path):
@@ -694,94 +691,6 @@ def test_malformed_header_is_corrupt_and_demotes(tmp_path, case):
 
 
 # ----------------------------------------------------------------------
-# ArtifactCache: retry, quarantine, compile-on-miss, save-back
-
-
-class TestArtifactCache:
-    def test_rejects_negative_retries(self, tmp_path):
-        with pytest.raises(ResilienceError):
-            ArtifactCache(tmp_path, retries=-1)
-
-    def test_compile_on_miss_then_hit(self, tmp_path):
-        grammar = _chaos_grammar()
-        cache = ArtifactCache(tmp_path / "cache", base_delay=0, seed=CHAOS_SEED)
-        first = cache.selector_for(grammar)
-        assert first.mode == "eager"
-        assert cache.path_for(grammar).exists()
-        second = cache.selector_for(grammar)
-        assert second.stats()["aot"]["loaded_from"] == str(cache.path_for(grammar))
-        stats = cache.stats()
-        assert (stats["misses"], stats["compiles"], stats["hits"]) == (1, 1, 1)
-        clean = Selector(_chaos_grammar()).select_many(_chaos_forests())
-        assert second.select_many(_chaos_forests()).values == clean.values
-
-    def test_transient_read_failures_are_retried(self, tmp_path):
-        grammar = _chaos_grammar()
-        warm = ArtifactCache(tmp_path, base_delay=0)
-        warm.selector_for(grammar)  # populate the cache
-
-        cache = ArtifactCache(tmp_path, retries=4, base_delay=0, seed=CHAOS_SEED)
-        with artifact_io_faults(fail_reads=2):
-            sel = cache.selector_for(grammar)
-        stats = cache.stats()
-        assert (stats["hits"], stats["retries"], stats["loads_failed"]) == (1, 2, 0)
-        assert sel.stats()["resilience"]["retries"] == 2
-        assert sel.stats()["aot"]["loaded_from"] is not None
-
-    def test_retry_exhaustion_demotes_to_compile(self, tmp_path):
-        grammar = _chaos_grammar()
-        ArtifactCache(tmp_path, base_delay=0).selector_for(grammar)
-
-        cache = ArtifactCache(tmp_path, retries=2, base_delay=0, seed=CHAOS_SEED)
-        with artifact_io_faults(fail_reads=100):
-            sel = cache.selector_for(grammar)
-        stats = cache.stats()
-        assert (stats["loads_failed"], stats["retries"], stats["compiles"]) == (1, 2, 1)
-        resilience = sel.stats()["resilience"]
-        assert resilience["demotions"]["load_failed"] == 1
-        assert resilience["retries"] == 2
-        assert sel.select_many(_chaos_forests()).report.failures == 0
-
-    def test_quarantine_recovers_a_poisoned_cache_entry(self, tmp_path):
-        grammar = _chaos_grammar()
-        cache = ArtifactCache(tmp_path, base_delay=0, seed=CHAOS_SEED)
-        path = cache.path_for(grammar)
-        Selector(grammar).save(path)
-        corrupt_bytes(path, seed=CHAOS_SEED)
-
-        sel = cache.selector_for(grammar)
-        assert path.with_name(path.name + ".bad").exists()
-        stats = cache.stats()
-        assert (stats["quarantined"], stats["loads_failed"], stats["compiles"]) == (1, 1, 1)
-        assert any("quarantined" in event for event in stats["events"])
-        resilience = sel.stats()["resilience"]
-        assert resilience["quarantined"] == 1
-        assert resilience["demotions"]["load_failed"] == 1
-        # The rebuilt artifact is healthy: the next call is a clean hit.
-        again = cache.selector_for(grammar)
-        assert again.stats()["aot"]["loaded_from"] == str(path)
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["quarantined"] == 1
-
-    def test_save_back_failure_is_absorbed(self, tmp_path, monkeypatch):
-        grammar = _chaos_grammar()
-        cache = ArtifactCache(tmp_path, retries=1, base_delay=0, seed=CHAOS_SEED)
-
-        def denied(path, flags):
-            raise OSError(f"read-only filesystem: {path}")
-
-        monkeypatch.setattr(selector_module, "_io_open", denied)
-        sel = cache.selector_for(grammar)
-        stats = cache.stats()
-        assert stats["saves_failed"] == 1
-        assert any("save failed" in event for event in stats["events"])
-        assert not cache.path_for(grammar).exists()
-        # Degraded throughput, not correctness: the selector still works.
-        clean = Selector(_chaos_grammar()).select_many(_chaos_forests())
-        assert sel.select_many(_chaos_forests()).values == clean.values
-
-
-# ----------------------------------------------------------------------
 # Crash-safe atomic save: kill after every write-syscall boundary
 
 
@@ -835,17 +744,16 @@ class TestAtomicSaveCrashMatrix:
                     Selector.load(partial, grammar)
                 partial.unlink()
 
-    def test_cache_recovers_from_a_crashed_legacy_writer(self, tmp_path):
+    def test_load_or_compile_recovers_from_a_crashed_legacy_writer(self, tmp_path):
         # A non-atomic writer dies mid-write, leaving partial bytes at
-        # the cache path itself: quarantine + rebuild must recover.
+        # the artifact path itself: loading must demote, not crash.
         grammar = _chaos_grammar()
-        cache = ArtifactCache(tmp_path, base_delay=0, seed=CHAOS_SEED)
-        path = cache.path_for(grammar)
-        Selector(grammar).save(path)
+        path = Selector(grammar).save(tmp_path / "chaos.rsel")
         truncate_bytes(path, fraction=0.3)
+        partial = path.read_bytes()
 
-        sel = cache.selector_for(grammar)
-        assert path.with_name(path.name + ".bad").exists()
-        assert cache.stats()["quarantined"] == 1
-        Selector.load(path, grammar)  # rebuilt artifact is healthy
-        assert sel.select_many(_chaos_forests()).report.failures == 0
+        sel = Selector.load_or_compile(path, grammar)
+        assert sel.stats()["resilience"]["demotions"]["load_failed"] == 1
+        assert path.read_bytes() == partial  # left as it is
+        clean = Selector(_chaos_grammar()).select_many(_chaos_forests())
+        assert sel.select_many(_chaos_forests()).values == clean.values

@@ -6,37 +6,36 @@ and cooperative cancellation inside the selection hot loops first, the
 :class:`SelectionService` — including the chaos contracts (a SIGKILLed
 worker's in-flight requests are transparently re-dispatched, a
 crash-looping poison pill fails typed instead of wedging the pool) and
-the cross-process artifact-cache compile-on-miss race the workers rely
-on for one-build-many-loads amortization.
+the on-demand start-up contract: the service builds nothing before a
+tenant's first request, and that request's deadline bounds the labeling
+that builds its states.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from pathlib import Path
 
 import pytest
 
 from conftest import build_flat_forest
-from repro.bench.workloads import bench_grammar, random_forests
+from repro.bench.workloads import (
+    EmitContext,
+    bench_grammar,
+    dynamic_bench_grammar,
+    dynamic_constraint_forests,
+    random_forests,
+)
 from repro.errors import (
-    ArtifactCorruptError,
-    ArtifactIOError,
     CircuitOpenError,
     DeadlineExceededError,
     OverloadError,
     RequestLostError,
     ServiceError,
 )
-from repro.selection import Selector
+from repro.selection import OnDemandAutomaton, Selector
 from repro.selection import selector as selector_module
-from repro.selection.resilience import (
-    ArtifactCache,
-    SelectionFailure,
-    new_resilience_counters,
-)
+from repro.selection.resilience import SelectionFailure, new_resilience_counters
 from repro.service import (
     CLOSED,
     HALF_OPEN,
@@ -66,8 +65,7 @@ def _forests(seed: int = 11, n: int = 4):
 
 
 def test_request_budget_start_pins_an_absolute_deadline():
-    budget = RequestBudget.start(5.0, max_states=7)
-    assert budget.max_states == 7
+    budget = RequestBudget.start(5.0)
     assert not budget.expired()
     remaining = budget.remaining_ns()
     assert 4.0e9 < remaining <= 5.0e9
@@ -82,8 +80,7 @@ def test_request_budget_without_deadline_never_expires():
     assert budget.remaining_ns() is None
     assert not budget.expired()
     budget.check("reduce")
-    build = budget.build_budget()
-    assert build.deadline_ns is None
+    assert budget.deadline_ns is None
 
 
 def test_request_budget_expired_check_raises():
@@ -94,12 +91,14 @@ def test_request_budget_expired_check_raises():
         budget.check("reduce")
 
 
-def test_request_budget_build_budget_carries_remaining_clock():
-    budget = RequestBudget.start(10.0, max_states=3)
-    build = budget.build_budget()
-    assert build.max_states == 3
-    assert build.deadline_ns is not None
-    assert 9.0e9 < build.deadline_ns <= 10.0e9
+def test_request_budget_until_carries_remaining_clock():
+    # The worker rebuilds a budget from the absolute deadline shipped
+    # over the pipe: its allowance is what is left, not a fresh one.
+    deadline_at = time.monotonic_ns() + 10 * 10**9
+    budget = RequestBudget.until(deadline_at)
+    assert budget.deadline_at_ns == deadline_at
+    assert 9.0e9 < budget.deadline_ns <= 10.0e9
+    assert budget.remaining_ns() <= budget.deadline_ns
 
 
 # ----------------------------------------------------------------------
@@ -442,68 +441,88 @@ def test_service_soak_mixed_tenants_with_kill_zero_lost(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Satellite: cross-process ArtifactCache compile-on-miss race
+# On-demand start-up: nothing is built before a tenant's first request
 
 
-def _race_writer(barrier, cache_dir, queue):
-    grammar = bench_grammar()
-    cache = ArtifactCache(cache_dir, base_delay=0.001, seed=0)
-    barrier.wait()
-    try:
-        selector = cache.selector_for(grammar)
-        result = selector.select_many(_forests(seed=5, n=1))
-        queue.put(("ok", bool(result.values), cache.stats()["compiles"]))
-    except BaseException as exc:  # noqa: BLE001 - report, don't hang join
-        queue.put(("err", f"{type(exc).__name__}: {exc}", 0))
+def _start_up_tenants():
+    return {
+        "bench": (bench_grammar, random_forests(17, forests=1, statements=6)[0]),
+        "dyn": (dynamic_bench_grammar, dynamic_constraint_forests(17, forests=1)[0]),
+    }
 
 
-def _race_reader(barrier, cache_dir, queue, timeout_s=20.0):
-    grammar = bench_grammar()
-    path = ArtifactCache(cache_dir).path_for(grammar)
-    barrier.wait()
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        try:
-            Selector.load(path, grammar)
-        except (FileNotFoundError, ArtifactIOError):
-            time.sleep(0.001)  # not published yet: keep polling
-        except ArtifactCorruptError as exc:
-            queue.put(("corrupt", str(exc), 0))  # a torn publish — the bug
-            return
-        else:
-            queue.put(("loaded", True, 0))
-            return
-    queue.put(("timeout", False, 0))
+def test_started_service_builds_nothing_up_front(tmp_path, monkeypatch):
+    """Neither the parent nor a worker compiles tables or writes the
+    cache directory; workers label each tenant's first batch on demand
+    and answer exactly what an in-process on-demand selector does."""
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    builds = tmp_path / "eager-builds.txt"
+    build_eager = OnDemandAutomaton.build_eager
+
+    def counted_build_eager(self, *args, **kwargs):
+        # Appended by whichever process builds: workers inherit the
+        # patch at fork and share the file.
+        with open(builds, "a", encoding="ascii") as out:
+            out.write(f"{os.getpid()}\n")
+        return build_eager(self, *args, **kwargs)
+
+    monkeypatch.setattr(OnDemandAutomaton, "build_eager", counted_build_eager)
+    tenants = _start_up_tenants()
+    grammars = {name: factory() for name, (factory, _) in tenants.items()}
+    with SelectionService(
+        grammars, str(cache_dir), _config(), context_factory=EmitContext
+    ) as svc:
+        responses = {
+            name: svc.select(name, forest, wait_s=30.0)
+            for name, (_, forest) in tenants.items()
+        }
+    for name, (factory, forest) in tenants.items():
+        assert responses[name].ok, responses[name].as_row()
+        expected = Selector(factory()).select(forest, context=EmitContext())
+        assert responses[name].value == expected.values
+    assert list(cache_dir.iterdir()) == []  # no .rsel, no .bad, no temp file
+    assert not builds.exists()
+    # The counter does see a build when one runs.
+    Selector(bench_grammar(), mode="eager")
+    assert builds.read_text().splitlines() == [str(os.getpid())]
 
 
-def test_artifact_cache_cross_process_race_single_winner(tmp_path):
-    """N processes compile-on-miss the same fingerprint concurrently:
-    exactly one artifact wins, no torn file is ever observable."""
-    ctx = multiprocessing.get_context("fork")
-    barrier = ctx.Barrier(5)
-    queue = ctx.Queue()
-    workers = [
-        ctx.Process(target=_race_writer, args=(barrier, str(tmp_path), queue))
-        for _ in range(4)
-    ] + [ctx.Process(target=_race_reader, args=(barrier, str(tmp_path), queue))]
-    for p in workers:
-        p.start()
-    outcomes = [queue.get(timeout=60.0) for _ in workers]
-    for p in workers:
-        p.join(timeout=10.0)
-        assert p.exitcode == 0
+class _SlowFirstCall:
+    """A constraint that sleeps before its first call in each process."""
 
-    kinds = sorted(kind for kind, _, _ in outcomes)
-    assert kinds == ["loaded"] + ["ok"] * 4, outcomes
-    # Every concurrent compiler served selections.
-    assert all(detail for kind, detail, _ in outcomes if kind == "ok")
+    def __init__(self, inner, sleep_s: float) -> None:
+        self.inner = inner
+        self.sleep_s = sleep_s
+        self.calls = 0
 
-    artifacts = sorted(p.name for p in tmp_path.iterdir())
-    rsel = [name for name in artifacts if name.endswith(".rsel")]
-    assert len(rsel) == 1, artifacts  # one fingerprint, one winner
-    assert not [n for n in artifacts if ".tmp." in n], artifacts  # no torn temps
-    assert not [n for n in artifacts if n.endswith(".bad")], artifacts
-    # The survivor round-trips cleanly.
-    grammar = bench_grammar()
-    loaded = Selector.load(Path(tmp_path) / rsel[0], grammar)
-    assert loaded.select_many(_forests(seed=5, n=1)).ok
+    def __call__(self, *args):
+        self.calls += 1
+        if self.calls == 1:
+            time.sleep(self.sleep_s)
+        return self.inner(*args)
+
+
+def test_deadline_bounds_a_cold_tenants_first_batch(tmp_path):
+    """A cold tenant's first batch builds its states inside the label
+    walk, so the request deadline bounds it: the walk's strided check
+    resolves the request as a typed ``deadline`` response, and the
+    worker serves the tenant's next request ``ok``."""
+    grammar = dynamic_bench_grammar()
+    rule = next(r for r in grammar.rules if r.constraint is not None)
+    rule.constraint = _SlowFirstCall(rule.constraint, sleep_s=0.4)
+    [forest] = dynamic_constraint_forests(23, forests=1, statements=40)
+    assert forest.node_count() > 4 * 64  # many strided checks follow the sleep
+    with SelectionService({"dyn": grammar}, tmp_path, _config()) as svc:
+        first = svc.select("dyn", forest, timeout_s=0.1, wait_s=30.0)
+        assert first.status == "deadline", first.as_row()
+        assert isinstance(first.error, DeadlineExceededError)
+        assert "during label" in str(first.error)
+        second = svc.select("dyn", forest, wait_s=30.0)
+        assert second.ok, second.as_row()
+        service = svc.stats()["service"]
+        assert service["deadline_failures"] == 1
+        assert service["outstanding"] == 0
+        assert service["supervisor"]["kills_total"] == 0
+    expected = Selector(dynamic_bench_grammar()).select(forest)
+    assert second.value == expected.values
