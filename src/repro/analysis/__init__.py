@@ -7,8 +7,8 @@ Three tools, also available as ``python -m repro.analysis``:
   :mod:`repro.analysis.diagnostics` for the code table);
 * :func:`verify_completeness` — drives the eager fixed point to prove
   the grammar total over its covered operators (or produce a minimal
-  counterexample tree), the bit behind ``Selector.verify()`` and the
-  *certified total* AOT guarantee;
+  counterexample tree), the *certified total* guarantee that
+  selection over the covered operators never fails to find a cover;
 * :func:`analyze_dominance` / :func:`prune` — find rules never selected
   in any optimal cover and produce a semantics-preserving reduced
   grammar, differentially validated by :func:`differential_check`.

@@ -16,13 +16,53 @@ certified complete (``verify``), or cannot be analyzed (``prune``).
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
+from pathlib import Path
 
 from repro.analysis.completeness import verify_completeness
 from repro.analysis.dominance import analyze_dominance, prune
 from repro.analysis.lints import lint_grammar
-from repro.errors import ReproError
-from repro.selection.selector import resolve_grammar
+from repro.errors import AnalysisError, ReproError
+from repro.grammar.grammar import Grammar
+from repro.grammar.parser import parse_grammar
+
+
+def _resolve_object(spec: str) -> object:
+    """Import a ``module:attr`` spec; call it if callable."""
+    module_name, _, attr = spec.partition(":")
+    if not module_name or not attr:
+        raise AnalysisError(f"bad module spec {spec!r}: expected module:attr")
+    try:
+        module = importlib.import_module(module_name)
+        target = getattr(module, attr)
+    except (ImportError, AttributeError) as exc:
+        raise AnalysisError(f"cannot resolve {spec!r}: {exc}") from exc
+    return target() if callable(target) and not isinstance(target, type) else target
+
+
+def resolve_grammar(
+    spec: str, operators_spec: str | None = None, bindings_spec: str | None = None
+) -> Grammar:
+    """A grammar from a ``module:attr`` spec or a grammar text file.
+
+    A spec containing ``:`` that is not an existing path is imported
+    (and called when it is a factory); anything else is read as
+    burg-style grammar text, parsed with the optionally-specified
+    operator set and bindings.
+    """
+    if ":" in spec and not Path(spec).exists():
+        grammar = _resolve_object(spec)
+        if not isinstance(grammar, Grammar):
+            raise AnalysisError(f"{spec!r} resolved to {type(grammar).__name__}, not a Grammar")
+        return grammar
+    try:
+        text = Path(spec).read_text()
+    except OSError as exc:
+        raise AnalysisError(f"cannot read grammar {spec!r}: {exc}") from exc
+    operators = _resolve_object(operators_spec) if operators_spec else None
+    bindings = _resolve_object(bindings_spec) if bindings_spec else None
+    return parse_grammar(text, operators=operators, bindings=bindings)
 
 
 def _add_grammar_arguments(parser: argparse.ArgumentParser) -> None:

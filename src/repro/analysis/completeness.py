@@ -119,8 +119,9 @@ def verify_completeness(grammar: Grammar, max_states: int | None = None) -> Comp
             ``complete=False``).
 
     Returns:
-        A :class:`CompletenessReport`; ``report.certified`` is the bit
-        stamped into AOT artifacts.
+        A :class:`CompletenessReport`; ``report.certified`` is the
+        certification bit (``python -m repro.analysis verify`` exits 1
+        without it).
     """
     report = CompletenessReport(grammar=grammar.name, start=grammar.start)
     if grammar.start is None:

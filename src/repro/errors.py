@@ -36,9 +36,8 @@ class ArtifactError(SelectorError):
 class ArtifactIOError(ArtifactError):
     """Artifact could not be read or written (OS-level failure).
 
-    Possibly transient — a concurrent writer, a flaky filesystem.
-    :meth:`~repro.selection.selector.Selector.load_or_compile` demotes
-    to an in-process compile.
+    Possibly transient — a concurrent writer, a flaky filesystem — so
+    a retry may succeed.
     """
 
 

@@ -15,9 +15,7 @@ ahead-of-time path: ``compile()`` precomputes every reachable
 transition, ``save(path)`` serializes the id spaces and per-operator
 transition tables into dense integer matrices keyed by a grammar
 fingerprint, and ``Selector.load(path, grammar)`` restores them so
-labeling starts with zero table misses.  ``python -m
-repro.selection.selector compile <grammar> <out>`` does the same from
-the command line.
+labeling starts with zero table misses.
 
 All labelers run a fused single-pass walk and offer batched
 ``label_many`` entry points sharing one node-state map across forests.
@@ -31,16 +29,15 @@ state-indexed derivation fragments, and sweeps it; the frame-stack
 and (like :func:`extract_cover`) consumes any labeling.  Both are
 iterative explicit-stack engines, so deep trees and long chain-rule
 sequences cannot overflow the interpreter stack.  Construct a
-selector with ``Selector(grammar, mode=...)`` or adopt a built engine
-with ``Selector.wrap(engine)``; :func:`label_dp` remains as the
-stateless DP oracle.
+selector with ``Selector(grammar, mode=...)``; :func:`label_dp`
+remains as the stateless DP oracle.
 """
 
 from repro.selection.automaton import AutomatonLabeling, OnDemandAutomaton
 from repro.selection.cover import Cover, CoverEntry, Labeling, extract_cover
 from repro.selection.label_dp import DPLabeler, DPLabeling, label_dp, match_pattern
 from repro.selection.reducer import Reducer, flatten_operands, node_memo_key
-from repro.selection.resilience import BuildBudget, SelectionFailure
+from repro.selection.resilience import SelectionFailure
 from repro.selection.selector import (
     EMITTERS,
     MODES,
@@ -56,7 +53,6 @@ from repro.selection.tape import CompiledTape, TapeCache, TapeEmitter
 
 __all__ = [
     "AutomatonLabeling",
-    "BuildBudget",
     "CompiledTape",
     "Cover",
     "CoverEntry",

@@ -878,9 +878,7 @@ class OnDemandAutomaton:
     # ------------------------------------------------------------------
     # Offline (eager) construction
 
-    def build_eager(
-        self, max_states: int | None = None, deadline_ns: int | None = None
-    ) -> dict[str, object]:
+    def build_eager(self, max_states: int | None = None) -> dict[str, object]:
         """Precompute every reachable transition at build time.
 
         This is the offline end of the paper's trade-off: state
@@ -907,14 +905,10 @@ class OnDemandAutomaton:
 
         *max_states* caps the state pool as a runaway guard: when
         construction interns more states, the build stops and reports
-        ``capped: True`` (the tables stay valid, just incomplete).
-        *deadline_ns* is the wall-clock analogue: a build still running
-        that many nanoseconds after it started stops between operator
-        tables and reports ``deadline_exceeded: True``.  Both limits
-        leave the partial tables warm and usable on demand — a budgeted
-        :meth:`Selector.compile` turns either flag into a demotion to
-        on-demand mode.  Returns the build stats dict, also available
-        afterwards under ``stats()["eager"]``.
+        ``capped: True``; the partial tables stay valid and warm, and
+        labeling builds whatever is missing on demand.  Returns the
+        build stats dict, also available afterwards under
+        ``stats()["eager"]``.
         """
         self._sync()
         states_before = len(self.pool)
@@ -934,14 +928,7 @@ class OnDemandAutomaton:
                     skipped.append(name)
             skipped.sort()
         capped = False
-        deadline_exceeded = False
         rounds = 0
-        start_ns = time.monotonic_ns()
-        # The deadline is enforced *inside* _eager_fill's construction
-        # loops, not only at per-operator boundaries — one operator's
-        # closure can be arbitrarily large, so a boundary-only check
-        # would overshoot the budget by an entire operator table.
-        deadline_at = None if deadline_ns is None else start_ns + deadline_ns
         with Timer() as timer:
             if not self._dyn_chain:
                 while True:
@@ -952,18 +939,11 @@ class OnDemandAutomaton:
                         if name in skipped:
                             continue
                         for arity in table.rules_by_arity:
-                            if self._eager_fill(table, arity, snapshot, metrics, deadline_at):
-                                deadline_exceeded = True
-                                break
+                            self._eager_fill(table, arity, snapshot, metrics)
                         if max_states is not None and len(self.pool) > max_states:
                             capped = True
                             break
-                        if deadline_exceeded or (
-                            deadline_at is not None and time.monotonic_ns() > deadline_at
-                        ):
-                            deadline_exceeded = True
-                            break
-                    if capped or deadline_exceeded:
+                    if capped:
                         break
                     if len(self.pool) == len(snapshot) and self.transition_count() == grew:
                         break
@@ -979,7 +959,6 @@ class OnDemandAutomaton:
             "build_seconds": timer.elapsed,
             "skipped": skipped,
             "capped": capped,
-            "deadline_exceeded": deadline_exceeded,
         }
         return self._eager
 
@@ -989,23 +968,9 @@ class OnDemandAutomaton:
         arity: int,
         states: list[State],
         metrics: LabelMetrics,
-        deadline_at: int | None = None,
-    ) -> bool:
+    ) -> None:
         """Construct every missing transition of one (operator, arity)
-        slot over the given state snapshot.
-
-        *deadline_at* (absolute monotonic ns) is checked before each
-        state construction — the expensive step — so the build stops
-        within one construction of the deadline even when a single
-        operator's closure dominates the whole fixed point.  Returns
-        ``True`` when the deadline fired mid-fill (the tables keep
-        whatever was constructed; they stay valid, just incomplete).
-        """
-        over = (
-            (lambda: False)
-            if deadline_at is None
-            else (lambda: time.monotonic_ns() > deadline_at)
-        )
+        slot over the given state snapshot."""
         if table.dyn_by_arity:
             # Constraint-only operator: per child-state key, enumerate
             # the two outcomes (static cost or INFINITE) of each rule the
@@ -1018,12 +983,9 @@ class OnDemandAutomaton:
                     row = self._dyn_row(table, key, metrics)
                 outcome_space = [(rule.cost, INFINITE) for rule in row.candidates]
                 for outcomes in itertools.product(*outcome_space):
-                    if outcomes in row:
-                        continue
-                    if over():
-                        return True
-                    self._dyn_state(table, key, row, outcomes, None, metrics)
-            return False
+                    if outcomes not in row:
+                        self._dyn_state(table, key, row, outcomes, None, metrics)
+            return
         if arity == 0:
             if table.nullary is None:
                 table.nullary = self._construct_state(table, 0, (), None, metrics)
@@ -1031,8 +993,6 @@ class OnDemandAutomaton:
             unary = table.unary
             for s0 in states:
                 if s0.index not in unary:
-                    if over():
-                        return True
                     unary[s0.index] = self._construct_state(table, 1, (s0,), None, metrics)
         elif arity == 2:
             binary = table.binary
@@ -1042,18 +1002,13 @@ class OnDemandAutomaton:
                     row = binary[s0.index] = {}
                 for s1 in states:
                     if s1.index not in row:
-                        if over():
-                            return True
                         row[s1.index] = self._construct_state(table, 2, (s0, s1), None, metrics)
         else:
             nary = table.nary
             for kid_states in itertools.product(states, repeat=arity):
                 key = tuple(state.index for state in kid_states)
                 if key not in nary:
-                    if over():
-                        return True
                     nary[key] = self._construct_state(table, arity, kid_states, None, metrics)
-        return False
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,8 +1,8 @@
-"""Resilience primitives: fault isolation, build budgets, deadlines.
+"""Resilience primitives: fault isolation and deadlines.
 
 The paper's pitch is instruction selection robust enough to run *inside*
 a JIT: it must never take down the host compiler, even on hostile
-grammars, forests, or artifacts.  This module holds the runtime side of
+grammars or forests.  This module holds the runtime side of
 that story — the static side is the completeness certifier in
 :mod:`repro.analysis` — as small, composable pieces:
 
@@ -11,16 +11,13 @@ that story — the static side is the completeness certifier in
   faulted forest's values: which forest, which phase (validate / label
   / reduce), the exception, and the IR node being processed when the
   fault fired.  The rest of the batch completes normally.
-* :class:`BuildBudget` — a resource budget for the eager (offline)
-  table build: a state-pool cap plus a wall-clock deadline.  A build
-  that exceeds either is *demoted* to on-demand mode instead of
-  shipping silently-incomplete "eager" tables.
 * :func:`check_deadline` — the cooperative-cancellation check the hot
   loops run every :data:`DEADLINE_CHECK_EVERY` steps.
 
-Every demotion and isolation is counted; selectors surface their
-counters under ``stats()["resilience"]``, so operators can observe a
-degraded deployment instead of discovering it from latency graphs.
+Every isolation and deadline overrun is counted; selectors surface
+their counters under ``stats()["resilience"]``, so operators can
+observe a degraded deployment instead of discovering it from latency
+graphs.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (selector imports us)
 
 __all__ = [
     "DEADLINE_CHECK_EVERY",
-    "BuildBudget",
     "SelectionFailure",
     "attach_node_provenance",
     "check_deadline",
@@ -54,10 +50,9 @@ def check_deadline(deadline_at_ns: int, phase: str) -> None:
     absolute monotonic instant *deadline_at_ns* has passed.
 
     The cooperative-cancellation primitive behind request deadlines:
-    the label walks, the reducer frame loop, the emission tape's
-    compile walk and sweep, and the eager build's inner fill loop call
-    this every :data:`DEADLINE_CHECK_EVERY` steps when a deadline is
-    set.
+    the label walks, the reducer frame loop, and the emission tape's
+    compile walk and sweep call this every
+    :data:`DEADLINE_CHECK_EVERY` steps when a deadline is set.
     """
     if time.monotonic_ns() > deadline_at_ns:
         raise DeadlineExceededError(f"request deadline exceeded during {phase}")
@@ -142,37 +137,12 @@ class SelectionFailure:
         )
 
 
-@dataclass(frozen=True)
-class BuildBudget:
-    """Resource budget for the eager (offline) table build.
-
-    Attributes:
-        max_states: State-pool cap; construction interning more states
-            stops the build.
-        deadline_ns: Wall-clock budget in nanoseconds; a build still
-            running past it stops between construction steps.
-
-    A budgeted :meth:`~repro.selection.selector.Selector.compile` that
-    trips either limit *demotes* the selector to on-demand mode (the
-    partial tables stay warm, labeling falls back to on-demand
-    construction for whatever is missing) and counts the demotion under
-    ``stats()["resilience"]["demotions"]["build_budget"]`` — the
-    middle rung of the degradation ladder.
-    """
-
-    max_states: int | None = None
-    deadline_ns: int | None = None
-
-
 def new_resilience_counters() -> dict[str, Any]:
     """A fresh ``stats()["resilience"]`` counter block.
 
     * ``isolated_failures`` — forests contained by ``on_error="isolate"``;
     * ``failures_by_phase`` — the same, split by pipeline phase
       (``validate``, ``label``, ``reduce``);
-    * ``demotions`` — degradation-ladder steps taken, by cause
-      (``load_failed`` artifact → in-process compile, ``build_budget``
-      eager → on-demand);
     * ``deadline_overruns`` — selections aborted by a request-budget
       deadline (:class:`~repro.errors.DeadlineExceededError`), which
       propagates even under ``on_error="isolate"``.
@@ -180,6 +150,5 @@ def new_resilience_counters() -> dict[str, Any]:
     return {
         "isolated_failures": 0,
         "failures_by_phase": {"validate": 0, "label": 0, "reduce": 0},
-        "demotions": {"load_failed": 0, "build_budget": 0},
         "deadline_overruns": 0,
     }

@@ -2,8 +2,7 @@
 
 The paper's central trade-off — on-demand automata versus offline table
 generation — is one object here.  ``Selector`` packages the whole
-lifecycle behind one public API (``Selector.wrap(engine)`` adopts an
-already-built engine):
+lifecycle behind one public API:
 
 * ``Selector(grammar, mode="dp" | "ondemand" | "eager")`` picks the
   labeling architecture; ``mode="eager"`` precomputes all reachable
@@ -43,23 +42,11 @@ what the fingerprint guards.
 Extending the grammar after a load behaves exactly like extending under
 a live automaton: the version bump invalidates the loaded tables, and
 labeling falls back to on-demand rebuilding.
-
-The module doubles as the AOT command-line tool::
-
-    python -m repro.selection.selector compile <grammar> <out.rsel>
-    python -m repro.selection.selector inspect <out.rsel>
-
-where ``<grammar>`` is either a path to a burg-style grammar text file
-or a ``module:attr`` spec naming a :class:`~repro.grammar.grammar.
-Grammar` (or a zero-argument callable returning one), e.g.
-``repro.bench.workloads:bench_grammar``.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import importlib
 import json
 import os
 import struct
@@ -74,7 +61,6 @@ from repro.errors import (
     ArtifactCorruptError,
     ArtifactIOError,
     ArtifactStaleError,
-    CoverError,
     DeadlineExceededError,
     SelectorError,
 )
@@ -88,7 +74,6 @@ from repro.selection.cover import Labeling
 from repro.selection.label_dp import DPLabeler
 from repro.selection.reducer import Reducer
 from repro.selection.resilience import (
-    BuildBudget,
     SelectionFailure,
     check_deadline,
     new_resilience_counters,
@@ -108,9 +93,7 @@ __all__ = [
     "Selector",
     "SelectorConfig",
     "grammar_fingerprint",
-    "main",
     "read_artifact_header",
-    "resolve_grammar",
 ]
 
 #: The selector modes: the paper's three labeling architectures.
@@ -184,11 +167,7 @@ def grammar_fingerprint(grammar: Grammar) -> str:
 # Wire format
 
 
-def _serialize(
-    automaton: OnDemandAutomaton,
-    fingerprint: str,
-    certified: bool | None = None,
-) -> bytes:
+def _serialize(automaton: OnDemandAutomaton, fingerprint: str) -> bytes:
     """Encode the automaton's id spaces and transition tables into one blob.
 
     Unary transitions become one flat ``state_count``-sized vector per
@@ -278,7 +257,6 @@ def _serialize(
         "nonterminals": list(pool.nt_names),
         "states": size,
         "operators": ops_meta,
-        "certified": certified,
         "eager": dict(automaton._eager) if automaton._eager is not None else None,
         "sections": sections,
         "payload_len": len(payload),
@@ -375,7 +353,6 @@ _HEADER_FIELDS = {
     "nonterminals": list,
     "states": int,
     "operators": list,
-    "certified": (bool, _NONE),
     "eager": (dict, _NONE),
     "sections": list,
     "payload_len": int,
@@ -753,9 +730,6 @@ class SelectorConfig:
     """Tunables of one :class:`Selector`.
 
     Attributes:
-        max_states: State-pool cap handed to the eager build (a runaway
-            guard for huge grammars; a capped build leaves valid but
-            incomplete tables).
         validate: Debug flag: run the structural forest validator
             (:func:`repro.ir.validate.validate_forest`) against the
             grammar's operator set before every ``label``/``label_many``
@@ -787,7 +761,6 @@ class SelectorConfig:
             counters surfaced on ``stats()["obs"]``.
     """
 
-    max_states: int | None = None
     validate: bool = False
     emitter: str = "tape"
     observe: Any = None
@@ -800,8 +773,7 @@ class Selector:
     :class:`~repro.selection.label_dp.DPLabeler` for ``mode="dp"``, an
     :class:`~repro.selection.automaton.OnDemandAutomaton` otherwise —
     and is meant to be long-lived: construct once per grammar, call
-    ``label``/``select`` for every forest.  ``Selector.wrap(engine)``
-    adopts an already-built engine (e.g. a warm automaton) unchanged.
+    ``label``/``select`` for every forest.
     """
 
     def __init__(
@@ -809,30 +781,34 @@ class Selector:
         grammar: Grammar | None = None,
         mode: str = "ondemand",
         config: SelectorConfig | None = None,
-        *,
-        engine: object | None = None,
     ) -> None:
+        if grammar is None:
+            raise SelectorError("Selector needs a grammar")
+        if mode not in MODES:
+            raise ValueError(
+                f"unknown selector mode {mode!r}; expected one of {', '.join(MODES)}"
+            )
+        engine = DPLabeler(grammar) if mode == "dp" else OnDemandAutomaton(grammar)
+        self._setup(grammar, engine, config)
+        if mode == "eager":
+            self.compile()
+
+    def _setup(
+        self,
+        grammar: Grammar,
+        engine: DPLabeler | OnDemandAutomaton,
+        config: SelectorConfig | None,
+    ) -> None:
+        """Install *engine* over *grammar*: the constructor's body, shared
+        with :meth:`load`, which installs a rehydrated automaton."""
         self.config = config if config is not None else SelectorConfig()
         if self.config.emitter not in EMITTERS:
             raise ValueError(
                 f"unknown emitter {self.config.emitter!r}; expected one of "
                 f"{', '.join(EMITTERS)}"
             )
-        if engine is not None:
-            if not hasattr(engine, "label_many"):
-                raise TypeError(f"labeler object {engine!r} does not expose label_many()")
-            self.engine = engine
-            source = getattr(engine, "source_grammar", None)
-            self.source_grammar = source if source is not None else engine.grammar
-        else:
-            if grammar is None:
-                raise SelectorError("Selector needs a grammar (or an engine to wrap)")
-            if mode not in MODES:
-                raise ValueError(
-                    f"unknown selector mode {mode!r}; expected one of {', '.join(MODES)}"
-                )
-            self.source_grammar = grammar
-            self.engine = DPLabeler(grammar) if mode == "dp" else OnDemandAutomaton(grammar)
+        self.source_grammar = grammar
+        self.engine = engine
         self._tables_version: int | None = None
         self._loaded_from: str | None = None
         self._build_ns: int | None = None
@@ -841,12 +817,7 @@ class Selector:
         self._artifact_bytes: int | None = None
         self._last_metrics: LabelMetrics | None = None
         self._last_report: SelectionReport | None = None
-        self._certified: bool | None = None
-        self._certified_version: int | None = None
         self._resilience = new_resilience_counters()
-        #: Human-readable cause of the most recent degradation-ladder
-        #: step (``None`` while fully healthy).
-        self._last_degradation: str | None = None
         #: Observability bundle (the process-wide null bundle when
         #: disabled, so hot paths guard with one attribute check).
         self._obs = resolve_obs(self.config.observe)
@@ -873,18 +844,6 @@ class Selector:
             "failures": 0,
             "tapes_compiled": 0,
         }
-        if engine is None and mode == "eager":
-            self.compile()
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-
-    @classmethod
-    def wrap(cls, engine: object, config: SelectorConfig | None = None) -> "Selector":
-        """Adopt an already-built labeling engine (pass-through for selectors)."""
-        if isinstance(engine, Selector):
-            return engine
-        return cls(engine=engine, config=config)
 
     @property
     def grammar(self) -> Grammar:
@@ -897,9 +856,7 @@ class Selector:
         engine = self.engine
         if isinstance(engine, DPLabeler):
             return "dp"
-        if isinstance(engine, OnDemandAutomaton):
-            return "eager" if engine._eager is not None else "ondemand"
-        return type(engine).__name__
+        return "eager" if engine._eager is not None else "ondemand"
 
     def _require_automaton(self, operation: str) -> OnDemandAutomaton:
         engine = self.engine
@@ -977,15 +934,15 @@ class Selector:
           callables more than once per node.
 
         *budget* threads a deadline through the hot loops: a
-        :class:`~repro.service.budgets.RequestBudget` (or any object
-        exposing ``deadline_at_ns``) arms
+        :class:`~repro.service.budgets.RequestBudget` arms
         cooperative cancellation checks in the label walks and the
         emission engine (the reducer's frame loop, or the tape's
         compile walk and sweep).  The resulting
         :class:`~repro.errors.DeadlineExceededError` covers the *whole
         batch* and always propagates — even under
         ``on_error="isolate"`` — because per-request deadline
-        accounting belongs to the caller (the service front door).
+        accounting belongs to the caller (the service front door).  A
+        *budget* of any other type raises :class:`TypeError`.
         """
         if on_error not in ON_ERROR_POLICIES:
             raise ValueError(
@@ -993,9 +950,16 @@ class Selector:
                 f"{', '.join(ON_ERROR_POLICIES)}"
             )
         forests = list(forests)
-        deadline_at_ns: int | None = (
-            getattr(budget, "deadline_at_ns", None) if budget is not None else None
-        )
+        deadline_at_ns: int | None = None
+        if budget is not None:
+            # Imported here: repro.service imports this module.
+            from repro.service.budgets import RequestBudget
+
+            if not isinstance(budget, RequestBudget):
+                raise TypeError(
+                    f"budget must be a RequestBudget or None, not {type(budget).__name__}"
+                )
+            deadline_at_ns = budget.deadline_at_ns
         try:
             if deadline_at_ns is not None:
                 # Upfront check: an already-expired budget fails here
@@ -1021,12 +985,12 @@ class Selector:
         (``ondemand``, ``eager``, or loaded from an artifact, static or
         dynamic grammar) emits through a :class:`TapeEmitter`, compiling
         each forest from the automaton's state-indexed derivation
-        fragments.  A labeling without states — ``mode="dp"``, or a
-        wrapped engine's own labeling — and ``"reducer"`` get the
-        frame-stack :class:`Reducer`, which stays as the differential
-        oracle.  The two share a contract, not a class: both honour the
-        same ``reduce_forest``/``memo_size``/``rollback_to`` surface and
-        cost the cover in the walk that emits it.
+        fragments.  A labeling without states (``mode="dp"``) and
+        ``"reducer"`` get the frame-stack :class:`Reducer`, which stays
+        as the differential oracle.  The two share a contract, not a
+        class: both honour the same ``reduce_forest``/``memo_size``/
+        ``rollback_to`` surface and cost the cover in the walk that
+        emits it.
         """
         if self.config.emitter == "tape" and isinstance(labeling, AutomatonLabeling):
             return TapeEmitter(
@@ -1311,90 +1275,28 @@ class Selector:
     # ------------------------------------------------------------------
     # Ahead-of-time: compile / save / load
 
-    def compile(
-        self, max_states: int | None = None, budget: BuildBudget | None = None
-    ) -> dict[str, object]:
+    def compile(self) -> dict[str, object]:
         """Run the eager (offline) build: precompute all reachable tables.
 
         After ``compile()`` the selector labels with zero table misses
-        (modulo ``skipped`` operators and a fired ``max_states`` cap)
-        and :attr:`mode` reports ``"eager"``.  Returns the build stats,
-        also available under ``stats()["tables"]["eager"]``.
-
-        With a :class:`~repro.selection.resilience.BuildBudget`, the
-        build runs under the budget's state cap and wall-clock deadline,
-        and exceeding either **demotes** the selector to on-demand mode
-        instead of shipping silently-incomplete "eager" tables: the
-        partial tables stay warm, :attr:`mode` stays ``"ondemand"``,
-        and the demotion is counted under
-        ``stats()["resilience"]["demotions"]["build_budget"]``.  (A
-        plain ``max_states`` cap keeps the historical capped-but-eager
-        semantics.)
+        (modulo ``skipped`` operators) and :attr:`mode` reports
+        ``"eager"``.  Returns the build stats, also available under
+        ``stats()["tables"]["eager"]``.
         """
         automaton = self._require_automaton("compile")
-        cap = max_states
-        deadline = None
-        if budget is not None:
-            if cap is None:
-                cap = budget.max_states
-            deadline = budget.deadline_ns
-        if cap is None:
-            cap = self.config.max_states
         started = time.perf_counter_ns()
-        build = automaton.build_eager(cap, deadline)
+        build = automaton.build_eager()
         self._build_ns = time.perf_counter_ns() - started
         self._tables_version = automaton._source_version
-        over_budget = budget is not None and (
-            build.get("capped") or build.get("deadline_exceeded")
-        )
-        if over_budget:
-            automaton._eager = None
-            self._resilience["demotions"]["build_budget"] += 1
-            cause = (
-                "deadline_ns exceeded" if build.get("deadline_exceeded") else "max_states hit"
-            )
-            self._last_degradation = f"build_budget: {cause}, demoted to on-demand"
         return build
-
-    def verify(self, max_states: int | None = None):
-        """Certify the grammar complete (total) over its covered operators.
-
-        Runs the static completeness verifier
-        (:func:`repro.analysis.completeness.verify_completeness`): every
-        reachable (operator, child-state) combination must label to a
-        state deriving the start nonterminal, so selection can never
-        raise a "no cover" error on forests over the covered operators.
-        The resulting certification bit is surfaced in
-        ``stats()["aot"]["certified"]`` and stamped into artifacts
-        written by :meth:`save` (a later grammar extension invalidates
-        it).  Returns the full
-        :class:`~repro.analysis.completeness.CompletenessReport`.
-        """
-        from repro.analysis.completeness import verify_completeness
-
-        cap = max_states if max_states is not None else self.config.max_states
-        report = verify_completeness(self.source_grammar, cap)
-        self._certified = report.certified
-        self._certified_version = self.source_grammar.version
-        return report
-
-    def _current_certification(self) -> bool | None:
-        """The certification bit, or None when absent or stale."""
-        if self._certified is None:
-            return None
-        if self._certified_version != self.source_grammar.version:
-            return None
-        return self._certified
 
     def save(self, path: str | Path) -> Path:
         """Serialize the compiled tables to *path* (compiling if needed).
 
         The artifact holds the interned nonterminal/operator id spaces,
         the state set, and every transition table as dense integer
-        buffers, keyed by the grammar's fingerprint — plus the
-        completeness-certification bit when :meth:`verify` ran against
-        the current grammar; see the module docs for the format and
-        what ``load`` guarantees.
+        buffers, keyed by the grammar's fingerprint; see the module docs
+        for the format and what ``load`` guarantees.
 
         The write is **atomic**: the blob goes to a temp file in the
         target directory, is fsynced, then renamed over *path* — a
@@ -1407,11 +1309,7 @@ class Selector:
         if automaton._eager is None:
             self.compile()
         started = time.perf_counter_ns()
-        blob = _serialize(
-            automaton,
-            grammar_fingerprint(self.source_grammar),
-            certified=self._current_certification(),
-        )
+        blob = _serialize(automaton, grammar_fingerprint(self.source_grammar))
         target = Path(path)
         try:
             _atomic_write_bytes(target, blob)
@@ -1454,10 +1352,9 @@ class Selector:
         eager = dict(header.get("eager") or {})
         eager["loaded_from"] = str(path)
         automaton._eager = eager
-        selector = cls(engine=automaton, config=config)
+        selector = cls.__new__(cls)
+        selector._setup(grammar, automaton, config)
         selector._tables_version = automaton._source_version
-        selector._certified = header.get("certified")
-        selector._certified_version = grammar.version
         selector._loaded_from = str(path)
         # The size of the blob already read — never a second stat()
         # syscall, whose OSError (file swapped or deleted by a
@@ -1466,36 +1363,6 @@ class Selector:
         selector._artifact_bytes = artifact_bytes
         selector._load_ns = time.perf_counter_ns() - started
         return selector
-
-    @classmethod
-    def load_or_compile(
-        cls,
-        path: str | Path,
-        grammar: Grammar,
-        config: SelectorConfig | None = None,
-        *,
-        budget: BuildBudget | None = None,
-    ) -> "Selector":
-        """The graceful-degradation ladder's entry point: load, else compile.
-
-        Tries :meth:`load` first; **any** artifact failure — unreadable,
-        corrupt, truncated, stale fingerprint — demotes to an in-process
-        :meth:`compile` (under *budget*, when given, which may itself
-        demote eager → on-demand) instead of propagating.  The demotion
-        is recorded under
-        ``stats()["resilience"]["demotions"]["load_failed"]`` on the
-        returned selector.  The artifact file is left untouched.
-        """
-        try:
-            return cls.load(path, grammar, config)
-        except SelectorError as exc:
-            selector = cls(grammar, mode="ondemand", config=config)
-            selector._resilience["demotions"]["load_failed"] += 1
-            selector._last_degradation = (
-                f"load_failed: {type(exc).__name__}: {exc}; compiled in-process"
-            )
-            selector.compile(budget=budget)
-            return selector
 
     # ------------------------------------------------------------------
     # Unified stats
@@ -1516,11 +1383,9 @@ class Selector:
         * ``selection`` — cumulative pipeline totals (forests, nodes,
           reductions, memo hits, per-phase nanoseconds) plus the last
           :class:`SelectionReport` as a row;
-        * ``resilience`` — fault-isolation and degradation-ladder
-          counters: forests contained by ``on_error="isolate"`` (total
-          and by phase), demotions by cause (``load_failed``,
-          ``build_budget``), deadline overruns, and the human-readable
-          ``last_degradation``.
+        * ``resilience`` — fault-isolation counters: forests contained
+          by ``on_error="isolate"`` (total and by phase) and deadline
+          overruns.
         """
         engine = self.engine
         automaton = engine if isinstance(engine, OnDemandAutomaton) else None
@@ -1541,7 +1406,6 @@ class Selector:
             and not stale
             and self._tables_version == automaton._source_version,
             "fingerprint": grammar_fingerprint(self.source_grammar),
-            "certified": self._current_certification(),
             "build_ns": self._build_ns,
             "save_ns": self._save_ns,
             "load_ns": self._load_ns,
@@ -1586,9 +1450,7 @@ class Selector:
         return {
             "isolated_failures": resilience["isolated_failures"],
             "failures_by_phase": dict(resilience["failures_by_phase"]),
-            "demotions": dict(resilience["demotions"]),
             "deadline_overruns": resilience["deadline_overruns"],
-            "last_degradation": self._last_degradation,
         }
 
     def _obs_stats(self) -> dict[str, object]:
@@ -1604,8 +1466,6 @@ class Selector:
         flat["resilience_isolated_failures"] = resilience["isolated_failures"]
         for phase, value in resilience["failures_by_phase"].items():
             flat[f'resilience_failures_total{{phase="{phase}"}}'] = value
-        for cause, value in resilience["demotions"].items():
-            flat[f'resilience_demotions_total{{cause="{cause}"}}'] = value
         flat["resilience_deadline_overruns"] = resilience["deadline_overruns"]
         totals = self._totals
         total_ns = totals["label_ns"] + totals["reduce_ns"]
@@ -1624,132 +1484,3 @@ class Selector:
     def __repr__(self) -> str:
         return f"Selector({self.source_grammar.name!r}, mode={self.mode!r})"
 
-
-# ----------------------------------------------------------------------
-# Command-line interface: ahead-of-time selector generation
-
-
-def _resolve_object(spec: str) -> object:
-    """Import a ``module:attr`` spec; call it if callable."""
-    module_name, _, attr = spec.partition(":")
-    if not module_name or not attr:
-        raise SelectorError(f"bad module spec {spec!r}: expected module:attr")
-    try:
-        module = importlib.import_module(module_name)
-        target = getattr(module, attr)
-    except (ImportError, AttributeError) as exc:
-        raise SelectorError(f"cannot resolve {spec!r}: {exc}") from exc
-    return target() if callable(target) and not isinstance(target, type) else target
-
-
-def resolve_grammar(
-    spec: str, operators_spec: str | None = None, bindings_spec: str | None = None
-) -> Grammar:
-    """A grammar from a ``module:attr`` spec or a grammar text file.
-
-    Shared by the selector and ``repro.analysis`` CLIs: a spec
-    containing ``:`` that is not an existing path is imported (and
-    called when it is a factory); anything else is read as burg-style
-    grammar text, parsed with the optionally-specified operator set and
-    bindings.
-    """
-    if ":" in spec and not Path(spec).exists():
-        grammar = _resolve_object(spec)
-        if not isinstance(grammar, Grammar):
-            raise SelectorError(f"{spec!r} resolved to {type(grammar).__name__}, not a Grammar")
-        return grammar
-    from repro.grammar.parser import parse_grammar
-
-    try:
-        text = Path(spec).read_text()
-    except OSError as exc:
-        raise SelectorError(f"cannot read grammar {spec!r}: {exc}") from exc
-    operators = _resolve_object(operators_spec) if operators_spec else None
-    bindings = _resolve_object(bindings_spec) if bindings_spec else None
-    return parse_grammar(text, operators=operators, bindings=bindings)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.selection.selector",
-        description="Ahead-of-time selector generation: compile a grammar's eager "
-        "tables to a loadable artifact.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    compile_cmd = sub.add_parser(
-        "compile", help="eager-build a grammar's tables and save the artifact"
-    )
-    compile_cmd.add_argument(
-        "grammar",
-        help="grammar source: a burg-style grammar text file, or a module:attr "
-        "spec naming a Grammar or a callable returning one "
-        "(e.g. repro.bench.workloads:bench_grammar)",
-    )
-    compile_cmd.add_argument("out", help="artifact path to write")
-    compile_cmd.add_argument(
-        "--max-states", type=int, default=None, help="eager-build state-pool cap"
-    )
-    compile_cmd.add_argument(
-        "--verify",
-        action="store_true",
-        help="run the completeness verifier before writing; refuse (exit 1, with a "
-        "counterexample tree) unless the grammar is certified total, and stamp the "
-        "certification bit into the artifact header",
-    )
-    compile_cmd.add_argument(
-        "--operators", default=None, help="module:attr OperatorSet for text grammars"
-    )
-    compile_cmd.add_argument(
-        "--bindings",
-        default=None,
-        help="module:attr mapping of dynamic-cost/constraint callables for text grammars",
-    )
-
-    inspect_cmd = sub.add_parser("inspect", help="print an artifact's header summary")
-    inspect_cmd.add_argument("artifact")
-
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "compile":
-            grammar = resolve_grammar(args.grammar, args.operators, args.bindings)
-            selector = Selector(
-                grammar, mode="ondemand", config=SelectorConfig(max_states=args.max_states)
-            )
-            build = selector.compile()
-            if args.verify:
-                report = selector.verify()
-                if not report.certified:
-                    print(f"error: {report.describe()}", file=sys.stderr)
-                    return 1
-                print(report.describe())
-            target = selector.save(args.out)
-            aot = selector.stats()["aot"]
-            print(
-                f"compiled {grammar.name!r}: {build['states']} states, "
-                f"{build['transitions']} transitions "
-                f"(build {build['build_seconds'] * 1e3:.1f} ms"
-                + (f", skipped ops: {', '.join(build['skipped'])}" if build["skipped"] else "")
-                + (", CAPPED" if build["capped"] else "")
-                + ")"
-            )
-            print(f"fingerprint {aot['fingerprint']}")
-            print(f"wrote {target} ({aot['artifact_bytes']} bytes)")
-            return 0
-        header, _payload, _nbytes = _read_artifact(args.artifact)
-        summary = {
-            key: header.get(key)
-            for key in ("format", "grammar", "start", "fingerprint", "states", "payload_len")
-        }
-        summary["nonterminals"] = len(header["nonterminals"])
-        summary["operators"] = len(header["operators"])
-        summary["eager"] = header.get("eager")
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    except (SelectorError, CoverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -55,7 +55,7 @@ class InjectedFault(Exception):
     """The exception raised by injectors that model *recoverable* faults.
 
     A plain ``Exception`` subclass: the resilience layer is expected to
-    isolate or demote it like any user-code failure.
+    isolate it like any user-code failure.
     """
 
 

@@ -1,10 +1,9 @@
 """Tests for the static-analysis subsystem (repro.analysis).
 
 Covers: lint diagnostics over broken and clean grammars, completeness
-certification (with counterexamples that really fail labeling, and the
-certification bit round-tripping through save()/load()), dominated-rule
-pruning with a differential cover/cost/trace sweep across the bench
-workload families, rule provenance, and the CLIs.
+certification (with counterexamples that really fail labeling),
+dominated-rule pruning with a differential cover/cost/trace sweep
+across the bench workload families, rule provenance, and the CLI.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.errors import AnalysisError, CoverError
 from repro.grammar import Grammar, normalize, parse_grammar
 from repro.ir import DEFAULT_OPERATORS, Forest
 from repro.selection import OnDemandAutomaton, Selector, extract_cover
-from repro.selection.selector import main as selector_main, read_artifact_header
 
 INCOMPLETE_TEXT = """
 %grammar holes
@@ -202,41 +200,6 @@ def test_verify_reports_capped_builds_as_inconclusive():
 
 
 # ----------------------------------------------------------------------
-# Certification in the Selector / AOT wire format
-
-
-def test_certification_round_trips_through_save_load(tmp_path):
-    grammar = bench_grammar()
-    selector = Selector(grammar)
-    selector.compile()
-    assert selector.stats()["aot"]["certified"] is None
-    report = selector.verify()
-    assert report.certified
-    assert selector.stats()["aot"]["certified"] is True
-    path = selector.save(tmp_path / "bench.rsel")
-    assert read_artifact_header(path)["certified"] is True
-    loaded = Selector.load(path, grammar)
-    assert loaded.stats()["aot"]["certified"] is True
-
-
-def test_unverified_save_carries_no_certification(tmp_path):
-    grammar = bench_grammar()
-    selector = Selector(grammar)
-    path = selector.save(tmp_path / "bench.rsel")
-    assert read_artifact_header(path)["certified"] is None
-    assert Selector.load(path, grammar).stats()["aot"]["certified"] is None
-
-
-def test_grammar_extension_invalidates_certification():
-    grammar = bench_grammar()
-    selector = Selector(grammar)
-    selector.verify()
-    assert selector.stats()["aot"]["certified"] is True
-    grammar.chain("addr", "con", 2)
-    assert selector.stats()["aot"]["certified"] is None
-
-
-# ----------------------------------------------------------------------
 # Dominance analysis and pruning
 
 
@@ -334,17 +297,19 @@ def test_pruned_emit_grammar_produces_identical_traces():
 
 
 # ----------------------------------------------------------------------
-# CLIs
+# CLI
 
 
 def test_analysis_cli_lint_verify_prune(capsys, tmp_path):
     spec = "repro.bench.workloads:bench_grammar"
     assert analysis_main(["lint", spec]) == 0
-    assert analysis_main(["verify", spec]) == 0
-    assert analysis_main(["prune", spec]) == 0
+    # The certification gate CI runs over both bench grammars.
+    assert analysis_main(["verify", spec, "repro.bench.workloads:dynamic_bench_grammar"]) == 0
     out = capsys.readouterr().out
-    assert "COMPLETE" in out
-    assert "2 of 20 rule(s) dominated" in out
+    assert "grammar 'bench' (start 'stmt'): COMPLETE" in out
+    assert "grammar 'bench_dyn' (start 'stmt'): COMPLETE" in out
+    assert analysis_main(["prune", spec]) == 0
+    assert "2 of 20 rule(s) dominated" in capsys.readouterr().out
 
     unproductive = tmp_path / "bad.g"
     unproductive.write_text(
@@ -356,21 +321,18 @@ def test_analysis_cli_lint_verify_prune(capsys, tmp_path):
     incomplete.write_text(INCOMPLETE_TEXT)
     assert analysis_main(["verify", str(incomplete)]) == 1
     out = capsys.readouterr().out
+    assert "INCOMPLETE" in out
     assert "counterexample: EXPR(CNST)" in out
 
-
-def test_compile_cli_verify_flag(capsys, tmp_path):
-    artifact = tmp_path / "bench.rsel"
-    code = selector_main(
-        ["compile", "repro.bench.workloads:bench_grammar", str(artifact), "--verify"]
-    )
-    assert code == 0
-    assert read_artifact_header(artifact)["certified"] is True
-
-    incomplete = tmp_path / "holes.g"
-    incomplete.write_text(INCOMPLETE_TEXT)
-    bad_artifact = tmp_path / "holes.rsel"
-    code = selector_main(["compile", str(incomplete), str(bad_artifact), "--verify"])
-    assert code == 1
-    assert not bad_artifact.exists()
-    assert "INCOMPLETE" in capsys.readouterr().err
+    # A spec that names no grammar, or a grammar file that does not
+    # exist, is one error line and exit 1, never a traceback.
+    missing = str(tmp_path / "missing.g")
+    for spec, message in (
+        ("no.such.module:grammar", "cannot resolve 'no.such.module:grammar'"),
+        ("repro.bench.workloads:", "bad module spec"),
+        ("repro.bench.workloads:EmitContext", "not a Grammar"),
+        (missing, "cannot read grammar"),
+    ):
+        assert analysis_main(["verify", spec]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {spec}: " in err and message in err

@@ -69,3 +69,13 @@ def test_harness_service_start_matches_its_oracle_and_writes_nothing(harness, tm
     # One first request per tenant, each equal to the harness's oracle.
     assert run.tally.attempted == len(service.SERVICE_TENANTS)
     assert run.tally.failed == 0, run.tally.first_error
+
+
+def test_harness_aot_setup_times_an_eager_build_and_a_load(harness, tmp_path):
+    # The traced service run times Selector(g, mode="eager"), .save()
+    # and Selector.load() for every tenant grammar; its temporary
+    # directory goes away with it, so nothing is left under *tmp_path*.
+    compile_ms, load_ms = harness["service"]._aot_setup_ms(tmp_path)
+    assert isinstance(compile_ms, float) and compile_ms > 0
+    assert isinstance(load_ms, float) and load_ms > 0
+    assert list(tmp_path.iterdir()) == []

@@ -18,7 +18,7 @@ from repro.errors import CoverError
 from repro.grammar import Grammar, normalize
 from repro.ir import Forest, NodeBuilder
 from repro.selection import (
-    DPLabeler,
+    MODES,
     OnDemandAutomaton,
     Reducer,
     SelectionReport,
@@ -86,10 +86,9 @@ def test_select_reports_eager_labeler_name():
 # identical across DP, on-demand, eager, and label_many-batched pipelines.
 
 
-def _per_forest_runs(forests, engine):
-    """Per-forest select() calls sharing one engine and one context."""
+def _per_forest_runs(forests, selector):
+    """Per-forest select() calls sharing one selector and one context."""
     context = EmitContext()
-    selector = Selector.wrap(engine)
     values = [selector.select(forest, context=context).values for forest in forests]
     return values, context
 
@@ -105,11 +104,8 @@ def test_randomized_differential_values_and_traces_across_pipelines():
         )
         runs = {}
         # Per-forest pipelines over each labeler architecture.
-        runs["dp"] = _per_forest_runs(forests, DPLabeler(grammar))
-        runs["ondemand"] = _per_forest_runs(forests, OnDemandAutomaton(grammar))
-        eager_automaton = OnDemandAutomaton(grammar)
-        eager_automaton.build_eager()
-        runs["eager"] = _per_forest_runs(forests, eager_automaton)
+        for mode in MODES:
+            runs[mode] = _per_forest_runs(forests, Selector(grammar, mode=mode))
         # The label_many-batched pipeline (one labeling, one reducer).
         batched_context = EmitContext()
         batched = Selector(grammar).select_many(forests, context=batched_context)

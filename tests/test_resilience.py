@@ -7,10 +7,10 @@ Three contracts are exercised, each differentially against a clean run:
   phase, node provenance) while every non-faulted forest produces
   *exactly* the values a clean batch would, and the resilience
   counters match the injected fault counts.
-* **Degradation ladder** — every artifact failure (missing, unreadable,
-  truncated, corrupted, malformed header, stale) and every blown build budget demotes one
-  rung without an unhandled exception, recording the demotion in
-  ``stats()["resilience"]``.
+* **Typed artifact failures** — every artifact failure (missing,
+  unreadable, truncated, corrupted, malformed header, stale) makes
+  ``load()`` raise its :class:`ArtifactError` subclass, never a
+  ``KeyError``/``TypeError``, and leaves the file as it is.
 * **Crash safety** — ``save()`` killed after *every* write-syscall
   boundary never leaves a partial artifact at the target path, and
   strictly-partial temp files are rejected by ``load()``.
@@ -48,7 +48,6 @@ from repro.ir import Forest, ForestValidationError, Node, NodeBuilder, OperatorS
 from repro.selection import (
     EMITTERS,
     ON_ERROR_POLICIES,
-    BuildBudget,
     SelectionFailure,
     Selector,
     SelectorConfig,
@@ -478,46 +477,6 @@ def test_policies_agree_on_the_happy_path(name, make_grammar, make_forests, emit
 
 
 # ----------------------------------------------------------------------
-# Build budgets (eager → on-demand demotion)
-
-
-class TestBuildBudget:
-    def test_max_states_budget_demotes_to_ondemand(self):
-        sel = Selector(_chaos_grammar())
-        build = sel.compile(budget=BuildBudget(max_states=1))
-        assert build["capped"] is True
-        assert sel.mode == "ondemand"
-        resilience = sel.stats()["resilience"]
-        assert resilience["demotions"]["build_budget"] == 1
-        assert "build_budget" in resilience["last_degradation"]
-        # Demoted ≠ broken: selection still works on-demand.
-        clean = Selector(_chaos_grammar()).select_many(_chaos_forests())
-        assert sel.select_many(_chaos_forests()).values == clean.values
-
-    def test_deadline_budget_demotes_to_ondemand(self):
-        sel = Selector(_chaos_grammar())
-        build = sel.compile(budget=BuildBudget(deadline_ns=0))
-        assert build["deadline_exceeded"] is True
-        assert sel.mode == "ondemand"
-        assert sel.stats()["resilience"]["demotions"]["build_budget"] == 1
-        assert "deadline" in sel.stats()["resilience"]["last_degradation"]
-
-    def test_generous_budget_compiles_eagerly(self):
-        sel = Selector(_chaos_grammar())
-        build = sel.compile(budget=BuildBudget(max_states=10**6, deadline_ns=10**12))
-        assert not build["capped"] and not build["deadline_exceeded"]
-        assert sel.mode == "eager"
-        assert sel.stats()["resilience"]["demotions"]["build_budget"] == 0
-
-    def test_plain_max_states_keeps_capped_eager_semantics(self):
-        sel = Selector(_chaos_grammar())
-        build = sel.compile(max_states=1)
-        assert build["capped"] is True
-        assert sel.mode == "eager"  # historical behavior, no budget → no demotion
-        assert sel.stats()["resilience"]["demotions"]["build_budget"] == 0
-
-
-# ----------------------------------------------------------------------
 # Artifact failures: load() error taxonomy (the PR's load() bugfix)
 
 
@@ -585,46 +544,6 @@ class TestArtifactFailures:
             Selector.load(path, other)
 
 
-class TestLoadOrCompile:
-    def test_missing_artifact_demotes_to_compile(self, tmp_path):
-        grammar = _chaos_grammar()
-        sel = Selector.load_or_compile(tmp_path / "nope.rsel", grammar)
-        assert sel.mode == "eager"  # compiled in-process, no budget
-        resilience = sel.stats()["resilience"]
-        assert resilience["demotions"]["load_failed"] == 1
-        assert "load_failed" in resilience["last_degradation"]
-        clean = Selector(_chaos_grammar()).select_many(_chaos_forests())
-        assert sel.select_many(_chaos_forests()).values == clean.values
-
-    def test_corrupt_artifact_demotes_and_is_left_untouched(self, tmp_path):
-        grammar = _chaos_grammar()
-        path = Selector(grammar).save(tmp_path / "chaos.rsel")
-        corrupt_bytes(path, seed=CHAOS_SEED)
-        poisoned = path.read_bytes()
-        sel = Selector.load_or_compile(path, grammar)
-        assert sel.stats()["resilience"]["demotions"]["load_failed"] == 1
-        assert path.read_bytes() == poisoned  # left as it is
-        assert sel.select_many(_chaos_forests()).report.failures == 0
-
-    def test_healthy_artifact_loads_without_demotion(self, tmp_path):
-        grammar = _chaos_grammar()
-        path = Selector(grammar).save(tmp_path / "chaos.rsel")
-        sel = Selector.load_or_compile(path, grammar)
-        assert sel.stats()["aot"]["loaded_from"] == str(path)
-        assert sel.stats()["resilience"]["demotions"]["load_failed"] == 0
-
-    def test_budget_demotion_stacks_on_load_demotion(self, tmp_path):
-        grammar = _chaos_grammar()
-        sel = Selector.load_or_compile(
-            tmp_path / "nope.rsel", grammar, budget=BuildBudget(max_states=1)
-        )
-        assert sel.mode == "ondemand"
-        demotions = sel.stats()["resilience"]["demotions"]
-        assert demotions["load_failed"] == 1
-        assert demotions["build_budget"] == 1
-        assert sel.select_many(_chaos_forests()).report.failures == 0
-
-
 def _malformed(case: str, header: dict) -> object:
     """A valid artifact header with one structural defect *case*."""
     sections = header["sections"]
@@ -660,12 +579,11 @@ MALFORMED_CASES = [
 
 
 @pytest.mark.parametrize("case", MALFORMED_CASES)
-def test_malformed_header_is_corrupt_and_demotes(tmp_path, case):
+def test_malformed_header_is_corrupt(tmp_path, case):
     """A header re-framed under valid magic, length and payload checksum
     but with a missing or ill-typed field, or a section or state index
     outside the payload, is corrupt: ``load`` raises
-    :class:`ArtifactCorruptError` (never ``KeyError``/``TypeError``) and
-    ``load_or_compile`` demotes to an in-process compile."""
+    :class:`ArtifactCorruptError` (never ``KeyError``/``TypeError``)."""
     grammar = _chaos_grammar()
     blob = Selector(grammar, mode="eager").save(tmp_path / "good.rsel").read_bytes()
     prefix = len(selector_module._MAGIC) + selector_module._HEADER_LEN_STRUCT.size
@@ -684,10 +602,6 @@ def test_malformed_header_is_corrupt_and_demotes(tmp_path, case):
 
     with pytest.raises(ArtifactCorruptError):
         Selector.load(path, grammar)
-    sel = Selector.load_or_compile(path, grammar)
-    assert sel.stats()["resilience"]["demotions"]["load_failed"] == 1
-    clean = Selector(_chaos_grammar()).select_many(_chaos_forests())
-    assert sel.select_many(_chaos_forests()).values == clean.values
 
 
 # ----------------------------------------------------------------------
@@ -744,16 +658,15 @@ class TestAtomicSaveCrashMatrix:
                     Selector.load(partial, grammar)
                 partial.unlink()
 
-    def test_load_or_compile_recovers_from_a_crashed_legacy_writer(self, tmp_path):
+    def test_torn_legacy_write_is_corrupt(self, tmp_path):
         # A non-atomic writer dies mid-write, leaving partial bytes at
-        # the artifact path itself: loading must demote, not crash.
+        # the artifact path itself: load must raise the typed error and
+        # leave the bytes alone.
         grammar = _chaos_grammar()
         path = Selector(grammar).save(tmp_path / "chaos.rsel")
         truncate_bytes(path, fraction=0.3)
         partial = path.read_bytes()
 
-        sel = Selector.load_or_compile(path, grammar)
-        assert sel.stats()["resilience"]["demotions"]["load_failed"] == 1
+        with pytest.raises(ArtifactCorruptError):
+            Selector.load(path, grammar)
         assert path.read_bytes() == partial  # left as it is
-        clean = Selector(_chaos_grammar()).select_many(_chaos_forests())
-        assert sel.select_many(_chaos_forests()).values == clean.values

@@ -1,4 +1,4 @@
-"""The Selector facade: modes, AOT compile/save/load, wire format, CLI."""
+"""The Selector facade: modes, AOT compile/save/load, wire format."""
 
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from repro.selection import (
     label_dp,
 )
 from repro.selection import selector as selector_module
-from repro.selection.selector import main as selector_main
 from repro.selection.selector import read_artifact_header
 
 
@@ -85,50 +84,17 @@ def test_selector_select_and_select_many():
     assert skipped.report.cover_cost is None
 
 
-def test_selector_mode_errors_and_wrap():
+def test_selector_mode_errors(tmp_path):
     grammar = bench_grammar()
     with pytest.raises(ValueError, match="unknown selector mode"):
         Selector(grammar, mode="offline")
     with pytest.raises(SelectorError, match="needs a grammar"):
         Selector()
-    with pytest.raises(TypeError, match="label_many"):
-        Selector.wrap(object())
     with pytest.raises(SelectorError, match="only automaton modes"):
         Selector(grammar, mode="dp").compile()
     with pytest.raises(SelectorError, match="only automaton modes"):
-        Selector(grammar, mode="dp").save("/tmp/never-written.rsel")
-
-    automaton = OnDemandAutomaton(grammar)
-    wrapped = Selector.wrap(automaton)
-    assert wrapped.engine is automaton
-    assert Selector.wrap(wrapped) is wrapped  # selector pass-through
-    assert wrapped.grammar is grammar
-
-
-def test_wrapped_label_many_only_engine_serves_label_and_select():
-    """``wrap`` accepts any engine with ``label_many``; ``label`` must
-    then work too, not only ``select_many``."""
-
-    class BatchOnlyEngine:
-        def __init__(self, grammar):
-            self._automaton = OnDemandAutomaton(grammar)
-            self.grammar = self._automaton.grammar
-            self.source_grammar = grammar
-
-        def label_many(self, forests, metrics=None, *, deadline_at_ns=None):
-            return self._automaton.label_many(
-                forests, metrics, deadline_at_ns=deadline_at_ns
-            )
-
-    grammar = emit_bench_grammar()
-    forest = random_forests(5, forests=1, statements=4, max_depth=4)[0]
-    selector = Selector.wrap(BatchOnlyEngine(grammar))
-    metrics = LabelMetrics()
-    labeling = selector.label(forest, metrics)
-    reference = extract_cover(label_dp(grammar, forest), forest).total_cost()
-    assert extract_cover(labeling, forest).total_cost() == reference
-    assert metrics.nodes_labeled == forest.node_count()
-    assert selector.select(forest, context=EmitContext()).report.cover_cost == reference
+        Selector(grammar, mode="dp").save(tmp_path / "never-written.rsel")
+    assert not (tmp_path / "never-written.rsel").exists()
 
 
 def test_compile_switches_mode_and_stats_unify_the_views():
@@ -332,6 +298,25 @@ def test_load_rejects_old_format_and_mismatched_dynamic_outcomes(tmp_path):
     bad = compiled.save(tmp_path / "bad.rsel")
     with pytest.raises(ArtifactCorruptError, match="outcomes"):
         Selector.load(bad, dynamic_bench_grammar())
+
+
+def test_format_2_header_with_a_certified_field_still_loads(tmp_path):
+    """Format-2 writers once stamped an optional ``certified`` field in
+    the header; this build writes none and ignores it on load."""
+    grammar = bench_grammar()
+    path = Selector(grammar, mode="eager").save(tmp_path / "bench.rsel")
+    assert "certified" not in read_artifact_header(path)
+
+    def stamped(header):
+        header["certified"] = True
+        return header
+
+    old = tmp_path / "stamped.rsel"
+    old.write_bytes(_reframed(path.read_bytes(), stamped))
+    loaded = Selector.load(old, grammar)
+    assert "certified" not in loaded.stats()["aot"]
+    [forest] = random_forests(2, forests=1, statements=4, max_depth=4)
+    assert loaded.select(forest).values == Selector(grammar).select(forest).values
 
 
 def test_load_rejects_mismatched_and_stale_grammars(tmp_path):
@@ -540,31 +525,13 @@ def test_fingerprint_is_structural_and_sensitive():
 
 
 # ----------------------------------------------------------------------
-# Command-line interface
+# The AOT payoff
 
 
-def test_cli_compile_from_module_spec_and_inspect(tmp_path, capsys):
-    out = tmp_path / "bench.rsel"
-    assert selector_main(["compile", "repro.bench.workloads:bench_grammar", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "compiled 'bench'" in printed and "fingerprint" in printed
-    header = read_artifact_header(out)
-    assert header["fingerprint"] == grammar_fingerprint(bench_grammar())
-    loaded = Selector.load(out, bench_grammar())
-    [forest] = random_forests(2, forests=1, statements=4, max_depth=4)
-    assert loaded.select(forest).report.cover_cost > 0
-
-    assert selector_main(["inspect", str(out)]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["grammar"] == "bench"
-    assert summary["states"] == header["states"]
-
-
-def test_cli_compiled_artifact_loads_faster_than_an_eager_build(tmp_path):
-    """The AOT payoff: a deploy pipeline compiles the tables once, and a
-    server loading them skips the eager build with no behaviour change."""
-    out = tmp_path / "bench.rsel"
-    assert selector_main(["compile", "repro.bench.workloads:bench_grammar", str(out)]) == 0
+def test_saved_artifact_loads_faster_than_an_eager_build(tmp_path):
+    """A deploy step saves the eager tables once, and a server loading
+    them skips the eager build with no behaviour change."""
+    out = Selector(bench_grammar(), mode="eager").save(tmp_path / "bench.rsel")
     inprocess = Selector(bench_grammar(), mode="eager")
     loads = [Selector.load(out, bench_grammar()) for _ in range(3)]
     loaded = loads[0]
@@ -580,34 +547,3 @@ def test_cli_compiled_artifact_loads_faster_than_an_eager_build(tmp_path):
 
     load_ns = min(selector.stats()["aot"]["load_ns"] for selector in loads)
     assert load_ns < inprocess.stats()["aot"]["build_ns"]
-
-
-def test_cli_compile_from_grammar_text_file(tmp_path, capsys):
-    source = tmp_path / "demo.g"
-    source.write_text(
-        """
-        %grammar demo
-        %start stmt
-        stmt: EXPR(reg)     (0)
-        reg:  REG           (0)
-        reg:  ADD(reg, reg) (1)
-        reg:  CNST          (1)
-        """
-    )
-    out = tmp_path / "demo.rsel"
-    assert selector_main(["compile", str(source), str(out)]) == 0
-    header = read_artifact_header(out)
-    assert header["grammar"] == "demo"
-    capsys.readouterr()
-
-
-def test_cli_reports_errors_cleanly(tmp_path, capsys):
-    assert selector_main(["compile", "no.such.module:grammar", str(tmp_path / "x.rsel")]) == 1
-    assert "error:" in capsys.readouterr().err
-    assert selector_main(["compile", "repro.bench.workloads:EmitContext", str(tmp_path / "x.rsel")]) == 1
-    assert "not a Grammar" in capsys.readouterr().err
-    missing = tmp_path / "missing.g"
-    assert selector_main(["compile", str(missing), str(tmp_path / "x.rsel")]) == 1
-    capsys.readouterr()
-    assert selector_main(["inspect", str(tmp_path / "nothing.rsel")]) == 1
-    capsys.readouterr()

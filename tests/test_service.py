@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -179,16 +180,17 @@ def test_generous_budget_changes_nothing():
     assert selector.stats()["resilience"]["deadline_overruns"] == 0
 
 
-def test_eager_build_deadline_fires_inside_the_fixed_point():
-    # deadline_ns=0 must stop construction almost immediately — the
-    # check lives inside _eager_fill's per-state loops, not only at
-    # operator boundaries.
-    selector = Selector(bench_grammar(), mode="ondemand")
-    build = selector.engine.build_eager(deadline_ns=0)
-    assert build["deadline_exceeded"] is True
-    # Partial tables stay usable on demand.
-    result = selector.select_many(_forests(n=1))
-    assert result.ok
+def test_select_many_rejects_a_budget_that_is_not_a_request_budget():
+    # A budget object without the RequestBudget type must not silently
+    # arm no deadline: it is a caller bug, reported before any work.
+    selector = Selector(bench_grammar())
+    with pytest.raises(TypeError, match="object"):
+        selector.select_many(_forests(n=1), budget=object())
+    with pytest.raises(TypeError, match="SimpleNamespace"):
+        selector.select_many(
+            _forests(n=1), budget=SimpleNamespace(deadline_at_ns=time.monotonic_ns() - 1)
+        )
+    assert selector.stats()["selection"]["calls"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -243,10 +243,9 @@ def test_emitters_registry_and_unknown_emitter_rejected():
     even when the config says ``"tape"``."""
     assert EMITTERS == ("tape", "reducer")
     grammar = parse_grammar(DEMO_TEXT)
-    with pytest.raises(ValueError, match="unknown emitter 'frames'"):
-        Selector(grammar, config=SelectorConfig(emitter="frames"))
-    with pytest.raises(ValueError, match="unknown emitter 'frames'"):
-        Selector.wrap(OnDemandAutomaton(grammar), SelectorConfig(emitter="frames"))
+    for mode in MODES:
+        with pytest.raises(ValueError, match="unknown emitter 'frames'"):
+            Selector(grammar, mode, config=SelectorConfig(emitter="frames"))
     for mode, emitter, engine, tapes in (
         ("ondemand", "tape", "tape", 1),
         ("eager", "tape", "tape", 1),
