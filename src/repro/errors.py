@@ -103,6 +103,16 @@ class RequestLostError(ServiceError):
     """
 
 
+class RequestEncodeError(ServiceError):
+    """A request's forest could not be pickled for the worker pipe.
+
+    The encoding is deterministic — an unpicklable payload, or a forest
+    nested deeper than the pickler's recursion limit, fails every time —
+    so the request fails at once, without retries, and the rest of its
+    batch is dispatched as if it had never been there.
+    """
+
+
 class AnalysisError(ReproError):
     """Static-analysis error (unanalyzable grammar, failed differential check)."""
 

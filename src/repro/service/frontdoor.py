@@ -30,7 +30,9 @@ worker state:
   at the *front* transparently; a request that kills
   ``max_redispatches`` workers in a row is a poison pill and fails
   with :class:`~repro.errors.RequestLostError` instead of crash-looping
-  the pool.
+  the pool.  A forest that cannot be pickled is no death: it fails
+  alone with :class:`~repro.errors.RequestEncodeError` and the rest of
+  its batch requeues uncounted.
 
 Every submitted request resolves to exactly one
 :class:`ServiceResponse` — success, or a *typed* failure — which is
@@ -52,13 +54,14 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     OverloadError,
+    RequestEncodeError,
     RequestLostError,
     ServiceError,
 )
 from repro.obs import MetricsRegistry, resolve_obs
 from repro.selection.resilience import new_resilience_counters
 from repro.service.breaker import CircuitBreaker
-from repro.service.supervisor import Batch, Supervisor, WorkerHandle
+from repro.service.supervisor import Batch, Supervisor, WorkerHandle, encode_batch
 from repro.service.worker import WorkerSettings, _merge_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -858,11 +861,61 @@ class SelectionService:
                 self._stats.batched_requests += len(chosen)
                 assignments.append((worker, batch))
         for worker, batch in assignments:
-            if not supervisor.dispatch(worker, batch):
+            try:
+                sent = supervisor.dispatch(worker, batch)
+            except Exception as exc:  # noqa: BLE001 - any pickler error
+                self._reject_unencodable(batch, exc, now)
+                continue
+            if not sent:
                 # The worker died between wait() and send: requeue via
                 # the normal death path (counts a re-dispatch).
                 worker.in_flight[batch.batch_id] = batch
                 self._on_death(worker, now)
+
+    def _reject_unencodable(self, batch: Batch, error: Exception, now: int) -> None:
+        """Fail the requests whose forests cannot be pickled; requeue the rest.
+
+        Cold path: each request is encoded alone, in a one-request batch
+        message, to find the offenders; they resolve at once with a
+        :class:`~repro.errors.RequestEncodeError` (no retry: encoding is
+        deterministic), and the others go back to the front of the queue
+        without counting a re-dispatch.  Should no request fail alone,
+        the whole batch fails with the batch's own error.
+        """
+        culprits: dict[int, Exception] = {}
+        for request in batch.requests:
+            try:
+                encode_batch(
+                    Batch(batch.batch_id, batch.tenant, [request], batch.deadline_at_ns)
+                )
+            except Exception as exc:  # noqa: BLE001 - any pickler error
+                culprits[request.request_id] = exc
+        if not culprits:
+            culprits = {request.request_id: error for request in batch.requests}
+        with self._lock:
+            breaker = self._breaker(batch.tenant)
+            tenant_counters = self._stats.tenant(batch.tenant)
+            requeue: list[_Request] = []
+            for request in batch.requests:
+                exc = culprits.get(request.request_id)
+                if exc is None:
+                    requeue.append(request)
+                    continue
+                # Counts like a worker's failure row (which also releases
+                # a half-open probe the batch may have been).
+                breaker.record_failure(now)
+                tenant_counters["failures"] += 1
+                self._resolve_locked(
+                    request,
+                    "failure",
+                    error=RequestEncodeError(
+                        f"request {request.request_id}'s forest cannot be sent "
+                        f"to a worker ({type(exc).__name__}: {exc})"
+                    ),
+                    now=now,
+                )
+            self._queue.extendleft(reversed(requeue))
+        self._wake()  # the worker is still idle: dispatch the rest now
 
     # ------------------------------------------------------------------
     # Observability

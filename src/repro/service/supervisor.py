@@ -1,12 +1,17 @@
 """Supervisor: owns N worker processes, restarts crashes, re-dispatches.
 
 The supervisor is deliberately passive — it has no thread of its own.
-The front door's event loop drives it: :meth:`Supervisor.wait_objects`
-hands back every pipe connection *and* process sentinel to multiplex in
-one ``multiprocessing.connection.wait`` call, and the loop calls back
-into :meth:`handle_death` / :meth:`due_restarts` / :meth:`dispatch` as
-objects fire.  Keeping one thread of control means no lock ordering
-between request state and worker state.
+The front door's event loop drives it: each tick,
+``SelectionService._tick`` collects every live handle's pipe connection
+*and* process sentinel into one ``multiprocessing.connection.wait``
+call, and calls back into :meth:`handle_death` / :meth:`due_restarts` /
+:meth:`dispatch` as objects fire.  Keeping one thread of control means
+no lock ordering between request state and worker state.
+
+A batch is pickled (:func:`encode_batch`) before a byte reaches the
+pipe, so an unencodable forest raises out of :meth:`dispatch` with the
+worker untouched; only an ``OSError`` from the write means the worker
+is gone.
 
 Death detection is two-channel: the process *sentinel* fires on any
 exit (including SIGKILL — exit code ``-9``), and the pipe raises
@@ -27,6 +32,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
+from multiprocessing.reduction import ForkingPickler
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ServiceError
@@ -37,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.grammar.grammar import Grammar
 
-__all__ = ["Batch", "Supervisor", "WorkerHandle"]
+__all__ = ["Batch", "Supervisor", "WorkerHandle", "encode_batch"]
 
 
 @dataclass
@@ -49,6 +55,24 @@ class Batch:
     requests: list[Any]  # frontdoor._Request objects
     deadline_at_ns: int | None
     dispatched_ns: int = 0
+
+
+def encode_batch(batch: Batch) -> memoryview:
+    """*batch*'s wire message, pickled as ``Connection.send`` would.
+
+    Raises whatever the pickler raises (``RecursionError`` for a forest
+    deeper than the pickler's recursion limit, ``TypeError`` for an
+    unpicklable payload).
+    """
+    return ForkingPickler.dumps(
+        (
+            "batch",
+            batch.batch_id,
+            batch.tenant,
+            [(request.request_id, request.forest) for request in batch.requests],
+            batch.deadline_at_ns,
+        )
+    )
 
 
 @dataclass
@@ -170,18 +194,16 @@ class Supervisor:
 
     def dispatch(self, handle: WorkerHandle, batch: Batch) -> bool:
         """Ship *batch* to *handle*; ``False`` means the worker is dead
-        (caller routes through :meth:`handle_death`)."""
-        payload = (
-            "batch",
-            batch.batch_id,
-            batch.tenant,
-            [(request.request_id, request.forest) for request in batch.requests],
-            batch.deadline_at_ns,
-        )
+        (caller routes through :meth:`handle_death`).
+
+        A batch that cannot be encoded raises the pickler's exception
+        before anything is written, leaving the worker as it was.
+        """
+        message = encode_batch(batch)
+        assert handle.conn is not None
         try:
-            assert handle.conn is not None
-            handle.conn.send(payload)
-        except Exception:
+            handle.conn.send_bytes(message)
+        except OSError:
             return False
         batch.dispatched_ns = time.monotonic_ns()
         handle.in_flight[batch.batch_id] = batch

@@ -6,7 +6,10 @@ automaton: nothing is compiled or loaded up front, and each tree shape
 is labeled by dynamic programming the first time the worker sees it,
 inside the request's own label walk and under its deadline.
 
-Wire protocol (tuples over one ``multiprocessing.Pipe``):
+Wire protocol (tuples over one ``multiprocessing.Pipe``; the parent
+pickles a batch with :func:`~repro.service.supervisor.encode_batch`
+and nodes travel through :class:`~repro.ir.node.Node`'s compact
+reduction):
 
 parent → worker
     ``("batch", batch_id, tenant, [(request_id, forest), ...], deadline_at_ns)``

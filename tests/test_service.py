@@ -8,13 +8,20 @@ worker's in-flight requests are transparently re-dispatched, a
 crash-looping poison pill fails typed instead of wedging the pool) and
 the on-demand start-up contract: the service builds nothing before a
 tenant's first request, and that request's deadline bounds the labeling
-that builds its states.
+that builds its states.  Last comes the wire: how forests cross the
+worker pipe (DAG sharing, node ids, payloads, message size) and what
+happens to a forest that cannot cross it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import pickle
+import sys
+import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -31,10 +38,12 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     OverloadError,
+    RequestEncodeError,
     RequestLostError,
     ServiceError,
 )
-from repro.selection import OnDemandAutomaton, Selector
+from repro.ir import DEFAULT_OPERATORS, Forest, Node, NodeBuilder
+from repro.selection import OnDemandAutomaton, Selector, SelectorConfig
 from repro.selection import selector as selector_module
 from repro.selection.resilience import SelectionFailure, new_resilience_counters
 from repro.service import (
@@ -46,6 +55,7 @@ from repro.service import (
     SelectionService,
     ServiceConfig,
 )
+from repro.service.supervisor import Batch, encode_batch
 from repro.service.worker import _snapshot
 from repro.testing import poison_action
 
@@ -528,3 +538,160 @@ def test_deadline_bounds_a_cold_tenants_first_batch(tmp_path):
         assert service["supervisor"]["kills_total"] == 0
     expected = Selector(dynamic_bench_grammar()).select(forest)
     assert second.value == expected.values
+
+
+# ----------------------------------------------------------------------
+# The wire: forests cross the worker pipe as pickled batch messages
+
+CALLERBENCH = Path(__file__).resolve().parents[1] / "callerbench"
+
+
+def _across_the_pipe(obj):
+    """*obj* after the trip a batch makes: encoded, then ``recv``'s loads."""
+    [(_, copy)] = pickle.loads(
+        encode_batch(Batch(1, "t", [SimpleNamespace(request_id=1, forest=obj)], None))
+    )[3]
+    return copy
+
+
+def _twins(originals: list[Forest], copies: list[Forest]) -> dict[int, Node]:
+    """Map every original node (by ``id``) to its copy, checking as it
+    goes that each copy matches its original and that an original
+    reached twice maps to the same copy both times."""
+    twin: dict[int, Node] = {}
+    stack = [
+        (a, b)
+        for orig, copy in zip(originals, copies, strict=True)
+        for a, b in zip(orig.roots, copy.roots, strict=True)
+    ]
+    while stack:
+        a, b = stack.pop()
+        if id(a) in twin:
+            assert twin[id(a)] is b
+            continue
+        assert a is not b and b.op == a.op
+        assert (b.nid, b.value, len(b.kids)) == (a.nid, a.value, len(a.kids))
+        twin[id(a)] = b
+        stack.extend(zip(a.kids, b.kids))
+    return twin
+
+
+def _hand_built_dag() -> Forest:
+    """A DAG of hand-built nodes: every nid is ``-1``, so only object
+    identity tells the shared address from a copy of it."""
+    ops = DEFAULT_OPERATORS
+    shared = Node(ops["ADD"], (Node(ops["REG"], value=1), Node(ops["CNST"], value=4)))
+    load = Node(ops["LOAD"], (shared,))
+    return Forest(
+        [
+            Node(ops["EXPR"], (load,)),
+            Node(ops["STORE"], (shared, Node(ops["ADD"], (load, Node(ops["REG"], value=2))))),
+        ],
+        name="hand-built dag",
+    )
+
+
+def test_pickled_forests_keep_sharing_nids_payloads_and_operators():
+    b = NodeBuilder()
+    shared = b.add(b.reg(1), b.cnst(4))
+    first = Forest([b.expr(b.load(shared)), b.store(shared, b.reg(("r", 7)))], name="first")
+    second = Forest([b.expr(shared)], name="second")  # shares `shared` with first
+    originals = [first, second, _hand_built_dag()]
+
+    copies = _across_the_pipe(originals)
+
+    assert [f.name for f in copies] == [f.name for f in originals]
+    twin = _twins(originals, copies)
+    # One copy per distinct node: sharing inside a forest and across
+    # the forests of one message survives, and nothing else is merged.
+    distinct = {id(n) for f in originals for n in f.nodes()}
+    assert len(twin) == len(distinct) == len({id(n) for n in twin.values()})
+    assert copies[0].roots[0].kids[0].kids[0] is copies[0].roots[1].kids[0]
+    assert copies[1].roots[0].kids[0] is copies[0].roots[1].kids[0]
+    assert copies[0].roots[1].kids[1].value == ("r", 7)
+    assert {n.nid for n in copies[2].nodes()} == {-1}
+    assert all(n.nid >= 0 for f in copies[:2] for n in f.nodes())
+
+
+def test_service_matches_the_oracle_on_a_hand_built_dag(tmp_path):
+    """The shared address is emitted once only if it arrives as one
+    object: a copy per parent would cost its own register."""
+    oracle = Selector(
+        bench_grammar(), mode="dp", config=SelectorConfig(emitter="reducer")
+    ).select(_hand_built_dag(), context=EmitContext())
+    with SelectionService(
+        {"bench": bench_grammar()}, tmp_path, _config(), context_factory=EmitContext
+    ) as svc:
+        response = svc.select("bench", _hand_built_dag(), wait_s=30.0)
+    assert response.ok, response.as_row()
+    assert response.value == oracle.values
+
+
+def _too_deep_forest(depth: int = 1000) -> Forest:
+    b = NodeBuilder()
+    value = b.reg(0)
+    for _ in range(depth):
+        value = b.neg(value)
+    return Forest([b.expr(value)], name="too deep")
+
+
+def _locked_forest() -> Forest:
+    b = NodeBuilder()
+    return Forest([b.expr(b.cnst(threading.Lock()))], name="locked")
+
+
+@pytest.mark.parametrize("build_bad", [_locked_forest, _too_deep_forest])
+def test_unencodable_forest_fails_alone(tmp_path, build_bad):
+    """One forest that cannot be pickled, coalesced with three good
+    ones, fails typed on its own; the worker lives and serves the rest."""
+    slow = bench_grammar()
+    poison_action(_stmt_rule(slow), latency_s=0.2)
+    tenants = {"bench": bench_grammar(), "slow": slow}
+    with SelectionService(tenants, tmp_path, _config()) as svc:
+        assert svc.select("bench", build_flat_forest(), wait_s=30.0).ok  # warm
+        # Occupy the one worker so the next four coalesce into one batch.
+        blocker = svc.submit("slow", build_flat_forest())
+        deadline = time.monotonic() + 10.0
+        while not any(h.in_flight for h in svc.supervisor.handles):
+            assert time.monotonic() < deadline, "the blocker never went in flight"
+            time.sleep(0.002)
+        futures = [svc.submit("bench", build_flat_forest()) for _ in range(3)]
+        futures.insert(2, svc.submit("bench", build_bad()))
+        assert blocker.result(30.0).ok
+        released = time.monotonic()
+        responses = [f.result(30.0) for f in futures]
+        stall_s = time.monotonic() - released
+        service = svc.stats()["service"]
+
+    assert [r.status for r in responses] == ["ok", "ok", "failure", "ok"]
+    assert isinstance(responses[2].error, RequestEncodeError)
+    assert responses[2].attempts == 0 and responses[2].re_dispatches == 0
+    assert all(r.re_dispatches == 0 for r in responses)
+    assert service["batches"] == 4  # warm, blocker, the four, the three again
+    assert service["re_dispatches"] == 0
+    assert service["supervisor"]["restarts_total"] == 0
+    assert service["loop_errors"] == []
+    # A fake death would join the live worker for 0.5 s each round.
+    assert stall_s < 0.4, stall_s
+
+
+def test_batch_messages_of_the_service_pool_stay_compact(monkeypatch):
+    """Size gate: a batch message of ``service_pool(1)``'s forests costs
+    at most 20 bytes per node (30 with the default slot pickling, about
+    16 with the node reduction).  Bytes, not time: deterministic."""
+    spec = importlib.util.spec_from_file_location(
+        "callerbench_inputs", CALLERBENCH / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+
+    max_batch = ServiceConfig().max_batch
+    size = nodes = 0
+    for tenant, forests in inputs.service_pool(1).items():
+        for start in range(0, len(forests), max_batch):
+            chunk = forests[start : start + max_batch]
+            requests = [SimpleNamespace(request_id=i, forest=f) for i, f in enumerate(chunk)]
+            size += len(encode_batch(Batch(1, tenant, requests, None)))
+            nodes += sum(f.node_count() for f in chunk)
+    assert size / nodes <= 20, f"{size / nodes:.1f} bytes per node"
