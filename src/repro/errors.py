@@ -62,11 +62,11 @@ class ResilienceError(ReproError):
 
 
 class DeadlineExceededError(ResilienceError):
-    """A request's deadline budget expired mid-selection.
+    """A request's deadline passed mid-selection.
 
     Raised by the cooperative cancellation checks threaded through the
-    label and reduce hot loops when a :class:`~repro.service.budgets.
-    RequestBudget` deadline passes.  Deliberately *not* absorbed by
+    label and reduce hot loops when the absolute ``deadline_at_ns``
+    (a ``time.monotonic_ns()`` instant) passes.  Deliberately *not* absorbed by
     ``on_error="isolate"``: the deadline covers the whole batch, so the
     overrun must propagate to the caller (the service front door) which
     owns per-request accounting.

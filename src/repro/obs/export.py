@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.metrics.tables import format_table
-from repro.obs.metrics import Histogram, MetricsRegistry, percentile
+from repro.obs.metrics import Histogram, MetricsRegistry, _split_key, percentile
 from repro.obs.trace import Span, spans_by_name
 
 __all__ = [
@@ -42,13 +42,6 @@ def _prom_line(name: str, labels: str, value: Any) -> str:
     if value is None:
         value = "NaN"
     return f"{name}{labels} {value}"
-
-
-def _split_key(key: str) -> tuple[str, str]:
-    brace = key.find("{")
-    if brace < 0:
-        return key, ""
-    return key[:brace], key[brace:]
 
 
 def _label_join(labels: str, extra: str) -> str:

@@ -42,8 +42,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "percentile",
 ]
 
@@ -228,8 +226,6 @@ class MetricsRegistry:
     histograms add exactly, gauges overwrite (last writer wins).
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
@@ -332,66 +328,3 @@ def _split_key(key: str) -> tuple[str, str]:
     if brace < 0:
         return key, ""
     return key[:brace], key[brace:]
-
-
-class _NullMetric:
-    """Shared no-op metric for the disabled registry."""
-
-    __slots__ = ()
-    value = 0
-    count = 0
-    sum = 0
-    min = None
-    max = None
-
-    def inc(self, amount: int = 1) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: int | float) -> None:
-        return None
-
-    def quantile(self, q: float) -> None:
-        return None
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullRegistry:
-    """The disabled registry: hands out shared no-op metrics."""
-
-    enabled = False
-
-    def counter(self, name: str, **labels: Any) -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, **labels: Any) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str, **labels: Any) -> _NullMetric:
-        return _NULL_METRIC
-
-    def snapshot(self) -> dict[str, Any]:
-        return {}
-
-    def merge_snapshot(self, snapshot: dict[str, Any]) -> "NullRegistry":
-        return self
-
-    def flatten(self) -> dict[str, Any]:
-        return {}
-
-    def clear(self) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def __repr__(self) -> str:
-        return "NullRegistry()"
-
-
-#: The process-wide disabled registry.
-NULL_REGISTRY = NullRegistry()

@@ -10,11 +10,10 @@ a long-lived service traces its recent past at O(1) memory.
 
 Two design rules keep the tracer honest about overhead:
 
-* **The disabled path is one attribute check.**  Hot code holds a
-  tracer reference and guards with ``if tracer.enabled:``; the
-  process-wide :data:`NULL_TRACER` answers ``False`` forever, so a
-  selector built without observability pays a single attribute load
-  per batch, not a call.
+* **The disabled path is one ``None`` check.**  Disabled observability
+  is ``None`` rather than a tracer; hot code guards with ``if tracer
+  is not None:``, so a selector built without observability pays one
+  comparison per batch, not a call.
 * **Recording is append-only.**  :meth:`Tracer.record` takes
   already-measured ``start_ns``/``end_ns`` boundaries (the pipeline
   already times its phases; the tracer never adds clock calls to a
@@ -35,8 +34,6 @@ from itertools import count
 from typing import Any, Iterable, Iterator
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Timer",
     "Tracer",
@@ -132,10 +129,7 @@ class _SpanHandle:
 
 
 class Tracer:
-    """Bounded-ring-buffer span recorder.  ``enabled`` is always True —
-    disable by holding :data:`NULL_TRACER` instead."""
-
-    enabled = True
+    """Bounded-ring-buffer span recorder (disabled tracing holds ``None``)."""
 
     def __init__(self, capacity: int = 4096) -> None:
         self._spans: deque[Span] = deque(maxlen=max(1, capacity))
@@ -198,63 +192,6 @@ class Tracer:
         return f"Tracer(spans={len(self._spans)}, capacity={self.capacity})"
 
 
-class _NullSpanHandle:
-    """Shared no-op context manager for the disabled tracer."""
-
-    __slots__ = ()
-    span_id = 0
-
-    def __enter__(self) -> "_NullSpanHandle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_SPAN_HANDLE = _NullSpanHandle()
-
-
-class NullTracer:
-    """The disabled tracer: every operation is a no-op.
-
-    Hot paths guard with ``if tracer.enabled:`` — one attribute check —
-    so holding the process-wide :data:`NULL_TRACER` costs nothing
-    beyond that load.
-    """
-
-    enabled = False
-    recorded = 0
-    capacity = 0
-
-    def next_id(self) -> int:
-        return 0
-
-    def record(self, name: str, start_ns: int, end_ns: int, **kwargs: Any) -> int:
-        return 0
-
-    def span(self, name: str, **attrs: Any) -> _NullSpanHandle:
-        return _NULL_SPAN_HANDLE
-
-    def spans(self) -> list[Span]:
-        return []
-
-    def clear(self) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self) -> Iterator[Span]:
-        return iter(())
-
-    def __repr__(self) -> str:
-        return "NullTracer()"
-
-
-#: The process-wide disabled tracer (the single-attribute-check path).
-NULL_TRACER = NullTracer()
-
-
 # ----------------------------------------------------------------------
 # Span-native timing helpers
 
@@ -264,7 +201,7 @@ class Timer:
 
     Optionally records a span: ``Timer(tracer=obs.tracer,
     name="eager.build")`` appends one span for the measured window on
-    exit (skipped when the tracer is disabled).
+    exit.
 
     Example::
 
@@ -275,7 +212,7 @@ class Timer:
 
     def __init__(
         self,
-        tracer: "Tracer | NullTracer | None" = None,
+        tracer: Tracer | None = None,
         name: str = "timer",
         **attrs: Any,
     ) -> None:
@@ -292,7 +229,7 @@ class Timer:
     def __exit__(self, *exc_info: object) -> None:
         self.elapsed = time.perf_counter() - self._start
         tracer = self._tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             end_ns = time.monotonic_ns()
             tracer.record(
                 self._name, end_ns - int(self.elapsed * 1e9), end_ns, **self._attrs

@@ -143,7 +143,7 @@ def new_resilience_counters() -> dict[str, Any]:
     * ``isolated_failures`` — forests contained by ``on_error="isolate"``;
     * ``failures_by_phase`` — the same, split by pipeline phase
       (``validate``, ``label``, ``reduce``);
-    * ``deadline_overruns`` — selections aborted by a request-budget
+    * ``deadline_overruns`` — selections aborted by a request
       deadline (:class:`~repro.errors.DeadlineExceededError`), which
       propagates even under ``on_error="isolate"``.
     """

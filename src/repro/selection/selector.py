@@ -55,7 +55,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
 from repro.errors import (
     ArtifactCorruptError,
@@ -81,9 +81,6 @@ from repro.selection.resilience import (
 )
 from repro.selection.states import State
 from repro.selection.tape import TapeEmitter
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.budgets import RequestBudget
 
 __all__ = [
     "MODES",
@@ -750,7 +747,7 @@ class SelectorConfig:
             helpers, not a class: both emit byte-identical instruction
             streams and cost the cover in the walk that emits it.
         observe: Observability wiring: ``None``/``False`` (default)
-            disables it — the pipeline pays one attribute check per
+            disables it — the pipeline pays one ``None`` check per
             batch; ``True`` builds a private
             :class:`~repro.obs.Observability` bundle; an existing
             bundle shares its tracer/registry with other components
@@ -818,10 +815,10 @@ class Selector:
         self._last_metrics: LabelMetrics | None = None
         self._last_report: SelectionReport | None = None
         self._resilience = new_resilience_counters()
-        #: Observability bundle (the process-wide null bundle when
-        #: disabled, so hot paths guard with one attribute check).
+        #: Observability bundle (``None`` when disabled, so hot paths
+        #: guard with one ``is not None`` check).
         self._obs = resolve_obs(self.config.observe)
-        if self._obs.enabled:
+        if self._obs is not None:
             metrics = self._obs.metrics
             self._obs_phase_ns = {
                 "validate": metrics.histogram("pipeline_phase_ns", phase="validate"),
@@ -901,7 +898,7 @@ class Selector:
         start: str | None = None,
         collect_cover: bool = True,
         on_error: str = "raise",
-        budget: RequestBudget | None = None,
+        deadline_at_ns: int | None = None,
     ) -> SelectionResult:
         """Select instructions for a batch of forests in one fused pipeline.
 
@@ -933,36 +930,30 @@ class Selector:
           batch containing a labeling fault may invoke dynamic
           callables more than once per node.
 
-        *budget* threads a deadline through the hot loops: a
-        :class:`~repro.service.budgets.RequestBudget` arms
-        cooperative cancellation checks in the label walks and the
-        emission engine (the reducer's frame loop, or the tape's
-        compile walk and sweep).  The resulting
-        :class:`~repro.errors.DeadlineExceededError` covers the *whole
-        batch* and always propagates — even under
+        *deadline_at_ns*, an absolute ``time.monotonic_ns()`` instant
+        (as for :meth:`label_many`), arms cooperative cancellation
+        checks in the label walks and the emission engine (the
+        reducer's frame loop, or the tape's compile walk and sweep).
+        The resulting :class:`~repro.errors.DeadlineExceededError`
+        covers the *whole batch* and always propagates — even under
         ``on_error="isolate"`` — because per-request deadline
         accounting belongs to the caller (the service front door).  A
-        *budget* of any other type raises :class:`TypeError`.
+        *deadline_at_ns* that is not an ``int`` raises
+        :class:`TypeError` before any work runs.
         """
         if on_error not in ON_ERROR_POLICIES:
             raise ValueError(
                 f"unknown on_error policy {on_error!r}; expected one of "
                 f"{', '.join(ON_ERROR_POLICIES)}"
             )
+        if deadline_at_ns is not None and not isinstance(deadline_at_ns, int):
+            raise TypeError(
+                f"deadline_at_ns must be an int or None, not {type(deadline_at_ns).__name__}"
+            )
         forests = list(forests)
-        deadline_at_ns: int | None = None
-        if budget is not None:
-            # Imported here: repro.service imports this module.
-            from repro.service.budgets import RequestBudget
-
-            if not isinstance(budget, RequestBudget):
-                raise TypeError(
-                    f"budget must be a RequestBudget or None, not {type(budget).__name__}"
-                )
-            deadline_at_ns = budget.deadline_at_ns
         try:
             if deadline_at_ns is not None:
-                # Upfront check: an already-expired budget fails here
+                # Upfront check: an already-expired deadline fails here
                 # regardless of batch size; the strided hot-loop checks
                 # only fire every DEADLINE_CHECK_EVERY steps.
                 check_deadline(deadline_at_ns, "admission")
@@ -997,7 +988,7 @@ class Selector:
                 labeling,
                 context,
                 deadline_at_ns=deadline_at_ns,
-                tracer=self._obs.tracer if self._obs.enabled else None,
+                tracer=self._obs.tracer if self._obs is not None else None,
             )
         return Reducer(labeling, context, deadline_at_ns=deadline_at_ns)
 
@@ -1169,7 +1160,7 @@ class Selector:
         start: str | None = None,
         collect_cover: bool = True,
         on_error: str = "raise",
-        budget: RequestBudget | None = None,
+        deadline_at_ns: int | None = None,
     ) -> SelectionResult:
         """Select instructions for one forest: label, reduce, emit.
 
@@ -1188,7 +1179,7 @@ class Selector:
             start=start,
             collect_cover=collect_cover,
             on_error=on_error,
-            budget=budget,
+            deadline_at_ns=deadline_at_ns,
         )
         return SelectionResult(
             values=result.values[0], report=result.report, labeling=result.labeling
@@ -1207,7 +1198,7 @@ class Selector:
         totals["failures"] += report.failures
         totals["tapes_compiled"] += report.tapes_compiled
         self._last_report = report
-        if self._obs.enabled:
+        if self._obs is not None:
             self._observe_batch(report, end_ns)
 
     def _observe_batch(self, report: SelectionReport, end_ns: int | None) -> None:
@@ -1226,41 +1217,40 @@ class Selector:
         label_start = emit_start - report.label_ns
         select_start = label_start - report.validate_ns
         tracer = self._obs.tracer
-        if tracer.enabled:
-            select_id = tracer.next_id()
-            if report.validate_ns:
-                tracer.record(
-                    "pipeline.validate",
-                    select_start,
-                    label_start,
-                    parent_id=select_id,
-                    forests=report.forests,
-                )
+        select_id = tracer.next_id()
+        if report.validate_ns:
             tracer.record(
-                "pipeline.label",
-                label_start,
-                emit_start,
-                parent_id=select_id,
-                nodes=report.nodes,
-                mode=report.labeler,
-            )
-            tracer.record(
-                "pipeline.emit",
-                emit_start,
-                end_ns,
-                parent_id=select_id,
-                reductions=report.reductions,
-                failures=report.failures,
-            )
-            tracer.record(
-                "pipeline.select",
+                "pipeline.validate",
                 select_start,
-                end_ns,
-                span_id=select_id,
-                grammar=report.grammar,
+                label_start,
+                parent_id=select_id,
                 forests=report.forests,
-                nodes=report.nodes,
             )
+        tracer.record(
+            "pipeline.label",
+            label_start,
+            emit_start,
+            parent_id=select_id,
+            nodes=report.nodes,
+            mode=report.labeler,
+        )
+        tracer.record(
+            "pipeline.emit",
+            emit_start,
+            end_ns,
+            parent_id=select_id,
+            reductions=report.reductions,
+            failures=report.failures,
+        )
+        tracer.record(
+            "pipeline.select",
+            select_start,
+            end_ns,
+            span_id=select_id,
+            grammar=report.grammar,
+            forests=report.forests,
+            nodes=report.nodes,
+        )
         if report.validate_ns:
             self._obs_phase_ns["validate"].observe(report.validate_ns)
         self._obs_phase_ns["label"].observe(report.label_ns)
@@ -1439,7 +1429,7 @@ class Selector:
         totals["last"] = self._last_report.as_row() if self._last_report is not None else None
         row["selection"] = totals
         row["resilience"] = self.resilience_stats()
-        row["obs"] = self._obs_stats() if self._obs.enabled else None
+        row["obs"] = self._obs_stats() if self._obs is not None else None
         return row
 
     def resilience_stats(self) -> dict[str, object]:

@@ -216,8 +216,8 @@ class TapeEmitter:
         pool = labeling.automaton.pool
         self._nt_ids = pool.nt_ids
         self._nt_names = pool.nt_names
-        #: Optional span tracer; when enabled, each cover-to-tape
-        #: compilation records a ``pipeline.tape_compile`` span.
+        #: Optional span tracer (``None``: none); with one, each
+        #: cover-to-tape compilation records a ``pipeline.tape_compile`` span.
         self._tracer = tracer
         #: The batch-shared value buffer; entry slots index into it.
         self._values: list[Any] = []
@@ -488,15 +488,13 @@ class TapeEmitter:
         """Compile *forest*'s cover from *start* to one tape and sweep it.
 
         A compile fault precedes all emission: nothing ran, so nothing
-        completed, and the slot table's dead tail is cleared.  With an
-        enabled tracer the compile walk records a
+        completed, and the slot table's dead tail is cleared.  With a
+        tracer the compile walk records a
         ``pipeline.tape_compile`` span.
         """
         mark = len(self._values)
         tracer = self._tracer
-        compile_start = (
-            time.monotonic_ns() if tracer is not None and tracer.enabled else None
-        )
+        compile_start = time.monotonic_ns() if tracer is not None else None
         try:
             tape = self._compile_roots(forest, start)
         except Exception:

@@ -3,9 +3,6 @@ circuit breaking, and overload shedding.
 
 Layering (bottom up):
 
-* :mod:`repro.service.budgets` — :class:`RequestBudget` pins an
-  absolute monotonic deadline at admission and threads it through
-  every stage (queue, dispatch, the worker's label and emit walks).
 * :mod:`repro.service.breaker` — per-tenant :class:`CircuitBreaker`
   (closed → open → half-open → closed).
 * :mod:`repro.service.worker` — the forked worker process serving
@@ -15,10 +12,13 @@ Layering (bottom up):
 * :mod:`repro.service.frontdoor` — :class:`SelectionService`, the
   public face: admission control, batching, retries, watchdog,
   observability.
+
+A request deadline is an absolute ``time.monotonic_ns()`` integer,
+pinned at admission and carried unchanged through every stage (queue,
+dispatch, the pipe message, the worker's label and emit walks).
 """
 
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.service.budgets import DEADLINE_CHECK_EVERY, RequestBudget
 from repro.service.frontdoor import (
     SelectionService,
     ServiceConfig,
@@ -31,12 +31,10 @@ from repro.service.worker import WorkerSettings, worker_main
 
 __all__ = [
     "CLOSED",
-    "DEADLINE_CHECK_EVERY",
     "HALF_OPEN",
     "OPEN",
     "Batch",
     "CircuitBreaker",
-    "RequestBudget",
     "SelectionService",
     "ServiceConfig",
     "ServiceFuture",

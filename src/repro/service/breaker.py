@@ -6,7 +6,9 @@ fast-fails the tenant's requests with a typed
 :class:`~repro.errors.CircuitOpenError` instead of burning worker time
 on a grammar that is currently poisoned.  After a cooldown the breaker
 admits a single half-open *probe* batch: success closes the circuit,
-failure reopens it and restarts the cooldown.
+failure reopens it and restarts the cooldown, and a probe that ends
+with neither (its deadline passed, its worker died) frees the slot for
+the next request.
 
 Transitions are recorded as ``(tenant, from_state, to_state)`` tuples
 so :class:`~repro.service.frontdoor.SelectionService` can surface the
@@ -84,6 +86,11 @@ class CircuitBreaker:
         """Record that a half-open probe batch is now in flight."""
         if self.state == HALF_OPEN:
             self.probe_in_flight = True
+
+    def release_probe(self) -> None:
+        """A tenant batch ended with no verdict (a deadline, a dead
+        worker): free the half-open probe slot for the next request."""
+        self.probe_in_flight = False
 
     def record_success(self) -> None:
         """A tenant batch succeeded: close the circuit."""

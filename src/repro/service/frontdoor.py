@@ -14,15 +14,16 @@ worker state:
   with :class:`~repro.errors.CircuitOpenError` until a cooldown admits
   a half-open probe batch; a successful probe closes the circuit.
 * **batching** — queued requests coalesce per tenant into
-  ``select_many`` batches (up to ``max_batch``) dispatched to idle
+  ``select_many`` batches (up to :data:`MAX_BATCH`) dispatched to idle
   workers.
 * **deadlines** — every request carries an absolute monotonic deadline
   (``default_timeout_s`` unless overridden per call).  Deadlines are
   enforced at every stage: expiry in the queue, cooperative
-  cancellation inside the worker's label/reduce loops (via
-  :class:`~repro.service.budgets.RequestBudget`), and a *watchdog*
-  that SIGKILLs a worker whose batch overstays its deadline by
-  ``hang_grace_s`` (a wedged action cannot hold a slot hostage).
+  cancellation inside the worker's label/reduce loops (the same
+  ``monotonic_ns`` integer, passed as ``select_many(deadline_at_ns=...)``),
+  and a *watchdog* that SIGKILLs a worker whose batch overstays its
+  deadline by :data:`HANG_GRACE_NS` (a wedged action cannot hold a slot
+  hostage).
 * **retries** — a failed request is retried with capped, jittered
   exponential backoff up to ``retries`` times while its deadline
   allows.
@@ -78,6 +79,16 @@ __all__ = [
 
 _UNSET = object()
 
+#: Most requests coalesced into one worker batch.
+MAX_BATCH = 8
+#: Retry backoff: ``RETRY_BACKOFF_BASE_S * 2**(attempt - 1)``, capped at
+#: ``RETRY_BACKOFF_MAX_S``, then jittered by a factor in [0.5, 1.5).
+RETRY_BACKOFF_BASE_S = 0.01
+RETRY_BACKOFF_MAX_S = 0.25
+#: How long (2 s) a batch may overstay its deadline before the
+#: watchdog SIGKILLs its worker.
+HANG_GRACE_NS = 2 * 10**9
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -91,15 +102,11 @@ class ServiceConfig:
 
     workers: int = 2
     queue_limit: int = 64
-    max_batch: int = 8
     default_timeout_s: float | None = 30.0
     retries: int = 2
-    retry_backoff_base_s: float = 0.01
-    retry_backoff_max_s: float = 0.25
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 0.25
     max_redispatches: int = 3
-    hang_grace_s: float = 2.0
     heartbeat_interval_s: float = 0.5
     restart_backoff_base_s: float = 0.02
     restart_backoff_max_s: float = 1.0
@@ -296,14 +303,14 @@ class SelectionService:
     ) -> None:
         self.config = config or ServiceConfig()
         self._obs = resolve_obs(obs)
-        if self._obs.enabled:
+        if self._obs is not None:
             metrics = self._obs.metrics
             self._obs_queue_depth = metrics.gauge("service_queue_depth")
             self._obs_rtt = metrics.histogram("service_heartbeat_rtt_ns")
             self._obs_retries = metrics.counter("service_retries_total")
             self._obs_redispatches = metrics.counter("service_redispatches_total")
         settings = WorkerSettings(
-            context_factory=context_factory, observe=self._obs.enabled
+            context_factory=context_factory, observe=self._obs is not None
         )
         self.supervisor = Supervisor(
             tenants,
@@ -439,7 +446,7 @@ class SelectionService:
             depth = len(self._queue)
             if depth > stats.queue_depth_high_water:
                 stats.queue_depth_high_water = depth
-            if self._obs.enabled:
+            if self._obs is not None:
                 self._obs_queue_depth.set(depth)
         self._wake()
         return ServiceFuture(request)
@@ -469,7 +476,7 @@ class SelectionService:
         breaker = self._breakers.get(tenant)
         if breaker is None:
             on_transition = None
-            if self._obs.enabled:
+            if self._obs is not None:
                 metrics = self._obs.metrics
 
                 def on_transition(tenant: str, _from_state: str, to_state: str) -> None:
@@ -522,7 +529,7 @@ class SelectionService:
             re_dispatches=request.re_dispatches,
         )
         obs = self._obs
-        if obs.enabled:
+        if obs is not None:
             metrics = obs.metrics
             metrics.counter(
                 "service_requests_total", tenant=request.tenant, status=status
@@ -530,18 +537,17 @@ class SelectionService:
             metrics.histogram(
                 "service_request_latency_ns", tenant=request.tenant
             ).observe(latency_ns)
-            if obs.tracer.enabled:
-                # End pinned to start + latency so the span duration IS
-                # the response's latency_ns, exactly.
-                obs.tracer.record(
-                    "service.request",
-                    request.submitted_ns,
-                    request.submitted_ns + latency_ns,
-                    tenant=request.tenant,
-                    status=status,
-                    attempts=request.attempts,
-                    re_dispatches=request.re_dispatches,
-                )
+            # End pinned to start + latency so the span duration IS the
+            # response's latency_ns, exactly.
+            obs.tracer.record(
+                "service.request",
+                request.submitted_ns,
+                request.submitted_ns + latency_ns,
+                tenant=request.tenant,
+                status=status,
+                attempts=request.attempts,
+                re_dispatches=request.re_dispatches,
+            )
         request.event.set()
 
     # ------------------------------------------------------------------
@@ -622,13 +628,12 @@ class SelectionService:
                 if request.not_before_ns:
                     consider(request.not_before_ns)
         consider(self.supervisor.next_restart_ns())
-        grace_ns = int(self.config.hang_grace_s * 1e9)
         for handle in self.supervisor.handles:
             if not handle.alive:
                 continue
             for batch in handle.in_flight.values():
                 if batch.deadline_at_ns is not None:
-                    consider(batch.deadline_at_ns + grace_ns)
+                    consider(batch.deadline_at_ns + HANG_GRACE_NS)
         if next_ns is None:
             return 0.2
         return min(0.2, max(0.005, (next_ns - now) / 1e9))
@@ -642,7 +647,7 @@ class SelectionService:
             # ready / pong / error: nothing to resolve.  A pong echoes
             # the ping's monotonic-ns token, so now - token is the
             # heartbeat round trip.
-            if kind == "pong" and self._obs.enabled and isinstance(message[1], int):
+            if kind == "pong" and self._obs is not None and isinstance(message[1], int):
                 self._obs_rtt.observe(max(0, now - message[1]))
             return
         _, batch_id, rows, snapshot = message
@@ -652,7 +657,7 @@ class SelectionService:
         handle.consecutive_crashes = 0
         if batch is None:  # pragma: no cover - defensive
             return
-        if self._obs.tracer.enabled and batch.dispatched_ns:
+        if self._obs is not None and batch.dispatched_ns:
             self._obs.tracer.record(
                 "service.batch",
                 batch.dispatched_ns,
@@ -675,6 +680,7 @@ class SelectionService:
                     breaker.record_success()
                     self._resolve_locked(request, "ok", value=payload, now=now)
                 elif status == "deadline":
+                    breaker.release_probe()
                     self._resolve_locked(
                         request,
                         "deadline",
@@ -692,11 +698,11 @@ class SelectionService:
                         request.attempts += 1
                         stats.retries += 1
                         tenant_counters["retries"] += 1
-                        if self._obs.enabled:
+                        if self._obs is not None:
                             self._obs_retries.inc()
                         backoff_s = min(
-                            config.retry_backoff_base_s * (2 ** (request.attempts - 1)),
-                            config.retry_backoff_max_s,
+                            RETRY_BACKOFF_BASE_S * (2 ** (request.attempts - 1)),
+                            RETRY_BACKOFF_MAX_S,
                         ) * (0.5 + self._rng.random())
                         request.not_before_ns = now + int(backoff_s * 1e9)
                         self._queue.append(request)
@@ -722,12 +728,13 @@ class SelectionService:
         with self._lock:
             stats = self._stats
             for batch in orphans:
+                self._breaker(batch.tenant).release_probe()
                 for request in batch.requests:
                     if request.response is not None:
                         continue
                     request.re_dispatches += 1
                     stats.re_dispatches += 1
-                    if self._obs.enabled:
+                    if self._obs is not None:
                         self._obs_redispatches.inc()
                     if request.re_dispatches > self.config.max_redispatches:
                         stats.poison_pills += 1
@@ -777,14 +784,13 @@ class SelectionService:
 
     def _watchdog(self, now: int) -> None:
         """SIGKILL workers whose batch overstayed deadline + grace."""
-        grace_ns = int(self.config.hang_grace_s * 1e9)
         for handle in self.supervisor.handles:
             if not handle.alive:
                 continue
             for batch in handle.in_flight.values():
                 if (
                     batch.deadline_at_ns is not None
-                    and now > batch.deadline_at_ns + grace_ns
+                    and now > batch.deadline_at_ns + HANG_GRACE_NS
                 ):
                     self.supervisor.kill_worker(handle)
                     break
@@ -815,7 +821,7 @@ class SelectionService:
                 chosen: list[_Request] = []
                 skipped: list[_Request] = []
                 tenant: str | None = None
-                while self._queue and len(chosen) < self.config.max_batch:
+                while self._queue and len(chosen) < MAX_BATCH:
                     request = self._queue.popleft()
                     if request.response is not None:
                         continue
@@ -927,7 +933,7 @@ class SelectionService:
         folded exactly once — at worker death or service stop — and
         then blanked to keep later merges from double counting.
         """
-        if not self._obs.enabled or not isinstance(handle.snapshot, dict):
+        if self._obs is None or not isinstance(handle.snapshot, dict):
             return
         worker_obs = handle.snapshot.get("obs")
         if worker_obs:
@@ -980,7 +986,7 @@ class SelectionService:
         service["loop_errors"] = list(self._loop_errors)
         resilience["service"] = service
         obs_view: dict[str, object] | None = None
-        if self._obs.enabled:
+        if self._obs is not None:
             obs_view = self._merged_obs_registry().flatten()
             for key in (
                 "submitted",

@@ -48,7 +48,7 @@ __all__ = ["Batch", "Supervisor", "WorkerHandle", "encode_batch"]
 
 @dataclass
 class Batch:
-    """One coalesced dispatch unit: same tenant, up to ``max_batch`` requests."""
+    """One coalesced dispatch unit: same tenant, up to ``MAX_BATCH`` requests."""
 
     batch_id: int
     tenant: str

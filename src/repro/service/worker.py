@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import DeadlineExceededError, ServiceError
 from repro.selection.resilience import SelectionFailure, new_resilience_counters
 from repro.selection.selector import Selector, SelectorConfig
-from repro.service.budgets import RequestBudget
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
@@ -101,8 +101,7 @@ def _serve_batch(
     deadline_at_ns: int | None,
 ) -> list[tuple]:
     """Run one batch and return its ``(request_id, status, payload)`` rows."""
-    budget = RequestBudget.until(deadline_at_ns)
-    if budget.expired():
+    if deadline_at_ns is not None and time.monotonic_ns() > deadline_at_ns:
         return [(rid, "deadline", "expired before worker pickup") for rid, _ in requests]
 
     grammar = tenants.get(tenant)
@@ -127,7 +126,7 @@ def _serve_batch(
             context=context,
             on_error="isolate",
             collect_cover=False,
-            budget=budget,
+            deadline_at_ns=deadline_at_ns,
         )
     except DeadlineExceededError as exc:
         return [(rid, "deadline", str(exc)) for rid, _ in requests]
@@ -158,7 +157,7 @@ def _snapshot(selectors: dict[str, Selector], obs: Any = None) -> dict[str, Any]
     for selector in selectors.values():
         _merge_counters(resilience, selector.resilience_stats())
     snapshot = {"pid": os.getpid(), "resilience": resilience}
-    if obs is not None and obs.enabled:
+    if obs is not None:
         # Cumulative (not delta) registry state: the supervisor keeps
         # only each worker's latest snapshot and merges once.
         snapshot["obs"] = obs.metrics.snapshot()

@@ -3,10 +3,10 @@
 Layered like the package: the log-linear histogram algebra first —
 including the exact-merge contract across a real ``fork()`` boundary,
 the property the service's worker-snapshot aggregation rests on — then
-the span tracer (parenting, ring bound, and the disabled null path's
-zero-footprint guarantee), the exporters (JSONL round-trip through the
-``python -m repro.obs render`` CLI, Prometheus text exposition), the
-selector/service wiring, and the span-native ``Timer``.
+the span tracer (parenting, ring bound), the exporters (JSONL
+round-trip through the ``python -m repro.obs render`` CLI, Prometheus
+text exposition), the selector/service wiring (disabled observability
+is ``None`` and leaves no footprint), and the span-native ``Timer``.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ import multiprocessing
 
 from repro.bench.workloads import bench_grammar, random_forests
 from repro.obs import (
-    NULL_OBS,
     Histogram,
     MetricsRegistry,
-    NullTracer,
     Observability,
     Tracer,
     metric_key,
@@ -176,21 +174,11 @@ def test_tracer_ring_is_bounded_but_counts_everything():
     assert [s.name for s in tracer.spans()] == ["s6", "s7", "s8", "s9"]
 
 
-def test_null_tracer_records_nothing():
-    tracer = NullTracer()
-    assert tracer.enabled is False
-    with tracer.span("ignored", key="value"):
-        pass
-    tracer.record("ignored", 0, 1)
-    assert tracer.spans() == []
-    assert tracer.recorded == 0
-
-
 def test_resolve_obs_normalizes_the_observe_argument():
-    assert resolve_obs(None) is NULL_OBS
-    assert resolve_obs(False) is NULL_OBS
+    assert resolve_obs(None) is None
+    assert resolve_obs(False) is None
     fresh = resolve_obs(True)
-    assert fresh.enabled and fresh is not NULL_OBS
+    assert isinstance(fresh, Observability)
     bundle = Observability()
     assert resolve_obs(bundle) is bundle
 
@@ -267,13 +255,13 @@ def test_prometheus_exposition_from_registry_and_snapshot(tmp_path, capsys):
 
 def test_selector_disabled_observability_is_the_null_path():
     selector = Selector(bench_grammar())
+    assert selector._obs is None
     assert selector.stats()["obs"] is None
-    assert not selector._obs.enabled
-    assert len(selector._obs.metrics) == 0
     selector.select_many(_forests(), collect_cover=False)
-    # The null registry and tracer stayed empty: no metric objects, no spans.
-    assert len(selector._obs.metrics) == 0
-    assert selector._obs.tracer.spans() == []
+    # Nothing to record into: no metric objects were made, no view appears.
+    assert not hasattr(selector, "_obs_batches")
+    assert selector._obs is None
+    assert selector.stats()["obs"] is None
 
 
 def test_selector_records_pipeline_phases_and_metrics():
@@ -347,9 +335,12 @@ def test_service_worker_metrics_cross_the_fork(tmp_path, capsys):
 def test_service_disabled_observability_reports_none(tmp_path):
     tenants = {"bench": bench_grammar()}
     with SelectionService(tenants, tmp_path, ServiceConfig(workers=1, seed=3)) as service:
+        assert service._obs is None
         future = service.submit("bench", _forests(n=1)[0])
         assert future.result(60.0).ok
         assert service.stats()["obs"] is None
+        # The worker ran without a bundle: its snapshot carries no metrics.
+        assert all("obs" not in h.snapshot for h in service.supervisor.handles)
 
 
 def test_obs_timer_keeps_the_elapsed_surface_and_records_spans():

@@ -1,8 +1,8 @@
 """Tests for the supervised selection service and its building blocks.
 
-Layered like the package: :class:`RequestBudget` deadline arithmetic
-and cooperative cancellation inside the selection hot loops first, the
-:class:`CircuitBreaker` state machine next, then the full
+Layered like the package: the :class:`CircuitBreaker` state machine
+first, deadlines (absolute ``monotonic_ns`` integers) and cooperative
+cancellation inside the selection hot loops next, then the full
 :class:`SelectionService` — including the chaos contracts (a SIGKILLed
 worker's in-flight requests are transparently re-dispatched, a
 crash-looping poison pill fails typed instead of wedging the pool) and
@@ -51,10 +51,10 @@ from repro.service import (
     HALF_OPEN,
     OPEN,
     CircuitBreaker,
-    RequestBudget,
     SelectionService,
     ServiceConfig,
 )
+from repro.service.frontdoor import MAX_BATCH
 from repro.service.supervisor import Batch, encode_batch
 from repro.service.worker import _snapshot
 from repro.testing import poison_action
@@ -69,47 +69,6 @@ def _stmt_rule(grammar):
 
 def _forests(seed: int = 11, n: int = 4):
     return random_forests(seed, forests=n, statements=4, max_depth=3)
-
-
-# ----------------------------------------------------------------------
-# RequestBudget
-
-
-def test_request_budget_start_pins_an_absolute_deadline():
-    budget = RequestBudget.start(5.0)
-    assert not budget.expired()
-    remaining = budget.remaining_ns()
-    assert 4.0e9 < remaining <= 5.0e9
-    budget.check("label")  # must not raise
-    # The deadline is pinned: remaining shrinks monotonically.
-    assert budget.remaining_ns() <= remaining
-
-
-def test_request_budget_without_deadline_never_expires():
-    budget = RequestBudget.until(None)
-    assert budget.deadline_at_ns is None
-    assert budget.remaining_ns() is None
-    assert not budget.expired()
-    budget.check("reduce")
-    assert budget.deadline_ns is None
-
-
-def test_request_budget_expired_check_raises():
-    budget = RequestBudget.until(time.monotonic_ns() - 1)
-    assert budget.expired()
-    assert budget.remaining_ns() == 0
-    with pytest.raises(DeadlineExceededError, match="during reduce"):
-        budget.check("reduce")
-
-
-def test_request_budget_until_carries_remaining_clock():
-    # The worker rebuilds a budget from the absolute deadline shipped
-    # over the pipe: its allowance is what is left, not a fresh one.
-    deadline_at = time.monotonic_ns() + 10 * 10**9
-    budget = RequestBudget.until(deadline_at)
-    assert budget.deadline_at_ns == deadline_at
-    assert 9.0e9 < budget.deadline_ns <= 10.0e9
-    assert budget.remaining_ns() <= budget.deadline_ns
 
 
 # ----------------------------------------------------------------------
@@ -165,9 +124,8 @@ def test_breaker_half_open_probe_failure_reopens():
 
 def test_select_many_expired_budget_raises_and_counts():
     selector = Selector(bench_grammar(), mode="eager")
-    budget = RequestBudget.until(time.monotonic_ns() - 1)
     with pytest.raises(DeadlineExceededError):
-        selector.select_many(_forests(n=1), budget=budget)
+        selector.select_many(_forests(n=1), deadline_at_ns=time.monotonic_ns() - 1)
     assert selector.stats()["resilience"]["deadline_overruns"] == 1
 
 
@@ -176,29 +134,33 @@ def test_isolate_does_not_absorb_deadline_errors():
     # on_error="isolate" must re-raise it, never convert it into
     # SelectionFailure rows.
     selector = Selector(bench_grammar(), mode="eager")
-    budget = RequestBudget.until(time.monotonic_ns() - 1)
     with pytest.raises(DeadlineExceededError):
-        selector.select_many(_forests(n=2), on_error="isolate", budget=budget)
+        selector.select_many(
+            _forests(n=2), on_error="isolate", deadline_at_ns=time.monotonic_ns() - 1
+        )
 
 
 def test_generous_budget_changes_nothing():
     selector = Selector(bench_grammar(), mode="eager")
     forests = _forests(n=2)
-    budgeted = selector.select_many(forests, budget=RequestBudget.start(30.0))
+    budgeted = selector.select_many(
+        forests, deadline_at_ns=time.monotonic_ns() + 30 * 10**9
+    )
     plain = selector.select_many(forests)
     assert budgeted.values == plain.values
     assert selector.stats()["resilience"]["deadline_overruns"] == 0
 
 
 def test_select_many_rejects_a_budget_that_is_not_a_request_budget():
-    # A budget object without the RequestBudget type must not silently
-    # arm no deadline: it is a caller bug, reported before any work.
+    # A deadline that is not an int must not silently arm no
+    # deadline: it is a caller bug, reported before any work.
     selector = Selector(bench_grammar())
     with pytest.raises(TypeError, match="object"):
-        selector.select_many(_forests(n=1), budget=object())
+        selector.select_many(_forests(n=1), deadline_at_ns=object())
     with pytest.raises(TypeError, match="SimpleNamespace"):
         selector.select_many(
-            _forests(n=1), budget=SimpleNamespace(deadline_at_ns=time.monotonic_ns() - 1)
+            _forests(n=1),
+            deadline_at_ns=SimpleNamespace(deadline_at_ns=time.monotonic_ns() - 1),
         )
     assert selector.stats()["selection"]["calls"] == 0
 
@@ -371,6 +333,68 @@ def test_service_breaker_opens_fast_fails_then_recovers(tmp_path):
         assert service["breakers"]["bench"]["state"] == CLOSED
         states = [(frm, to) for _, frm, to in service["breaker_transitions"]]
         assert states == [(CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED)]
+
+
+def _flaky_tenant():
+    """A bench grammar whose ``EXPR`` statements take 10 ms each and fail
+    on a ``REG("fail")`` operand — in every process alike, since the
+    trigger is the forest, not a call count a restarted worker forgets."""
+    grammar = bench_grammar()
+    poison_action(
+        _stmt_rule(grammar),
+        predicate=lambda _context, node, _operands: node.kids[0].value == "fail",
+        latency_s=0.01,
+    )
+    return grammar
+
+
+def _statements(values) -> Forest:
+    b = NodeBuilder()
+    return Forest([b.expr(b.reg(value)) for value in values], name="statements")
+
+
+def _open_the_breaker(svc) -> None:
+    """Two failures open the threshold-2 breaker; once its 0.3 s
+    cooldown has passed, the next request is the half-open probe."""
+    for _ in range(2):
+        response = svc.select("bench", _statements(["fail"]), wait_s=20.0)
+        assert response.status == "failure", response.as_row()
+    assert svc.stats()["service"]["breakers"]["bench"]["state"] == OPEN
+    time.sleep(0.35)
+
+
+def test_breaker_probe_ending_in_a_deadline_frees_the_probe_slot(tmp_path):
+    """A half-open probe that ends ``deadline`` is no verdict on the
+    tenant: the next request probes instead of fast-failing for good."""
+    config = _config(retries=0, breaker_threshold=2, breaker_cooldown_s=0.3)
+    with SelectionService({"bench": _flaky_tenant()}, tmp_path, config) as svc:
+        _open_the_breaker(svc)
+        # 80 statements at 10 ms each overrun the probe's 0.2 s deadline.
+        probe = svc.select("bench", _statements(range(80)), timeout_s=0.2, wait_s=20.0)
+        assert probe.status == "deadline", probe.as_row()
+        healthy = [svc.select("bench", build_flat_forest(), wait_s=20.0) for _ in range(3)]
+        assert [r.status for r in healthy] == ["ok"] * 3
+        assert svc.stats()["service"]["breakers"]["bench"]["state"] == CLOSED
+
+
+def test_breaker_probe_whose_worker_dies_frees_the_probe_slot(tmp_path):
+    """A half-open probe whose worker dies is requeued, and the requeued
+    probe dispatches again: a death is no verdict on the tenant."""
+    config = _config(retries=0, breaker_threshold=2, breaker_cooldown_s=0.3)
+    with SelectionService({"bench": _flaky_tenant()}, tmp_path, config) as svc:
+        _open_the_breaker(svc)
+        probe = svc.submit("bench", _statements(range(80)), timeout_s=5.0)
+        deadline = time.monotonic() + 5.0
+        while not any(h.in_flight for h in svc.supervisor.handles):
+            assert time.monotonic() < deadline, "the probe never went in flight"
+            time.sleep(0.002)
+        assert svc.supervisor.kill_worker(svc.supervisor.handles[0])
+        response = probe.result(30.0)
+        assert response.ok and response.re_dispatches == 1, response.as_row()
+        assert svc.select("bench", build_flat_forest(), wait_s=20.0).ok
+        service = svc.stats()["service"]
+        assert service["breakers"]["bench"]["state"] == CLOSED
+        assert service["supervisor"]["restarts_total"] == 1
 
 
 def test_service_redispatches_after_worker_kill_zero_loss(tmp_path):
@@ -686,11 +710,10 @@ def test_batch_messages_of_the_service_pool_stay_compact(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, inputs)
     spec.loader.exec_module(inputs)
 
-    max_batch = ServiceConfig().max_batch
     size = nodes = 0
     for tenant, forests in inputs.service_pool(1).items():
-        for start in range(0, len(forests), max_batch):
-            chunk = forests[start : start + max_batch]
+        for start in range(0, len(forests), MAX_BATCH):
+            chunk = forests[start : start + MAX_BATCH]
             requests = [SimpleNamespace(request_id=i, forest=f) for i, f in enumerate(chunk)]
             size += len(encode_batch(Batch(1, tenant, requests, None)))
             nodes += sum(f.node_count() for f in chunk)
