@@ -253,6 +253,13 @@ class AutomatonLabeling(Labeling):
         #: ``id(node) -> State`` for every labeled node (the tape
         #: compiler reads it directly, one get per entry).
         self.node_states: dict[int, State] = {}
+        #: True when every labeled node has exactly one referrer — one
+        #: root occurrence or one parent edge across the whole batch —
+        #: so no ``(node, goal)`` entry can recur in one emission of
+        #: each forest (set by :meth:`OnDemandAutomaton.label_many`).
+        #: A DAG-shared node, a repeated forest and a root shared
+        #: between forests all make it False.
+        self.tree = False
 
     @property
     def nodes_labeled(self) -> int:
@@ -493,7 +500,9 @@ class OnDemandAutomaton:
         The sync check, labeling-object allocation, and metrics wiring
         are paid once for the whole batch, and all forests share one
         node-state map: a node appearing in several forests (DAGs over
-        common subexpressions) is labeled exactly once.  Returns a
+        common subexpressions) is labeled exactly once.  The walk counts
+        parent edges, so the labeling knows whether the batch is a tree
+        (:attr:`AutomatonLabeling.tree`).  Returns a
         single :class:`AutomatonLabeling` valid for every forest in the
         batch — hand it to ``extract_cover(labeling, forest)`` per
         forest.  A grammar extension is picked up at the *next*
@@ -509,15 +518,18 @@ class OnDemandAutomaton:
         roots = [root for forest in forests for root in forest.roots]
         node_states = labeling.node_states
         if metrics is None:
-            self._walk(roots, node_states, _NULL_METRICS, deadline_at_ns)
-            return labeling
-        started = time.perf_counter()
-        try:
-            self._walk(roots, node_states, metrics, deadline_at_ns)
-        finally:
-            metrics.seconds += time.perf_counter() - started
-            metrics.nodes_labeled += len(node_states)
-            metrics.table_lookups += len(node_states)
+            edges = self._walk(roots, node_states, _NULL_METRICS, deadline_at_ns)
+        else:
+            started = time.perf_counter()
+            try:
+                edges = self._walk(roots, node_states, metrics, deadline_at_ns)
+            finally:
+                metrics.seconds += time.perf_counter() - started
+                metrics.nodes_labeled += len(node_states)
+                metrics.table_lookups += len(node_states)
+        # Every node has at least one referrer (a root occurrence or a
+        # parent edge), so the counts are equal exactly when each has one.
+        labeling.tree = len(node_states) == len(roots) + edges
         return labeling
 
     def _walk(
@@ -526,11 +538,13 @@ class OnDemandAutomaton:
         node_states: dict[int, State],
         metrics: LabelMetrics,
         deadline_at_ns: int | None,
-    ) -> None:
+    ) -> int:
         """The labeling walk: one fused stack walk, one operator-table
         lookup plus one int-keyed get per child.  The state map is the
         visited set: a node is expanded at most once and transitioned
-        the moment its last child has a state.
+        the moment its last child has a state.  Returns the number of
+        parent edges, the arities of the nodes it labeled summed (one
+        add per node, where it gets its state).
 
         Lookups go through the tables of operators without dynamic
         rules first (all of them, on a static grammar; none, when the
@@ -552,6 +566,7 @@ class OnDemandAutomaton:
         get_state = node_states.get
         ticks = 0
         evals_run = 0
+        edges = 0
         try:
             while stack:
                 if deadline_at_ns is not None:
@@ -587,6 +602,7 @@ class OnDemandAutomaton:
                             state = self._construct_state(table, 2, (s0, s1), None, metrics)
                             by_s1[s1.index] = state
                         node_states[nid] = state
+                        edges += 2
                         continue
                     key = (s0.index, s1.index)
                 elif arity == 0:
@@ -615,6 +631,7 @@ class OnDemandAutomaton:
                             state = self._construct_state(table, 1, (s0,), None, metrics)
                             table.unary[s0.index] = state
                         node_states[nid] = state
+                        edges += 1
                         continue
                     key = (s0.index,)
                 else:
@@ -637,6 +654,7 @@ class OnDemandAutomaton:
                             state = self._construct_state(table, arity, kid_states, None, metrics)
                             table.nary[key] = state
                         node_states[nid] = state
+                        edges += arity
                         continue
                 # The dynamic tail: an operator with dynamic rules (every
                 # operator, under dynamic chain rules) or one never seen.
@@ -671,8 +689,10 @@ class OnDemandAutomaton:
                     attach_node_provenance(exc, node)
                     raise
                 node_states[nid] = state
+                edges += arity
         finally:
             metrics.dynamic_evals += evals_run
+        return edges
 
     # ------------------------------------------------------------------
     # Dynamic transitions: candidate rows keyed by child states

@@ -981,7 +981,10 @@ class Selector:
         as the differential oracle.  The two share a contract, not a
         class: both honour the same ``reduce_forest``/``memo_size``/
         ``rollback_to`` surface and cost the cover in the walk that
-        emits it.
+        emits it.  :meth:`_select_many` emits each forest of the batch
+        it labeled exactly once, so the tape is built with ``once``: a
+        tree labeling compiles without the slot table, a DAG labeling
+        through it.
         """
         if self.config.emitter == "tape" and isinstance(labeling, AutomatonLabeling):
             return TapeEmitter(
@@ -989,6 +992,7 @@ class Selector:
                 context,
                 deadline_at_ns=deadline_at_ns,
                 tracer=self._obs.tracer if self._obs is not None else None,
+                once=True,
             )
         return Reducer(labeling, context, deadline_at_ns=deadline_at_ns)
 

@@ -22,13 +22,13 @@ into flat instruction sequences:
    to transitions; goals are the state pool's nonterminal ids, the id
    space the fragments are keyed by.  Entry *i*'s result lands in
    value-buffer slot ``base + i``, so result slots are implicit and
-   operand references are plain slot indices, encoded ``(slot << 1) |
-   spliced`` — bit 0 marks operands produced by normalisation helper
+   operand references are value-buffer indices, encoded ``(index << 1)
+   | spliced`` — bit 0 marks operands produced by normalisation helper
    rules, whose value lists are spliced flat exactly as the frame
    engine splices ``_SplicedOperands``.
 2. **Sweep** — one linear pass over the tape runs the thunks against a
    single shared value buffer: no frames, no memo probes, no per-frame
-   operand lists; operand gather is slot indexing.
+   operand lists; operand gather is ``buf[ref >> 1]``.
 
 The compile walk replicates the frame engine's exact left-to-right
 postorder — including where memo hits happen — so both engines run the
@@ -39,6 +39,31 @@ has its own slot table, counters and fault handling.  The tape compiles
 automaton labelings only (:class:`TapeEmitter` raises
 :class:`TypeError` on any other); a DP labeling has no states, and the
 frame engine emits it.
+
+Two compile walks
+-----------------
+The **slot walk** (:meth:`TapeEmitter._compile_roots`) keys every
+``(node, goal)`` entry it lays out in a slot table that spans the
+emitter's lifetime, so an entry reached twice — a DAG-shared node, a
+forest emitted again — resolves to its first slot (a memo hit).  Its
+operand refs are absolute slots, ``(slot << 1) | spliced``.
+
+The **tree walk** (:meth:`TapeEmitter._compile_tree`) has no slot table
+and no pending entries.  It runs when the labeling is a tree
+(:attr:`~repro.selection.automaton.AutomatonLabeling.tree`: every
+labeled node has exactly one referrer, which the labeling walk's edge
+count decides) *and* the emitter was built with ``once=True``, the
+caller's promise to emit each forest of the labeled batch once — as
+:meth:`~repro.selection.selector.Selector.select_many` does.  Then no
+entry can recur, so there is nothing to key or probe.  The walk lays
+out entries parent-first and right to left, then reverses them into the
+slot walk's exact postorder; an operand ref is the *negative* distance
+back to the operand, ``(-d << 1) | spliced``, which the sweep reads as
+``buf[ref >> 1]`` unchanged.  Root refs stay absolute.  It evaluates
+dynamic costs after the layout, in postorder, and raises a root's
+missing derivation only once the roots before it are costed, so its
+first fault is the slot walk's.  DAG batches and any emitter built
+without ``once`` keep the slot walk and its memo hits.
 
 Cover cost
 ----------
@@ -66,7 +91,8 @@ Fault isolation
 The batch-shared value buffer makes rollback a *truncation*: a
 fault-isolating caller snapshots ``memo_size()`` (the buffer length)
 before a forest and ``rollback_to()`` it after a fault — ``del
-values[mark:]`` plus popping the slot table's tail — instead of the
+values[mark:]`` plus popping the slot table's tail (the tree walk has
+none) — instead of the
 frame engine's reverse-ordered memo surgery.  Because compilation
 precedes emission, a forest whose cover is broken (``CoverError``)
 faults *before any action runs*: the frame engine may emit a partial
@@ -116,7 +142,11 @@ class CompiledTape:
             -> value``, taken from the fragments (bound per context
             kind, so a tape serves any context of its compiler's kind).
         nodes: Per-entry IR nodes, the thunks' ``node`` argument.
-        runs: Per-entry operand references, ``(slot << 1) | spliced``.
+        runs: Per-entry operand references, ``(index << 1) | spliced``
+            with ``buf[index]`` the operand's value: an absolute slot
+            from the slot walk, a negative distance back from the
+            entry's own slot (``-d`` for the operand *d* entries
+            earlier) from the tree walk.
         root_refs: Absolute value slots, one per root, in root order.
     """
 
@@ -181,6 +211,12 @@ class TapeEmitter:
     goal id) spans the emitter's lifetime, so a node shared between
     batch forests emits once and later forests reference its slot.
 
+    *once* is the caller's promise that it emits each forest of the
+    labeled batch exactly once, and no other forest.  With it, a tree
+    labeling compiles through the tree walk, which keeps no slot table
+    (see the module docs); without it, or on a DAG labeling, every
+    forest compiles through the slot walk.
+
     Every ``reduce_forest`` compiles one tape and sweeps it;
     :attr:`tapes_compiled` counts the non-empty ones.  *cache* is
     accepted for compatibility and ignored (see :class:`TapeCache`).
@@ -199,6 +235,7 @@ class TapeEmitter:
         deadline_at_ns: int | None = None,
         cache: TapeCache | None = None,
         tracer: Any = None,
+        once: bool = False,
     ) -> None:
         if not isinstance(labeling, AutomatonLabeling):
             raise TypeError(
@@ -207,6 +244,9 @@ class TapeEmitter:
             )
         self.labeling = labeling
         self.context = context
+        #: Compile with the tree walk: the labeling is a tree and the
+        #: caller emits each of its forests once (*once*).
+        self._tree = once and labeling.tree
         #: Absolute monotonic deadline for cooperative cancellation
         #: (checked every DEADLINE_CHECK_EVERY compile and sweep steps);
         #: None disables the checks.
@@ -274,6 +314,121 @@ class TapeEmitter:
 
     # ------------------------------------------------------------------
     # Compile
+
+    def _compile_tree(self, forest: Forest, start: str) -> CompiledTape:
+        """Lower *forest*'s roots from *start* to one tape, without the
+        slot table (the tree walk; see the module docs).
+
+        A visit ``(node, goal, out, pos, parent)`` lays out the chain
+        ladder from *goal* down, then the base entry, then pushes one
+        visit per kid (the last kid pops first); the roots go last to
+        first, so the layout is the slot walk's postorder backwards.
+        The entry laid out at index *j* is the operand ``out[pos]`` of
+        the one laid out at *parent* < *j*, which after the reversal
+        follows it by ``j - parent`` slots: its ref is ``((parent - j)
+        << 1) | spliced``.  A :class:`CoverError` at a root drops the
+        layout of the roots after it, which the slot walk never reaches.
+        """
+        base = len(self._values)
+        node_states = self.labeling.node_states
+        rows = self._rows
+        fragment = self._fragment
+        deadline = self.deadline_at_ns
+        start_goal = self._nt_ids.get(start)
+        roots = forest.roots
+        if start_goal is None and roots:
+            self._underivable(roots[0], start)
+
+        thunks: list[Any] = []
+        nodes: list[Node] = []
+        runs: list[list[int] | tuple] = []
+        tops: list[int] = []  # each root's top entry, last root first
+        dynamic: list[tuple] = []  # (rule, node) per dynamic-cost entry
+        cost = 0
+        ticks = 0
+        laid = 0
+        fault: CoverError | None = None
+        stack: list[tuple] = []
+        push = stack.append
+        pop = stack.pop
+
+        for root in reversed(roots):
+            tops.append(laid)
+            push((root, start_goal, None, 0, 0))
+            try:
+                while stack:
+                    if deadline is not None:
+                        ticks += 1
+                        if ticks >= DEADLINE_CHECK_EVERY:
+                            ticks = 0
+                            check_deadline(deadline, "reduce")
+                    node, goal, out, pos, parent = pop()
+                    state = node_states.get(id(node))
+                    while True:
+                        try:
+                            frag = rows[state][goal]
+                        except (KeyError, IndexError):
+                            frag = None
+                        if frag is None:
+                            frag = fragment(state, goal, node)
+                        emit, goal, op_name, kid_goals = frag
+                        thunk, spliced, entry, rule = emit
+                        if out is not None:
+                            out[pos] = ((parent - laid) << 1) | spliced
+                        if entry is None:
+                            dynamic.append((rule, node))
+                        else:
+                            cost += entry
+                        thunks.append(thunk)
+                        nodes.append(node)
+                        if kid_goals is not None:
+                            break
+                        # A chain rule: its one operand is this node from
+                        # the source goal, laid out next.
+                        out = [0]
+                        runs.append(out)
+                        pos = 0
+                        parent = laid
+                        laid += 1
+                    kids = node.kids
+                    if node.op.name != op_name or len(kids) != len(kid_goals):
+                        require_structural_match(rule.pattern, node)
+                    if len(kids) == 2:
+                        refs = [0, 0]
+                        push((kids[0], kid_goals[0], refs, 0, laid))
+                        push((kids[1], kid_goals[1], refs, 1, laid))
+                        runs.append(refs)
+                    elif kids:
+                        refs = [0] * len(kids)
+                        for index, kid in enumerate(kids):
+                            push((kid, kid_goals[index], refs, index, laid))
+                        runs.append(refs)
+                    else:
+                        runs.append(())
+                    laid += 1
+            except CoverError as exc:
+                fault = exc
+                stack.clear()
+                for laid_out in (thunks, nodes, runs, tops, dynamic):
+                    laid_out.clear()
+                cost = laid = 0
+
+        for rule, node in reversed(dynamic):
+            cost += entry_cost(rule, node)
+        if fault is not None:
+            raise fault
+        thunks.reverse()
+        nodes.reverse()
+        runs.reverse()
+        last = base + laid - 1
+        return CompiledTape(
+            base=base,
+            cost=cost,
+            thunks=thunks,
+            nodes=nodes,
+            runs=runs,
+            root_refs=[last - top for top in reversed(tops)],
+        )
 
     def _compile_roots(self, forest: Forest, start: str) -> CompiledTape:
         """Lower the covers of *forest*'s roots from *start* to one tape.
@@ -496,7 +651,10 @@ class TapeEmitter:
         tracer = self._tracer
         compile_start = time.monotonic_ns() if tracer is not None else None
         try:
-            tape = self._compile_roots(forest, start)
+            if self._tree:
+                tape = self._compile_tree(forest, start)
+            else:
+                tape = self._compile_roots(forest, start)
         except Exception:
             self.last_roots_completed = 0
             self._truncate_slots(mark)

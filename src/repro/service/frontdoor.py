@@ -23,7 +23,10 @@ worker state:
   ``monotonic_ns`` integer, passed as ``select_many(deadline_at_ns=...)``),
   and a *watchdog* that SIGKILLs a worker whose batch overstays its
   deadline by :data:`HANG_GRACE_NS` (a wedged action cannot hold a slot
-  hostage).
+  hostage).  A coalesced batch runs under its earliest request
+  deadline; when it expires, only the requests whose own deadline has
+  passed resolve ``deadline``, and the rest go back to the front of
+  the queue.
 * **retries** — a failed request is retried with capped, jittered
   exponential backoff up to ``retries`` times while its deadline
   allows.
@@ -668,6 +671,7 @@ class SelectionService:
             )
         by_id = {request.request_id: request for request in batch.requests}
         config = self.config
+        rerun: list[_Request] = []
         with self._lock:
             breaker = self._breaker(batch.tenant)
             stats = self._stats
@@ -681,6 +685,11 @@ class SelectionService:
                     self._resolve_locked(request, "ok", value=payload, now=now)
                 elif status == "deadline":
                     breaker.release_probe()
+                    if request.deadline_at_ns is None or now < request.deadline_at_ns:
+                        # The batch ran under its earliest deadline, a
+                        # neighbour's: this request still has time.
+                        rerun.append(request)
+                        continue
                     self._resolve_locked(
                         request,
                         "deadline",
@@ -715,6 +724,8 @@ class SelectionService:
                     error=ServiceError("worker returned no row for request"),
                     now=now,
                 )
+            # Front of the queue, in order: no retry, no re-dispatch.
+            self._queue.extendleft(reversed(rerun))
 
     # ------------------------------------------------------------------
     # Death and re-dispatch

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 
 import pytest
 
@@ -122,6 +123,25 @@ def _chaos_forests() -> list[Forest]:
     f2.add(b.expr(b.sub(b.reg(3), b.cnst(7))))
     f3 = Forest(name="f3")
     f3.add(b.expr(b.add(b.add(b.reg(1), b.reg(2)), b.cnst(3))))
+    return [f0, f1, f2, f3]
+
+
+def _chaos_dag_forests() -> list[Forest]:
+    """The chaos forests with DAG sharing, seeded by ``REPRO_CHAOS_SEED``:
+    f2's SUB and f3's ADD take operands f0 and f1 already hold, so the
+    batch is no tree and emits through the tape's slot walk (the tree
+    forests above take its tree walk)."""
+    rng = random.Random(CHAOS_SEED)
+    b = NodeBuilder()
+    pool = [b.add(b.reg(1), b.cnst(4)), b.mul(b.reg(1), b.reg(2))]
+    f0 = Forest(name="f0")
+    f0.add(b.expr(pool[0]))
+    f1 = Forest(name="f1")
+    f1.add(b.expr(pool[1]))
+    f2 = Forest(name="f2")  # the only forest containing SUB
+    f2.add(b.expr(b.sub(rng.choice(pool), b.cnst(7))))
+    f3 = Forest(name="f3")
+    f3.add(b.expr(b.add(rng.choice(pool), rng.choice([pool[0], b.cnst(3)]))))
     return [f0, f1, f2, f3]
 
 
@@ -237,6 +257,32 @@ class TestIsolation:
         resilience = sel.stats()["resilience"]
         assert resilience["isolated_failures"] == 1
         assert resilience["failures_by_phase"] == {
+            "validate": 0, "label": 0, "reduce": 1,
+        }
+
+    @pytest.mark.parametrize("mode", ["ondemand", "dp", "eager"])
+    def test_reduce_fault_in_a_dag_batch_is_isolated_differentially(self, mode):
+        """The contract above over the DAG-sharing chaos forests: the tape
+        emits them through its slot walk, and the tree forests above
+        through its tree walk, so every chaos seed runs both."""
+        assert Selector(_chaos_grammar()).label_many(_chaos_forests()).tree
+        clean_values = Selector(_chaos_grammar()).select_many(_chaos_dag_forests()).values
+
+        grammar = _chaos_grammar()
+        fault, _ = poison_action(_rule(grammar, "reg", "SUB"), on_call=1)
+        sel = Selector(grammar, mode="ondemand" if mode == "eager" else mode)
+        if mode == "eager":
+            sel.compile()
+        result = sel.select_many(_chaos_dag_forests(), on_error="isolate")
+        if mode != "dp":
+            assert not result.labeling.tree
+        [failure] = result.failures
+        assert (failure.index, failure.phase, failure.roots_completed) == (2, "reduce", 0)
+        assert failure.node is not None and failure.node.startswith("SUB(")
+        for index in (0, 1, 3):
+            assert result.values[index] == clean_values[index]
+        assert fault.faults == 1
+        assert sel.stats()["resilience"]["failures_by_phase"] == {
             "validate": 0, "label": 0, "reduce": 1,
         }
 

@@ -699,6 +699,35 @@ def test_unencodable_forest_fails_alone(tmp_path, build_bad):
     assert stall_s < 0.4, stall_s
 
 
+def test_a_coalesced_request_never_ends_on_a_neighbours_deadline(tmp_path):
+    """A coalesced batch runs under its earliest request deadline.  When
+    that one passes mid-batch, the request whose own deadline has not
+    passed goes back to the queue and runs again: it ends ``ok``, not
+    ``deadline`` on its neighbour's."""
+    slow = bench_grammar()
+    poison_action(_stmt_rule(slow), latency_s=0.01)
+    with SelectionService({"slow": slow}, tmp_path, _config()) as svc:
+        assert svc.select("slow", _statements(range(1)), wait_s=30.0).ok  # warm
+        # Occupy the one worker so the next two coalesce into one batch.
+        blocker = svc.submit("slow", _statements(range(20)))
+        deadline = time.monotonic() + 10.0
+        while not any(h.in_flight for h in svc.supervisor.handles):
+            assert time.monotonic() < deadline, "the blocker never went in flight"
+            time.sleep(0.002)
+        short = svc.submit("slow", _statements(range(80)), timeout_s=0.3)
+        long = svc.submit("slow", _statements(range(2)), timeout_s=30.0)
+        responses = [f.result(30.0) for f in (blocker, short, long)]
+        service = svc.stats()["service"]
+
+    assert [r.status for r in responses] == ["ok", "deadline", "ok"], [
+        r.as_row() for r in responses
+    ]
+    assert responses[2].attempts == 0 and responses[2].re_dispatches == 0
+    assert service["batches"] == 4  # warm, blocker, the pair, the long one again
+    assert service["retries"] == service["re_dispatches"] == 0
+    assert service["loop_errors"] == []
+
+
 def test_batch_messages_of_the_service_pool_stay_compact(monkeypatch):
     """Size gate: a batch message of ``service_pool(1)``'s forests costs
     at most 20 bytes per node (30 with the default slot pickling, about

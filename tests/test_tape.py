@@ -70,7 +70,8 @@ from repro.bench.workloads import (
     reduce_heavy_forests,
     shared_reduction_forests,
 )
-from repro.testing import FaultyCallable, InjectedFault, poison_action
+from repro.testing import FaultyCallable, InjectedFault, poison_action, poison_constraint
+from test_labelers import _helper_dynamic_grammar
 
 # ----------------------------------------------------------------------
 # Helpers
@@ -1163,3 +1164,343 @@ def test_raising_dynamic_cost_faults_the_tape_before_any_action_runs():
         assert node_provenance(info.value).startswith("MUL(")
         assert engine.last_roots_completed == 0
         assert len(context) - emitted == actions_before_fault  # REG and CNST operands
+
+
+# ----------------------------------------------------------------------
+# Two compile walks: the tree walk (select_many over a tree labeling)
+# and the slot walk (DAG batches, standalone emitters)
+
+
+def _referrers_are_single(forests: list[Forest]) -> bool:
+    """Brute force: every distinct node of the batch has exactly one
+    referrer — one root occurrence or one parent edge."""
+    referrers: dict[int, int] = {}
+    stack = [root for forest in forests for root in forest.roots]
+    for root in stack:
+        referrers[id(root)] = referrers.get(id(root), 0) + 1
+    expanded: set[int] = set()
+    while stack:
+        node = stack.pop()
+        if id(node) in expanded:
+            continue
+        expanded.add(id(node))
+        for kid in node.kids:
+            referrers[id(kid)] = referrers.get(id(kid), 0) + 1
+            stack.append(kid)
+    return all(count == 1 for count in referrers.values())
+
+
+def _tree_flag_batches() -> list[tuple[str, bool, list[Forest]]]:
+    """``(name, is a tree, batch)`` triples."""
+    b = NodeBuilder()
+    tree = _action_forests()
+    dag = Forest(name="dag")
+    shared = b.add(b.reg(1), b.cnst(2))
+    dag.add(b.expr(shared))
+    dag.add(b.expr(b.mul(shared, b.reg(3))))
+    twice = _action_forests()[0]
+    first, second = Forest(name="first"), Forest(name="second")
+    root = b.expr(b.sub(b.reg(4), b.cnst(5)))
+    first.add(root)
+    second.add(root)
+    repeated_kid = Forest(name="same-kid")
+    reg = b.reg(6)
+    repeated_kid.add(b.expr(b.add(reg, reg)))
+    return [
+        ("tree", True, tree),
+        ("dag", False, [dag]),
+        ("repeated_forest", False, [twice, twice]),
+        ("root_shared_by_two_forests", False, [first, second]),
+        ("one_kid_twice", False, [repeated_kid]),
+        ("empty", True, []),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["ondemand", "eager"])
+def test_tree_flag_matches_a_brute_force_referrer_count(mode):
+    sel = Selector(_action_grammar(), mode=mode)
+    for name, is_tree, forests in _tree_flag_batches():
+        assert _referrers_are_single(forests) is is_tree, name
+        assert sel.label_many(forests).tree is is_tree, name
+        assert sel.select_many(forests).labeling.tree is is_tree, name
+
+
+def test_tree_flag_of_the_survivors_relabeled_after_a_label_fault():
+    """``_label_survivors`` labels the survivors again in one batch; its
+    labeling's flag describes that batch, with sharing or without."""
+    for share in (False, True):
+        b = NodeBuilder()
+        product = b.mul(b.reg(1), b.cnst(4))
+        g0 = Forest(name="g0")
+        g0.add(b.expr(product))
+        g1 = Forest(name="g1")  # the only forest containing CNST 13
+        g1.add(b.expr(b.add(b.cnst(13), b.reg(1))))
+        g2 = Forest(name="g2")
+        g2.add(b.expr(b.add(product if share else b.mul(b.reg(1), b.cnst(4)), b.reg(2))))
+        grammar = _dynamic_cost_grammar()
+        constrained = next(r for r in grammar.rules if r.constraint is not None)
+        poison_constraint(constrained, predicate=lambda node: node.value == 13)
+        result = Selector(grammar).select_many([g0, g1, g2], on_error="isolate")
+        assert [failure.index for failure in result.failures] == [1]
+        assert _referrers_are_single([g0, g2]) is (not share)
+        assert result.labeling.tree is (not share)
+
+
+@pytest.fixture
+def walks(monkeypatch) -> list[str]:
+    """Record which compile walk lays out each forest: ``"tree"`` or
+    ``"slot"``."""
+    seen: list[str] = []
+    tree, slot = TapeEmitter._compile_tree, TapeEmitter._compile_roots
+
+    def compile_tree(self, forest, start):
+        seen.append("tree")
+        return tree(self, forest, start)
+
+    def compile_slots(self, forest, start):
+        seen.append("slot")
+        return slot(self, forest, start)
+
+    monkeypatch.setattr(TapeEmitter, "_compile_tree", compile_tree)
+    monkeypatch.setattr(TapeEmitter, "_compile_roots", compile_slots)
+    return seen
+
+
+def _helper_tree_forests() -> list[Forest]:
+    """The helper grammar's stores and products (multi-node constrained
+    patterns whose helper operands splice flat), built as trees."""
+    b = NodeBuilder()
+    forests = []
+    for value in (3, 8, 20, 4):
+        forests.append(
+            Forest(
+                [
+                    b.store(b.reg(2), b.add(b.load(b.reg(3)), b.cnst(value))),
+                    b.store(b.reg(2), b.add(b.load(b.reg(3)), b.reg(value))),
+                    b.store(b.mul(b.reg(1), b.cnst(4)), b.add(b.reg(4), b.cnst(value))),
+                    b.expr(b.mul(b.add(b.mul(b.reg(1), b.cnst(4)), b.reg(5)), b.cnst(value))),
+                    b.expr(b.mul(b.reg(6), b.load(b.cnst(value)))),
+                ]
+            )
+        )
+    return forests
+
+
+#: Every tree family of the differential grid (``reduce_heavy``,
+#: ``dag_reduce`` and ``dynamic_dag`` share nodes), plus the helper
+#: grammar's spliced operands.
+TREE_FAMILIES = [
+    family for family in FAMILIES if family[0] not in ("reduce_heavy", "dag_reduce", "dynamic_dag")
+] + [
+    ("dynamic_helper", _helper_dynamic_grammar, _helper_tree_forests, "ondemand"),
+]
+
+
+def _standalone_run(engine_cls, make_grammar, make_forests, mode, context):
+    """Emit every forest once through a standalone engine (the tape's
+    slot walk, or the frame reducer), as ``select_many`` would."""
+    forests = make_forests()
+    labeling = Selector(make_grammar(), mode=mode).label_many(forests)
+    engine = engine_cls(labeling, context)
+    start = engine.resolve_start(None)
+    values, cost = [], 0
+    for forest in forests:
+        values.append(engine.reduce_forest(forest, start))
+        cost += engine.last_cover_cost
+    return values, cost, engine.reductions, engine.memo_hits
+
+
+@pytest.mark.parametrize("make_context", [EmitContext, _TemplateFreeContext], ids=["templated", "template_free"])
+@pytest.mark.parametrize(
+    "name,make_grammar,make_forests,mode", TREE_FAMILIES, ids=[f[0] for f in TREE_FAMILIES]
+)
+def test_tree_walk_matches_the_slot_walk_and_the_reducer(
+    walks, name, make_grammar, make_forests, mode, make_context
+):
+    context = make_context()
+    result = Selector(make_grammar(), mode=mode).select_many(make_forests(), context=context)
+    assert result.labeling.tree
+    assert walks == ["tree"] * len(result.values)
+    report = result.report
+    tree = (result.values, report.cover_cost, report.reductions, report.memo_hits)
+    assert report.memo_hits == 0  # no entry of a tree can recur
+    for engine_cls in (TapeEmitter, Reducer):
+        walks.clear()
+        other_context = make_context()
+        assert _standalone_run(engine_cls, make_grammar, make_forests, mode, other_context) == tree
+        assert walks == (["slot"] * len(result.values) if engine_cls is TapeEmitter else [])
+        for field in ("instructions", "trace"):
+            assert getattr(context, field, None) == getattr(other_context, field, None)
+
+
+def test_dag_batches_and_standalone_emitters_keep_the_slot_walk(walks):
+    forests = _sharing_pair()
+    result = _tape_selector(_action_grammar()).select_many(forests)
+    assert not result.labeling.tree
+    assert walks == ["slot", "slot"] and result.report.memo_hits == 1
+
+    walks.clear()
+    forests = _action_forests()
+    labeling = _tape_selector(_action_grammar()).label_many(forests)
+    assert labeling.tree
+    emitter = TapeEmitter(labeling, [])
+    emitter.reduce_forest(forests[0])
+    assert walks == ["slot"] and len(emitter._slots) == emitter.memo_size() > 0
+
+
+def test_tree_walk_lays_out_postorder_with_relative_refs():
+    forests = recurring_shape_stream(53, shapes=2, length=4, statements=5, max_depth=4)
+    labeling = _tape_selector(bench_grammar()).label_many(forests)
+    assert labeling.tree
+    start = TapeEmitter(labeling, None).resolve_start(None)
+    slot, tree = TapeEmitter(labeling, EmitContext()), TapeEmitter(labeling, EmitContext(), once=True)
+    for forest in forests:
+        by_slots, by_tree = slot._emit(forest, start), tree._emit(forest, start)
+        assert by_tree.base == by_slots.base
+        assert by_tree.thunks == by_slots.thunks and by_tree.nodes == by_slots.nodes
+        assert by_tree.root_refs == by_slots.root_refs and by_tree.cost == by_slots.cost
+        for i, (absolute, relative) in enumerate(zip(by_slots.runs, by_tree.runs)):
+            # The same operand slots: refs count back from the entry.
+            assert [(ref >> 1) - by_tree.base - i for ref in absolute] == [ref >> 1 for ref in relative]
+            assert [ref & 1 for ref in absolute] == [ref & 1 for ref in relative]
+            assert all(ref < 0 for ref in relative)
+    assert len(tree._slots) == 0 and tree.memo_size() == slot.memo_size()
+
+
+def test_deadline_inside_the_tree_walk_has_no_provenance(walks):
+    forest = _chain_forest(80)
+    labeling = _label(_action_grammar(), forest)
+    assert labeling.tree
+    context: list = []
+    emitter = TapeEmitter(labeling, context, deadline_at_ns=time.monotonic_ns() - 1, once=True)
+    with pytest.raises(DeadlineExceededError) as excinfo:
+        emitter.reduce_forest(forest)
+    assert walks == ["tree"]
+    assert node_provenance(excinfo.value) is None
+    assert context == [] and emitter.memo_size() == emitter.reductions == 0
+    assert emitter.last_roots_completed == 0
+
+
+def _rollback_forests() -> list[Forest]:
+    """Four tree forests; the third's second root holds the only SUB."""
+    b = NodeBuilder()
+    forests = _action_forests()
+    forests[2] = Forest(name="f2")
+    forests[2].add(b.expr(b.add(b.reg(5), b.cnst(6))))
+    forests[2].add(b.expr(b.sub(b.reg(3), b.cnst(7))))
+    return forests
+
+
+def test_rollback_after_an_isolated_fault_in_a_tree_batch_matches_the_slot_walk(walks):
+    runs = {}
+    for walk in ("tree", "slot"):
+        grammar = _action_grammar()
+        for rule in grammar.rules:
+            inner = rule.action
+
+            def recorded(context, node, operands, _inner=inner):
+                value = _inner(context, node, operands)
+                context.append(value)
+                return value
+
+            rule.action = recorded
+        poison_action(_rule(grammar, "reg", "SUB"), on_call=1)
+        context: list = []
+        walks.clear()
+        if walk == "tree":
+            result = _tape_selector(grammar).select_many(
+                _rollback_forests(), context=context, on_error="isolate"
+            )
+            [failure] = result.failures
+            runs[walk] = (
+                result.values[:2] + result.values[3:],
+                failure.index,
+                failure.roots_completed,
+                result.report.reductions,
+                result.report.cover_cost,
+                context,
+            )
+        else:
+            forests = _rollback_forests()
+            emitter = TapeEmitter(_tape_selector(grammar).label_many(forests), context)
+            values, cost = [], 0
+            for index, forest in enumerate(forests):
+                mark = emitter.memo_size()
+                try:
+                    values.append(emitter.reduce_forest(forest))
+                except InjectedFault:
+                    emitter.rollback_to(mark)
+                    faulted = (index, emitter.last_roots_completed)
+                else:
+                    cost += emitter.last_cover_cost
+            runs[walk] = (values, *faulted, emitter.reductions, cost, context)
+        assert walks == [walk] * 4
+    assert runs["tree"] == runs["slot"]
+    assert runs["tree"][1:3] == (2, 1)  # the first root of f2 finished
+
+
+def _two_product_roots() -> Forest:
+    b = NodeBuilder()
+    forest = Forest(name="products")
+    forest.add(b.expr(b.mul(b.reg(1), b.cnst(4))))
+    forest.add(b.expr(b.mul(b.reg(2), b.cnst(8))))
+    return forest
+
+
+def _first_emitting_call_faults(forests: list[Forest]) -> FaultyCallable:
+    """``mul_cost`` raising on its first call after labeling *forests*."""
+    counter = FaultyCallable(mul_cost, predicate=lambda node: False)
+    Selector(_dynamic_cost_grammar(counter)).label_many(forests)
+    return FaultyCallable(mul_cost, on_call=counter.calls + 1)
+
+
+@pytest.mark.parametrize("start", [None, "reg"], ids=["stmt", "reg"])
+def test_first_dynamic_cost_fault_is_the_same_on_both_walks_and_the_reducer(walks, start):
+    """Both roots multiply by a constant; ``mulcost`` raises on its first
+    emitting call.  Every engine blames the first root's ``MUL``.  Under
+    ``start="reg"`` the first root is the bare ``MUL`` and the second, an
+    ``EXPR``, has no derivation of ``reg``, yet the first root's cost
+    still faults first (the slot walk costs a root before it reaches the
+    next one)."""
+    for engine in ("tree", "slot", "reducer"):
+        forest = _two_product_roots()
+        if start == "reg":
+            forest = Forest([forest.roots[0].kids[0], forest.roots[1]], name="mixed")
+        grammar = _dynamic_cost_grammar(_first_emitting_call_faults([forest]))
+        record: list = []
+        for rule in grammar.rules:
+            rule.action = lambda context, node, operands: context.append(node.nid)
+        walks.clear()
+        with pytest.raises(InjectedFault) as excinfo:
+            if engine == "tree":
+                Selector(grammar).select_many([forest], context=record, start=start)
+            else:
+                labeling = Selector(grammar).label_many([forest])
+                cls = TapeEmitter if engine == "slot" else Reducer
+                cls(labeling, record).reduce_forest(forest, start)
+        first_mul = forest.roots[0] if start == "reg" else forest.roots[0].kids[0]
+        assert node_provenance(excinfo.value) == f"MUL(nid={first_mul.nid})"
+        assert walks == ([] if engine == "reducer" else [engine])
+        if engine != "reducer":
+            assert record == []  # the tape faults before any action runs
+
+
+def test_tree_walk_raises_the_first_underivable_root_after_costing_the_ones_before():
+    """A root with no derivation from the start faults after the roots
+    before it are laid out and costed, and the first such root is named,
+    as on the slot walk."""
+    b = NodeBuilder()
+    forest = Forest(name="mixed")
+    forest.add(b.mul(b.reg(1), b.cnst(4)))   # derives reg
+    forest.add(b.expr(b.reg(2)))             # a statement: no reg
+    forest.add(b.expr(b.reg(3)))             # neither
+    messages = {}
+    for engine in ("tree", "slot"):
+        labeling = Selector(_dynamic_cost_grammar()).label_many([forest])
+        emitter = TapeEmitter(labeling, [], once=engine == "tree")
+        with pytest.raises(CoverError) as excinfo:
+            emitter.reduce_forest(forest, "reg")
+        messages[engine] = str(excinfo.value)
+        assert emitter.memo_size() == 0 and emitter.last_roots_completed == 0
+    assert messages["tree"] == messages["slot"]
+    assert f"EXPR (nid={forest.roots[1].nid})" in messages["tree"]
