@@ -29,7 +29,8 @@ path touches no counter: each node costs exactly one table lookup, so
 ``nodes_labeled`` and ``table_lookups`` are read off the state map's
 growth afterwards, and only the cold branches charge misses and
 construction work (to the caller's metrics, or to a write-only sink).
-A deadline costs one strided check per step.
+A deadline costs one strided check per visit.  A warm leaf is not
+visited: the first visit to its parent labels it in place.
 
 Batches are first-class: :meth:`OnDemandAutomaton.label_many` labels a
 sequence of forests with one sync check, one labeling object, and one
@@ -101,7 +102,7 @@ from repro.ir.node import Forest, Node
 from repro.metrics.counters import LabelMetrics
 from repro.obs.trace import Timer
 from repro.selection.cover import Labeling
-from repro.selection.reducer import _SplicedOperands, flatten_operands
+from repro.selection.reducer import _SplicedOperands, pass_through
 from repro.selection.resilience import (
     DEADLINE_CHECK_EVERY,
     attach_node_provenance,
@@ -230,11 +231,7 @@ def action_thunk(rule: Rule, templated: bool) -> tuple[Any, bool]:
             return _SplicedOperands(operands)
 
         return helper_thunk, True
-
-    def passthrough_thunk(ctx: Any, node: Node, operands: list) -> Any:
-        return flatten_operands(operands)
-
-    return passthrough_thunk, False
+    return pass_through, False
 
 
 class AutomatonLabeling(Labeling):
@@ -483,7 +480,7 @@ class OnDemandAutomaton:
         counters go to a write-only sink.  *deadline_at_ns* arms
         cooperative cancellation: the walk checks the absolute monotonic
         deadline every
-        :data:`~repro.selection.resilience.DEADLINE_CHECK_EVERY` steps
+        :data:`~repro.selection.resilience.DEADLINE_CHECK_EVERY` visits
         and raises :class:`~repro.errors.DeadlineExceededError`.
         """
         return self.label_many([forest], metrics, deadline_at_ns=deadline_at_ns)
@@ -556,6 +553,11 @@ class OnDemandAutomaton:
         construction work); the callables run are counted in a local
         and charged once at the end.  The deadline is one strided check
         per popped node.
+
+        The first visit to a unary or binary node labels each leaf kid
+        whose static table has its ``nullary`` state built in place; any
+        other leaf (cold, foreign-dialect, dynamic) takes its own visit,
+        so states are built and callables run in the same order.
         """
         tables = self._static_tables
         dyn_tables = self._dyn_tables
@@ -582,15 +584,32 @@ class OnDemandAutomaton:
                 arity = len(kids)
                 if arity == 2:
                     k0, k1 = kids
-                    s0 = get_state(id(k0))
-                    s1 = get_state(id(k1))
+                    i0 = id(k0)
+                    i1 = id(k1)
+                    s0 = get_state(i0)
+                    s1 = get_state(i1)
                     if s0 is None or s1 is None:
-                        push(node)
-                        if s1 is None:
-                            push(k1)
-                        if s0 is None:
-                            push(k0)
-                        continue
+                        # First visit: a leaf kid whose static table has
+                        # its state built takes that state in place.
+                        if s0 is None and not k0.kids:
+                            table = tables.get(k0.op.name)
+                            if table is not None:
+                                s0 = table.nullary
+                                if s0 is not None:
+                                    node_states[i0] = s0
+                        if s1 is None and not k1.kids:
+                            table = tables.get(k1.op.name)
+                            if table is not None:
+                                s1 = table.nullary
+                                if s1 is not None:
+                                    node_states[i1] = s1
+                        if s0 is None or s1 is None:
+                            push(node)
+                            if s1 is None:
+                                push(k1)
+                            if s0 is None:
+                                push(k0)
+                            continue
                     table = tables.get(node.op.name)
                     if table is not None:
                         by_s1 = table.binary.get(s0.index)
@@ -618,11 +637,19 @@ class OnDemandAutomaton:
                     key = ()
                 elif arity == 1:
                     k0 = kids[0]
-                    s0 = get_state(id(k0))
+                    i0 = id(k0)
+                    s0 = get_state(i0)
                     if s0 is None:
-                        push(node)
-                        push(k0)
-                        continue
+                        if not k0.kids:
+                            table = tables.get(k0.op.name)
+                            if table is not None:
+                                s0 = table.nullary
+                                if s0 is not None:
+                                    node_states[i0] = s0
+                        if s0 is None:
+                            push(node)
+                            push(k0)
+                            continue
                     table = tables.get(node.op.name)
                     if table is not None:
                         state = table.unary.get(s0.index)

@@ -16,7 +16,7 @@ extension of tree parsing to DAGs.
 The two engines share a contract, not a class: the same
 ``reduce_forest``/``resolve_start``/``memo_size``/``rollback_to``
 surface and counters, and the helpers defined here —
-:func:`entry_cost`, :func:`flatten_operands` and the
+:func:`entry_cost`, :func:`pass_through` and the
 ``_SplicedOperands`` marker.  The reducer keeps everything else to
 itself: its memo keyed by ``(node key, nonterminal name)`` (the node
 key is :func:`node_memo_key`), its action dispatch, its cycle guard,
@@ -76,7 +76,7 @@ from repro.selection.resilience import (
     check_deadline,
 )
 
-__all__ = ["Reducer", "entry_cost", "flatten_operands", "node_memo_key"]
+__all__ = ["Reducer", "entry_cost", "node_memo_key", "pass_through"]
 
 
 def node_memo_key(node: Node) -> int:
@@ -133,12 +133,18 @@ class _SplicedOperands(list):
     """
 
 
-def flatten_operands(operands: list[Any]) -> Any:
-    """Pass-through value for rules without actions.
+def pass_through(context: Any, node: Node, operands: list[Any]) -> Any:
+    """Pass-through value for rules without actions, as an action.
 
     A single operand passes through unchanged; several operands are
-    flattened into one list so nested helper rules do not nest lists.
+    flattened into one new list so nested helper rules do not nest
+    lists.  The one definition both engines run: the tape's thunk for
+    such a rule is this function, and the frame engine calls it.
     """
+    if len(operands) == 1:
+        operand = operands[0]
+        if not isinstance(operand, list):
+            return operand
     flat: list[Any] = []
     for operand in operands:
         if isinstance(operand, list):
@@ -366,4 +372,4 @@ class Reducer:
             raise
         if rule.is_helper:
             return _SplicedOperands(operands)
-        return flatten_operands(operands)
+        return pass_through(self.context, node, operands)

@@ -65,6 +65,12 @@ missing derivation only once the roots before it are costed, so its
 first fault is the slot walk's.  DAG batches and any emitter built
 without ``once`` keep the slot walk and its memo hits.
 
+Both walks carry the visit they would pop next in locals rather than
+pushing it — the tree walk its last kid's, the slot walk its first
+kid's — so no visit down a unary chain is pushed.  Neither the layout
+nor the memo hits change, and the deadline still ticks once per visit
+(and, in the slot walk, once per pending entry).
+
 Cover cost
 ----------
 The compile walk also costs the entries it lays out: each adds its
@@ -321,8 +327,9 @@ class TapeEmitter:
 
         A visit ``(node, goal, out, pos, parent)`` lays out the chain
         ladder from *goal* down, then the base entry, then pushes one
-        visit per kid (the last kid pops first); the roots go last to
-        first, so the layout is the slot walk's postorder backwards.
+        visit per kid but the last, whose visit it carries on to in
+        locals (the last kid goes first); the roots go last to first,
+        so the layout is the slot walk's postorder backwards.
         The entry laid out at index *j* is the operand ``out[pos]`` of
         the one laid out at *parent* < *j*, which after the reversal
         follows it by ``j - parent`` slots: its ref is ``((parent - j)
@@ -354,15 +361,15 @@ class TapeEmitter:
 
         for root in reversed(roots):
             tops.append(laid)
-            push((root, start_goal, None, 0, 0))
+            # The visit in hand; the last kid's is carried, not pushed.
+            node, goal, out, pos, parent = root, start_goal, None, 0, 0
             try:
-                while stack:
+                while True:
                     if deadline is not None:
                         ticks += 1
                         if ticks >= DEADLINE_CHECK_EVERY:
                             ticks = 0
                             check_deadline(deadline, "reduce")
-                    node, goal, out, pos, parent = pop()
                     state = node_states.get(id(node))
                     while True:
                         try:
@@ -393,19 +400,28 @@ class TapeEmitter:
                     kids = node.kids
                     if node.op.name != op_name or len(kids) != len(kid_goals):
                         require_structural_match(rule.pattern, node)
+                    parent = laid
+                    laid += 1
                     if len(kids) == 2:
-                        refs = [0, 0]
-                        push((kids[0], kid_goals[0], refs, 0, laid))
-                        push((kids[1], kid_goals[1], refs, 1, laid))
-                        runs.append(refs)
+                        out = [0, 0]
+                        push((kids[0], kid_goals[0], out, 0, parent))
+                        runs.append(out)
+                        node = kids[1]
+                        goal = kid_goals[1]
+                        pos = 1
                     elif kids:
-                        refs = [0] * len(kids)
-                        for index, kid in enumerate(kids):
-                            push((kid, kid_goals[index], refs, index, laid))
-                        runs.append(refs)
+                        out = [0] * len(kids)
+                        pos = len(kids) - 1
+                        for index in range(pos):
+                            push((kids[index], kid_goals[index], out, index, parent))
+                        runs.append(out)
+                        node = kids[pos]
+                        goal = kid_goals[pos]
                     else:
                         runs.append(())
-                    laid += 1
+                        if not stack:
+                            break
+                        node, goal, out, pos, parent = pop()
             except CoverError as exc:
                 fault = exc
                 stack.clear()
@@ -444,12 +460,13 @@ class TapeEmitter:
         goal)``.  Its stack holds *visits* ``(node, goal, out, None,
         None)`` and pending *entries* ``(node, key, out, emit, refs)``.
         A visit follows the node's chain rules on the spot, pending one
-        entry per chain step, then pends the base rule's entry and
-        pushes its targets' visits in reverse, so targets resolve left
-        to right and entries land in the frame engine's exact
-        postorder, with the same memo hits; a leaf entry is laid out at
-        once.  A laid-out or memo-hit target appends its encoded slot to
-        its parent's ``refs`` (*out*).  The walk keeps the frame
+        entry per chain step, then pends the base rule's entry, pushes
+        its targets' visits but the first in reverse and carries on to
+        the first in locals, so targets resolve left to right and
+        entries land in the frame engine's exact postorder, with the
+        same memo hits; a leaf entry is laid out at once.  A laid-out
+        or memo-hit target appends its encoded slot to its parent's
+        ``refs`` (*out*).  The walk keeps the frame
         engine's deadline strides and sums each new entry's
         :func:`entry_cost` into the tape's ``cost``.  It needs no cycle
         guard: IR nodes form a DAG, and the automaton rejects chain-rule
@@ -477,18 +494,20 @@ class TapeEmitter:
         cost = 0
         ticks = 0
 
+        stack: list[tuple] = []
+        push = stack.append
+        pop = stack.pop
         for root in forest.roots:
             out: list[int] = []
-            stack: list[tuple] = [(root, start_goal, out, None, None)]
-            push = stack.append
-            pop = stack.pop
-            while stack:
+            # The item in hand: a visit (emit None) or a pending entry;
+            # the first kid's visit is carried, not pushed.
+            node, tag, out_refs, emit = root, start_goal, out, None
+            while True:
                 if deadline is not None:
                     ticks += 1
                     if ticks >= DEADLINE_CHECK_EVERY:
                         ticks = 0
                         check_deadline(deadline, "reduce")
-                node, tag, out_refs, emit, refs = pop()
                 if emit is not None:
                     key = tag
                 else:
@@ -521,6 +540,9 @@ class TapeEmitter:
                     if encoded is not None:
                         hits += 1
                         out_refs.append(encoded)
+                        if not stack:
+                            break
+                        node, tag, out_refs, emit, refs = pop()
                         continue
                     kids = node.kids
                     if node.op.name != op_name or len(kids) != len(kid_goals):
@@ -530,10 +552,13 @@ class TapeEmitter:
                         push((node, key, out_refs, emit, refs))
                         if len(kids) == 2:
                             push((kids[1], kid_goals[1], refs, None, None))
-                            push((kids[0], kid_goals[0], refs, None, None))
                         else:
-                            for index in range(len(kids) - 1, -1, -1):
+                            for index in range(len(kids) - 1, 0, -1):
                                 push((kids[index], kid_goals[index], refs, None, None))
+                        node = kids[0]
+                        tag = kid_goals[0]
+                        out_refs = refs
+                        emit = None
                         continue
                     # A leaf entry has no targets: lay it out right away.
                     refs = ()
@@ -546,6 +571,9 @@ class TapeEmitter:
                 nodes.append(node)
                 runs.append(refs)
                 out_refs.append(encoded)
+                if not stack:
+                    break
+                node, tag, out_refs, emit, refs = pop()
             root_refs.append(out[0] >> 1)
 
         self.memo_hits += hits

@@ -190,10 +190,10 @@ def poison_action(rule: Any, **kwargs: Any) -> tuple[FaultyCallable, Callable[[]
     """
     fn = rule.action
     if fn is None:
-        from repro.selection.reducer import flatten_operands
+        from repro.selection.reducer import pass_through
 
-        def fn(context: Any, node: Any, operands: list[Any]) -> Any:  # noqa: ARG001
-            return flatten_operands(operands)
+        def fn(context: Any, node: Any, operands: list[Any]) -> Any:
+            return pass_through(context, node, operands)
 
         fn.__name__ = f"passthrough_{rule.lhs}"
     fault = FaultyCallable(fn, **kwargs)

@@ -476,6 +476,192 @@ def test_label_deadline_fires_inside_the_walk(name, make_grammar, make_forests, 
         assert 0 < metrics.nodes_labeled == metrics.table_lookups < len(nodes)
 
 
+def _leaf_heavy_forests() -> list[Forest]:
+    """64 statements whose binary nodes all have two leaf kids."""
+    b = NodeBuilder()
+    return [
+        Forest(
+            [
+                b.expr(b.add(b.mul(b.reg(i), b.cnst(i)), b.sub(b.reg(i + 1), b.cnst(3))))
+                for i in range(first, first + 8)
+            ]
+        )
+        for first in range(0, 64, 8)
+    ]
+
+
+@pytest.mark.parametrize("metered", [False, True], ids=["unmetered", "metered"])
+def test_label_deadline_fires_inside_a_warm_leaf_heavy_walk(metered):
+    """On a warm automaton the walk labels leaf kids in place, off the
+    stack; an expired deadline still stops ``label_many`` itself."""
+    forests = _leaf_heavy_forests()
+    nodes = _batch_nodes(forests)
+    automaton = OnDemandAutomaton(bench_grammar())
+    automaton.label_many(forests)  # every leaf table now holds its state
+    metrics = LabelMetrics() if metered else None
+    with pytest.raises(DeadlineExceededError):
+        automaton.label_many(forests, metrics, deadline_at_ns=time.monotonic_ns() - 1)
+    if metered:
+        assert 0 < metrics.nodes_labeled == metrics.table_lookups < len(nodes)
+
+
+@pytest.mark.parametrize(
+    "name,make_grammar,make_forests", WALK_FAMILIES, ids=[f[0] for f in WALK_FAMILIES]
+)
+def test_a_warm_walk_gives_the_cold_walks_states_and_tree_flags(
+    name, make_grammar, make_forests
+):
+    """A warm automaton — its leaf tables hold their states, so the walk
+    labels leaf kids in place — gives every node the state a cold one
+    gives, and every batch (the whole one, and each root alone) the
+    same tree flag."""
+    grammar = make_grammar()
+    forests = make_forests()
+    nodes = _batch_nodes(forests)
+    batches = [forests] + [[Forest([root])] for forest in forests for root in forest.roots]
+
+    def labelings(automaton):
+        return [automaton.label_many(batch) for batch in batches]
+
+    cold = labelings(OnDemandAutomaton(grammar))
+    automaton = OnDemandAutomaton(grammar)
+    automaton.label_many(forests)
+    metrics = LabelMetrics()
+    warm = automaton.label_many(forests, metrics)
+    assert metrics.table_misses == 0 and warm.nodes_labeled == len(nodes)
+    assert [warm.state_of(node).signature for node in nodes] == [
+        cold[0].state_of(node).signature for node in nodes
+    ]
+    flags = [labeling.tree for labeling in labelings(automaton)]
+    assert flags == [labeling.tree for labeling in cold]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_leaf_with_two_referrers_is_no_tree(warm):
+    """A leaf labeled in place still counts its edges: ``ADD(L, L)``,
+    ``NEG`` twice over one leaf, and a leaf shared by two forests are
+    no trees, while the same shapes over distinct leaves are."""
+    automaton = OnDemandAutomaton(bench_grammar())
+    b = NodeBuilder()
+    if warm:
+        automaton.label_many([Forest([b.expr(b.add(b.neg(b.reg(9)), b.cnst(9)))])])
+    leaf = b.reg(1)
+    twice = automaton.label_many([Forest([b.expr(b.add(leaf, leaf))])])
+    assert twice.tree is False and twice.nodes_labeled == 3
+    unary = automaton.label_many([Forest([b.expr(b.neg(leaf)), b.expr(b.neg(leaf))])])
+    assert unary.tree is False and unary.nodes_labeled == 5
+    shared = b.cnst(2)
+    across = [Forest([b.expr(b.add(b.reg(2), shared))]), Forest([b.expr(b.mul(b.reg(3), shared))])]
+    assert automaton.label_many(across).tree is False
+    distinct = [
+        Forest([b.expr(b.add(b.reg(1), b.reg(1))), b.expr(b.neg(b.reg(1)))]),
+        Forest([b.expr(b.mul(b.reg(3), b.cnst(2)))]),
+    ]
+    assert automaton.label_many(distinct).tree is True
+
+
+def _dp_signatures(grammar, forests: list[Forest], nodes: list[Node]) -> list:
+    """Every node's DP cost vector as a delta-cost state signature."""
+    dp = DPLabeler(grammar).label_many(forests)
+    signatures = []
+    for node in nodes:
+        costs = {nt: dp.cost_of(node, nt) for nt in grammar.nonterminals}
+        rules = {nt: dp.rule_for(node, nt) for nt in grammar.nonterminals}
+        signatures.append(state_signature(normalize_costs(costs), rules))
+    return signatures
+
+
+def test_foreign_and_dynamic_leaves_label_like_dp_cold_and_warm():
+    """A leaf operator the grammar never mentions (its table appears on
+    demand) and a leaf with a constraint rule (no static state to take
+    in place) label as DP labels them, on the first walk and the next;
+    the leaf constraint runs once per distinct leaf on every walk."""
+    calls: list[int] = []
+
+    def small(node):
+        calls.append(id(node))
+        return node.value < 8
+
+    grammar = parse_grammar(
+        """
+        %grammar leaves
+        %start stmt
+        stmt: EXPR(reg)       (0)
+        reg:  REG             (0)
+        reg:  ADD(reg, reg)   (1)
+        reg:  ADD(reg, con)   (1)
+        reg:  NEG(reg)        (1)
+        reg:  con             (1)
+        con:  CNST            (0) @constraint(small)
+        reg:  CNST            (3)
+        """,
+        bindings={"small": small},
+    )
+    b = NodeBuilder()
+    # TEMP (a leaf) and SUB are foreign here: the grammar never names them.
+    forests = [
+        Forest(
+            [
+                b.expr(b.add(b.reg(1), b.cnst(value))),
+                b.expr(b.add(b.neg(b.cnst(value + 4)), b.temp(value))),
+                b.expr(b.neg(b.temp(2))),
+                b.expr(b.add(b.sub(b.reg(3), b.cnst(1)), b.cnst(value))),
+            ]
+        )
+        for value in (2, 6, 9)
+    ]
+    nodes = _batch_nodes(forests)
+    constants = [node for node in nodes if node.op.name == "CNST"]
+    expected = _dp_signatures(grammar, forests, nodes)
+    automaton = OnDemandAutomaton(grammar)
+    for _ in range(2):
+        calls.clear()
+        labeling = automaton.label_many(forests)
+        assert [labeling.state_of(node).signature for node in nodes] == expected
+        assert Counter(calls) == Counter(id(node) for node in constants)
+
+
+def test_constraints_run_in_the_walks_pinned_order():
+    """Labeling leaves in place moves no constraint call: on a fixed
+    batch, cold and warm, the callables see nodes in this order (roots
+    last to first, each subtree children first)."""
+    calls: list[str] = []
+    names: dict[int, str] = {}
+
+    def recording(tag, predicate):
+        def constraint(node):
+            calls.append(f"{tag}:{names[id(node)]}")
+            return predicate(node)
+
+        return constraint
+
+    grammar = parse_grammar(
+        BENCH_GRAMMAR_TEXT + DYNAMIC_BENCH_RULES,
+        bindings={"imm4": recording("imm4", _imm4), "pow2": recording("pow2", _pow2)},
+    )
+    b = NodeBuilder()
+
+    def named(name, node):
+        names[id(node)] = name
+        return node
+
+    c3 = b.cnst(3)
+    a1 = named("a1", b.add(b.reg(1), c3))
+    s1 = b.store(b.reg(2), named("m1", b.mul(a1, b.cnst(8))))
+    s2 = named("s2", b.store(named("a2", b.add(b.neg(b.reg(3)), c3)), c3))
+    m2 = named("m2", b.mul(b.cnst(2), named("a3", b.add(b.reg(4), b.cnst(20)))))
+    e1 = b.expr(named("a4", b.add(m2, b.cnst(5))))
+    s3 = named("s3", b.store(b.load(b.reg(5)), b.cnst(7)))
+    e2 = b.expr(named("a5", b.add(b.mul(b.reg(6), b.reg(7)), b.cnst(16))))
+    forests = [Forest([s1, s2]), Forest([e1, s3]), Forest([e2])]
+    pinned = ["imm4:a5", "imm4:s3", "imm4:a3", "imm4:a4", "imm4:a2", "imm4:s2", "imm4:a1", "pow2:m1"]
+    automaton = OnDemandAutomaton(grammar)
+    for _ in range(2):
+        calls.clear()
+        automaton.label_many(forests)
+        assert calls == pinned
+
+
 @pytest.mark.parametrize(
     "name,make_grammar,make_forests", WALK_FAMILIES, ids=[f[0] for f in WALK_FAMILIES]
 )

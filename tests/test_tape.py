@@ -56,6 +56,9 @@ from repro.selection import (
     node_memo_key,
 )
 from repro.selection import cover as cover_module
+from repro.selection import tape as tape_module
+from repro.selection.automaton import action_thunk
+from repro.selection.reducer import _SplicedOperands, pass_through
 from repro.selection.resilience import SelectionFailure, node_provenance
 from repro.bench.workloads import (
     EmitContext,
@@ -1379,6 +1382,88 @@ def test_deadline_inside_the_tree_walk_has_no_provenance(walks):
     assert node_provenance(excinfo.value) is None
     assert context == [] and emitter.memo_size() == emitter.reductions == 0
     assert emitter.last_roots_completed == 0
+
+
+def _unary_chain_forest(depth: int) -> Forest:
+    """``EXPR(NEG(NEG(...REG)))``: every visit but the root's is carried."""
+    b = NodeBuilder()
+    value = b.reg(0)
+    for _ in range(depth):
+        value = b.neg(value)
+    return Forest([b.expr(value)], name="unary")
+
+
+def _wide_forest(width: int) -> Forest:
+    """Many short roots: most visits are pushed and popped."""
+    b = NodeBuilder()
+    return Forest([b.expr(b.add(b.reg(i), b.cnst(i % 8))) for i in range(width)], name="wide")
+
+
+#: ``(shape, walk) -> deadline checks`` with a stride of one: one per
+#: visit (and, in the slot walk, one per pending entry).
+_COMPILE_TICKS = {
+    ("unary", "tree"): 202,
+    ("unary", "slot"): 403,
+    ("wide", "tree"): 160,
+    ("wide", "slot"): 240,
+}
+
+
+@pytest.mark.parametrize("walk", ["tree", "slot"])
+@pytest.mark.parametrize("shape", ["unary", "wide"])
+def test_expired_deadline_fires_inside_both_compile_walks(walks, monkeypatch, shape, walk):
+    """A visit carried in locals still ticks the deadline: with a stride
+    of one, each walk checks once per visit; with the real stride, an
+    expired deadline fires inside the compile walk, before any action."""
+    forest = _unary_chain_forest(200) if shape == "unary" else _wide_forest(40)
+    labeling = OnDemandAutomaton(bench_grammar()).label_many([forest])
+    assert labeling.tree
+    once = walk == "tree"
+    checks: list[str] = []
+    with monkeypatch.context() as patch:
+        patch.setattr(tape_module, "DEADLINE_CHECK_EVERY", 1)
+        patch.setattr(tape_module, "check_deadline", lambda deadline, phase: checks.append(phase))
+        far = time.monotonic_ns() + 3600 * 10**9
+        counted = TapeEmitter(labeling, deadline_at_ns=far, once=once)
+        compile_walk = counted._compile_tree if once else counted._compile_roots
+        compile_walk(forest, "stmt")
+    assert len(checks) == _COMPILE_TICKS[shape, walk]
+    walks.clear()
+    emitter = TapeEmitter(labeling, deadline_at_ns=time.monotonic_ns() - 1, once=once)
+    with pytest.raises(DeadlineExceededError):
+        emitter.reduce_forest(forest)
+    assert walks == [walk]
+    assert emitter.memo_size() == emitter.reductions == 0
+
+
+def test_one_pass_through_serves_the_tape_and_the_reducer():
+    """A rule with neither action nor template passes its operands
+    through: the tape's thunk is :func:`pass_through` itself, and the
+    frame engine's dispatch returns what it returns on every operand
+    shape — never the caller's list, which stays as it was."""
+    grammar = bench_grammar()
+    rule = next(r for r in grammar.rules if r.action is None and r.template is None)
+    assert action_thunk(rule, False) == action_thunk(rule, True) == (pass_through, False)
+    reducer = Reducer(OnDemandAutomaton(grammar).label_many([]), EmitContext())
+    node = NodeBuilder().reg(1)
+    x, a, b = "x", ("a",), 3
+    cases = [
+        ([], []),
+        ([x], x),
+        ([[a, b]], [a, b]),
+        ([[a]], a),
+        ([x, [a, b]], [x, a, b]),
+        ([x, _SplicedOperands([a, b])], [x, a, b]),
+    ]
+    for operands, expected in cases:
+        before = [list(operand) if isinstance(operand, list) else operand for operand in operands]
+        by_tape = pass_through(reducer.context, node, operands)
+        by_frame = reducer._run_action(rule, node, operands)
+        assert by_tape == by_frame == expected
+        for result in (by_tape, by_frame):
+            if isinstance(result, list):
+                assert all(result is not held for held in [operands, *operands])
+        assert operands == before
 
 
 def _rollback_forests() -> list[Forest]:
