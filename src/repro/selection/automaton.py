@@ -73,7 +73,7 @@ rule deriving each of its nonterminals, so an automaton cover is a pure
 function of the per-node states: :meth:`OnDemandAutomaton.fragment`
 builds, once per ``(state, goal nonterminal)`` pair and context kind,
 the *derivation fragment* the tape compiler lays out per entry — the
-rule, its action thunk and splice flag, its fixed cost, and the chain
+rule, its action thunk and operand count, its fixed cost, and the chain
 source or base-rule child goals (see :mod:`repro.selection.tape`).
 The table stays small: the bench pools derive 35–39 distinct pairs.
 
@@ -168,11 +168,15 @@ class _OpTable:
     two-level dynamic table: the tuple of child-state ids maps to a
     :class:`_DynRow`, which maps the outcomes of the rules the child
     states leave open to the state.  ``dyn_by_arity`` holds those
-    dynamic rules with their kid nonterminal ids and bound ``cost_at``.
+    dynamic rules with their kid nonterminal ids and bound ``cost_at``;
+    ``dynamic`` says which of the two kinds of table it is.  A dynamic
+    table never holds a ``nullary`` state (its leaves' states live in
+    its dynamic rows), so the walk labels only static leaves in place.
     """
 
     __slots__ = (
         "op_id",
+        "dynamic",
         "rules_by_arity",
         "dyn_by_arity",
         "nullary",
@@ -184,6 +188,7 @@ class _OpTable:
 
     def __init__(self, op_id: int) -> None:
         self.op_id = op_id
+        self.dynamic = False
         self.rules_by_arity: dict[int, tuple[_RuleEntry, ...]] = {}
         self.dyn_by_arity: dict[
             int, tuple[tuple[Rule, tuple[int, ...], Callable[[Node], int]], ...]
@@ -204,34 +209,39 @@ class _OpTable:
         return total
 
 
-def action_thunk(rule: Rule, templated: bool) -> tuple[Any, bool]:
-    """``(thunk, spliced)``: *rule*'s semantic action as one callable.
+#: What the walk's table lookup returns for an operator that has no
+#: table yet: flagged dynamic, so the node takes the dynamic tail, which
+#: builds the table and retries the node.
+_NO_TABLE = _OpTable(-1)
+_NO_TABLE.dynamic = True
 
-    The thunk ``(context, node, operands) -> value`` follows the frame
-    :class:`~repro.selection.reducer.Reducer`'s dispatch order: action,
-    then template (only for a *templated* context kind, one with
-    ``emit_template``), then helper splice, then operand pass-through.
-    *spliced* is static — only helper rules produce splice-flat values —
-    so a tape sweep needs no per-operand ``isinstance`` probe.  The
-    thunk binds the rule, not the context, so it serves every context
-    of its kind.
+
+def _helper_thunk(ctx: Any, node: Node, operands: list) -> Any:
+    return _SplicedOperands(operands)
+
+
+def action_thunk(rule: Rule, templated: bool) -> Any:
+    """*rule*'s semantic action as one callable ``(context, node,
+    operands) -> value``.
+
+    It follows the frame :class:`~repro.selection.reducer.Reducer`'s
+    dispatch order: action, then template (only for a *templated*
+    context kind, one with ``emit_template``), then helper splice, then
+    operand pass-through.  The thunk binds the rule, not the context, so
+    it serves every context of its kind.
     """
     action = rule.action
     if action is not None:
-        return action, False
+        return action
     if rule.template is not None and templated:
 
         def template_thunk(ctx: Any, node: Node, operands: list, _rule=rule):
             return ctx.emit_template(_rule, node, operands)
 
-        return template_thunk, False
+        return template_thunk
     if rule.is_helper:
-
-        def helper_thunk(ctx: Any, node: Node, operands: list) -> Any:
-            return _SplicedOperands(operands)
-
-        return helper_thunk, True
-    return pass_through, False
+        return _helper_thunk
+    return pass_through
 
 
 class AutomatonLabeling(Labeling):
@@ -295,12 +305,9 @@ class OnDemandAutomaton:
         self.pool = StatePool()
         self._op_ids: dict[str, int] = {}
         self._tables: dict[str, _OpTable] = {}
-        #: The walk's two lookup dicts: the tables of operators without
-        #: dynamic rules, and of those with (every operator, under
-        #: dynamic chain rules), which take the dynamic tail of
-        #: :meth:`_walk`.
-        self._static_tables: dict[str, _OpTable] = {}
-        self._dyn_tables: dict[str, _OpTable] = {}
+        #: Nonterminals a normalisation helper rule derives: an operand
+        #: of one of them may be a splice-flat value.
+        self._helper_nts: frozenset[str] = frozenset()
         self._dyn_chain: list[Rule] = []
         self._unreached_chain_half: tuple[None, ...] = ()
         self._static_reach_cache: dict[str, frozenset[str]] = {}
@@ -326,11 +333,9 @@ class OnDemandAutomaton:
         self._tables = {name: self._build_table(name, op_id) for name, op_id in self._op_ids.items()}
         self._dyn_chain = [rule for rule in self.grammar.chain_rules() if rule.is_dynamic]
         # A dynamic chain rule makes every transition node-dependent.
-        self._static_tables = {}
-        self._dyn_tables = {}
-        for name, table in self._tables.items():
-            dynamic = bool(self._dyn_chain or table.dyn_by_arity)
-            (self._dyn_tables if dynamic else self._static_tables)[name] = table
+        for table in self._tables.values():
+            table.dynamic = bool(self._dyn_chain or table.dyn_by_arity)
+        self._helper_nts = frozenset(rule.lhs for rule in self.grammar.rules if rule.is_helper)
         self._unreached_chain_half = (UNEVALUATED,) * len(self._dyn_chain)
         self._static_reach_cache = {}
         self._eager = None  # precomputed tables died with the old pool
@@ -363,8 +368,7 @@ class OnDemandAutomaton:
             self._tables[op_name] = table
             # No rules, so no dynamic rules: static unless the grammar
             # has dynamic chain rules.
-            lookup = self._dyn_tables if self._dyn_chain else self._static_tables
-            lookup[op_name] = table
+            table.dynamic = bool(self._dyn_chain)
         return table
 
     def _static_chain_reach(self, nonterminal: str) -> frozenset[str]:
@@ -391,13 +395,16 @@ class OnDemandAutomaton:
         A state fixes the rule that derives each of its nonterminals, so
         everything a tape compile needs to lay out one ``(node, goal)``
         entry is a function of ``(state, goal)``.  The fragment is the
-        tuple ``(emit, chain_goal, op_name, kid_goals)``:
+        tuple ``(code, cost, rule, chain_goal, op_name, kid_goals)``:
 
-        * ``emit`` is ``(thunk, spliced, cost, rule)`` — the rule's
-          action thunk and splice flag (see :func:`action_thunk`, bound
-          for the context kind *templated*) and its fixed cost, or
-          ``None`` for a ``dynamic_cost`` rule, which is evaluated per
-          entry;
+        * ``code`` is ``(thunk, count)``, the tape entry: the rule's
+          action thunk (see :func:`action_thunk`, bound for the context
+          kind *templated*) and its operand count — 1 for a chain rule,
+          the pattern's arity for a base rule — negated when an operand
+          nonterminal is one a helper rule derives, so that only such
+          entries probe their operands for splice-flat values;
+        * ``cost`` is the rule's fixed cost, or ``None`` for a
+          ``dynamic_cost`` rule, which is evaluated per entry;
         * a chain rule has ``chain_goal``, the source nonterminal's id,
           and ``kid_goals`` ``None``;
         * a base rule has ``chain_goal`` -1, the operator name its
@@ -419,20 +426,25 @@ class OnDemandAutomaton:
         if rule.is_chain:
             chain_goal = declare(rule.pattern.symbol)
             op_name = kid_goals = None
+            operands = (rule.pattern,)
             self._reject_chain_cycle(state, goal)
         elif rule.is_base:
             chain_goal = -1
             op_name = rule.pattern.symbol
-            kid_goals = tuple(declare(kid.symbol) for kid in rule.pattern.kids)
+            operands = rule.pattern.kids
+            kid_goals = tuple(declare(kid.symbol) for kid in operands)
         else:
             raise CoverError(
                 f"state #{state.index} derives nonterminal "
                 f"{self.pool.nt_names[goal]!r} by rule {rule.number}, "
                 f"which is not in normal form"
             )
-        thunk, spliced = action_thunk(rule, bool(templated))
+        count = len(operands)
+        if any(operand.symbol in self._helper_nts for operand in operands):
+            count = -count
         cost = None if rule.dynamic_cost is not None else rule.cost
-        built = ((thunk, spliced, cost, rule), chain_goal, op_name, kid_goals)
+        code = (action_thunk(rule, bool(templated)), count)
+        built = (code, cost, rule, chain_goal, op_name, kid_goals)
         rows = self.fragments[templated]
         row = rows.get(state)
         if row is None:
@@ -543,15 +555,16 @@ class OnDemandAutomaton:
         parent edges, the arities of the nodes it labeled summed (one
         add per node, where it gets its state).
 
-        Lookups go through the tables of operators without dynamic
-        rules first (all of them, on a static grammar; none, when the
-        grammar has dynamic chain rules).  A node whose operator misses
-        them takes the dynamic tail below the arity branches: one get
-        of the candidate row keyed by its child-state ids, the row's
-        candidate callables, one get of the state keyed by their
-        outcomes.  Only the cold branches touch *metrics* (misses and
-        construction work); the callables run are counted in a local
-        and charged once at the end.  The deadline is one strided check
+        A node's arity branch makes its one operator-table lookup, and
+        the table it finds says which kind it is.  A static table (every
+        table, on a static grammar; none, when the grammar has dynamic
+        chain rules) answers from its integer-keyed transitions.  A
+        dynamic table, or none yet, sends the node to the dynamic tail
+        below the arity branches: one get of the candidate row keyed by
+        its child-state ids, the row's candidate callables, one get of
+        the state keyed by their outcomes.  Only the cold branches touch
+        *metrics* (misses and construction work); the callables run are
+        counted in a local and charged once at the end.  The deadline is one strided check
         per popped node.
 
         The first visit to a unary or binary node labels each leaf kid
@@ -559,8 +572,8 @@ class OnDemandAutomaton:
         other leaf (cold, foreign-dialect, dynamic) takes its own visit,
         so states are built and callables run in the same order.
         """
-        tables = self._static_tables
-        dyn_tables = self._dyn_tables
+        tables = self._tables
+        no_table = _NO_TABLE
         dyn_chain = self._dyn_chain
         stack = list(roots)
         pop = stack.pop
@@ -592,17 +605,13 @@ class OnDemandAutomaton:
                         # First visit: a leaf kid whose static table has
                         # its state built takes that state in place.
                         if s0 is None and not k0.kids:
-                            table = tables.get(k0.op.name)
-                            if table is not None:
-                                s0 = table.nullary
-                                if s0 is not None:
-                                    node_states[i0] = s0
+                            s0 = tables.get(k0.op.name, no_table).nullary
+                            if s0 is not None:
+                                node_states[i0] = s0
                         if s1 is None and not k1.kids:
-                            table = tables.get(k1.op.name)
-                            if table is not None:
-                                s1 = table.nullary
-                                if s1 is not None:
-                                    node_states[i1] = s1
+                            s1 = tables.get(k1.op.name, no_table).nullary
+                            if s1 is not None:
+                                node_states[i1] = s1
                         if s0 is None or s1 is None:
                             push(node)
                             if s1 is None:
@@ -610,8 +619,8 @@ class OnDemandAutomaton:
                             if s0 is None:
                                 push(k0)
                             continue
-                    table = tables.get(node.op.name)
-                    if table is not None:
+                    table = tables.get(node.op.name, no_table)
+                    if not table.dynamic:
                         by_s1 = table.binary.get(s0.index)
                         if by_s1 is None:
                             by_s1 = table.binary[s0.index] = {}
@@ -625,8 +634,8 @@ class OnDemandAutomaton:
                         continue
                     key = (s0.index, s1.index)
                 elif arity == 0:
-                    table = tables.get(node.op.name)
-                    if table is not None:
+                    table = tables.get(node.op.name, no_table)
+                    if not table.dynamic:
                         state = table.nullary
                         if state is None:
                             metrics.table_misses += 1
@@ -641,17 +650,15 @@ class OnDemandAutomaton:
                     s0 = get_state(i0)
                     if s0 is None:
                         if not k0.kids:
-                            table = tables.get(k0.op.name)
-                            if table is not None:
-                                s0 = table.nullary
-                                if s0 is not None:
-                                    node_states[i0] = s0
+                            s0 = tables.get(k0.op.name, no_table).nullary
+                            if s0 is not None:
+                                node_states[i0] = s0
                         if s0 is None:
                             push(node)
                             push(k0)
                             continue
-                    table = tables.get(node.op.name)
-                    if table is not None:
+                    table = tables.get(node.op.name, no_table)
+                    if not table.dynamic:
                         state = table.unary.get(s0.index)
                         if state is None:
                             metrics.table_misses += 1
@@ -671,9 +678,9 @@ class OnDemandAutomaton:
                             push(kid)
                     if deferred:
                         continue
-                    table = tables.get(node.op.name)
+                    table = tables.get(node.op.name, no_table)
                     key = tuple(node_states[id(kid)].index for kid in kids)
-                    if table is not None:
+                    if not table.dynamic:
                         state = table.nary.get(key)
                         if state is None:
                             metrics.table_misses += 1
@@ -685,8 +692,7 @@ class OnDemandAutomaton:
                         continue
                 # The dynamic tail: an operator with dynamic rules (every
                 # operator, under dynamic chain rules) or one never seen.
-                table = dyn_tables.get(node.op.name)
-                if table is None:
+                if table is no_table:
                     self._table_for(node.op.name)
                     push(node)  # retried against the table it now has
                     continue

@@ -10,25 +10,27 @@ same lowering shape ERTL/RTL-style backends use to turn selected covers
 into flat instruction sequences:
 
 1. **Compile** — one walk over the cover lowers each forest to a
-   :class:`CompiledTape`: parallel postorder sequences (action thunks, IR
-   nodes, operand-slot runs).  Per entry the walk
-   reads the node's state off the labeling and appends the automaton's
-   *derivation fragment* for ``(state, goal)``
+   :class:`CompiledTape`: postorder *stack code*, one entry per rule
+   application.  Per entry the walk reads the node's state off the
+   labeling and appends the automaton's *derivation fragment* for
+   ``(state, goal)``
    (:meth:`~repro.selection.automaton.OnDemandAutomaton.fragment`): the
-   rule, its thunk and splice flag, its fixed cost, and either the chain
-   rule's source goal or the base rule's operator and child goals.
+   rule, its thunk and operand count, its fixed cost, and either the
+   chain rule's source goal or the base rule's operator and child goals.
    Fragments are built once per pair on first use, next to the
    transition tables, the same on-demand discipline the paper applies
    to transitions; goals are the state pool's nonterminal ids, the id
-   space the fragments are keyed by.  Entry *i*'s result lands in
-   value-buffer slot ``base + i``, so result slots are implicit and
-   operand references are value-buffer indices, encoded ``(index << 1)
-   | spliced`` — bit 0 marks operands produced by normalisation helper
-   rules, whose value lists are spliced flat exactly as the frame
-   engine splices ``_SplicedOperands``.
-2. **Sweep** — one linear pass over the tape runs the thunks against a
-   single shared value buffer: no frames, no memo probes, no per-frame
-   operand lists; operand gather is ``buf[ref >> 1]``.
+   space the fragments are keyed by.  An entry names no operand: in
+   postorder its operands are the values its operand count says are on
+   top of the value stack, the way a stack machine such as Gforth
+   finds them.
+2. **Sweep** — one linear pass over the tape runs it as stack code: each
+   entry pops its *k* operands, runs its thunk and pushes the result;
+   what is left on the stack is one value per root.  No frames, no
+   memo probes, no operand refs.  An entry whose count is negated (an
+   operand nonterminal is one a normalisation helper rule derives)
+   splices each ``_SplicedOperands`` operand flat, the frame engine's
+   own test; every other entry takes its operands as they are.
 
 The compile walk replicates the frame engine's exact left-to-right
 postorder — including where memo hits happen — so both engines run the
@@ -46,30 +48,29 @@ The **slot walk** (:meth:`TapeEmitter._compile_roots`) keys every
 ``(node, goal)`` entry it lays out in a slot table that spans the
 emitter's lifetime, so an entry reached twice — a DAG-shared node, a
 forest emitted again — resolves to its first slot (a memo hit).  Its
-operand refs are absolute slots, ``(slot << 1) | spliced``.
+sweep also appends every value it computes to the emitter's value
+buffer, at the entry's slot, and a memo hit is a *load* entry that
+pushes ``buf[slot]``.
 
-The **tree walk** (:meth:`TapeEmitter._compile_tree`) has no slot table
-and no pending entries.  It runs when the labeling is a tree
+The **tree walk** (:meth:`TapeEmitter._compile_tree`) has no slot table,
+no loads and no value buffer.  It runs when the labeling is a tree
 (:attr:`~repro.selection.automaton.AutomatonLabeling.tree`: every
 labeled node has exactly one referrer, which the labeling walk's edge
 count decides) *and* the emitter was built with ``once=True``, the
 caller's promise to emit each forest of the labeled batch once — as
 :meth:`~repro.selection.selector.Selector.select_many` does.  Then no
-entry can recur, so there is nothing to key or probe.  The walk lays
-out entries parent-first and right to left, then reverses them into the
-slot walk's exact postorder; an operand ref is the *negative* distance
-back to the operand, ``(-d << 1) | spliced``, which the sweep reads as
-``buf[ref >> 1]`` unchanged.  Root refs stay absolute.  It evaluates
-dynamic costs after the layout, in postorder, and raises a root's
-missing derivation only once the roots before it are costed, so its
-first fault is the slot walk's.  DAG batches and any emitter built
+entry can recur, so there is nothing to key or probe.  Its visits are
+``(node, goal)`` pairs: it lays out entries parent-first and right to
+left, then reverses them into the slot walk's exact postorder.  It
+evaluates dynamic costs after the layout, in postorder, and raises a
+root's missing derivation only once the roots before it are costed, so
+its first fault is the slot walk's.  DAG batches and any emitter built
 without ``once`` keep the slot walk and its memo hits.
 
 Both walks carry the visit they would pop next in locals rather than
 pushing it — the tree walk its last kid's, the slot walk its first
-kid's — so no visit down a unary chain is pushed.  Neither the layout
-nor the memo hits change, and the deadline still ticks once per visit
-(and, in the slot walk, once per pending entry).
+kid's — so no visit down a unary chain is pushed.  The deadline ticks
+once per visit (and, in the slot walk, once per pending entry).
 
 Cover cost
 ----------
@@ -94,12 +95,14 @@ distinct).  The state-indexed fragments are the cache.
 
 Fault isolation
 ---------------
-The batch-shared value buffer makes rollback a *truncation*: a
-fault-isolating caller snapshots ``memo_size()`` (the buffer length)
-before a forest and ``rollback_to()`` it after a fault — ``del
-values[mark:]`` plus popping the slot table's tail (the tree walk has
-none) — instead of the
-frame engine's reverse-ordered memo surgery.  Because compilation
+Rollback is a *truncation*: a fault-isolating caller snapshots
+``memo_size()`` (the reductions count, which on the slot walk is also
+the value buffer's length) before a forest and ``rollback_to()`` it
+after a fault — the count reset, plus ``del values[mark:]`` and popping
+the slot table's tail on the slot walk — instead of the frame engine's
+reverse-ordered memo surgery.  A mid-sweep fault is placed by the
+entry it stopped at: the action entries before it completed, and so
+did every root whose last entry precedes it.  Because compilation
 precedes emission, a forest whose cover is broken (``CoverError``)
 faults *before any action runs*: the frame engine may emit a partial
 prefix into the context before discovering the hole, the tape engine
@@ -109,13 +112,13 @@ never does.
 from __future__ import annotations
 
 import time
-from typing import Any, NoReturn
+from typing import Any, Iterator, NoReturn
 
 from repro.errors import CoverError, DeadlineExceededError
 from repro.ir.node import Forest, Node
 from repro.selection.automaton import AutomatonLabeling
 from repro.selection.cover import Labeling, require_structural_match
-from repro.selection.reducer import entry_cost
+from repro.selection.reducer import _SplicedOperands, entry_cost
 from repro.selection.resilience import (
     DEADLINE_CHECK_EVERY,
     attach_node_provenance,
@@ -124,69 +127,51 @@ from repro.selection.resilience import (
 
 __all__ = ["CompiledTape", "TapeCache", "TapeEmitter"]
 
-class CompiledTape:
-    """One forest's cover, lowered to flat postorder instruction tuples.
+#: The code of a load entry, whose node slot holds the value-buffer
+#: slot it pushes.
+_LOAD = (None, 0)
 
-    All sequences are parallel over ``entries`` tape entries, one per
-    derivation fragment the compile walk laid out; entry *i*'s semantic
-    value lands in value-buffer slot ``base + i`` (result slots are
-    sequential by construction, so they are implicit).  A tape lives
-    only from its compile walk to the end of its sweep.
+
+class CompiledTape:
+    """One forest's cover, lowered to postorder stack code.
+
+    ``codes`` and ``nodes`` are parallel, one item per tape entry.  A
+    tape lives only from its compile walk to the end of its sweep.
 
     Attributes:
-        entries: Number of tape entries (= rule applications = values
-            appended by one sweep).
-        base: Value-buffer length the tape was compiled against.
+        entries: Number of action entries (= rule applications = values
+            one sweep computes); loads are not counted.
         cost: Summed cost of the tape's entries, accumulated by the
             compile walk — a fragment's fixed cost, or
             :func:`~repro.selection.reducer.entry_cost` for a dynamic
             cost, evaluated there once per entry, so a raising one
             faults before any action runs.  Entries reached through the
-            slot table (an earlier tape's) are not this tape's and add
-            nothing.
-        thunks: Per-entry action thunks ``(context, node, operands)
-            -> value``, taken from the fragments (bound per context
-            kind, so a tape serves any context of its compiler's kind).
-        nodes: Per-entry IR nodes, the thunks' ``node`` argument.
-        runs: Per-entry operand references, ``(index << 1) | spliced``
-            with ``buf[index]`` the operand's value: an absolute slot
-            from the slot walk, a negative distance back from the
-            entry's own slot (``-d`` for the operand *d* entries
-            earlier) from the tree walk.
-        root_refs: Absolute value slots, one per root, in root order.
+            slot table (loads) add nothing.
+        codes: Per-entry ``(thunk, count)``.  An action entry pops
+            ``abs(count)`` operands, splicing ``_SplicedOperands`` flat
+            when *count* is negative, and pushes ``thunk(context, node,
+            operands)``; the thunks come from the fragments (bound per
+            context kind, so a tape serves any context of its
+            compiler's kind).  A load entry (slot walk only) is
+            ``(None, 0)`` and pushes ``buf[slot]``.
+        nodes: Per-entry IR nodes, the thunks' ``node`` argument; a load
+            entry's value-buffer slot.
+        ends: Per root, in root order, the index one past its last
+            entry: the sweep has that root's value once it passes it.
     """
 
-    __slots__ = (
-        "entries",
-        "base",
-        "cost",
-        "thunks",
-        "nodes",
-        "runs",
-        "root_refs",
-    )
+    __slots__ = ("entries", "cost", "codes", "nodes", "ends")
 
-    def __init__(
-        self,
-        *,
-        base: int,
-        cost: int,
-        thunks: list,
-        nodes: list,
-        runs: list,
-        root_refs: list,
-    ) -> None:
-        self.entries = len(thunks)
-        self.base = base
+    def __init__(self, *, entries: int, cost: int, codes: list, nodes: list, ends: list) -> None:
+        self.entries = entries
         self.cost = cost
-        self.thunks = thunks
+        self.codes = codes
         self.nodes = nodes
-        self.runs = runs
-        self.root_refs = root_refs
+        self.ends = ends
 
     def __repr__(self) -> str:
         return (
-            f"CompiledTape(entries={self.entries}, roots={len(self.root_refs)}, "
+            f"CompiledTape(entries={self.entries}, roots={len(self.ends)}, "
             f"cost={self.cost})"
         )
 
@@ -265,10 +250,11 @@ class TapeEmitter:
         #: Optional span tracer (``None``: none); with one, each
         #: cover-to-tape compilation records a ``pipeline.tape_compile`` span.
         self._tracer = tracer
-        #: The batch-shared value buffer; entry slots index into it.
+        #: The slot walk's value buffer: every value its sweeps compute,
+        #: at the entry's slot (the tree walk keeps it empty).
         self._values: list[Any] = []
-        #: ``(node key, nt id) -> (slot << 1) | spliced`` — insertion
-        #: ordered and slot-monotone, so rollback is a tail truncation.
+        #: ``(node key, nt id) -> slot`` — insertion ordered and
+        #: slot-monotone, so rollback is a tail truncation.
         self._slots: dict[tuple[int, int], int] = {}
         #: The context kind fragment thunks are bound for (1: the
         #: context has ``emit_template``) and its fragment table.
@@ -291,23 +277,24 @@ class TapeEmitter:
     # Fault isolation: value-buffer truncation instead of memo surgery.
 
     def memo_size(self) -> int:
-        """Current value-buffer length — a rollback point for
-        :meth:`rollback_to`."""
-        return len(self._values)
+        """Current reductions count — a rollback point for
+        :meth:`rollback_to` (on the slot walk, also the value buffer's
+        length)."""
+        return self.reductions
 
     def rollback_to(self, size: int) -> int:
-        """Truncate the value buffer (and the slot table's tail) back to
-        *size* slots; returns the number of values discarded.
+        """Discard the reductions past *size*: reset the count and
+        truncate the value buffer and the slot table's tail back to
+        *size*; returns the number discarded.
 
         Also clears slot-table entries registered by a compile that
         faulted before its sweep appended anything (the slot table may
-        briefly run ahead of the buffer inside :meth:`_emit`).
+        briefly run ahead of the buffer inside :meth:`_compile`).
         """
-        values = self._values
-        excess = len(values) - size
+        excess = self.reductions - size
         if excess > 0:
-            del values[size:]
-            self.reductions -= excess
+            self.reductions = size
+            del self._values[size:]
         self._truncate_slots(size)
         return max(excess, 0)
 
@@ -325,18 +312,14 @@ class TapeEmitter:
         """Lower *forest*'s roots from *start* to one tape, without the
         slot table (the tree walk; see the module docs).
 
-        A visit ``(node, goal, out, pos, parent)`` lays out the chain
-        ladder from *goal* down, then the base entry, then pushes one
-        visit per kid but the last, whose visit it carries on to in
-        locals (the last kid goes first); the roots go last to first,
-        so the layout is the slot walk's postorder backwards.
-        The entry laid out at index *j* is the operand ``out[pos]`` of
-        the one laid out at *parent* < *j*, which after the reversal
-        follows it by ``j - parent`` slots: its ref is ``((parent - j)
-        << 1) | spliced``.  A :class:`CoverError` at a root drops the
-        layout of the roots after it, which the slot walk never reaches.
+        A visit ``(node, goal)`` lays out the chain ladder from *goal*
+        down, then the base entry, then pushes one visit per kid but the
+        last, whose visit it carries on to in locals (the last kid goes
+        first); the roots go last to first, so the layout is the slot
+        walk's postorder backwards.  A :class:`CoverError` at a root
+        drops the layout of the roots after it, which the slot walk
+        never reaches.
         """
-        base = len(self._values)
         node_states = self.labeling.node_states
         rows = self._rows
         fragment = self._fragment
@@ -346,23 +329,21 @@ class TapeEmitter:
         if start_goal is None and roots:
             self._underivable(roots[0], start)
 
-        thunks: list[Any] = []
+        codes: list[tuple] = []
         nodes: list[Node] = []
-        runs: list[list[int] | tuple] = []
         tops: list[int] = []  # each root's top entry, last root first
         dynamic: list[tuple] = []  # (rule, node) per dynamic-cost entry
         cost = 0
         ticks = 0
-        laid = 0
         fault: CoverError | None = None
         stack: list[tuple] = []
         push = stack.append
         pop = stack.pop
 
         for root in reversed(roots):
-            tops.append(laid)
+            tops.append(len(codes))
             # The visit in hand; the last kid's is carried, not pushed.
-            node, goal, out, pos, parent = root, start_goal, None, 0, 0
+            node, goal = root, start_goal
             try:
                 while True:
                     if deadline is not None:
@@ -378,72 +359,54 @@ class TapeEmitter:
                             frag = None
                         if frag is None:
                             frag = fragment(state, goal, node)
-                        emit, goal, op_name, kid_goals = frag
-                        thunk, spliced, entry, rule = emit
-                        if out is not None:
-                            out[pos] = ((parent - laid) << 1) | spliced
+                        code, entry, rule, goal, op_name, kid_goals = frag
                         if entry is None:
                             dynamic.append((rule, node))
                         else:
                             cost += entry
-                        thunks.append(thunk)
+                        codes.append(code)
                         nodes.append(node)
+                        # A base rule ends the ladder; a chain rule's one
+                        # operand is this node from the source goal, next.
                         if kid_goals is not None:
                             break
-                        # A chain rule: its one operand is this node from
-                        # the source goal, laid out next.
-                        out = [0]
-                        runs.append(out)
-                        pos = 0
-                        parent = laid
-                        laid += 1
                     kids = node.kids
                     if node.op.name != op_name or len(kids) != len(kid_goals):
                         require_structural_match(rule.pattern, node)
-                    parent = laid
-                    laid += 1
                     if len(kids) == 2:
-                        out = [0, 0]
-                        push((kids[0], kid_goals[0], out, 0, parent))
-                        runs.append(out)
+                        push((kids[0], kid_goals[0]))
                         node = kids[1]
                         goal = kid_goals[1]
-                        pos = 1
                     elif kids:
-                        out = [0] * len(kids)
-                        pos = len(kids) - 1
-                        for index in range(pos):
-                            push((kids[index], kid_goals[index], out, index, parent))
-                        runs.append(out)
-                        node = kids[pos]
-                        goal = kid_goals[pos]
+                        last = len(kids) - 1
+                        for index in range(last):
+                            push((kids[index], kid_goals[index]))
+                        node = kids[last]
+                        goal = kid_goals[last]
+                    elif stack:
+                        node, goal = pop()
                     else:
-                        runs.append(())
-                        if not stack:
-                            break
-                        node, goal, out, pos, parent = pop()
+                        break
             except CoverError as exc:
                 fault = exc
                 stack.clear()
-                for laid_out in (thunks, nodes, runs, tops, dynamic):
+                for laid_out in (codes, nodes, tops, dynamic):
                     laid_out.clear()
-                cost = laid = 0
+                cost = 0
 
         for rule, node in reversed(dynamic):
             cost += entry_cost(rule, node)
         if fault is not None:
             raise fault
-        thunks.reverse()
+        codes.reverse()
         nodes.reverse()
-        runs.reverse()
-        last = base + laid - 1
+        laid = len(codes)
         return CompiledTape(
-            base=base,
+            entries=laid,
             cost=cost,
-            thunks=thunks,
+            codes=codes,
             nodes=nodes,
-            runs=runs,
-            root_refs=[last - top for top in reversed(tops)],
+            ends=[laid - top for top in reversed(tops)],
         )
 
     def _compile_roots(self, forest: Forest, start: str) -> CompiledTape:
@@ -457,25 +420,23 @@ class TapeEmitter:
         The walk resolves nothing per node: each ``(node, goal)`` it
         has no slot for reads the node's state off the labeling and
         lays out the automaton's derivation fragment for ``(state,
-        goal)``.  Its stack holds *visits* ``(node, goal, out, None,
-        None)`` and pending *entries* ``(node, key, out, emit, refs)``.
-        A visit follows the node's chain rules on the spot, pending one
-        entry per chain step, then pends the base rule's entry, pushes
-        its targets' visits but the first in reverse and carries on to
-        the first in locals, so targets resolve left to right and
-        entries land in the frame engine's exact postorder, with the
-        same memo hits; a leaf entry is laid out at once.  A laid-out
-        or memo-hit target appends its encoded slot to its parent's
-        ``refs`` (*out*).  The walk keeps the frame
-        engine's deadline strides and sums each new entry's
-        :func:`entry_cost` into the tape's ``cost``.  It needs no cycle
-        guard: IR nodes form a DAG, and the automaton rejects chain-rule
-        cycles when it builds a fragment.
+        goal)``.  Its stack holds *visits* ``(node, goal, None)`` and
+        pending *entries* ``(node, key, fragment)``.  A visit follows
+        the node's chain rules on the spot, pending one entry per chain
+        step, then pends the base rule's entry, pushes its targets'
+        visits but the first in reverse and carries on to the first in
+        locals, so targets resolve left to right and entries land in
+        the frame engine's exact postorder, with the same memo hits; a
+        leaf entry is laid out at once.  A memo hit lays out a load of
+        its slot where the frame engine would read its memo.  The walk
+        keeps the frame engine's deadline strides and sums each new
+        entry's :func:`entry_cost` into the tape's ``cost``.  It needs
+        no cycle guard: IR nodes form a DAG, and the automaton rejects
+        chain-rule cycles when it builds a fragment.
         """
         slots = self._slots
         slots_get = slots.get
-        base = len(self._values)
-        next2 = base << 1
+        next_slot = len(self._values)
         node_states = self.labeling.node_states
         rows = self._rows
         fragment = self._fragment
@@ -486,10 +447,9 @@ class TapeEmitter:
         if start_goal is None and forest.roots:
             self._underivable(forest.roots[0], start)
 
-        thunks: list[Any] = []
-        nodes: list[Node] = []
-        runs: list[list[int] | tuple] = []
-        root_refs: list[int] = []
+        codes: list[tuple] = []
+        nodes: list[Any] = []
+        ends: list[int] = []
         hits = 0
         cost = 0
         ticks = 0
@@ -498,24 +458,23 @@ class TapeEmitter:
         push = stack.append
         pop = stack.pop
         for root in forest.roots:
-            out: list[int] = []
-            # The item in hand: a visit (emit None) or a pending entry;
+            # The item in hand: a visit (frag None) or a pending entry;
             # the first kid's visit is carried, not pushed.
-            node, tag, out_refs, emit = root, start_goal, out, None
+            node, tag, frag = root, start_goal, None
             while True:
                 if deadline is not None:
                     ticks += 1
                     if ticks >= DEADLINE_CHECK_EVERY:
                         ticks = 0
                         check_deadline(deadline, "reduce")
-                if emit is not None:
+                if frag is not None:
                     key = tag
                 else:
                     nid = node.nid
                     node_key = nid if nid >= 0 else ~id(node)
                     key = (node_key, tag)
-                    encoded = slots_get(key)
-                    if encoded is None:
+                    slot = slots_get(key)
+                    if slot is None:
                         state = node_states.get(id(node))
                         goal = tag
                         while True:
@@ -525,65 +484,58 @@ class TapeEmitter:
                                 frag = None
                             if frag is None:
                                 frag = fragment(state, goal, node)
-                            emit, goal, op_name, kid_goals = frag
+                            goal = frag[3]
+                            kid_goals = frag[5]
                             if kid_goals is not None:
                                 break
                             # A chain rule: pend its entry; its one
                             # target is this node, from the source goal.
-                            refs = []
-                            push((node, key, out_refs, emit, refs))
-                            out_refs = refs
+                            push((node, key, frag))
                             key = (node_key, goal)
-                            encoded = slots_get(key)
-                            if encoded is not None:
+                            slot = slots_get(key)
+                            if slot is not None:
                                 break
-                    if encoded is not None:
+                    if slot is not None:
                         hits += 1
-                        out_refs.append(encoded)
+                        codes.append(_LOAD)
+                        nodes.append(slot)
                         if not stack:
                             break
-                        node, tag, out_refs, emit, refs = pop()
+                        node, tag, frag = pop()
                         continue
                     kids = node.kids
-                    if node.op.name != op_name or len(kids) != len(kid_goals):
-                        require_structural_match(emit[3].pattern, node)
+                    if node.op.name != frag[4] or len(kids) != len(kid_goals):
+                        require_structural_match(frag[2].pattern, node)
                     if kids:
-                        refs = []
-                        push((node, key, out_refs, emit, refs))
+                        push((node, key, frag))
                         if len(kids) == 2:
-                            push((kids[1], kid_goals[1], refs, None, None))
+                            push((kids[1], kid_goals[1], None))
                         else:
                             for index in range(len(kids) - 1, 0, -1):
-                                push((kids[index], kid_goals[index], refs, None, None))
+                                push((kids[index], kid_goals[index], None))
                         node = kids[0]
                         tag = kid_goals[0]
-                        out_refs = refs
-                        emit = None
+                        frag = None
                         continue
                     # A leaf entry has no targets: lay it out right away.
-                    refs = ()
-                thunk, spliced, entry, rule = emit
-                cost += entry_cost(rule, node) if entry is None else entry
-                encoded = next2 | spliced
-                next2 += 2
-                slots[key] = encoded
-                thunks.append(thunk)
+                entry = frag[1]
+                cost += entry_cost(frag[2], node) if entry is None else entry
+                slots[key] = next_slot
+                next_slot += 1
+                codes.append(frag[0])
                 nodes.append(node)
-                runs.append(refs)
-                out_refs.append(encoded)
                 if not stack:
                     break
-                node, tag, out_refs, emit, refs = pop()
-            root_refs.append(out[0] >> 1)
+                node, tag, frag = pop()
+            ends.append(len(codes))
 
         self.memo_hits += hits
         return CompiledTape(
-            base=base,
+            entries=len(codes) - hits,
             cost=cost,
-            thunks=thunks,
+            codes=codes,
             nodes=nodes,
-            runs=runs,
-            root_refs=root_refs,
+            ends=ends,
         )
 
     def _fragment(self, state: Any, goal: int, node: Node) -> tuple:
@@ -603,72 +555,91 @@ class TapeEmitter:
     # ------------------------------------------------------------------
     # Sweep
 
-    def _sweep(self, tape: CompiledTape) -> None:
-        """Execute *tape* linearly, appending one value per entry."""
+    def _sweep(self, tape: CompiledTape) -> list[Any]:
+        """Run *tape* as stack code; returns the stack, one value per
+        root.  A slot-walk tape also appends each value it computes to
+        the value buffer.  The deadline ticks once per action entry."""
         buf = self._values
-        append = buf.append
+        keep = None if self._tree else buf.append
         context = self.context
         deadline = self.deadline_at_ns
         ticks = 0
+        stack: list[Any] = []
+        push = stack.append
+        pop = stack.pop
+        entries = zip(tape.codes, tape.nodes)
         try:
-            if deadline is None:
-                # Deadline-free fast loop: no per-entry tick check.
-                for thunk, node, run in zip(tape.thunks, tape.nodes, tape.runs):
-                    operands: list[Any] = []
-                    for ref in run:
-                        if ref & 1:
-                            operands.extend(buf[ref >> 1])
-                        else:
-                            operands.append(buf[ref >> 1])
-                    append(thunk(context, node, operands))
-            else:
-                for thunk, node, run in zip(tape.thunks, tape.nodes, tape.runs):
+            for (thunk, count), node in entries:
+                if thunk is None:
+                    push(buf[node])  # a load: *node* is the slot
+                    continue
+                if deadline is not None:
                     ticks += 1
                     if ticks >= DEADLINE_CHECK_EVERY:
                         ticks = 0
                         check_deadline(deadline, "reduce")
+                if count == 0:
+                    value = thunk(context, node, [])
+                elif count == 2:
+                    right = pop()
+                    value = thunk(context, node, [pop(), right])
+                elif count == 1:
+                    value = thunk(context, node, [pop()])
+                elif count > 0:
+                    operands = stack[-count:]
+                    del stack[-count:]
+                    value = thunk(context, node, operands)
+                else:
                     operands = []
-                    for ref in run:
-                        if ref & 1:
-                            operands.extend(buf[ref >> 1])
+                    for operand in stack[count:]:
+                        if isinstance(operand, _SplicedOperands):
+                            operands.extend(operand)
                         else:
-                            operands.append(buf[ref >> 1])
-                    append(thunk(context, node, operands))
+                            operands.append(operand)
+                    del stack[count:]
+                    value = thunk(context, node, operands)
+                push(value)
+                if keep is not None:
+                    keep(value)
         except DeadlineExceededError:
             # A deadline abort is not the action's fault: no provenance,
             # exactly like the frame engine's out-of-try check.
-            self._note_fault(tape)
+            self._note_fault(tape, entries)
             raise
         except Exception as exc:
-            attach_node_provenance(exc, tape.nodes[len(buf) - tape.base])
-            self._note_fault(tape)
+            attach_node_provenance(exc, node)
+            self._note_fault(tape, entries)
             raise
         except BaseException:
-            self._note_fault(tape)
+            self._note_fault(tape, entries)
             raise
         self.reductions += tape.entries
+        return stack
 
-    def _note_fault(self, tape: CompiledTape) -> None:
+    def _note_fault(self, tape: CompiledTape, rest: Iterator[tuple]) -> None:
         """Restore the engine's invariants after a mid-sweep fault.
 
-        Counts the entries that completed into :attr:`reductions`, trims
-        the slot table back in line with the value buffer (only
-        completed entries stay memoised, matching the frame engine), and
-        records how many roots fully emitted — the leading run of roots
-        (in root order) whose result slots precede the fault point.
+        *rest* is the sweep's entry iterator, past the entry that
+        faulted.  Counts the action entries before that one into
+        :attr:`reductions`, trims the slot table back in line with the
+        value buffer (only completed entries stay memoised, matching the
+        frame engine), and records how many roots fully emitted — the
+        leading run of roots (in root order) whose entries all precede
+        the fault.
         """
-        fault_slot = len(self._values)
-        self.reductions += fault_slot - tape.base
-        self._truncate_slots(fault_slot)
+        codes = tape.codes
+        at = len(codes) - 1 - sum(1 for _ in rest)
+        self.reductions += at - codes[:at].count(_LOAD)
+        self._truncate_slots(len(self._values))
         completed = 0
-        for ref in tape.root_refs:
-            if ref >= fault_slot:
+        for end in tape.ends:
+            if end > at:
                 break
             completed += 1
         self.last_roots_completed = completed
 
-    def _emit(self, forest: Forest, start: str) -> CompiledTape:
-        """Compile *forest*'s cover from *start* to one tape and sweep it.
+    def _compile(self, forest: Forest, start: str) -> CompiledTape:
+        """Compile *forest*'s cover from *start* to one tape.
 
         A compile fault precedes all emission: nothing ran, so nothing
         completed, and the slot table's dead tail is cleared.  With a
@@ -697,7 +668,6 @@ class TapeEmitter:
             )
         if tape.entries:
             self.tapes_compiled += 1
-        self._sweep(tape)
         return tape
 
     # ------------------------------------------------------------------
@@ -714,7 +684,7 @@ class TapeEmitter:
     def reduce_forest(self, forest: Forest, start: str | None = None) -> list[Any]:
         """Compile *forest*'s tape and sweep it; sets
         :attr:`last_cover_cost` to the tape's cost."""
-        tape = self._emit(forest, self.resolve_start(start))
+        tape = self._compile(forest, self.resolve_start(start))
+        values = self._sweep(tape)
         self.last_cover_cost = tape.cost
-        buf = self._values
-        return [buf[ref] for ref in tape.root_refs]
+        return values

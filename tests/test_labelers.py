@@ -772,5 +772,5 @@ def test_static_grammar_never_reaches_the_dynamic_tail(monkeypatch):
     automaton = OnDemandAutomaton(bench_grammar())
     automaton.label_many(dag_heavy_forests(95, forests=4, statements=6, shared=4))
     automaton.build_eager()
-    assert automaton._dyn_tables == {}
+    assert not any(table.dynamic for table in automaton._tables.values())
     assert all(not table.dyn for table in automaton._tables.values())

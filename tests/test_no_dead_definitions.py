@@ -31,7 +31,7 @@ READERS = (ROOT / "src", ROOT / "tests", ROOT / "callerbench")
 
 #: Definitions kept without a reader, each with the reason.
 ALLOWED = {
-    # ROADMAP item 3 decides whether the IR interpreter becomes the
+    # ROADMAP item 7 decides whether the IR interpreter becomes the
     # independent-truth oracle for selected code or is deleted.
     "IRInterpreter",
 }

@@ -10,6 +10,11 @@ These contracts are pinned here:
   batches on one long-lived selector, which compile every forest
   again from the automaton's derivation fragments (nothing is cached
   by forest shape, and a selector keeps no forest alive).
+* **Stack code** — a tape's operand counts replay without underflow to
+  one value per root; loads appear only in slot-walk tapes, one per
+  slot-table hit; on a tree batch both walks lay out the same code, and
+  a fault at any entry of either leaves the frame engine's counters,
+  provenance and rollback.
 * **Fault isolation** — ``on_error="isolate"`` under injected action
   faults rolls the tape's value buffer back to the same state the frame
   engine's memo surgery reaches, and both engines agree on every
@@ -46,6 +51,7 @@ from repro.selection import (
     MODES,
     ON_ERROR_POLICIES,
     CompiledTape,
+    DPLabeler,
     Labeling,
     OnDemandAutomaton,
     Reducer,
@@ -662,28 +668,6 @@ def test_fragment_thunks_never_leak_across_context_kinds(make_grammar, make_fore
 
 
 # ----------------------------------------------------------------------
-# Tape layout
-
-
-def test_tape_fields_are_consistent():
-    forests = recurring_shape_stream(51, shapes=2, length=4, statements=5, max_depth=4)
-    labeling = _tape_selector(bench_grammar()).label_many(forests)
-    emitter = TapeEmitter(labeling, EmitContext())
-    start = emitter.resolve_start(None)
-    for forest in forests:
-        tape = emitter._emit(forest, start)
-        n = tape.entries
-        assert isinstance(tape, CompiledTape) and n > 0
-        assert len(tape.thunks) == len(tape.nodes) == len(tape.runs) == n
-        assert emitter.memo_size() == tape.base + n  # the sweep appended n values
-        for i, run in enumerate(tape.runs):
-            # Postorder: an entry's operands are earlier slots.
-            for ref in run:
-                assert tape.base <= (ref >> 1) < tape.base + i
-        assert all(tape.base <= ref < tape.base + n for ref in tape.root_refs)
-
-
-# ----------------------------------------------------------------------
 # Fault isolation
 
 
@@ -1053,7 +1037,7 @@ def test_compiled_tape_cost_sums_its_rules():
         result = _tape_selector(make_grammar()).select_many(forests, context=EmitContext())
         emitter = TapeEmitter(result.labeling, EmitContext())
         start = emitter.resolve_start(None)
-        tapes = [emitter._emit(forest, start) for forest in forests]
+        tapes = [emitter._compile(forest, start) for forest in forests]
         for tape, forest in zip(tapes, forests):
             assert tape.cost == extract_cover(result.labeling, forest).total_cost()
         assert sum(tape.cost for tape in tapes) == result.report.cover_cost
@@ -1351,23 +1335,230 @@ def test_dag_batches_and_standalone_emitters_keep_the_slot_walk(walks):
     assert walks == ["slot"] and len(emitter._slots) == emitter.memo_size() > 0
 
 
-def test_tree_walk_lays_out_postorder_with_relative_refs():
-    forests = recurring_shape_stream(53, shapes=2, length=4, statements=5, max_depth=4)
-    labeling = _tape_selector(bench_grammar()).label_many(forests)
-    assert labeling.tree
-    start = TapeEmitter(labeling, None).resolve_start(None)
-    slot, tree = TapeEmitter(labeling, EmitContext()), TapeEmitter(labeling, EmitContext(), once=True)
+def _replay_depths(tape) -> list[int]:
+    """Replay *tape*'s operand counts on an empty stack: the depth after
+    each entry, asserting that no entry pops more than the stack holds."""
+    depth = 0
+    depths = []
+    for thunk, count in tape.codes:
+        if thunk is not None:
+            depth -= abs(count)
+            assert depth >= 0
+        depth += 1
+        depths.append(depth)
+    return depths
+
+
+def _standalone_tapes(labeling, forests, once):
+    """``(forest, tape, values, memo hits)`` for every forest of the
+    batch *labeling* labeled, compiled and swept by one standalone
+    emitter."""
+    emitter = TapeEmitter(labeling, EmitContext(), once=once)
+    start = emitter.resolve_start(None)
+    out = []
     for forest in forests:
-        by_slots, by_tree = slot._emit(forest, start), tree._emit(forest, start)
-        assert by_tree.base == by_slots.base
-        assert by_tree.thunks == by_slots.thunks and by_tree.nodes == by_slots.nodes
-        assert by_tree.root_refs == by_slots.root_refs and by_tree.cost == by_slots.cost
-        for i, (absolute, relative) in enumerate(zip(by_slots.runs, by_tree.runs)):
-            # The same operand slots: refs count back from the entry.
-            assert [(ref >> 1) - by_tree.base - i for ref in absolute] == [ref >> 1 for ref in relative]
-            assert [ref & 1 for ref in absolute] == [ref & 1 for ref in relative]
-            assert all(ref < 0 for ref in relative)
-    assert len(tree._slots) == 0 and tree.memo_size() == slot.memo_size()
+        hits = emitter.memo_hits
+        tape = emitter._compile(forest, start)
+        out.append((forest, tape, emitter._sweep(tape), emitter.memo_hits - hits))
+    return emitter, out
+
+
+#: The differential grid's families plus the helper grammar's trees.
+ALL_FAMILIES = FAMILIES + [TREE_FAMILIES[-1]]
+
+
+@pytest.mark.parametrize("once", [False, True], ids=["slot", "tree"])
+@pytest.mark.parametrize(
+    "name,make_grammar,make_forests,mode",
+    ALL_FAMILIES,
+    ids=[f[0] for f in ALL_FAMILIES],
+)
+def test_operand_counts_replay_to_one_value_per_root(name, make_grammar, make_forests, mode, once):
+    """Replaying a tape's operand counts never pops an empty stack and
+    leaves exactly one value per root, the last of root *r* on top once
+    the replay passes ``ends[r]``."""
+    forests = make_forests()
+    labeling = Selector(make_grammar(), mode=mode).label_many(forests)
+    _, tapes = _standalone_tapes(labeling, forests, once)
+    for forest, tape, values, _ in tapes:
+        assert isinstance(tape, CompiledTape)
+        depths = _replay_depths(tape)
+        assert len(tape.codes) == len(tape.nodes) == len(depths)
+        assert tape.entries == sum(thunk is not None for thunk, _ in tape.codes)
+        assert len(values) == len(tape.ends) == len(forest.roots)
+        assert [depths[end - 1] for end in tape.ends] == list(range(1, len(forest.roots) + 1))
+        assert depths[-1] == len(forest.roots)
+        for (thunk, _), node in zip(tape.codes, tape.nodes):
+            assert isinstance(node, Node) if thunk is not None else isinstance(node, int)
+
+
+@pytest.mark.parametrize(
+    "name,make_grammar,make_forests,mode",
+    ALL_FAMILIES,
+    ids=[f[0] for f in ALL_FAMILIES],
+)
+def test_loads_appear_only_in_slot_tapes_exactly_at_slot_table_hits(name, make_grammar, make_forests, mode):
+    """A slot tape holds one load per slot-table hit of its compile, of
+    a slot an earlier entry filled; the slot walk of a tree batch and
+    every tree tape hold none."""
+    forests = make_forests()
+    labeling = Selector(make_grammar(), mode=mode).label_many(forests)
+    tree = labeling.tree
+    for once in (False, True):
+        emitter, tapes = _standalone_tapes(labeling, forests, once)
+        filled = 0
+        for _, tape, _, hits in tapes:
+            loads = [i for i, code in enumerate(tape.codes) if code is tape_module._LOAD]
+            assert len(loads) == hits
+            if once and tree:
+                assert loads == []
+            for i in loads:
+                computed_before = filled + sum(code is not tape_module._LOAD for code in tape.codes[:i])
+                assert 0 <= tape.nodes[i] < computed_before
+            filled += tape.entries
+        if once and tree:
+            assert emitter.memo_hits == 0 and emitter._values == [] and emitter._slots == {}
+        else:
+            assert len(emitter._values) == len(emitter._slots) == emitter.reductions == filled
+        if tree:
+            assert emitter.memo_hits == 0
+
+
+@pytest.mark.parametrize(
+    "name,make_grammar,make_forests,mode", TREE_FAMILIES, ids=[f[0] for f in TREE_FAMILIES]
+)
+def test_tree_and_slot_tapes_of_a_tree_batch_lay_out_the_same_code(name, make_grammar, make_forests, mode):
+    """On a tree batch the two walks lay out equal thunks, nodes and
+    operand counts, root ends and costs; only the slot walk fills the
+    value buffer."""
+    forests = make_forests()
+    labeling = Selector(make_grammar(), mode=mode).label_many(forests)
+    slot, by_slots = _standalone_tapes(labeling, forests, once=False)
+    tree, by_tree = _standalone_tapes(labeling, forests, once=True)
+    assert tree._tree and not slot._tree
+    for (_, a, a_values, _), (_, b, b_values, _) in zip(by_slots, by_tree):
+        assert a.codes == b.codes
+        assert a.nodes == b.nodes
+        assert (a.ends, a.cost, a.entries) == (b.ends, b.cost, b.entries)
+        assert a_values == b_values
+    assert tree._values == [] and len(slot._values) == slot.reductions
+    assert tree.reductions == slot.reductions and tree.memo_size() == slot.memo_size()
+
+
+class _Planted(Exception):
+    """The fault :func:`_failing_at_call` plants."""
+
+
+def _failing_at_call(at: int):
+    """The action grammar, every action recording its value in the
+    context, the *at*-th action call raising :class:`_Planted`."""
+    grammar = _action_grammar()
+    calls = [0]
+    for rule in grammar.rules:
+        inner = rule.action
+
+        def action(context, node, operands, _inner=inner):
+            calls[0] += 1
+            if calls[0] == at:
+                raise _Planted(at)
+            value = _inner(context, node, operands)
+            context.append(value)
+            return value
+
+        rule.action = action
+    return grammar
+
+
+def _three_root_forests(shared: bool) -> list[Forest]:
+    """A three-root forest and a later one; with *shared*, the first
+    forest's roots reuse one subtree, which the later forest reuses too."""
+    b = NodeBuilder()
+    common = b.add(b.reg(1), b.reg(2))
+    first = Forest(name="three")
+    first.add(b.expr(b.add(b.reg(1), b.cnst(4))))
+    first.add(b.expr(b.mul(common if shared else b.add(b.reg(1), b.reg(2)), b.cnst(3))))
+    first.add(b.expr(b.sub(common if shared else b.reg(3), b.cnst(7))))
+    later = Forest(name="later")
+    later.add(b.expr(b.add(b.cnst(5), common if shared else b.reg(6))))
+    return [first, later]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["tree", "dag"])
+def test_a_mid_sweep_fault_matches_the_slot_walk_and_the_reducer(walks, shared):
+    """An action fault at every entry of a three-root forest: the tape
+    (the tree walk, and the slot walk with its loads) blames the frame
+    Reducer's node, counts its reductions and completed roots, and rolls
+    back to the same state, after which a later forest emits the same."""
+    forests = _three_root_forests(shared)
+    clean = Reducer(_label_many(_action_grammar(), forests), [])
+    clean.reduce_forest(forests[0])
+    assert (clean.memo_hits > 0) is shared
+    for at in range(1, clean.reductions + 1):
+        runs = {}
+        for engine in ("slot", "reducer") if shared else ("tree", "slot", "reducer"):
+            labeling = _label_many(_failing_at_call(at), forests)
+            assert labeling.tree is not shared
+            context: list = []
+            if engine == "reducer":
+                emitter = Reducer(labeling, context)
+            else:
+                emitter = TapeEmitter(labeling, context, once=engine == "tree")
+            walks.clear()
+            mark = emitter.memo_size()
+            with pytest.raises(_Planted) as excinfo:
+                emitter.reduce_forest(forests[0])
+            at_fault = (
+                node_provenance(excinfo.value),
+                emitter.reductions,
+                emitter.last_roots_completed,
+                list(context),
+            )
+            discarded = emitter.rollback_to(mark)
+            later = emitter.reduce_forest(forests[1])
+            runs[engine] = (at_fault, discarded, emitter.reductions, emitter.memo_size(), later, context)
+            assert walks == ([] if engine == "reducer" else [engine, engine])
+        assert runs.get("tree", runs["slot"]) == runs["slot"] == runs["reducer"], at
+        assert runs["slot"][0][1] == at - 1  # the entries before the fault completed
+
+
+def _label_many(grammar, forests):
+    return Selector(grammar, mode="ondemand").label_many(forests)
+
+
+def test_a_spliced_helper_value_reached_through_a_load_is_spliced():
+    """Two stores over one ``ADD(LOAD(addr), con)`` both match the
+    multi-node pattern, so the second reaches the helper nonterminal's
+    value — a splice-flat list — through a load: the store's action
+    still sees its operands flat, as the DP labeling's frame Reducer
+    hands them over."""
+
+    def grammar():
+        g = _helper_dynamic_grammar()
+        for rule in g.rules:
+            rule.action = _pure_action(rule.lhs, str(rule.pattern))
+        return g
+
+    def forests():
+        b = NodeBuilder()
+        inner = b.add(b.load(b.reg(3)), b.cnst(5))
+        return [Forest([b.store(b.reg(1), inner), b.store(b.reg(2), inner)], name="stores")]
+
+    batch = forests()
+    result = Selector(grammar()).select_many(batch)
+    oracle_batch = forests()
+    oracle = Reducer(DPLabeler(grammar()).label_many(oracle_batch), None)
+    assert result.values == [oracle.reduce_forest(oracle_batch[0])]
+    first, second = result.values[0]
+    assert first[0] == second[0] == "stmt"
+    assert len(first[4]) == len(second[4]) == 3  # addr, the loaded addr, con
+
+    emitter = TapeEmitter(_label_many(grammar(), batch), None)
+    tape = emitter._compile(batch[0], "stmt")
+    loads = [node for code, node in zip(tape.codes, tape.nodes) if code is tape_module._LOAD]
+    emitter._sweep(tape)
+    assert any(isinstance(emitter._values[slot], _SplicedOperands) for slot in loads)
+    spliced = [count for thunk, count in tape.codes if thunk is not None and count < 0]
+    assert spliced  # the store and the helper over the helper splice
 
 
 def test_deadline_inside_the_tree_walk_has_no_provenance(walks):
@@ -1443,7 +1634,7 @@ def test_one_pass_through_serves_the_tape_and_the_reducer():
     shape — never the caller's list, which stays as it was."""
     grammar = bench_grammar()
     rule = next(r for r in grammar.rules if r.action is None and r.template is None)
-    assert action_thunk(rule, False) == action_thunk(rule, True) == (pass_through, False)
+    assert action_thunk(rule, False) is action_thunk(rule, True) is pass_through
     reducer = Reducer(OnDemandAutomaton(grammar).label_many([]), EmitContext())
     node = NodeBuilder().reg(1)
     x, a, b = "x", ("a",), 3
