@@ -236,10 +236,11 @@ def dag_heavy_forests(
 def clone_forest(forest: Forest, name: str | None = None) -> Forest:
     """A deep copy of *forest* with fresh node objects, sharing preserved.
 
-    This models a JIT recompiling the same code shape: node identities
-    differ (so labelers and reducers cannot cheat through identity
-    memoisation — clones get fresh nids, not the template's) but the
-    structure — including DAG sharing — is identical.
+    This models a JIT recompiling the same code shape: the clones are
+    new node objects, so labelers and emitters, which key nodes by
+    object identity, cannot cheat through memoisation (they also get
+    fresh nids, for provenance), but the structure — including DAG
+    sharing — is identical.
     """
     cloned: dict[int, Node] = {}
     for node in topological_order(forest.roots):

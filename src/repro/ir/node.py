@@ -20,10 +20,9 @@ from repro.ir.ops import Operator, OperatorSet
 __all__ = ["Node", "NodeBuilder", "Forest", "fresh_nid"]
 
 #: Process-wide node-id source.  Builder-assigned nids are unique across
-#: *all* builders in the process (not merely within one builder), which
-#: lets the reduction memo and the emission tape's slot table key nodes
-#: by ``nid`` instead of the recyclable ``id()`` — a GC'd forest can
-#: re-use a dead node's address mid-batch, but never its nid.
+#: *all* builders in the process.  A nid is provenance (``"OP(nid=n)"``
+#: in fault and error text), not identity: every labeler and emitter
+#: keys a node by the object, ``id(node)``.
 _NID_COUNTER = itertools.count()
 
 
@@ -40,11 +39,11 @@ class Node:
         kids: Child nodes (a tuple whose length equals ``op.arity``).
         value: Immediate payload for payload-carrying operators
             (``None`` otherwise).
-        nid: Numeric identity assigned by the :class:`NodeBuilder`;
+        nid: Provenance number assigned by the :class:`NodeBuilder`,
             unique across all builders in the process (see
-            :func:`fresh_nid`).  Hand-built nodes carry the sentinel
-            ``-1`` and fall back to address-based identity in the
-            reduction memo (with the usual recycled-``id()`` caveats).
+            :func:`fresh_nid`) and kept by pickling; hand-built nodes
+            carry the sentinel ``-1``.  It names the node in fault and
+            error text; the node's identity is the object itself.
     """
 
     __slots__ = ("op", "kids", "value", "nid")
@@ -83,9 +82,8 @@ class Node:
     def replace_kids(self, kids: Sequence["Node"]) -> "Node":
         """A copy of this node with different children (same payload).
 
-        The copy gets a *fresh* nid: nids are identity, and a copy is a
-        distinct node — reusing the source nid would alias the copy with
-        its original in any nid-keyed memo (the reducer's, the tape's).
+        The copy is a distinct node (a new object), and it gets a
+        *fresh* nid so fault and error text tell it from its source.
         Sources that never had a nid (``-1``) stay that way.
         """
         nid = fresh_nid() if self.nid >= 0 else -1

@@ -36,7 +36,7 @@ remains as the stateless DP oracle.
 from repro.selection.automaton import AutomatonLabeling, OnDemandAutomaton
 from repro.selection.cover import Cover, CoverEntry, Labeling, extract_cover
 from repro.selection.label_dp import DPLabeler, DPLabeling, label_dp, match_pattern
-from repro.selection.reducer import Reducer, node_memo_key, pass_through
+from repro.selection.reducer import Reducer, pass_through
 from repro.selection.resilience import SelectionFailure
 from repro.selection.selector import (
     EMITTERS,
@@ -77,7 +77,6 @@ __all__ = [
     "grammar_fingerprint",
     "label_dp",
     "match_pattern",
-    "node_memo_key",
     "pass_through",
     "state_signature",
 ]

@@ -590,8 +590,8 @@ class OnDemandAutomaton:
                         ticks = 0
                         check_deadline(deadline_at_ns, "label")
                 node = pop()
-                nid = id(node)
-                if nid in node_states:
+                node_id = id(node)
+                if node_id in node_states:
                     continue
                 kids = node.kids
                 arity = len(kids)
@@ -629,7 +629,7 @@ class OnDemandAutomaton:
                             metrics.table_misses += 1
                             state = self._construct_state(table, 2, (s0, s1), None, metrics)
                             by_s1[s1.index] = state
-                        node_states[nid] = state
+                        node_states[node_id] = state
                         edges += 2
                         continue
                     key = (s0.index, s1.index)
@@ -641,7 +641,7 @@ class OnDemandAutomaton:
                             metrics.table_misses += 1
                             state = self._construct_state(table, 0, (), None, metrics)
                             table.nullary = state
-                        node_states[nid] = state
+                        node_states[node_id] = state
                         continue
                     key = ()
                 elif arity == 1:
@@ -664,7 +664,7 @@ class OnDemandAutomaton:
                             metrics.table_misses += 1
                             state = self._construct_state(table, 1, (s0,), None, metrics)
                             table.unary[s0.index] = state
-                        node_states[nid] = state
+                        node_states[node_id] = state
                         edges += 1
                         continue
                     key = (s0.index,)
@@ -687,7 +687,7 @@ class OnDemandAutomaton:
                             kid_states = tuple(node_states[id(kid)] for kid in kids)
                             state = self._construct_state(table, arity, kid_states, None, metrics)
                             table.nary[key] = state
-                        node_states[nid] = state
+                        node_states[node_id] = state
                         edges += arity
                         continue
                 # The dynamic tail: an operator with dynamic rules (every
@@ -721,7 +721,7 @@ class OnDemandAutomaton:
                     # SelectionFailure provenance.
                     attach_node_provenance(exc, node)
                     raise
-                node_states[nid] = state
+                node_states[node_id] = state
                 edges += arity
         finally:
             metrics.dynamic_evals += evals_run

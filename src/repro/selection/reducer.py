@@ -18,11 +18,16 @@ The two engines share a contract, not a class: the same
 surface and counters, and the helpers defined here —
 :func:`entry_cost`, :func:`pass_through` and the
 ``_SplicedOperands`` marker.  The reducer keeps everything else to
-itself: its memo keyed by ``(node key, nonterminal name)`` (the node
-key is :func:`node_memo_key`), its action dispatch, its cycle guard,
-its deadline strides and its fault rollback.  It resolves each rule
-and its targets per node, with no plan cache or id space of its own,
-so it stays independent of the automaton's state-indexed fragments.
+itself: its memo keyed by ``(id(node), nonterminal name)``, its action
+dispatch, its cycle guard, its deadline strides and its fault rollback.
+It resolves each rule and its targets per node, with no plan cache or
+id space of its own, so it stays independent of the automaton's
+state-indexed fragments.
+
+Node identity is the object, as in the IR and every labeling: two
+structurally equal nodes are two nodes unless they are one object, so a
+forest and its unpickled or cloned copy reduce twice.  A node's ``nid``
+is provenance only (error text).
 
 The engine is *iterative*: reduction runs on an explicit frame stack,
 so arbitrarily deep trees and arbitrarily long chain-rule sequences
@@ -76,23 +81,7 @@ from repro.selection.resilience import (
     check_deadline,
 )
 
-__all__ = ["Reducer", "entry_cost", "node_memo_key", "pass_through"]
-
-
-def node_memo_key(node: Node) -> int:
-    """The identity key reduction memos use for *node*.
-
-    Builder-assigned nids are process-unique and never recycled, so they
-    are the safe key: ``id()`` values can be re-used after a forest is
-    garbage-collected mid-batch, silently aliasing a stale memo entry
-    onto a fresh node at the same address.  Hand-built nodes
-    (``nid == -1``) fall back to ``~id(node)`` — the complement keeps
-    the fallback range (negative) disjoint from real nids (>= 0), with
-    the documented caveat that address identity is only sound while the
-    caller keeps the forest alive.
-    """
-    nid = node.nid
-    return nid if nid >= 0 else ~id(node)
+__all__ = ["Reducer", "entry_cost", "pass_through"]
 
 
 def entry_cost(rule: Rule, node: Node) -> int:
@@ -170,6 +159,11 @@ class Reducer:
             rule application and one memo store each.
         memo_hits: Reduction requests answered from the memo without
             applying a rule.
+
+    The memo keys nodes by ``id()``, as the labeling does, and the
+    reducer reduces only what its labeling labeled, so this adds no
+    recycled-address risk: the caller keeps the labeled forests alive
+    while it reduces them, as ``select_many`` holds its batch.
     """
 
     def __init__(
@@ -185,7 +179,7 @@ class Reducer:
         #: (checked every DEADLINE_CHECK_EVERY frame steps); None
         #: disables the checks.
         self.deadline_at_ns = deadline_at_ns
-        #: ``(node key, nonterminal) -> value``; values may be ``None``,
+        #: ``(id(node), nonterminal) -> value``; values may be ``None``,
         #: so lookups use the :data:`_MISSING` sentinel.
         self._memo: dict[tuple[int, str], Any] = {}
         self.reductions = 0
@@ -279,7 +273,7 @@ class Reducer:
         summing :func:`entry_cost` over the reductions this walk applied.
         """
         memo = self._memo
-        key = (node_memo_key(node), nonterminal)
+        key = (id(node), nonterminal)
         value = memo.get(key, _MISSING)
         if value is not _MISSING:
             self.memo_hits += 1
@@ -311,7 +305,7 @@ class Reducer:
             descended = False
             while index < len(targets):
                 t_node, t_nt = targets[index]
-                t_key = (node_memo_key(t_node), t_nt)
+                t_key = (id(t_node), t_nt)
                 value = memo.get(t_key, _MISSING)
                 if value is _MISSING:
                     if t_key in on_stack:

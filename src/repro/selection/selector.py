@@ -627,9 +627,13 @@ class SelectionReport:
     #: Cost of the batch's cover from the start nonterminal (see the
     #: class docs; ``None`` when the caller passed ``collect_cover=False``).
     cover_cost: int | None
-    #: Distinct (node, nonterminal) reductions — rule applications.
+    #: Distinct (node, nonterminal) reductions — rule applications, in
+    #: the labeling's grammar: the automaton modes' normalized grammar
+    #: counts multi-node patterns' helper rules too (the tests' demo
+    #: ``STORE(REG, ADD(LOAD(REG), REG))``: 6 under ``"dp"``, 8 under
+    #: ``"ondemand"``), so compare it only within one mode.
     reductions: int
-    #: Reduction requests answered from the reducer's memo.
+    #: Reduction requests answered from the memo (same grammar).
     memo_hits: int
     label_ns: int
     reduce_ns: int

@@ -198,9 +198,12 @@ class TapeEmitter:
     semantics and the ``memo_size``/``rollback_to`` fault-isolation
     contract — so the reducer can check it as an independent oracle.
     Cross-forest memoisation is preserved: the slot table (keyed by
-    :func:`~repro.selection.reducer.node_memo_key` and the state pool's
-    goal id) spans the emitter's lifetime, so a node shared between
-    batch forests emits once and later forests reference its slot.
+    ``id(node)`` and the state pool's goal id) spans the emitter's
+    lifetime, so a node shared between batch forests emits once and
+    later forests reference its slot.  Node identity is the object, as
+    in the labeling (also keyed by ``id()``, and an emitter emits only
+    what it labeled), so the caller keeps the labeled forests alive
+    while it emits them, and a forest's unpickled copy is a second one.
 
     *once* is the caller's promise that it emits each forest of the
     labeled batch exactly once, and no other forest.  With it, a tree
@@ -253,7 +256,7 @@ class TapeEmitter:
         #: The slot walk's value buffer: every value its sweeps compute,
         #: at the entry's slot (the tree walk keeps it empty).
         self._values: list[Any] = []
-        #: ``(node key, nt id) -> slot`` — insertion ordered and
+        #: ``(id(node), nt id) -> slot`` — insertion ordered and
         #: slot-monotone, so rollback is a tail truncation.
         self._slots: dict[tuple[int, int], int] = {}
         #: The context kind fragment thunks are bound for (1: the
@@ -470,12 +473,11 @@ class TapeEmitter:
                 if frag is not None:
                     key = tag
                 else:
-                    nid = node.nid
-                    node_key = nid if nid >= 0 else ~id(node)
+                    node_key = id(node)
                     key = (node_key, tag)
                     slot = slots_get(key)
                     if slot is None:
-                        state = node_states.get(id(node))
+                        state = node_states.get(node_key)
                         goal = tag
                         while True:
                             try:

@@ -5,7 +5,10 @@ Hypothesis draws trees and DAGs over three grammars — the emitting
 bench grammar, the constrained bench grammar and a grammar whose
 multi-node constrained pattern normalizes to helper nonterminals —
 with subtrees shared within and across forests, a root shared by two
-forests and a forest repeated in its batch.  The default selector
+forests, a forest repeated in its batch, and a forest beside its
+unpickled or ``clone_forest`` copy: new node objects (the unpickled one
+keeping the nids), so two forests on every engine, since node identity
+is the object.  The default selector
 (on-demand automaton, tape emitter) must produce byte-identical values
 and emitted code to DP labeling emitted by the frame ``Reducer``, the
 same cover cost, and the same counters as the frame ``Reducer`` over
@@ -22,7 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.bench.workloads import EmitContext, dynamic_bench_grammar, emit_bench_grammar  # noqa: E402
+from repro.bench.workloads import EmitContext, clone_forest, dynamic_bench_grammar, emit_bench_grammar  # noqa: E402
 from repro.ir import Forest, NodeBuilder  # noqa: E402
 from repro.selection import DPLabeler, Reducer, Selector  # noqa: E402
 from test_labelers import _helper_dynamic_grammar  # noqa: E402
@@ -88,7 +91,9 @@ def _batches(draw, unary: tuple[str, ...], binary: tuple[str, ...]) -> list[Fore
     In the other half a value is reused from the ones built so far with
     probability 1/5 (a shared subtree), a root is taken from an earlier
     forest with probability 1/6, and the batch repeats one of its
-    forests with probability 1/5."""
+    forests with probability 1/5.  In either half the batch then gains
+    an unpickled or a ``clone_forest`` copy of one of its forests with
+    probability 1/4 (a copy shares no node, so a tree stays a tree)."""
     b = NodeBuilder()
     built = []
     share = draw(st.booleans())
@@ -123,6 +128,12 @@ def _batches(draw, unary: tuple[str, ...], binary: tuple[str, ...]) -> list[Fore
         forests.append(forest)
     if share and draw(st.integers(0, 4)) == 0:
         forests.append(draw(st.sampled_from(forests)))
+    if draw(st.integers(0, 3)) == 0:
+        original = draw(st.sampled_from(forests))
+        if draw(st.booleans()):
+            forests.append(pickle.loads(pickle.dumps(original)))
+        else:
+            forests.append(clone_forest(original))
     return forests
 
 
@@ -138,16 +149,7 @@ def _frame_run(labeling, batch, context):
     return values, cost, reducer.reductions, reducer.memo_hits
 
 
-@pytest.mark.parametrize("family", list(FAMILIES))
-@settings(
-    max_examples=60,
-    deadline=None,
-    database=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(data=st.data())
-def test_select_many_matches_dp_and_the_frame_reducer(family, data):
+def _check_generated_batch(family, data):
     make_grammar, unary, binary, make_context = FAMILIES[family]
     batch = data.draw(_batches(unary, binary))
 
@@ -167,3 +169,23 @@ def test_select_many_matches_dp_and_the_frame_reducer(family, data):
     frame = _frame_run(result.labeling, batch, make_context())
     assert pickle.dumps(frame[0]) == pickle.dumps(values)
     assert frame[1:] == (cost, report.reductions, report.memo_hits)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_select_many_matches_dp_and_the_frame_reducer(family, request):
+    """One derandomized example stream per family by default;
+    ``--hypothesis-seed=N`` draws the stream seed *N* picks instead."""
+    seeded = request.config.getoption("hypothesis_seed", None) is not None
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        database=None,
+        derandomize=not seeded,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data())
+    def check(data):
+        _check_generated_batch(family, data)
+
+    check()

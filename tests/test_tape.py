@@ -21,10 +21,11 @@ These contracts are pinned here:
   surviving forest's values; action faults carry node provenance,
   deadline aborts do not; a broken cover faults *before* any action
   runs (the frame engine's partial-prefix emission never happens).
-* **Identity keying** — reduction memos key by ``node.nid`` (with the
-  documented ``~id`` fallback for hand-built nodes), and
-  ``replace_kids`` copies get fresh nids so they can never alias their
-  source in a memo.
+* **Identity keying** — a node is its object on every engine: the
+  labeling, the slot walk and the frame engine's memo all key nodes by
+  ``id()``, so a forest and its unpickled, cloned, hand-built or
+  ``replace_kids`` copy emit as two forests everywhere, and ``nid`` is
+  provenance only.
 * **Free cover cost** — the cost both engines sum in the walk that
   emits a forest (the tape's compile walk; the frame engine's
   reduction walk) equals the ``extract_cover`` oracle on
@@ -35,6 +36,7 @@ These contracts are pinned here:
 from __future__ import annotations
 
 import gc
+import pickle
 import random
 import time
 import weakref
@@ -46,6 +48,7 @@ from repro.errors import CoverError, DeadlineExceededError
 from repro.grammar import Grammar, parse_grammar
 from repro.ir import Forest, Node, NodeBuilder
 from repro.ir.ops import DEFAULT_OPERATORS, Operator, OperatorSet
+from repro.ir.traversal import topological_order
 from repro.selection import (
     EMITTERS,
     MODES,
@@ -59,7 +62,6 @@ from repro.selection import (
     SelectorConfig,
     TapeEmitter,
     extract_cover,
-    node_memo_key,
 )
 from repro.selection import cover as cover_module
 from repro.selection import tape as tape_module
@@ -810,17 +812,76 @@ def test_rollback_to_truncates_values_and_slots():
 
 
 # ----------------------------------------------------------------------
-# Identity keying (nid-keyed memos, replace_kids freshness)
+# Identity keying: a node is its object on every engine; nid is provenance
 
 
-def test_node_memo_key_ranges_are_disjoint():
-    b = NodeBuilder()
-    built = b.reg(1)
-    assert built.nid >= 0
-    assert node_memo_key(built) == built.nid
-    hand = Node(built.op, (), value=7)
-    assert hand.nid == -1
-    assert node_memo_key(hand) == ~id(hand) < 0
+def _identity_source() -> Forest:
+    return random_forests(3, forests=1, statements=3, max_depth=3)[0]
+
+
+def _hand_built_copy(forest: Forest) -> Forest:
+    """A structurally equal copy of *forest* built with ``Node(...)``:
+    new node objects that carry no nid (``-1``)."""
+    copies: dict[int, Node] = {}
+    for node in topological_order(forest.roots):
+        copies[id(node)] = Node(node.op, [copies[id(kid)] for kid in node.kids], node.value)
+    return Forest([copies[id(root)] for root in forest.roots], name=forest.name)
+
+
+def _replace_kids_root(forest: Forest) -> Forest:
+    """A forest whose root is a ``replace_kids`` copy of *forest*'s first
+    root, over the same kids (so beside *forest* it makes a DAG)."""
+    root = forest.roots[0]
+    return Forest([root.replace_kids(root.kids)], name="copy")
+
+
+def _beside(copy):
+    """A batch factory: the source forest beside ``copy(source)``."""
+
+    def make() -> list[Forest]:
+        forest = _identity_source()
+        return [forest, copy(forest)]
+
+    return make
+
+
+#: ``(name, batch factory, (reductions, memo_hits, instructions))``.
+#: The source forest alone reduces 37 times into 4 instructions; beside
+#: a copy of it — builder-made, hand-built, cloned or unpickled — it
+#: emits twice.  The ``replace_kids`` copy shares its source's kids, so
+#: one entry memo-hits.  The unpickled case is the reproduction of the
+#: object-vs-nid divergence: a copy with its source's nids.
+IDENTITY_BATCHES = [
+    ("builder", _beside(lambda forest: _identity_source()), (74, 0, 8)),
+    ("hand_built", _beside(_hand_built_copy), (74, 0, 8)),
+    ("clone_forest", _beside(clone_forest), (74, 0, 8)),
+    ("replace_kids_root", _beside(_replace_kids_root), (38, 1, 4)),
+    ("unpickled", _beside(lambda forest: pickle.loads(pickle.dumps(forest))), (74, 0, 8)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,make_batch,figures", IDENTITY_BATCHES, ids=[case[0] for case in IDENTITY_BATCHES]
+)
+def test_every_engine_keys_nodes_by_object(name, make_batch, figures):
+    """``select_many``, a standalone :class:`TapeEmitter` (the slot
+    walk), the frame :class:`Reducer` over the automaton labeling and
+    DP + the frame ``Reducer`` emit the same values, instructions and
+    trace.  These forests use no multi-node rule, so DP's counters
+    compare with the automaton engines' too."""
+    batch = make_batch()
+    context = EmitContext()
+    result = Selector(bench_grammar()).select_many(batch, context=context)
+    report = result.report
+    expected = (result.values, context.instructions, context.trace, report.reductions, report.memo_hits)
+    assert (report.reductions, report.memo_hits, len(context.instructions)) == figures
+    dp = DPLabeler(bench_grammar()).label_many(batch)
+    for engine_cls, labeling in ((TapeEmitter, result.labeling), (Reducer, result.labeling), (Reducer, dp)):
+        context = EmitContext()
+        engine = engine_cls(labeling, context)
+        values = [engine.reduce_forest(forest) for forest in batch]
+        run = (values, context.instructions, context.trace, engine.reductions, engine.memo_hits)
+        assert run == expected, (engine_cls.__name__, type(labeling).__name__)
 
 
 def test_replace_kids_assigns_fresh_nid():
@@ -846,8 +907,8 @@ def test_memo_never_aliases_replace_kids_copy(engine_cls):
     labeling = _label(grammar, forest)
     engine = engine_cls(labeling, [])
     values = engine.reduce_forest(forest, "stmt")
-    # Same memo key would return the original's value for the copy; the
-    # fresh nid forces a genuine second reduction with copy's operands.
+    # A memo that aliased the copy with its original would return the
+    # original's value; the copy is its own object, so it reduces again.
     assert values[0] != values[1]
     # The copy's left operand really is REG(9), not the original's REG(1).
     assert values[1][4][0][4][0] == ("reg", "REG", "REG", 9, ())
@@ -1193,7 +1254,10 @@ def _tree_flag_batches() -> list[tuple[str, bool, list[Forest]]]:
     repeated_kid = Forest(name="same-kid")
     reg = b.reg(6)
     repeated_kid.add(b.expr(b.add(reg, reg)))
+    original = _action_forests()[0]
     return [
+        ("forest_and_unpickled_copy", True, [original, pickle.loads(pickle.dumps(original))]),
+        ("forest_and_clone", True, [original, clone_forest(original)]),
         ("tree", True, tree),
         ("dag", False, [dag]),
         ("repeated_forest", False, [twice, twice]),
