@@ -17,10 +17,10 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.errors import IRError
 from repro.ir.ops import Operator, OperatorSet
 
-__all__ = ["Node", "NodeBuilder", "Forest", "fresh_nid"]
+__all__ = ["Node", "NodeBuilder", "Forest", "fresh_nid", "node_tag"]
 
 #: Process-wide node-id source.  Builder-assigned nids are unique across
-#: *all* builders in the process.  A nid is provenance (``"OP(nid=n)"``
+#: *all* builders in the process.  A nid is provenance (:func:`node_tag`
 #: in fault and error text), not identity: every labeler and emitter
 #: keys a node by the object, ``id(node)``.
 _NID_COUNTER = itertools.count()
@@ -29,6 +29,12 @@ _NID_COUNTER = itertools.count()
 def fresh_nid() -> int:
     """A new process-unique node id (what :class:`NodeBuilder` assigns)."""
     return next(_NID_COUNTER)
+
+
+def node_tag(node: "Node") -> str:
+    """*node*'s provenance tag, ``"OP(nid=n)"``, as fault and validation
+    reports name it."""
+    return f"{node.op.name}(nid={node.nid})"
 
 
 class Node:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import IRError
-from repro.ir.node import Forest, Node
+from repro.ir.node import Forest, Node, node_tag
 from repro.ir.ops import OperatorSet
 
 __all__ = [
@@ -47,11 +47,12 @@ class ValidationIssue:
     message: str
     #: Operator name of the offending node ("" when unknown).
     operator: str = ""
-    #: ``id()`` of the offending node, to correlate issues on shared nodes.
-    nid: int = 0
+    #: Provenance tag of the offending node (:func:`~repro.ir.node.node_tag`,
+    #: ``"OP(nid=n)"``; "" when the offender is not a node).
+    node: str = ""
 
     def format(self) -> str:
-        where = f" [{self.operator}]" if self.operator else ""
+        where = f" [{self.node}]" if self.node else ""
         return f"{self.code}{where}: {self.message}"
 
 
@@ -69,7 +70,7 @@ class ForestValidationError(IRError):
 def _check_one(node: Node, operators: OperatorSet | None, issues: list[ValidationIssue]) -> None:
     """Collect *node*'s own issues (operator, arity, payload, operands)."""
     name = node.op.name
-    nid = id(node)
+    tag = node_tag(node)
     if operators is not None:
         declared = operators.get(name)
         if declared is None:
@@ -78,7 +79,7 @@ def _check_one(node: Node, operators: OperatorSet | None, issues: list[Validatio
                     "IR003",
                     f"operator {name!r} is not in operator set {operators.name!r}",
                     operator=name,
-                    nid=nid,
+                    node=tag,
                 )
             )
         elif declared.arity != node.op.arity:
@@ -88,7 +89,7 @@ def _check_one(node: Node, operators: OperatorSet | None, issues: list[Validatio
                     f"node's operator {name} has arity {node.op.arity} but the "
                     f"operator set declares arity {declared.arity}",
                     operator=name,
-                    nid=nid,
+                    node=tag,
                 )
             )
     if len(node.kids) != node.op.arity:
@@ -97,13 +98,13 @@ def _check_one(node: Node, operators: OperatorSet | None, issues: list[Validatio
                 "IR004",
                 f"node {name} has {len(node.kids)} children, expected {node.op.arity}",
                 operator=name,
-                nid=nid,
+                node=tag,
             )
         )
     if node.op.has_payload and node.value is None:
         issues.append(
             ValidationIssue(
-                "IR006", f"node {name} requires a payload but has none", operator=name, nid=nid
+                "IR006", f"node {name} requires a payload but has none", operator=name, node=tag
             )
         )
     if not node.op.has_payload and node.value is not None:
@@ -112,7 +113,7 @@ def _check_one(node: Node, operators: OperatorSet | None, issues: list[Validatio
                 "IR007",
                 f"node {name} carries unexpected payload {node.value!r}",
                 operator=name,
-                nid=nid,
+                node=tag,
             )
         )
     for kid in node.kids:
@@ -122,7 +123,7 @@ def _check_one(node: Node, operators: OperatorSet | None, issues: list[Validatio
                     "IR008",
                     f"statement operator {kid.op.name} used as operand of {name}",
                     operator=kid.op.name,
-                    nid=id(kid),
+                    node=node_tag(kid),
                 )
             )
 
@@ -172,7 +173,7 @@ def validate_forest(
                     "IR009",
                     f"forest root {root.op.name} is not a statement operator",
                     operator=root.op.name,
-                    nid=id(root),
+                    node=node_tag(root),
                 )
             )
         # Iterative DFS with a visited set: safe on cyclic graphs (each
@@ -191,7 +192,7 @@ def validate_forest(
                             "IR002",
                             f"child {kid!r} of node {node.op.name} is not an IR node",
                             operator=node.op.name,
-                            nid=id(node),
+                            node=node_tag(node),
                         )
                     )
                     dangling = True
@@ -208,7 +209,7 @@ def validate_forest(
                     "IR001",
                     f"cycle in the node graph through {cycle.op.name}",
                     operator=cycle.op.name,
-                    nid=id(cycle),
+                    node=node_tag(cycle),
                 )
             )
 

@@ -1,6 +1,6 @@
 """Measurement utilities: labeling work counters and table formatting.
 
-Timing lives in :mod:`repro.obs` (``Timer``).
+Spans and the metrics registry live in :mod:`repro.obs`.
 """
 
 from repro.metrics.counters import LabelMetrics

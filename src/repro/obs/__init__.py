@@ -3,9 +3,9 @@
 The subsystem has three layers:
 
 * :mod:`repro.obs.trace` — nanosecond span tracer with parent links and
-  a bounded ring buffer (plus the span-native ``Timer``).
-* :mod:`repro.obs.metrics` — counters, gauges, and exactly-mergeable
-  log-linear latency histograms (within 1/16) behind one registry.
+  a bounded ring buffer.
+* :mod:`repro.obs.metrics` — counters and exactly-mergeable log-linear
+  latency histograms (within 1/16) behind one registry.
 * :mod:`repro.obs.export` — Prometheus text exposition, JSONL trace
   dumps, and the ``python -m repro.obs`` render CLI.
 
@@ -25,24 +25,15 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metric_key,
-    percentile,
-)
-from repro.obs.trace import Span, Timer, Tracer, spans_by_name
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, metric_key, percentile
+from repro.obs.trace import Span, Tracer, spans_by_name
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Observability",
     "Span",
-    "Timer",
     "Tracer",
     "metric_key",
     "percentile",

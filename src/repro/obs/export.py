@@ -3,9 +3,8 @@
 Three output shapes, all built from the in-memory tracer/registry:
 
 * :func:`to_prometheus` — the plain-text exposition format any
-  Prometheus-compatible scraper ingests (counters, gauges, and
-  histograms flattened to ``_count``/``_sum``/``_min``/``_max``/
-  quantile samples).
+  Prometheus-compatible scraper ingests (counters, and histograms as
+  cumulative ``_bucket`` samples plus ``_count``/``_sum``).
 * :func:`write_trace` / :func:`load_trace` — a JSONL dump of spans,
   one :meth:`Span.as_dict` object per line, loss-free both ways.
 * :func:`render_trace` — per-phase and per-tenant latency summaries of
@@ -72,10 +71,6 @@ def to_prometheus(source: "MetricsRegistry | dict[str, Any]") -> str:
         name, labels = _split_key(key)
         declare(name, "counter")
         lines.append(_prom_line(name, labels, snapshot["counters"][key]))
-    for key in sorted(snapshot.get("gauges", {})):
-        name, labels = _split_key(key)
-        declare(name, "gauge")
-        lines.append(_prom_line(name, labels, snapshot["gauges"][key]))
     for key in sorted(snapshot.get("histograms", {})):
         name, labels = _split_key(key)
         hist = snapshot["histograms"][key]

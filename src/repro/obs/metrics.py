@@ -1,12 +1,15 @@
-"""Unified metrics registry: counters, gauges, log-linear histograms.
+"""Metrics registry: counters and log-linear histograms.
 
-One :class:`MetricsRegistry` per process replaces the previously
-fragmented measurement surfaces (``LabelMetrics`` work counters, the
-``stats()["resilience"]`` block, ``ServiceStats``, bench-local
-percentile lists) with three primitive shapes:
+One :class:`MetricsRegistry` per process holds what only the
+observability layer measures: latency histograms, per-phase timings,
+per-label counts (``service_requests_total{tenant,status}``) and the
+worker pipeline counters that cross the fork.  Counts the code already
+keeps stay where they are: ``LabelMetrics`` for labeling work and
+``stats()`` for the selector's resilience block and the service's
+``ServiceStats``.  The registry does not mirror them.  It has two
+primitive shapes:
 
 * :class:`Counter` — a monotone integer (``inc``).
-* :class:`Gauge` — a point-in-time value (``set``).
 * :class:`Histogram` — fixed **log-linear buckets** over non-negative
   integers (nanosecond latencies): every power-of-two range
   ``[2^k, 2^(k+1))`` splits into :data:`SUB_BUCKETS` equal-width
@@ -39,7 +42,6 @@ from typing import Any, Iterable
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "percentile",
@@ -85,21 +87,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.value})"
-
-
-class Gauge:
-    """A point-in-time value (queue depth, pool size)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float = 0) -> None:
-        self.value = value
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.value})"
 
 
 class Histogram:
@@ -219,16 +206,15 @@ class Histogram:
 class MetricsRegistry:
     """A process-local registry of named, labeled metrics.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: callers may
-    hold the returned object to skip the key lookup on hot paths.
+    ``counter``/``histogram`` are get-or-create: callers may hold the
+    returned object to skip the key lookup on hot paths.
     :meth:`snapshot` is picklable (it rides on worker reply tuples) and
     :meth:`merge_snapshot` folds a snapshot back in — counters and
-    histograms add exactly, gauges overwrite (last writer wins).
+    histograms add exactly.
     """
 
     def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -236,13 +222,6 @@ class MetricsRegistry:
         metric = self.counters.get(key)
         if metric is None:
             metric = self.counters[key] = Counter()
-        return metric
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = metric_key(name, labels)
-        metric = self.gauges.get(key)
-        if metric is None:
-            metric = self.gauges[key] = Gauge()
         return metric
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
@@ -256,7 +235,6 @@ class MetricsRegistry:
         """Plain-dict view: picklable across forks, JSON-serializable."""
         return {
             "counters": {key: c.value for key, c in self.counters.items()},
-            "gauges": {key: g.value for key, g in self.gauges.items()},
             "histograms": {key: h.snapshot() for key, h in self.histograms.items()},
         }
 
@@ -269,11 +247,6 @@ class MetricsRegistry:
             if metric is None:
                 metric = self.counters[key] = Counter()
             metric.value += value
-        for key, value in snapshot.get("gauges", {}).items():
-            gauge = self.gauges.get(key)
-            if gauge is None:
-                gauge = self.gauges[key] = Gauge()
-            gauge.value = value
         for key, hist_snapshot in snapshot.get("histograms", {}).items():
             histogram = self.histograms.get(key)
             if histogram is None:
@@ -284,15 +257,13 @@ class MetricsRegistry:
     def flatten(self) -> dict[str, Any]:
         """One flat ``key -> value`` view (the ``stats()["obs"]`` shape).
 
-        Counters and gauges map to their values; each histogram expands
+        Counters map to their values; each histogram expands
         to ``_count``/``_sum``/``_min``/``_max``/``_p50``/``_p95``/
         ``_p99`` entries (label braces stay attached to the base name).
         """
         flat: dict[str, Any] = {}
         for key, counter in self.counters.items():
             flat[key] = counter.value
-        for key, gauge in self.gauges.items():
-            flat[key] = gauge.value
         for key, histogram in self.histograms.items():
             name, labels = _split_key(key)
             for suffix, value in (
@@ -309,16 +280,15 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         self.counters.clear()
-        self.gauges.clear()
         self.histograms.clear()
 
     def __len__(self) -> int:
-        return len(self.counters) + len(self.gauges) + len(self.histograms)
+        return len(self.counters) + len(self.histograms)
 
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(counters={len(self.counters)}, "
-            f"gauges={len(self.gauges)}, histograms={len(self.histograms)})"
+            f"histograms={len(self.histograms)})"
         )
 
 

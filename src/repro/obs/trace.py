@@ -20,10 +20,6 @@ Two design rules keep the tracer honest about overhead:
   measured window) and appends one :class:`Span` to a
   :class:`collections.deque` — no locks, no allocation beyond the span
   itself.
-
-:class:`Timer` is the span-native timing helper: it measures
-wall-clock seconds and optionally records a span per measured window
-when handed a tracer.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from typing import Any, Iterable, Iterator
 
 __all__ = [
     "Span",
-    "Timer",
     "Tracer",
 ]
 
@@ -190,50 +185,6 @@ class Tracer:
 
     def __repr__(self) -> str:
         return f"Tracer(spans={len(self._spans)}, capacity={self.capacity})"
-
-
-# ----------------------------------------------------------------------
-# Span-native timing helpers
-
-
-class Timer:
-    """Context manager measuring elapsed wall-clock seconds.
-
-    Optionally records a span: ``Timer(tracer=obs.tracer,
-    name="eager.build")`` appends one span for the measured window on
-    exit.
-
-    Example::
-
-        with Timer() as t:
-            work()
-        print(t.elapsed)
-    """
-
-    def __init__(
-        self,
-        tracer: Tracer | None = None,
-        name: str = "timer",
-        **attrs: Any,
-    ) -> None:
-        self.elapsed = 0.0
-        self._start = 0.0
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = time.perf_counter() - self._start
-        tracer = self._tracer
-        if tracer is not None:
-            end_ns = time.monotonic_ns()
-            tracer.record(
-                self._name, end_ns - int(self.elapsed * 1e9), end_ns, **self._attrs
-            )
 
 
 def spans_by_name(spans: Iterable[Span]) -> dict[str, list[Span]]:

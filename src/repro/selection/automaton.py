@@ -100,7 +100,6 @@ from repro.grammar.normalize import normalize
 from repro.grammar.rule import Rule
 from repro.ir.node import Forest, Node
 from repro.metrics.counters import LabelMetrics
-from repro.obs.trace import Timer
 from repro.selection.cover import Labeling
 from repro.selection.reducer import _SplicedOperands, pass_through
 from repro.selection.resilience import (
@@ -982,24 +981,24 @@ class OnDemandAutomaton:
             skipped.sort()
         capped = False
         rounds = 0
-        with Timer() as timer:
-            if not self._dyn_chain:
-                while True:
-                    rounds += 1
-                    snapshot = list(self.pool.states)
-                    grew = self.transition_count()
-                    for name, table in list(self._tables.items()):
-                        if name in skipped:
-                            continue
-                        for arity in table.rules_by_arity:
-                            self._eager_fill(table, arity, snapshot, metrics)
-                        if max_states is not None and len(self.pool) > max_states:
-                            capped = True
-                            break
-                    if capped:
+        started = time.perf_counter()
+        if not self._dyn_chain:
+            while True:
+                rounds += 1
+                snapshot = list(self.pool.states)
+                grew = self.transition_count()
+                for name, table in list(self._tables.items()):
+                    if name in skipped:
+                        continue
+                    for arity in table.rules_by_arity:
+                        self._eager_fill(table, arity, snapshot, metrics)
+                    if max_states is not None and len(self.pool) > max_states:
+                        capped = True
                         break
-                    if len(self.pool) == len(snapshot) and self.transition_count() == grew:
-                        break
+                if capped:
+                    break
+                if len(self.pool) == len(snapshot) and self.transition_count() == grew:
+                    break
         self._eager = {
             "rounds": rounds,
             "states_before": states_before,
@@ -1009,7 +1008,7 @@ class OnDemandAutomaton:
             "states_created": metrics.states_created,
             "rule_checks": metrics.rule_checks,
             "chain_checks": metrics.chain_checks,
-            "build_seconds": timer.elapsed,
+            "build_seconds": time.perf_counter() - started,
             "skipped": skipped,
             "capped": capped,
         }

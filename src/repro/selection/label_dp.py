@@ -17,6 +17,7 @@ transition and amortizes it across repeated forest shapes.
 
 from __future__ import annotations
 
+import time
 from typing import Iterable
 
 from repro.grammar.closure import chain_closure
@@ -27,7 +28,6 @@ from repro.grammar.rule import Rule
 from repro.ir.node import Forest, Node
 from repro.ir.traversal import ready_postorder
 from repro.metrics.counters import LabelMetrics
-from repro.obs.trace import Timer
 from repro.selection.cover import Labeling
 from repro.selection.resilience import DEADLINE_CHECK_EVERY, check_deadline
 
@@ -163,16 +163,16 @@ def _label_roots(
     """
     dynamic_chains = any(rule.is_dynamic for rule in grammar.chain_rules())
     ticks = 0
-    with Timer() as timer:
-        for node in ready_postorder(roots, labeling._costs):
-            if deadline_at_ns is not None:
-                ticks += 1
-                if ticks >= DEADLINE_CHECK_EVERY:
-                    ticks = 0
-                    check_deadline(deadline_at_ns, "label")
-            _label_node(grammar, labeling, node, dynamic_chains, metrics)
+    started = time.perf_counter()
+    for node in ready_postorder(roots, labeling._costs):
+        if deadline_at_ns is not None:
+            ticks += 1
+            if ticks >= DEADLINE_CHECK_EVERY:
+                ticks = 0
+                check_deadline(deadline_at_ns, "label")
+        _label_node(grammar, labeling, node, dynamic_chains, metrics)
     if metrics is not None:
-        metrics.seconds += timer.elapsed
+        metrics.seconds += time.perf_counter() - started
 
 
 def _label_node(

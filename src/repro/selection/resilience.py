@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import DeadlineExceededError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (selector imports us)
-    from repro.ir.node import Node
+from repro.ir.node import Node, node_tag
 
 __all__ = [
     "DEADLINE_CHECK_EVERY",
@@ -61,7 +59,7 @@ def check_deadline(deadline_at_ns: int, phase: str) -> None:
 _PROVENANCE_ATTR = "_repro_fault_node"
 
 
-def attach_node_provenance(exc: BaseException, node: "Node") -> None:
+def attach_node_provenance(exc: BaseException, node: Node) -> None:
     """Record the IR node being processed when *exc* was raised.
 
     First attachment wins: the deepest frame that knows the node tags
@@ -71,7 +69,7 @@ def attach_node_provenance(exc: BaseException, node: "Node") -> None:
     """
     if getattr(exc, _PROVENANCE_ATTR, None) is None:
         try:
-            setattr(exc, _PROVENANCE_ATTR, f"{node.op.name}(nid={node.nid})")
+            setattr(exc, _PROVENANCE_ATTR, node_tag(node))
         except Exception:  # pragma: no cover - slotted/frozen exception
             pass
 

@@ -1454,7 +1454,7 @@ class Selector:
     def _obs_stats(self) -> dict[str, object]:
         """The unified flattened observability view (``stats()["obs"]``).
 
-        One flat key space subsuming the registry's counters/gauges/
+        One flat key space subsuming the registry's counters and
         histogram summaries, the resilience counters, the cumulative
         selection totals, and the most recent metered
         :class:`LabelMetrics` — the single surface dashboards scrape.

@@ -8,7 +8,8 @@ Layering (bottom up):
 * :mod:`repro.service.worker` — the forked worker process serving
   ``select_many`` batches over a pipe with typed failure rows.
 * :mod:`repro.service.supervisor` — owns the pool: fork, death
-  detection, capped-backoff restart, in-flight re-dispatch.
+  detection, capped-backoff restart, re-dispatch of a dead worker's
+  one batch.
 * :mod:`repro.service.frontdoor` — :class:`SelectionService`, the
   public face: admission control, batching, retries, watchdog,
   observability.

@@ -10,22 +10,26 @@ failure reopens it and restarts the cooldown, and a probe that ends
 with neither (its deadline passed, its worker died) frees the slot for
 the next request.
 
-Transitions are recorded as ``(tenant, from_state, to_state)`` tuples
-so :class:`~repro.service.frontdoor.SelectionService` can surface the
-full open → half-open → closed recovery arc in ``ServiceStats``.
+Transitions are recorded as ``(tenant, from_state, to_state)`` tuples,
+the latest :data:`TRANSITION_LOG` of them, so
+:class:`~repro.service.frontdoor.SelectionService` can surface the
+open → half-open → closed recovery arc in ``stats()`` without a log
+that grows for the service's lifetime.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 __all__ = ["CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker"]
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
+#: Transitions each breaker keeps (the latest ones).
+TRANSITION_LOG = 32
 
 
 @dataclass
@@ -38,30 +42,27 @@ class CircuitBreaker:
         cooldown_s: Seconds the circuit stays open before admitting a
             half-open probe.
         state: Current state (``closed`` / ``open`` / ``half_open``).
-        transitions: Chronological ``(tenant, from, to)`` log.
-        on_transition: Optional ``(tenant, from, to)`` callback fired on
-            every state change — the service wires it to the
-            observability registry's transition counters.
+        transitions: Chronological ``(tenant, from, to)`` log of the
+            latest :data:`TRANSITION_LOG` state changes.
 
     Not thread-safe on its own; the front door serializes access from
     its event thread.
     """
 
     tenant: str
-    failure_threshold: int = 3
-    cooldown_s: float = 0.25
+    failure_threshold: int
+    cooldown_s: float
     state: str = CLOSED
     consecutive_failures: int = 0
     opened_at_ns: int = 0
     probe_in_flight: bool = False
-    transitions: list[tuple[str, str, str]] = field(default_factory=list)
-    on_transition: Callable[[str, str, str], None] | None = None
+    transitions: deque[tuple[str, str, str]] = field(
+        default_factory=lambda: deque(maxlen=TRANSITION_LOG)
+    )
 
     def _move(self, to_state: str) -> None:
         if to_state != self.state:
             self.transitions.append((self.tenant, self.state, to_state))
-            if self.on_transition is not None:
-                self.on_transition(self.tenant, self.state, to_state)
             self.state = to_state
 
     def allows(self, now_ns: int | None = None) -> bool:

@@ -10,12 +10,14 @@ worker state:
   :class:`~repro.errors.OverloadError` instead of adding unbounded
   latency.  Queue depth high-water is tracked.
 * **breakers** — one :class:`~repro.service.breaker.CircuitBreaker` per
-  tenant: after K consecutive failures the tenant's requests fast-fail
-  with :class:`~repro.errors.CircuitOpenError` until a cooldown admits
-  a half-open probe batch; a successful probe closes the circuit.
+  tenant: after :data:`BREAKER_THRESHOLD` consecutive failures the
+  tenant's requests fast-fail with
+  :class:`~repro.errors.CircuitOpenError` until a
+  :data:`BREAKER_COOLDOWN_S` cooldown admits a half-open probe batch; a
+  successful probe closes the circuit.
 * **batching** — queued requests coalesce per tenant into
   ``select_many`` batches (up to :data:`MAX_BATCH`) dispatched to idle
-  workers.
+  workers, one batch per worker at a time.
 * **deadlines** — every request carries an absolute monotonic deadline
   (``default_timeout_s`` unless overridden per call).  Deadlines are
   enforced at every stage: expiry in the queue, cooperative
@@ -28,11 +30,11 @@ worker state:
   passed resolve ``deadline``, and the rest go back to the front of
   the queue.
 * **retries** — a failed request is retried with capped, jittered
-  exponential backoff up to ``retries`` times while its deadline
+  exponential backoff up to :data:`RETRIES` times while its deadline
   allows.
-* **re-dispatch** — when a worker dies, its in-flight requests requeue
+* **re-dispatch** — when a worker dies, its batch's requests requeue
   at the *front* transparently; a request that kills
-  ``max_redispatches`` workers in a row is a poison pill and fails
+  :data:`MAX_REDISPATCHES` workers in a row is a poison pill and fails
   with :class:`~repro.errors.RequestLostError` instead of crash-looping
   the pool.  A forest that cannot be pickled is no death: it fails
   alone with :class:`~repro.errors.RequestEncodeError` and the rest of
@@ -41,6 +43,13 @@ worker state:
 Every submitted request resolves to exactly one
 :class:`ServiceResponse` — success, or a *typed* failure — which is
 the "zero lost requests" contract the chaos bench asserts.
+
+:class:`ServiceConfig` holds only deployment settings (pool size,
+queue limit, default timeout, seed).  Policy is fixed in module
+constants: :data:`RETRIES`, :data:`BREAKER_THRESHOLD`,
+:data:`BREAKER_COOLDOWN_S`, :data:`MAX_REDISPATCHES` and
+:data:`HEARTBEAT_INTERVAL_S` below, and the restart backoff in
+:mod:`repro.service.supervisor`.
 """
 
 from __future__ import annotations
@@ -84,6 +93,16 @@ _UNSET = object()
 
 #: Most requests coalesced into one worker batch.
 MAX_BATCH = 8
+#: Retries of a request whose batch returned a failure row.
+RETRIES = 2
+#: Consecutive failures that open a tenant's circuit, and how long it
+#: stays open before admitting a half-open probe.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN_S = 0.25
+#: Worker deaths a request may cause before it fails as a poison pill.
+MAX_REDISPATCHES = 3
+#: Seconds between heartbeat pings to each worker.
+HEARTBEAT_INTERVAL_S = 0.5
 #: Retry backoff: ``RETRY_BACKOFF_BASE_S * 2**(attempt - 1)``, capped at
 #: ``RETRY_BACKOFF_MAX_S``, then jittered by a factor in [0.5, 1.5).
 RETRY_BACKOFF_BASE_S = 0.01
@@ -95,24 +114,19 @@ HANG_GRACE_NS = 2 * 10**9
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunables of one :class:`SelectionService` (see module docs).
+    """Deployment settings of one :class:`SelectionService`.
 
-    Workers build every tenant's selector on the tenant's first batch,
-    as an on-demand automaton: no table is compiled or loaded up front,
-    and the request deadline bounds the labeling that builds its
-    states.
+    Attributes:
+        workers: Worker processes in the pool.
+        queue_limit: Requests the admission queue holds before it sheds.
+        default_timeout_s: A request's deadline when ``submit`` names
+            none (``None``: no deadline).
+        seed: Seeds the retry-backoff jitter.
     """
 
     workers: int = 2
     queue_limit: int = 64
     default_timeout_s: float | None = 30.0
-    retries: int = 2
-    breaker_threshold: int = 3
-    breaker_cooldown_s: float = 0.25
-    max_redispatches: int = 3
-    heartbeat_interval_s: float = 0.5
-    restart_backoff_base_s: float = 0.02
-    restart_backoff_max_s: float = 1.0
     seed: int | None = None
 
 
@@ -230,7 +244,7 @@ def _new_tenant_counters() -> dict[str, int]:
 
 @dataclass
 class ServiceStats:
-    """The ``stats()["resilience"]["service"]`` counter block."""
+    """The ``stats()["service"]`` counter block."""
 
     submitted: int = 0
     completed_ok: int = 0
@@ -289,10 +303,10 @@ class SelectionService:
             for a private bundle, or a shared
             :class:`~repro.obs.Observability`).  When enabled, the
             front door records ``service.request``/``service.batch``
-            spans and request/latency/queue/heartbeat/breaker metrics,
-            workers run with their own bundles, and their metric
-            snapshots (riding home on result tuples) aggregate into
-            ``stats()["obs"]``.
+            spans, per-tenant request counts and latencies, and
+            heartbeat round trips; workers run with their own bundles,
+            and their metric snapshots (riding home on result tuples)
+            aggregate into ``stats()["obs"]``.
     """
 
     def __init__(
@@ -307,21 +321,11 @@ class SelectionService:
         self.config = config or ServiceConfig()
         self._obs = resolve_obs(obs)
         if self._obs is not None:
-            metrics = self._obs.metrics
-            self._obs_queue_depth = metrics.gauge("service_queue_depth")
-            self._obs_rtt = metrics.histogram("service_heartbeat_rtt_ns")
-            self._obs_retries = metrics.counter("service_retries_total")
-            self._obs_redispatches = metrics.counter("service_redispatches_total")
+            self._obs_rtt = self._obs.metrics.histogram("service_heartbeat_rtt_ns")
         settings = WorkerSettings(
             context_factory=context_factory, observe=self._obs is not None
         )
-        self.supervisor = Supervisor(
-            tenants,
-            settings,
-            workers=self.config.workers,
-            restart_backoff_base_s=self.config.restart_backoff_base_s,
-            restart_backoff_max_s=self.config.restart_backoff_max_s,
-        )
+        self.supervisor = Supervisor(tenants, settings, self.config.workers)
         self._lock = threading.Lock()
         self._queue: deque[_Request] = deque()
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -366,9 +370,9 @@ class SelectionService:
             outstanding = list(self._queue)
             self._queue.clear()
         for handle in self.supervisor.handles:
-            for batch in handle.in_flight.values():
-                outstanding.extend(batch.requests)
-            handle.in_flight = {}
+            if handle.batch is not None:
+                outstanding.extend(handle.batch.requests)
+                handle.batch = None
         now = time.monotonic_ns()
         with self._lock:
             for request in outstanding:
@@ -449,8 +453,6 @@ class SelectionService:
             depth = len(self._queue)
             if depth > stats.queue_depth_high_water:
                 stats.queue_depth_high_water = depth
-            if self._obs is not None:
-                self._obs_queue_depth.set(depth)
         self._wake()
         return ServiceFuture(request)
 
@@ -478,20 +480,8 @@ class SelectionService:
     def _breaker(self, tenant: str) -> CircuitBreaker:
         breaker = self._breakers.get(tenant)
         if breaker is None:
-            on_transition = None
-            if self._obs is not None:
-                metrics = self._obs.metrics
-
-                def on_transition(tenant: str, _from_state: str, to_state: str) -> None:
-                    metrics.counter(
-                        "service_breaker_transitions_total", tenant=tenant, to=to_state
-                    ).inc()
-
             breaker = self._breakers[tenant] = CircuitBreaker(
-                tenant,
-                failure_threshold=self.config.breaker_threshold,
-                cooldown_s=self.config.breaker_cooldown_s,
-                on_transition=on_transition,
+                tenant, BREAKER_THRESHOLD, BREAKER_COOLDOWN_S
             )
         return breaker
 
@@ -632,11 +622,9 @@ class SelectionService:
                     consider(request.not_before_ns)
         consider(self.supervisor.next_restart_ns())
         for handle in self.supervisor.handles:
-            if not handle.alive:
-                continue
-            for batch in handle.in_flight.values():
-                if batch.deadline_at_ns is not None:
-                    consider(batch.deadline_at_ns + HANG_GRACE_NS)
+            batch = handle.batch
+            if handle.alive and batch is not None and batch.deadline_at_ns is not None:
+                consider(batch.deadline_at_ns + HANG_GRACE_NS)
         if next_ns is None:
             return 0.2
         return min(0.2, max(0.005, (next_ns - now) / 1e9))
@@ -653,9 +641,9 @@ class SelectionService:
             if kind == "pong" and self._obs is not None and isinstance(message[1], int):
                 self._obs_rtt.observe(max(0, now - message[1]))
             return
-        _, batch_id, rows, snapshot = message
+        _, rows, snapshot = message
         handle.snapshot = snapshot
-        batch = handle.in_flight.pop(batch_id, None)
+        batch, handle.batch = handle.batch, None
         handle.completed += 1
         handle.consecutive_crashes = 0
         if batch is None:  # pragma: no cover - defensive
@@ -670,7 +658,6 @@ class SelectionService:
                 worker_pid=snapshot.get("pid") if isinstance(snapshot, dict) else None,
             )
         by_id = {request.request_id: request for request in batch.requests}
-        config = self.config
         rerun: list[_Request] = []
         with self._lock:
             breaker = self._breaker(batch.tenant)
@@ -703,12 +690,10 @@ class SelectionService:
                         request.deadline_at_ns is not None
                         and now >= request.deadline_at_ns
                     )
-                    if request.attempts < config.retries and not expired:
+                    if request.attempts < RETRIES and not expired:
                         request.attempts += 1
                         stats.retries += 1
                         tenant_counters["retries"] += 1
-                        if self._obs is not None:
-                            self._obs_retries.inc()
                         backoff_s = min(
                             RETRY_BACKOFF_BASE_S * (2 ** (request.attempts - 1)),
                             RETRY_BACKOFF_MAX_S,
@@ -732,45 +717,39 @@ class SelectionService:
 
     def _on_death(self, handle: WorkerHandle, now: int) -> None:
         self._absorb_worker_obs(handle)
-        orphans = self.supervisor.handle_death(handle, now)
-        if not orphans:
+        orphan = self.supervisor.handle_death(handle, now)
+        if orphan is None:
             return
         requeue: list[_Request] = []
         with self._lock:
             stats = self._stats
-            for batch in orphans:
-                self._breaker(batch.tenant).release_probe()
-                for request in batch.requests:
-                    if request.response is not None:
-                        continue
-                    request.re_dispatches += 1
-                    stats.re_dispatches += 1
-                    if self._obs is not None:
-                        self._obs_redispatches.inc()
-                    if request.re_dispatches > self.config.max_redispatches:
-                        stats.poison_pills += 1
-                        self._resolve_locked(
-                            request,
-                            "failure",
-                            error=RequestLostError(
-                                f"request {request.request_id} re-dispatched "
-                                f"{request.re_dispatches - 1} times (worker died "
-                                f"each time); abandoning a likely poison pill"
-                            ),
-                            now=now,
-                        )
-                    elif (
-                        request.deadline_at_ns is not None
-                        and now >= request.deadline_at_ns
-                    ):
-                        self._resolve_locked(
-                            request,
-                            "deadline",
-                            error=DeadlineExceededError("expired during re-dispatch"),
-                            now=now,
-                        )
-                    else:
-                        requeue.append(request)
+            self._breaker(orphan.tenant).release_probe()
+            for request in orphan.requests:
+                if request.response is not None:
+                    continue
+                request.re_dispatches += 1
+                stats.re_dispatches += 1
+                if request.re_dispatches > MAX_REDISPATCHES:
+                    stats.poison_pills += 1
+                    self._resolve_locked(
+                        request,
+                        "failure",
+                        error=RequestLostError(
+                            f"request {request.request_id} re-dispatched "
+                            f"{request.re_dispatches - 1} times (worker died "
+                            f"each time); abandoning a likely poison pill"
+                        ),
+                        now=now,
+                    )
+                elif request.deadline_at_ns is not None and now >= request.deadline_at_ns:
+                    self._resolve_locked(
+                        request,
+                        "deadline",
+                        error=DeadlineExceededError("expired during re-dispatch"),
+                        now=now,
+                    )
+                else:
+                    requeue.append(request)
             # Front of the queue: re-dispatched work is the oldest.
             self._queue.extendleft(reversed(requeue))
 
@@ -796,18 +775,17 @@ class SelectionService:
     def _watchdog(self, now: int) -> None:
         """SIGKILL workers whose batch overstayed deadline + grace."""
         for handle in self.supervisor.handles:
-            if not handle.alive:
-                continue
-            for batch in handle.in_flight.values():
-                if (
-                    batch.deadline_at_ns is not None
-                    and now > batch.deadline_at_ns + HANG_GRACE_NS
-                ):
-                    self.supervisor.kill_worker(handle)
-                    break
+            batch = handle.batch
+            if (
+                handle.alive
+                and batch is not None
+                and batch.deadline_at_ns is not None
+                and now > batch.deadline_at_ns + HANG_GRACE_NS
+            ):
+                self.supervisor.kill_worker(handle)
 
     def _heartbeat(self, now: int) -> None:
-        interval_ns = int(self.config.heartbeat_interval_s * 1e9)
+        interval_ns = int(HEARTBEAT_INTERVAL_S * 1e9)
         for handle in self.supervisor.handles:
             if not handle.alive or handle.conn is None:
                 continue
@@ -869,7 +847,6 @@ class SelectionService:
                     r.deadline_at_ns for r in chosen if r.deadline_at_ns is not None
                 ]
                 batch = Batch(
-                    batch_id=supervisor.next_batch_id(),
                     tenant=tenant,
                     requests=chosen,
                     deadline_at_ns=min(deadlines) if deadlines else None,
@@ -886,7 +863,7 @@ class SelectionService:
             if not sent:
                 # The worker died between wait() and send: requeue via
                 # the normal death path (counts a re-dispatch).
-                worker.in_flight[batch.batch_id] = batch
+                worker.batch = batch
                 self._on_death(worker, now)
 
     def _reject_unencodable(self, batch: Batch, error: Exception, now: int) -> None:
@@ -902,9 +879,7 @@ class SelectionService:
         culprits: dict[int, Exception] = {}
         for request in batch.requests:
             try:
-                encode_batch(
-                    Batch(batch.batch_id, batch.tenant, [request], batch.deadline_at_ns)
-                )
+                encode_batch(Batch(batch.tenant, [request], batch.deadline_at_ns))
             except Exception as exc:  # noqa: BLE001 - any pickler error
                 culprits[request.request_id] = exc
         if not culprits:
@@ -968,14 +943,15 @@ class SelectionService:
         return merged
 
     def stats(self) -> dict[str, object]:
-        """Service observability, merged into the resilience shape.
+        """The service's counters, each block once.
 
-        ``["resilience"]`` aggregates the *live* workers' selector
-        counters (a restarted worker starts fresh) and nests the
-        :class:`ServiceStats` block under ``["resilience"]["service"]``
-        — breaker snapshots (with full transition logs), queue depth,
-        shed/retry/re-dispatch counts, and the supervisor's
-        restart/kill totals.
+        ``["resilience"]`` sums the *live* workers' selector counters (a
+        restarted worker starts fresh).  ``["service"]`` is the
+        :class:`ServiceStats` block plus the current queue depth, the
+        breaker snapshots (with their latest transitions), the
+        supervisor's pool view (``["supervisor"]["workers"]`` holds one
+        row per worker) and the event loop's errors.  ``["obs"]`` is the
+        flattened metrics registry when observing, else ``None``.
         """
         resilience = new_resilience_counters()
         for handle in self.supervisor.handles:
@@ -988,14 +964,8 @@ class SelectionService:
             service["breakers"] = {
                 name: breaker.snapshot() for name, breaker in self._breakers.items()
             }
-            service["breaker_transitions"] = [
-                list(t)
-                for breaker in self._breakers.values()
-                for t in breaker.transitions
-            ]
         service["supervisor"] = self.supervisor.stats()
         service["loop_errors"] = list(self._loop_errors)
-        resilience["service"] = service
         obs_view: dict[str, object] | None = None
         if self._obs is not None:
             obs_view = self._merged_obs_registry().flatten()
@@ -1015,9 +985,4 @@ class SelectionService:
                 "queue_depth_high_water",
             ):
                 obs_view[f"service_{key}"] = service[key]
-        return {
-            "resilience": resilience,
-            "service": service,
-            "workers": [handle.as_row() for handle in self.supervisor.handles],
-            "obs": obs_view,
-        }
+        return {"resilience": resilience, "service": service, "obs": obs_view}

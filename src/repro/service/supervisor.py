@@ -16,13 +16,17 @@ is gone.
 Death detection is two-channel: the process *sentinel* fires on any
 exit (including SIGKILL — exit code ``-9``), and the pipe raises
 ``EOFError``/``BrokenPipeError`` on the next interaction.  Either
-signal routes to :meth:`handle_death`, which collects the slot's
-in-flight batches for transparent re-dispatch — a killed worker never
-loses a request — and schedules a replacement fork with capped
-exponential backoff (a crash-looping worker cannot hot-spin the
-supervisor).  Workers are forked, not spawned: tenant grammars carry
-closures (actions, constraints, dynamic costs) that cannot pickle, and
-fork inherits them for free.
+signal routes to :meth:`handle_death`, which returns the slot's batch
+for transparent re-dispatch — a killed worker never loses a request —
+and schedules a replacement fork with capped exponential backoff
+(:data:`RESTART_BACKOFF_BASE_S` doubling per consecutive crash, capped
+at :data:`RESTART_BACKOFF_MAX_S`), so a crash-looping worker cannot
+hot-spin the supervisor.  Workers are forked, not spawned: tenant
+grammars carry closures (actions, constraints, dynamic costs) that
+cannot pickle, and fork inherits them for free.
+
+Workers run stop-and-wait: a worker holds at most one batch
+(:attr:`WorkerHandle.batch`), and only idle workers get a new one.
 """
 
 from __future__ import annotations
@@ -45,12 +49,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Batch", "Supervisor", "WorkerHandle", "encode_batch"]
 
+#: Replacement-fork backoff: ``RESTART_BACKOFF_BASE_S * 2**crashes``,
+#: capped at ``RESTART_BACKOFF_MAX_S``; *crashes* counts the slot's
+#: consecutive crashes (a completed batch resets it).
+RESTART_BACKOFF_BASE_S = 0.02
+RESTART_BACKOFF_MAX_S = 1.0
+
 
 @dataclass
 class Batch:
     """One coalesced dispatch unit: same tenant, up to ``MAX_BATCH`` requests."""
 
-    batch_id: int
     tenant: str
     requests: list[Any]  # frontdoor._Request objects
     deadline_at_ns: int | None
@@ -67,7 +76,6 @@ def encode_batch(batch: Batch) -> memoryview:
     return ForkingPickler.dumps(
         (
             "batch",
-            batch.batch_id,
             batch.tenant,
             [(request.request_id, request.forest) for request in batch.requests],
             batch.deadline_at_ns,
@@ -84,7 +92,7 @@ class WorkerHandle:
     conn: "Connection | None" = None
     pid: int = 0
     alive: bool = False
-    in_flight: dict[int, Batch] = field(default_factory=dict)
+    batch: Batch | None = None
     dispatched: int = 0
     completed: int = 0
     restarts: int = 0
@@ -97,7 +105,7 @@ class WorkerHandle:
             "slot": self.slot,
             "pid": self.pid,
             "alive": self.alive,
-            "in_flight": sum(len(b.requests) for b in self.in_flight.values()),
+            "in_flight": len(self.batch.requests) if self.batch is not None else 0,
             "dispatched": self.dispatched,
             "completed": self.completed,
             "restarts": self.restarts,
@@ -112,35 +120,25 @@ class Supervisor:
             which build each tenant's on-demand selector on first touch).
         settings: Per-worker :class:`WorkerSettings`.
         workers: Pool size.
-        restart_backoff_base_s / restart_backoff_max_s: Capped
-            exponential backoff between a crash and the replacement
-            fork (doubles per *consecutive* crash of the slot; a
-            completed batch resets the streak).
     """
 
     def __init__(
         self,
         tenants: dict[str, "Grammar"],
-        settings: WorkerSettings | None = None,
-        *,
-        workers: int = 2,
-        restart_backoff_base_s: float = 0.02,
-        restart_backoff_max_s: float = 1.0,
+        settings: WorkerSettings,
+        workers: int,
     ) -> None:
         if workers < 1:
             raise ServiceError("worker pool needs at least one worker")
         self.tenants = dict(tenants)
-        self.settings = settings or WorkerSettings()
+        self.settings = settings
         self.pool_size = workers
-        self.restart_backoff_base_s = restart_backoff_base_s
-        self.restart_backoff_max_s = restart_backoff_max_s
         self._ctx = multiprocessing.get_context("fork")
         self.handles: list[WorkerHandle] = [WorkerHandle(slot=i) for i in range(workers)]
         #: slot -> absolute monotonic ns when the replacement may fork.
         self._restart_at: dict[int, int] = {}
         self.restarts_total = 0
         self.kills_total = 0
-        self._next_batch_id = 1
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -183,14 +181,14 @@ class Supervisor:
         handle.conn = parent_conn
         handle.pid = process.pid or 0
         handle.alive = True
-        handle.in_flight = {}
+        handle.batch = None
 
     # ------------------------------------------------------------------
     # Event-loop plumbing
 
     def live_idle_workers(self) -> list[WorkerHandle]:
         """Live workers with no batch in flight (dispatch candidates)."""
-        return [h for h in self.handles if h.alive and not h.in_flight]
+        return [h for h in self.handles if h.alive and h.batch is None]
 
     def dispatch(self, handle: WorkerHandle, batch: Batch) -> bool:
         """Ship *batch* to *handle*; ``False`` means the worker is dead
@@ -206,26 +204,21 @@ class Supervisor:
         except OSError:
             return False
         batch.dispatched_ns = time.monotonic_ns()
-        handle.in_flight[batch.batch_id] = batch
+        handle.batch = batch
         handle.dispatched += 1
         return True
-
-    def next_batch_id(self) -> int:
-        batch_id = self._next_batch_id
-        self._next_batch_id += 1
-        return batch_id
 
     # ------------------------------------------------------------------
     # Death, restart, watchdog
 
-    def handle_death(self, handle: WorkerHandle, now_ns: int | None = None) -> list[Batch]:
-        """Reap a dead worker; return its in-flight batches for re-dispatch.
+    def handle_death(self, handle: WorkerHandle, now_ns: int | None = None) -> Batch | None:
+        """Reap a dead worker; return its batch (if any) for re-dispatch.
 
-        Schedules the slot's replacement fork at ``now + min(base *
-        2^crashes, max)`` — capped exponential backoff.
+        Schedules the slot's replacement fork at ``now +
+        min(RESTART_BACKOFF_BASE_S * 2^crashes, RESTART_BACKOFF_MAX_S)``.
         """
         if not handle.alive:
-            return []
+            return None
         now = time.monotonic_ns() if now_ns is None else now_ns
         handle.alive = False
         process = handle.process
@@ -236,15 +229,13 @@ class Supervisor:
                 handle.conn.close()
             except Exception:
                 pass
-        orphans = list(handle.in_flight.values())
-        handle.in_flight = {}
+        orphan, handle.batch = handle.batch, None
         delay_s = min(
-            self.restart_backoff_base_s * (2**handle.consecutive_crashes),
-            self.restart_backoff_max_s,
+            RESTART_BACKOFF_BASE_S * (2**handle.consecutive_crashes), RESTART_BACKOFF_MAX_S
         )
         handle.consecutive_crashes += 1
         self._restart_at[handle.slot] = now + int(delay_s * 1e9)
-        return orphans
+        return orphan
 
     def due_restarts(self, now_ns: int | None = None) -> int:
         """Fork replacements whose backoff has elapsed; returns count."""
@@ -267,7 +258,7 @@ class Supervisor:
 
     def kill_worker(self, handle: WorkerHandle) -> bool:
         """SIGKILL a (presumably wedged) worker; the sentinel then fires
-        and :meth:`handle_death` re-dispatches its in-flight batches.
+        and :meth:`handle_death` re-dispatches its batch.
         Returns ``False`` when the process was already gone."""
         if not handle.alive or not handle.pid:
             return False

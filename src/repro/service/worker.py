@@ -12,16 +12,18 @@ and nodes travel through :class:`~repro.ir.node.Node`'s compact
 reduction):
 
 parent → worker
-    ``("batch", batch_id, tenant, [(request_id, forest), ...], deadline_at_ns)``
+    ``("batch", tenant, [(request_id, forest), ...], deadline_at_ns)``
         One coalesced batch for one tenant; *deadline_at_ns* is the
         batch's absolute ``monotonic_ns`` deadline (system-wide on
-        Linux, so comparable across processes) or ``None``.
+        Linux, so comparable across processes) or ``None``.  The parent
+        sends a worker its next batch only after the ``result`` of the
+        last one (stop-and-wait), so messages carry no batch id.
     ``("ping", token)`` — heartbeat probe.
     ``("stop",)`` — orderly shutdown.
 
 worker → parent
     ``("ready", pid)`` — sent once at startup.
-    ``("result", batch_id, rows, snapshot)`` — *rows* is one
+    ``("result", rows, snapshot)`` — *rows* is one
         ``(request_id, status, payload)`` triple per request, where
         *status* is ``"ok"`` (payload: per-root semantic values),
         ``"failure"`` (payload: the
@@ -37,7 +39,7 @@ faults come back as typed ``failure`` rows; a whole-batch
 :class:`~repro.errors.DeadlineExceededError` becomes ``deadline`` rows.
 ``BaseException`` (simulated crashes, ``os._exit`` in a poisoned
 action, SIGKILL) takes the process down — that is the supervisor's
-department: the pipe sentinel fires and every in-flight request is
+department: the pipe sentinel fires and the worker's batch is
 re-dispatched.
 """
 
@@ -206,8 +208,8 @@ def _safe_send(conn: "Connection", message: tuple) -> None:
     except Exception:
         if message[0] != "result":
             raise
-        kind, batch_id, rows, snapshot = message
-        conn.send((kind, batch_id, _sanitize_rows(rows), snapshot))
+        kind, rows, snapshot = message
+        conn.send((kind, _sanitize_rows(rows), snapshot))
 
 
 def worker_main(
@@ -237,8 +239,8 @@ def worker_main(
         if kind != "batch":
             conn.send(("error", f"unknown message kind {kind!r}"))
             continue
-        _, batch_id, tenant, requests, deadline_at_ns = message
+        _, tenant, requests, deadline_at_ns = message
         rows = _serve_batch(
             selectors, tenants, settings, obs, tenant, requests, deadline_at_ns
         )
-        _safe_send(conn, ("result", batch_id, rows, _snapshot(selectors, obs)))
+        _safe_send(conn, ("result", rows, _snapshot(selectors, obs)))

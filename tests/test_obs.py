@@ -5,8 +5,9 @@ including the exact-merge contract across a real ``fork()`` boundary,
 the property the service's worker-snapshot aggregation rests on — then
 the span tracer (parenting, ring bound), the exporters (JSONL
 round-trip through the ``python -m repro.obs render`` CLI, Prometheus
-text exposition), the selector/service wiring (disabled observability
-is ``None`` and leaves no footprint), and the span-native ``Timer``.
+text exposition), and the selector/service wiring (disabled
+observability is ``None`` and leaves no footprint, and the registry
+mirrors no count that ``stats()`` keeps).
 """
 
 from __future__ import annotations
@@ -224,14 +225,12 @@ def test_trace_jsonl_round_trips_through_render(tmp_path, capsys):
 def test_prometheus_exposition_from_registry_and_snapshot(tmp_path, capsys):
     registry = MetricsRegistry()
     registry.counter("requests_total", tenant="a").inc(3)
-    registry.gauge("queue_depth").set(2)
     h = registry.histogram("latency_ns", tenant="a")
     for v in (1, 2, 1000):
         h.observe(v)
     text = to_prometheus(registry)
     assert '# TYPE requests_total counter' in text
     assert 'requests_total{tenant="a"} 3' in text
-    assert 'queue_depth 2' in text
     # Bucket samples are cumulative, at the non-zero buckets' upper
     # bounds (1000 lands in [992, 1023]), and end at +Inf == _count.
     assert 'latency_ns_bucket{tenant="a",le="1"} 1' in text
@@ -332,6 +331,32 @@ def test_service_worker_metrics_cross_the_fork(tmp_path, capsys):
     assert 'service_requests_total{status="ok",tenant="bench"}' in prom
 
 
+def test_service_registry_holds_no_queue_gauge_or_mirrored_counts(tmp_path):
+    """After a burst drains, nothing in the registry still reads the
+    burst's queue depth: the depth lives in ``stats()`` only, and so do
+    the retry, re-dispatch and breaker-transition counts."""
+    obs = Observability()
+    forests = _forests(seed=37, n=12)
+    with SelectionService(
+        {"bench": bench_grammar()}, tmp_path, ServiceConfig(workers=1, seed=3), obs=obs
+    ) as service:
+        futures = [service.submit("bench", f) for f in forests]
+        assert all(f.result(60.0).ok for f in futures)
+        assert service.drain(10.0)
+        stats = service.stats()
+        prom = to_prometheus(obs.metrics)
+    assert stats["service"]["queue_depth"] == 0
+    assert stats["service"]["queue_depth_high_water"] >= 1
+    for name in (
+        "service_queue_depth",
+        "service_retries_total",
+        "service_redispatches_total",
+        "service_breaker_transitions_total",
+    ):
+        assert name not in prom
+    assert 'service_requests_total{status="ok",tenant="bench"} 12' in prom
+
+
 def test_service_disabled_observability_reports_none(tmp_path):
     tenants = {"bench": bench_grammar()}
     with SelectionService(tenants, tmp_path, ServiceConfig(workers=1, seed=3)) as service:
@@ -341,19 +366,3 @@ def test_service_disabled_observability_reports_none(tmp_path):
         assert service.stats()["obs"] is None
         # The worker ran without a bundle: its snapshot carries no metrics.
         assert all("obs" not in h.snapshot for h in service.supervisor.handles)
-
-
-def test_obs_timer_keeps_the_elapsed_surface_and_records_spans():
-    from repro.obs import Timer
-
-    tracer = Tracer(capacity=8)
-    with Timer(tracer=tracer, name="work", stage="test") as t:
-        pass
-    assert t.elapsed >= 0.0
-    (span,) = tracer.spans()
-    assert span.name == "work"
-    assert span.attrs == {"stage": "test"}
-    # Without a tracer it is a plain stopwatch (the legacy contract).
-    with Timer() as t:
-        pass
-    assert t.elapsed >= 0.0

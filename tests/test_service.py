@@ -53,6 +53,8 @@ from repro.service import (
     CircuitBreaker,
     SelectionService,
     ServiceConfig,
+    frontdoor,
+    supervisor,
 )
 from repro.service.frontdoor import MAX_BATCH
 from repro.service.supervisor import Batch, encode_batch
@@ -116,6 +118,19 @@ def test_breaker_half_open_probe_failure_reopens():
     breaker.record_failure(later)
     assert breaker.state == OPEN
     assert not breaker.allows(later)
+
+
+def test_breaker_keeps_only_its_latest_transitions():
+    breaker = CircuitBreaker("t", failure_threshold=1, cooldown_s=0.0)
+    now = time.monotonic_ns()
+    for cycle in range(40):  # 120 transitions: open, half-open, closed
+        breaker.record_failure(now + cycle)
+        assert breaker.allows(now + cycle)
+        breaker.record_success()
+    arc = [("t", CLOSED, OPEN), ("t", OPEN, HALF_OPEN), ("t", HALF_OPEN, CLOSED)]
+    assert len(breaker.transitions) == 32
+    assert list(breaker.transitions) == (arc * 40)[-32:]
+    assert breaker.snapshot()["transitions"][-1] == ["t", HALF_OPEN, CLOSED]
 
 
 # ----------------------------------------------------------------------
@@ -229,16 +244,26 @@ def test_worker_snapshot_sums_resilience_without_building_stats(monkeypatch):
 # SelectionService end to end
 
 
+@pytest.fixture(autouse=True)
+def _fast_supervision(monkeypatch):
+    """Quick restarts and heartbeats, so the service tests run fast."""
+    monkeypatch.setattr(supervisor, "RESTART_BACKOFF_BASE_S", 0.01)
+    monkeypatch.setattr(supervisor, "RESTART_BACKOFF_MAX_S", 0.05)
+    monkeypatch.setattr(frontdoor, "HEARTBEAT_INTERVAL_S", 0.1)
+
+
 def _config(**overrides) -> ServiceConfig:
-    base = dict(
-        workers=1,
-        seed=7,
-        restart_backoff_base_s=0.01,
-        restart_backoff_max_s=0.05,
-        heartbeat_interval_s=0.1,
-    )
+    base = dict(workers=1, seed=7)
     base.update(overrides)
     return ServiceConfig(**base)
+
+
+def _breaker_policy(monkeypatch) -> None:
+    """No retries, and a breaker that opens after two failures and
+    admits its half-open probe 0.3 s later."""
+    monkeypatch.setattr(frontdoor, "RETRIES", 0)
+    monkeypatch.setattr(frontdoor, "BREAKER_THRESHOLD", 2)
+    monkeypatch.setattr(frontdoor, "BREAKER_COOLDOWN_S", 0.3)
 
 
 def test_service_serves_batches_and_reports_stats(tmp_path):
@@ -256,9 +281,12 @@ def test_service_serves_batches_and_reports_stats(tmp_path):
         assert service["batched_requests"] == 6
         assert service["per_tenant"]["bench"]["ok"] == 6
         assert service["loop_errors"] == []
-        # Worker resilience counters surface through the merged view.
-        assert stats["resilience"]["service"] is service
-        [worker] = stats["workers"]
+        # Each block appears once: the worker rows live under the
+        # supervisor, and the resilience block holds only worker counters.
+        assert set(stats) == {"resilience", "service", "obs"}
+        assert "service" not in stats["resilience"]
+        assert "breaker_transitions" not in service
+        [worker] = service["supervisor"]["workers"]
         assert worker["alive"] and worker["completed"] >= 1
 
 
@@ -295,11 +323,12 @@ def test_service_expires_requests_typed(tmp_path):
         assert svc.stats()["service"]["deadline_failures"] == 1
 
 
-def test_service_retries_a_transient_fault(tmp_path):
+def test_service_retries_a_transient_fault(tmp_path, monkeypatch):
     grammar = bench_grammar()
     # The first action invocation in the worker faults; the retry heals.
     poison_action(_stmt_rule(grammar), on_call=1, max_faults=1)
-    with SelectionService({"bench": grammar}, tmp_path, _config(retries=2)) as svc:
+    monkeypatch.setattr(frontdoor, "RETRIES", 2)
+    with SelectionService({"bench": grammar}, tmp_path, _config()) as svc:
         response = svc.select("bench", build_flat_forest(), wait_s=20.0)
         assert response.ok
         assert response.attempts == 1
@@ -308,13 +337,13 @@ def test_service_retries_a_transient_fault(tmp_path):
         assert service["per_tenant"]["bench"]["retries"] == 1
 
 
-def test_service_breaker_opens_fast_fails_then_recovers(tmp_path):
+def test_service_breaker_opens_fast_fails_then_recovers(tmp_path, monkeypatch):
     grammar = bench_grammar()
     # Two faults, then healed: enough to open a threshold-2 breaker,
     # and the half-open probe after cooldown finds the tenant healthy.
     poison_action(_stmt_rule(grammar), on_call=1, sticky=True, max_faults=2)
-    config = _config(retries=0, breaker_threshold=2, breaker_cooldown_s=0.3)
-    with SelectionService({"bench": grammar}, tmp_path, config) as svc:
+    _breaker_policy(monkeypatch)
+    with SelectionService({"bench": grammar}, tmp_path, _config()) as svc:
         first = svc.select("bench", build_flat_forest(), wait_s=20.0)
         second = svc.select("bench", build_flat_forest(), wait_s=20.0)
         assert first.status == "failure" and second.status == "failure"
@@ -331,7 +360,7 @@ def test_service_breaker_opens_fast_fails_then_recovers(tmp_path):
         service = svc.stats()["service"]
         assert service["breaker_fastfail"] == 1
         assert service["breakers"]["bench"]["state"] == CLOSED
-        states = [(frm, to) for _, frm, to in service["breaker_transitions"]]
+        states = [(frm, to) for _, frm, to in service["breakers"]["bench"]["transitions"]]
         assert states == [(CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED)]
 
 
@@ -363,11 +392,11 @@ def _open_the_breaker(svc) -> None:
     time.sleep(0.35)
 
 
-def test_breaker_probe_ending_in_a_deadline_frees_the_probe_slot(tmp_path):
+def test_breaker_probe_ending_in_a_deadline_frees_the_probe_slot(tmp_path, monkeypatch):
     """A half-open probe that ends ``deadline`` is no verdict on the
     tenant: the next request probes instead of fast-failing for good."""
-    config = _config(retries=0, breaker_threshold=2, breaker_cooldown_s=0.3)
-    with SelectionService({"bench": _flaky_tenant()}, tmp_path, config) as svc:
+    _breaker_policy(monkeypatch)
+    with SelectionService({"bench": _flaky_tenant()}, tmp_path, _config()) as svc:
         _open_the_breaker(svc)
         # 80 statements at 10 ms each overrun the probe's 0.2 s deadline.
         probe = svc.select("bench", _statements(range(80)), timeout_s=0.2, wait_s=20.0)
@@ -377,15 +406,15 @@ def test_breaker_probe_ending_in_a_deadline_frees_the_probe_slot(tmp_path):
         assert svc.stats()["service"]["breakers"]["bench"]["state"] == CLOSED
 
 
-def test_breaker_probe_whose_worker_dies_frees_the_probe_slot(tmp_path):
+def test_breaker_probe_whose_worker_dies_frees_the_probe_slot(tmp_path, monkeypatch):
     """A half-open probe whose worker dies is requeued, and the requeued
     probe dispatches again: a death is no verdict on the tenant."""
-    config = _config(retries=0, breaker_threshold=2, breaker_cooldown_s=0.3)
-    with SelectionService({"bench": _flaky_tenant()}, tmp_path, config) as svc:
+    _breaker_policy(monkeypatch)
+    with SelectionService({"bench": _flaky_tenant()}, tmp_path, _config()) as svc:
         _open_the_breaker(svc)
         probe = svc.submit("bench", _statements(range(80)), timeout_s=5.0)
         deadline = time.monotonic() + 5.0
-        while not any(h.in_flight for h in svc.supervisor.handles):
+        while not any(h.batch is not None for h in svc.supervisor.handles):
             assert time.monotonic() < deadline, "the probe never went in flight"
             time.sleep(0.002)
         assert svc.supervisor.kill_worker(svc.supervisor.handles[0])
@@ -408,7 +437,7 @@ def test_service_redispatches_after_worker_kill_zero_loss(tmp_path):
         deadline = time.monotonic() + 5.0
         while victim is None and time.monotonic() < deadline:
             victim = next(
-                (h for h in svc.supervisor.handles if h.alive and h.in_flight), None
+                (h for h in svc.supervisor.handles if h.alive and h.batch is not None), None
             )
             time.sleep(0.005)
         assert victim is not None, "no batch went in flight"
@@ -429,12 +458,13 @@ def _exit_violently(context, node, operands):
     os._exit(23)
 
 
-def test_service_poison_pill_fails_typed_not_forever(tmp_path):
+def test_service_poison_pill_fails_typed_not_forever(tmp_path, monkeypatch):
     grammar = bench_grammar()
     rule = _stmt_rule(grammar)
     rule.action = _exit_violently
-    config = _config(retries=0, max_redispatches=1)
-    with SelectionService({"bench": grammar}, tmp_path, config) as svc:
+    monkeypatch.setattr(frontdoor, "RETRIES", 0)
+    monkeypatch.setattr(frontdoor, "MAX_REDISPATCHES", 1)
+    with SelectionService({"bench": grammar}, tmp_path, _config()) as svc:
         response = svc.select("bench", build_flat_forest(), wait_s=30.0)
         assert response.status == "failure"
         assert isinstance(response.error, RequestLostError)
@@ -573,8 +603,8 @@ CALLERBENCH = Path(__file__).resolve().parents[1] / "callerbench"
 def _across_the_pipe(obj):
     """*obj* after the trip a batch makes: encoded, then ``recv``'s loads."""
     [(_, copy)] = pickle.loads(
-        encode_batch(Batch(1, "t", [SimpleNamespace(request_id=1, forest=obj)], None))
-    )[3]
+        encode_batch(Batch("t", [SimpleNamespace(request_id=1, forest=obj)], None))
+    )[2]
     return copy
 
 
@@ -676,7 +706,7 @@ def test_unencodable_forest_fails_alone(tmp_path, build_bad):
         # Occupy the one worker so the next four coalesce into one batch.
         blocker = svc.submit("slow", build_flat_forest())
         deadline = time.monotonic() + 10.0
-        while not any(h.in_flight for h in svc.supervisor.handles):
+        while not any(h.batch is not None for h in svc.supervisor.handles):
             assert time.monotonic() < deadline, "the blocker never went in flight"
             time.sleep(0.002)
         futures = [svc.submit("bench", build_flat_forest()) for _ in range(3)]
@@ -711,7 +741,7 @@ def test_a_coalesced_request_never_ends_on_a_neighbours_deadline(tmp_path):
         # Occupy the one worker so the next two coalesce into one batch.
         blocker = svc.submit("slow", _statements(range(20)))
         deadline = time.monotonic() + 10.0
-        while not any(h.in_flight for h in svc.supervisor.handles):
+        while not any(h.batch is not None for h in svc.supervisor.handles):
             assert time.monotonic() < deadline, "the blocker never went in flight"
             time.sleep(0.002)
         short = svc.submit("slow", _statements(range(80)), timeout_s=0.3)
@@ -744,6 +774,6 @@ def test_batch_messages_of_the_service_pool_stay_compact(monkeypatch):
         for start in range(0, len(forests), MAX_BATCH):
             chunk = forests[start : start + MAX_BATCH]
             requests = [SimpleNamespace(request_id=i, forest=f) for i, f in enumerate(chunk)]
-            size += len(encode_batch(Batch(1, tenant, requests, None)))
+            size += len(encode_batch(Batch(tenant, requests, None)))
             nodes += sum(f.node_count() for f in chunk)
     assert size / nodes <= 20, f"{size / nodes:.1f} bytes per node"

@@ -81,6 +81,16 @@ def test_payload_issues():
     assert {"IR006", "IR007"} <= _codes(issues)
 
 
+def test_issue_names_the_node_by_its_provenance_tag():
+    b = NodeBuilder()
+    reg = b.reg(1)
+    reg.value = None  # REG carries a payload; clear it behind the builder
+    [issue] = validate_forest(Forest([b.expr(reg)]), DEFAULT_OPERATORS, collect=True)
+    assert issue.code == "IR006"
+    assert issue.node == f"REG(nid={reg.nid})"
+    assert issue.format().startswith(f"IR006 [REG(nid={reg.nid})]: ")
+
+
 def test_statement_as_operand_and_nonstatement_root():
     b = NodeBuilder()
     stmt = b.expr(b.reg(1))
