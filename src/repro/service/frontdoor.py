@@ -36,9 +36,10 @@ worker state:
   at the *front* transparently; a request that kills
   :data:`MAX_REDISPATCHES` workers in a row is a poison pill and fails
   with :class:`~repro.errors.RequestLostError` instead of crash-looping
-  the pool.  A forest that cannot be pickled is no death: it fails
-  alone with :class:`~repro.errors.RequestEncodeError` and the rest of
-  its batch requeues uncounted.
+  the pool.  A forest that cannot be pickled, or that the worker
+  cannot unpickle, is no death: it fails alone with
+  :class:`~repro.errors.RequestEncodeError` and the rest of its batch
+  requeues uncounted.
 
 Every submitted request resolves to exactly one
 :class:`ServiceResponse` — success, or a *typed* failure — which is
@@ -55,12 +56,13 @@ constants: :data:`RETRIES`, :data:`BREAKER_THRESHOLD`,
 from __future__ import annotations
 
 import os
+import pickle
 import random
+import selectors
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as mpconnection
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import (
@@ -333,9 +335,9 @@ class SelectionService:
         self._rng = random.Random(self.config.seed)
         self._running = False
         self._thread: threading.Thread | None = None
-        self._wake_r, self._wake_w = os.pipe()
         self._next_request_id = 1
-        self._loop_errors: list[str] = []
+        #: The event loop's latest 32 errors.
+        self._loop_errors: deque[str] = deque(maxlen=32)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -343,7 +345,12 @@ class SelectionService:
     def start(self) -> "SelectionService":
         if self._running:
             return self
-        self.supervisor.start()
+        # One selector for the service's life: the wake pipe here, and
+        # each worker's pipe and sentinel from fork to reap.
+        self._wake_r, self._wake_w = os.pipe()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self.supervisor.start(self._selector)
         self._running = True
         self._thread = threading.Thread(
             target=self._run, name="selection-service", daemon=True
@@ -379,6 +386,7 @@ class SelectionService:
                 self._resolve_locked(
                     request, "cancelled", error=ServiceError("service stopped"), now=now
                 )
+        self._selector.close()
         os.close(self._wake_r)
         os.close(self._wake_w)
 
@@ -547,107 +555,76 @@ class SelectionService:
     # Event loop (the single control thread)
 
     def _run(self) -> None:
-        wake_r = self._wake_r
+        timeout_s = 0.0
         while True:
             with self._lock:
                 if not self._running:
                     return
             try:
-                self._tick(wake_r)
+                timeout_s = self._tick(timeout_s)
             except Exception as exc:  # noqa: BLE001 - the loop must survive
-                if len(self._loop_errors) < 32:
-                    self._loop_errors.append(f"{type(exc).__name__}: {exc}")
+                self._loop_errors.append(f"{type(exc).__name__}: {exc}")
                 time.sleep(0.01)
 
-    def _tick(self, wake_r: int) -> None:
-        supervisor = self.supervisor
-        objects: list[Any] = [wake_r]
-        conn_map: dict[int, WorkerHandle] = {}
-        sentinel_map: dict[int, WorkerHandle] = {}
-        for handle in supervisor.handles:
-            if not handle.alive or handle.conn is None or handle.process is None:
-                continue
-            objects.append(handle.conn)
-            conn_map[id(handle.conn)] = handle
-            sentinel = handle.process.sentinel
-            objects.append(sentinel)
-            sentinel_map[sentinel] = handle
+    def _tick(self, timeout_s: float) -> float:
+        """One turn of the loop; returns how long the next one may sleep.
 
-        ready = mpconnection.wait(objects, timeout=self._poll_timeout_s())
-        now = time.monotonic_ns()
+        Waits up to *timeout_s* on the service's one selector, reads
+        each ready worker pipe once (a pipe with more to say is ready
+        again next turn), reaps the workers whose sentinel fired or
+        whose pipe broke, then forks due restarts, pings, runs
+        :meth:`_dispatch`'s one walk of the queue and the watchdog.
+        The next sleep lasts until the earliest timed event they report
+        (a queued deadline or retry backoff, a watchdog kill, a
+        restart), clamped to [5 ms, 200 ms]; a submit or a worker's
+        message wakes it sooner.
+        """
         deaths: list[WorkerHandle] = []
-        for obj in ready:
-            if isinstance(obj, int):
-                if obj == wake_r:
-                    try:
-                        os.read(wake_r, 65536)
-                    except OSError:
-                        pass
-                else:
-                    handle = sentinel_map.get(obj)
-                    if handle is not None and handle.alive:
-                        deaths.append(handle)
-                continue
-            handle = conn_map.get(id(obj))
-            if handle is None or not handle.alive:
-                continue
-            try:
-                while handle.conn is not None and handle.conn.poll():
+        ready = self._selector.select(timeout_s)
+        now = time.monotonic_ns()
+        for key, _ in ready:
+            handle = key.data
+            if handle is None:  # the wake pipe
+                os.read(self._wake_r, 65536)
+            elif key.fileobj is handle.conn:
+                try:
                     self._on_message(handle, handle.conn.recv(), now)
-            except (EOFError, OSError):
-                if handle.alive:
+                except (EOFError, OSError):
                     deaths.append(handle)
-        for handle in {id(h): h for h in deaths}.values():
+            else:  # the process sentinel: the worker exited
+                deaths.append(handle)
+        for handle in deaths:
             self._on_death(handle, now)
-        self._expire_queued(now)
-        self._watchdog(now)
+        supervisor = self.supervisor
         supervisor.due_restarts(now)
         self._heartbeat(now)
-        self._dispatch(now)
-
-    def _poll_timeout_s(self) -> float:
-        """Sleep until the next timed event (clamped to [5 ms, 200 ms])."""
-        now = time.monotonic_ns()
-        next_ns: int | None = None
-
-        def consider(candidate: int | None) -> None:
-            nonlocal next_ns
-            if candidate is not None and (next_ns is None or candidate < next_ns):
-                next_ns = candidate
-
-        with self._lock:
-            for request in self._queue:
-                consider(request.deadline_at_ns)
-                if request.not_before_ns:
-                    consider(request.not_before_ns)
-        consider(self.supervisor.next_restart_ns())
-        for handle in self.supervisor.handles:
-            batch = handle.batch
-            if handle.alive and batch is not None and batch.deadline_at_ns is not None:
-                consider(batch.deadline_at_ns + HANG_GRACE_NS)
-        if next_ns is None:
-            return 0.2
-        return min(0.2, max(0.005, (next_ns - now) / 1e9))
+        due = min(self._dispatch(now), self._watchdog(now))
+        restart_ns = supervisor.next_restart_ns()
+        if restart_ns is not None:
+            due = min(due, restart_ns)
+        return min(0.2, max(0.005, (due - now) / 1e9))
 
     # ------------------------------------------------------------------
     # Worker messages
 
     def _on_message(self, handle: WorkerHandle, message: tuple, now: int) -> None:
         kind = message[0]
-        if kind != "result":
-            # ready / pong / error: nothing to resolve.  A pong echoes
-            # the ping's monotonic-ns token, so now - token is the
-            # heartbeat round trip.
-            if kind == "pong" and self._obs is not None and isinstance(message[1], int):
+        if kind == "pong":
+            # A pong echoes the ping's monotonic-ns token, so now - token
+            # is the heartbeat round trip.
+            if self._obs is not None:
                 self._obs_rtt.observe(max(0, now - message[1]))
+            return
+        batch, handle.batch = handle.batch, None
+        if batch is None:  # pragma: no cover - defensive
+            return
+        if kind == "undecodable":
+            self._reject_unencodable(batch, ServiceError(message[1]), now)
             return
         _, rows, snapshot = message
         handle.snapshot = snapshot
-        batch, handle.batch = handle.batch, None
         handle.completed += 1
         handle.consecutive_crashes = 0
-        if batch is None:  # pragma: no cover - defensive
-            return
         if self._obs is not None and batch.dispatched_ns:
             self._obs.tracer.record(
                 "service.batch",
@@ -753,36 +730,20 @@ class SelectionService:
             # Front of the queue: re-dispatched work is the oldest.
             self._queue.extendleft(reversed(requeue))
 
-    def _expire_queued(self, now: int) -> None:
-        with self._lock:
-            if not self._queue:
-                return
-            survivors: deque[_Request] = deque()
-            for request in self._queue:
-                if request.response is not None:
-                    continue
-                if request.deadline_at_ns is not None and now >= request.deadline_at_ns:
-                    self._resolve_locked(
-                        request,
-                        "deadline",
-                        error=DeadlineExceededError("expired in admission queue"),
-                        now=now,
-                    )
-                else:
-                    survivors.append(request)
-            self._queue = survivors
-
-    def _watchdog(self, now: int) -> None:
-        """SIGKILL workers whose batch overstayed deadline + grace."""
+    def _watchdog(self, now: int) -> float:
+        """SIGKILL workers whose batch overstayed deadline + grace;
+        returns the next such instant (``inf`` when none is due)."""
+        due: float = float("inf")
         for handle in self.supervisor.handles:
             batch = handle.batch
-            if (
-                handle.alive
-                and batch is not None
-                and batch.deadline_at_ns is not None
-                and now > batch.deadline_at_ns + HANG_GRACE_NS
-            ):
+            if not handle.alive or batch is None or batch.deadline_at_ns is None:
+                continue
+            hang_ns = batch.deadline_at_ns + HANG_GRACE_NS
+            if now > hang_ns:
                 self.supervisor.kill_worker(handle)
+            else:
+                due = min(due, hang_ns)
+        return due
 
     def _heartbeat(self, now: int) -> None:
         interval_ns = int(HEARTBEAT_INTERVAL_S * 1e9)
@@ -800,86 +761,91 @@ class SelectionService:
     # ------------------------------------------------------------------
     # Dispatch
 
-    def _dispatch(self, now: int) -> None:
+    def _dispatch(self, now: int) -> float:
+        """Walk the queue once: expire, batch, send; returns the next
+        instant a queued request needs the loop (``inf`` when none does).
+
+        A request whose deadline has passed resolves ``deadline``.  One
+        that may run now joins its tenant's open batch while that has
+        room (:data:`MAX_BATCH`), or opens a batch for the next idle
+        worker if its tenant's breaker allows.  Every other request
+        stays queued, in order, and its deadline or retry backoff
+        counts toward the returned instant.
+        """
         supervisor = self.supervisor
-        assignments: list[tuple[WorkerHandle, Batch]] = []
+        idle = supervisor.live_idle_workers()
+        batches: list[Batch] = []
+        open_batch: dict[str, Batch] = {}
+        due: float = float("inf")
         with self._lock:
-            for worker in supervisor.live_idle_workers():
-                if not self._queue:
-                    break
-                chosen: list[_Request] = []
-                skipped: list[_Request] = []
-                tenant: str | None = None
-                while self._queue and len(chosen) < MAX_BATCH:
-                    request = self._queue.popleft()
-                    if request.response is not None:
+            queue = self._queue
+            for _ in range(len(queue)):
+                request = queue.popleft()
+                if request.response is not None:
+                    continue
+                deadline = request.deadline_at_ns
+                if deadline is not None and now >= deadline:
+                    self._resolve_locked(
+                        request,
+                        "deadline",
+                        error=DeadlineExceededError("expired in admission queue"),
+                        now=now,
+                    )
+                    continue
+                if request.not_before_ns > now:
+                    due = min(due, request.not_before_ns)
+                else:
+                    batch = open_batch.get(request.tenant)
+                    if batch is not None and len(batch.requests) < MAX_BATCH:
+                        batch.requests.append(request)
                         continue
-                    if (
-                        request.deadline_at_ns is not None
-                        and now >= request.deadline_at_ns
-                    ):
-                        self._resolve_locked(
-                            request,
-                            "deadline",
-                            error=DeadlineExceededError("expired in admission queue"),
-                            now=now,
-                        )
+                    breaker = self._breaker(request.tenant)
+                    if len(batches) < len(idle) and breaker.allows(now):
+                        breaker.mark_dispatched()
+                        batch = Batch(request.tenant, [request], None)
+                        open_batch[request.tenant] = batch
+                        batches.append(batch)
                         continue
-                    if request.not_before_ns > now:
-                        skipped.append(request)
-                        continue
-                    if tenant is None:
-                        if not self._breaker(request.tenant).allows(now):
-                            skipped.append(request)
-                            continue
-                        tenant = request.tenant
-                    elif request.tenant != tenant:
-                        skipped.append(request)
-                        continue
-                    chosen.append(request)
-                self._queue.extendleft(reversed(skipped))
-                if not chosen:
-                    break
-                assert tenant is not None
-                breaker = self._breaker(tenant)
-                breaker.mark_dispatched()
-                deadlines = [
-                    r.deadline_at_ns for r in chosen if r.deadline_at_ns is not None
-                ]
-                batch = Batch(
-                    tenant=tenant,
-                    requests=chosen,
-                    deadline_at_ns=min(deadlines) if deadlines else None,
+                if deadline is not None:
+                    due = min(due, deadline)
+                queue.append(request)
+            for batch in batches:
+                batch.deadline_at_ns = min(
+                    (r.deadline_at_ns for r in batch.requests if r.deadline_at_ns is not None),
+                    default=None,
                 )
                 self._stats.batches += 1
-                self._stats.batched_requests += len(chosen)
-                assignments.append((worker, batch))
-        for worker, batch in assignments:
+                self._stats.batched_requests += len(batch.requests)
+        for worker, batch in zip(idle, batches):
             try:
                 sent = supervisor.dispatch(worker, batch)
             except Exception as exc:  # noqa: BLE001 - any pickler error
                 self._reject_unencodable(batch, exc, now)
                 continue
             if not sent:
-                # The worker died between wait() and send: requeue via
-                # the normal death path (counts a re-dispatch).
+                # The worker died since the select: requeue via the
+                # normal death path (counts a re-dispatch).
                 worker.batch = batch
                 self._on_death(worker, now)
+        return due
 
     def _reject_unencodable(self, batch: Batch, error: Exception, now: int) -> None:
-        """Fail the requests whose forests cannot be pickled; requeue the rest.
+        """Fail the requests whose forests cannot cross the pipe; requeue
+        the rest.
 
-        Cold path: each request is encoded alone, in a one-request batch
-        message, to find the offenders; they resolve at once with a
-        :class:`~repro.errors.RequestEncodeError` (no retry: encoding is
-        deterministic), and the others go back to the front of the queue
-        without counting a re-dispatch.  Should no request fail alone,
-        the whole batch fails with the batch's own error.
+        Runs when a batch fails to encode here, or when the worker
+        reports it could not decode one.  Cold path: each request goes
+        alone, in a one-request batch message, through both the encode
+        and the worker's ``loads`` to find the offenders; they resolve
+        at once with a :class:`~repro.errors.RequestEncodeError` (no
+        retry: pickling is deterministic), and the others go back to the
+        front of the queue without counting a re-dispatch.  Should no
+        request fail alone, the whole batch fails with *error*.
         """
         culprits: dict[int, Exception] = {}
         for request in batch.requests:
             try:
-                encode_batch(Batch(batch.tenant, [request], batch.deadline_at_ns))
+                pickle.loads(encode_batch(Batch(batch.tenant, [request], batch.deadline_at_ns)))
             except Exception as exc:  # noqa: BLE001 - any pickler error
                 culprits[request.request_id] = exc
         if not culprits:
@@ -950,7 +916,7 @@ class SelectionService:
         :class:`ServiceStats` block plus the current queue depth, the
         breaker snapshots (with their latest transitions), the
         supervisor's pool view (``["supervisor"]["workers"]`` holds one
-        row per worker) and the event loop's errors.  ``["obs"]`` is the
+        row per worker) and the event loop's latest 32 errors.  ``["obs"]`` is the
         flattened metrics registry when observing, else ``None``.
         """
         resilience = new_resilience_counters()
@@ -966,23 +932,5 @@ class SelectionService:
             }
         service["supervisor"] = self.supervisor.stats()
         service["loop_errors"] = list(self._loop_errors)
-        obs_view: dict[str, object] | None = None
-        if self._obs is not None:
-            obs_view = self._merged_obs_registry().flatten()
-            for key in (
-                "submitted",
-                "completed_ok",
-                "completed_failed",
-                "retries",
-                "re_dispatches",
-                "shed",
-                "breaker_fastfail",
-                "deadline_failures",
-                "poison_pills",
-                "batches",
-                "batched_requests",
-                "queue_depth",
-                "queue_depth_high_water",
-            ):
-                obs_view[f"service_{key}"] = service[key]
+        obs_view = self._merged_obs_registry().flatten() if self._obs is not None else None
         return {"resilience": resilience, "service": service, "obs": obs_view}

@@ -1,17 +1,21 @@
 """Supervisor: owns N worker processes, restarts crashes, re-dispatches.
 
 The supervisor is deliberately passive — it has no thread of its own.
-The front door's event loop drives it: each tick,
-``SelectionService._tick`` collects every live handle's pipe connection
-*and* process sentinel into one ``multiprocessing.connection.wait``
-call, and calls back into :meth:`handle_death` / :meth:`due_restarts` /
-:meth:`dispatch` as objects fire.  Keeping one thread of control means
-no lock ordering between request state and worker state.
+The front door's event loop drives it, and hands it the loop's one
+selector at :meth:`Supervisor.start`: forking a worker registers the
+worker's pipe connection *and* process sentinel there (each keyed to
+its :class:`WorkerHandle`), and reaping it unregisters both, so each
+tick of ``SelectionService._tick`` waits on exactly the live workers
+without building anything.  The loop calls back into
+:meth:`handle_death` / :meth:`due_restarts` / :meth:`dispatch` as
+they fire.  Keeping one thread of control means no lock ordering
+between request state and worker state.
 
 A batch is pickled (:func:`encode_batch`) before a byte reaches the
 pipe, so an unencodable forest raises out of :meth:`dispatch` with the
 worker untouched; only an ``OSError`` from the write means the worker
-is gone.
+is gone.  A batch that pickles here but fails to unpickle in the worker
+comes back as an ``undecodable`` reply, not as a death.
 
 Death detection is two-channel: the process *sentinel* fires on any
 exit (including SIGKILL — exit code ``-9``), and the pipe raises
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import selectors
 import signal
 import time
 from dataclasses import dataclass, field
@@ -137,13 +142,16 @@ class Supervisor:
         self.handles: list[WorkerHandle] = [WorkerHandle(slot=i) for i in range(workers)]
         #: slot -> absolute monotonic ns when the replacement may fork.
         self._restart_at: dict[int, int] = {}
+        self._selector: selectors.BaseSelector | None = None
         self.restarts_total = 0
         self.kills_total = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
 
-    def start(self) -> None:
+    def start(self, selector: selectors.BaseSelector) -> None:
+        """Fork the pool, registering each worker with *selector*."""
+        self._selector = selector
         for handle in self.handles:
             self._spawn(handle)
 
@@ -177,6 +185,8 @@ class Supervisor:
         )
         process.start()
         child_conn.close()
+        self._selector.register(parent_conn, selectors.EVENT_READ, handle)
+        self._selector.register(process.sentinel, selectors.EVENT_READ, handle)
         handle.process = process
         handle.conn = parent_conn
         handle.pid = process.pid or 0
@@ -221,14 +231,13 @@ class Supervisor:
             return None
         now = time.monotonic_ns() if now_ns is None else now_ns
         handle.alive = False
-        process = handle.process
-        if process is not None:
-            process.join(timeout=0.5)
-        if handle.conn is not None:
-            try:
-                handle.conn.close()
-            except Exception:
-                pass
+        self._selector.unregister(handle.conn)
+        self._selector.unregister(handle.process.sentinel)
+        handle.process.join(timeout=0.5)
+        try:
+            handle.conn.close()
+        except OSError:
+            pass
         orphan, handle.batch = handle.batch, None
         delay_s = min(
             RESTART_BACKOFF_BASE_S * (2**handle.consecutive_crashes), RESTART_BACKOFF_MAX_S

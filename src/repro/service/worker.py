@@ -22,7 +22,6 @@ parent → worker
     ``("stop",)`` — orderly shutdown.
 
 worker → parent
-    ``("ready", pid)`` — sent once at startup.
     ``("result", rows, snapshot)`` — *rows* is one
         ``(request_id, status, payload)`` triple per request, where
         *status* is ``"ok"`` (payload: per-root semantic values),
@@ -32,6 +31,10 @@ worker → parent
         the worker's pid, its resilience counters summed across tenant
         selectors for ``stats()`` merging, and (when observing) its
         metrics registry.
+    ``("undecodable", reason)`` — the reply to a batch that arrived
+        whole but raised while unpickling (a payload whose reduction
+        fails here); the parent then finds the request at fault and
+        fails it alone.
     ``("pong", token)`` — heartbeat reply.
 
 Fault contract: selection runs ``on_error="isolate"`` so per-forest
@@ -224,20 +227,20 @@ def worker_main(
 
         obs = Observability(trace_capacity=1024)
     selectors: dict[str, Selector] = {}
-    conn.send(("ready", os.getpid()))
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):  # parent died or closed: exit quietly
             return
+        except Exception as exc:  # noqa: BLE001 - a payload failed to unpickle
+            # recv consumed the whole message, so the pipe is still in step.
+            conn.send(("undecodable", f"{type(exc).__name__}: {exc}"))
+            continue
         kind = message[0]
         if kind == "stop":
             return
         if kind == "ping":
             conn.send(("pong", message[1]))
-            continue
-        if kind != "batch":
-            conn.send(("error", f"unknown message kind {kind!r}"))
             continue
         _, tenant, requests, deadline_at_ns = message
         rows = _serve_batch(

@@ -333,8 +333,9 @@ def test_service_worker_metrics_cross_the_fork(tmp_path, capsys):
 
 def test_service_registry_holds_no_queue_gauge_or_mirrored_counts(tmp_path):
     """After a burst drains, nothing in the registry still reads the
-    burst's queue depth: the depth lives in ``stats()`` only, and so do
-    the retry, re-dispatch and breaker-transition counts."""
+    burst's queue depth: the depth lives in ``stats()["service"]`` only,
+    and so do the retry, re-dispatch and breaker-transition counts and
+    every other service count."""
     obs = Observability()
     forests = _forests(seed=37, n=12)
     with SelectionService(
@@ -355,6 +356,24 @@ def test_service_registry_holds_no_queue_gauge_or_mirrored_counts(tmp_path):
     ):
         assert name not in prom
     assert 'service_requests_total{status="ok",tenant="bench"} 12' in prom
+    # stats() says each count once: none of the ServiceStats counts
+    # comes back again in the flattened registry.
+    for key in (
+        "submitted",
+        "completed_ok",
+        "completed_failed",
+        "retries",
+        "re_dispatches",
+        "shed",
+        "breaker_fastfail",
+        "deadline_failures",
+        "poison_pills",
+        "batches",
+        "batched_requests",
+        "queue_depth",
+        "queue_depth_high_water",
+    ):
+        assert f"service_{key}" not in stats["obs"]
 
 
 def test_service_disabled_observability_reports_none(tmp_path):

@@ -16,6 +16,7 @@ happens to a forest that cannot cross it.
 from __future__ import annotations
 
 import importlib.util
+import multiprocessing.connection as mpconnection
 import os
 import pickle
 import sys
@@ -290,6 +291,14 @@ def test_service_serves_batches_and_reports_stats(tmp_path):
         assert worker["alive"] and worker["completed"] >= 1
 
 
+def test_a_service_that_never_starts_holds_no_descriptors(tmp_path):
+    """The wake pipe and the selector open at ``start()``, so a service
+    that is built and dropped leaves no descriptor behind."""
+    before = sorted(os.listdir("/proc/self/fd"))
+    SelectionService({"bench": bench_grammar()}, tmp_path, _config())
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
 def test_service_rejects_unknown_tenants_and_stopped_submits(tmp_path):
     svc = SelectionService({"bench": bench_grammar()}, tmp_path, _config()).start()
     try:
@@ -506,6 +515,50 @@ def test_service_soak_mixed_tenants_with_kill_zero_lost(tmp_path):
         assert service["loop_errors"] == []
 
 
+def test_loop_errors_keep_the_latest_32(tmp_path, monkeypatch):
+    """A long-lived service reports its event loop's newest errors,
+    not the first 32 it ever hit."""
+    raised = []
+
+    def failing_heartbeat(self, now):
+        if len(raised) < 40:
+            raised.append(len(raised) + 1)
+            raise RuntimeError(f"loop error {len(raised)}")
+
+    monkeypatch.setattr(SelectionService, "_heartbeat", failing_heartbeat)
+    with SelectionService({"bench": bench_grammar()}, tmp_path, _config()) as svc:
+        deadline = time.monotonic() + 10.0
+        while len(raised) < 40:
+            assert time.monotonic() < deadline, f"only {len(raised)} loop errors"
+            time.sleep(0.01)
+        assert svc.select("bench", build_flat_forest(), wait_s=30.0).ok
+        errors = svc.stats()["service"]["loop_errors"]
+    assert len(errors) == 32
+    assert errors[0] == "RuntimeError: loop error 9"
+    assert errors[-1] == "RuntimeError: loop error 40"
+
+
+def test_the_event_loop_builds_no_selector_per_tick(tmp_path, monkeypatch):
+    """The loop waits on the service's one selector and reads a ready
+    pipe once: a burst runs without ``multiprocessing.connection.wait``
+    and without ``Connection.poll``, each of which builds a selector
+    per call.  Both come back before ``stop()``: ``Process.join`` waits
+    through ``wait``."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the event loop built a selector")
+
+    with SelectionService({"bench": bench_grammar()}, tmp_path, _config()) as svc:
+        with monkeypatch.context() as patch:
+            patch.setattr(mpconnection, "wait", forbidden)
+            patch.setattr(mpconnection.Connection, "poll", forbidden)
+            futures = [svc.submit("bench", f) for f in _forests(seed=5, n=24)]
+            responses = [f.result(10.0) for f in futures]
+            service = svc.stats()["service"]
+    assert all(r.ok for r in responses), [r.as_row() for r in responses if not r.ok]
+    assert service["loop_errors"] == []
+
+
 # ----------------------------------------------------------------------
 # On-demand start-up: nothing is built before a tenant's first request
 
@@ -694,10 +747,27 @@ def _locked_forest() -> Forest:
     return Forest([b.expr(b.cnst(threading.Lock()))], name="locked")
 
 
-@pytest.mark.parametrize("build_bad", [_locked_forest, _too_deep_forest])
+def _refuse_to_load():
+    raise ValueError("this payload cannot be unpickled")
+
+
+class _Unloadable:
+    """A payload that pickles, but whose unpickling raises."""
+
+    def __reduce__(self):
+        return _refuse_to_load, ()
+
+
+def _unloadable_forest() -> Forest:
+    b = NodeBuilder()
+    return Forest([b.expr(b.cnst(_Unloadable()))], name="unloadable")
+
+
+@pytest.mark.parametrize("build_bad", [_locked_forest, _too_deep_forest, _unloadable_forest])
 def test_unencodable_forest_fails_alone(tmp_path, build_bad):
-    """One forest that cannot be pickled, coalesced with three good
-    ones, fails typed on its own; the worker lives and serves the rest."""
+    """One forest that cannot cross the pipe (it fails to pickle here,
+    or to unpickle in the worker), coalesced with three good ones, fails
+    typed on its own; the worker lives and serves the rest."""
     slow = bench_grammar()
     poison_action(_stmt_rule(slow), latency_s=0.2)
     tenants = {"bench": bench_grammar(), "slow": slow}
