@@ -19,17 +19,28 @@ __all__ = ["LabelMetrics"]
 
 @dataclass
 class LabelMetrics:
-    """Work performed by one labeling run (or one state construction)."""
+    """Work performed by one labeling run (or one state construction).
+
+    For the DP labeler ``rule_checks`` and ``chain_checks`` are per-node
+    work.  For the automaton they are construction work, charged only
+    when a table miss misses its projected key too (see
+    :mod:`repro.selection.automaton`), so many ``table_misses`` may
+    cost no checks at all; ``table_misses`` still counts every full-key
+    miss, one per memoized transition.
+    """
 
     #: Nodes processed by the labeler.
     nodes_labeled: int = 0
-    #: Base-rule pattern/applicability checks (dynamic programming work).
+    #: Base-rule pattern/applicability checks (dynamic programming work;
+    #: for the automaton, per construction on a projected-key miss).
     rule_checks: int = 0
-    #: Chain-rule checks (the repeated closure loop).
+    #: Chain-rule checks (the repeated closure loop; for the automaton,
+    #: per construction on a projected-key miss).
     chain_checks: int = 0
     #: Transition-table lookups performed by automaton labelers.
     table_lookups: int = 0
-    #: Transition-table misses (each miss triggers a state construction).
+    #: Full-key transition-table misses.  Each files one transition; it
+    #: constructs a state only when its projected key misses too.
     table_misses: int = 0
     #: Automaton states constructed (offline or on demand).
     states_created: int = 0
@@ -40,8 +51,8 @@ class LabelMetrics:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of transition-table lookups answered without a state
-        construction (0.0 when no lookups were performed)."""
+        """Fraction of transition-table lookups answered by the full-key
+        tables, without a miss (0.0 when no lookups were performed)."""
         if self.table_lookups <= 0:
             return 0.0
         return (self.table_lookups - self.table_misses) / self.table_lookups
@@ -49,8 +60,7 @@ class LabelMetrics:
     @property
     def warm_fraction(self) -> float:
         """Fraction of labeled nodes resolved purely from warm tables,
-        i.e. without triggering a state construction (0.0 when no nodes
-        were labeled)."""
+        i.e. without a table miss (0.0 when no nodes were labeled)."""
         if self.nodes_labeled <= 0:
             return 0.0
         return max(0.0, (self.nodes_labeled - self.table_misses) / self.nodes_labeled)

@@ -5,10 +5,19 @@ programming does, the automaton labels each node with an interned
 :class:`~repro.selection.states.State` found through a transition
 table keyed by ``(operator, child states)``.  Tables are built *lazily*:
 the first time an ``(operator, child-state-tuple)`` key is seen, the
-state is constructed with exactly the dynamic-programming computation
-(base-rule checks plus chain closure over **delta** costs) and memoized;
-every later hit is a couple of dictionary lookups.  Repeated labeling
-of recurring forest shapes therefore amortizes the construction work —
+state is found and memoized; every later hit is a couple of dictionary
+lookups.  A miss is a *projection* first (the index maps of Chase, "An
+improvement to bottom-up tree pattern matching", POPL 1987, and
+Proebsting, "BURS automata generation", TOPLAS 1995): a constructed
+state reads each child state only at the nonterminals the operator's
+rules use at that operand position, so each child is projected onto
+those costs, renormalized, and interned to a small id per position
+(:class:`_Projection`).  Only when the tuple of projected ids is new
+too is the state constructed, with exactly the dynamic-programming
+computation (base-rule checks plus chain closure over **delta** costs).
+Many full keys share one projected key, so a cold table miss is mostly
+a few dictionary lookups as well.  Repeated labeling of recurring
+forest shapes therefore amortizes the construction work —
 :class:`~repro.metrics.counters.LabelMetrics` separates the two kinds
 of work (``rule_checks``/``chain_checks`` versus ``table_lookups``) so
 the amortization claim is directly measurable.
@@ -52,8 +61,9 @@ by the child-state ids, like a static transition, and holds the
 states can still derive, i.e. every operand nonterminal has a finite
 cost at its child.  Level 2 is keyed by the candidates' outcomes and
 holds the state.  Per node the walk evaluates the candidates' callables
-and does the two gets; only a miss builds the cost map and constructs
-a state.  Constraint rules split an operator's transitions into the few
+and does the two gets; a miss at either level resolves through the
+projected key's row, and only a miss there too builds the cost map and
+constructs a state.  Constraint rules split an operator's transitions into the few
 variants their outcomes induce, fully general dynamic costs degrade
 gracefully to per-outcome entries, and a key that leaves no candidate
 has exactly one state.  Operators with *no* dynamic rules take the
@@ -81,9 +91,11 @@ The grammar may be extended while the automaton is live (the JIT
 flexibility argument): a grammar version bump invalidates the state
 pool, transition tables and fragments, which are then rebuilt on demand — or
 re-precomputed with :meth:`OnDemandAutomaton.build_eager`, the offline
-mode that drives state construction over every reachable ``(operator,
-child states)`` combination to a fixed point at build time, trading
-table size for zero cold cost at labeling time.
+mode that fills every reachable ``(operator, child states)`` combination
+to a fixed point at build time, trading table size for zero cold cost
+at labeling time.  It fills the full product of states per operator,
+but each entry is a projection: states are constructed once per
+projected key.
 """
 
 from __future__ import annotations
@@ -141,12 +153,21 @@ class _DynRow(dict):
     them and the base (costs, rules) pair — the cached dicts must not be
     mutated.  Being its own level 2, a row costs one object per
     child-state key, which keeps eager tables small.
+
+    A row of the full-key table points at ``shared``, the row of its
+    projected key (see :class:`_Projection`), where its misses resolve
+    first, and keeps ``bound``, its key's saturation bound; a projected
+    row has no ``shared``.
     """
 
-    __slots__ = ("candidates", "evals", "derivable")
+    __slots__ = ("candidates", "evals", "derivable", "shared", "bound")
 
     def __init__(
-        self, candidates: tuple[Rule, ...], evals: tuple[Callable[[Node], int], ...]
+        self,
+        candidates: tuple[Rule, ...],
+        evals: tuple[Callable[[Node], int], ...],
+        shared: "_DynRow | None" = None,
+        bound: int = 0,
     ) -> None:
         super().__init__()
         self.candidates = candidates
@@ -154,6 +175,84 @@ class _DynRow(dict):
         self.derivable: (
             dict[tuple, tuple[frozenset[str], dict[str, int], dict[str, Rule]]] | None
         ) = None
+        self.shared = shared
+        self.bound = bound
+
+
+class _Projection:
+    """The index maps of one (operator, arity) slot, and its projected
+    transitions (Chase, POPL 1987; Proebsting, TOPLAS 1995).
+
+    ``used[position]`` holds the sorted nonterminal ids the slot's rules
+    (dynamic ones included) use at that operand position.  A state
+    constructed at the slot reads a child state only there, and since
+    every rule consumes each child exactly once, adding a constant to a
+    child's costs at those ids adds it to every rule total and leaves the
+    constructed state unchanged.  The slot's transitions are therefore a
+    function of the *projected* child states: a child's costs at
+    ``used[position]``, renormalized so the finite minimum is 0
+    (INFINITE stays INFINITE), interned to a projected id per position.
+
+    ``ids[position]`` maps a state index to its projected id and the
+    largest finite cost it projected (the saturation guard's input),
+    filled lazily; ``vectors[position][projected id]`` is the cost list
+    construction reads, indexed by nonterminal id.  ``states`` (static
+    slots) and ``rows`` (dynamic slots: one :class:`_DynRow` per
+    projected key, holding the candidates, the derivable memo and the
+    states by outcomes) are keyed by the tuple of projected ids.
+    ``top`` bounds what the slot adds to the kids' costs: its largest
+    static rule cost plus every chain rule's, summed.
+    """
+
+    __slots__ = ("used", "top", "ids", "interned", "vectors", "states", "rows")
+
+    def __init__(self, used: tuple[tuple[int, ...], ...], top: int) -> None:
+        self.used = used
+        self.top = top
+        self.ids: list[dict[int, tuple[int, int]]] = [{} for _ in used]
+        self.interned: list[dict[tuple[int, ...], int]] = [{} for _ in used]
+        self.vectors: list[list[list[int]]] = [[] for _ in used]
+        self.states: dict[tuple[int, ...], State] = {}
+        self.rows: dict[tuple[int, ...], _DynRow] = {}
+
+    def project(
+        self, key: tuple[int, ...], states: list[State]
+    ) -> tuple[tuple[int, ...], int]:
+        """The projected key of full key *key* (child-state indices into
+        *states*), and a bound on every rule total a construction at the
+        full key can reach: the slot's ``top`` plus each kid's largest
+        finite cost at the ids used."""
+        pids = []
+        bound = self.top
+        for position, index in enumerate(key):
+            found = self.ids[position].get(index)
+            if found is None:
+                found = self._project_state(states[index], position)
+            pids.append(found[0])
+            bound += found[1]
+        return tuple(pids), bound
+
+    def _project_state(self, state: State, position: int) -> tuple[int, int]:
+        used = self.used[position]
+        costs = [state.cost_at(nt_id) for nt_id in used]
+        finite = [cost for cost in costs if cost < INFINITE]
+        low = min(finite, default=0)
+        shifted = tuple(cost - low if cost < INFINITE else INFINITE for cost in costs)
+        interned = self.interned[position]
+        pid = interned.get(shifted)
+        if pid is None:
+            vectors = self.vectors[position]
+            pid = interned[shifted] = len(vectors)
+            vector = [INFINITE] * (used[-1] + 1 if used else 0)
+            for nt_id, cost in zip(used, shifted):
+                vector[nt_id] = cost
+            vectors.append(vector)
+        found = self.ids[position][state.index] = (pid, max(finite, default=0))
+        return found
+
+    def kids(self, pkey: tuple[int, ...]) -> tuple[list[int], ...]:
+        """The projected child cost lists of *pkey*, for construction."""
+        return tuple(self.vectors[position][pid] for position, pid in enumerate(pkey))
 
 
 class _OpTable:
@@ -171,6 +270,13 @@ class _OpTable:
     ``dynamic`` says which of the two kinds of table it is.  A dynamic
     table never holds a ``nullary`` state (its leaves' states live in
     its dynamic rows), so the walk labels only static leaves in place.
+
+    These full-key tables are the first-level cache, and the warm path
+    reads nothing else.  A miss resolves through ``projections``, one
+    :class:`_Projection` per arity: the full key is projected, and a
+    state is constructed only when the projected key misses too.  Every
+    full key still gets its own entry (and its own :class:`_DynRow`), so
+    the full tables hold exactly the transitions the walk has seen.
     """
 
     __slots__ = (
@@ -183,6 +289,7 @@ class _OpTable:
         "binary",
         "nary",
         "dyn",
+        "projections",
     )
 
     def __init__(self, op_id: int) -> None:
@@ -197,6 +304,7 @@ class _OpTable:
         self.binary: dict[int, dict[int, State]] = {}
         self.nary: dict[tuple[int, ...], State] = {}
         self.dyn: dict[tuple[int, ...], _DynRow] = {}
+        self.projections: dict[int, _Projection] = {}
 
     def transition_count(self) -> int:
         """Number of memoized transitions in this operator's tables."""
@@ -309,6 +417,9 @@ class OnDemandAutomaton:
         self._helper_nts: frozenset[str] = frozenset()
         self._dyn_chain: list[Rule] = []
         self._unreached_chain_half: tuple[None, ...] = ()
+        #: Every chain rule's static cost (negatives as 0), summed: what a
+        #: chain closure can add to a finite cost, before dynamic outcomes.
+        self._chain_span = 0
         self._static_reach_cache: dict[str, frozenset[str]] = {}
         self._eager: dict[str, object] | None = None
         #: Derivation fragments, one table per context kind (index 1:
@@ -330,7 +441,9 @@ class OnDemandAutomaton:
         self.pool = StatePool(self.grammar.nonterminals)
         self._op_ids = self.grammar.operator_ids()
         self._tables = {name: self._build_table(name, op_id) for name, op_id in self._op_ids.items()}
-        self._dyn_chain = [rule for rule in self.grammar.chain_rules() if rule.is_dynamic]
+        chain_rules = self.grammar.chain_rules()
+        self._dyn_chain = [rule for rule in chain_rules if rule.is_dynamic]
+        self._chain_span = sum(max(rule.cost, 0) for rule in chain_rules)
         # A dynamic chain rule makes every transition node-dependent.
         for table in self._tables.values():
             table.dynamic = bool(self._dyn_chain or table.dyn_by_arity)
@@ -626,7 +739,7 @@ class OnDemandAutomaton:
                         state = by_s1.get(s1.index)
                         if state is None:
                             metrics.table_misses += 1
-                            state = self._construct_state(table, 2, (s0, s1), None, metrics)
+                            state = self._transition(table, (s0.index, s1.index), metrics)
                             by_s1[s1.index] = state
                         node_states[node_id] = state
                         edges += 2
@@ -638,7 +751,7 @@ class OnDemandAutomaton:
                         state = table.nullary
                         if state is None:
                             metrics.table_misses += 1
-                            state = self._construct_state(table, 0, (), None, metrics)
+                            state = self._transition(table, (), metrics)
                             table.nullary = state
                         node_states[node_id] = state
                         continue
@@ -661,7 +774,7 @@ class OnDemandAutomaton:
                         state = table.unary.get(s0.index)
                         if state is None:
                             metrics.table_misses += 1
-                            state = self._construct_state(table, 1, (s0,), None, metrics)
+                            state = self._transition(table, (s0.index,), metrics)
                             table.unary[s0.index] = state
                         node_states[node_id] = state
                         edges += 1
@@ -683,8 +796,7 @@ class OnDemandAutomaton:
                         state = table.nary.get(key)
                         if state is None:
                             metrics.table_misses += 1
-                            kid_states = tuple(node_states[id(kid)] for kid in kids)
-                            state = self._construct_state(table, arity, kid_states, None, metrics)
+                            state = self._transition(table, key, metrics)
                             table.nary[key] = state
                         node_states[node_id] = state
                         edges += arity
@@ -736,32 +848,43 @@ class OnDemandAutomaton:
         *key*: the dynamic rules the child states can still derive.
 
         A rule is a candidate when every operand nonterminal of its
-        normalized pattern has a finite cost at its child.  The states
-        are the table key, so this is decided once per key — and a
-        finite helper nonterminal proves that the child matches the
-        rest of a multi-node pattern, so the candidates' callables may
-        dereference any node their original pattern names.
+        normalized pattern has a finite cost at its child.  That is a
+        function of the projected key, so it is decided once per
+        projected key, in the projected row, and the full key's own row
+        shares its candidates — and a finite helper nonterminal proves
+        that the child matches the rest of a multi-node pattern, so the
+        candidates' callables may dereference any node their original
+        pattern names.
         """
-        kid_states = self._kid_states(key)
-        entries = table.dyn_by_arity.get(len(key), ())
-        metrics.rule_checks += len(entries)
-        open_entries = [
-            (rule, evaluate)
-            for rule, kid_ids, evaluate in entries
-            if all(
-                kid_state.cost_at(nt_id) < INFINITE
-                for nt_id, kid_state in zip(kid_ids, kid_states)
+        projection = self._projection(table, len(key))
+        pkey, bound = projection.project(key, self.pool.states)
+        shared = projection.rows.get(pkey)
+        if shared is None:
+            kids = projection.kids(pkey)
+            entries = table.dyn_by_arity.get(len(key), ())
+            metrics.rule_checks += len(entries)
+            open_entries = [
+                (rule, evaluate)
+                for rule, kid_ids, evaluate in entries
+                if all(kid[nt_id] < INFINITE for nt_id, kid in zip(kid_ids, kids))
+            ]
+            shared = projection.rows[pkey] = _DynRow(
+                tuple(rule for rule, _ in open_entries),
+                tuple(evaluate for _, evaluate in open_entries),
             )
-        ]
-        row = table.dyn[key] = _DynRow(
-            tuple(rule for rule, _ in open_entries),
-            tuple(evaluate for _, evaluate in open_entries),
-        )
+        row = table.dyn[key] = _DynRow(shared.candidates, shared.evals, shared, bound)
         return row
 
-    def _kid_states(self, key: tuple[int, ...]) -> tuple[State, ...]:
+    def _kids(
+        self, table: _OpTable, key: tuple[int, ...], projected: bool
+    ) -> tuple[list[int], ...]:
+        """The child cost lists a construction at child-state ids *key*
+        reads: the projected ones, or the full child states'."""
         states = self.pool.states
-        return tuple(states[index] for index in key)
+        if not projected:
+            return tuple(states[index].cost_vec for index in key)
+        projection = table.projections[len(key)]
+        return projection.kids(projection.project(key, states)[0])
 
     @staticmethod
     def _dyn_costs(row: _DynRow, outcomes: tuple) -> dict[int, int]:
@@ -780,16 +903,28 @@ class OnDemandAutomaton:
         metrics: LabelMetrics,
         chain_costs: dict[int, int] | None = None,
     ) -> State:
-        """Level 2's miss: construct the state for *outcomes* (the
-        candidates' costs, then any dynamic chain outcomes) and file it
-        in *row*."""
+        """Level 2's miss: the state for *outcomes* (the candidates'
+        costs, then any dynamic chain outcomes), filed in *row*.  When
+        the projection is exact at *outcomes* (see :meth:`_exact`), it
+        comes from the projected row, constructed and filed there on a
+        miss; otherwise it is constructed from the full key.  A
+        *base_pair* (from :meth:`_chain_state`) was built from the
+        projected child costs when the projection is exact at the base
+        outcomes, as it is whenever it is exact at *outcomes*, which
+        extend them; it is used only then."""
         metrics.table_misses += 1
-        dyn_costs = self._dyn_costs(row, outcomes)
-        if chain_costs:
-            dyn_costs.update(chain_costs)
-        state = self._construct_state(
-            table, len(key), self._kid_states(key), dyn_costs, metrics, base_pair
-        )
+        exact = self._exact(row.bound, outcomes)
+        state = row.shared.get(outcomes) if exact else None
+        if state is None:
+            dyn_costs = self._dyn_costs(row, outcomes)
+            if chain_costs:
+                dyn_costs.update(chain_costs)
+            kids = self._kids(table, key, exact)
+            state = self._construct_state(
+                table, len(key), kids, dyn_costs, metrics, base_pair if exact else None
+            )
+            if exact:
+                row.shared[outcomes] = state
         row[outcomes] = state
         return state
 
@@ -803,21 +938,33 @@ class OnDemandAutomaton:
         metrics: LabelMetrics,
     ) -> State:
         """Level 2 under dynamic chain rules: the candidates' outcomes
-        fix the base half of the key (and, memoized in *row*, the
-        nonterminals derivable before chain rules); the chain half comes
-        from :meth:`_evaluate_dynamic_chains` at *node*."""
+        fix the base half of the key (and, memoized in *row* and in its
+        projected row, the nonterminals derivable before chain rules);
+        the chain half comes from :meth:`_evaluate_dynamic_chains` at
+        *node*."""
         if row.derivable is None:
             row.derivable = {}
         base = row.derivable.get(outcomes)
         if base is None:
-            dyn_costs = self._dyn_costs(row, outcomes)
-            costs, rules = self._base_costs(
-                table, len(key), self._kid_states(key), dyn_costs, metrics
-            )
-            closed: set[str] = set()
-            for nonterminal in costs:
-                closed |= self._static_chain_reach(nonterminal)
-            base = row.derivable[outcomes] = (frozenset(closed), costs, rules)
+            # Memoized per projected key too, when the projection is exact.
+            memo = None
+            if self._exact(row.bound, outcomes):
+                shared = row.shared
+                if shared.derivable is None:
+                    shared.derivable = {}
+                memo = shared.derivable
+                base = memo.get(outcomes)
+            if base is None:
+                kids = self._kids(table, key, memo is not None)
+                dyn_costs = self._dyn_costs(row, outcomes)
+                costs, rules = self._base_costs(table, len(key), kids, dyn_costs, metrics)
+                closed: set[str] = set()
+                for nonterminal in costs:
+                    closed |= self._static_chain_reach(nonterminal)
+                base = (frozenset(closed), costs, rules)
+                if memo is not None:
+                    memo[outcomes] = base
+            row.derivable[outcomes] = base
         chain_costs, chain_half = self._evaluate_dynamic_chains(node, base[0], metrics)
         full = outcomes + chain_half
         state = row.get(full)
@@ -862,20 +1009,72 @@ class OnDemandAutomaton:
     # ------------------------------------------------------------------
     # State construction (the cold path)
 
+    def _projection(self, table: _OpTable, arity: int) -> _Projection:
+        """*table*'s index maps for *arity*, made on first use."""
+        projection = table.projections.get(arity)
+        if projection is None:
+            entries = table.rules_by_arity.get(arity, ())
+            used = tuple(
+                tuple(sorted({kid_ids[position] for _, _, _, kid_ids in entries}))
+                for position in range(arity)
+            )
+            high = max((max(cost, 0) for _, _, cost, _ in entries), default=0)
+            projection = table.projections[arity] = _Projection(used, high + self._chain_span)
+        return projection
+
+    @staticmethod
+    def _exact(bound: int, outcomes: tuple = ()) -> bool:
+        """True when no cost a construction at the full key computes can
+        saturate at INFINITE.
+
+        A projection lowers each child's costs by a constant, so it
+        lowers every rule total and closure cost alike, and it builds
+        the full key's state unless a full-key sum saturates where the
+        projected one does not.  *bound* (from :meth:`_Projection.project`)
+        bounds the static part of every such sum; each positive finite
+        *outcome* (a dynamic rule's or dynamic chain rule's cost) is
+        added to it.  A key that fails this test is constructed from its
+        full child states and files nothing projected.
+        """
+        for cost in outcomes:
+            if cost is not None and 0 < cost < INFINITE:
+                bound += cost
+        return bound < INFINITE
+
+    def _transition(
+        self, table: _OpTable, key: tuple[int, ...], metrics: LabelMetrics
+    ) -> State:
+        """A static table's miss: the state at child-state ids *key*,
+        from the projected table when it has it, else constructed and
+        filed there."""
+        arity = len(key)
+        projection = self._projection(table, arity)
+        pkey, bound = projection.project(key, self.pool.states)
+        if not self._exact(bound):
+            return self._construct_state(table, arity, self._kids(table, key, False), None, metrics)
+        state = projection.states.get(pkey)
+        if state is None:
+            state = projection.states[pkey] = self._construct_state(
+                table, arity, projection.kids(pkey), None, metrics
+            )
+        return state
+
     def _base_costs(
         self,
         table: _OpTable,
         arity: int,
-        kid_states: tuple[State, ...],
+        kids: tuple[list[int], ...],
         dyn_costs: dict[int, int] | None,
         metrics: LabelMetrics | None = None,
     ) -> tuple[dict[str, int], dict[str, Rule]]:
         """Best base-rule costs/rules at a transition, before chain closure.
 
         Walks the operator's arity-pre-filtered rule entries, summing
-        child costs through the pre-resolved nonterminal ids.  Shared by
-        state construction and the derivability guard so the two can
-        never disagree about which base rules apply.
+        the *kids*' costs (one cost list per child, indexed by
+        nonterminal id: a state's ``cost_vec`` or a projected list)
+        through the pre-resolved nonterminal ids.  Shared by state
+        construction and the derivability guard so the two can never
+        disagree about which base rules apply.
         """
         costs: dict[str, int] = {}
         rules: dict[str, Rule] = {}
@@ -887,8 +1086,8 @@ class OnDemandAutomaton:
                 total = static_cost
             else:
                 total = dyn_costs.get(rule.number, static_cost)
-            for nt_id, kid_state in zip(kid_ids, kid_states):
-                total = add_costs(total, kid_state.cost_at(nt_id))
+            for nt_id, kid in zip(kid_ids, kids):
+                total = add_costs(total, kid[nt_id])
                 if total >= INFINITE:
                     break
             if total < costs.get(lhs, INFINITE):
@@ -900,14 +1099,16 @@ class OnDemandAutomaton:
         self,
         table: _OpTable,
         arity: int,
-        kid_states: tuple[State, ...],
+        kids: tuple[list[int], ...],
         dyn_costs: dict[int, int] | None,
         metrics: LabelMetrics,
         base_pair: tuple[dict[str, int], dict[str, Rule]] | None = None,
     ) -> State:
-        """The dynamic-programming step, run once per novel transition key."""
+        """The dynamic-programming step, run once per novel projected key
+        (or full key, where :meth:`_exact` fails) over the *kids*' cost
+        lists."""
         if base_pair is None:
-            costs, rules = self._base_costs(table, arity, kid_states, dyn_costs, metrics)
+            costs, rules = self._base_costs(table, arity, kids, dyn_costs, metrics)
         else:
             # The derivability guard already computed (and counted) the
             # base pair for this key; copy before chain closure mutates.
@@ -1040,12 +1241,12 @@ class OnDemandAutomaton:
             return
         if arity == 0:
             if table.nullary is None:
-                table.nullary = self._construct_state(table, 0, (), None, metrics)
+                table.nullary = self._transition(table, (), metrics)
         elif arity == 1:
             unary = table.unary
             for s0 in states:
                 if s0.index not in unary:
-                    unary[s0.index] = self._construct_state(table, 1, (s0,), None, metrics)
+                    unary[s0.index] = self._transition(table, (s0.index,), metrics)
         elif arity == 2:
             binary = table.binary
             for s0 in states:
@@ -1054,13 +1255,13 @@ class OnDemandAutomaton:
                     row = binary[s0.index] = {}
                 for s1 in states:
                     if s1.index not in row:
-                        row[s1.index] = self._construct_state(table, 2, (s0, s1), None, metrics)
+                        row[s1.index] = self._transition(table, (s0.index, s1.index), metrics)
         else:
             nary = table.nary
             for kid_states in itertools.product(states, repeat=arity):
                 key = tuple(state.index for state in kid_states)
                 if key not in nary:
-                    nary[key] = self._construct_state(table, arity, kid_states, None, metrics)
+                    nary[key] = self._transition(table, key, metrics)
 
     # ------------------------------------------------------------------
     # Introspection
