@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 from repro.errors import AnalysisError
 from repro.grammar.grammar import Grammar
 from repro.grammar.rule import Rule
-from repro.ir.node import Forest
+from repro.ir.node import Forest, Node
 from repro.selection.automaton import OnDemandAutomaton
 from repro.selection.cover import extract_cover
 
@@ -226,7 +226,7 @@ def differential_check(
     return {"forests": checked_forests, "entries": checked_entries}
 
 
-def _entry_key(entry) -> tuple[int, str, int]:
+def _entry_key(entry) -> tuple[Node, str, int]:
     """Comparison key for one cover entry, stable across normalizations."""
     nonterminal = "__helper" if entry.nonterminal.startswith("__h") else entry.nonterminal
-    return (id(entry.node), nonterminal, entry.rule.original.number)
+    return (entry.node, nonterminal, entry.rule.original.number)

@@ -242,12 +242,10 @@ def clone_forest(forest: Forest, name: str | None = None) -> Forest:
     fresh nids, for provenance), but the structure — including DAG
     sharing — is identical.
     """
-    cloned: dict[int, Node] = {}
+    cloned: dict[Node, Node] = {}
     for node in topological_order(forest.roots):
-        cloned[id(node)] = Node(
-            node.op, [cloned[id(kid)] for kid in node.kids], node.value, fresh_nid()
-        )
-    return Forest([cloned[id(root)] for root in forest.roots], name=name or forest.name)
+        cloned[node] = Node(node.op, [cloned[kid] for kid in node.kids], node.value, fresh_nid())
+    return Forest([cloned[root] for root in forest.roots], name=name or forest.name)
 
 
 def recurring_shape_stream(

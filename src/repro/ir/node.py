@@ -22,7 +22,7 @@ __all__ = ["Node", "NodeBuilder", "Forest", "fresh_nid", "node_tag"]
 #: Process-wide node-id source.  Builder-assigned nids are unique across
 #: *all* builders in the process.  A nid is provenance (:func:`node_tag`
 #: in fault and error text), not identity: every labeler and emitter
-#: keys a node by the object, ``id(node)``.
+#: keys its maps by the node object itself.
 _NID_COUNTER = itertools.count()
 
 
@@ -72,8 +72,9 @@ class Node:
         self.value = value
         self.nid = nid
 
-    # Nodes are identity-hashed (the default); two structurally equal
-    # nodes are distinct IR objects unless explicitly shared (DAGs).
+    # Nodes hash and compare by identity (object's defaults), so every
+    # labeler, emitter and walk keys its maps by the node itself; two
+    # structurally equal nodes are distinct unless shared (DAGs).
 
     def __reduce__(self) -> tuple[Callable[..., "Node"], tuple[Any, ...]]:
         # One call per node instead of the default slot-state dict and
@@ -97,13 +98,13 @@ class Node:
 
     def size(self) -> int:
         """Number of distinct nodes reachable from this node (DAG-aware)."""
-        seen: set[int] = set()
+        seen: set[Node] = set()
         stack = [self]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.extend(node.kids)
         return len(seen)
 
@@ -114,21 +115,20 @@ class Node:
         subtrees are measured once and deep trees do not overflow the
         interpreter stack.
         """
-        depths: dict[int, int] = {}
-        expanded: set[int] = set()
+        depths: dict[Node, int] = {}
+        expanded: set[Node] = set()
         stack: list[tuple[Node, bool]] = [(self, False)]
         while stack:
             node, ready = stack.pop()
-            nid = id(node)
             if ready:
-                depths[nid] = 1 + max((depths[id(kid)] for kid in node.kids), default=0)
+                depths[node] = 1 + max((depths[kid] for kid in node.kids), default=0)
                 continue
-            if nid in expanded:
+            if node in expanded:
                 continue
-            expanded.add(nid)
+            expanded.add(node)
             stack.append((node, True))
-            stack.extend((kid, False) for kid in node.kids if id(kid) not in expanded)
-        return depths[id(self)]
+            stack.extend((kid, False) for kid in node.kids if kid not in expanded)
+        return depths[self]
 
     def structurally_equal(self, other: "Node") -> bool:
         """Structural (deep) equality ignoring node identity and ids.
@@ -138,14 +138,14 @@ class Node:
         was exponential on n-level shared diamonds — and deep trees do
         not overflow the interpreter stack.
         """
-        seen: set[tuple[int, int]] = set()
+        seen: set[tuple[Node, Node]] = set()
         stack: list[tuple[Node, Node]] = [(self, other)]
         while stack:
-            a, b = stack.pop()
-            key = (id(a), id(b))
-            if key in seen:
+            pair = stack.pop()
+            if pair in seen:
                 continue
-            seen.add(key)
+            seen.add(pair)
+            a, b = pair
             if a.op is not b.op or a.value != b.value or len(a.kids) != len(b.kids):
                 return False
             stack.extend(zip(a.kids, b.kids))
@@ -252,13 +252,13 @@ class Forest:
         A plain visited-set count: no topological order is built and no
         list is materialised.
         """
-        visited: set[int] = set()
+        visited: set[Node] = set()
         stack: list[Node] = list(self.roots)
         while stack:
             node = stack.pop()
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.extend(node.kids)
         return len(visited)
 

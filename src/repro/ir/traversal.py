@@ -18,7 +18,7 @@ def topological_order(roots: Iterable[Node]) -> list[Node]:
     roots is emitted with the first root that reaches it.
     """
     order: list[Node] = []
-    visited: set[int] = set()
+    visited: set[Node] = set()
     for root in roots:
         stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
@@ -26,28 +26,28 @@ def topological_order(roots: Iterable[Node]) -> list[Node]:
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for kid in reversed(node.kids):
-                if id(kid) not in visited:
+                if kid not in visited:
                     stack.append((kid, False))
     return order
 
 
-def ready_postorder(roots: Iterable[Node], done: "set[int] | dict[int, object]") -> Iterator[Node]:
+def ready_postorder(roots: Iterable[Node], done: "set[Node] | dict[Node, object]") -> Iterator[Node]:
     """Fused children-first walk sharing its visited set with the caller.
 
-    Yields each node reachable from *roots* whose id is not in *done*,
+    Yields each node reachable from *roots* that is not in *done*,
     the moment its last child is in *done* — no intermediate order list
     is materialised and no second visited set is kept, so a labeler can
     pass its own per-node result mapping as *done* and pay for exactly
     one bookkeeping structure.
 
-    Contract: the caller must add ``id(node)`` to *done* before
-    advancing the iterator past a yielded node (storing the node's
-    labeling result in a *done* dict keyed by id does exactly that).
+    Contract: the caller must add the node to *done* before advancing
+    the iterator past a yielded node (storing the node's labeling
+    result in a *done* dict keyed by the node does exactly that).
     Nodes already in *done* at visit time are skipped along with the
     re-walk of their subtrees, which is what makes multi-root batches
     over node-sharing forests label each shared node once.
@@ -55,11 +55,11 @@ def ready_postorder(roots: Iterable[Node], done: "set[int] | dict[int, object]")
     stack = list(roots)
     while stack:
         node = stack.pop()
-        if id(node) in done:
+        if node in done:
             continue
         deferred = False
         for kid in node.kids:
-            if id(kid) not in done:
+            if kid not in done:
                 if not deferred:
                     stack.append(node)
                     deferred = True

@@ -158,7 +158,7 @@ def validate_forest(
     roots = list(forest.roots if isinstance(forest, Forest) else forest)
     issues: list[ValidationIssue] = []
 
-    seen: set[int] = set()
+    seen: set[Node] = set()
     dangling = False
     for root in roots:
         if not isinstance(root, Node):
@@ -181,9 +181,9 @@ def validate_forest(
         stack = [root]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             _check_one(node, operators, issues)
             for kid in node.kids:
                 if not isinstance(kid, Node):
@@ -196,7 +196,7 @@ def validate_forest(
                         )
                     )
                     dangling = True
-                elif id(kid) not in seen:
+                elif kid not in seen:
                     stack.append(kid)
 
     # Cycle detection needs a clean graph (it follows kid.kids), so only
@@ -221,28 +221,28 @@ def validate_forest(
 def _find_cycle(roots: list[Node]) -> Node | None:
     """Return a node on a cycle, or ``None`` when the graph is acyclic."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
+    color: dict[Node, int] = {}
     for root in roots:
-        if not isinstance(root, Node) or color.get(id(root), WHITE) == BLACK:
+        if not isinstance(root, Node) or color.get(root, WHITE) == BLACK:
             continue
         # Iterative DFS with explicit enter/exit frames.
         stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, exiting = stack.pop()
             if exiting:
-                color[id(node)] = BLACK
+                color[node] = BLACK
                 continue
-            state = color.get(id(node), WHITE)
+            state = color.get(node, WHITE)
             if state == BLACK:
                 continue
             if state == GRAY:
                 continue
-            color[id(node)] = GRAY
+            color[node] = GRAY
             stack.append((node, True))
             for kid in node.kids:
                 if not isinstance(kid, Node):
                     continue
-                kid_state = color.get(id(kid), WHITE)
+                kid_state = color.get(kid, WHITE)
                 if kid_state == GRAY:
                     return kid
                 if kid_state == WHITE:

@@ -358,15 +358,17 @@ class AutomatonLabeling(Labeling):
     rule choices are nevertheless globally optimal (see module docs).
     One labeling may span several forests (see
     :meth:`OnDemandAutomaton.label_many`): it answers queries for every
-    node of every forest labeled into it.
+    node of every forest labeled into it.  Its map keys the node object
+    (``Node`` hashes and compares by identity), so a labeling keeps its
+    batch's nodes alive while it lives.
     """
 
     def __init__(self, automaton: "OnDemandAutomaton") -> None:
         super().__init__(automaton.grammar)
         self.automaton = automaton
-        #: ``id(node) -> State`` for every labeled node (the tape
-        #: compiler reads it directly, one get per entry).
-        self.node_states: dict[int, State] = {}
+        #: ``node -> State`` for every labeled node, keyed by the node
+        #: object (the tape compiler reads it directly, one get per entry).
+        self.node_states: dict[Node, State] = {}
         #: True when every labeled node has exactly one referrer — one
         #: root occurrence or one parent edge across the whole batch —
         #: so no ``(node, goal)`` entry can recur in one emission of
@@ -382,14 +384,14 @@ class AutomatonLabeling(Labeling):
 
     def state_of(self, node: Node) -> State | None:
         """The interned state labeling *node* (None when unlabeled)."""
-        return self.node_states.get(id(node))
+        return self.node_states.get(node)
 
     def rule_for(self, node: Node, nonterminal: str) -> Rule | None:
-        state = self.node_states.get(id(node))
+        state = self.node_states.get(node)
         return None if state is None else state.rule_for(nonterminal)
 
     def cost_of(self, node: Node, nonterminal: str) -> int:
-        state = self.node_states.get(id(node))
+        state = self.node_states.get(node)
         return INFINITE if state is None else state.cost_of(nonterminal)
 
 
@@ -656,12 +658,12 @@ class OnDemandAutomaton:
     def _walk(
         self,
         roots: list[Node],
-        node_states: dict[int, State],
+        node_states: dict[Node, State],
         metrics: LabelMetrics,
         deadline_at_ns: int | None,
     ) -> int:
         """The labeling walk: one fused stack walk, one operator-table
-        lookup plus one int-keyed get per child.  The state map is the
+        lookup plus one node-keyed get per child.  The state map is the
         visited set: a node is expanded at most once and transitioned
         the moment its last child has a state.  Returns the number of
         parent edges, the arities of the nodes it labeled summed (one
@@ -702,28 +704,25 @@ class OnDemandAutomaton:
                         ticks = 0
                         check_deadline(deadline_at_ns, "label")
                 node = pop()
-                node_id = id(node)
-                if node_id in node_states:
+                if node in node_states:
                     continue
                 kids = node.kids
                 arity = len(kids)
                 if arity == 2:
                     k0, k1 = kids
-                    i0 = id(k0)
-                    i1 = id(k1)
-                    s0 = get_state(i0)
-                    s1 = get_state(i1)
+                    s0 = get_state(k0)
+                    s1 = get_state(k1)
                     if s0 is None or s1 is None:
                         # First visit: a leaf kid whose static table has
                         # its state built takes that state in place.
                         if s0 is None and not k0.kids:
                             s0 = tables.get(k0.op.name, no_table).nullary
                             if s0 is not None:
-                                node_states[i0] = s0
+                                node_states[k0] = s0
                         if s1 is None and not k1.kids:
                             s1 = tables.get(k1.op.name, no_table).nullary
                             if s1 is not None:
-                                node_states[i1] = s1
+                                node_states[k1] = s1
                         if s0 is None or s1 is None:
                             push(node)
                             if s1 is None:
@@ -741,7 +740,7 @@ class OnDemandAutomaton:
                             metrics.table_misses += 1
                             state = self._transition(table, (s0.index, s1.index), metrics)
                             by_s1[s1.index] = state
-                        node_states[node_id] = state
+                        node_states[node] = state
                         edges += 2
                         continue
                     key = (s0.index, s1.index)
@@ -753,18 +752,17 @@ class OnDemandAutomaton:
                             metrics.table_misses += 1
                             state = self._transition(table, (), metrics)
                             table.nullary = state
-                        node_states[node_id] = state
+                        node_states[node] = state
                         continue
                     key = ()
                 elif arity == 1:
                     k0 = kids[0]
-                    i0 = id(k0)
-                    s0 = get_state(i0)
+                    s0 = get_state(k0)
                     if s0 is None:
                         if not k0.kids:
                             s0 = tables.get(k0.op.name, no_table).nullary
                             if s0 is not None:
-                                node_states[i0] = s0
+                                node_states[k0] = s0
                         if s0 is None:
                             push(node)
                             push(k0)
@@ -776,14 +774,14 @@ class OnDemandAutomaton:
                             metrics.table_misses += 1
                             state = self._transition(table, (s0.index,), metrics)
                             table.unary[s0.index] = state
-                        node_states[node_id] = state
+                        node_states[node] = state
                         edges += 1
                         continue
                     key = (s0.index,)
                 else:
                     deferred = False
                     for kid in kids:
-                        if id(kid) not in node_states:
+                        if kid not in node_states:
                             if not deferred:
                                 push(node)
                                 deferred = True
@@ -791,14 +789,14 @@ class OnDemandAutomaton:
                     if deferred:
                         continue
                     table = tables.get(node.op.name, no_table)
-                    key = tuple(node_states[id(kid)].index for kid in kids)
+                    key = tuple(node_states[kid].index for kid in kids)
                     if not table.dynamic:
                         state = table.nary.get(key)
                         if state is None:
                             metrics.table_misses += 1
                             state = self._transition(table, key, metrics)
                             table.nary[key] = state
-                        node_states[node_id] = state
+                        node_states[node] = state
                         edges += arity
                         continue
                 # The dynamic tail: an operator with dynamic rules (every
@@ -832,7 +830,7 @@ class OnDemandAutomaton:
                     # SelectionFailure provenance.
                     attach_node_provenance(exc, node)
                     raise
-                node_states[node_id] = state
+                node_states[node] = state
                 edges += arity
         finally:
             metrics.dynamic_evals += evals_run

@@ -138,16 +138,16 @@ def extract_cover(labeling: Labeling, forest: Forest, start: str | None = None) 
         raise CoverError("grammar has no start nonterminal")
     cover = Cover(grammar=grammar)
     entries = cover.entries
-    visited: set[tuple[int, str]] = set()
+    visited: set[tuple[Node, str]] = set()
 
     for root in forest.roots:
         stack: list[tuple[Node, str]] = [(root, start_nt)]
         while stack:
-            node, nonterminal = stack.pop()
-            key = (id(node), nonterminal)
+            key = stack.pop()
             if key in visited:
                 continue
             visited.add(key)
+            node, nonterminal = key
             rule = labeling.require_rule(node, nonterminal)
             entries.append(CoverEntry(node=node, nonterminal=nonterminal, rule=rule))
             stack.extend(reversed(rule_targets(rule, node)))

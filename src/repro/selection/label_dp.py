@@ -70,8 +70,8 @@ class DPLabeling(Labeling):
 
     def __init__(self, grammar: Grammar) -> None:
         super().__init__(grammar)
-        self._costs: dict[int, dict[str, int]] = {}
-        self._rules: dict[int, dict[str, Rule]] = {}
+        self._costs: dict[Node, dict[str, int]] = {}
+        self._rules: dict[Node, dict[str, Rule]] = {}
 
     @property
     def nodes_labeled(self) -> int:
@@ -79,10 +79,10 @@ class DPLabeling(Labeling):
         return len(self._costs)
 
     def rule_for(self, node: Node, nonterminal: str) -> Rule | None:
-        return self._rules.get(id(node), _EMPTY).get(nonterminal)
+        return self._rules.get(node, _EMPTY).get(nonterminal)
 
     def cost_of(self, node: Node, nonterminal: str) -> int:
-        return self._costs.get(id(node), _EMPTY).get(nonterminal, INFINITE)
+        return self._costs.get(node, _EMPTY).get(nonterminal, INFINITE)
 
 
 class DPLabeler:
@@ -236,5 +236,5 @@ def _label_node(
     if metrics is not None:
         metrics.chain_checks += checks
         metrics.nodes_labeled += 1
-    labeling._costs[id(node)] = costs
-    labeling._rules[id(node)] = rules
+    labeling._costs[node] = costs
+    labeling._rules[node] = rules

@@ -18,7 +18,7 @@ The two engines share a contract, not a class: the same
 surface and counters, and the helpers defined here —
 :func:`entry_cost`, :func:`pass_through` and the
 ``_SplicedOperands`` marker.  The reducer keeps everything else to
-itself: its memo keyed by ``(id(node), nonterminal name)``, its action
+itself: its memo keyed by ``(node, nonterminal name)``, its action
 dispatch, its cycle guard, its deadline strides and its fault rollback.
 It resolves each rule and its targets per node, with no plan cache or
 id space of its own, so it stays independent of the automaton's
@@ -127,8 +127,9 @@ def pass_through(context: Any, node: Node, operands: list[Any]) -> Any:
 
     A single operand passes through unchanged; several operands are
     flattened into one new list so nested helper rules do not nest
-    lists.  The one definition both engines run: the tape's thunk for
-    such a rule is this function, and the frame engine calls it.
+    lists.  The one definition of the value: the tape's thunk for such
+    a rule is this function, the frame engine calls it, and the tape's
+    sweep runs the 0-, 1- and 2-operand cases inline to the same result.
     """
     if len(operands) == 1:
         operand = operands[0]
@@ -160,10 +161,9 @@ class Reducer:
         memo_hits: Reduction requests answered from the memo without
             applying a rule.
 
-    The memo keys nodes by ``id()``, as the labeling does, and the
-    reducer reduces only what its labeling labeled, so this adds no
-    recycled-address risk: the caller keeps the labeled forests alive
-    while it reduces them, as ``select_many`` holds its batch.
+    The memo keys the node object, as the labeling does (``Node``
+    hashes and compares by identity), so it holds every node it reduced
+    for as long as the reducer lives.
     """
 
     def __init__(
@@ -179,9 +179,9 @@ class Reducer:
         #: (checked every DEADLINE_CHECK_EVERY frame steps); None
         #: disables the checks.
         self.deadline_at_ns = deadline_at_ns
-        #: ``(id(node), nonterminal) -> value``; values may be ``None``,
+        #: ``(node, nonterminal) -> value``; values may be ``None``,
         #: so lookups use the :data:`_MISSING` sentinel.
-        self._memo: dict[tuple[int, str], Any] = {}
+        self._memo: dict[tuple[Node, str], Any] = {}
         self.reductions = 0
         self.memo_hits = 0
         #: Roots fully reduced by the most recent *faulted*
@@ -273,7 +273,7 @@ class Reducer:
         summing :func:`entry_cost` over the reductions this walk applied.
         """
         memo = self._memo
-        key = (id(node), nonterminal)
+        key = (node, nonterminal)
         value = memo.get(key, _MISSING)
         if value is not _MISSING:
             self.memo_hits += 1
@@ -288,7 +288,7 @@ class Reducer:
         # pair whose reduction depends on itself (e.g. a chain-rule
         # cycle answered by a broken Labeling) is an error, not an
         # unbounded frame loop.
-        on_stack: set[tuple[int, str]] = {key}
+        on_stack: set[tuple[Node, str]] = {key}
         frames: list[list] = [[key, node, rule, [], rule_targets(rule, node), 0]]
         deadline = self.deadline_at_ns
         ticks = 0
@@ -304,10 +304,10 @@ class Reducer:
             index = frame[_F_INDEX]
             descended = False
             while index < len(targets):
-                t_node, t_nt = targets[index]
-                t_key = (id(t_node), t_nt)
+                t_key = targets[index]
                 value = memo.get(t_key, _MISSING)
                 if value is _MISSING:
+                    t_node, t_nt = t_key
                     if t_key in on_stack:
                         raise CoverError(
                             f"cyclic derivation: reducing node "

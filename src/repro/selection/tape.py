@@ -30,7 +30,12 @@ into flat instruction sequences:
    memo probes, no operand refs.  An entry whose count is negated (an
    operand nonterminal is one a normalisation helper rule derives)
    splices each ``_SplicedOperands`` operand flat, the frame engine's
-   own test; every other entry takes its operands as they are.
+   own test; every other entry takes its operands as they are.  A
+   pass-through entry (thunk :func:`~repro.selection.reducer.pass_through`,
+   a rule with no action, template or helper role) of count 0, 1 or 2
+   runs inline, with no call and no operand list: count 0 pushes a new
+   ``[]``, count 1 leaves a non-list operand where it is, and count 2
+   flattens as ``pass_through`` does; other counts call it.
 
 The compile walk replicates the frame engine's exact left-to-right
 postorder — including where memo hits happen — so both engines run the
@@ -118,7 +123,7 @@ from repro.errors import CoverError, DeadlineExceededError
 from repro.ir.node import Forest, Node
 from repro.selection.automaton import AutomatonLabeling
 from repro.selection.cover import Labeling, require_structural_match
-from repro.selection.reducer import _SplicedOperands, entry_cost
+from repro.selection.reducer import _SplicedOperands, entry_cost, pass_through
 from repro.selection.resilience import (
     DEADLINE_CHECK_EVERY,
     attach_node_provenance,
@@ -198,12 +203,12 @@ class TapeEmitter:
     semantics and the ``memo_size``/``rollback_to`` fault-isolation
     contract — so the reducer can check it as an independent oracle.
     Cross-forest memoisation is preserved: the slot table (keyed by
-    ``id(node)`` and the state pool's goal id) spans the emitter's
+    the node object and the state pool's goal id) spans the emitter's
     lifetime, so a node shared between batch forests emits once and
     later forests reference its slot.  Node identity is the object, as
-    in the labeling (also keyed by ``id()``, and an emitter emits only
-    what it labeled), so the caller keeps the labeled forests alive
-    while it emits them, and a forest's unpickled copy is a second one.
+    in the labeling, whose map also keys the node: a forest's unpickled
+    copy is a second forest, and the slot table holds the nodes it
+    keys while the emitter lives.
 
     *once* is the caller's promise that it emits each forest of the
     labeled batch exactly once, and no other forest.  With it, a tree
@@ -256,9 +261,9 @@ class TapeEmitter:
         #: The slot walk's value buffer: every value its sweeps compute,
         #: at the entry's slot (the tree walk keeps it empty).
         self._values: list[Any] = []
-        #: ``(id(node), nt id) -> slot`` — insertion ordered and
+        #: ``(node, nt id) -> slot`` — insertion ordered and
         #: slot-monotone, so rollback is a tail truncation.
-        self._slots: dict[tuple[int, int], int] = {}
+        self._slots: dict[tuple[Node, int], int] = {}
         #: The context kind fragment thunks are bound for (1: the
         #: context has ``emit_template``) and its fragment table.
         self._templated = int(getattr(context, "emit_template", None) is not None)
@@ -354,7 +359,7 @@ class TapeEmitter:
                         if ticks >= DEADLINE_CHECK_EVERY:
                             ticks = 0
                             check_deadline(deadline, "reduce")
-                    state = node_states.get(id(node))
+                    state = node_states.get(node)
                     while True:
                         try:
                             frag = rows[state][goal]
@@ -473,11 +478,10 @@ class TapeEmitter:
                 if frag is not None:
                     key = tag
                 else:
-                    node_key = id(node)
-                    key = (node_key, tag)
+                    key = (node, tag)
                     slot = slots_get(key)
                     if slot is None:
-                        state = node_states.get(node_key)
+                        state = node_states.get(node)
                         goal = tag
                         while True:
                             try:
@@ -493,7 +497,7 @@ class TapeEmitter:
                             # A chain rule: pend its entry; its one
                             # target is this node, from the source goal.
                             push((node, key, frag))
-                            key = (node_key, goal)
+                            key = (node, goal)
                             slot = slots_get(key)
                             if slot is not None:
                                 break
@@ -563,6 +567,7 @@ class TapeEmitter:
         the value buffer.  The deadline ticks once per action entry."""
         buf = self._values
         keep = None if self._tree else buf.append
+        passthru = pass_through
         context = self.context
         deadline = self.deadline_at_ns
         ticks = 0
@@ -580,6 +585,33 @@ class TapeEmitter:
                     if ticks >= DEADLINE_CHECK_EVERY:
                         ticks = 0
                         check_deadline(deadline, "reduce")
+                if thunk is passthru and 0 <= count <= 2:
+                    # pass_through, inline: a lone non-list operand stays
+                    # where it is; lists flatten into one new list.
+                    if count == 1:
+                        value = stack[-1]
+                        if isinstance(value, list):
+                            value = [*value]
+                            if len(value) == 1:
+                                value = value[0]
+                            stack[-1] = value
+                    elif count == 2:
+                        right = pop()
+                        left = pop()
+                        value = [*left] if isinstance(left, list) else [left]
+                        if isinstance(right, list):
+                            value.extend(right)
+                        else:
+                            value.append(right)
+                        if len(value) == 1:
+                            value = value[0]
+                        push(value)
+                    else:
+                        value = []
+                        push(value)
+                    if keep is not None:
+                        keep(value)
+                    continue
                 if count == 0:
                     value = thunk(context, node, [])
                 elif count == 2:

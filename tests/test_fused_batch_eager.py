@@ -21,7 +21,7 @@ from repro.bench import (
     synthetic_forests,
     synthetic_grammar,
 )
-from repro.ir import Forest, NodeBuilder
+from repro.ir import Forest, Node, NodeBuilder
 from repro.ir.traversal import ready_postorder
 from repro.metrics import LabelMetrics
 from repro.selection import DPLabeler, OnDemandAutomaton, extract_cover, label_dp
@@ -43,13 +43,13 @@ def test_ready_postorder_yields_children_first_each_node_once():
     b = NodeBuilder()
     shared = b.add(b.reg(1), b.cnst(4))
     roots = [b.expr(b.load(shared)), b.store(shared, b.reg(2))]
-    done: dict[int, int] = {}
-    seen: list[int] = []
+    done: dict[Node, int] = {}
+    seen: list[Node] = []
     for node in ready_postorder(roots, done):
         for kid in node.kids:
-            assert id(kid) in done, "child yielded after parent"
-        done[id(node)] = 1  # the caller-marks-done contract
-        seen.append(id(node))
+            assert kid in done, "child yielded after parent"
+        done[node] = 1  # the caller-marks-done contract
+        seen.append(node)
     assert len(seen) == len(set(seen))
     assert len(seen) == Forest(roots).node_count()
 
@@ -59,13 +59,13 @@ def test_ready_postorder_skips_predone_subtrees():
     shared = b.add(b.reg(1), b.cnst(4))
     first = b.expr(shared)
     second = b.expr(b.neg(shared))
-    done: dict[int, int] = {}
+    done: dict[Node, int] = {}
     for node in ready_postorder([first], done):
-        done[id(node)] = 1
+        done[node] = 1
     before = len(done)
     fresh = []
     for node in ready_postorder([second], done):
-        done[id(node)] = 1
+        done[node] = 1
         fresh.append(node)
     # Only the new root and the NEG node are labeled; the shared subtree
     # (and everything below it) is answered from the existing map.
