@@ -57,14 +57,6 @@ class LabelMetrics:
             return 0.0
         return (self.table_lookups - self.table_misses) / self.table_lookups
 
-    @property
-    def warm_fraction(self) -> float:
-        """Fraction of labeled nodes resolved purely from warm tables,
-        i.e. without a table miss (0.0 when no nodes were labeled)."""
-        if self.nodes_labeled <= 0:
-            return 0.0
-        return max(0.0, (self.nodes_labeled - self.table_misses) / self.nodes_labeled)
-
     def operations(self) -> int:
         """Total unit-work items: the reproduction's "executed instructions" proxy."""
         return (

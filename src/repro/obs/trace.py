@@ -24,7 +24,6 @@ Two design rules keep the tracer honest about overhead:
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from itertools import count
 from typing import Any, Iterable, Iterator
@@ -89,49 +88,12 @@ class Span:
         )
 
 
-class _SpanHandle:
-    """Context manager behind :meth:`Tracer.span` (lexical spans)."""
-
-    __slots__ = ("_tracer", "_name", "_attrs", "span_id", "_start_ns")
-
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-        self.span_id = tracer.next_id()
-
-    def __enter__(self) -> "_SpanHandle":
-        tracer = self._tracer
-        tracer._stack.append(self.span_id)
-        self._start_ns = time.monotonic_ns()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        end_ns = time.monotonic_ns()
-        tracer = self._tracer
-        stack = tracer._stack
-        if stack and stack[-1] == self.span_id:
-            stack.pop()
-        parent_id = stack[-1] if stack else None
-        tracer.record(
-            self._name,
-            self._start_ns,
-            end_ns,
-            span_id=self.span_id,
-            parent_id=parent_id,
-            **self._attrs,
-        )
-
-
 class Tracer:
     """Bounded-ring-buffer span recorder (disabled tracing holds ``None``)."""
 
     def __init__(self, capacity: int = 4096) -> None:
         self._spans: deque[Span] = deque(maxlen=max(1, capacity))
         self._ids = count(1)
-        #: Lexical-span parent stack (single-threaded use; cross-thread
-        #: spans pass parent_id explicitly to :meth:`record`).
-        self._stack: list[int] = []
         #: Total spans ever recorded (``recorded - len(spans())`` were
         #: dropped by the ring buffer).
         self.recorded = 0
@@ -161,21 +123,12 @@ class Tracer:
         self.recorded += 1
         return span_id
 
-    def span(self, name: str, **attrs: Any) -> _SpanHandle:
-        """A lexical span: ``with tracer.span("pipeline.label"): ...``.
-
-        Nested ``span()`` calls on the same thread link parent ids
-        automatically.
-        """
-        return _SpanHandle(self, name, attrs)
-
     def spans(self) -> list[Span]:
         """Snapshot of the ring buffer, oldest first."""
         return list(self._spans)
 
     def clear(self) -> None:
         self._spans.clear()
-        self._stack.clear()
 
     def __len__(self) -> int:
         return len(self._spans)

@@ -13,9 +13,11 @@ lifecycle behind one public API:
 * ``.compile()`` runs the eager (offline) build on demand-mode
   selectors; ``.save(path)`` / ``Selector.load(path, grammar)`` persist
   and restore the compiled tables — the ahead-of-time path.
-* ``.stats()`` unifies the previously-split views (automaton table
-  stats, :class:`~repro.metrics.counters.LabelMetrics` hit/warm rates,
-  :class:`SelectionReport` per-phase nanoseconds) into one dict.
+* ``.stats()`` states what only the selector holds: the mode, the
+  automaton's table sizes, cumulative selection totals, resilience
+  counters and the observability registry's flat view.  Per-call
+  work stays on the :class:`~repro.metrics.counters.LabelMetrics` and
+  :class:`SelectionReport` the caller holds.
 
 Ahead-of-time artifacts
 -----------------------
@@ -370,10 +372,10 @@ def _check_fields(path: str | Path, where: str, record: object, fields: dict) ->
             )
 
 
-def _read_artifact(path: str | Path) -> tuple[dict, bytes, int]:
+def _read_artifact(path: str | Path) -> tuple[dict, bytes]:
     """Read and structurally validate an artifact.
 
-    Returns ``(header, payload, total_bytes)``.  Raises
+    Returns ``(header, payload)``.  Raises
     :class:`~repro.errors.ArtifactIOError` when the file cannot be read
     at all, and :class:`~repro.errors.ArtifactCorruptError` (both are
     :class:`~repro.errors.SelectorError` subclasses) on a bad magic
@@ -436,7 +438,7 @@ def _read_artifact(path: str | Path) -> tuple[dict, bytes, int]:
                 f"{path}: corrupt selector artifact (section {section['kind']!r} "
                 f"at offset {offset} with {items} items lies outside the payload)"
             )
-    return header, payload, len(blob)
+    return header, payload
 
 
 def read_artifact_header(path: str | Path) -> dict:
@@ -447,8 +449,7 @@ def read_artifact_header(path: str | Path) -> dict:
     :class:`~repro.errors.SelectorError` exactly like ``load`` on
     malformed, truncated, or corrupted files.
     """
-    header, _payload, _nbytes = _read_artifact(path)
-    return header
+    return _read_artifact(path)[0]
 
 
 def _decode_sections(header: dict, payload: bytes) -> dict[tuple[str, str | None], array]:
@@ -810,14 +811,6 @@ class Selector:
             )
         self.source_grammar = grammar
         self.engine = engine
-        self._tables_version: int | None = None
-        self._loaded_from: str | None = None
-        self._build_ns: int | None = None
-        self._save_ns: int | None = None
-        self._load_ns: int | None = None
-        self._artifact_bytes: int | None = None
-        self._last_metrics: LabelMetrics | None = None
-        self._last_report: SelectionReport | None = None
         self._resilience = new_resilience_counters()
         #: Observability bundle (``None`` when disabled, so hot paths
         #: guard with one ``is not None`` check).
@@ -842,7 +835,6 @@ class Selector:
             "memo_hits": 0,
             "label_ns": 0,
             "reduce_ns": 0,
-            "failures": 0,
             "tapes_compiled": 0,
         }
 
@@ -853,11 +845,14 @@ class Selector:
 
     @property
     def mode(self) -> str:
-        """The effective labeling mode (``eager`` once tables are compiled)."""
+        """The effective labeling mode: ``eager`` while compiled or loaded
+        tables are current, ``ondemand`` once the source grammar moved
+        past them (the next label call drops them)."""
         engine = self.engine
         if isinstance(engine, DPLabeler):
             return "dp"
-        return "eager" if engine._eager is not None else "ondemand"
+        current = engine._source_version == engine.source_grammar.version
+        return "eager" if engine._eager is not None and current else "ondemand"
 
     def _require_automaton(self, operation: str) -> OnDemandAutomaton:
         engine = self.engine
@@ -887,8 +882,6 @@ class Selector:
             forests = list(forests)
             for forest in forests:
                 validate_forest(forest, self.source_grammar.operators)
-        if metrics is not None:
-            self._last_metrics = metrics
         return self.engine.label_many(forests, metrics, deadline_at_ns=deadline_at_ns)
 
     # ------------------------------------------------------------------
@@ -1203,9 +1196,7 @@ class Selector:
         totals["memo_hits"] += report.memo_hits
         totals["label_ns"] += report.label_ns
         totals["reduce_ns"] += report.reduce_ns
-        totals["failures"] += report.failures
         totals["tapes_compiled"] += report.tapes_compiled
-        self._last_report = report
         if self._obs is not None:
             self._observe_batch(report, end_ns)
 
@@ -1281,12 +1272,7 @@ class Selector:
         ``"eager"``.  Returns the build stats, also available under
         ``stats()["tables"]["eager"]``.
         """
-        automaton = self._require_automaton("compile")
-        started = time.perf_counter_ns()
-        build = automaton.build_eager()
-        self._build_ns = time.perf_counter_ns() - started
-        self._tables_version = automaton._source_version
-        return build
+        return self._require_automaton("compile").build_eager()
 
     def save(self, path: str | Path) -> Path:
         """Serialize the compiled tables to *path* (compiling if needed).
@@ -1306,7 +1292,6 @@ class Selector:
         automaton._sync()
         if automaton._eager is None:
             self.compile()
-        started = time.perf_counter_ns()
         blob = _serialize(automaton, grammar_fingerprint(self.source_grammar))
         target = Path(path)
         try:
@@ -1315,8 +1300,6 @@ class Selector:
             raise ArtifactIOError(
                 f"cannot write selector artifact {target}: {exc}"
             ) from exc
-        self._save_ns = time.perf_counter_ns() - started
-        self._artifact_bytes = len(blob)
         return target
 
     @classmethod
@@ -1335,8 +1318,7 @@ class Selector:
         of the saved eager tables: labeling starts with zero table
         misses and never pays the eager build.
         """
-        started = time.perf_counter_ns()
-        header, payload, artifact_bytes = _read_artifact(path)
+        header, payload = _read_artifact(path)
         fingerprint = grammar_fingerprint(grammar)
         if fingerprint != header["fingerprint"]:
             raise ArtifactStaleError(
@@ -1352,93 +1334,47 @@ class Selector:
         automaton._eager = eager
         selector = cls.__new__(cls)
         selector._setup(grammar, automaton, config)
-        selector._tables_version = automaton._source_version
-        selector._loaded_from = str(path)
-        # The size of the blob already read — never a second stat()
-        # syscall, whose OSError (file swapped or deleted by a
-        # concurrent writer between read and stat) would fail an
-        # otherwise fully successful load.
-        selector._artifact_bytes = artifact_bytes
-        selector._load_ns = time.perf_counter_ns() - started
         return selector
 
     # ------------------------------------------------------------------
     # Unified stats
 
     def stats(self) -> dict[str, object]:
-        """One dict unifying the previously-split introspection views.
+        """What the selector alone holds, each fact once.
 
-        * ``tables`` — the automaton's state/transition counts (plus the
-          ``eager`` build entry) for automaton modes, ``None`` for DP;
-        * ``aot`` — the ahead-of-time story: compiled/loaded flags,
-          build/save/load nanoseconds, artifact size, fingerprint, and
-          whether the tables are still valid (a grammar extension
-          invalidates them);
-        * ``labeling`` — hit/warm rates and work counters of the most
-          recent *metered* labeling run (``None`` until a caller passes
-          a :class:`LabelMetrics`; unmetered calls are by design
-          uncounted);
-        * ``selection`` — cumulative pipeline totals (forests, nodes,
-          reductions, memo hits, per-phase nanoseconds) plus the last
-          :class:`SelectionReport` as a row;
-        * ``resilience`` — fault-isolation counters: forests contained
-          by ``on_error="isolate"`` (total and by phase) and deadline
-          overruns.
+        * ``grammar`` and ``mode`` (see :attr:`mode`: ``"eager"`` only
+          while compiled or loaded tables are current);
+        * ``tables`` — the automaton's state/transition counts, plus the
+          ``eager`` entry of a compile (``build_seconds``) or a load
+          (``loaded_from``); ``None`` for DP;
+        * ``selection`` — cumulative pipeline totals (calls, forests,
+          nodes, reductions, memo hits, per-phase nanoseconds) and the
+          emission engine that runs;
+        * ``resilience`` — see :meth:`resilience_stats`;
+        * ``obs`` — the observability registry's flat view, ``None``
+          when observability is off.
+
+        Per-call work is not repeated here: it is on the
+        :class:`LabelMetrics` a caller passes to :meth:`label_many`
+        and on the :class:`SelectionReport` of each result.
         """
         engine = self.engine
-        automaton = engine if isinstance(engine, OnDemandAutomaton) else None
-        stale = (
-            automaton is not None
-            and automaton.source_grammar.version != automaton._source_version
-        )
-        row: dict[str, object] = {
-            "grammar": self.source_grammar.name,
-            "mode": self.mode,
-            "tables": automaton.stats() if automaton is not None else None,
-        }
-        row["aot"] = {
-            "compiled": automaton is not None and automaton._eager is not None and not stale,
-            "loaded_from": self._loaded_from,
-            "valid": automaton is not None
-            and automaton._eager is not None
-            and not stale
-            and self._tables_version == automaton._source_version,
-            "fingerprint": grammar_fingerprint(self.source_grammar),
-            "build_ns": self._build_ns,
-            "save_ns": self._save_ns,
-            "load_ns": self._load_ns,
-            "artifact_bytes": self._artifact_bytes,
-        }
-        last = self._last_metrics
-        row["labeling"] = (
-            None
-            if last is None
-            else {
-                "nodes_labeled": last.nodes_labeled,
-                "table_lookups": last.table_lookups,
-                "table_misses": last.table_misses,
-                "hit_rate": last.hit_rate,
-                "warm_fraction": last.warm_fraction,
-                "rule_checks": last.rule_checks,
-                "chain_checks": last.chain_checks,
-                "states_created": last.states_created,
-                "dynamic_evals": last.dynamic_evals,
-                "seconds": last.seconds,
-            }
-        )
+        dp = isinstance(engine, DPLabeler)
         totals = dict(self._totals)
         total_ns = totals["label_ns"] + totals["reduce_ns"]
         totals["total_ns"] = total_ns
         totals["ns_per_node"] = total_ns / max(totals["nodes"], 1)
         totals["reduce_fraction"] = totals["reduce_ns"] / total_ns if total_ns > 0 else 0.0
         # A DP labeling has no states to compile a tape from.
-        dp = isinstance(self.engine, DPLabeler)
         totals["emitter"] = "reducer" if dp else self.config.emitter
-        totals["last"] = self._last_report.as_row() if self._last_report is not None else None
-        row["selection"] = totals
-        row["resilience"] = self.resilience_stats()
-        row["obs"] = self._obs_stats() if self._obs is not None else None
-        return row
+        return {
+            "grammar": self.source_grammar.name,
+            "mode": self.mode,
+            "tables": None if dp else engine.stats(),
+            "selection": totals,
+            "resilience": self.resilience_stats(),
+            "obs": self._obs.metrics.flatten() if self._obs is not None else None,
+        }
 
     def resilience_stats(self) -> dict[str, object]:
         """The ``stats()["resilience"]`` block alone, without building
@@ -1450,34 +1386,6 @@ class Selector:
             "failures_by_phase": dict(resilience["failures_by_phase"]),
             "deadline_overruns": resilience["deadline_overruns"],
         }
-
-    def _obs_stats(self) -> dict[str, object]:
-        """The unified flattened observability view (``stats()["obs"]``).
-
-        One flat key space subsuming the registry's counters and
-        histogram summaries, the resilience counters, the cumulative
-        selection totals, and the most recent metered
-        :class:`LabelMetrics` — the single surface dashboards scrape.
-        """
-        flat = self._obs.metrics.flatten()
-        resilience = self._resilience
-        flat["resilience_isolated_failures"] = resilience["isolated_failures"]
-        for phase, value in resilience["failures_by_phase"].items():
-            flat[f'resilience_failures_total{{phase="{phase}"}}'] = value
-        flat["resilience_deadline_overruns"] = resilience["deadline_overruns"]
-        totals = self._totals
-        total_ns = totals["label_ns"] + totals["reduce_ns"]
-        flat["selection_calls"] = totals["calls"]
-        flat["selection_total_ns"] = total_ns
-        flat["selection_ns_per_node"] = total_ns / max(totals["nodes"], 1)
-        last = self._last_metrics
-        if last is not None:
-            flat["labeling_nodes_labeled"] = last.nodes_labeled
-            flat["labeling_table_lookups"] = last.table_lookups
-            flat["labeling_table_misses"] = last.table_misses
-            flat["labeling_states_created"] = last.states_created
-            flat["labeling_dynamic_evals"] = last.dynamic_evals
-        return flat
 
     def __repr__(self) -> str:
         return f"Selector({self.source_grammar.name!r}, mode={self.mode!r})"

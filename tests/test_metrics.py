@@ -5,10 +5,9 @@ from __future__ import annotations
 from repro.metrics import LabelMetrics
 
 
-def test_hit_rate_and_warm_fraction_are_zero_without_work():
+def test_hit_rate_is_zero_without_work():
     metrics = LabelMetrics()
     assert metrics.hit_rate == 0.0
-    assert metrics.warm_fraction == 0.0
 
 
 def test_hit_rate_reflects_lookup_misses():
@@ -18,15 +17,6 @@ def test_hit_rate_reflects_lookup_misses():
     assert all_hits.hit_rate == 1.0
     all_misses = LabelMetrics(table_lookups=4, table_misses=4)
     assert all_misses.hit_rate == 0.0
-
-
-def test_warm_fraction_reflects_constructions_per_node():
-    metrics = LabelMetrics(nodes_labeled=20, table_lookups=20, table_misses=5)
-    assert metrics.warm_fraction == 0.75
-    # A dynamic-table run may construct more states than it labels
-    # nodes; the fraction saturates at zero instead of going negative.
-    weird = LabelMetrics(nodes_labeled=2, table_lookups=8, table_misses=6)
-    assert weird.warm_fraction == 0.0
 
 
 def test_merge_accumulates_every_counter_and_derived_properties_follow():
@@ -39,7 +29,6 @@ def test_merge_accumulates_every_counter_and_derived_properties_follow():
     assert a.table_misses == 2
     assert a.rule_checks == 7 and a.chain_checks == 3
     assert a.hit_rate == 0.8
-    assert a.warm_fraction == 0.8
 
 
 def test_copy_is_independent_of_the_original():

@@ -15,9 +15,11 @@ state that is only ever written stays flagged.
 
 Those two scans match names across the whole tree, so a write-only
 attribute passes when an unrelated object elsewhere reads the same
-name.  Private state is scoped tighter: a ``self._name`` store needs a
-read of ``_name`` (an attribute load or a string constant) in its own
-module.
+name.  Private names are scoped tighter: a ``self._name`` store, and a
+private function, method or class (``def _name`` / ``class _Name``),
+needs a read of ``_name`` (a name or attribute load, or a string
+constant) in its own module, so a private helper only a test calls is
+flagged too.
 """
 
 from __future__ import annotations
@@ -147,3 +149,45 @@ def _private_self_stores_without_module_reads() -> list[str]:
 def test_every_private_self_store_is_read_in_its_module():
     unread = _private_self_stores_without_module_reads()
     assert not unread, "private attributes their module never reads:\n" + "\n".join(unread)
+
+
+def _private_definitions_without_module_reads(base: Path = PACKAGE) -> list[str]:
+    unread: list[str] = []
+    for path, tree in _trees(base):
+        defined: list[tuple[str, int]] = []
+        read: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, _DEFINITIONS):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    defined.append((name, node.lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+        where = path.relative_to(base.parent)
+        unread.extend(f"{where}:{line} {name}" for name, line in defined if name not in read)
+    return sorted(unread)
+
+
+def test_every_private_definition_is_read_in_its_module():
+    unread = _private_definitions_without_module_reads()
+    assert not unread, "private definitions their module never reads:\n" + "\n".join(unread)
+
+
+def test_private_definition_scan_flags_a_helper_only_a_test_calls(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def _helper():\n    return 1\n\n\n"
+        "def _used():\n    return 2\n\n\n"
+        "def public():\n    return _used()\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "test_mod.py").write_text(
+        "from pkg import mod\n\n\ndef test_helper():\n    assert mod._helper() == 1\n",
+        encoding="utf-8",
+    )
+    assert _private_definitions_without_module_reads(package) == ["pkg/mod.py:1 _helper"]

@@ -16,6 +16,7 @@ import json
 import multiprocessing
 
 from repro.bench.workloads import bench_grammar, random_forests
+from repro.metrics import LabelMetrics
 from repro.obs import (
     Histogram,
     MetricsRegistry,
@@ -30,6 +31,7 @@ from repro.obs.export import load_trace, to_prometheus, trace_summary, write_tra
 from repro.selection import Selector
 from repro.selection.selector import SelectorConfig
 from repro.service import SelectionService, ServiceConfig
+from repro.testing import poison_action
 
 
 def _forests(seed: int = 21, n: int = 3):
@@ -153,16 +155,20 @@ def test_histogram_merge_exact_across_fork_boundary():
 
 
 def test_tracer_spans_nest_and_carry_parent_links():
+    # Spans are recorded pre-measured, child first, linked to a parent
+    # id allocated up front (as the pipeline records its phases).
     tracer = Tracer(capacity=16)
-    with tracer.span("outer", kind="test"):
-        with tracer.span("inner"):
-            pass
+    outer_id = tracer.next_id()
+    inner_id = tracer.record("inner", 20, 30, parent_id=outer_id)
+    assert tracer.record("outer", 10, 40, span_id=outer_id, kind="test") == outer_id
     spans = tracer.spans()
     assert [s.name for s in spans] == ["inner", "outer"]
     inner, outer = spans
+    assert inner.span_id == inner_id != outer_id
     assert inner.parent_id == outer.span_id
     assert outer.parent_id is None
     assert outer.start_ns <= inner.start_ns <= inner.end_ns <= outer.end_ns
+    assert inner.duration_ns == 10
     assert outer.attrs == {"kind": "test"}
     assert tracer.recorded == 2
 
@@ -374,6 +380,32 @@ def test_service_registry_holds_no_queue_gauge_or_mirrored_counts(tmp_path):
         "queue_depth_high_water",
     ):
         assert f"service_{key}" not in stats["obs"]
+
+
+def test_selector_stats_say_each_count_once():
+    """``stats()`` keeps six blocks, and its obs view is the registry
+    itself: no labeling, selection or resilience count comes back in it
+    under another name."""
+    grammar = bench_grammar()
+    stmt = next(r for r in grammar.rules if r.lhs == "stmt" and r.pattern.symbol == "EXPR")
+    poison_action(stmt, on_call=1)  # fails the batch's first forest only
+    obs = Observability()
+    selector = Selector(grammar, config=SelectorConfig(observe=obs))
+    forests = _forests(seed=41, n=3)
+    selector.label_many(forests, LabelMetrics())
+    result = selector.select_many(forests, on_error="isolate")
+    assert len(result.failures) == 1
+
+    stats = selector.stats()
+    assert set(stats) == {"grammar", "mode", "tables", "selection", "resilience", "obs"}
+    assert stats["resilience"]["isolated_failures"] == 1
+    flat = stats["obs"]
+    assert flat == obs.metrics.flatten()
+    assert flat["pipeline_failures_total"] == 1
+    mirrored = [
+        key for key in flat if key.startswith(("selection_", "resilience_", "labeling_"))
+    ]
+    assert mirrored == []
 
 
 def test_service_disabled_observability_reports_none(tmp_path):

@@ -534,7 +534,7 @@ class TestArtifactFailures:
         path = sel.save(tmp_path / "chaos.rsel")
         loaded = Selector.load(path, grammar)
         assert loaded.mode == "eager"
-        assert loaded.stats()["aot"]["loaded_from"] == str(path)
+        assert loaded.stats()["tables"]["eager"]["loaded_from"] == str(path)
         clean = sel.select_many(_chaos_forests())
         assert loaded.select_many(_chaos_forests()).values == clean.values
 

@@ -98,6 +98,9 @@ def test_selector_mode_errors(tmp_path):
     assert not (tmp_path / "never-written.rsel").exists()
 
 
+STATS_KEYS = {"grammar", "mode", "tables", "selection", "resilience", "obs"}
+
+
 def test_compile_switches_mode_and_stats_unify_the_views():
     grammar = bench_grammar()
     selector = Selector(grammar)
@@ -109,32 +112,29 @@ def test_compile_switches_mode_and_stats_unify_the_views():
     forests = random_forests(5, forests=2, statements=4, max_depth=4)
     metrics = LabelMetrics()
     selector.label_many(forests, metrics)
-    selector.select_many(forests)
+    result = selector.select_many(forests)
 
     stats = selector.stats()
-    # Table sizes (automaton view) ...
+    assert set(stats) == STATS_KEYS
+    assert stats["mode"] == "eager"
+    # Table sizes and the build (automaton view) ...
     assert stats["tables"]["states"] > 0
     assert stats["tables"]["eager"]["transitions"] == build["transitions"]
-    # ... AOT story ...
-    assert stats["aot"]["compiled"] is True
-    assert stats["aot"]["valid"] is True
-    assert stats["aot"]["build_ns"] > 0
-    assert stats["aot"]["fingerprint"] == grammar_fingerprint(grammar)
-    # ... hit/warm rates from the metered labeling ...
-    assert stats["labeling"]["hit_rate"] == 1.0
-    assert stats["labeling"]["warm_fraction"] == 1.0
-    assert stats["labeling"]["table_misses"] == 0
-    # ... and per-phase selection nanoseconds.
+    assert stats["tables"]["eager"]["build_seconds"] > 0
+    # ... cumulative per-phase selection nanoseconds ...
     assert stats["selection"]["calls"] == 1
     assert stats["selection"]["label_ns"] >= 0
     assert stats["selection"]["reduce_ns"] > 0
     assert stats["selection"]["total_ns"] > 0
-    assert stats["selection"]["last"]["labeler"] == "eager"
+    # ... while per-call work stays with the caller.
+    assert metrics.hit_rate == 1.0
+    assert metrics.table_misses == 0
+    assert result.report.labeler == "eager"
 
     dp_stats = Selector(grammar, mode="dp").stats()
+    assert set(dp_stats) == STATS_KEYS
+    assert dp_stats["mode"] == "dp"
     assert dp_stats["tables"] is None
-    assert dp_stats["aot"]["compiled"] is False
-    assert dp_stats["labeling"] is None
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +173,7 @@ def test_loaded_selector_zero_misses_from_first_contact(tmp_path):
     assert metrics.table_lookups > 0
     assert metrics.table_misses == 0
     assert metrics.states_created == 0
-    assert loaded.stats()["aot"]["loaded_from"] == str(artifact)
-    assert loaded.stats()["aot"]["load_ns"] > 0
+    assert loaded.stats()["tables"]["eager"]["loaded_from"] == str(artifact)
 
 
 def test_save_load_constraint_grammar_signatures(tmp_path):
@@ -315,7 +314,7 @@ def test_format_2_header_with_a_certified_field_still_loads(tmp_path):
     old = tmp_path / "stamped.rsel"
     old.write_bytes(_reframed(path.read_bytes(), stamped))
     loaded = Selector.load(old, grammar)
-    assert "certified" not in loaded.stats()["aot"]
+    assert "certified" not in loaded.stats()["tables"]["eager"]
     [forest] = random_forests(2, forests=1, statements=4, max_depth=4)
     assert loaded.select(forest).values == Selector(grammar).select(forest).values
 
@@ -369,13 +368,13 @@ def test_load_then_extend_invalidates_tables_and_stays_optimal(tmp_path):
     cost_before = sum(
         extract_cover(loaded.label(forest), forest).total_cost() for forest in forests
     )
-    assert loaded.stats()["aot"]["valid"] is True
+    assert loaded.mode == "eager"
 
     # JIT-style extension on the live grammar: free loads. The loaded
     # tables must be dropped, results must track
     # DP on the extended grammar, and covers must get cheaper.
     live.op_rule("reg", "LOAD", ["addr"], 0)
-    assert loaded.stats()["aot"]["valid"] is False
+    assert loaded.mode == "ondemand"
     cost_after = 0
     for forest in forests:
         cover = extract_cover(loaded.label(forest), forest)
@@ -529,6 +528,20 @@ def test_fingerprint_is_structural_and_sensitive():
 # The AOT payoff
 
 
+def test_mode_reads_ondemand_as_soon_as_the_grammar_moves_past_the_tables(tmp_path):
+    """A grammar extension retires compiled and loaded tables at once:
+    ``mode`` says so before any further call resyncs the automaton."""
+    compiled_grammar, loaded_grammar = bench_grammar(), bench_grammar()
+    compiled = Selector(compiled_grammar, mode="eager")
+    artifact = compiled.save(tmp_path / "bench.rsel")
+    loaded = Selector.load(artifact, loaded_grammar)
+    for selector, grammar in ((compiled, compiled_grammar), (loaded, loaded_grammar)):
+        assert selector.mode == "eager"
+        grammar.op_rule("reg", "LOAD", ["addr"], 0)
+        assert selector.mode == "ondemand"
+        assert selector.stats()["mode"] == "ondemand"
+
+
 def test_saved_artifact_loads_faster_than_an_eager_build(tmp_path, monkeypatch):
     """A deploy step saves the eager tables once, and a server loading
     them skips the eager build with no behaviour change.
@@ -551,7 +564,7 @@ def test_saved_artifact_loads_faster_than_an_eager_build(tmp_path, monkeypatch):
     assert work["_construct_state"] > 0 and work["_base_costs"] > 0
     work.clear()
     loaded = Selector.load(out, bench_grammar())
-    assert loaded.stats()["aot"]["load_ns"] is not None
+    assert loaded.mode == "eager"
 
     forests = random_forests(5, forests=4, statements=6, max_depth=5)
     contact = LabelMetrics()
