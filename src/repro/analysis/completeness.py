@@ -11,6 +11,14 @@ so an incomplete grammar only fails when a user's forest hits the bad
 checking every reachable combination, and emits a **minimal
 counterexample tree** when the grammar is incomplete.
 
+Both passes walk the automaton's own tables, which are keyed by
+*projected* child states: child states that agree, up to a constant, on
+the costs an operand position's rules read select the same transition
+there.  So each pass visits one combination per table entry rather than
+per tuple of child states, and represents each group of child states by
+its smallest witness tree — which keeps witnesses and counterexamples
+minimal.
+
 Soundness notes:
 
 * Dynamic-cost and constrained rules can only *add* derivations (a
@@ -66,7 +74,7 @@ class CompletenessReport:
     states: int = 0
     #: Value-reachable states (the child universe actually checked).
     value_states: int = 0
-    #: (statement operator, child combination) pairs checked.
+    #: (statement operator, projected child combination) pairs checked.
     transitions_checked: int = 0
     #: Dynamic rules set aside (their applicability only adds derivations).
     dynamic_rules_assumed: int = 0
@@ -86,7 +94,7 @@ class CompletenessReport:
         head = f"grammar {self.grammar!r} (start {self.start!r}): "
         if self.certified:
             return head + (
-                f"COMPLETE — {self.transitions_checked} statement combination(s) over "
+                f"COMPLETE — {self.transitions_checked} projected statement combination(s) over "
                 f"{self.value_states} value state(s) all derive {self.start!r}"
                 + (
                     f" ({self.dynamic_rules_assumed} dynamic rule(s) assumed additive)"
@@ -160,33 +168,32 @@ def verify_completeness(grammar: Grammar, max_states: int | None = None) -> Comp
     # -- value-reachable states and minimal witness trees ---------------
     # Bellman-Ford-style relaxation over value-operator transitions:
     # witness[dest] = minimal tree size reaching dest, with the edge
-    # (operator, child states) achieving it.
+    # (operator, child states) achieving it.  After the uncapped build
+    # every key below is filed, so reading it constructs nothing.
     witness: dict[int, _Witness] = {}
     changed = True
     while changed:
         changed = False
         for name, table in value_ops.items():
             for arity in table.rules_by_arity:
-                for kid_idxs, dest in _table_edges(table, arity):
-                    if any(idx not in witness for idx in kid_idxs):
-                        continue
+                for kid_idxs in _smallest_keys(automaton, table, arity, witness):
+                    dest = automaton._entry(table, kid_idxs).index
                     size = 1 + sum(witness[idx][0] for idx in kid_idxs)
                     best = witness.get(dest)
                     if best is None or size < best[0]:
                         witness[dest] = (size, name, kid_idxs)
                         changed = True
-    value_reachable = sorted(witness)
-    report.value_states = len(value_reachable)
+    report.value_states = len(witness)
 
     # -- check every statement combination over value children ----------
     start = automaton.grammar.start or grammar.start
     failures: list[tuple[int, str, tuple[int, ...]]] = []
     for name, table in sorted(stmt_ops.items()):
         for arity in table.rules_by_arity:
-            for kid_idxs in itertools.product(value_reachable, repeat=arity):
-                dest = _lookup(table, arity, kid_idxs)
+            for kid_idxs in _smallest_keys(automaton, table, arity, witness):
+                dest = automaton._entry(table, kid_idxs)
                 report.transitions_checked += 1
-                if dest is None or not is_finite(dest.cost_of(start)):
+                if not is_finite(dest.cost_of(start)):
                     size = 1 + sum(witness[idx][0] for idx in kid_idxs)
                     failures.append((size, name, kid_idxs))
 
@@ -211,33 +218,18 @@ def verify_completeness(grammar: Grammar, max_states: int | None = None) -> Comp
     return report
 
 
-def _table_edges(table, arity):
-    """Yield ``(child index tuple, destination index)`` for one arity."""
-    if arity == 0:
-        if table.nullary is not None:
-            yield (), table.nullary.index
-    elif arity == 1:
-        for idx, dest in table.unary.items():
-            yield (idx,), dest.index
-    elif arity == 2:
-        for idx0, row in table.binary.items():
-            for idx1, dest in row.items():
-                yield (idx0, idx1), dest.index
-    else:
-        for key, dest in table.nary.items():
-            yield key, dest.index
-
-
-def _lookup(table, arity, kid_idxs):
-    """Transition lookup mirroring the automaton's arity specialization."""
-    if arity == 0:
-        return table.nullary
-    if arity == 1:
-        return table.unary.get(kid_idxs[0])
-    if arity == 2:
-        row = table.binary.get(kid_idxs[0])
-        return None if row is None else row.get(kid_idxs[1])
-    return table.nary.get(kid_idxs)
+def _smallest_keys(automaton, table, arity: int, witness: dict[int, _Witness]):
+    """One key of child-state indices per transition of *table*'s slot
+    for *arity* over the witnessed states: each group of states with one
+    projected id at a position is represented by its smallest witness
+    tree, so each key is the smallest tree reaching its transition."""
+    states = automaton.pool.states
+    groups = automaton._projection(table, arity).groups(states[index] for index in sorted(witness))
+    per_position = [
+        [min(group, key=lambda index: witness[index][0]) for group in by_pid.values()]
+        for by_pid in groups
+    ]
+    return itertools.product(*per_position)
 
 
 def _build_tree_for_state(operators, index: int, witness: dict[int, _Witness]) -> Node:

@@ -1,7 +1,8 @@
-"""Intermediate representation: operators, nodes, forests, traversal,
-validation, and a reference interpreter."""
+"""Intermediate representation: operators, nodes, forests, traversal and
+validation.  The reference interpreter, :mod:`repro.ir.interp`, is not
+imported here: selection never runs it, so it loads only when imported
+by name."""
 
-from repro.ir.interp import ExecutionResult, IRInterpreter, Memory
 from repro.ir.node import Forest, Node, NodeBuilder, fresh_nid
 from repro.ir.ops import DEFAULT_OPERATORS, Operator, OperatorSet, default_operators
 from repro.ir.traversal import topological_order
@@ -13,11 +14,8 @@ from repro.ir.validate import (
 
 __all__ = [
     "DEFAULT_OPERATORS",
-    "ExecutionResult",
     "Forest",
     "ForestValidationError",
-    "IRInterpreter",
-    "Memory",
     "Node",
     "NodeBuilder",
     "Operator",

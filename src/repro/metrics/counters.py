@@ -23,24 +23,25 @@ class LabelMetrics:
 
     For the DP labeler ``rule_checks`` and ``chain_checks`` are per-node
     work.  For the automaton they are construction work, charged only
-    when a table miss misses its projected key too (see
-    :mod:`repro.selection.automaton`), so many ``table_misses`` may
-    cost no checks at all; ``table_misses`` still counts every full-key
-    miss, one per memoized transition.
+    when a lookup adds to the tables: a new entry (a projected key, or
+    one outcome tuple of a dynamic row), or a new row's candidate rules
+    (see :mod:`repro.selection.automaton`).  ``table_misses`` counts the
+    entries, one per transition filed.
     """
 
     #: Nodes processed by the labeler.
     nodes_labeled: int = 0
     #: Base-rule pattern/applicability checks (dynamic programming work;
-    #: for the automaton, per construction on a projected-key miss).
+    #: for the automaton, per construction of a new table entry).
     rule_checks: int = 0
     #: Chain-rule checks (the repeated closure loop; for the automaton,
-    #: per construction on a projected-key miss).
+    #: per construction of a new table entry).
     chain_checks: int = 0
     #: Transition-table lookups performed by automaton labelers.
     table_lookups: int = 0
-    #: Full-key transition-table misses.  Each files one transition; it
-    #: constructs a state only when its projected key misses too.
+    #: Transition-table misses: lookups that filed a new entry (a
+    #: projected key, or an outcome tuple of a dynamic row), each by one
+    #: state construction.
     table_misses: int = 0
     #: Automaton states constructed (offline or on demand).
     states_created: int = 0
@@ -51,8 +52,8 @@ class LabelMetrics:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of transition-table lookups answered by the full-key
-        tables, without a miss (0.0 when no lookups were performed)."""
+        """Fraction of transition-table lookups answered by an entry the
+        tables already held (0.0 when no lookups were performed)."""
         if self.table_lookups <= 0:
             return 0.0
         return (self.table_lookups - self.table_misses) / self.table_lookups

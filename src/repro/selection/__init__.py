@@ -13,8 +13,8 @@ automaton — and exposes ``label``/``label_many``,
 :class:`SelectionReport`), a unified ``stats()``, and the
 ahead-of-time path: ``compile()`` precomputes every reachable
 transition, ``save(path)`` serializes the id spaces and per-operator
-transition tables into dense integer matrices keyed by a grammar
-fingerprint, and ``Selector.load(path, grammar)`` restores them so
+transition tables (one entry per projected key) into flat integer runs
+keyed by a grammar fingerprint, and ``Selector.load(path, grammar)`` restores them so
 labeling starts with zero table misses.
 
 All labelers run a fused single-pass walk and offer batched

@@ -3,21 +3,20 @@
 Instead of recomputing a full cost vector on every node the way dynamic
 programming does, the automaton labels each node with an interned
 :class:`~repro.selection.states.State` found through a transition
-table keyed by ``(operator, child states)``.  Tables are built *lazily*:
-the first time an ``(operator, child-state-tuple)`` key is seen, the
-state is found and memoized; every later hit is a couple of dictionary
-lookups.  A miss is a *projection* first (the index maps of Chase, "An
-improvement to bottom-up tree pattern matching", POPL 1987, and
-Proebsting, "BURS automata generation", TOPLAS 1995): a constructed
-state reads each child state only at the nonterminals the operator's
-rules use at that operand position, so each child is projected onto
-those costs, renormalized, and interned to a small id per position
-(:class:`_Projection`).  Only when the tuple of projected ids is new
-too is the state constructed, with exactly the dynamic-programming
-computation (base-rule checks plus chain closure over **delta** costs).
-Many full keys share one projected key, so a cold table miss is mostly
-a few dictionary lookups as well.  Repeated labeling of recurring
-forest shapes therefore amortizes the construction work —
+table keyed by the operator and its child states.  Tables are built
+*lazily*: the first time a key is seen, the state is constructed and
+filed; every later hit is a few list and dictionary reads.  The key is
+*projected* (the index maps of Chase, "An improvement to bottom-up tree
+pattern matching", POPL 1987, and Proebsting, "BURS automata
+generation", TOPLAS 1995): a constructed state reads each child state
+only at the nonterminals the operator's rules use at that operand
+position, so each child is projected onto those costs, renormalized,
+and interned to a small id per position (:class:`_Projection`).  The
+tuple of projected ids is the only transition key: many child-state
+tuples share one entry, and a state is constructed, with exactly the
+dynamic-programming computation (base-rule checks plus chain closure
+over **delta** costs), once per new projected key.  Repeated labeling
+of recurring forest shapes therefore amortizes the construction work —
 :class:`~repro.metrics.counters.LabelMetrics` separates the two kinds
 of work (``rule_checks``/``chain_checks`` versus ``table_lookups``) so
 the amortization claim is directly measurable.
@@ -26,20 +25,19 @@ The warm path is integer-indexed and **single-pass**.  At sync time the
 automaton interns nonterminals to dense ids (shared with the state
 pool) and operators to per-operator :class:`_OpTable` objects holding
 arity-pre-filtered rule lists with pre-resolved child nonterminal ids.
-Transitions live in per-operator tables with arity-specialized fast
-paths — nullary operators cache a single state, unary and binary
-operators are keyed by child-state ids with no tuple allocation, and
-only arity ≥ 3 pays for a key tuple.  Labeling is one fused stack walk
-per batch: children are discovered and the node transitioned the moment
-its last child is labeled, with the per-node state map doubling as the
-traversal's visited set — no separate topological pre-pass, no
-intermediate order list.  That one walk serves every call.  Its warm
-path touches no counter: each node costs exactly one table lookup, so
+A static leaf's state is one attribute read, and a unary or binary
+node reads one index map per child and the slot's table with no key
+tuple.  Labeling is one fused stack walk per batch: children are
+discovered and the node transitioned the moment its last child is
+labeled, with the per-node state map doubling as the traversal's
+visited set.  That one walk serves every call.  Its warm path touches
+no counter: each node costs exactly one table lookup, so
 ``nodes_labeled`` and ``table_lookups`` are read off the state map's
-growth afterwards, and only the cold branches charge misses and
-construction work (to the caller's metrics, or to a write-only sink).
-A deadline costs one strided check per visit.  A warm leaf is not
-visited: the first visit to its parent labels it in place.
+growth afterwards, and only the cold path charges misses (one per
+entry filed) and construction work (to the caller's metrics, or to a
+write-only sink).  A deadline costs one strided check per visit.  A
+warm leaf is not visited: the first visit to its parent labels it in
+place.
 
 Batches are first-class: :meth:`OnDemandAutomaton.label_many` labels a
 sequence of forests with one sync check, one labeling object, and one
@@ -54,22 +52,19 @@ the locally-cheapest rule choice stays globally optimal.  Grammars with
 multi-node patterns are normalized transparently on construction.
 
 Dynamic costs and constraints make each outcome one more component of
-the transition key (the paper's restricted dynamic costs).  An operator
-with dynamic rules has one two-level dynamic table.  Level 1 is keyed
-by the child-state ids, like a static transition, and holds the
-*candidates*: the dynamic rules whose normalized pattern the child
-states can still derive, i.e. every operand nonterminal has a finite
-cost at its child.  Level 2 is keyed by the candidates' outcomes and
-holds the state.  Per node the walk evaluates the candidates' callables
-and does the two gets; a miss at either level resolves through the
-projected key's row, and only a miss there too builds the cost map and
-constructs a state.  Constraint rules split an operator's transitions into the few
-variants their outcomes induce, fully general dynamic costs degrade
-gracefully to per-outcome entries, and a key that leaves no candidate
-has exactly one state.  Operators with *no* dynamic rules take the
-integer-keyed tables even in a dynamic grammar — unless the grammar has
-a dynamic chain rule, which makes every node's transition
-node-dependent and sends every operator through the dynamic table: the
+the transition key (the paper's restricted dynamic costs).  The table
+of an operator with dynamic rules holds a row (:class:`_DynRow`) per
+projected key instead of a state: the *candidates*, the dynamic rules
+whose normalized pattern the child states can still derive (every
+operand nonterminal has a finite cost at its child), and the states
+keyed by the candidates' outcomes.  Per node the walk evaluates the
+candidates' callables and does one more get.  Constraint rules split
+an operator's transitions into the few variants their outcomes induce,
+fully general dynamic costs degrade gracefully to per-outcome entries,
+and a key that leaves no candidate has exactly one state.  Operators
+with *no* dynamic rules hold states even in a dynamic grammar — unless
+the grammar has a dynamic chain rule, which makes every node's
+transition node-dependent and gives every operator rows: the
 candidates' outcomes are then the key's base half, and the chain half
 holds the outcomes of the dynamic chain rules whose source nonterminal
 is derivable at the node (memoized per base half).  Dynamic callables
@@ -89,13 +84,10 @@ The table stays small: the bench pools derive 35–39 distinct pairs.
 
 The grammar may be extended while the automaton is live (the JIT
 flexibility argument): a grammar version bump invalidates the state
-pool, transition tables and fragments, which are then rebuilt on demand — or
-re-precomputed with :meth:`OnDemandAutomaton.build_eager`, the offline
-mode that fills every reachable ``(operator, child states)`` combination
-to a fixed point at build time, trading table size for zero cold cost
-at labeling time.  It fills the full product of states per operator,
-but each entry is a projection: states are constructed once per
-projected key.
+pool, transition tables and fragments, which are then rebuilt on demand
+— or re-precomputed with :meth:`OnDemandAutomaton.build_eager`, the
+offline mode that files every reachable projected key to a fixed point
+at build time, trading table size for zero cold cost at labeling time.
 """
 
 from __future__ import annotations
@@ -139,103 +131,114 @@ _RuleEntry = tuple[Rule, str, int, tuple[int, ...]]
 
 
 class _DynRow(dict):
-    """Level 1 of a dynamic transition table: one child-state key's
-    candidate rules; the row itself is level 2, mapping their outcomes
-    to the state.
+    """One entry of a dynamic table: the candidate rules its child
+    states leave open; the row itself maps their outcomes to the state.
 
     ``candidates`` are the operator's dynamic rules the child states can
     still derive, and ``evals`` their bound ``cost_at`` methods, which
     the walk calls per node.  A key is the tuple of their outcomes
     (followed, under dynamic chain rules, by the chain outcomes); no
-    candidates means the one key ``()`` and one state.  Under dynamic
-    chain rules ``derivable`` memoizes, per candidate outcome tuple,
-    what the chain rules start from: the nonterminals derivable before
-    them and the base (costs, rules) pair — the cached dicts must not be
-    mutated.  Being its own level 2, a row costs one object per
-    child-state key, which keeps eager tables small.
-
-    A row of the full-key table points at ``shared``, the row of its
-    projected key (see :class:`_Projection`), where its misses resolve
-    first, and keeps ``bound``, its key's saturation bound; a projected
-    row has no ``shared``.
+    candidates means the one key ``()``.  ``kids`` are the child cost
+    lists a construction at the row reads (projected, or a side row's
+    full child states), and ``slack`` bounds the outcomes it may hold
+    (see :meth:`fits`).  Under dynamic chain rules ``derivable``
+    memoizes, per candidate outcome tuple, the nonterminals derivable
+    before the chain rules and the base (costs, rules) pair — the
+    cached dicts must not be mutated.
     """
 
-    __slots__ = ("candidates", "evals", "derivable", "shared", "bound")
+    __slots__ = ("candidates", "evals", "kids", "slack", "derivable")
 
     def __init__(
         self,
         candidates: tuple[Rule, ...],
         evals: tuple[Callable[[Node], int], ...],
-        shared: "_DynRow | None" = None,
-        bound: int = 0,
+        kids: tuple[list[int], ...],
+        slack: int | None,
     ) -> None:
         super().__init__()
         self.candidates = candidates
         self.evals = evals
-        self.derivable: (
-            dict[tuple, tuple[frozenset[str], dict[str, int], dict[str, Rule]]] | None
-        ) = None
-        self.shared = shared
-        self.bound = bound
+        self.kids = kids
+        self.slack = slack
+        self.derivable: dict[tuple, tuple[frozenset[str], dict[str, int], dict[str, Rule]]] = {}
+
+    def fits(self, outcomes: tuple) -> bool:
+        """True when a construction from :attr:`kids` at *outcomes* builds
+        the state of every full key the row stands for: its positive
+        finite outcomes sum to at most :attr:`slack`."""
+        if self.slack is None:
+            return True
+        total = 0
+        for cost in outcomes:
+            if cost is not None and 0 < cost < INFINITE:
+                total += cost
+        return total <= self.slack
 
 
 class _Projection:
-    """The index maps of one (operator, arity) slot, and its projected
-    transitions (Chase, POPL 1987; Proebsting, TOPLAS 1995).
+    """The transition table of one (operator, arity) slot, keyed by
+    projected child states (the index maps of Chase, POPL 1987, and
+    Proebsting, TOPLAS 1995).
 
     ``used[position]`` holds the sorted nonterminal ids the slot's rules
     (dynamic ones included) use at that operand position.  A state
-    constructed at the slot reads a child state only there, and since
-    every rule consumes each child exactly once, adding a constant to a
-    child's costs at those ids adds it to every rule total and leaves the
-    constructed state unchanged.  The slot's transitions are therefore a
-    function of the *projected* child states: a child's costs at
-    ``used[position]``, renormalized so the finite minimum is 0
-    (INFINITE stays INFINITE), interned to a projected id per position.
+    constructed at the slot reads a child state only there, and every
+    rule consumes each child exactly once, so a constant added to a
+    child's costs there leaves the constructed state unchanged: the
+    slot's transitions are a function of the child's costs at ``used``,
+    renormalized to a finite minimum of 0, interned to a projected id.
 
-    ``ids[position]`` maps a state index to its projected id and the
-    largest finite cost it projected (the saturation guard's input),
-    filled lazily; ``vectors[position][projected id]`` is the cost list
-    construction reads, indexed by nonterminal id.  ``states`` (static
-    slots) and ``rows`` (dynamic slots: one :class:`_DynRow` per
-    projected key, holding the candidates, the derivable memo and the
-    states by outcomes) are keyed by the tuple of projected ids.
-    ``top`` bounds what the slot adds to the kids' costs: its largest
-    static rule cost plus every chain rule's, summed.
+    ``ids[position]`` is the index map from state index to projected id
+    (``None`` until first projected, -1 for none, see below), and
+    ``vectors[position][projected id]`` the cost list construction
+    reads.  ``table`` holds the transitions — a static operator's
+    states, a dynamic operator's :class:`_DynRow` rows — keyed by the
+    projected ids one dict level per position (so the walk builds no
+    key tuple), or by ``()`` at arity 0.
+
+    A projection lowers every rule total and closure cost alike, so it
+    builds the full key's state unless a full-key sum saturates at
+    INFINITE where the projected one does not.  *top* (the constructor's
+    argument) bounds what the slot adds to its kids' costs: its largest
+    static rule cost plus every chain rule's, summed.  A child whose largest finite cost at
+    the used ids exceeds ``cap`` gets no projected id, so every full key
+    a projected key stands for sums below ``top + arity * cap``, and
+    ``slack`` is what that leaves below INFINITE for a row's outcomes.
+    Keys with no projected id, and outcomes over the slack, go to the
+    operator's side table (:attr:`_OpTable.side`).
     """
 
-    __slots__ = ("used", "top", "ids", "interned", "vectors", "states", "rows")
+    __slots__ = ("used", "cap", "slack", "ids", "interned", "vectors", "table")
 
     def __init__(self, used: tuple[tuple[int, ...], ...], top: int) -> None:
+        arity = len(used)
         self.used = used
-        self.top = top
-        self.ids: list[dict[int, tuple[int, int]]] = [{} for _ in used]
+        # Half of what lies below INFINITE goes to the kids, half to outcomes.
+        self.cap = (INFINITE - 1 - top) // (2 * arity) if arity else 0
+        self.slack = INFINITE - 1 - top - arity * self.cap
+        self.ids: tuple[list[int | None], ...] = tuple([] for _ in used)
         self.interned: list[dict[tuple[int, ...], int]] = [{} for _ in used]
         self.vectors: list[list[list[int]]] = [[] for _ in used]
-        self.states: dict[tuple[int, ...], State] = {}
-        self.rows: dict[tuple[int, ...], _DynRow] = {}
+        self.table: dict = {}
 
-    def project(
-        self, key: tuple[int, ...], states: list[State]
-    ) -> tuple[tuple[int, ...], int]:
-        """The projected key of full key *key* (child-state indices into
-        *states*), and a bound on every rule total a construction at the
-        full key can reach: the slot's ``top`` plus each kid's largest
-        finite cost at the ids used."""
-        pids = []
-        bound = self.top
-        for position, index in enumerate(key):
-            found = self.ids[position].get(index)
-            if found is None:
-                found = self._project_state(states[index], position)
-            pids.append(found[0])
-            bound += found[1]
-        return tuple(pids), bound
-
-    def _project_state(self, state: State, position: int) -> tuple[int, int]:
+    def pid(self, state: State, position: int) -> int:
+        """*state*'s projected id at *position*, -1 for none; projected
+        and filed in the index map on first use."""
+        ids = self.ids[position]
+        index = state.index
+        if index < len(ids):
+            found = ids[index]
+            if found is not None:
+                return found
+        else:
+            ids.extend([None] * (index + 1 - len(ids)))
         used = self.used[position]
         costs = [state.cost_at(nt_id) for nt_id in used]
         finite = [cost for cost in costs if cost < INFINITE]
+        if max(finite, default=0) > self.cap:
+            ids[index] = -1
+            return -1
         low = min(finite, default=0)
         shifted = tuple(cost - low if cost < INFINITE else INFINITE for cost in costs)
         interned = self.interned[position]
@@ -247,8 +250,47 @@ class _Projection:
             for nt_id, cost in zip(used, shifted):
                 vector[nt_id] = cost
             vectors.append(vector)
-        found = self.ids[position][state.index] = (pid, max(finite, default=0))
+        ids[index] = pid
+        return pid
+
+    def project(self, key: tuple[int, ...], states: list[State]) -> tuple[int, ...] | None:
+        """The projected key of child-state ids *key*, or None when a
+        child has no projected id."""
+        pkey = tuple([self.pid(states[index], position) for position, index in enumerate(key)])
+        return None if -1 in pkey else pkey
+
+    def groups(self, states: Iterable[State]) -> list[dict[int, list[int]]]:
+        """Per position, the indices of *states* grouped by projected id
+        there (a state with none is a group of its own, under -1 minus
+        its index), in the order *states* gives them."""
+        groups: list[dict[int, list[int]]] = [{} for _ in self.used]
+        for state in states:
+            for position, by_pid in enumerate(groups):
+                pid = self.pid(state, position)
+                by_pid.setdefault(pid if pid >= 0 else -1 - state.index, []).append(state.index)
+        return groups
+
+    def get(self, pkey: tuple[int, ...]) -> Any:
+        found = self.table
+        for pid in pkey or ((),):
+            found = found.get(pid)
+            if found is None:
+                return None
         return found
+
+    def put(self, pkey: tuple[int, ...], entry: Any) -> None:
+        *path, last = pkey or ((),)
+        row = self.table
+        for pid in path:
+            row = row.setdefault(pid, {})
+        row[last] = entry
+
+    def entries(self) -> list[tuple[tuple[int, ...], Any]]:
+        """Every ``(projected key, entry)`` pair, in filing order."""
+        level = [((), self.table)]
+        for _ in self.used:
+            level = [(pkey + (pid,), row) for pkey, table in level for pid, row in table.items()]
+        return level if self.used else list(self.table.items())
 
     def kids(self, pkey: tuple[int, ...]) -> tuple[list[int], ...]:
         """The projected child cost lists of *pkey*, for construction."""
@@ -258,39 +300,25 @@ class _Projection:
 class _OpTable:
     """All per-operator structures, interned once per grammar sync.
 
-    Transitions are arity-specialized: ``nullary`` caches the single
-    leaf state, ``unary``/``binary`` are nested dicts keyed by child
-    state ids (no key tuples on the warm path), and ``nary`` covers
-    arity ≥ 3.  An operator with dynamic rules (every operator, when
-    the grammar has dynamic chain rules) uses ``dyn`` instead, its one
-    two-level dynamic table: the tuple of child-state ids maps to a
-    :class:`_DynRow`, which maps the outcomes of the rules the child
-    states leave open to the state.  ``dyn_by_arity`` holds those
-    dynamic rules with their kid nonterminal ids and bound ``cost_at``;
-    ``dynamic`` says which of the two kinds of table it is.  A dynamic
-    table never holds a ``nullary`` state (its leaves' states live in
-    its dynamic rows), so the walk labels only static leaves in place.
+    ``slots[arity]`` is the operator's transition table at that arity, a
+    :class:`_Projection` made on first use.  Its entries are states for
+    a static operator and :class:`_DynRow` rows for a dynamic one: an
+    operator with dynamic rules, or every operator when the grammar has
+    dynamic chain rules (``dynamic`` says which).  ``nullary`` mirrors a
+    static operator's arity-0 state, so the walk labels a static leaf
+    with one attribute read; a dynamic operator leaves it ``None``.
+    ``dyn_by_arity`` holds the dynamic rules with their kid nonterminal
+    ids and bound ``cost_at``.
 
-    These full-key tables are the first-level cache, and the warm path
-    reads nothing else.  A miss resolves through ``projections``, one
-    :class:`_Projection` per arity: the full key is projected, and a
-    state is constructed only when the projected key misses too.  Every
-    full key still gets its own entry (and its own :class:`_DynRow`), so
-    the full tables hold exactly the transitions the walk has seen.
+    ``side`` is the saturation side table, the one table keyed by full
+    child-state ids: a :class:`_DynRow` built from the full child states
+    for each key a projection cannot stand for (a child without a
+    projected id, or outcomes over a row's slack), holding its states by
+    outcomes (``()`` for a static operator).  Realistic grammars never
+    fill it.
     """
 
-    __slots__ = (
-        "op_id",
-        "dynamic",
-        "rules_by_arity",
-        "dyn_by_arity",
-        "nullary",
-        "unary",
-        "binary",
-        "nary",
-        "dyn",
-        "projections",
-    )
+    __slots__ = ("op_id", "dynamic", "rules_by_arity", "dyn_by_arity", "nullary", "slots", "side")
 
     def __init__(self, op_id: int) -> None:
         self.op_id = op_id
@@ -300,27 +328,23 @@ class _OpTable:
             int, tuple[tuple[Rule, tuple[int, ...], Callable[[Node], int]], ...]
         ] = {}
         self.nullary: State | None = None
-        self.unary: dict[int, State] = {}
-        self.binary: dict[int, dict[int, State]] = {}
-        self.nary: dict[tuple[int, ...], State] = {}
-        self.dyn: dict[tuple[int, ...], _DynRow] = {}
-        self.projections: dict[int, _Projection] = {}
+        self.slots: list[_Projection] = []
+        self.side: dict[tuple[int, ...], _DynRow] = {}
 
     def transition_count(self) -> int:
-        """Number of memoized transitions in this operator's tables."""
-        total = len(self.unary) + len(self.nary)
-        total += sum(len(row) for row in self.binary.values())
-        total += sum(len(row) for row in self.dyn.values())
-        if self.nullary is not None:
-            total += 1
+        """Number of transitions filed in this operator's tables: one per
+        projected key of a static slot, one per outcome tuple of a row."""
+        total = sum(len(row) for row in self.side.values())
+        for slot in self.slots:
+            for _, entry in slot.entries():
+                total += len(entry) if self.dynamic else 1
         return total
 
 
 #: What the walk's table lookup returns for an operator that has no
-#: table yet: flagged dynamic, so the node takes the dynamic tail, which
-#: builds the table and retries the node.
+#: table yet: it has no slots, so the lookup fails and the miss path
+#: builds the operator's table.
 _NO_TABLE = _OpTable(-1)
-_NO_TABLE.dynamic = True
 
 
 def _helper_thunk(ctx: Any, node: Node, operands: list) -> Any:
@@ -666,20 +690,19 @@ class OnDemandAutomaton:
         lookup plus one node-keyed get per child.  The state map is the
         visited set: a node is expanded at most once and transitioned
         the moment its last child has a state.  Returns the number of
-        parent edges, the arities of the nodes it labeled summed (one
-        add per node, where it gets its state).
+        parent edges, the arities of the nodes it labeled summed.
 
-        A node's arity branch makes its one operator-table lookup, and
-        the table it finds says which kind it is.  A static table (every
-        table, on a static grammar; none, when the grammar has dynamic
-        chain rules) answers from its integer-keyed transitions.  A
-        dynamic table, or none yet, sends the node to the dynamic tail
-        below the arity branches: one get of the candidate row keyed by
-        its child-state ids, the row's candidate callables, one get of
-        the state keyed by their outcomes.  Only the cold branches touch
-        *metrics* (misses and construction work); the callables run are
-        counted in a local and charged once at the end.  The deadline is one strided check
-        per popped node.
+        A node's arity branch makes its one operator-table lookup: the
+        slot for its arity, one index-map read per child, the slot's
+        table.  A static table (every table, on a static grammar; none,
+        when the grammar has dynamic chain rules) holds the state.  A
+        dynamic table holds the candidate row, and the node takes the
+        dynamic tail: the row's callables, one get of the state keyed
+        by their outcomes.  A failed read (no table yet, a child not yet
+        projected, a key not yet filed) goes to :meth:`_entry`.  Only
+        the cold path touches *metrics*; the callables run are counted
+        in a local and charged once at the end.  The deadline is one
+        strided check per popped node.
 
         The first visit to a unary or binary node labels each leaf kid
         whose static table has its ``nullary`` state built in place; any
@@ -731,30 +754,29 @@ class OnDemandAutomaton:
                                 push(k0)
                             continue
                     table = tables.get(node.op.name, no_table)
+                    try:
+                        slot = table.slots[2]
+                        ids0, ids1 = slot.ids
+                        entry = slot.table[ids0[s0.index]][ids1[s1.index]]
+                    except LookupError:
+                        table = self._table_for(node.op.name)
+                        entry = self._entry(table, (s0.index, s1.index), metrics)
                     if not table.dynamic:
-                        by_s1 = table.binary.get(s0.index)
-                        if by_s1 is None:
-                            by_s1 = table.binary[s0.index] = {}
-                        state = by_s1.get(s1.index)
-                        if state is None:
-                            metrics.table_misses += 1
-                            state = self._transition(table, (s0.index, s1.index), metrics)
-                            by_s1[s1.index] = state
-                        node_states[node] = state
+                        node_states[node] = entry
                         edges += 2
                         continue
-                    key = (s0.index, s1.index)
                 elif arity == 0:
                     table = tables.get(node.op.name, no_table)
+                    entry = table.nullary
+                    if entry is None:
+                        try:
+                            entry = table.slots[0].table[()]
+                        except LookupError:
+                            table = self._table_for(node.op.name)
+                            entry = self._entry(table, (), metrics)
                     if not table.dynamic:
-                        state = table.nullary
-                        if state is None:
-                            metrics.table_misses += 1
-                            state = self._transition(table, (), metrics)
-                            table.nullary = state
-                        node_states[node] = state
+                        node_states[node] = entry
                         continue
-                    key = ()
                 elif arity == 1:
                     k0 = kids[0]
                     s0 = get_state(k0)
@@ -768,16 +790,16 @@ class OnDemandAutomaton:
                             push(k0)
                             continue
                     table = tables.get(node.op.name, no_table)
+                    try:
+                        slot = table.slots[1]
+                        entry = slot.table[slot.ids[0][s0.index]]
+                    except LookupError:
+                        table = self._table_for(node.op.name)
+                        entry = self._entry(table, (s0.index,), metrics)
                     if not table.dynamic:
-                        state = table.unary.get(s0.index)
-                        if state is None:
-                            metrics.table_misses += 1
-                            state = self._transition(table, (s0.index,), metrics)
-                            table.unary[s0.index] = state
-                        node_states[node] = state
+                        node_states[node] = entry
                         edges += 1
                         continue
-                    key = (s0.index,)
                 else:
                     deferred = False
                     for kid in kids:
@@ -789,26 +811,21 @@ class OnDemandAutomaton:
                     if deferred:
                         continue
                     table = tables.get(node.op.name, no_table)
-                    key = tuple(node_states[kid].index for kid in kids)
+                    try:
+                        slot = table.slots[arity]
+                        entry = slot.table
+                        for ids, kid in zip(slot.ids, kids):
+                            entry = entry[ids[node_states[kid].index]]
+                    except LookupError:
+                        table = self._table_for(node.op.name)
+                        entry = self._entry(table, self._key(node, node_states), metrics)
                     if not table.dynamic:
-                        state = table.nary.get(key)
-                        if state is None:
-                            metrics.table_misses += 1
-                            state = self._transition(table, key, metrics)
-                            table.nary[key] = state
-                        node_states[node] = state
+                        node_states[node] = entry
                         edges += arity
                         continue
                 # The dynamic tail: an operator with dynamic rules (every
-                # operator, under dynamic chain rules) or one never seen.
-                if table is no_table:
-                    self._table_for(node.op.name)
-                    push(node)  # retried against the table it now has
-                    continue
-                row = table.dyn.get(key)
-                if row is None:
-                    row = self._dyn_row(table, key, metrics)
-                evals = row.evals
+                # operator, under dynamic chain rules); *entry* is its row.
+                evals = entry.evals
                 try:
                     if not evals:
                         outcomes = ()
@@ -819,11 +836,14 @@ class OnDemandAutomaton:
                         evals_run += len(evals)
                         outcomes = tuple([evaluate(node) for evaluate in evals])
                     if dyn_chain:
-                        state = self._chain_state(table, key, row, outcomes, node, metrics)
+                        state = self._chain_state(
+                            table, entry, outcomes, node, node_states, metrics
+                        )
                     else:
-                        state = row.get(outcomes)
+                        state = entry.get(outcomes)
                         if state is None:
-                            state = self._dyn_state(table, key, row, outcomes, None, metrics)
+                            key = self._key(node, node_states)
+                            state = self._dyn_state(table, key, entry, outcomes, metrics)
                 except Exception as exc:
                     # Zero-cost on the happy path (3.11+): a raising
                     # callable gets the faulting IR node attached for
@@ -837,52 +857,112 @@ class OnDemandAutomaton:
         return edges
 
     # ------------------------------------------------------------------
-    # Dynamic transitions: candidate rows keyed by child states
+    # The cold path: table entries, dynamic rows and state construction
 
-    def _dyn_row(
+    def _projection(self, table: _OpTable, arity: int) -> _Projection:
+        """*table*'s slot for *arity* (and every lower one), made on first
+        use."""
+        slots = table.slots
+        while len(slots) <= arity:
+            entries = table.rules_by_arity.get(len(slots), ())
+            used = tuple(
+                tuple(sorted({kid_ids[position] for _, _, _, kid_ids in entries}))
+                for position in range(len(slots))
+            )
+            high = max((max(cost, 0) for _, _, cost, _ in entries), default=0)
+            slots.append(_Projection(used, high + self._chain_span))
+        return slots[arity]
+
+    def _entry(
+        self, table: _OpTable, key: tuple[int, ...], metrics: LabelMetrics = _NULL_METRICS
+    ) -> Any:
+        """*table*'s entry at child-state ids *key* — a static operator's
+        state, a dynamic operator's :class:`_DynRow` — read at the
+        projected key, or in the side table when a child has none.  What
+        is missing is built: a static state from the projected child
+        costs (one table miss), a row's candidates once per key."""
+        slot = self._projection(table, len(key))
+        pkey = slot.project(key, self.pool.states)
+        if pkey is None:
+            row = self._side_row(table, key, metrics)
+            if table.dynamic:
+                return row
+            return row.get(()) or self._dyn_state(table, key, row, (), metrics)
+        entry = slot.get(pkey)
+        if entry is None:
+            kids = slot.kids(pkey)
+            if table.dynamic:
+                entry = self._new_row(table, kids, slot.slack, metrics)
+            else:
+                metrics.table_misses += 1
+                entry = self._construct_state(table, kids, None, metrics)
+                if not key:
+                    table.nullary = entry
+            slot.put(pkey, entry)
+        return entry
+
+    def _side_row(
         self, table: _OpTable, key: tuple[int, ...], metrics: LabelMetrics = _NULL_METRICS
     ) -> _DynRow:
-        """Level 1 of *table*'s dynamic transitions at child-state ids
-        *key*: the dynamic rules the child states can still derive.
-
-        A rule is a candidate when every operand nonterminal of its
-        normalized pattern has a finite cost at its child.  That is a
-        function of the projected key, so it is decided once per
-        projected key, in the projected row, and the full key's own row
-        shares its candidates — and a finite helper nonterminal proves
-        that the child matches the rest of a multi-node pattern, so the
-        candidates' callables may dereference any node their original
-        pattern names.
-        """
-        projection = self._projection(table, len(key))
-        pkey, bound = projection.project(key, self.pool.states)
-        shared = projection.rows.get(pkey)
-        if shared is None:
-            kids = projection.kids(pkey)
-            entries = table.dyn_by_arity.get(len(key), ())
-            metrics.rule_checks += len(entries)
-            open_entries = [
-                (rule, evaluate)
-                for rule, kid_ids, evaluate in entries
-                if all(kid[nt_id] < INFINITE for nt_id, kid in zip(kid_ids, kids))
-            ]
-            shared = projection.rows[pkey] = _DynRow(
-                tuple(rule for rule, _ in open_entries),
-                tuple(evaluate for _, evaluate in open_entries),
-            )
-        row = table.dyn[key] = _DynRow(shared.candidates, shared.evals, shared, bound)
+        """The side table's row at full key *key*, made on first use from
+        the full child states."""
+        row = table.side.get(key)
+        if row is None:
+            kids = tuple(self.pool.states[index].cost_vec for index in key)
+            row = table.side[key] = self._new_row(table, kids, None, metrics)
         return row
 
-    def _kids(
-        self, table: _OpTable, key: tuple[int, ...], projected: bool
-    ) -> tuple[list[int], ...]:
-        """The child cost lists a construction at child-state ids *key*
-        reads: the projected ones, or the full child states'."""
-        states = self.pool.states
-        if not projected:
-            return tuple(states[index].cost_vec for index in key)
-        projection = table.projections[len(key)]
-        return projection.kids(projection.project(key, states)[0])
+    def _new_row(
+        self,
+        table: _OpTable,
+        kids: tuple[list[int], ...],
+        slack: int | None,
+        metrics: LabelMetrics,
+    ) -> _DynRow:
+        """A row over child cost lists *kids*: its candidates are the
+        operator's dynamic rules whose every operand nonterminal has a
+        finite cost at its child.  A projection keeps which costs are
+        finite, so a projected row decides this for every full key it
+        stands for — and a finite helper nonterminal proves that the
+        child matches the rest of a multi-node pattern, so the
+        candidates' callables may dereference any node their original
+        pattern names."""
+        entries = table.dyn_by_arity.get(len(kids), ())
+        metrics.rule_checks += len(entries)
+        open_entries = [
+            (rule, evaluate)
+            for rule, kid_ids, evaluate in entries
+            if all(kid[nt_id] < INFINITE for nt_id, kid in zip(kid_ids, kids))
+        ]
+        return _DynRow(
+            tuple(rule for rule, _ in open_entries),
+            tuple(evaluate for _, evaluate in open_entries),
+            kids,
+            slack,
+        )
+
+    def restore(
+        self, table: _OpTable, key: tuple[int, ...], outcomes: tuple, state: State
+    ) -> None:
+        """File *state* at child-state ids *key* (and, in a dynamic table,
+        *outcomes*) where the walk will read it, constructing nothing:
+        how a loaded artifact's entries are rehydrated."""
+        slot = self._projection(table, len(key))
+        pkey = slot.project(key, self.pool.states)
+        if table.dynamic or pkey is None:
+            row = self._entry(table, key) if table.dynamic else self._side_row(table, key)
+            if not row.fits(outcomes):
+                row = self._side_row(table, key)
+            row[outcomes] = state
+        else:
+            slot.put(pkey, state)
+            if not key:
+                table.nullary = state
+
+    @staticmethod
+    def _key(node: Node, node_states: dict[Node, State]) -> tuple[int, ...]:
+        """*node*'s full key: its kids' state indices."""
+        return tuple([node_states[kid].index for kid in node.kids])
 
     @staticmethod
     def _dyn_costs(row: _DynRow, outcomes: tuple) -> dict[int, int]:
@@ -897,79 +977,63 @@ class OnDemandAutomaton:
         key: tuple[int, ...],
         row: _DynRow,
         outcomes: tuple,
-        base_pair: tuple[dict[str, int], dict[str, Rule]] | None,
         metrics: LabelMetrics,
         chain_costs: dict[int, int] | None = None,
+        base_pair: tuple[dict[str, int], dict[str, Rule]] | None = None,
     ) -> State:
-        """Level 2's miss: the state for *outcomes* (the candidates'
-        costs, then any dynamic chain outcomes), filed in *row*.  When
-        the projection is exact at *outcomes* (see :meth:`_exact`), it
-        comes from the projected row, constructed and filed there on a
-        miss; otherwise it is constructed from the full key.  A
-        *base_pair* (from :meth:`_chain_state`) was built from the
-        projected child costs when the projection is exact at the base
-        outcomes, as it is whenever it is exact at *outcomes*, which
-        extend them; it is used only then."""
+        """A row's miss: the state at *outcomes* (the candidates' costs,
+        then any dynamic chain outcomes).  Outcomes the row cannot hold
+        (see :meth:`_DynRow.fits`) resolve in the side row of full key
+        *key* instead.  A miss there too constructs the state from the
+        row's kids and files it (one table miss).  A *base_pair* (from
+        :meth:`_chain_state`) was built from *row*'s kids, so it is
+        dropped when the state moves to the side row."""
+        if not row.fits(outcomes):
+            row = self._side_row(table, key, metrics)
+            base_pair = None
+            state = row.get(outcomes)
+            if state is not None:
+                return state
         metrics.table_misses += 1
-        exact = self._exact(row.bound, outcomes)
-        state = row.shared.get(outcomes) if exact else None
-        if state is None:
-            dyn_costs = self._dyn_costs(row, outcomes)
-            if chain_costs:
-                dyn_costs.update(chain_costs)
-            kids = self._kids(table, key, exact)
-            state = self._construct_state(
-                table, len(key), kids, dyn_costs, metrics, base_pair if exact else None
-            )
-            if exact:
-                row.shared[outcomes] = state
+        dyn_costs = self._dyn_costs(row, outcomes)
+        if chain_costs:
+            dyn_costs.update(chain_costs)
+        state = self._construct_state(table, row.kids, dyn_costs, metrics, base_pair)
         row[outcomes] = state
         return state
 
     def _chain_state(
         self,
         table: _OpTable,
-        key: tuple[int, ...],
         row: _DynRow,
         outcomes: tuple,
         node: Node,
+        node_states: dict[Node, State],
         metrics: LabelMetrics,
     ) -> State:
-        """Level 2 under dynamic chain rules: the candidates' outcomes
-        fix the base half of the key (and, memoized in *row* and in its
-        projected row, the nonterminals derivable before chain rules);
+        """A row's state under dynamic chain rules: the candidates'
+        outcomes fix the base half of the key and, memoized in the row
+        they resolve in, the nonterminals derivable before chain rules;
         the chain half comes from :meth:`_evaluate_dynamic_chains` at
-        *node*."""
-        if row.derivable is None:
-            row.derivable = {}
+        *node*.  The full key is read off the kids' states only for the
+        side table or a miss."""
         base = row.derivable.get(outcomes)
+        if base is None and not row.fits(outcomes):
+            row = self._side_row(table, self._key(node, node_states), metrics)
+            base = row.derivable.get(outcomes)
         if base is None:
-            # Memoized per projected key too, when the projection is exact.
-            memo = None
-            if self._exact(row.bound, outcomes):
-                shared = row.shared
-                if shared.derivable is None:
-                    shared.derivable = {}
-                memo = shared.derivable
-                base = memo.get(outcomes)
-            if base is None:
-                kids = self._kids(table, key, memo is not None)
-                dyn_costs = self._dyn_costs(row, outcomes)
-                costs, rules = self._base_costs(table, len(key), kids, dyn_costs, metrics)
-                closed: set[str] = set()
-                for nonterminal in costs:
-                    closed |= self._static_chain_reach(nonterminal)
-                base = (frozenset(closed), costs, rules)
-                if memo is not None:
-                    memo[outcomes] = base
-            row.derivable[outcomes] = base
+            dyn_costs = self._dyn_costs(row, outcomes)
+            costs, rules = self._base_costs(table, row.kids, dyn_costs, metrics)
+            closed: set[str] = set()
+            for nonterminal in costs:
+                closed |= self._static_chain_reach(nonterminal)
+            base = row.derivable[outcomes] = (frozenset(closed), costs, rules)
         chain_costs, chain_half = self._evaluate_dynamic_chains(node, base[0], metrics)
         full = outcomes + chain_half
         state = row.get(full)
         if state is None:
-            state = self._dyn_state(
-                table, key, row, full, (base[1], base[2]), metrics, chain_costs
-            )
+            key = self._key(node, node_states)
+            state = self._dyn_state(table, key, row, full, metrics, chain_costs, base[1:])
         return state
 
     def _evaluate_dynamic_chains(
@@ -1004,66 +1068,12 @@ class OnDemandAutomaton:
         chain_half = tuple(evaluated.get(rule.number, UNEVALUATED) for rule in self._dyn_chain)
         return evaluated, chain_half
 
-    # ------------------------------------------------------------------
-    # State construction (the cold path)
-
-    def _projection(self, table: _OpTable, arity: int) -> _Projection:
-        """*table*'s index maps for *arity*, made on first use."""
-        projection = table.projections.get(arity)
-        if projection is None:
-            entries = table.rules_by_arity.get(arity, ())
-            used = tuple(
-                tuple(sorted({kid_ids[position] for _, _, _, kid_ids in entries}))
-                for position in range(arity)
-            )
-            high = max((max(cost, 0) for _, _, cost, _ in entries), default=0)
-            projection = table.projections[arity] = _Projection(used, high + self._chain_span)
-        return projection
-
-    @staticmethod
-    def _exact(bound: int, outcomes: tuple = ()) -> bool:
-        """True when no cost a construction at the full key computes can
-        saturate at INFINITE.
-
-        A projection lowers each child's costs by a constant, so it
-        lowers every rule total and closure cost alike, and it builds
-        the full key's state unless a full-key sum saturates where the
-        projected one does not.  *bound* (from :meth:`_Projection.project`)
-        bounds the static part of every such sum; each positive finite
-        *outcome* (a dynamic rule's or dynamic chain rule's cost) is
-        added to it.  A key that fails this test is constructed from its
-        full child states and files nothing projected.
-        """
-        for cost in outcomes:
-            if cost is not None and 0 < cost < INFINITE:
-                bound += cost
-        return bound < INFINITE
-
-    def _transition(
-        self, table: _OpTable, key: tuple[int, ...], metrics: LabelMetrics
-    ) -> State:
-        """A static table's miss: the state at child-state ids *key*,
-        from the projected table when it has it, else constructed and
-        filed there."""
-        arity = len(key)
-        projection = self._projection(table, arity)
-        pkey, bound = projection.project(key, self.pool.states)
-        if not self._exact(bound):
-            return self._construct_state(table, arity, self._kids(table, key, False), None, metrics)
-        state = projection.states.get(pkey)
-        if state is None:
-            state = projection.states[pkey] = self._construct_state(
-                table, arity, projection.kids(pkey), None, metrics
-            )
-        return state
-
     def _base_costs(
         self,
         table: _OpTable,
-        arity: int,
         kids: tuple[list[int], ...],
         dyn_costs: dict[int, int] | None,
-        metrics: LabelMetrics | None = None,
+        metrics: LabelMetrics,
     ) -> tuple[dict[str, int], dict[str, Rule]]:
         """Best base-rule costs/rules at a transition, before chain closure.
 
@@ -1076,9 +1086,8 @@ class OnDemandAutomaton:
         """
         costs: dict[str, int] = {}
         rules: dict[str, Rule] = {}
-        entries = table.rules_by_arity.get(arity, ())
-        if metrics is not None:
-            metrics.rule_checks += len(entries)
+        entries = table.rules_by_arity.get(len(kids), ())
+        metrics.rule_checks += len(entries)
         for rule, lhs, static_cost, kid_ids in entries:
             if dyn_costs is None:
                 total = static_cost
@@ -1096,17 +1105,16 @@ class OnDemandAutomaton:
     def _construct_state(
         self,
         table: _OpTable,
-        arity: int,
         kids: tuple[list[int], ...],
         dyn_costs: dict[int, int] | None,
         metrics: LabelMetrics,
         base_pair: tuple[dict[str, int], dict[str, Rule]] | None = None,
     ) -> State:
-        """The dynamic-programming step, run once per novel projected key
-        (or full key, where :meth:`_exact` fails) over the *kids*' cost
-        lists."""
+        """The dynamic-programming step, run once per novel table entry
+        over the *kids*' cost lists (projected ones, or a side row's full
+        child states)."""
         if base_pair is None:
-            costs, rules = self._base_costs(table, arity, kids, dyn_costs, metrics)
+            costs, rules = self._base_costs(table, kids, dyn_costs, metrics)
         else:
             # The derivability guard already computed (and counted) the
             # base pair for this key; copy before chain closure mutates.
@@ -1133,9 +1141,10 @@ class OnDemandAutomaton:
         """Precompute every reachable transition at build time.
 
         This is the offline end of the paper's trade-off: state
-        construction is driven over all ``(operator, child-state)``
-        combinations of the interned state set, repeatedly, until a
-        fixed point — afterwards labeling any forest over the grammar's
+        construction is driven over all ``(operator, projected
+        child-state)`` combinations of the interned state set,
+        repeatedly, until a fixed point (see :meth:`_eager_fill`) —
+        afterwards labeling any forest over the grammar's
         operators performs pure table lookups (zero ``table_misses``),
         at the price of tables covering combinations a given workload
         may never present.  Since the children of distinct subtrees are
@@ -1146,9 +1155,9 @@ class OnDemandAutomaton:
 
         * constraint rules have two possible outcomes (the static
           cost, or :data:`~repro.grammar.costs.INFINITE`), so their
-          operators' dynamic tables are enumerated per child-state key
-          over every outcome combination of the rules that key leaves
-          open — the restricted-dynamic-cost argument;
+          operators' rows are enumerated per projected key over every
+          outcome combination of the rules that key leaves open — the
+          restricted-dynamic-cost argument;
         * operators with fully general dynamic-cost rules, and grammars
           with dynamic *chain* rules (which make every transition
           node-dependent), cannot be precomputed and are left on demand
@@ -1185,7 +1194,6 @@ class OnDemandAutomaton:
             while True:
                 rounds += 1
                 snapshot = list(self.pool.states)
-                grew = self.transition_count()
                 for name, table in list(self._tables.items()):
                     if name in skipped:
                         continue
@@ -1196,8 +1204,8 @@ class OnDemandAutomaton:
                         break
                 if capped:
                     break
-                if len(self.pool) == len(snapshot) and self.transition_count() == grew:
-                    break
+                if len(self.pool) == len(snapshot):
+                    break  # this round filed every entry over the final states
         self._eager = {
             "rounds": rounds,
             "states_before": states_before,
@@ -1220,46 +1228,31 @@ class OnDemandAutomaton:
         states: list[State],
         metrics: LabelMetrics,
     ) -> None:
-        """Construct every missing transition of one (operator, arity)
-        slot over the given state snapshot."""
-        if table.dyn_by_arity:
-            # Constraint-only operator: per child-state key, enumerate
-            # the two outcomes (static cost or INFINITE) of each rule the
-            # key leaves open — exactly the keys the walk builds.
-            dyn = table.dyn
-            for kid_states in itertools.product(states, repeat=arity):
-                key = tuple(state.index for state in kid_states)
-                row = dyn.get(key)
-                if row is None:
-                    row = self._dyn_row(table, key, metrics)
-                outcome_space = [(rule.cost, INFINITE) for rule in row.candidates]
-                for outcomes in itertools.product(*outcome_space):
-                    if outcomes not in row:
-                        self._dyn_state(table, key, row, outcomes, None, metrics)
-            return
-        if arity == 0:
-            if table.nullary is None:
-                table.nullary = self._transition(table, (), metrics)
-        elif arity == 1:
-            unary = table.unary
-            for s0 in states:
-                if s0.index not in unary:
-                    unary[s0.index] = self._transition(table, (s0.index,), metrics)
-        elif arity == 2:
-            binary = table.binary
-            for s0 in states:
-                row = binary.get(s0.index)
-                if row is None:
-                    row = binary[s0.index] = {}
-                for s1 in states:
-                    if s1.index not in row:
-                        row[s1.index] = self._transition(table, (s0.index, s1.index), metrics)
-        else:
-            nary = table.nary
-            for kid_states in itertools.product(states, repeat=arity):
-                key = tuple(state.index for state in kid_states)
-                if key not in nary:
-                    nary[key] = self._transition(table, key, metrics)
+        """File every missing entry of one (operator, arity) slot over the
+        given state snapshot.
+
+        The states are grouped by projected id per position (see
+        :meth:`_Projection.groups`), and one full key per product of
+        groups stands for them all.  A constraint-only operator's row
+        is filled for both outcomes (the static cost or INFINITE) of
+        each rule it leaves open — exactly the keys the walk builds —
+        and outcomes the row cannot hold for every full key of the
+        product, in the side table.
+        """
+        groups = self._projection(table, arity).groups(states)
+        for members in itertools.product(*[list(by_pid.values()) for by_pid in groups]):
+            key = tuple(member[0] for member in members)
+            entry = self._entry(table, key, metrics)
+            if not table.dynamic:
+                continue
+            space = [(rule.cost, INFINITE) for rule in entry.candidates]
+            for outcomes in itertools.product(*space):
+                if entry.fits(outcomes):
+                    if outcomes not in entry:
+                        self._dyn_state(table, key, entry, outcomes, metrics)
+                    continue
+                for full in itertools.product(*members):
+                    self._dyn_state(table, full, entry, outcomes, metrics)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1269,17 +1262,22 @@ class OnDemandAutomaton:
         return self.pool.states
 
     def transition_count(self) -> int:
-        """Total memoized transitions across all per-operator tables."""
+        """Total transitions filed across all per-operator tables: one per
+        projected key (per outcome tuple, for a dynamic operator), plus
+        the side tables'."""
         return sum(table.transition_count() for table in self._tables.values())
 
     def stats(self) -> dict[str, object]:
-        """Automaton size row (states interned, transitions memoized).
+        """Automaton size row (states interned, transitions filed).
 
         After :meth:`build_eager`, an ``eager`` entry reports the
         offline build: table growth (states/transitions before and
         after), construction work, build seconds, skipped operators,
-        and whether the *max_states* cap fired.
+        and whether the *max_states* cap fired.  The row describes the
+        tables the next call uses: a grammar that moved since the last
+        call is synced first, which drops the old tables and the build.
         """
+        self._sync()
         row: dict[str, object] = {
             "grammar": self.grammar.name,
             "states": len(self.pool),

@@ -23,11 +23,13 @@ Ahead-of-time artifacts
 -----------------------
 ``save`` serializes the interned nonterminal and operator id spaces,
 the hash-consed state set, and every per-operator transition table into
-**dense integer matrices** (``array('q')`` buffers): unary transitions
-become one flat ``state_count``-sized vector per operator, binary
-transitions one ``state_count²`` matrix indexed by ``s0 * size + s1``.
-The matrices are only the on-disk encoding: ``load`` rehydrates them
-into the automaton's per-operator dict tables, which label at runtime.
+flat integer runs (``array('q')`` buffers).  The automaton's tables are
+keyed by projected child states, so each entry is written as one
+representative full key of child-state ids and its state (and, for a
+dynamic operator, its outcomes): one entry per projected key, not per
+tuple of child states.  ``load`` re-projects each key to file the entry
+where the walk reads it, then projects every state at every operand
+position, so a loaded selector constructs nothing from first contact.
 
 Artifacts are keyed by a **grammar fingerprint** (a SHA-256 over the
 grammar's structure: operators, nonterminals, and every rule's shape,
@@ -106,7 +108,7 @@ ON_ERROR_POLICIES = ("raise", "isolate")
 EMITTERS = ("tape", "reducer")
 
 _MAGIC = b"RSELTBL1"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _HEADER_LEN_STRUCT = struct.Struct("<I")
 
 #: Wire encoding of :data:`~repro.selection.automaton.UNEVALUATED`
@@ -169,14 +171,15 @@ def grammar_fingerprint(grammar: Grammar) -> str:
 def _serialize(automaton: OnDemandAutomaton, fingerprint: str) -> bytes:
     """Encode the automaton's id spaces and transition tables into one blob.
 
-    Unary transitions become one flat ``state_count``-sized vector per
-    operator and binary transitions one ``state_count²`` matrix indexed
-    by ``s0 * size + s1`` (``-1`` where the dict tables have no entry);
-    arity ≥ 3 and dynamic transitions become flat integer runs (a dynamic
-    one is its child-state ids, its outcomes, and its state).
+    Each table entry is written as one representative full key of
+    child-state ids — per position, the smallest state index with the
+    entry's projected id — and its state: a ``static`` run per operator
+    holds ``len(key), key..., state`` per entry, a ``dyn`` run
+    ``len(key), key..., len(outcomes), outcomes..., state``.  A side
+    table entry is written under its own full key.  A static leaf state
+    is the operator's ``nullary`` header field.
     """
     pool = automaton.pool
-    size = len(pool)
     sections: list[dict[str, object]] = []
     chunks: list[bytes] = []
     offset = 0
@@ -207,44 +210,36 @@ def _serialize(automaton: OnDemandAutomaton, fingerprint: str) -> bytes:
     for name, table in automaton._tables.items():
         nullary = table.nullary.index if table.nullary is not None else -1
         ops_meta.append({"name": name, "op_id": table.op_id, "nullary": nullary})
-        if table.unary:
-            arr = array("q", [-1]) * size
-            for child, state in table.unary.items():
-                arr[child] = state.index
-            add_section("unary", arr, op=name)
-        if table.binary:
-            arr = array("q", [-1]) * (size * size)
-            for c0, row in table.binary.items():
-                base = c0 * size
-                for c1, state in row.items():
-                    arr[base + c1] = state.index
-            add_section("binary", arr, op=name)
-        if table.nary:
-            flat: list[int] = []
-            for key, state in table.nary.items():
+        entries: list[tuple[tuple[int, ...], Any]] = []
+        for arity, slot in enumerate(table.slots):
+            if arity == 0 and not table.dynamic:
+                continue  # the nullary field
+            groups = slot.groups(pool.states)
+            for pkey, entry in slot.entries():
+                key = tuple(by_pid[pid][0] for by_pid, pid in zip(groups, pkey))
+                entries.append((key, entry))
+        if not table.dynamic:  # a static entry is a row of one state, at ()
+            entries = [(key, {(): state}) for key, state in entries]
+        flat: list[int] = []
+        for key, row in entries + list(table.side.items()):
+            for outcomes, state in row.items():
                 flat.append(len(key))
                 flat.extend(key)
-                flat.append(state.index)
-            add_section("nary", flat, op=name)
-        if table.dyn:
-            flat = []
-            for kid_ids, row in table.dyn.items():
-                for outcomes, state in row.items():
-                    flat.append(len(kid_ids))
-                    flat.extend(kid_ids)
+                if table.dynamic:
                     flat.append(len(outcomes))
-                    for value in outcomes:
-                        if value is UNEVALUATED:
-                            flat.append(_SIG_UNEVALUATED)
-                        elif isinstance(value, int) and value >= 0:
-                            flat.append(value)
-                        else:
-                            raise SelectorError(
-                                f"operator {name!r}: dynamic outcome {value!r} is not "
-                                f"serializable (only non-negative integer costs are)"
-                            )
-                    flat.append(state.index)
-            add_section("dyn", flat, op=name)
+                for value in outcomes:
+                    if value is UNEVALUATED:
+                        flat.append(_SIG_UNEVALUATED)
+                    elif isinstance(value, int) and value >= 0:
+                        flat.append(value)
+                    else:
+                        raise SelectorError(
+                            f"operator {name!r}: dynamic outcome {value!r} is not "
+                            f"serializable (only non-negative integer costs are)"
+                        )
+                flat.append(state.index)
+        if flat:
+            add_section("dyn" if table.dynamic else "static", flat, op=name)
 
     payload = b"".join(chunks)
     header = {
@@ -254,7 +249,7 @@ def _serialize(automaton: OnDemandAutomaton, fingerprint: str) -> bytes:
         "grammar": automaton.source_grammar.name,
         "start": automaton.source_grammar.start,
         "nonterminals": list(pool.nt_names),
-        "states": size,
+        "states": len(pool),
         "operators": ops_meta,
         "eager": dict(automaton._eager) if automaton._eager is not None else None,
         "sections": sections,
@@ -471,7 +466,7 @@ def _decode_sections(header: dict, payload: bytes) -> dict[tuple[str, str | None
 def _rehydrate(
     automaton: OnDemandAutomaton, header: dict, payload: bytes, path: str | Path
 ) -> None:
-    """Fill a freshly-synced automaton's pool and dict tables from an
+    """Fill a freshly-synced automaton's pool and tables from an
     artifact :func:`_read_artifact` validated.
 
     Any payload that does not rebuild consistently raises
@@ -537,61 +532,42 @@ def _rehydrate(
             raise corrupt(f"a table run at item {pos} overruns its section")
         return tuple(flat[pos + 1 : end]), end
 
+    chain_outcomes = len(automaton._dyn_chain)
     for meta in header["operators"]:
         name = meta["name"]
         table = automaton._table_for(name)
         if meta["nullary"] >= 0:
-            table.nullary = state_at(meta["nullary"])
-        unary = sections.get(("unary", name))
-        if unary is not None:
-            if len(unary) != size:
-                raise corrupt(f"unary vector for {name!r} has {len(unary)} slots, not {size}")
-            for child, idx in enumerate(unary):
-                if idx >= 0:
-                    table.unary[child] = state_at(idx)
-        binary = sections.get(("binary", name))
-        if binary is not None:
-            if len(binary) != size * size:
-                raise corrupt(
-                    f"binary matrix for {name!r} has {len(binary)} slots, "
-                    f"expected {size * size}"
-                )
-            for slot, idx in enumerate(binary):
-                if idx >= 0:
-                    c0, c1 = divmod(slot, size)
-                    row = table.binary.get(c0)
-                    if row is None:
-                        row = table.binary[c0] = {}
-                    row[c1] = state_at(idx)
-        nary = sections.get(("nary", name))
-        if nary is not None:
+            automaton.restore(table, (), (), state_at(meta["nullary"]))
+        for kind in ("static", "dyn"):
+            flat = sections.get((kind, name))
+            if flat is not None and (kind == "dyn") != table.dynamic:
+                raise corrupt(f"{name!r} has {kind} runs, but its table is not {kind}")
             pos = 0
-            while pos < len(nary):
-                key, pos = take(nary, pos)
-                table.nary[key] = state_at(nary[pos])
-                pos += 1
-        dyn = sections.get(("dyn", name))
-        if dyn is not None:
-            chain_outcomes = len(automaton._dyn_chain)
-            pos = 0
-            while pos < len(dyn):
-                kid_ids, pos = take(dyn, pos)
-                values, pos = take(dyn, pos)
-                for kid in kid_ids:
+            while flat is not None and pos < len(flat):
+                key, pos = take(flat, pos)
+                for kid in key:
                     state_at(kid)
-                row = table.dyn.get(kid_ids)
-                if row is None:
-                    row = automaton._dyn_row(table, kid_ids)
-                if len(values) != len(row.candidates) + chain_outcomes:
-                    raise corrupt(
-                        f"a dynamic transition of {name!r} has {len(values)} outcomes, "
-                        f"expected {len(row.candidates) + chain_outcomes}"
+                outcomes: tuple = ()
+                if table.dynamic:
+                    values, pos = take(flat, pos)
+                    expected = len(automaton._entry(table, key).candidates) + chain_outcomes
+                    if len(values) != expected:
+                        raise corrupt(
+                            f"a dynamic transition of {name!r} has {len(values)} outcomes, "
+                            f"expected {expected}"
+                        )
+                    outcomes = tuple(
+                        UNEVALUATED if value == _SIG_UNEVALUATED else value for value in values
                     )
-                outcomes = tuple(
-                    UNEVALUATED if value == _SIG_UNEVALUATED else value for value in values
-                )
-                row[outcomes] = state_at(dyn[pos])
+                automaton.restore(table, key, outcomes, state_at(flat[pos]))
                 pos += 1
+        # Project every state at every position, so the first walk over
+        # the loaded tables reads them without projecting anything.
+        for arity in table.rules_by_arity:
+            slot = automaton._projection(table, arity)
+            for position in range(arity):
+                for state in states:
+                    slot.pid(state, position)
 
 
 # ----------------------------------------------------------------------
@@ -1278,7 +1254,7 @@ class Selector:
         """Serialize the compiled tables to *path* (compiling if needed).
 
         The artifact holds the interned nonterminal/operator id spaces,
-        the state set, and every transition table as dense integer
+        the state set, and every transition table as flat integer
         buffers, keyed by the grammar's fingerprint; see the module docs
         for the format and what ``load`` guarantees.
 

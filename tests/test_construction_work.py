@@ -1,0 +1,109 @@
+"""Construction work is paid once per table entry, and never more than
+the eager build pays.
+
+The paper's claim is a comparison of work: an on-demand automaton runs
+dynamic programming (``rule_checks`` and ``chain_checks``) only when a
+transition is missing from its tables, and pure lookups after that.
+These tests feed one growing corpus — 1, 4, 16 and 64 batches — first
+to an on-demand automaton and then to an eager one, and check the
+counts at each size:
+
+* work grows only where the tables grow: every unit of it files a new
+  entry (``table_misses == transition_count()``), so a batch that adds
+  no entry adds no work;
+* the on-demand work never exceeds ``build_eager``'s own, which
+  constructs every reachable entry once;
+* labeling the corpus again, or on the eager automaton, does no work
+  and never leaves the warm path.
+
+The bench grammars take their own bench generators (``synthetic_forests``
+builds over a synthetic dialect); the ``synthetic_grammar`` seed honors
+``REPRO_CHAOS_SEED`` (default 42), so CI's seed matrix checks a
+different random grammar per seed.
+"""
+
+from __future__ import annotations
+
+import os
+from collections import Counter
+
+import pytest
+
+from repro.bench.workloads import (
+    dynamic_bench_grammar,
+    dynamic_constraint_forests,
+    emit_bench_grammar,
+    random_forests,
+    synthetic_forests,
+    synthetic_grammar,
+)
+from repro.metrics import LabelMetrics
+from repro.selection import OnDemandAutomaton
+
+CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "42"))
+
+SIZES = (1, 4, 16, 64)
+
+CASES = {
+    "emit_bench": (
+        emit_bench_grammar,
+        lambda grammar, seed: random_forests(seed, forests=4, statements=8, max_depth=5),
+    ),
+    "dynamic_bench": (
+        dynamic_bench_grammar,
+        lambda grammar, seed: dynamic_constraint_forests(seed, forests=4, statements=8),
+    ),
+    "synthetic_12x5": (
+        lambda: synthetic_grammar(12, 5, CHAOS_SEED),
+        lambda grammar, seed: synthetic_forests(grammar.operators, seed, 4, 8, 5),
+    ),
+}
+
+
+def _work(metrics: LabelMetrics) -> int:
+    return metrics.rule_checks + metrics.chain_checks
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ondemand_work_follows_the_tables_and_stays_below_the_eager_build(name, monkeypatch):
+    make_grammar, make_batch = CASES[name]
+    grammar = make_grammar()
+    corpus = [make_batch(grammar, seed) for seed in range(SIZES[-1])]
+
+    ondemand = OnDemandAutomaton(grammar)
+    metrics = LabelMetrics()
+    rows = []
+    fed = 0
+    for size in SIZES:
+        for batch in corpus[fed:size]:
+            ondemand.label_many(batch, metrics)
+        fed = size
+        assert metrics.table_misses == ondemand.transition_count(), (name, size)
+        rows.append((metrics.table_misses, metrics.states_created, _work(metrics)))
+    for (misses, _, work), (later_misses, _, later_work) in zip(rows, rows[1:]):
+        assert later_work >= work
+        if later_misses == misses:
+            assert later_work == work, rows
+
+    eager = OnDemandAutomaton(grammar)
+    build = eager.build_eager()
+    assert not build["capped"] and build["skipped"] == []
+    misses, states, work = rows[-1]
+    assert 0 < work <= build["rule_checks"] + build["chain_checks"], (rows, build)
+    assert misses <= build["transitions"] and states <= build["states"]
+
+    # Again, and on the eager tables: every node is a warm read.
+    cold_calls: Counter[bool] = Counter()
+    original = OnDemandAutomaton._entry
+
+    def counted(self, *args, **kwargs):
+        cold_calls[self is eager] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(OnDemandAutomaton, "_entry", counted)
+    for automaton in (ondemand, eager):
+        again = LabelMetrics()
+        for batch in corpus:
+            automaton.label_many(batch, again)
+        assert again.table_misses == _work(again) == again.states_created == 0
+    assert not cold_calls, dict(cold_calls)

@@ -25,6 +25,7 @@ from repro.ir import Forest, Node, NodeBuilder
 from repro.ir.traversal import ready_postorder
 from repro.metrics import LabelMetrics
 from repro.selection import DPLabeler, OnDemandAutomaton, extract_cover, label_dp
+from repro.selection.states import State
 
 
 def _mixed_forests(seed: int) -> list[Forest]:
@@ -245,12 +246,14 @@ def test_eager_is_invalidated_by_grammar_extension():
     assert "eager" not in automaton.stats()  # the build died with the old pool
 
 
-def test_eager_tables_outgrow_ondemand_tables_as_the_grammar_grows():
-    """The paper's table-growth result: an eager build fills tables for
-    every reachable (operator, child states) combination, on-demand
-    labeling only the ones a workload meets, and the gap widens with
-    grammar size (measured 2.8x, 5.6x, 24x, 76x at these four sizes)."""
-    ratios = []
+def test_eager_tables_cover_ondemand_tables_without_the_product_blowup():
+    """An eager build files every reachable (operator, projected child
+    states) entry, on-demand labeling only the ones a workload meets, so
+    the eager tables hold the on-demand ones.  Keyed by projected child
+    states, they do not grow with the product of the state set: at
+    these four sizes they stay within 2x of what one small workload
+    builds, where tables keyed by child-state tuples would be 2.8x,
+    5.6x, 24x and 76x larger."""
     for n_ops, n_nts in [(4, 2), (8, 3), (16, 5), (24, 6)]:
         grammar = synthetic_grammar(n_ops, n_nts, seed=42)
         forests = synthetic_forests(grammar.operators, 42 + n_ops, 4, 8, 5)
@@ -264,9 +267,9 @@ def test_eager_tables_outgrow_ondemand_tables_as_the_grammar_grows():
         contact = LabelMetrics()
         eager.label_many(forests, contact)
         assert contact.table_misses == 0, (n_ops, n_nts)
-        assert ondemand_transitions < build["transitions"], (n_ops, n_nts)
-        ratios.append(build["transitions"] / ondemand_transitions)
-    assert all(small < large for small, large in zip(ratios, ratios[1:])), ratios
+        assert ondemand_transitions <= build["transitions"], (n_ops, n_nts)
+        assert build["transitions"] <= 2 * ondemand_transitions, (n_ops, n_nts)
+        assert eager.stats()["transitions"] == build["transitions"], (n_ops, n_nts)
 
 
 # ----------------------------------------------------------------------
@@ -278,10 +281,13 @@ def test_dynamic_grammar_routes_static_ops_through_integer_tables():
     automaton = OnDemandAutomaton(grammar)
     forests = dynamic_constraint_forests(17, forests=3, statements=8, max_depth=5)
     automaton.label_many(forests)
-    tables = automaton._tables
-    # ADD carries a constraint rule: all its transitions live in its dynamic table.
-    assert len(tables["ADD"].dyn) > 0
-    assert sum(len(row) for row in tables["ADD"].binary.values()) == 0
-    # SUB has no dynamic rules: it must stay on the integer fast path.
-    assert sum(len(row) for row in tables["SUB"].binary.values()) > 0
-    assert len(tables["SUB"].dyn) == 0
+    add, sub = automaton._tables["ADD"], automaton._tables["SUB"]
+    # ADD carries a constraint rule: every entry of its table is a
+    # candidate row that holds the states by outcomes.
+    assert add.dynamic
+    assert add.slots[2].entries()
+    assert all(isinstance(row, dict) for _, row in add.slots[2].entries())
+    # SUB has no dynamic rules: its table holds the states themselves.
+    assert not sub.dynamic
+    assert sub.slots[2].entries()
+    assert all(isinstance(state, State) for _, state in sub.slots[2].entries())

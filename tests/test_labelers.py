@@ -32,7 +32,7 @@ from repro.selection import (
     label_dp,
 )
 from repro.selection.resilience import DEADLINE_CHECK_EVERY
-from repro.selection.states import state_signature
+from repro.selection.states import State, state_signature
 
 
 def test_dp_and_automaton_produce_equal_cover_costs(demo_grammar, benchmark_forests):
@@ -761,16 +761,23 @@ def test_constraint_reading_a_constant_operand_never_faults(mode):
 
 
 def test_static_grammar_never_reaches_the_dynamic_tail(monkeypatch):
-    """A static grammar labels through the integer tables alone: no
-    dynamic table, row or candidate is ever built."""
+    """A static grammar labels through the static tables alone: no
+    dynamic row or candidate is ever built, and every table entry is a
+    state."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("static grammar reached the dynamic tail")
 
-    for method in ("_dyn_row", "_dyn_state", "_chain_state"):
+    for method in ("_new_row", "_dyn_state", "_chain_state"):
         monkeypatch.setattr(OnDemandAutomaton, method, forbidden)
     automaton = OnDemandAutomaton(bench_grammar())
     automaton.label_many(dag_heavy_forests(95, forests=4, statements=6, shared=4))
     automaton.build_eager()
-    assert not any(table.dynamic for table in automaton._tables.values())
-    assert all(not table.dyn for table in automaton._tables.values())
+    tables = automaton._tables.values()
+    assert not any(table.dynamic or table.side for table in tables)
+    assert all(
+        isinstance(entry, State)
+        for table in tables
+        for slot in table.slots
+        for _, entry in slot.entries()
+    )

@@ -1,14 +1,16 @@
 """Projected transitions (BURS index maps) build the states full keys build.
 
-A table miss projects each child state onto the nonterminals the
-operator's rules use at its operand position, renormalized, and looks
-the tuple of projected ids up before it constructs anything (Chase,
-POPL 1987; Proebsting, TOPLAS 1995).  These tests check that the
-projected lookup is exact: on every ``(operator, arity, state tuple)``
-of a full eager build, and on every constraint outcome a dynamic key
-leaves open, it returns the state that dynamic programming builds from
-the full key.  A saturating sum is the one place a renormalized cost
-could change a state, so a key near INFINITE must be built in full.
+The automaton's transition tables are keyed by projected child states:
+each child state is projected onto the nonterminals the operator's
+rules use at its operand position, renormalized, and interned to a
+projected id (Chase, POPL 1987; Proebsting, TOPLAS 1995).  These tests
+check that the projected tables are exact: on every ``(operator,
+arity, state tuple)`` of a full eager build, and on every constraint
+outcome a dynamic key leaves open, the lookup returns the state that
+dynamic programming builds from the full key.  A saturating sum is the
+one place a renormalized cost could change a state, so a key near
+INFINITE goes to the side table and is built in full.  The eager
+tables then hold one entry per projected key, not one per state tuple.
 
 The ``synthetic_grammar`` seed honors ``REPRO_CHAOS_SEED`` (default 42),
 so CI's seed matrix checks a different random grammar per seed.
@@ -21,6 +23,7 @@ import os
 
 import pytest
 
+from repro.analysis.completeness import verify_completeness
 from repro.bench import EmitContext
 from repro.bench.workloads import (
     dynamic_bench_grammar,
@@ -64,12 +67,12 @@ def test_projected_lookup_returns_the_full_key_state(name):
                 full = tuple(state.cost_vec for state in kid_states)
                 where = (op_name, key)
                 if not table.dynamic:
-                    got = automaton._transition(table, key, metrics)
-                    want = automaton._construct_state(table, arity, full, None, metrics)
+                    got = automaton._entry(table, key, metrics)
+                    want = automaton._construct_state(table, full, None, metrics)
                     assert got.signature == want.signature, where
                     checked += 1
                     continue
-                row = automaton._dyn_row(table, key, metrics)
+                row = automaton._entry(table, key, metrics)
                 assert row.candidates == tuple(
                     rule
                     for rule, kid_ids, _ in table.dyn_by_arity[arity]
@@ -78,32 +81,53 @@ def test_projected_lookup_returns_the_full_key_state(name):
                 assert all(rule.constraint is not None for rule in row.candidates)
                 space = [(rule.cost, INFINITE) for rule in row.candidates]
                 for outcomes in itertools.product(*space):
-                    got = automaton._dyn_state(table, key, row, outcomes, None, metrics)
+                    got = row.get(outcomes)
+                    assert got is not None, (where, outcomes)
                     dyn_costs = automaton._dyn_costs(row, outcomes)
-                    want = automaton._construct_state(table, arity, full, dyn_costs, metrics)
+                    want = automaton._construct_state(table, full, dyn_costs, metrics)
                     assert got.signature == want.signature, (where, outcomes)
                     checked += 1
     assert checked >= len(states) ** 2
     assert len(automaton.pool) == len(states)
+    # Every lookup was a hit: the build had filed every entry.
+    assert metrics.table_misses == 0 and metrics.states_created == 0
 
 
 @pytest.mark.parametrize(
     ("build", "per_full_key", "size"),
     [
-        (emit_bench_grammar, (3_998, 7_098), (18, 2_342)),
-        (lambda: synthetic_grammar(30, 10), (23_504, 566_577), (34, 23_496)),
+        (emit_bench_grammar, (3_998, 7_098), (18, 49)),
+        (lambda: synthetic_grammar(30, 10), (23_504, 566_577), (34, 104)),
     ],
     ids=["emit_bench", "synthetic_30x10"],
 )
 def test_eager_build_constructs_once_per_projected_key(build, per_full_key, size):
-    """The eager build fills the same full tables, but constructs a state
-    only per projected key: at most a tenth of the rule and chain checks
-    that one construction per full key costs (the figures given)."""
+    """The eager build reaches the states a full-key build reaches (18
+    and 34) but files and constructs one entry per projected key: 49
+    and 104 transitions where full keys needed 2,342 and 23,496, and at
+    most a tenth of the rule and chain checks that one construction per
+    full key costs (the figures given)."""
     stats = OnDemandAutomaton(build()).build_eager()
     assert (stats["states"], stats["transitions"]) == size
     rule_checks, chain_checks = per_full_key
     assert stats["rule_checks"] * 10 <= rule_checks
     assert stats["chain_checks"] * 10 <= chain_checks
+
+
+def test_eager_tables_stay_small_and_verify_keeps_its_verdict():
+    """``synthetic_grammar(60, 20)`` (seed 0): the eager build reaches
+    the 64 states a full-key build reaches, in at most 1% of the 165,186
+    transitions a full-key table holds, and ``verify_completeness``,
+    which walks the same tables, still finds the grammar incomplete with
+    a 4-node counterexample."""
+    grammar = synthetic_grammar(60, 20, 0)
+    stats = OnDemandAutomaton(grammar).build_eager()
+    assert stats["states"] == 64
+    assert stats["transitions"] * 100 <= 165_186
+    report = verify_completeness(grammar)
+    assert not report.complete and not report.capped
+    assert report.counterexample.size() == 4
+    assert report.value_states == 63
 
 
 #: ``big`` is derivable only through a rule whose dynamic cost is two
@@ -151,6 +175,12 @@ def test_a_sum_that_saturates_on_the_full_key_is_built_from_it():
     forests = _saturating_batch()
     automaton = OnDemandAutomaton(grammar)
     labeling = automaton.label_many(forests)
+    # The outcome INFINITE - 2 is over every projected row's slack, so
+    # the side table holds NEG's keys by their full child states,
+    # NEG(CNST) among them.
+    [neg_cnst] = forests[1].roots[0].kids
+    side = automaton._tables["NEG"].side
+    assert (labeling.state_of(neg_cnst.kids[0]).index,) in side
     dp = DPLabeler(grammar).label_many(forests)
     for forest in forests:
         for node in forest.nodes():
@@ -164,3 +194,42 @@ def test_a_sum_that_saturates_on_the_full_key_is_built_from_it():
     values = ondemand[0]
     assert len(values[0]) == 1 and len(values[2]) == 2
     assert values[1] == ("reduce", "CoverError")
+
+
+#: A constraint rule whose cost, 9,000,000, is over every projected row's
+#: slack (about half of what lies below INFINITE): its outcomes are filed
+#: per full key in the side table, even by the eager build.
+HUGE_CONSTRAINT_GRAMMAR = """
+%grammar hugecon
+%start stmt
+stmt: EXPR(reg)  (0)
+reg:  REG        (0)
+reg:  CNST       (2)
+reg:  NEG(reg)   (3)
+reg:  NEG(reg)   (9000000) @constraint(odd)
+"""
+
+
+def _odd(node):
+    return node.kids[0].value is not None and node.kids[0].value % 2 == 1
+
+
+def test_outcomes_over_the_slack_are_filed_per_full_key():
+    grammar = parse_grammar(HUGE_CONSTRAINT_GRAMMAR, bindings={"odd": _odd})
+    b = NodeBuilder()
+    forests = [
+        Forest([b.expr(b.neg(b.reg(i))), b.expr(b.neg(b.neg(b.cnst(i))))]) for i in range(4)
+    ]
+    automaton = OnDemandAutomaton(grammar)
+    automaton.build_eager()
+    assert automaton._tables["NEG"].side
+    contact = LabelMetrics()
+    labeling = automaton.label_many(forests, contact)
+    assert contact.table_misses == 0
+    dp = DPLabeler(grammar).label_many(forests)
+    for forest in forests:
+        for node in forest.nodes():
+            costs = {nt: dp.cost_of(node, nt) for nt in grammar.nonterminals}
+            rules = {nt: dp.rule_for(node, nt) for nt in grammar.nonterminals}
+            expected = state_signature(normalize_costs(costs), rules)
+            assert labeling.state_of(node).signature == expected, node

@@ -194,7 +194,7 @@ def test_save_load_constraint_grammar_signatures(tmp_path):
 
 
 def test_eager_constraint_tables_cover_the_pool_and_survive_a_round_trip(tmp_path):
-    """An eager build enumerates the dynamic table: one row per child-state
+    """An eager build enumerates the dynamic tables: one row per projected
     key, one state per outcome of the rules the key leaves open.  A
     dynamic-constraint pool then labels with zero misses, before and
     after a save/load round trip that keeps every transition."""
@@ -202,9 +202,15 @@ def test_eager_constraint_tables_cover_the_pool_and_survive_a_round_trip(tmp_pat
     automaton = compiled.engine
     build = automaton.stats()["eager"]
     assert build["skipped"] == [] and not build["capped"]
-    for table in automaton._tables.values():
-        for row in table.dyn.values():
-            assert len(row) == 2 ** len(row.candidates)
+    rows = [
+        row
+        for table in automaton._tables.values()
+        if table.dynamic
+        for slot in table.slots
+        for _, row in slot.entries()
+    ]
+    assert rows and all(len(row) == 2 ** len(row.candidates) for row in rows)
+    assert not any(table.side for table in automaton._tables.values())
     forests = dynamic_constraint_forests(21, forests=64, statements=10)
     contact = LabelMetrics()
     compiled.label_many(forests, contact)
@@ -293,30 +299,38 @@ def test_load_rejects_old_format_and_mismatched_dynamic_outcomes(tmp_path):
         Selector.load(old, grammar)
 
     compiled = Selector(dynamic_bench_grammar(), mode="eager")
-    row = next(row for row in compiled.engine._tables["ADD"].dyn.values() if row.candidates)
+    slot = compiled.engine._tables["ADD"].slots[2]
+    row = next(row for _, row in slot.entries() if row.candidates)
     row[(0,) * (len(row.candidates) + 1)] = next(iter(row.values()))
     bad = compiled.save(tmp_path / "bad.rsel")
     with pytest.raises(ArtifactCorruptError, match="outcomes"):
         Selector.load(bad, dynamic_bench_grammar())
 
 
-def test_format_2_header_with_a_certified_field_still_loads(tmp_path):
-    """Format-2 writers once stamped an optional ``certified`` field in
-    the header; this build writes none and ignores it on load."""
+def test_format_2_artifact_is_refused(tmp_path):
+    """Format 2 wrote one transition per tuple of child states (dense
+    unary and binary matrices); format 3 writes one per projected key.
+    This build refuses a format-2 artifact with the typed corruption
+    error, and leaves its bytes as they were."""
     grammar = bench_grammar()
     path = Selector(grammar, mode="eager").save(tmp_path / "bench.rsel")
-    assert "certified" not in read_artifact_header(path)
+    assert read_artifact_header(path)["format"] == 3
+    assert {section["kind"] for section in read_artifact_header(path)["sections"]} == {
+        "state_lens",
+        "state_triples",
+        "static",
+    }
 
-    def stamped(header):
-        header["certified"] = True
+    def format_2(header):
+        header["format"] = 2
         return header
 
-    old = tmp_path / "stamped.rsel"
-    old.write_bytes(_reframed(path.read_bytes(), stamped))
-    loaded = Selector.load(old, grammar)
-    assert "certified" not in loaded.stats()["tables"]["eager"]
-    [forest] = random_forests(2, forests=1, statements=4, max_depth=4)
-    assert loaded.select(forest).values == Selector(grammar).select(forest).values
+    old = tmp_path / "old.rsel"
+    old.write_bytes(_reframed(path.read_bytes(), format_2))
+    before = old.read_bytes()
+    with pytest.raises(ArtifactCorruptError, match="unsupported artifact format 2"):
+        Selector.load(old, grammar)
+    assert old.read_bytes() == before
 
 
 def test_load_rejects_mismatched_and_stale_grammars(tmp_path):
@@ -489,8 +503,8 @@ def test_arity3_operators_roundtrip_nary_tables(tmp_path):
 #: AOT format's compatibility contract: any change here must bump
 #: ``_FORMAT_VERSION``.
 PINNED_PAYLOAD_SHA256 = {
-    "bench_grammar": "5b563f55db1577453255bbbfb299dc50925e404b5c05ea8e556ba7ae61dcc3b5",
-    "dynamic_bench_grammar": "2b6ad5a5ee5730538894d1f36d050b1ec443bacf3dc7a00c03cbba5ff4a104e9",
+    "bench_grammar": "07aeae7beef17c58b318c294403f8d6c8bd069e5f1f84fe9dc2e05ad3245e845",
+    "dynamic_bench_grammar": "7924bdcfd3016a8b1c05cd6abf8e2bd411cdba45270304cc2e196bb4ed4c2e03",
 }
 
 
@@ -542,6 +556,22 @@ def test_mode_reads_ondemand_as_soon_as_the_grammar_moves_past_the_tables(tmp_pa
         assert selector.stats()["mode"] == "ondemand"
 
 
+def test_tables_describe_what_the_next_call_uses_once_the_grammar_moves(tmp_path):
+    """After a grammar extension ``stats()["tables"]`` drops the compiled
+    or loaded tables at once, as ``mode`` does: no ``eager`` entry, and
+    no transitions until the next call builds some."""
+    compiled_grammar, loaded_grammar = bench_grammar(), bench_grammar()
+    compiled = Selector(compiled_grammar, mode="eager")
+    artifact = compiled.save(tmp_path / "bench.rsel")
+    loaded = Selector.load(artifact, loaded_grammar)
+    for selector, grammar in ((compiled, compiled_grammar), (loaded, loaded_grammar)):
+        assert selector.stats()["tables"]["transitions"] > 0
+        grammar.op_rule("reg", "LOAD", ["addr"], 0)
+        tables = selector.stats()["tables"]
+        assert "eager" not in tables
+        assert tables["transitions"] == 0
+
+
 def test_saved_artifact_loads_faster_than_an_eager_build(tmp_path, monkeypatch):
     """A deploy step saves the eager tables once, and a server loading
     them skips the eager build with no behaviour change.
@@ -550,7 +580,7 @@ def test_saved_artifact_loads_faster_than_an_eager_build(tmp_path, monkeypatch):
     constructs states and checks rules, while the load, and every
     selection on the loaded tables, does neither."""
     work: Counter[str] = Counter()
-    for name in ("_construct_state", "_base_costs", "_dyn_row"):
+    for name in ("_construct_state", "_base_costs", "_new_row"):
         original = getattr(OnDemandAutomaton, name)
 
         def counted(self, *args, _name=name, _original=original, **kwargs):
