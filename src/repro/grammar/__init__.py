@@ -6,7 +6,7 @@ from repro.grammar.analysis import (
     uncovered_operators,
 )
 from repro.grammar.closure import chain_closure, chain_cost_matrix
-from repro.grammar.costs import INFINITE, add_costs, is_finite, normalize_costs
+from repro.grammar.costs import INFINITE, is_finite, normalize_costs
 from repro.grammar.grammar import Grammar, GrammarStats
 from repro.grammar.normalize import NormalizationResult, normalize
 from repro.grammar.parser import parse_grammar
@@ -20,7 +20,6 @@ __all__ = [
     "NormalizationResult",
     "Pattern",
     "Rule",
-    "add_costs",
     "chain_closure",
     "chain_cost_matrix",
     "is_finite",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.grammar.costs import INFINITE, add_costs
+from repro.grammar.costs import INFINITE
 from repro.grammar.grammar import Grammar
 from repro.grammar.rule import Rule
 
@@ -56,7 +56,7 @@ def chain_closure(
             cost = rule_cost(rule)
             if cost >= INFINITE:
                 continue
-            total = add_costs(source_cost, cost)
+            total = source_cost + cost
             if total < costs.get(rule.lhs, INFINITE):
                 costs[rule.lhs] = total
                 rules[rule.lhs] = rule

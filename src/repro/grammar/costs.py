@@ -1,24 +1,26 @@
 """Cost arithmetic for tree-grammar rules.
 
-Costs are small non-negative integers; :data:`INFINITE` is a saturating
-"cannot match" value, large enough that no realistic sum of rule costs
-reaches it but small enough that additions never overflow into
-unrepresentable territory.  Dynamic costs (lburg-style) are callables
-evaluated per IR node at instruction-selection time; they return either
-a regular cost or :data:`INFINITE` to signal that the rule does not
-apply to this node.
+Costs are non-negative Python integers, so every finite sum is exact
+however large it grows; :data:`INFINITE` is the absorbing "cannot
+match" value (``math.inf``): ``INFINITE + cost`` is ``INFINITE`` and
+compares above every finite cost.  Dynamic costs (lburg-style) are
+callables evaluated per IR node at instruction-selection time; they
+return either a regular cost — any non-negative integer, however large
+— or :data:`INFINITE` to signal that the rule does not apply to this
+node.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from repro.ir.node import Node
 
-__all__ = ["INFINITE", "is_finite", "add_costs", "DynamicCost", "normalize_costs"]
+__all__ = ["INFINITE", "is_finite", "DynamicCost", "normalize_costs"]
 
-#: Saturating "rule does not apply" cost.
-INFINITE = 1 << 24
+#: Absorbing "rule does not apply" cost.
+INFINITE = math.inf
 
 #: Type of an lburg-style dynamic cost function.
 DynamicCost = Callable[[Node], int]
@@ -27,12 +29,6 @@ DynamicCost = Callable[[Node], int]
 def is_finite(cost: int) -> bool:
     """True if *cost* represents an applicable rule."""
     return cost < INFINITE
-
-
-def add_costs(a: int, b: int) -> int:
-    """Saturating cost addition."""
-    total = a + b
-    return total if total < INFINITE else INFINITE
 
 
 def normalize_costs(costs: dict[str, int]) -> dict[str, int]:

@@ -98,7 +98,7 @@ from typing import Any, Callable, Iterable
 
 from repro.errors import CoverError
 from repro.grammar.closure import chain_closure
-from repro.grammar.costs import INFINITE, add_costs, is_finite
+from repro.grammar.costs import INFINITE, is_finite
 from repro.grammar.grammar import Grammar
 from repro.grammar.normalize import normalize
 from repro.grammar.rule import Rule
@@ -138,42 +138,26 @@ class _DynRow(dict):
     still derive, and ``evals`` their bound ``cost_at`` methods, which
     the walk calls per node.  A key is the tuple of their outcomes
     (followed, under dynamic chain rules, by the chain outcomes); no
-    candidates means the one key ``()``.  ``kids`` are the child cost
-    lists a construction at the row reads (projected, or a side row's
-    full child states), and ``slack`` bounds the outcomes it may hold
-    (see :meth:`fits`).  Under dynamic chain rules ``derivable``
-    memoizes, per candidate outcome tuple, the nonterminals derivable
-    before the chain rules and the base (costs, rules) pair — the
-    cached dicts must not be mutated.
+    candidates means the one key ``()``.  ``kids`` are the projected
+    child cost lists a construction at the row reads.  Under dynamic
+    chain rules ``derivable`` memoizes, per candidate outcome tuple, the
+    nonterminals derivable before the chain rules and the base (costs,
+    rules) pair — the cached dicts must not be mutated.
     """
 
-    __slots__ = ("candidates", "evals", "kids", "slack", "derivable")
+    __slots__ = ("candidates", "evals", "kids", "derivable")
 
     def __init__(
         self,
         candidates: tuple[Rule, ...],
         evals: tuple[Callable[[Node], int], ...],
         kids: tuple[list[int], ...],
-        slack: int | None,
     ) -> None:
         super().__init__()
         self.candidates = candidates
         self.evals = evals
         self.kids = kids
-        self.slack = slack
         self.derivable: dict[tuple, tuple[frozenset[str], dict[str, int], dict[str, Rule]]] = {}
-
-    def fits(self, outcomes: tuple) -> bool:
-        """True when a construction from :attr:`kids` at *outcomes* builds
-        the state of every full key the row stands for: its positive
-        finite outcomes sum to at most :attr:`slack`."""
-        if self.slack is None:
-            return True
-        total = 0
-        for cost in outcomes:
-            if cost is not None and 0 < cost < INFINITE:
-                total += cost
-        return total <= self.slack
 
 
 class _Projection:
@@ -189,42 +173,31 @@ class _Projection:
     slot's transitions are a function of the child's costs at ``used``,
     renormalized to a finite minimum of 0, interned to a projected id.
 
-    ``ids[position]`` is the index map from state index to projected id
-    (``None`` until first projected, -1 for none, see below), and
-    ``vectors[position][projected id]`` the cost list construction
-    reads.  ``table`` holds the transitions — a static operator's
-    states, a dynamic operator's :class:`_DynRow` rows — keyed by the
-    projected ids one dict level per position (so the walk builds no
-    key tuple), or by ``()`` at arity 0.
+    Costs add exactly, so the shift lowers every rule total and closure
+    cost of a construction alike: the projected key builds the state
+    the full key builds.
 
-    A projection lowers every rule total and closure cost alike, so it
-    builds the full key's state unless a full-key sum saturates at
-    INFINITE where the projected one does not.  *top* (the constructor's
-    argument) bounds what the slot adds to its kids' costs: its largest
-    static rule cost plus every chain rule's, summed.  A child whose largest finite cost at
-    the used ids exceeds ``cap`` gets no projected id, so every full key
-    a projected key stands for sums below ``top + arity * cap``, and
-    ``slack`` is what that leaves below INFINITE for a row's outcomes.
-    Keys with no projected id, and outcomes over the slack, go to the
-    operator's side table (:attr:`_OpTable.side`).
+    ``ids[position]`` is the index map from state index to projected id
+    (``None`` until first projected), and ``vectors[position][projected
+    id]`` the cost list construction reads.  ``table`` holds the
+    transitions — a static operator's states, a dynamic operator's
+    :class:`_DynRow` rows — keyed by the projected ids one dict level
+    per position (so the walk builds no key tuple), or by ``()`` at
+    arity 0.
     """
 
-    __slots__ = ("used", "cap", "slack", "ids", "interned", "vectors", "table")
+    __slots__ = ("used", "ids", "interned", "vectors", "table")
 
-    def __init__(self, used: tuple[tuple[int, ...], ...], top: int) -> None:
-        arity = len(used)
+    def __init__(self, used: tuple[tuple[int, ...], ...]) -> None:
         self.used = used
-        # Half of what lies below INFINITE goes to the kids, half to outcomes.
-        self.cap = (INFINITE - 1 - top) // (2 * arity) if arity else 0
-        self.slack = INFINITE - 1 - top - arity * self.cap
         self.ids: tuple[list[int | None], ...] = tuple([] for _ in used)
         self.interned: list[dict[tuple[int, ...], int]] = [{} for _ in used]
         self.vectors: list[list[list[int]]] = [[] for _ in used]
         self.table: dict = {}
 
     def pid(self, state: State, position: int) -> int:
-        """*state*'s projected id at *position*, -1 for none; projected
-        and filed in the index map on first use."""
+        """*state*'s projected id at *position*, projected and filed in
+        the index map on first use."""
         ids = self.ids[position]
         index = state.index
         if index < len(ids):
@@ -235,11 +208,7 @@ class _Projection:
             ids.extend([None] * (index + 1 - len(ids)))
         used = self.used[position]
         costs = [state.cost_at(nt_id) for nt_id in used]
-        finite = [cost for cost in costs if cost < INFINITE]
-        if max(finite, default=0) > self.cap:
-            ids[index] = -1
-            return -1
-        low = min(finite, default=0)
+        low = min([cost for cost in costs if cost < INFINITE], default=0)
         shifted = tuple(cost - low if cost < INFINITE else INFINITE for cost in costs)
         interned = self.interned[position]
         pid = interned.get(shifted)
@@ -253,21 +222,17 @@ class _Projection:
         ids[index] = pid
         return pid
 
-    def project(self, key: tuple[int, ...], states: list[State]) -> tuple[int, ...] | None:
-        """The projected key of child-state ids *key*, or None when a
-        child has no projected id."""
-        pkey = tuple([self.pid(states[index], position) for position, index in enumerate(key)])
-        return None if -1 in pkey else pkey
+    def project(self, key: tuple[int, ...], states: list[State]) -> tuple[int, ...]:
+        """The projected key of child-state ids *key*."""
+        return tuple([self.pid(states[index], position) for position, index in enumerate(key)])
 
     def groups(self, states: Iterable[State]) -> list[dict[int, list[int]]]:
         """Per position, the indices of *states* grouped by projected id
-        there (a state with none is a group of its own, under -1 minus
-        its index), in the order *states* gives them."""
+        there, in the order *states* gives them."""
         groups: list[dict[int, list[int]]] = [{} for _ in self.used]
         for state in states:
             for position, by_pid in enumerate(groups):
-                pid = self.pid(state, position)
-                by_pid.setdefault(pid if pid >= 0 else -1 - state.index, []).append(state.index)
+                by_pid.setdefault(self.pid(state, position), []).append(state.index)
         return groups
 
     def get(self, pkey: tuple[int, ...]) -> Any:
@@ -309,16 +274,9 @@ class _OpTable:
     with one attribute read; a dynamic operator leaves it ``None``.
     ``dyn_by_arity`` holds the dynamic rules with their kid nonterminal
     ids and bound ``cost_at``.
-
-    ``side`` is the saturation side table, the one table keyed by full
-    child-state ids: a :class:`_DynRow` built from the full child states
-    for each key a projection cannot stand for (a child without a
-    projected id, or outcomes over a row's slack), holding its states by
-    outcomes (``()`` for a static operator).  Realistic grammars never
-    fill it.
     """
 
-    __slots__ = ("op_id", "dynamic", "rules_by_arity", "dyn_by_arity", "nullary", "slots", "side")
+    __slots__ = ("op_id", "dynamic", "rules_by_arity", "dyn_by_arity", "nullary", "slots")
 
     def __init__(self, op_id: int) -> None:
         self.op_id = op_id
@@ -329,12 +287,11 @@ class _OpTable:
         ] = {}
         self.nullary: State | None = None
         self.slots: list[_Projection] = []
-        self.side: dict[tuple[int, ...], _DynRow] = {}
 
     def transition_count(self) -> int:
         """Number of transitions filed in this operator's tables: one per
         projected key of a static slot, one per outcome tuple of a row."""
-        total = sum(len(row) for row in self.side.values())
+        total = 0
         for slot in self.slots:
             for _, entry in slot.entries():
                 total += len(entry) if self.dynamic else 1
@@ -443,9 +400,6 @@ class OnDemandAutomaton:
         self._helper_nts: frozenset[str] = frozenset()
         self._dyn_chain: list[Rule] = []
         self._unreached_chain_half: tuple[None, ...] = ()
-        #: Every chain rule's static cost (negatives as 0), summed: what a
-        #: chain closure can add to a finite cost, before dynamic outcomes.
-        self._chain_span = 0
         self._static_reach_cache: dict[str, frozenset[str]] = {}
         self._eager: dict[str, object] | None = None
         #: Derivation fragments, one table per context kind (index 1:
@@ -467,9 +421,7 @@ class OnDemandAutomaton:
         self.pool = StatePool(self.grammar.nonterminals)
         self._op_ids = self.grammar.operator_ids()
         self._tables = {name: self._build_table(name, op_id) for name, op_id in self._op_ids.items()}
-        chain_rules = self.grammar.chain_rules()
-        self._dyn_chain = [rule for rule in chain_rules if rule.is_dynamic]
-        self._chain_span = sum(max(rule.cost, 0) for rule in chain_rules)
+        self._dyn_chain = [rule for rule in self.grammar.chain_rules() if rule.is_dynamic]
         # A dynamic chain rule makes every transition node-dependent.
         for table in self._tables.values():
             table.dynamic = bool(self._dyn_chain or table.dyn_by_arity)
@@ -818,7 +770,8 @@ class OnDemandAutomaton:
                             entry = entry[ids[node_states[kid].index]]
                     except LookupError:
                         table = self._table_for(node.op.name)
-                        entry = self._entry(table, self._key(node, node_states), metrics)
+                        key = tuple([node_states[kid].index for kid in kids])
+                        entry = self._entry(table, key, metrics)
                     if not table.dynamic:
                         node_states[node] = entry
                         edges += arity
@@ -836,14 +789,11 @@ class OnDemandAutomaton:
                         evals_run += len(evals)
                         outcomes = tuple([evaluate(node) for evaluate in evals])
                     if dyn_chain:
-                        state = self._chain_state(
-                            table, entry, outcomes, node, node_states, metrics
-                        )
+                        state = self._chain_state(table, entry, outcomes, node, metrics)
                     else:
                         state = entry.get(outcomes)
                         if state is None:
-                            key = self._key(node, node_states)
-                            state = self._dyn_state(table, key, entry, outcomes, metrics)
+                            state = self._dyn_state(table, entry, outcomes, metrics)
                 except Exception as exc:
                     # Zero-cost on the happy path (3.11+): a raising
                     # callable gets the faulting IR node attached for
@@ -869,8 +819,7 @@ class OnDemandAutomaton:
                 tuple(sorted({kid_ids[position] for _, _, _, kid_ids in entries}))
                 for position in range(len(slots))
             )
-            high = max((max(cost, 0) for _, _, cost, _ in entries), default=0)
-            slots.append(_Projection(used, high + self._chain_span))
+            slots.append(_Projection(used))
         return slots[arity]
 
     def _entry(
@@ -878,21 +827,16 @@ class OnDemandAutomaton:
     ) -> Any:
         """*table*'s entry at child-state ids *key* — a static operator's
         state, a dynamic operator's :class:`_DynRow` — read at the
-        projected key, or in the side table when a child has none.  What
-        is missing is built: a static state from the projected child
-        costs (one table miss), a row's candidates once per key."""
+        projected key.  What is missing is built: a static state from the
+        projected child costs (one table miss), a row's candidates once
+        per key."""
         slot = self._projection(table, len(key))
         pkey = slot.project(key, self.pool.states)
-        if pkey is None:
-            row = self._side_row(table, key, metrics)
-            if table.dynamic:
-                return row
-            return row.get(()) or self._dyn_state(table, key, row, (), metrics)
         entry = slot.get(pkey)
         if entry is None:
             kids = slot.kids(pkey)
             if table.dynamic:
-                entry = self._new_row(table, kids, slot.slack, metrics)
+                entry = self._new_row(table, kids, metrics)
             else:
                 metrics.table_misses += 1
                 entry = self._construct_state(table, kids, None, metrics)
@@ -901,23 +845,8 @@ class OnDemandAutomaton:
             slot.put(pkey, entry)
         return entry
 
-    def _side_row(
-        self, table: _OpTable, key: tuple[int, ...], metrics: LabelMetrics = _NULL_METRICS
-    ) -> _DynRow:
-        """The side table's row at full key *key*, made on first use from
-        the full child states."""
-        row = table.side.get(key)
-        if row is None:
-            kids = tuple(self.pool.states[index].cost_vec for index in key)
-            row = table.side[key] = self._new_row(table, kids, None, metrics)
-        return row
-
     def _new_row(
-        self,
-        table: _OpTable,
-        kids: tuple[list[int], ...],
-        slack: int | None,
-        metrics: LabelMetrics,
+        self, table: _OpTable, kids: tuple[list[int], ...], metrics: LabelMetrics
     ) -> _DynRow:
         """A row over child cost lists *kids*: its candidates are the
         operator's dynamic rules whose every operand nonterminal has a
@@ -938,7 +867,6 @@ class OnDemandAutomaton:
             tuple(rule for rule, _ in open_entries),
             tuple(evaluate for _, evaluate in open_entries),
             kids,
-            slack,
         )
 
     def restore(
@@ -947,22 +875,13 @@ class OnDemandAutomaton:
         """File *state* at child-state ids *key* (and, in a dynamic table,
         *outcomes*) where the walk will read it, constructing nothing:
         how a loaded artifact's entries are rehydrated."""
+        if table.dynamic:
+            self._entry(table, key)[outcomes] = state
+            return
         slot = self._projection(table, len(key))
-        pkey = slot.project(key, self.pool.states)
-        if table.dynamic or pkey is None:
-            row = self._entry(table, key) if table.dynamic else self._side_row(table, key)
-            if not row.fits(outcomes):
-                row = self._side_row(table, key)
-            row[outcomes] = state
-        else:
-            slot.put(pkey, state)
-            if not key:
-                table.nullary = state
-
-    @staticmethod
-    def _key(node: Node, node_states: dict[Node, State]) -> tuple[int, ...]:
-        """*node*'s full key: its kids' state indices."""
-        return tuple([node_states[kid].index for kid in node.kids])
+        slot.put(slot.project(key, self.pool.states), state)
+        if not key:
+            table.nullary = state
 
     @staticmethod
     def _dyn_costs(row: _DynRow, outcomes: tuple) -> dict[int, int]:
@@ -974,26 +893,16 @@ class OnDemandAutomaton:
     def _dyn_state(
         self,
         table: _OpTable,
-        key: tuple[int, ...],
         row: _DynRow,
         outcomes: tuple,
         metrics: LabelMetrics,
         chain_costs: dict[int, int] | None = None,
         base_pair: tuple[dict[str, int], dict[str, Rule]] | None = None,
     ) -> State:
-        """A row's miss: the state at *outcomes* (the candidates' costs,
-        then any dynamic chain outcomes).  Outcomes the row cannot hold
-        (see :meth:`_DynRow.fits`) resolve in the side row of full key
-        *key* instead.  A miss there too constructs the state from the
-        row's kids and files it (one table miss).  A *base_pair* (from
-        :meth:`_chain_state`) was built from *row*'s kids, so it is
-        dropped when the state moves to the side row."""
-        if not row.fits(outcomes):
-            row = self._side_row(table, key, metrics)
-            base_pair = None
-            state = row.get(outcomes)
-            if state is not None:
-                return state
+        """A row's miss: construct the state at *outcomes* (the
+        candidates' costs, then any dynamic chain outcomes) from the
+        row's kids and file it (one table miss).  A *base_pair* (from
+        :meth:`_chain_state`) saves the base-rule pass."""
         metrics.table_misses += 1
         dyn_costs = self._dyn_costs(row, outcomes)
         if chain_costs:
@@ -1008,19 +917,13 @@ class OnDemandAutomaton:
         row: _DynRow,
         outcomes: tuple,
         node: Node,
-        node_states: dict[Node, State],
         metrics: LabelMetrics,
     ) -> State:
         """A row's state under dynamic chain rules: the candidates'
-        outcomes fix the base half of the key and, memoized in the row
-        they resolve in, the nonterminals derivable before chain rules;
-        the chain half comes from :meth:`_evaluate_dynamic_chains` at
-        *node*.  The full key is read off the kids' states only for the
-        side table or a miss."""
+        outcomes fix the base half of the key and, memoized in the row,
+        the nonterminals derivable before chain rules; the chain half
+        comes from :meth:`_evaluate_dynamic_chains` at *node*."""
         base = row.derivable.get(outcomes)
-        if base is None and not row.fits(outcomes):
-            row = self._side_row(table, self._key(node, node_states), metrics)
-            base = row.derivable.get(outcomes)
         if base is None:
             dyn_costs = self._dyn_costs(row, outcomes)
             costs, rules = self._base_costs(table, row.kids, dyn_costs, metrics)
@@ -1032,8 +935,7 @@ class OnDemandAutomaton:
         full = outcomes + chain_half
         state = row.get(full)
         if state is None:
-            key = self._key(node, node_states)
-            state = self._dyn_state(table, key, row, full, metrics, chain_costs, base[1:])
+            state = self._dyn_state(table, row, full, metrics, chain_costs, base[1:])
         return state
 
     def _evaluate_dynamic_chains(
@@ -1094,7 +996,7 @@ class OnDemandAutomaton:
             else:
                 total = dyn_costs.get(rule.number, static_cost)
             for nt_id, kid in zip(kid_ids, kids):
-                total = add_costs(total, kid[nt_id])
+                total += kid[nt_id]
                 if total >= INFINITE:
                     break
             if total < costs.get(lhs, INFINITE):
@@ -1111,8 +1013,7 @@ class OnDemandAutomaton:
         base_pair: tuple[dict[str, int], dict[str, Rule]] | None = None,
     ) -> State:
         """The dynamic-programming step, run once per novel table entry
-        over the *kids*' cost lists (projected ones, or a side row's full
-        child states)."""
+        over the *kids*' projected cost lists."""
         if base_pair is None:
             costs, rules = self._base_costs(table, kids, dyn_costs, metrics)
         else:
@@ -1235,24 +1136,17 @@ class OnDemandAutomaton:
         :meth:`_Projection.groups`), and one full key per product of
         groups stands for them all.  A constraint-only operator's row
         is filled for both outcomes (the static cost or INFINITE) of
-        each rule it leaves open — exactly the keys the walk builds —
-        and outcomes the row cannot hold for every full key of the
-        product, in the side table.
+        each rule it leaves open — exactly the keys the walk builds.
         """
         groups = self._projection(table, arity).groups(states)
         for members in itertools.product(*[list(by_pid.values()) for by_pid in groups]):
-            key = tuple(member[0] for member in members)
-            entry = self._entry(table, key, metrics)
+            entry = self._entry(table, tuple(member[0] for member in members), metrics)
             if not table.dynamic:
                 continue
             space = [(rule.cost, INFINITE) for rule in entry.candidates]
             for outcomes in itertools.product(*space):
-                if entry.fits(outcomes):
-                    if outcomes not in entry:
-                        self._dyn_state(table, key, entry, outcomes, metrics)
-                    continue
-                for full in itertools.product(*members):
-                    self._dyn_state(table, full, entry, outcomes, metrics)
+                if outcomes not in entry:
+                    self._dyn_state(table, entry, outcomes, metrics)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1263,8 +1157,7 @@ class OnDemandAutomaton:
 
     def transition_count(self) -> int:
         """Total transitions filed across all per-operator tables: one per
-        projected key (per outcome tuple, for a dynamic operator), plus
-        the side tables'."""
+        projected key (per outcome tuple, for a dynamic operator)."""
         return sum(table.transition_count() for table in self._tables.values())
 
     def stats(self) -> dict[str, object]:

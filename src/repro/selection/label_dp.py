@@ -21,7 +21,7 @@ import time
 from typing import Iterable
 
 from repro.grammar.closure import chain_closure
-from repro.grammar.costs import INFINITE, add_costs
+from repro.grammar.costs import INFINITE
 from repro.grammar.grammar import Grammar
 from repro.grammar.pattern import Pattern
 from repro.grammar.rule import Rule
@@ -193,7 +193,7 @@ def _label_node(
             continue
         total = 0
         for nonterminal, leaf in bindings:
-            total = add_costs(total, labeling.cost_of(leaf, nonterminal))
+            total += labeling.cost_of(leaf, nonterminal)
             if total >= INFINITE:
                 break
         else:
@@ -205,9 +205,9 @@ def _label_node(
             if rule.is_dynamic:
                 if metrics is not None:
                     metrics.dynamic_evals += 1
-                total = add_costs(total, rule.cost_at(node))
+                total += rule.cost_at(node)
             else:
-                total = add_costs(total, rule.cost)
+                total += rule.cost
         if total < costs.get(rule.lhs, INFINITE):
             costs[rule.lhs] = total
             rules[rule.lhs] = rule

@@ -68,6 +68,7 @@ from repro.errors import (
     DeadlineExceededError,
     SelectorError,
 )
+from repro.grammar.costs import INFINITE
 from repro.grammar.grammar import Grammar
 from repro.ir.node import Forest
 from repro.ir.validate import validate_forest
@@ -108,13 +109,16 @@ ON_ERROR_POLICIES = ("raise", "isolate")
 EMITTERS = ("tape", "reducer")
 
 _MAGIC = b"RSELTBL1"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _HEADER_LEN_STRUCT = struct.Struct("<I")
 
-#: Wire encoding of :data:`~repro.selection.automaton.UNEVALUATED`
-#: (``None``) inside dynamic outcome runs.  Real outcomes are
-#: non-negative costs, so ``-1`` cannot collide.
+#: Wire encodings of :data:`~repro.selection.automaton.UNEVALUATED`
+#: (``None``) and :data:`~repro.grammar.costs.INFINITE` inside dynamic
+#: outcome runs.  Real outcomes are non-negative costs, so negative
+#: sentinels cannot collide.
 _SIG_UNEVALUATED = -1
+_SIG_INFINITE = -2
+_OUTCOME_OF_SIG = {_SIG_UNEVALUATED: UNEVALUATED, _SIG_INFINITE: INFINITE}
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +179,10 @@ def _serialize(automaton: OnDemandAutomaton, fingerprint: str) -> bytes:
     child-state ids — per position, the smallest state index with the
     entry's projected id — and its state: a ``static`` run per operator
     holds ``len(key), key..., state`` per entry, a ``dyn`` run
-    ``len(key), key..., len(outcomes), outcomes..., state``.  A side
-    table entry is written under its own full key.  A static leaf state
-    is the operator's ``nullary`` header field.
+    ``len(key), key..., len(outcomes), outcomes..., state``.  A static
+    leaf state is the operator's ``nullary`` header field.  Every value
+    is a signed 64-bit integer: a cost or outcome that does not fit
+    raises :class:`~repro.errors.SelectorError`.
     """
     pool = automaton.pool
     sections: list[dict[str, object]] = []
@@ -186,7 +191,13 @@ def _serialize(automaton: OnDemandAutomaton, fingerprint: str) -> bytes:
 
     def add_section(kind: str, values: Iterable[int], op: str | None = None) -> None:
         nonlocal offset
-        arr = array("q", values)
+        try:
+            arr = array("q", values)
+        except OverflowError:
+            raise SelectorError(
+                f"{op or kind!r}: a cost is not serializable "
+                f"(costs must fit in a signed 64-bit integer)"
+            ) from None
         data = arr.tobytes()
         entry: dict[str, object] = {"kind": kind, "offset": offset, "items": len(arr)}
         if op is not None:
@@ -221,7 +232,7 @@ def _serialize(automaton: OnDemandAutomaton, fingerprint: str) -> bytes:
         if not table.dynamic:  # a static entry is a row of one state, at ()
             entries = [(key, {(): state}) for key, state in entries]
         flat: list[int] = []
-        for key, row in entries + list(table.side.items()):
+        for key, row in entries:
             for outcomes, state in row.items():
                 flat.append(len(key))
                 flat.extend(key)
@@ -230,6 +241,8 @@ def _serialize(automaton: OnDemandAutomaton, fingerprint: str) -> bytes:
                 for value in outcomes:
                     if value is UNEVALUATED:
                         flat.append(_SIG_UNEVALUATED)
+                    elif value == INFINITE:
+                        flat.append(_SIG_INFINITE)
                     elif isinstance(value, int) and value >= 0:
                         flat.append(value)
                     else:
@@ -557,7 +570,7 @@ def _rehydrate(
                             f"expected {expected}"
                         )
                     outcomes = tuple(
-                        UNEVALUATED if value == _SIG_UNEVALUATED else value for value in values
+                        _OUTCOME_OF_SIG.get(value, value) for value in values
                     )
                 automaton.restore(table, key, outcomes, state_at(flat[pos]))
                 pos += 1

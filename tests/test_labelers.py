@@ -774,7 +774,7 @@ def test_static_grammar_never_reaches_the_dynamic_tail(monkeypatch):
     automaton.label_many(dag_heavy_forests(95, forests=4, statements=6, shared=4))
     automaton.build_eager()
     tables = automaton._tables.values()
-    assert not any(table.dynamic or table.side for table in tables)
+    assert not any(table.dynamic for table in tables)
     assert all(
         isinstance(entry, State)
         for table in tables

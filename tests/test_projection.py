@@ -7,13 +7,15 @@ projected id (Chase, POPL 1987; Proebsting, TOPLAS 1995).  These tests
 check that the projected tables are exact: on every ``(operator,
 arity, state tuple)`` of a full eager build, and on every constraint
 outcome a dynamic key leaves open, the lookup returns the state that
-dynamic programming builds from the full key.  A saturating sum is the
-one place a renormalized cost could change a state, so a key near
-INFINITE goes to the side table and is built in full.  The eager
-tables then hold one entry per projected key, not one per state tuple.
+dynamic programming builds from the full key.  Costs add exactly, so
+a renormalized child shifts every candidate alike; costs far above
+``1 << 24`` (once a saturation cap) must select the same covers in
+every mode.  The eager tables then hold one entry per projected key,
+not one per state tuple.
 
 The ``synthetic_grammar`` seed honors ``REPRO_CHAOS_SEED`` (default 42),
-so CI's seed matrix checks a different random grammar per seed.
+so CI's seed matrix checks a different random grammar, and a different
+large-cost grammar, per seed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.bench import EmitContext
 from repro.bench.workloads import (
     dynamic_bench_grammar,
     emit_bench_grammar,
+    synthetic_forests,
     synthetic_grammar,
 )
 from repro.grammar import parse_grammar
@@ -130,11 +133,66 @@ def test_eager_tables_stay_small_and_verify_keeps_its_verdict():
     assert report.value_states == 63
 
 
+def _add_dag():
+    """27 nodes: ``REG``, 25 nested ``n = ADD(n, n)``, ``EXPR``.  Its
+    tree unfolding costs 2**25; the DAG's cover costs 25."""
+    b = NodeBuilder()
+    node = b.reg(1)
+    for _ in range(25):
+        node = b.add(node, node)
+    return [Forest([b.expr(node)])]
+
+
+NEG_CHAIN_GRAMMAR = """
+%grammar negchain
+%start stmt
+stmt: EXPR(reg)  (0)       "use %0"
+reg:  REG        (0)       "r"
+reg:  NEG(reg)   (1000000) "neg %0"
+"""
+
+
+def _neg_chain():
+    """A 17-deep ``NEG`` chain: 17 rules of cost 1,000,000."""
+    b = NodeBuilder()
+    node = b.reg(1)
+    for _ in range(17):
+        node = b.neg(node)
+    return [Forest([b.expr(node)])]
+
+
+def _outcome(selector: Selector, forests: list[Forest]):
+    context = EmitContext()
+    result = selector.select_many(forests, context=context, on_error="isolate")
+    values = [
+        (value.phase, value.error_type) if isinstance(value, SelectionFailure) else value
+        for value in result.values
+    ]
+    return values, context.instructions, result.report.cover_cost
+
+
+@pytest.mark.parametrize(
+    ("build", "forests", "cover_cost"),
+    [
+        (emit_bench_grammar, _add_dag, 25),
+        (lambda: parse_grammar(NEG_CHAIN_GRAMMAR), _neg_chain, 17_000_000),
+    ],
+    ids=["add_dag", "neg_chain"],
+)
+def test_costs_past_two_to_the_24_select_exactly_in_every_mode(build, forests, cover_cost):
+    """Sums past ``1 << 24`` are ordinary costs: DP, on-demand and eager
+    emit the same values and instructions at the exact cover cost."""
+    outcomes = [_outcome(Selector(build(), mode=mode), forests()) for mode in ("dp", "ondemand", "eager")]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    values, instructions, cost = outcomes[0]
+    assert cost == cover_cost
+    assert instructions and not any(isinstance(value, tuple) for value in values)
+
+
 #: ``big`` is derivable only through a rule whose dynamic cost is two
-#: below INFINITE.  At ``NEG(REG)`` it applies; at ``NEG(CNST)`` the
-#: child's ``reg`` costs 3, so the full-key sum saturates and it does
-#: not.  Both children project to the same ``reg`` cost (0), so only a
-#: construction from the full key tells the two apart.
+#: below ``1 << 24``.  At ``NEG(REG)`` and ``NEG(CNST)`` (whose child's
+#: ``reg`` costs 3) it applies alike: both children project to the same
+#: ``reg`` cost (0), and the exact sums differ by that constant only.
 SATURATING_GRAMMAR = """
 %grammar saturating
 %start stmt
@@ -148,7 +206,7 @@ big:  NEG(reg)    (huge) "big %0"
 
 
 def _near_infinite(node):
-    return INFINITE - 2
+    return (1 << 24) - 2
 
 
 def _saturating_batch() -> list[Forest]:
@@ -160,45 +218,8 @@ def _saturating_batch() -> list[Forest]:
     ]
 
 
-def _outcome(selector: Selector, forests: list[Forest]):
-    context = EmitContext()
-    result = selector.select_many(forests, context=context, on_error="isolate")
-    values = [
-        (value.phase, value.error_type) if isinstance(value, SelectionFailure) else value
-        for value in result.values
-    ]
-    return values, context.instructions, result.report.cover_cost
-
-
-def test_a_sum_that_saturates_on_the_full_key_is_built_from_it():
-    grammar = parse_grammar(SATURATING_GRAMMAR, bindings={"huge": _near_infinite})
-    forests = _saturating_batch()
-    automaton = OnDemandAutomaton(grammar)
-    labeling = automaton.label_many(forests)
-    # The outcome INFINITE - 2 is over every projected row's slack, so
-    # the side table holds NEG's keys by their full child states,
-    # NEG(CNST) among them.
-    [neg_cnst] = forests[1].roots[0].kids
-    side = automaton._tables["NEG"].side
-    assert (labeling.state_of(neg_cnst.kids[0]).index,) in side
-    dp = DPLabeler(grammar).label_many(forests)
-    for forest in forests:
-        for node in forest.nodes():
-            costs = {nt: dp.cost_of(node, nt) for nt in grammar.nonterminals}
-            rules = {nt: dp.rule_for(node, nt) for nt in grammar.nonterminals}
-            expected = state_signature(normalize_costs(costs), rules)
-            assert labeling.state_of(node).signature == expected, node
-
-    ondemand = _outcome(Selector(grammar), forests)
-    assert ondemand == _outcome(Selector(grammar, mode="dp"), forests)
-    values = ondemand[0]
-    assert len(values[0]) == 1 and len(values[2]) == 2
-    assert values[1] == ("reduce", "CoverError")
-
-
-#: A constraint rule whose cost, 9,000,000, is over every projected row's
-#: slack (about half of what lies below INFINITE): its outcomes are filed
-#: per full key in the side table, even by the eager build.
+#: A constraint rule whose cost, 9,000,000, is more than half of
+#: ``1 << 24``.
 HUGE_CONSTRAINT_GRAMMAR = """
 %grammar hugecon
 %start stmt
@@ -214,18 +235,14 @@ def _odd(node):
     return node.kids[0].value is not None and node.kids[0].value % 2 == 1
 
 
-def test_outcomes_over_the_slack_are_filed_per_full_key():
-    grammar = parse_grammar(HUGE_CONSTRAINT_GRAMMAR, bindings={"odd": _odd})
+def _huge_constraint_batch() -> list[Forest]:
     b = NodeBuilder()
-    forests = [
+    return [
         Forest([b.expr(b.neg(b.reg(i))), b.expr(b.neg(b.neg(b.cnst(i))))]) for i in range(4)
     ]
-    automaton = OnDemandAutomaton(grammar)
-    automaton.build_eager()
-    assert automaton._tables["NEG"].side
-    contact = LabelMetrics()
-    labeling = automaton.label_many(forests, contact)
-    assert contact.table_misses == 0
+
+
+def _assert_states_match_dp(grammar, labeling, forests):
     dp = DPLabeler(grammar).label_many(forests)
     for forest in forests:
         for node in forest.nodes():
@@ -233,3 +250,58 @@ def test_outcomes_over_the_slack_are_filed_per_full_key():
             rules = {nt: dp.rule_for(node, nt) for nt in grammar.nonterminals}
             expected = state_signature(normalize_costs(costs), rules)
             assert labeling.state_of(node).signature == expected, node
+
+
+@pytest.mark.parametrize(
+    ("text", "bindings", "batch"),
+    [
+        (SATURATING_GRAMMAR, {"huge": _near_infinite}, _saturating_batch),
+        (HUGE_CONSTRAINT_GRAMMAR, {"odd": _odd}, _huge_constraint_batch),
+    ],
+    ids=["dynamic_cost", "constraint"],
+)
+def test_large_costs_label_and_select_as_dp_does(text, bindings, batch):
+    """Costs near ``1 << 24`` label every node with the state DP builds,
+    on demand and on the eager tables (which miss nothing unless the
+    build skipped the dynamic-cost operator), and select what DP
+    selects: the NEG(CNST) forest derives ``big`` too."""
+    grammar = parse_grammar(text, bindings=bindings)
+    forests = batch()
+    _assert_states_match_dp(grammar, OnDemandAutomaton(grammar).label_many(forests), forests)
+    eager = OnDemandAutomaton(grammar)
+    skipped = eager.build_eager()["skipped"]
+    contact = LabelMetrics()
+    _assert_states_match_dp(grammar, eager.label_many(forests, contact), forests)
+    assert (contact.table_misses == 0) == (skipped == [])
+
+    ondemand = _outcome(Selector(grammar), forests)
+    assert ondemand == _outcome(Selector(grammar, mode="dp"), forests)
+    assert not any(isinstance(value, tuple) for value in ondemand[0])
+
+
+def test_costs_scaled_by_two_to_the_22_scale_every_state():
+    """Scaling every rule cost of ``synthetic_grammar(12, 5, seed)`` by
+    ``1 << 22`` labels every node of ``synthetic_forests`` with the
+    unscaled state, its delta costs scaled exactly, and with the state
+    DP builds; the state set keeps its size.  The seed follows
+    ``REPRO_CHAOS_SEED``, so each CI seed checks another large-cost
+    grammar."""
+    scale = 1 << 22
+    plain = synthetic_grammar(12, 5, CHAOS_SEED)
+    scaled = synthetic_grammar(12, 5, CHAOS_SEED)
+    for rule in scaled.rules:
+        rule.cost *= scale
+    forests = synthetic_forests(scaled.operators, CHAOS_SEED, 4, 8, 5)
+    plain_automaton = OnDemandAutomaton(plain)
+    plain_labeling = plain_automaton.label_many(forests)
+    automaton = OnDemandAutomaton(scaled)
+    labeling = automaton.label_many(forests)
+    _assert_states_match_dp(scaled, labeling, forests)
+    for forest in forests:
+        for node in forest.nodes():
+            want = tuple(
+                (nt, cost * scale, number)
+                for nt, cost, number in plain_labeling.state_of(node).signature
+            )
+            assert labeling.state_of(node).signature == want, node
+    assert len(automaton.pool) == len(plain_automaton.pool)

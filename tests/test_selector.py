@@ -210,7 +210,6 @@ def test_eager_constraint_tables_cover_the_pool_and_survive_a_round_trip(tmp_pat
         for _, row in slot.entries()
     ]
     assert rows and all(len(row) == 2 ** len(row.candidates) for row in rows)
-    assert not any(table.side for table in automaton._tables.values())
     forests = dynamic_constraint_forests(21, forests=64, statements=10)
     contact = LabelMetrics()
     compiled.label_many(forests, contact)
@@ -309,28 +308,54 @@ def test_load_rejects_old_format_and_mismatched_dynamic_outcomes(tmp_path):
 
 def test_format_2_artifact_is_refused(tmp_path):
     """Format 2 wrote one transition per tuple of child states (dense
-    unary and binary matrices); format 3 writes one per projected key.
-    This build refuses a format-2 artifact with the typed corruption
-    error, and leaves its bytes as they were."""
+    unary and binary matrices); format 3 wrote one per projected key
+    with INFINITE as the integer ``1 << 24``; format 4 writes INFINITE
+    outcomes as a sentinel.  This build refuses a format-2 or format-3
+    artifact with the typed corruption error, and leaves its bytes as
+    they were."""
     grammar = bench_grammar()
     path = Selector(grammar, mode="eager").save(tmp_path / "bench.rsel")
-    assert read_artifact_header(path)["format"] == 3
+    assert read_artifact_header(path)["format"] == 4
     assert {section["kind"] for section in read_artifact_header(path)["sections"]} == {
         "state_lens",
         "state_triples",
         "static",
     }
 
-    def format_2(header):
-        header["format"] = 2
-        return header
+    for version in (2, 3):
 
-    old = tmp_path / "old.rsel"
-    old.write_bytes(_reframed(path.read_bytes(), format_2))
-    before = old.read_bytes()
-    with pytest.raises(ArtifactCorruptError, match="unsupported artifact format 2"):
-        Selector.load(old, grammar)
-    assert old.read_bytes() == before
+        def downgrade(header):
+            header["format"] = version
+            return header
+
+        old = tmp_path / f"format{version}.rsel"
+        old.write_bytes(_reframed(path.read_bytes(), downgrade))
+        before = old.read_bytes()
+        with pytest.raises(ArtifactCorruptError, match=f"unsupported artifact format {version}"):
+            Selector.load(old, grammar)
+        assert old.read_bytes() == before
+
+
+#: A constraint cost past a signed 64-bit integer: exact in memory, not
+#: serializable.
+WIDE_CONSTRAINT_GRAMMAR = """
+%grammar widecon
+%start stmt
+stmt: EXPR(reg)  (0)
+reg:  REG        (0)
+reg:  NEG(reg)   (3)
+reg:  NEG(reg)   (18446744073709551616) @constraint(odd)
+"""
+
+
+def test_a_cost_past_64_bits_is_not_serializable(tmp_path):
+    def odd(node):
+        return node.kids[0].value is not None and node.kids[0].value % 2 == 1
+
+    grammar = parse_grammar(WIDE_CONSTRAINT_GRAMMAR, bindings={"odd": odd})
+    with pytest.raises(SelectorError, match="not serializable"):
+        Selector(grammar, mode="eager").save(tmp_path / "wide.rsel")
+    assert not (tmp_path / "wide.rsel").exists()
 
 
 def test_load_rejects_mismatched_and_stale_grammars(tmp_path):
@@ -504,7 +529,7 @@ def test_arity3_operators_roundtrip_nary_tables(tmp_path):
 #: ``_FORMAT_VERSION``.
 PINNED_PAYLOAD_SHA256 = {
     "bench_grammar": "07aeae7beef17c58b318c294403f8d6c8bd069e5f1f84fe9dc2e05ad3245e845",
-    "dynamic_bench_grammar": "7924bdcfd3016a8b1c05cd6abf8e2bd411cdba45270304cc2e196bb4ed4c2e03",
+    "dynamic_bench_grammar": "65160a3fd6d8430677b6f17194c664d5497e98536934bf1cd5d2c75448c8d6bb",
 }
 
 
