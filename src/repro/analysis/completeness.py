@@ -23,10 +23,11 @@ Soundness notes:
 
 * Dynamic-cost and constrained rules can only *add* derivations (a
   failed constraint removes one rule, but the verifier certifies the
-  static core obtained via ``without_dynamic_rules()``, which has no
-  such rules to lose).  Completeness of the static core therefore
-  implies completeness of the full grammar; the report records how many
-  dynamic rules were set aside under ``dynamic_rules_assumed``.
+  static core, ``grammar.subset()`` of the rules that are not dynamic,
+  which has no such rules to lose).  Completeness of the static core
+  therefore implies completeness of the full grammar; the report
+  records how many dynamic rules were set aside under
+  ``dynamic_rules_assumed``.
 * After ``build_eager``, the pool holds exactly the reachable states
   (children of distinct subtrees are independent).  The verifier then
   restricts attention to **value-reachable** states — the fixed point
@@ -141,8 +142,7 @@ def verify_completeness(grammar: Grammar, max_states: int | None = None) -> Comp
 
     static = grammar
     if grammar.has_dynamic_rules:
-        static = grammar.without_dynamic_rules()
-        static.start = grammar.start
+        static = grammar.subset(lambda rule: not rule.is_dynamic, f"{grammar.name}-static")
         report.dynamic_rules_assumed = len(grammar.rules) - len(static.rules)
 
     automaton = OnDemandAutomaton(static)

@@ -131,12 +131,13 @@ def prune(
 ) -> PruneResult:
     """Return a reduced grammar without *grammar*'s dominated rules.
 
-    The pruned grammar keeps every surviving rule's attributes (costs,
-    templates, actions, constraints, source position) and links each
-    copy to its original through ``source``, so emit traces remain
-    comparable.  Every nonterminal a kept rule references is still
-    derived — its cheapest derivation used a kept (winning) rule — so
-    the result always passes ``validate()``.
+    The pruned grammar is :meth:`Grammar.subset` of the surviving
+    rules: each copy keeps every attribute of its rule (costs,
+    templates, actions, constraints, source position) and links to it
+    through ``source``, so emit traces remain comparable.  Every
+    nonterminal a kept rule references is still derived — its cheapest
+    derivation used a kept (winning) rule — so the result always passes
+    ``validate()``.
 
     Args:
         grammar: The grammar to prune.
@@ -155,27 +156,9 @@ def prune(
             f"cannot prune grammar {grammar.name!r}: {report.reason or 'not analyzable'}"
         )
     dominated_ids = {id(rule) for rule in report.dominated}
-    pruned = Grammar(name or f"{grammar.name}-pruned", grammar.operators, grammar.start)
-    for nt in grammar.nonterminals:
-        pruned.declare_nonterminal(nt)
-    for rule in grammar.rules:
-        if id(rule) in dominated_ids:
-            continue
-        pruned.add_rule(
-            rule.lhs,
-            rule.pattern,
-            rule.cost,
-            name=rule.name,
-            template=rule.template,
-            action=rule.action,
-            dynamic_cost=rule.dynamic_cost,
-            constraint=rule.constraint,
-            constraint_name=rule.constraint_name,
-            is_helper=rule.is_helper,
-            source=rule,
-            line=rule.line,
-            column=rule.column,
-        )
+    pruned = grammar.subset(
+        lambda rule: id(rule) not in dominated_ids, name or f"{grammar.name}-pruned"
+    )
     pruned.validate()
     return PruneResult(grammar=pruned, removed=list(report.dominated), report=report)
 

@@ -7,17 +7,15 @@ from repro.grammar.analysis import (
 )
 from repro.grammar.closure import chain_closure, chain_cost_matrix
 from repro.grammar.costs import INFINITE, is_finite, normalize_costs
-from repro.grammar.grammar import Grammar, GrammarStats
-from repro.grammar.normalize import NormalizationResult, normalize
+from repro.grammar.grammar import Grammar
+from repro.grammar.normalize import normalize
 from repro.grammar.parser import parse_grammar
 from repro.grammar.pattern import Pattern, nt_pattern, op_pattern
 from repro.grammar.rule import Rule
 
 __all__ = [
     "Grammar",
-    "GrammarStats",
     "INFINITE",
-    "NormalizationResult",
     "Pattern",
     "Rule",
     "chain_closure",

@@ -1,8 +1,17 @@
-"""The tree grammar: a machine description for instruction selection."""
+"""The tree grammar: a machine description for instruction selection.
+
+A :class:`Grammar` is built rule by rule with :meth:`Grammar.add_rule`.
+Grammars derived from another one — the normal form
+(:func:`~repro.grammar.normalize.normalize`), the static core that
+completeness certifies and the pruned grammar
+(:meth:`Grammar.subset`) — copy their rules through one path,
+:meth:`Grammar.add_copy`, which carries every :class:`Rule` field and
+links the copy to its original through ``source``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import fields
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import GrammarError
@@ -11,49 +20,24 @@ from repro.grammar.pattern import Pattern, nt_pattern, op_pattern
 from repro.grammar.rule import EmitAction, Rule
 from repro.ir.ops import DEFAULT_OPERATORS, OperatorSet
 
-__all__ = ["Grammar", "GrammarStats"]
+__all__ = ["Grammar"]
 
-
-@dataclass
-class GrammarStats:
-    """Size statistics of one grammar (reported in experiment T1)."""
-
-    name: str
-    rules: int
-    chain_rules: int
-    base_rules: int
-    multi_node_rules: int
-    dynamic_rules: int
-    constrained_rules: int
-    nonterminals: int
-    operators_used: int
-    is_normal_form: bool
-
-    def as_row(self) -> dict[str, object]:
-        return {
-            "grammar": self.name,
-            "rules": self.rules,
-            "chain": self.chain_rules,
-            "base": self.base_rules,
-            "multi-node": self.multi_node_rules,
-            "dynamic": self.dynamic_rules,
-            "constrained": self.constrained_rules,
-            "nonterminals": self.nonterminals,
-            "operators": self.operators_used,
-            "normal form": self.is_normal_form,
-        }
+#: The :class:`Rule` fields :meth:`Grammar.add_copy` carries: all but
+#: ``number``, which the grammar assigns.
+_COPIED_FIELDS = tuple(f.name for f in fields(Rule) if f.name != "number")
 
 
 class Grammar:
     """A tree grammar: nonterminals, rules, a start nonterminal.
 
-    Rules are added through :meth:`add_rule` (or the :meth:`rule` /
-    :meth:`chain` conveniences) and numbered consecutively in the order
-    of addition, which mirrors burg's rule numbers.  Index structures
-    used by the labelers (rules grouped by root operator, chain rules
-    grouped by right-hand-side nonterminal) are maintained incrementally
-    so a grammar can also be extended while a JIT is running — one of
-    the flexibility arguments of the on-demand approach.
+    Rules are added through :meth:`add_rule` (or the :meth:`chain` /
+    :meth:`op_rule` conveniences, or copied by :meth:`add_copy`) and
+    numbered consecutively in the order of addition, which mirrors
+    burg's rule numbers.  Index structures used by the labelers (rules
+    grouped by root operator, chain rules grouped by right-hand-side
+    nonterminal) are maintained incrementally so a grammar can also be
+    extended while a JIT is running — one of the flexibility arguments
+    of the on-demand approach.
     """
 
     def __init__(
@@ -144,9 +128,19 @@ class Grammar:
         self.version += 1
         return rule
 
-    def rule(self, text_lhs: str, pattern: Pattern, cost: int = 0, **kwargs: Any) -> Rule:
-        """Alias of :meth:`add_rule` for fluent grammar construction."""
-        return self.add_rule(text_lhs, pattern, cost, **kwargs)
+    def add_copy(self, rule: Rule, **changes: Any) -> Rule:
+        """Add a copy of *rule* (from any grammar) and return it.
+
+        The copy carries every field of *rule* but its number, links
+        back through ``source=rule``, and then takes *changes*
+        (``field=value``).  Every derived grammar copies its rules
+        through here, so a field added to :class:`Rule` is carried
+        without touching a caller.
+        """
+        values = {name: getattr(rule, name) for name in _COPIED_FIELDS}
+        values["source"] = rule
+        values.update(changes)
+        return self.add_rule(**values)
 
     def chain(self, lhs: str, rhs: str, cost: int = 0, **kwargs: Any) -> Rule:
         """Add a chain rule ``lhs : rhs``."""
@@ -202,10 +196,6 @@ class Grammar:
                     seen.append(op_name)
         return seen
 
-    def dynamic_rules(self) -> list[Rule]:
-        """Rules with a dynamic cost or a constraint."""
-        return [rule for rule in self.rules if rule.is_dynamic]
-
     @property
     def is_normal_form(self) -> bool:
         """True if every rule is a chain rule or a base rule."""
@@ -224,74 +214,22 @@ class Grammar:
     # ------------------------------------------------------------------
     # Derived grammars
 
-    def without_dynamic_rules(self, name: str | None = None) -> "Grammar":
-        """A copy with all dynamic-cost / constrained rules removed.
+    def subset(self, keep: Callable[[Rule], bool], name: str) -> "Grammar":
+        """A grammar of the rules *keep* accepts, each copied by :meth:`add_copy`.
 
-        Used by the code-quality experiment (T6): the paper compares
-        code generated with and without the rules that need dynamic
-        applicability checks.
+        The result has this grammar's operators, start and nonterminal
+        order, so rules and states stay comparable with this grammar's.
         """
-        clone = Grammar(name or f"{self.name}-static", self.operators, self.start)
+        derived = Grammar(name, self.operators, self.start)
+        for nt in self.nonterminals:
+            derived.declare_nonterminal(nt)
         for rule in self.rules:
-            if rule.is_dynamic:
-                continue
-            clone.add_rule(
-                rule.lhs,
-                rule.pattern,
-                rule.cost,
-                name=rule.name,
-                template=rule.template,
-                action=rule.action,
-                is_helper=rule.is_helper,
-                source=rule,
-                line=rule.line,
-                column=rule.column,
-            )
-        return clone
-
-    def copy(self, name: str | None = None) -> "Grammar":
-        """A shallow copy sharing rule objects (useful for extension tests)."""
-        clone = Grammar(name or self.name, self.operators, self.start)
-        for rule in self.rules:
-            clone.add_rule(
-                rule.lhs,
-                rule.pattern,
-                rule.cost,
-                name=rule.name,
-                template=rule.template,
-                action=rule.action,
-                dynamic_cost=rule.dynamic_cost,
-                constraint=rule.constraint,
-                constraint_name=rule.constraint_name,
-                is_helper=rule.is_helper,
-                source=rule.source,
-                line=rule.line,
-                column=rule.column,
-            )
-        return clone
+            if keep(rule):
+                derived.add_copy(rule)
+        return derived
 
     # ------------------------------------------------------------------
-    # Statistics and validation
-
-    def stats(self) -> GrammarStats:
-        """Size statistics (experiment T1)."""
-        chain = sum(1 for rule in self.rules if rule.is_chain)
-        base = sum(1 for rule in self.rules if rule.is_base)
-        multi = sum(1 for rule in self.rules if not rule.is_normal_form)
-        dynamic = sum(1 for rule in self.rules if rule.dynamic_cost is not None)
-        constrained = sum(1 for rule in self.rules if rule.constraint is not None)
-        return GrammarStats(
-            name=self.name,
-            rules=len(self.rules),
-            chain_rules=chain,
-            base_rules=base,
-            multi_node_rules=multi,
-            dynamic_rules=dynamic,
-            constrained_rules=constrained,
-            nonterminals=len(self.nonterminals),
-            operators_used=len(self.operators_used()),
-            is_normal_form=self.is_normal_form,
-        )
+    # Validation
 
     def validate(self) -> None:
         """Raise :class:`~repro.errors.GrammarError` on structural problems."""

@@ -7,6 +7,11 @@ nonterminals, exactly as described in the tree-parsing literature: the
 helper rules get cost 0 and no emit action, and the rule's cost, action
 and dynamic cost / constraint stay on the *top* rule (the one matching
 the pattern root), where the information they need is available.
+Normal-form rules and top rules are copied with
+:meth:`~repro.grammar.grammar.Grammar.add_copy`, so they keep every
+field of the user's rule (``is_helper`` included: normalizing an
+already-normalized grammar keeps its helpers splicing); helper rules are
+new rules and are added with ``add_rule``.
 
 Normalisation preserves minimum cover costs: any derivation using the
 original multi-node rule corresponds one-to-one to a derivation using
@@ -16,27 +21,13 @@ nonterminals cannot be derived in any other way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.grammar.grammar import Grammar
 from repro.grammar.pattern import Pattern, nt_pattern, op_pattern
-from repro.grammar.rule import Rule
 
-__all__ = ["NormalizationResult", "normalize"]
-
-
-@dataclass
-class NormalizationResult:
-    """Outcome of :func:`normalize`."""
-
-    grammar: Grammar
-    #: Maps each original rule to the normalized rule carrying its cost/action.
-    top_rule_of: dict[int, Rule] = field(default_factory=dict)
-    #: Number of helper nonterminals introduced.
-    helpers_introduced: int = 0
+__all__ = ["normalize"]
 
 
-def normalize(grammar: Grammar, name: str | None = None) -> NormalizationResult:
+def normalize(grammar: Grammar, name: str | None = None) -> Grammar:
     """Return a normal-form version of *grammar*.
 
     Rules already in normal form are copied as-is (keeping their
@@ -55,26 +46,11 @@ def normalize(grammar: Grammar, name: str | None = None) -> NormalizationResult:
     for nt in grammar.nonterminals:
         normalized.declare_nonterminal(nt)
 
-    result = NormalizationResult(grammar=normalized)
     helper_counter = 0
 
     for rule in grammar.rules:
         if rule.is_normal_form:
-            top = normalized.add_rule(
-                rule.lhs,
-                rule.pattern,
-                rule.cost,
-                name=rule.name,
-                template=rule.template,
-                action=rule.action,
-                dynamic_cost=rule.dynamic_cost,
-                constraint=rule.constraint,
-                constraint_name=rule.constraint_name,
-                source=rule,
-                line=rule.line,
-                column=rule.column,
-            )
-            result.top_rule_of[rule.number] = top
+            normalized.add_copy(rule)
             continue
 
         # Multi-node rule: flatten nested operator subtrees bottom-up.
@@ -102,22 +78,6 @@ def normalize(grammar: Grammar, name: str | None = None) -> NormalizationResult:
         top_kids = tuple(
             kid if kid.is_nonterminal else flatten(kid) for kid in rule.pattern.kids
         )
-        top_pattern = Pattern("op", rule.pattern.symbol, top_kids)
-        top = normalized.add_rule(
-            rule.lhs,
-            top_pattern,
-            rule.cost,
-            name=rule.name,
-            template=rule.template,
-            action=rule.action,
-            dynamic_cost=rule.dynamic_cost,
-            constraint=rule.constraint,
-            constraint_name=rule.constraint_name,
-            source=rule,
-            line=rule.line,
-            column=rule.column,
-        )
-        result.top_rule_of[rule.number] = top
+        normalized.add_copy(rule, pattern=Pattern("op", rule.pattern.symbol, top_kids))
 
-    result.helpers_introduced = helper_counter
-    return result
+    return normalized

@@ -65,18 +65,6 @@ class Pattern:
             ops.extend(kid.operators())
         return ops
 
-    def depth(self) -> int:
-        """Height of the pattern (1 for a single node)."""
-        if not self.kids:
-            return 1
-        return 1 + max(kid.depth() for kid in self.kids)
-
-    def node_count(self) -> int:
-        """Number of operator nodes in the pattern."""
-        if self.is_nonterminal:
-            return 0
-        return 1 + sum(kid.node_count() for kid in self.kids)
-
     def walk(self) -> Iterator["Pattern"]:
         """Preorder traversal of all pattern nodes."""
         yield self

@@ -96,11 +96,6 @@ class Rule:
         return self.dynamic_cost is not None or self.constraint is not None
 
     @property
-    def operator(self) -> str | None:
-        """The root operator of the pattern, or ``None`` for chain rules."""
-        return None if self.is_chain else self.pattern.symbol
-
-    @property
     def original(self) -> "Rule":
         """The user-written rule this rule was derived from (or itself)."""
         rule: Rule = self

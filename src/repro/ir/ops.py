@@ -116,10 +116,6 @@ class OperatorSet:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def names(self) -> list[str]:
-        """All operator names, in registration order."""
-        return list(self._ops)
-
     def copy(self, name: str | None = None) -> "OperatorSet":
         """A shallow copy, optionally renamed, for dialect extension."""
         clone = OperatorSet(name=name or self.name)

@@ -187,12 +187,6 @@ class Histogram:
         }
 
     @classmethod
-    def from_snapshot(cls, snapshot: dict[str, Any]) -> "Histogram":
-        histogram = cls()
-        histogram.merge(snapshot)
-        return histogram
-
-    @classmethod
     def of(cls, values: Iterable[int | float]) -> "Histogram":
         histogram = cls()
         for value in values:

@@ -416,7 +416,7 @@ class OnDemandAutomaton:
         if self._source_version == self.source_grammar.version:
             return
         source = self.source_grammar
-        self.grammar = source if source.is_normal_form else normalize(source).grammar
+        self.grammar = source if source.is_normal_form else normalize(source)
         self._source_version = source.version
         self.pool = StatePool(self.grammar.nonterminals)
         self._op_ids = self.grammar.operator_ids()

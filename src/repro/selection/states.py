@@ -11,10 +11,8 @@ same rules everywhere above them, so they are interned as one state.
 The warm path never touches strings: the owning :class:`StatePool`
 interns nonterminals to dense ids, and each state stores its costs and
 rules as flat lists indexed by nonterminal id (:attr:`State.cost_vec`,
-:attr:`State.rule_vec`).  The string-keyed :attr:`State.costs` /
-:attr:`State.rules` views and the :meth:`State.cost_of` /
-:meth:`State.rule_for` accessors are kept for existing callers and
-built lazily from the vectors.
+:attr:`State.rule_vec`); :meth:`State.cost_of` / :meth:`State.rule_for`
+look a nonterminal name up in the pool's interning first.
 
 States are hash-consed through a :class:`StatePool`: the signature is
 the sorted tuple of ``(nonterminal, delta cost, rule number)`` triples,
@@ -55,7 +53,7 @@ class State:
         signature: The hash-consing key this state was interned under.
     """
 
-    __slots__ = ("index", "cost_vec", "rule_vec", "signature", "_nt_ids", "_costs", "_rules")
+    __slots__ = ("index", "cost_vec", "rule_vec", "signature", "_nt_ids")
 
     def __init__(
         self,
@@ -70,11 +68,9 @@ class State:
         self.rule_vec = rule_vec
         self.signature = signature
         self._nt_ids = nt_ids
-        self._costs: dict[str, int] | None = None
-        self._rules: dict[str, Rule] | None = None
 
     # ------------------------------------------------------------------
-    # Integer-indexed accessors (the warm path)
+    # Accessors (the integer-indexed pair is the warm path)
 
     def cost_at(self, nt_id: int) -> int:
         """Delta cost of deriving this state from nonterminal id *nt_id*."""
@@ -86,23 +82,6 @@ class State:
         vec = self.rule_vec
         return vec[nt_id] if nt_id < len(vec) else None
 
-    # ------------------------------------------------------------------
-    # String-keyed compatibility accessors
-
-    @property
-    def costs(self) -> dict[str, int]:
-        """Nonterminal → delta cost view (finite entries only), built lazily."""
-        if self._costs is None:
-            self._costs = {nt: cost for nt, cost, _ in self.signature}
-        return self._costs
-
-    @property
-    def rules(self) -> dict[str, Rule]:
-        """Nonterminal → rule view (derivable nonterminals only), built lazily."""
-        if self._rules is None:
-            self._rules = {nt: self.rule_vec[self._nt_ids[nt]] for nt, _, _ in self.signature}
-        return self._rules
-
     def cost_of(self, nonterminal: str) -> int:
         """Delta cost of deriving this state from *nonterminal*."""
         nt_id = self._nt_ids.get(nonterminal)
@@ -112,24 +91,6 @@ class State:
         """Rule starting the cheapest derivation from *nonterminal*."""
         nt_id = self._nt_ids.get(nonterminal)
         return None if nt_id is None else self.rule_at(nt_id)
-
-    def nonterminals(self) -> list[str]:
-        """Derivable nonterminals, sorted."""
-        return [nt for nt, _, _ in self.signature]
-
-    @property
-    def is_error(self) -> bool:
-        """True for the state of subtrees no rule can derive."""
-        return not self.signature
-
-    def describe(self) -> str:
-        """Multi-line burg-style dump (one nonterminal per line)."""
-        lines = [f"state {self.index}:"]
-        for nt, cost, number in self.signature:
-            lines.append(f"  {nt}: rule {number} (+{cost})")
-        if self.is_error:
-            lines.append("  <error state: no derivations>")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"State(#{self.index}, nts={len(self.signature)})"
@@ -195,7 +156,3 @@ class StatePool:
 
     def __iter__(self) -> Iterator[State]:
         return iter(self.states)
-
-    def describe(self) -> str:
-        """Dump of every interned state."""
-        return "\n".join(state.describe() for state in self.states)

@@ -140,7 +140,7 @@ def test_parsed_rules_record_line_and_column():
 
 def test_normalization_inherits_source_positions():
     grammar = bench_grammar()
-    normalized = normalize(grammar).grammar
+    normalized = normalize(grammar)
     for rule in normalized.rules:
         assert rule.line == rule.original.line
         assert rule.column == rule.original.column

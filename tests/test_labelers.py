@@ -163,7 +163,7 @@ def test_multi_node_dynamic_cost_only_runs_where_pattern_matches():
     # guard (it used to crash here too).
     from repro.grammar import normalize
 
-    normalized = normalize(grammar).grammar
+    normalized = normalize(grammar)
     nf_cover = extract_cover(label_dp(normalized, forest), forest)
     assert nf_cover.total_cost() == dp_cover.total_cost()
 
@@ -308,7 +308,7 @@ def test_multi_node_rule_actions_get_identical_operands_under_all_labelers():
     results = []
     for name, make_labeling in [
         ("dp-original", lambda f: label_dp(grammar, f)),
-        ("dp-normalized", lambda f: label_dp(normalize(grammar).grammar, f)),
+        ("dp-normalized", lambda f: label_dp(normalize(grammar), f)),
         ("automaton", lambda f: OnDemandAutomaton(grammar).label(f)),
     ]:
         forest = build()
@@ -674,7 +674,7 @@ def test_states_and_covers_equal_the_dp_oracle(name, make_grammar, make_forests)
 
     grammar = make_grammar()
     forests = make_forests()
-    normalized = normalize(grammar).grammar
+    normalized = normalize(grammar)
     auto_metrics, dp_metrics = LabelMetrics(), LabelMetrics()
     labeling = OnDemandAutomaton(grammar).label_many(forests, auto_metrics)
     dp = DPLabeler(normalized).label_many(forests)

@@ -264,7 +264,7 @@ def test_reducer_on_normalized_grammar_matches_original():
     """DP over the normalized grammar drives the same user actions as
     DP over the original (the reducer's splice path)."""
     grammar = emit_bench_grammar()
-    normalized = normalize(grammar).grammar
+    normalized = normalize(grammar)
     forests = reduce_heavy_forests(77, forests=2, statements=6, max_depth=4)
     for forest in forests:
         original_ctx, normalized_ctx = EmitContext(), EmitContext()
